@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -133,7 +134,9 @@ func TestNativeMatchesLinked(t *testing.T) {
 // TestHotSwapMidRun installs the native kernel after some interpreted
 // cycles and checks the engine's trajectory is unchanged: the kernel
 // indexes the same unified state slice evalLinked does, so a swap between
-// Run calls must be invisible.
+// Run calls must be invisible — on the serial engine and, at an odd cycle
+// count, on the two-view parallel engine, where the kernel's first cycle
+// runs over the second view.
 func TestHotSwapMidRun(t *testing.T) {
 	if err := Supported(); err != nil {
 		t.Skipf("native codegen unsupported here: %v", err)
@@ -144,8 +147,17 @@ func TestHotSwapMidRun(t *testing.T) {
 	}
 	defer store.Close()
 
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", threads), func(t *testing.T) { hotSwapMidRun(t, store, threads) })
+	}
+}
+
+func hotSwapMidRun(t *testing.T, store *Store, threads int) {
 	d := buildDesign(t, 11, 90)
-	p := compileK(t, d, 1)
+	p := compileK(t, d, threads)
+	if p == nil {
+		t.Skipf("k=%d: uncuttable", threads)
+	}
 	k, err := store.Kernel(p, EmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +182,7 @@ func TestHotSwapMidRun(t *testing.T) {
 		e.Run(1)
 	}
 	for cyc := 0; cyc < 120; cyc++ {
-		if cyc == 40 {
+		if cyc == 41 {
 			if err := swp.InstallNative(k.Threads); err != nil {
 				t.Fatalf("hot swap at cycle %d: %v", cyc, err)
 			}

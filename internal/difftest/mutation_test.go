@@ -35,26 +35,33 @@ func mutOptions(seed int64, mutate func(*sim.Program) bool) Options {
 // to at most maxVerts graph vertices.
 func huntAndShrink(t *testing.T, name string, mutate func(*sim.Program) bool) {
 	t.Helper()
-	const maxVerts = 12
+	huntAndShrinkColumn(t, name, "mutant", 12, func(seed int64) Options { return mutOptions(seed, mutate) })
+}
+
+// huntAndShrinkColumn is huntAndShrink for a defect planted through
+// Options: only the column whose engine names start with column may
+// diverge.
+func huntAndShrinkColumn(t *testing.T, name, column string, maxVerts int, options func(seed int64) Options) {
+	t.Helper()
 	for seed := int64(1); seed <= 25; seed++ {
 		s := genckt.Generate(genckt.Config{Seed: seed, Size: 30})
 		d, err := s.Build()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opt := mutOptions(seed, mutate)
+		opt := options(seed)
 		m := Run(d, opt)
 		if m == nil {
 			continue // mutation silent or inapplicable on this circuit
 		}
-		if m.Engine != "mutant" {
-			t.Fatalf("seed %d: non-mutant engine diverged: %v", seed, m)
+		if !strings.HasPrefix(m.Engine, column) {
+			t.Fatalf("seed %d: engine outside the %s column diverged: %v", seed, column, m)
 		}
 		pred := func(cd *genckt.Design, cycles int) bool {
 			o := opt
 			o.Cycles = cycles
 			cm := Run(cd, o)
-			return cm != nil && cm.Engine == "mutant"
+			return cm != nil && strings.HasPrefix(cm.Engine, column)
 		}
 		res := Shrink(s, opt.Cycles, pred)
 		if res == nil {
@@ -260,4 +267,17 @@ func TestMutationBatchColumn(t *testing.T) {
 		return
 	}
 	t.Fatal("batch-column: no seed in 1..25 triggered the mutation")
+}
+
+// Bug 8 — par-column liveness: the one-barrier engine keeps two views of
+// every memory and each thread must re-apply its previous cycle's writes to
+// the view it publishes into. With that catch-up dropped, every view misses
+// every other cycle's writes. The defect lives in the engine, not in the
+// program, so only the par-k columns (the multi-threaded sim.Engine) can
+// see it; the serial engines over the same circuit keep one view and stay
+// clean.
+func TestMutationParSkippedCatchUp(t *testing.T) {
+	huntAndShrinkColumn(t, "par-skip-catch-up", "par-k", 16, func(seed int64) Options {
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: true}
+	})
 }

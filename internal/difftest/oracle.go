@@ -105,6 +105,11 @@ type Options struct {
 	// refinement stage (mutation testing: the quality gate must catch the
 	// worsened partition, proving the column live). Implies Repart.
 	RepartBug bool
+	// ParBug plants the double-buffering defect (sim.Engine.PlantSkipCatchUp:
+	// memory writes reach only one of the two state views) into the par-k
+	// columns' engines (mutation testing: the columns whose subject is the
+	// one-barrier protocol must catch it).
+	ParBug bool
 	// CodegenBug plants a deliberate emitter defect into the codegen
 	// column's kernel (mutation testing: the matrix must catch it; the
 	// solo engines keep the clean program). The bug is part of the
@@ -269,7 +274,11 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 				return &Mismatch{Engine: fmt.Sprintf("par-k%d", k), Cycle: -1, Kind: kind, Got: err.Error()}
 			}
 		}
-		addProgram(fmt.Sprintf("par-k%d", k), pk, false)
+		par := sim.NewEngine(pk)
+		if opt.ParBug {
+			par.PlantSkipCatchUp()
+		}
+		engines = append(engines, namedEngine{fmt.Sprintf("par-k%d", k), serialAdapter{par}})
 	}
 
 	// Repartitioned parallel engines: replication-aware k-way refinement

@@ -275,6 +275,8 @@ func Evaluate(cpu CPU, works []ThreadWork, pl Placement) Eval {
 		addCounters(&ev.Counters, w, counters, evalNs)
 	}
 
+	// Two barriers per cycle: this models the paper's §5.1 runtime, not
+	// sim.Engine, which crosses one (DESIGN.md §4 "Runtime protocol").
 	barrier := 2 * (cpu.BarrierBaseNs + cpu.BarrierPerLog2Ns*math.Log2(float64(n)+1))
 	if crossesSockets(cpu, pl, n) {
 		barrier *= cpu.InterSocketFactor

@@ -449,25 +449,14 @@ func (e *BatchEngine) ExtractLane(lane int) (*Engine, error) {
 	if err := e.checkLane(lane); err != nil {
 		return nil, err
 	}
+	s, err := e.SnapshotLane(lane)
+	if err != nil {
+		return nil, err
+	}
 	ne := NewEngine(e.prog)
-	for w := 0; w < e.prog.GlobalWords; w++ {
-		ne.gs.words[w] = e.st[w*e.stride+lane]
+	if err := ne.RestoreSnapshot(s); err != nil {
+		return nil, err
 	}
-	gs := e.laneGS[lane]
-	for i := range gs.wide {
-		ne.gs.wide[i] = gs.wide[i].Clone()
-	}
-	for mi := range gs.mems {
-		if gs.mems[mi] != nil {
-			copy(ne.gs.mems[mi], gs.mems[mi])
-		}
-		if gs.wideMems[mi] != nil {
-			for a := range gs.wideMems[mi] {
-				ne.gs.wideMems[mi][a] = gs.wideMems[mi][a].Clone()
-			}
-		}
-	}
-	ne.cycles = e.cycles[lane]
 	return ne, nil
 }
 
@@ -476,7 +465,7 @@ func (e *BatchEngine) ExtractLane(lane int) (*Engine, error) {
 // when sizing batch groups.
 func (e *BatchEngine) StateBytes() int64 {
 	n := int64(len(e.st)) * 8
-	n += int64(e.lanes) * (e.prog.StateBytes() - int64(e.prog.GlobalWords)*8)
+	n += int64(e.lanes) * (e.prog.viewBytes() - int64(e.prog.GlobalWords)*8)
 	n += int64(unsafe.Sizeof(BatchEngine{}))
 	return n
 }

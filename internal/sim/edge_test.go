@@ -5,33 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/cgraph"
-	"repro/internal/firrtl"
 )
 
 // buildAndRun compiles src at both opt levels, runs n cycles with the given
 // pokes, and cross-checks outputs against the reference evaluator.
 func buildAndRun(t *testing.T, src string, pokes map[string]uint64, n int) map[string]uint64 {
 	t.Helper()
-	c, err := firrtl.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if err := firrtl.Check(c); err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	fc, err := firrtl.Flatten(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := firrtl.Lower(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := cgraph.Build(lc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graphOf(t, src)
 	ref := NewReference(g)
 	for name, v := range pokes {
 		if err := ref.PokeInputUint(name, v); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,32 +11,61 @@ import (
 
 // Engine executes a compiled Program. One Engine holds the global state
 // (registers, memories, ports) and per-thread contexts; Run advances the
-// simulation by whole cycles using the two-phase barrier protocol of §5.1:
+// simulation by whole cycles.
 //
-//	evaluate (into private shadows) → barrier → global update → barrier.
+// With a single thread the engine evaluates into the thread's shadow and
+// commits it in place — the ESSENT-style serial simulator, no goroutines
+// and no barrier.
 //
-// With a single thread the engine runs the same phases without goroutines
-// or barriers — the ESSENT-style serial simulator.
+// With several threads it keeps two complete views of the state and
+// synchronises once per cycle (a bulk-synchronous superstep; the paper's
+// §5.1 runtime needs two barriers, see DESIGN.md §5):
+//
+//	cycle c:  evaluate over view c mod 2 (into private shadows)
+//	          → publish own shadow and memory writes into the other view
+//	          → barrier.
+//
+// During cycle c nobody reads the other view and nobody writes the current
+// view's globals or memories, so the publish needs no barrier of its own.
 type Engine struct {
 	prog *Program
-	gs   *globalState
-	tcs  []*threadCtx
+	// lp is set when the engine runs the linked fast path (link.go); nil
+	// is the reference interpreter (NewInterpEngine), kept for
+	// cross-checking.
+	lp *LinkedProgram
 
-	// lp/state are set when the engine runs the linked fast path (link.go):
-	// state is the unified [globals|imms|frames] word array, gs.words and
-	// each threadCtx's temps/shadow alias slices of it, and Run dispatches
-	// evalLinked instead of evalBlock. A nil lp is the reference
-	// interpreter (NewInterpEngine), kept for cross-checking.
-	lp    *LinkedProgram
-	state []uint64
+	// views holds one state view for a single-threaded program and two
+	// for a multi-threaded one; cur indexes the view the next cycle
+	// evaluates over, which is also the one Peek, Snapshot and StateHash
+	// read. Poke, Reset and RestoreSnapshot write every view.
+	views []*view
+	cur   int
 
-	// native, when non-nil, replaces the eval phase of each thread with a
-	// compiled kernel over the same unified state slice (native.go). Set
-	// via InstallNative; only valid on linked engines.
-	native []nativeThread
+	// sharedMem[m] marks memory m as written by more than one thread: the
+	// barrier's last arriver commits it (commitShared), not its writers.
+	sharedMem []bool
+
+	// skipCatchUp is the planted protocol defect (PlantSkipCatchUp).
+	skipCatchUp bool
 
 	cycles        uint64
 	instrsRetired uint64
+}
+
+// view is one complete copy of the simulation state plus the per-thread
+// contexts that evaluate over it. A context's memory-write buffers hold the
+// writes of the last cycle evaluated over its view, so the other view's
+// buffers are the previous cycle's writes — the catch-up set of publish.
+type view struct {
+	// state is the unified [globals|imms|frames] word array of a linked
+	// engine (gs.words and every context's temps/shadow alias it); nil on
+	// the reference interpreter.
+	state []uint64
+	gs    *globalState
+	tcs   []*threadCtx
+	// native, when non-nil, replaces each thread's eval phase with a
+	// compiled kernel over state (InstallNative, native.go).
+	native []nativeThread
 }
 
 // NewEngine creates an engine over the program's linked execution form and
@@ -53,39 +83,66 @@ func NewInterpEngine(p *Program) *Engine {
 }
 
 func newEngineMode(p *Program, lp *LinkedProgram) *Engine {
-	e := &Engine{prog: p, lp: lp}
-	if lp != nil {
-		e.state = make([]uint64, lp.StateWords)
-		copy(e.state[lp.ImmOff:], p.Imms)
-		e.gs = newGlobalStateWords(p, e.state[:p.GlobalWords:p.GlobalWords])
-		for t := range p.Threads {
-			th := &p.Threads[t]
-			lt := &lp.Threads[t]
-			frame := e.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-			e.tcs = append(e.tcs, newThreadCtx(p, th, frame))
-		}
-	} else {
-		e.gs = newGlobalState(p)
-		for t := range p.Threads {
-			e.tcs = append(e.tcs, newThreadCtx(p, &p.Threads[t], nil))
-		}
+	e := &Engine{prog: p, lp: lp, sharedMem: sharedMems(p)}
+	for range p.stateViews() {
+		e.views = append(e.views, newView(p, lp))
 	}
 	e.Reset()
 	return e
 }
 
-// evalThread runs one eval phase of thread t through whichever execution
-// form the engine was built with.
-func (e *Engine) evalThread(t int) {
-	if e.native != nil {
-		nt := &e.native[t]
-		nt.fn(e.state, e.gs.mems, nt.memwr, nt.wide)
-		return
-	}
-	if e.lp != nil {
-		evalLinked(e.lp.Threads[t].Code, e.state, e.prog, e.lp, e.gs, e.tcs[t])
+func newView(p *Program, lp *LinkedProgram) *view {
+	v := &view{}
+	if lp != nil {
+		v.state = make([]uint64, lp.StateWords)
+		copy(v.state[lp.ImmOff:], p.Imms)
+		v.gs = newGlobalStateWords(p, v.state[:p.GlobalWords:p.GlobalWords])
 	} else {
-		evalBlock(e.prog.Threads[t].Code, e.prog, e.gs, e.tcs[t])
+		v.gs = newGlobalState(p)
+	}
+	for t := range p.Threads {
+		th := &p.Threads[t]
+		var frame []uint64
+		if lp != nil {
+			lt := &lp.Threads[t]
+			frame = v.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
+		}
+		v.tcs = append(v.tcs, newThreadCtx(p, th, frame))
+	}
+	return v
+}
+
+// sharedMems marks the memories with write ports in more than one thread.
+func sharedMems(p *Program) []bool {
+	shared := make([]bool, len(p.Mems))
+	writer := make([]int, len(p.Mems)) // 1 + the last writing thread seen
+	for t := range p.Threads {
+		for i := range p.Threads[t].Code {
+			if m, ok := memWritten(p, &p.Threads[t].Code[i]); ok {
+				shared[m] = shared[m] || (writer[m] != 0 && writer[m] != t+1)
+				writer[m] = t + 1
+			}
+		}
+	}
+	return shared
+}
+
+// evalThread runs one eval phase of thread t over view v through whichever
+// execution form the engine was built with. The thread's write buffers are
+// emptied here, not after publishing, because the other view's publish
+// still needs them for one more cycle.
+func (e *Engine) evalThread(t int, v *view) {
+	tc := v.tcs[t]
+	tc.memBuf = tc.memBuf[:0]
+	tc.wideMemBuf = tc.wideMemBuf[:0]
+	switch {
+	case v.native != nil:
+		nt := &v.native[t]
+		nt.fn(v.state, v.gs.mems, nt.memwr, nt.wide)
+	case e.lp != nil:
+		evalLinked(e.lp.Threads[t].Code, v.state, e.prog, e.lp, v.gs, tc)
+	default:
+		evalBlock(e.prog.Threads[t].Code, e.prog, v.gs, tc)
 	}
 }
 
@@ -111,13 +168,21 @@ func (e *Engine) InstrsRetired() uint64 { return e.instrsRetired }
 // Reset restores power-on state: registers to their init values, memories
 // and outputs to zero.
 func (e *Engine) Reset() {
-	resetState(e.prog, e.gs)
-	for t := range e.tcs {
-		e.tcs[t].memBuf = e.tcs[t].memBuf[:0]
-		e.tcs[t].wideMemBuf = e.tcs[t].wideMemBuf[:0]
+	for _, v := range e.views {
+		resetState(e.prog, v.gs)
+		v.dropWrites()
 	}
 	e.cycles = 0
 	e.instrsRetired = 0
+}
+
+// dropWrites empties the memory-write buffers, so that a publish after
+// Reset or RestoreSnapshot (both views equal) has nothing to catch up on.
+func (v *view) dropWrites() {
+	for _, tc := range v.tcs {
+		tc.memBuf = tc.memBuf[:0]
+		tc.wideMemBuf = tc.wideMemBuf[:0]
+	}
 }
 
 // PokeInput sets a narrow input port (values wider than 64 bits need
@@ -130,7 +195,9 @@ func (e *Engine) PokeInput(name string, v uint64) error {
 	if ps.Wide {
 		return fmt.Errorf("sim: input %q is %d bits wide; use PokeInputVec", name, ps.Width)
 	}
-	e.gs.words[ps.Slot] = v & maskOf(ps.Width)
+	for _, vw := range e.views {
+		vw.gs.words[ps.Slot] = v & maskOf(ps.Width)
+	}
 	return nil
 }
 
@@ -140,11 +207,13 @@ func (e *Engine) PokeInputVec(name string, v bitvec.Vec) error {
 	if !ok {
 		return fmt.Errorf("sim: no input %q", name)
 	}
-	if ps.Wide {
-		e.gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
-		return nil
+	for _, vw := range e.views {
+		if ps.Wide {
+			vw.gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
+		} else {
+			vw.gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
+		}
 	}
-	e.gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
 	return nil
 }
 
@@ -157,7 +226,7 @@ func (e *Engine) PeekOutput(name string) (uint64, error) {
 	if ps.Wide {
 		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekOutputVec", name, ps.Width)
 	}
-	return e.gs.words[ps.Slot], nil
+	return e.gs().words[ps.Slot], nil
 }
 
 // PeekOutputVec reads an output port of any width.
@@ -167,9 +236,9 @@ func (e *Engine) PeekOutputVec(name string) (bitvec.Vec, error) {
 		return bitvec.Vec{}, fmt.Errorf("sim: no output %q", name)
 	}
 	if ps.Wide {
-		return e.gs.wide[ps.Slot].Clone(), nil
+		return e.gs().wide[ps.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(ps.Width, e.gs.words[ps.Slot]), nil
+	return bitvec.FromUint64(ps.Width, e.gs().words[ps.Slot]), nil
 }
 
 // PeekReg reads a register's current value as a bit vector.
@@ -179,9 +248,9 @@ func (e *Engine) PeekReg(name string) (bitvec.Vec, error) {
 		return bitvec.Vec{}, fmt.Errorf("sim: no register %q", name)
 	}
 	if rs.Wide {
-		return e.gs.wide[rs.Slot].Clone(), nil
+		return e.gs().wide[rs.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(rs.Width, e.gs.words[rs.Slot]), nil
+	return bitvec.FromUint64(rs.Width, e.gs().words[rs.Slot]), nil
 }
 
 // PeekMem reads one memory word (narrow memories).
@@ -194,9 +263,9 @@ func (e *Engine) PeekMem(name string, addr int) (uint64, error) {
 			return 0, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
 		}
 		if m.Wide {
-			return e.gs.wideMems[mi][addr].Uint64(), nil
+			return e.gs().wideMems[mi][addr].Uint64(), nil
 		}
-		return e.gs.mems[mi][addr], nil
+		return e.gs().mems[mi][addr], nil
 	}
 	return 0, fmt.Errorf("sim: no memory %q", name)
 }
@@ -213,67 +282,131 @@ func (e *Engine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
 			return bitvec.Vec{}, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
 		}
 		if m.Wide {
-			return e.gs.wideMems[mi][addr].Clone(), nil
+			return e.gs().wideMems[mi][addr].Clone(), nil
 		}
-		return bitvec.FromUint64(m.Width, e.gs.mems[mi][addr]), nil
+		return bitvec.FromUint64(m.Width, e.gs().mems[mi][addr]), nil
 	}
 	return bitvec.Vec{}, fmt.Errorf("sim: no memory %q", name)
 }
 
-// update publishes thread t's shadow state: one contiguous copy for narrow
-// registers (the memcpy of §5.1), per-slot assignment for wide values, and
-// the deferred memory writes.
-func (e *Engine) update(t int) {
+// gs is the current view's global state.
+func (e *Engine) gs() *globalState { return e.views[e.cur].gs }
+
+// other is the view the next cycle publishes into and the last cycle
+// evaluated over; on a single-view engine, the current view itself.
+func (e *Engine) other() *view { return e.views[len(e.views)-1-e.cur] }
+
+// publish commits what thread t evaluated over view from into view to: one
+// contiguous copy of the narrow shadow (the memcpy of §5.1), per-slot
+// assignment for wide values, and the buffered memory writes. With one view
+// (from == to) that is the in-place update of the serial simulator. With
+// two, to last held the state of one cycle earlier, so the thread first
+// re-applies the writes it made in the previous cycle (still buffered in
+// to's context) and then this cycle's; memories with writers in several
+// threads are left to commitShared.
+func (e *Engine) publish(t int, from, to *view) {
 	th := &e.prog.Threads[t]
-	tc := e.tcs[t]
-	copy(e.gs.words[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
+	tc := from.tcs[t]
+	copy(to.gs.words[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
 	for i, slot := range th.WideShadowSlots {
-		e.gs.wide[slot] = tc.wideShadow[i]
+		to.gs.wide[slot] = tc.wideShadow[i]
 	}
+	if to != from && !e.skipCatchUp {
+		e.applyWrites(to.tcs[t], to.gs, false)
+	}
+	e.applyWrites(tc, to.gs, false)
+}
+
+// PlantSkipCatchUp plants the double-buffering defect that mutation tests
+// (internal/difftest) must catch: publish no longer re-applies the previous
+// cycle's memory writes, so each view misses every other cycle's writes.
+func (e *Engine) PlantSkipCatchUp() { e.skipCatchUp = true }
+
+// applyWrites stores tc's buffered memory writes of single-writer
+// (shared == false) or multi-writer (shared == true) memories into gs.
+func (e *Engine) applyWrites(tc *threadCtx, gs *globalState, shared bool) {
 	for _, w := range tc.memBuf {
-		m := e.gs.mems[w.mem]
-		if w.addr < uint64(len(m)) {
+		if m := gs.mems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
 			m[w.addr] = w.data
 		}
 	}
-	tc.memBuf = tc.memBuf[:0]
 	for _, w := range tc.wideMemBuf {
-		m := e.gs.wideMems[w.mem]
-		if w.addr < uint64(len(m)) {
+		if m := gs.wideMems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
 			m[w.addr] = w.data
 		}
 	}
-	tc.wideMemBuf = tc.wideMemBuf[:0]
+}
+
+// commitShared is publish for the memories written by several threads. The
+// barrier's last arriver runs it while the others wait: the previous
+// cycle's writes and then this cycle's, each in thread order, so a later
+// cycle always overwrites an earlier one and two ports hitting one address
+// in the same cycle resolve the same way on every run.
+func (e *Engine) commitShared(from, to *view) {
+	for _, v := range [2]*view{to, from} {
+		for _, tc := range v.tcs {
+			e.applyWrites(tc, to.gs, true)
+		}
+	}
 }
 
 // Run simulates n cycles.
 func (e *Engine) Run(n int) {
+	e.run(n, nil)
+}
+
+// PhaseSample is the per-thread timing of one simulated cycle, mirroring
+// the rdtsc-based profile of §6.5 (Figures 2 and 12). The engine crosses
+// one barrier per cycle, after the publish, so EvalBarrier is the wait at
+// that barrier and UpdateBarrier is always zero; the field stays because
+// consumers sum all four.
+type PhaseSample struct {
+	Eval          time.Duration // evaluation phase
+	EvalBarrier   time.Duration // waiting at the cycle's barrier
+	Update        time.Duration // publishing the shadow and memory writes
+	UpdateBarrier time.Duration // always 0: publishing needs no barrier
+}
+
+// RunProfiled simulates n cycles recording per-cycle, per-thread phase
+// timings. Each thread writes only its own column of the result.
+func (e *Engine) RunProfiled(n int) [][]PhaseSample {
+	out := make([][]PhaseSample, max(n, 0))
+	for c := range out {
+		out[c] = make([]PhaseSample, e.prog.NumThreads)
+	}
+	e.run(n, out)
+	return out
+}
+
+// run simulates n cycles, filling prof (when non-nil) with phase timings.
+func (e *Engine) run(n int, prof [][]PhaseSample) {
 	if n <= 0 {
 		return
 	}
 	p := e.prog
 	if p.NumThreads == 1 {
-		for c := 0; c < n; c++ {
-			e.evalThread(0)
-			e.update(0)
-		}
+		e.runThread(0, n, nil, prof)
 	} else {
 		bar := NewBarrier(p.NumThreads)
+		if slices.Contains(e.sharedMem, true) {
+			// Crossings are totally ordered, so the closure can keep
+			// its own parity.
+			cur := e.cur
+			bar.Last = func() {
+				e.commitShared(e.views[cur], e.views[cur^1])
+				cur ^= 1
+			}
+		}
 		var wg sync.WaitGroup
 		for t := 0; t < p.NumThreads; t++ {
 			wg.Add(1)
 			go func(t int) {
 				defer wg.Done()
-				var sense uint32
-				for c := 0; c < n; c++ {
-					e.evalThread(t)
-					bar.Wait(&sense) // evaluation barrier
-					e.update(t)
-					bar.Wait(&sense) // global update barrier
-				}
+				e.runThread(t, n, bar, prof)
 			}(t)
 		}
 		wg.Wait()
+		e.cur = (e.cur + n) & 1
 	}
 	e.cycles += uint64(n)
 	for t := range p.Threads {
@@ -281,57 +414,31 @@ func (e *Engine) Run(n int) {
 	}
 }
 
-// PhaseSample is the per-thread timing of one simulated cycle, mirroring
-// the rdtsc-based profile of §6.5 (Figures 2 and 12).
-type PhaseSample struct {
-	Eval          time.Duration // evaluation phase
-	EvalBarrier   time.Duration // waiting at the evaluation barrier
-	Update        time.Duration // global update phase
-	UpdateBarrier time.Duration // waiting at the global update barrier
-}
-
-// RunProfiled simulates n cycles recording per-cycle, per-thread phase
-// timings. Timestamps are collected locally per thread and assembled after
-// the run to minimize perturbation.
-func (e *Engine) RunProfiled(n int) [][]PhaseSample {
-	p := e.prog
-	out := make([][]PhaseSample, n)
-	for c := range out {
-		out[c] = make([]PhaseSample, p.NumThreads)
+// runThread is thread t's cycle loop: evaluate over the current view,
+// publish into the next, meet the others at the barrier, swap views. A nil
+// bar is the single-threaded engine, whose one view is both.
+func (e *Engine) runThread(t, n int, bar *Barrier, prof [][]PhaseSample) {
+	from, to := e.views[e.cur], e.other()
+	var crossing uint32
+	var t0, t1, t2 time.Time
+	for c := 0; c < n; c++ {
+		if prof != nil {
+			t0 = time.Now()
+		}
+		e.evalThread(t, from)
+		if prof != nil {
+			t1 = time.Now()
+		}
+		e.publish(t, from, to)
+		if prof != nil {
+			t2 = time.Now()
+		}
+		if bar != nil {
+			bar.Wait(&crossing)
+		}
+		if prof != nil {
+			prof[c][t] = PhaseSample{Eval: t1.Sub(t0), Update: t2.Sub(t1), EvalBarrier: time.Since(t2)}
+		}
+		from, to = to, from
 	}
-	if n <= 0 {
-		return out
-	}
-	bar := NewBarrier(p.NumThreads)
-	var wg sync.WaitGroup
-	for t := 0; t < p.NumThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			var sense uint32
-			for c := 0; c < n; c++ {
-				t0 := time.Now()
-				e.evalThread(t)
-				t1 := time.Now()
-				bar.Wait(&sense)
-				t2 := time.Now()
-				e.update(t)
-				t3 := time.Now()
-				bar.Wait(&sense)
-				t4 := time.Now()
-				out[c][t] = PhaseSample{
-					Eval:          t1.Sub(t0),
-					EvalBarrier:   t2.Sub(t1),
-					Update:        t3.Sub(t2),
-					UpdateBarrier: t4.Sub(t3),
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	e.cycles += uint64(n)
-	for t := range p.Threads {
-		e.instrsRetired += uint64(e.codeLen(t)) * uint64(n)
-	}
-	return out
 }

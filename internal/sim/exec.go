@@ -105,23 +105,31 @@ func newThreadCtx(p *Program, tc *ThreadCode, frame []uint64) *threadCtx {
 	return ctx
 }
 
+// memWritten returns the memory an instruction writes; ok is false for
+// every instruction that is not a memory write.
+func memWritten(p *Program, in *Instr) (mem int, ok bool) {
+	switch in.Op {
+	case OpMemWr:
+		return int(in.Aux), true
+	case OpWide:
+		if wn := &p.WideNodes[in.Aux]; wn.Kind == wkMemWr {
+			return wn.Mem, true
+		}
+	}
+	return 0, false
+}
+
 // memWriteCounts returns the number of narrow and wide memory-write
 // instructions in a thread's code — an upper bound on writes buffered in
 // one cycle, used to pre-size the write buffers.
 func memWriteCounts(p *Program, tc *ThreadCode) (narrow, wide int) {
 	for i := range tc.Code {
-		in := &tc.Code[i]
-		switch in.Op {
-		case OpMemWr:
+		if m, ok := memWritten(p, &tc.Code[i]); !ok {
+			continue
+		} else if p.Mems[m].Wide {
+			wide++
+		} else {
 			narrow++
-		case OpWide:
-			if wn := &p.WideNodes[in.Aux]; wn.Kind == wkMemWr {
-				if p.Mems[wn.Mem].Wide {
-					wide++
-				} else {
-					narrow++
-				}
-			}
 		}
 	}
 	return narrow, wide

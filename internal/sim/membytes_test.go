@@ -117,3 +117,23 @@ func TestStateBytesPositiveAndSeparate(t *testing.T) {
 		t.Errorf("StateBytes %d < global words %d*8", p.StateBytes(), p.GlobalWords)
 	}
 }
+
+// A multi-threaded engine keeps two views of everything StateBytes counts;
+// the serial engine and a batch lane keep one.
+func TestStateBytesCountsBothViews(t *testing.T) {
+	g := randomCircuit(t, 5, 60)
+	serial, err := Compile(g, SerialSpec(g), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.StateBytes() != serial.viewBytes() {
+		t.Errorf("serial: StateBytes %d, one view is %d", serial.StateBytes(), serial.viewBytes())
+	}
+	par := partitioned(t, g, 3, 5)
+	if par.StateBytes() != 2*par.viewBytes() {
+		t.Errorf("3 threads: StateBytes %d, two views are %d", par.StateBytes(), 2*par.viewBytes())
+	}
+	if got := len(NewEngine(par).views); got != 2 {
+		t.Errorf("3-thread engine keeps %d views", got)
+	}
+}

@@ -39,9 +39,10 @@ type nativeThread struct {
 
 // InstallNative switches the engine's eval phase to the given per-thread
 // native kernels. Only engines over the linked execution form accept
-// kernels (the generated code hard-codes the linked state layout); the
-// update phase, barriers, Poke/Peek, and Reset are unchanged, so a kernel
-// may be installed between any two Run calls of a live engine.
+// kernels (the generated code hard-codes the linked state layout, which
+// every view shares); publish, the barrier, Poke/Peek, and Reset are
+// unchanged, so a kernel may be installed between any two Run calls of a
+// live engine.
 func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 	if e.lp == nil {
 		return fmt.Errorf("sim: native kernels require a linked engine (NewEngine, not NewInterpEngine)")
@@ -49,32 +50,34 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 	if len(fns) != e.prog.NumThreads {
 		return fmt.Errorf("sim: kernel has %d thread funcs, program has %d threads", len(fns), e.prog.NumThreads)
 	}
-	nts := make([]nativeThread, len(fns))
-	st := e.state
 	for t := range fns {
 		if fns[t] == nil {
 			return fmt.Errorf("sim: nil native func for thread %d", t)
 		}
-		tc := e.tcs[t]
-		nts[t] = nativeThread{
-			fn: fns[t],
-			memwr: func(mem uint32, addr, data uint64) {
-				tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
-			},
-			wide: func(node uint32) {
-				evalWide(&e.lp.WideNodes[node], e.prog, e.gs, tc,
-					func(r uint32) uint64 { return st[r] },
-					func(r uint32, v uint64) { st[r] = v })
-			},
+	}
+	for _, v := range e.views {
+		v.native = make([]nativeThread, len(fns))
+		for t := range fns {
+			tc := v.tcs[t]
+			v.native[t] = nativeThread{
+				fn: fns[t],
+				memwr: func(mem uint32, addr, data uint64) {
+					tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
+				},
+				wide: func(node uint32) {
+					evalWide(&e.lp.WideNodes[node], e.prog, v.gs, tc,
+						func(r uint32) uint64 { return v.state[r] },
+						func(r uint32, x uint64) { v.state[r] = x })
+				},
+			}
 		}
 	}
-	e.native = nts
 	return nil
 }
 
 // NativeInstalled reports whether the engine's eval phase runs native
 // kernels.
-func (e *Engine) NativeInstalled() bool { return e.native != nil }
+func (e *Engine) NativeInstalled() bool { return e.views[0].native != nil }
 
 // StateHash hashes the engine's complete architectural state — registers,
 // output ports, and memory contents — into one value. Two engines that
@@ -87,30 +90,30 @@ func (e *Engine) NativeInstalled() bool { return e.native != nil }
 // unrefined compiles of one circuit must produce the same hash.
 func (e *Engine) StateHash() uint64 {
 	h := fnv{1469598103934665603}
-	p := e.prog
+	p, gs := e.prog, e.gs()
 	for _, i := range p.regHashOrder() {
 		r := &p.Regs[i]
 		if r.Wide {
-			h.vec(e.gs.wide[r.Slot])
+			h.vec(gs.wide[r.Slot])
 		} else {
-			h.u64(e.gs.words[r.Slot])
+			h.u64(gs.words[r.Slot])
 		}
 	}
 	for _, i := range p.outputHashOrder() {
 		o := &p.Outputs[i]
 		if o.Wide {
-			h.vec(e.gs.wide[o.Slot])
+			h.vec(gs.wide[o.Slot])
 		} else {
-			h.u64(e.gs.words[o.Slot])
+			h.u64(gs.words[o.Slot])
 		}
 	}
 	for mi := range p.Mems {
 		if p.Mems[mi].Wide {
-			for _, v := range e.gs.wideMems[mi] {
+			for _, v := range gs.wideMems[mi] {
 				h.vec(v)
 			}
 		} else {
-			for _, v := range e.gs.mems[mi] {
+			for _, v := range gs.mems[mi] {
 				h.u64(v)
 			}
 		}

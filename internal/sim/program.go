@@ -260,8 +260,19 @@ func (p *Program) MemBytes() int64 {
 
 // StateBytes estimates the per-engine mutable state footprint (global
 // words, wide values, memories, and thread-private temps/shadows) — what
-// one live session adds on top of the shared Program.
+// one live session adds on top of the shared Program. An Engine over a
+// multi-threaded program keeps two views of all of it.
 func (p *Program) StateBytes() int64 {
+	return int64(p.stateViews()) * p.viewBytes()
+}
+
+// stateViews is how many complete views of the state an Engine keeps: the
+// serial engine updates one in place, the parallel engine alternates
+// between two.
+func (p *Program) stateViews() int { return min(p.NumThreads, 2) }
+
+// viewBytes is the footprint of one state view (one batch lane holds one).
+func (p *Program) viewBytes() int64 {
 	n := int64(p.GlobalWords) * 8
 	for _, w := range p.WideWidths {
 		n += int64(bitvec.WordsFor(w)) * 8

@@ -228,10 +228,10 @@ func TestBarrier(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			var sense uint32
+			var crossing uint32
 			for round := 0; round < 100; round++ {
 				counters[i]++
-				b.Wait(&sense)
+				b.Wait(&crossing)
 				// After the barrier every participant must have finished
 				// the same round.
 				for j := 0; j < n; j++ {
@@ -239,7 +239,7 @@ func TestBarrier(t *testing.T) {
 						panic("barrier violated")
 					}
 				}
-				b.Wait(&sense)
+				b.Wait(&crossing)
 			}
 			if i == 0 {
 				close(done)

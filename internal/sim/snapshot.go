@@ -65,18 +65,24 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if e.lp == nil {
 		return nil, fmt.Errorf("sim: snapshot requires a linked engine (NewEngine, not NewInterpEngine)")
 	}
+	cur := e.views[e.cur]
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		Fingerprint: e.prog.Fingerprint(),
 		LayoutWords: e.lp.StateWords,
 		Cycles:      e.cycles,
-		Words:       append([]uint64(nil), e.state...),
+		Words:       append([]uint64(nil), cur.state...),
 	}
-	s.Wide = make([]bitvec.Vec, len(e.gs.wide))
-	for i, v := range e.gs.wide {
+	// The frames are dead scratch; take them from the view the last cycle
+	// evaluated over, so the blob does not depend on how many views the
+	// engine keeps.
+	frames := e.lp.Threads[0].TempOff
+	copy(s.Words[frames:], e.other().state[frames:])
+	s.Wide = make([]bitvec.Vec, len(cur.gs.wide))
+	for i, v := range cur.gs.wide {
 		s.Wide[i] = v.Clone()
 	}
-	s.Mems, s.WideMems = cloneMems(e.gs)
+	s.Mems, s.WideMems = cloneMems(cur.gs)
 	return s, nil
 }
 
@@ -93,14 +99,13 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}
-	copy(e.state, s.Words)
-	for i, v := range s.Wide {
-		e.gs.wide[i] = v.Clone()
-	}
-	restoreMems(e.gs, s)
-	for t := range e.tcs {
-		e.tcs[t].memBuf = e.tcs[t].memBuf[:0]
-		e.tcs[t].wideMemBuf = e.tcs[t].wideMemBuf[:0]
+	for _, v := range e.views {
+		copy(v.state, s.Words)
+		for i, w := range s.Wide {
+			v.gs.wide[i] = w.Clone()
+		}
+		restoreMems(v.gs, s)
+		v.dropWrites()
 	}
 	e.cycles = s.Cycles
 	e.instrsRetired = 0

@@ -253,7 +253,7 @@ func (e *TaskEngine) run(n int, sample func(cycle int, s TaskSample)) {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			var sense uint32
+			var crossing uint32
 			code := e.lp.Threads[t].Code
 			tc := e.tcs[t]
 			tasks := e.plan.PerThread[t]
@@ -282,9 +282,9 @@ func (e *TaskEngine) run(n int, sample func(cycle int, s TaskSample)) {
 						})
 					}
 				}
-				bar.Wait(&sense)
+				bar.Wait(&crossing)
 				e.update(t)
-				bar.Wait(&sense)
+				bar.Wait(&crossing)
 			}
 		}(t)
 	}

@@ -8,6 +8,7 @@ package verify
 import (
 	"testing"
 
+	"repro/internal/cgraph"
 	"repro/internal/sim"
 )
 
@@ -113,4 +114,83 @@ func TestGoldenDiagnostics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// twoPortSrc has one memory with two write ports and enough sinks to give
+// each of two threads one port.
+const twoPortSrc = `
+circuit T {
+  module T {
+    input in : UInt<8>
+    output out : UInt<8>
+    reg n : UInt<8> init 0
+    mem ram : UInt<8>[4]
+    write(ram, bits(n, 1, 0), in, UInt<1>(1))
+    write(ram, bits(in, 1, 0), n, bits(n, 0, 0))
+    n <= tail(add(n, UInt<8>(1)), 1)
+    out <= read(ram, bits(n, 1, 0))
+  }
+}
+`
+
+// sinkParts partitions g by hand: owner names the thread of every sink and
+// each thread gets the cones of its sinks, in topological order.
+func sinkParts(g *cgraph.Graph, k int, owner func(sink string) int) []sim.PartSpec {
+	parts := make([]sim.PartSpec, k)
+	in := make([][]bool, k)
+	for t := range in {
+		in[t] = make([]bool, g.NumVertices())
+	}
+	for _, s := range g.Sinks() {
+		t := owner(g.Vs[s].Name)
+		parts[t].Sinks = append(parts[t].Sinks, s)
+		stack := []cgraph.VID{s}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if in[t][v] || g.Vs[v].Kind.IsSource() {
+				continue
+			}
+			in[t][v] = true
+			stack = append(stack, g.Preds[v]...)
+		}
+	}
+	for t := range parts {
+		for _, v := range g.Topo {
+			if in[t][v] {
+				parts[t].Vertices = append(parts[t].Vertices, v)
+			}
+		}
+	}
+	return parts
+}
+
+// TestGoldenCrossThreadMemWriters pins the one Warning whose wording is a
+// statement about the engine's protocol: a memory with write ports in two
+// threads verifies clean (the barrier's last arriver commits it serially)
+// and the diagnostic says what order that commit uses.
+func TestGoldenCrossThreadMemWriters(t *testing.T) {
+	g := mustGraph(t, twoPortSrc)
+	parts := sinkParts(g, 2, func(sink string) int {
+		if sink == "ram$w1" || sink == "out" {
+			return 1
+		}
+		return 0
+	})
+	p, err := sim.Compile(g, parts, sim.Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Program(p, Options{Graph: g, Parts: parts})
+	requireClean(t, rep, "two write ports, two threads")
+	const want = `warning [race-freedom] at mem "ram": write ports owned by threads [0 1]: committed serially at the barrier, by cycle then thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)`
+	for _, d := range rep.Diags {
+		if d.Check == CheckRace && d.Severity == Warning {
+			if got := d.String(); got != want {
+				t.Fatalf("diagnostic text changed:\n got: %s\nwant: %s", got, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("no cross-thread memory warning reported; report:\n%s", rep.String())
 }

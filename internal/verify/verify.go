@@ -734,14 +734,19 @@ func (v *verifier) scanThread(t int) {
 	}
 }
 
-// checkMems flags memories whose write ports span threads: the commit
-// phase applies each thread's buffered writes concurrently, so address
-// disjointness cannot be proven statically.
+// checkMems flags memories whose write ports span threads. The engine
+// cannot let each writer publish such a memory on its own (a thread's
+// catch-up write of the previous cycle could land after another thread's
+// write of this cycle), so the barrier's last arriver commits them
+// serially: race-free and deterministic, but off the parallel path, and
+// two ports hitting one address in the same cycle resolve by thread order,
+// which address disjointness would make moot but cannot be proven
+// statically.
 func (v *verifier) checkMems() {
 	for m, ws := range v.memWriters {
 		if len(ws) > 1 {
 			v.diag(CheckRace, Warning, -1, -1, fmt.Sprintf("mem %q", v.p.Mems[m].Name),
-				fmt.Sprintf("write ports owned by threads %v: concurrent commit-phase writes race if addresses collide (not statically provable)", ws))
+				fmt.Sprintf("write ports owned by threads %v: committed serially at the barrier, by cycle then thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)", ws))
 		}
 	}
 }
