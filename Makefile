@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check bench bench-interp bench-batch bench-codegen bench-repart bench-cluster cluster results serve loadgen loadgen-hot fuzz
+.PHONY: build test lint check bench cluster results serve fuzz
 
 build:
 	$(GO) build ./...
@@ -27,36 +27,11 @@ lint:
 check: lint
 	$(GO) test -race ./...
 
+# The repository's one benchmark (BENCHMARK.json, bench/README.md): six
+# workloads through a spawned repcutd. The Go micro-benchmarks stay
+# reachable through `go test -bench`.
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
-
-# Regenerate the linked-fast-path measurement: real interp-vs-linked
-# cycles/sec per design, written to results/interp_fastpath.{txt,csv} and
-# machine-readable results/BENCH_interp.json.
-bench-interp:
-	$(GO) run ./cmd/benchall -interp-only -out results
-
-# Regenerate the lane-batching measurement: one BatchEngine with N lanes
-# vs N independent engines, written to results/batch_sweep.{txt,csv} and
-# machine-readable results/BENCH_batch.json.
-bench-batch:
-	$(GO) run ./cmd/benchall -batch-only -out results
-
-# Regenerate the native-codegen measurement: linked interpreter vs the
-# same program compiled to a plugin kernel, written to
-# results/codegen.{txt,csv} and machine-readable results/BENCH_codegen.json.
-# Skips cleanly on platforms without Go plugin support.
-bench-codegen:
-	$(GO) run ./cmd/benchall -codegen-only -out results
-
-# Regenerate the repartitioning measurement: unrefined recursive bisection
-# vs k-way refined + dereplicated partitions (replication factor, cut
-# cost, real cycles/sec), written to results/repart.{txt,csv} and
-# machine-readable results/BENCH_repart.json. The sweep fails if
-# refinement increases the replication factor or the two programs' state
-# hashes diverge.
-bench-repart:
-	$(GO) run ./cmd/benchall -repart-only -out results
+	bash bench/run.sh
 
 # Multi-node fleet suite under the race detector: consistent-hash compile
 # routing, peer artifact fetch, checkpoint/restore, drain migration, and
@@ -64,16 +39,10 @@ bench-repart:
 cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
 
-# Regenerate the fleet measurement: a 3-node in-process cluster driven
-# through every node at once, written to results/cluster.{txt,csv} and
-# machine-readable results/BENCH_cluster.json. Fails if any design
-# compiles more than once fleet-wide, the peer fetch hit rate drops under
-# 2/3, or a drain loses a session.
-bench-cluster:
-	$(GO) run ./cmd/benchall -cluster-only -out results
-
+# Regenerate the paper's tables and figures (hostmodel output,
+# deterministic at seed 1). results/ holds the 12-design -full suite.
 results:
-	$(GO) run ./cmd/benchall -out results
+	$(GO) run ./cmd/benchall -full -out results
 
 # Differential fuzzing: each native fuzz target for FUZZTIME, then a
 # deterministic 200-seed cross-engine sweep via the repcutfuzz CLI.
@@ -89,20 +58,3 @@ fuzz:
 # Boot the simulation service on the default local address.
 serve:
 	$(GO) run ./cmd/repcutd -addr 127.0.0.1:8372
-
-# Drive a self-hosted repcutd with the deterministic load generator and
-# record throughput (sessions/s, cycles/s, cache hit rate) into results/.
-loadgen:
-	@mkdir -p results
-	$(GO) run ./cmd/repcutd -loadgen -addr "" -duration 2s \
-		-min-hit-rate 0.5
-
-# Hot-design scenario: every client hammers one design; self-hosts twice
-# (batching on, then off) and records the aggregate-throughput comparison
-# plus the lane-occupancy gate into results/.
-loadgen-hot:
-	@mkdir -p results
-	$(GO) run ./cmd/repcutd -loadgen -hot -duration 8s -clients 16 \
-		-designs RocketChip-1C -scale 0.5 -threads 2 \
-		-cycles-per-session 40000 -min-occupancy 0.3 \
-		-out results/service_throughput.txt

@@ -12,24 +12,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
-	"repro/internal/cluster/clusterbench"
-	"repro/internal/codegen"
 	"repro/internal/designs"
 	"repro/internal/experiments"
 	"repro/internal/profiling"
 	"repro/internal/report"
-	"repro/internal/service"
 )
 
 func main() {
@@ -38,13 +30,6 @@ func main() {
 		outDir  = flag.String("out", "", "directory to write .txt/.csv results into")
 		check   = flag.Bool("check", true, "run a real-engine equivalence spot check first")
 		doVerif = flag.Bool("verify", true, "statically verify every compiled program (race freedom, replication closure, schedule)")
-		svcDur  = flag.Duration("service-duration", 2*time.Second, "length of the repcutd service throughput run (0 disables)")
-		interpO = flag.Bool("interp-only", false, "run only the interp-vs-linked fast path measurement and exit")
-		batchO  = flag.Bool("batch-only", false, "run only the lane-batching sweep and exit")
-		cgO     = flag.Bool("codegen-only", false, "run only the native-codegen backend measurement and exit")
-		repartO = flag.Bool("repart-only", false, "run only the repartitioning (refined+derep vs unrefined) measurement and exit")
-		clusO   = flag.Bool("cluster-only", false, "run only the multi-node fleet measurement and exit")
-		valO    = flag.Bool("validate", false, "run only the translation-validation overhead measurement and exit")
 		workers = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; results are identical)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -77,31 +62,6 @@ func main() {
 		if err := os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(t.CSV()), 0o644); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *interpO {
-		interpFastpath(s, *outDir, write)
-		return
-	}
-	if *batchO {
-		batchSweep(s, *outDir, write)
-		return
-	}
-	if *cgO {
-		codegenBench(s, *outDir, write)
-		return
-	}
-	if *repartO {
-		repartBench(s, *outDir, write)
-		return
-	}
-	if *clusO {
-		clusterBench(*outDir, write)
-		return
-	}
-	if *valO {
-		validateOverhead(s, write)
-		return
 	}
 
 	if *check {
@@ -163,191 +123,6 @@ func main() {
 
 	step("Table 3 (performance counters)")
 	write("table3", s.Table3())
-
-	interpFastpath(s, *outDir, write)
-	batchSweep(s, *outDir, write)
-	codegenBench(s, *outDir, write)
-	repartBench(s, *outDir, write)
-
-	if *svcDur > 0 {
-		clusterBench(*outDir, write)
-		step("repcutd service throughput")
-		t, summary, err := serviceThroughput(*svcDur, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		write("service_throughput", t)
-		fmt.Println(summary)
-		if *outDir != "" {
-			path := filepath.Join(*outDir, "service_throughput.txt")
-			body := t.String() + "\n" + summary + "\n"
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-}
-
-// interpFastpath measures real interp-vs-linked throughput on this host and
-// writes interp_fastpath.{txt,csv} plus the machine-readable
-// BENCH_interp.json (one record per design × engine × thread count).
-func interpFastpath(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
-	step("linked fast path (real interp vs linked cycles/sec)")
-	points := s.InterpFastpath([]int{1, 2}, 2000)
-	write("interp_fastpath", experiments.FastpathTable(points))
-	data, err := experiments.FastpathJSON(points)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_interp.json"), data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// batchSweep measures the lane-batched engine against N independent
-// engines on this host and writes batch_sweep.{txt,csv} plus the
-// machine-readable BENCH_batch.json (one record per design × arrangement
-// × lane count).
-func batchSweep(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
-	step("lane batching (real batch vs solo lane-cycles/sec)")
-	points := s.BatchSweep([]int{1, 4, 16, 64}, 1000)
-	write("batch_sweep", experiments.BatchTable(points))
-	data, err := experiments.BatchJSON(points)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_batch.json"), data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// repartBench measures the replication-aware repartitioning pipeline
-// (k-way refinement + dereplication) against the raw recursive-bisection
-// partition and writes repart.{txt,csv} plus the machine-readable
-// BENCH_repart.json. The sweep itself gates on replication-factor
-// non-increase and state-hash agreement, so a regressed repartitioner
-// fails the run instead of producing a quietly wrong table.
-func repartBench(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
-	step("repartitioning (refined+derep vs unrefined, real cycles/sec)")
-	points, err := s.RepartSweep([]int{8, 16, 24}, 1000)
-	if err != nil {
-		fatal(err)
-	}
-	write("repart", experiments.RepartTable(points))
-	data, err := experiments.RepartJSON(points)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_repart.json"), data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// codegenBench measures the native codegen backend against the linked
-// interpreter on this host and writes codegen.{txt,csv} plus the
-// machine-readable BENCH_codegen.json (one record per design × backend ×
-// thread count). Platforms that cannot build or load plugins skip the
-// measurement cleanly instead of failing the run.
-func codegenBench(s *experiments.Suite, outDir string, write func(string, *report.Table)) {
-	step("native codegen (real linked vs compiled-kernel cycles/sec)")
-	store, err := codegen.Shared("")
-	if err != nil {
-		fmt.Printf("skipping native codegen: %v\n", err)
-		return
-	}
-	points, err := s.CodegenSweep(store, []int{1, 2}, 2000)
-	if err != nil {
-		if codegen.Supported() != nil {
-			fmt.Printf("skipping native codegen: %v\n", err)
-			return
-		}
-		fatal(err)
-	}
-	write("codegen", experiments.CodegenTable(points))
-	data, err := experiments.CodegenJSON(points)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_codegen.json"), data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// clusterBench boots a 3-node in-process repcutd fleet, drives it through
-// every node at once, and writes cluster.{txt,csv} plus the
-// machine-readable BENCH_cluster.json. The measurement gates on its own
-// invariants — compile-once routing, peer fetch hit rate, lossless drain
-// migration — so a regressed cluster fails the run (the CI cluster-smoke
-// job runs exactly this).
-func clusterBench(outDir string, write func(string, *report.Table)) {
-	step("multi-node fleet (compile routing, artifact fetch, drain migration)")
-	res, err := clusterbench.ClusterBench(clusterbench.ClusterOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	write("cluster", clusterbench.ClusterTable(res))
-	data, err := clusterbench.ClusterJSON(res)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.WriteFile(filepath.Join(outDir, "BENCH_cluster.json"), data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// validateOverhead measures the translation validator's cost relative to
-// the compile it rides on and writes validate.{txt,csv}. Any divergence is
-// fatal: the bundled designs must all validate clean.
-func validateOverhead(s *experiments.Suite, write func(string, *report.Table)) {
-	step("translation validation overhead (internal/verify/tvalid)")
-	t, diverged := s.ValidateAll()
-	write("validate", t)
-	if diverged > 0 {
-		fatal(fmt.Errorf("translation validation found %d divergence(s); the optimizer miscompiles", diverged))
-	}
-	fmt.Println("every optimized program proven equivalent to its O0 reference")
-}
-
-// serviceThroughput boots an in-process repcutd and drives it with the
-// deterministic load generator, measuring end-to-end session and cycle
-// rates through the HTTP wire (compile cache included).
-func serviceThroughput(dur time.Duration, workers int) (*report.Table, string, error) {
-	cfg := service.Config{
-		Workers: workers,
-		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	srv := service.New(cfg)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	defer srv.Shutdown(shutCtx)
-
-	res, err := service.RunLoadgen(hs.URL, service.LoadgenConfig{
-		Designs: []service.CompileRequest{
-			{Design: "RocketChip-1C", Scale: 0.5, Threads: 2},
-			{Design: "SmallBOOM-1C", Scale: 0.5, Threads: 2},
-			{Design: "MegaBOOM-1C", Scale: 0.5, Threads: 2},
-		},
-		Duration: dur,
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if res.Errors > 0 {
-		return nil, "", fmt.Errorf("service loadgen hit %d errors", res.Errors)
-	}
-	return res.Table(), strings.TrimRight(res.Summary(), "\n"), nil
 }
 
 var t0 = time.Now()

@@ -71,8 +71,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; output is identical)")
 		backendF   = flag.String("backend", "linked", "execution backend: linked (fused interpreter), interp (closure interpreter), native (compiled plugin kernel; falls back to linked when unsupported)")
 		artifacts  = flag.String("artifacts", "", "native artifact store directory (-backend native; empty = per-user default under the temp dir)")
-		noRefine   = flag.Bool("no-refine", false, "disable the replication-aware k-way refinement stage (pre-refinement partitioner)")
-		noDerep    = flag.Bool("no-derep", false, "disable the dereplication post-pass (no shared-read register slots)")
 		profileOpt = flag.Bool("pgo", false, "profile-guided rebalance: measure per-thread phase times and repartition once with measured weights")
 		verifyFlag = flag.Bool("verify", false, "statically prove the compiled program race-free and partition-closed; fail on any violation")
 		validate   = flag.Bool("validate", false, "translation validation: symbolically prove the optimized program equivalent to its O0 reference; fail on any divergence (implies -verify)")
@@ -107,8 +105,7 @@ func main() {
 	}
 	opts := repcut.Options{Threads: *threads, Unweighted: *uw, OptLevel: *opt, Seed: *seed,
 		Workers: *workers, Verify: *verifyFlag, Validate: *validate,
-		Backend: backend, Artifacts: *artifacts,
-		NoRefine: *noRefine, NoDerep: *noDerep, Profile: *profileOpt}
+		Backend: backend, Artifacts: *artifacts, Profile: *profileOpt}
 	start := time.Now()
 	compiled, err := d.CompileProgram(opts)
 	if err != nil {

@@ -285,28 +285,3 @@ func TestRealEquivalenceSpotCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBatchSweepShape(t *testing.T) {
-	s := quickSuite()
-	s.Designs = []designs.Config{{Kind: designs.Rocket, Cores: 1, Scale: 1}}
-	pts := s.BatchSweep([]int{1, 16}, 200)
-	if len(pts) != 2 {
-		t.Fatalf("expected 2 points, got %d", len(pts))
-	}
-	// Amortization shape: batched aggregate throughput must grow with the
-	// lane count (1 lane pays the padded-stride tax, 16 amortize it).
-	if pts[1].BatchLCS <= pts[0].BatchLCS {
-		t.Errorf("batch lane-cycles/s should grow with lanes: 1 lane %.0f, 16 lanes %.0f",
-			pts[0].BatchLCS, pts[1].BatchLCS)
-	}
-	if !strings.Contains(BatchTable(pts).String(), "RocketChip-1C") {
-		t.Errorf("batch table malformed:\n%s", BatchTable(pts).String())
-	}
-	data, err := BatchJSON(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"engine": "batch"`) || !strings.Contains(string(data), `"engine": "solo"`) {
-		t.Errorf("batch JSON missing engine records:\n%s", data)
-	}
-}

@@ -176,6 +176,48 @@ func TestBatchConcurrentFrontier(t *testing.T) {
 	}
 }
 
+// TestBatchHotDesignOccupancy is the coalescing gate: when every client
+// steps the same design in long runs, the group-commit linger must put
+// several sessions into each engine round. An occupancy under 0.3 of a
+// 16-lane group means rounds degenerated to near one lane each and the
+// batched tier is paying lane-width cost for solo work.
+func TestBatchHotDesignOccupancy(t *testing.T) {
+	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 16})
+	cr, err := client.Compile(CompileRequest{Design: "RocketChip-1C", Scale: 0.5, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nSess, steps, cyclesPerStep = 16, 4, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < nSess; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess, err := client.NewSession(cr.Key)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer sess.Close()
+			for step := 0; step < steps; step++ {
+				if _, err := sess.Run(cyclesPerStep); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	m, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := m.Batch; b.OccupancyRatio < 0.3 {
+		t.Errorf("lane occupancy %.3f below 0.3 (%d runs, %.2f lanes/run of %d)",
+			b.OccupancyRatio, b.Runs, b.MeanLanesPerRun, b.LaneWidth)
+	}
+}
+
 // TestBatchLaneRecycling closes a batched session and reopens one: the
 // newcomer must land on the recycled lane with power-on state, not the
 // previous occupant's residue.

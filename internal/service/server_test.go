@@ -36,6 +36,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, NewClient(ts.URL)
 }
 
+// firstNarrow picks the first ≤64-bit port from a table, "" if none.
+func firstNarrow(ports []PortInfo) string {
+	for _, p := range ports {
+		if !p.Wide {
+			return p.Name
+		}
+	}
+	return ""
+}
+
 // wireSrc is a small open design (a real top-level input) for driving
 // input traces across the wire; the built-in benchmark designs are
 // self-stimulating and closed.

@@ -121,7 +121,6 @@ type PartitionSummary struct {
 	// registers they demoted to the shared-read tier.
 	DerepGroups int  `json:"derep_groups"`
 	DerepRegs   int  `json:"derep_regs"`
-	Refined     bool `json:"refined"`
 	Profiled    bool `json:"profiled,omitempty"`
 }
 
@@ -136,7 +135,7 @@ func PartitionJSON(r *repcut.PartitionReport) *PartitionSummary {
 		ImbalanceExcl: r.ImbalanceExcl, ImbalanceIncl: r.ImbalanceIncl,
 		ReplicatedVertices: r.ReplicatedVertices, PartWeights: r.PartWeights,
 		CutCost: r.CutCost, DerepGroups: r.DerepGroups, DerepRegs: r.DerepRegs,
-		Refined: r.Refined, Profiled: r.Profiled,
+		Profiled: r.Profiled,
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // BenchmarkValidateMegaBoom times one full translation-validation pass over
 // the largest bundled design (MegaBOOM-4C, 4 partitions): symbolic
 // execution of both streams, hash-consing, and sink comparison. This is the
-// number the ≤25% compile-overhead budget in results/validate.txt rides on,
-// so regressions here show up directly in `benchall -validate`.
+// number the ≤25% compile-overhead budget rides on, so regressions here show
+// up directly in the benchmark's verify.tvalid_ms.
 func BenchmarkValidateMegaBoom(b *testing.B) {
 	g, err := designs.Build(designs.Config{Kind: designs.MegaBoom, Cores: 4, Scale: 1})
 	if err != nil {

@@ -3,7 +3,8 @@
 // ASPLOS 2023): a full-cycle RTL simulation framework whose parallel
 // backend cuts the design into balanced, fully independent partitions by
 // replicating a small amount of overlapping logic, so threads synchronize
-// only twice per simulated cycle.
+// only at cycle boundaries: twice per simulated cycle in the paper, once
+// here (the engine double-buffers register state; DESIGN.md §4).
 //
 // The typical flow:
 //
@@ -164,14 +165,6 @@ type Options struct {
 	// only). Empty uses the per-user default under the system temp dir, so
 	// repeated runs share warm artifacts.
 	Artifacts string
-	// NoRefine disables the replication-aware k-way refinement stage that
-	// cleans up the recursive-bisection partition (set it to reproduce the
-	// pre-refinement partitioner exactly).
-	NoRefine bool
-	// NoDerep disables the dereplication post-pass. All backends reachable
-	// from this API run the two-phase protocol, so dereplication is on by
-	// default; compare against NoDerep to measure what it saves.
-	NoDerep bool
 	// Profile enables profile-guided rebalance: compile once, measure
 	// per-thread eval+commit phase times over ProfileCycles simulated
 	// cycles, and repartition with the hypergraph weights scaled by each
@@ -205,11 +198,9 @@ type PartitionReport struct {
 	// CutCost is the partitioner's proxy objective Σ(λ−1)·ω (Formula 2).
 	CutCost int64
 	// DerepGroups/DerepRegs count the dereplication groups applied and the
-	// registers they demoted (0 when NoDerep or nothing was profitable).
+	// registers they demoted (0 when nothing was profitable).
 	DerepGroups int
 	DerepRegs   int
-	// Refined is false when NoRefine skipped the k-way refinement stage.
-	Refined bool
 	// Profiled is true when the partition was rebalanced from measured
 	// phase times (Options.Profile).
 	Profiled bool
@@ -231,7 +222,7 @@ func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result,
 	res, err := core.Partition(d.Graph, core.Options{
 		K: opt.Threads, Epsilon: opt.Epsilon, Seed: opt.Seed, Model: model,
 		Workers: opt.Workers, Verify: opt.Verify,
-		NoRefine: opt.NoRefine, Derep: !opt.NoDerep, Profile: pf,
+		Derep: true, Profile: pf,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -245,7 +236,6 @@ func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result,
 		CutCost:            res.CutCost,
 		DerepGroups:        len(res.Dereps),
 		DerepRegs:          res.DerepRegs,
-		Refined:            !opt.NoRefine,
 		Profiled:           pf != nil,
 	}
 	for i := range res.Parts {
@@ -339,7 +329,7 @@ func (c *Compiled) NewSimulator() *Simulator {
 
 // CompileParallel partitions the design and builds the RepCut parallel
 // simulator: Options.Threads goroutines executing independent partitions
-// with two barriers per simulated cycle.
+// with one barrier per simulated cycle.
 func (d *Design) CompileParallel(opt Options) (*Simulator, error) {
 	c, err := d.CompileProgram(opt)
 	if err != nil {
