@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check bench cluster results serve fuzz
+.PHONY: build test lint check loc bench cluster results serve fuzz
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ lint:
 # partition+compile pipeline must stay race-clean and deterministic.
 check: lint
 	$(GO) test -race ./...
+
+# The two tracked size numbers (ROADMAP "net lines of non-test code"):
+# non-test Go lines outside bench/, and the same for internal/sim +
+# internal/codegen. CI logs them per commit.
+loc:
+	@printf 'non-test Go lines (excluding bench/): '; \
+		find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'non-test Go lines in internal/sim + internal/codegen: '; \
+		find internal/sim internal/codegen -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md): six
 # workloads through a spawned repcutd. The Go micro-benchmarks stay

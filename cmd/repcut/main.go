@@ -69,7 +69,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON (same encoding as the repcutd service)")
 		vcdPath    = flag.String("vcd", "", "dump register/output waveforms to this VCD file")
 		workers    = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; output is identical)")
-		backendF   = flag.String("backend", "linked", "execution backend: linked (fused interpreter), interp (closure interpreter), native (compiled plugin kernel; falls back to linked when unsupported)")
+		backendF   = flag.String("backend", "linked", "execution backend: linked (resolved instruction-stream interpreter), interp (closure interpreter), native (compiled plugin kernel; falls back to linked when unsupported)")
 		artifacts  = flag.String("artifacts", "", "native artifact store directory (-backend native; empty = per-user default under the temp dir)")
 		profileOpt = flag.Bool("pgo", false, "profile-guided rebalance: measure per-thread phase times and repartition once with measured weights")
 		verifyFlag = flag.Bool("verify", false, "statically prove the compiled program race-free and partition-closed; fail on any violation")

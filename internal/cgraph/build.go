@@ -16,8 +16,19 @@ func Build(c *firrtl.Circuit) (*Graph, error) {
 		return nil, fmt.Errorf("cgraph: circuit must be flat")
 	}
 	m := c.Modules[0]
+	// Every vertex comes from one port or one statement (a register yields
+	// a read and a write), so Vs never has to grow.
+	nv := len(m.Ports)
+	for _, st := range m.Stmts {
+		switch st.(type) {
+		case *firrtl.Reg:
+			nv += 2
+		case *firrtl.Mem, *firrtl.Node, *firrtl.MemWrite:
+			nv++
+		}
+	}
 	b := &builder{
-		g:       &Graph{Name: c.Name, byName: map[string]VID{}},
+		g:       &Graph{Name: c.Name, Vs: make([]Vertex, 0, nv), byName: make(map[string]VID, nv)},
 		aliases: map[string]string{},
 		drivers: map[string]firrtl.Expr{},
 	}
@@ -383,7 +394,7 @@ func pruneDead(g *Graph) int {
 		return 0
 	}
 	remap := make([]VID, n)
-	var vs []Vertex
+	vs := make([]Vertex, 0, n-removed)
 	for i := range g.Vs {
 		if live[i] || g.Vs[i].Kind.IsSource() {
 			remap[i] = VID(len(vs))

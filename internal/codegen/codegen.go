@@ -31,7 +31,7 @@ import (
 
 // EmitterVersion names the generation scheme and is part of every artifact
 // key: bump it whenever emitted code could change for the same program.
-const EmitterVersion = "cg1"
+const EmitterVersion = "cg2"
 
 // Bug selects a deliberately planted emitter defect, used by the difftest
 // mutation suite to prove the codegen oracle column live. A planted bug

@@ -1,6 +1,6 @@
 // Package difftest is a differential oracle over the simulator stack. It
 // runs one generated circuit through every execution engine the repo has —
-// the tree-walking Reference, the serial interpreter, the linked/fused fast
+// the tree-walking Reference, the serial interpreter, the linked fast
 // path, RepCut parallel partitions at several k, the Verilator-style task
 // engine, and a compile-cache round-trip through the service layer — and
 // compares full architectural state (registers, outputs, every memory word)
@@ -221,7 +221,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 		}
 	}
 
-	// Serial interpreter (O0) and linked/fused fast path (O2).
+	// Serial interpreter (O0) and linked fast path (O2).
 	p0, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 0})
 	if err != nil {
 		return &Mismatch{Engine: "serial-O0", Cycle: -1, Kind: "compile", Got: err.Error()}

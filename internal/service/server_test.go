@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,12 +292,17 @@ func TestGracefulDrain(t *testing.T) {
 	// must wait for it rather than yanking the session.
 	opEntered := make(chan struct{})
 	opDone := make(chan struct{})
+	// Completion is recorded inside the Do closure: Do releases the session
+	// (which is what Shutdown waits on) before the goroutine gets to run
+	// its deferred close.
+	var opRan atomic.Bool
 	go func() {
 		defer close(opDone)
 		err := srv.Sessions().Do(sess.ID, func(s *Session) error {
 			close(opEntered)
 			time.Sleep(100 * time.Millisecond)
 			s.Run(1)
+			opRan.Store(true)
 			return nil
 		})
 		if err != nil {
@@ -314,11 +320,10 @@ func TestGracefulDrain(t *testing.T) {
 	if waited := time.Since(start); waited < 80*time.Millisecond {
 		t.Errorf("shutdown returned after %v — did not drain the in-flight op", waited)
 	}
-	select {
-	case <-opDone:
-	default:
+	if !opRan.Load() {
 		t.Error("shutdown returned before the in-flight op completed")
 	}
+	<-opDone
 	if got := srv.Sessions().Live(); got != 0 {
 		t.Errorf("live sessions = %d after drain", got)
 	}

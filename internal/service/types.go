@@ -144,14 +144,12 @@ type ProgramSummary struct {
 	Design  string `json:"design"`
 	Threads int    `json:"threads"`
 	Instrs  int    `json:"instrs"`
-	// LinkedInstrs/FusionRate describe the linked execution form engines
-	// actually run: the fused stream length and the fraction of interpreter
-	// instructions absorbed by superinstruction fusion.
-	LinkedInstrs int     `json:"linked_instrs"`
-	FusionRate   float64 `json:"fusion_rate"`
-	MemBytes     int64   `json:"mem_bytes"`
-	StateBytes   int64   `json:"state_bytes"`
-	Fingerprint  string  `json:"fingerprint"`
+	// LinkedInstrs is the length of the linked stream engines actually
+	// run; linking is 1:1, so it equals Instrs.
+	LinkedInstrs int    `json:"linked_instrs"`
+	MemBytes     int64  `json:"mem_bytes"`
+	StateBytes   int64  `json:"state_bytes"`
+	Fingerprint  string `json:"fingerprint"`
 }
 
 // ProgramJSON summarizes a compiled program for the wire.
@@ -159,8 +157,7 @@ func ProgramJSON(p *sim.Program) ProgramSummary {
 	lp := p.Linked()
 	return ProgramSummary{
 		Design: p.Design, Threads: p.NumThreads, Instrs: p.TotalInstrs(),
-		LinkedInstrs: lp.Stats.Linked, FusionRate: lp.Stats.FusionRate(),
-		MemBytes: p.MemBytes(), StateBytes: p.StateBytes(),
+		LinkedInstrs: lp.Stats.Linked, MemBytes: p.MemBytes(), StateBytes: p.StateBytes(),
 		Fingerprint: fmt.Sprintf("%016x", p.Fingerprint()),
 	}
 }

@@ -85,7 +85,7 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 // TestBatchMatchesEngine is the batch engine's correctness claim: N lanes
 // driven with N distinct input streams must each stay bit-identical to a
 // private Engine fed the same stream — serial and partitioned programs,
-// including fused superinstructions, wide values, and memories. Lane count
+// including wide values and memories. Lane count
 // 5 pads to a stride-8 frame (block-kernel executor), 11 to stride 16 (the
 // inlined evalThreadBatch16 path), so both executors are checked along
 // with their padding lanes.

@@ -37,20 +37,20 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
-		case LOp(OpNop):
-		case LOp(OpCopy):
+		case OpNop:
+		case OpCopy:
 			copy8(bcol(in.Dst), bcol(in.A), in.Mask)
-		case LOp(OpAdd):
+		case OpAdd:
 			add8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpSub):
+		case OpSub:
 			sub8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpMul):
+		case OpMul:
 			mul8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpDiv):
+		case OpDiv:
 			div8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpRem):
+		case OpRem:
 			rem8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpSDiv):
+		case OpSDiv:
 			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
 			for l := range d {
 				a, b := int64(av[l]), int64(bv[l])
@@ -63,7 +63,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 					d[l] = uint64(a/b) & m
 				}
 			}
-		case LOp(OpSRem):
+		case OpSRem:
 			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
 			for l := range d {
 				a, b := int64(av[l]), int64(bv[l])
@@ -76,61 +76,61 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 					d[l] = uint64(a%b) & m
 				}
 			}
-		case LOp(OpLt):
-			lt8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpLeq):
-			leq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpGt):
-			gt8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpGeq):
-			geq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpSLt):
-			slt8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpSLeq):
-			sleq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpSGt):
-			sgt8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpSGeq):
-			sgeq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpEq):
-			eq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpNeq):
-			neq8(bcol(in.Dst), bcol(in.A), bcol(in.B), 0, 0)
-		case LOp(OpAnd):
+		case OpLt:
+			lt8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpLeq:
+			leq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpGt:
+			gt8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpGeq:
+			geq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpSLt:
+			slt8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpSLeq:
+			sleq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpSGt:
+			sgt8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpSGeq:
+			sgeq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpEq:
+			eq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpNeq:
+			neq8(bcol(in.Dst), bcol(in.A), bcol(in.B))
+		case OpAnd:
 			and8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpOr):
+		case OpOr:
 			or8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpXor):
+		case OpXor:
 			xor8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpNot):
+		case OpNot:
 			not8(bcol(in.Dst), bcol(in.A), in.Mask)
-		case LOp(OpNeg):
+		case OpNeg:
 			neg8(bcol(in.Dst), bcol(in.A), in.Mask)
-		case LOp(OpAndr):
+		case OpAndr:
 			andr8(bcol(in.Dst), bcol(in.A), in.Mask)
-		case LOp(OpOrr):
+		case OpOrr:
 			orr8(bcol(in.Dst), bcol(in.A))
-		case LOp(OpXorr):
+		case OpXorr:
 			xorr8(bcol(in.Dst), bcol(in.A))
-		case LOp(OpCat):
+		case OpCat:
 			cat8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux, in.Mask)
-		case LOp(OpShl):
+		case OpShl:
 			shl8(bcol(in.Dst), bcol(in.A), in.Aux, in.Mask)
-		case LOp(OpShr):
+		case OpShr:
 			shr8(bcol(in.Dst), bcol(in.A), in.Aux, in.Mask)
-		case LOp(OpSar):
+		case OpSar:
 			sar8(bcol(in.Dst), bcol(in.A), in.Aux, in.Mask)
-		case LOp(OpDshl):
+		case OpDshl:
 			dshl8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpDshr):
+		case OpDshr:
 			dshr8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpDsar):
+		case OpDsar:
 			dsar8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Mask)
-		case LOp(OpMux):
+		case OpMux:
 			mux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), in.Mask)
-		case LOp(OpSext):
+		case OpSext:
 			sext8(bcol(in.Dst), bcol(in.A), in.Aux)
-		case LOp(OpMemRd):
+		case OpMemRd:
 			d, a, m := col(in.Dst), col(in.A), in.Mask
 			for l := 0; l < n; l++ {
 				if !mask[l] {
@@ -143,7 +143,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 					d[l] = 0
 				}
 			}
-		case LOp(OpMemWr):
+		case OpMemWr:
 			a, b, c, m := col(in.A), col(in.B), col(in.C), in.Mask
 			for l := 0; l < n; l++ {
 				if !mask[l] || c[l] == 0 {
@@ -154,7 +154,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 					mem: in.Aux, addr: a[l], data: b[l] & m,
 				})
 			}
-		case LOp(OpWide):
+		case OpWide:
 			wn := &e.lp.WideNodes[in.Aux]
 			for l := 0; l < n; l++ {
 				if !mask[l] {
@@ -162,58 +162,6 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 				}
 				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t], e.wval[l], e.wstore[l])
 			}
-
-		// Fused superinstructions (fuse.go), same kernels as the plain
-		// forms but with the real operand widths for the inline sext.
-		case lLtExt:
-			lt8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lLeqExt:
-			leq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lGtExt:
-			gt8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lGeqExt:
-			geq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lSLtExt:
-			slt8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lSLeqExt:
-			sleq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lSGtExt:
-			sgt8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lSGeqExt:
-			sgeq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lEqExt:
-			eq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lNeqExt:
-			neq8(bcol(in.Dst), bcol(in.A), bcol(in.B), in.Aux&0xff, in.Aux>>8)
-		case lLtMux:
-			ltMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lLeqMux:
-			leqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lGtMux:
-			gtMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lGeqMux:
-			geqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lSLtMux:
-			sltMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lSLeqMux:
-			sleqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lSGtMux:
-			sgtMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lSGeqMux:
-			sgeqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lEqMux:
-			eqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lNeqMux:
-			neqMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Aux&0xff, in.Aux>>8, in.Mask)
-		case lAndMux:
-			andMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Mask)
-		case lOrMux:
-			orMux8(bcol(in.Dst), bcol(in.A), bcol(in.B), bcol(in.C), bcol(in.D), in.Mask)
-		case lCopyRun:
-			// Consecutive state words are consecutive SoA columns, so the
-			// whole run commits as one contiguous block copy across lanes.
-			copy(st[int(in.Dst)*stride:int(in.Dst+in.Aux)*stride],
-				st[int(in.A)*stride:int(in.A+in.Aux)*stride])
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}

@@ -23,9 +23,7 @@ type blk16 = [16]uint64
 //
 // The per-lane semantics are byte-for-byte those of batchkern.go (which
 // in turn mirror evalLinked): branchless division guards, saturating
-// dynamic shifts, inline sign extension for the fused compares. Plain
-// compares carry Aux == 0 (fuse.go refuses to fuse otherwise), so they
-// compare raw column values without the sign-extension detour.
+// dynamic shifts.
 //
 // This file is mechanically regular by construction — when touching the
 // semantics of an operation, change batchkern.go first and mirror the
@@ -46,8 +44,8 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
-		case LOp(OpNop):
-		case LOp(OpCopy):
+		case OpNop:
+		case OpCopy:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
 			d[0] = a[0] & m
@@ -66,7 +64,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] & m
 			d[14] = a[14] & m
 			d[15] = a[15] & m
-		case LOp(OpAdd):
+		case OpAdd:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = (a[0] + b[0]) & m
@@ -85,7 +83,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13] + b[13]) & m
 			d[14] = (a[14] + b[14]) & m
 			d[15] = (a[15] + b[15]) & m
-		case LOp(OpSub):
+		case OpSub:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = (a[0] - b[0]) & m
@@ -104,7 +102,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13] - b[13]) & m
 			d[14] = (a[14] - b[14]) & m
 			d[15] = (a[15] - b[15]) & m
-		case LOp(OpMul):
+		case OpMul:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = (a[0] * b[0]) & m
@@ -123,7 +121,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13] * b[13]) & m
 			d[14] = (a[14] * b[14]) & m
 			d[15] = (a[15] * b[15]) & m
-		case LOp(OpDiv):
+		case OpDiv:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = divLane(a[0], b[0], m)
@@ -142,7 +140,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = divLane(a[13], b[13], m)
 			d[14] = divLane(a[14], b[14], m)
 			d[15] = divLane(a[15], b[15], m)
-		case LOp(OpRem):
+		case OpRem:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = remLane(a[0], b[0], m)
@@ -161,7 +159,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = remLane(a[13], b[13], m)
 			d[14] = remLane(a[14], b[14], m)
 			d[15] = remLane(a[15], b[15], m)
-		case LOp(OpAnd):
+		case OpAnd:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = a[0] & b[0] & m
@@ -180,7 +178,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] & b[13] & m
 			d[14] = a[14] & b[14] & m
 			d[15] = a[15] & b[15] & m
-		case LOp(OpOr):
+		case OpOr:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = (a[0] | b[0]) & m
@@ -199,7 +197,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13] | b[13]) & m
 			d[14] = (a[14] | b[14]) & m
 			d[15] = (a[15] | b[15]) & m
-		case LOp(OpXor):
+		case OpXor:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = (a[0] ^ b[0]) & m
@@ -218,7 +216,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13] ^ b[13]) & m
 			d[14] = (a[14] ^ b[14]) & m
 			d[15] = (a[15] ^ b[15]) & m
-		case LOp(OpNot):
+		case OpNot:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
 			d[0] = ^a[0] & m
@@ -237,7 +235,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = ^a[13] & m
 			d[14] = ^a[14] & m
 			d[15] = ^a[15] & m
-		case LOp(OpNeg):
+		case OpNeg:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
 			d[0] = -a[0] & m
@@ -256,7 +254,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = -a[13] & m
 			d[14] = -a[14] & m
 			d[15] = -a[15] & m
-		case LOp(OpAndr):
+		case OpAndr:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
 			d[0] = b2u(a[0] == m)
@@ -275,7 +273,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] == m)
 			d[14] = b2u(a[14] == m)
 			d[15] = b2u(a[15] == m)
-		case LOp(OpOrr):
+		case OpOrr:
 			d, a := p(in.Dst), p(in.A)
 			d[0] = b2u(a[0] != 0)
 			d[1] = b2u(a[1] != 0)
@@ -293,7 +291,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] != 0)
 			d[14] = b2u(a[14] != 0)
 			d[15] = b2u(a[15] != 0)
-		case LOp(OpXorr):
+		case OpXorr:
 			d, a := p(in.Dst), p(in.A)
 			d[0] = uint64(bits.OnesCount64(a[0]) & 1)
 			d[1] = uint64(bits.OnesCount64(a[1]) & 1)
@@ -311,7 +309,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = uint64(bits.OnesCount64(a[13]) & 1)
 			d[14] = uint64(bits.OnesCount64(a[14]) & 1)
 			d[15] = uint64(bits.OnesCount64(a[15]) & 1)
-		case LOp(OpCat):
+		case OpCat:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			sh, m := in.Aux, in.Mask
 			d[0] = (a[0]<<sh | b[0]) & m
@@ -330,7 +328,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = (a[13]<<sh | b[13]) & m
 			d[14] = (a[14]<<sh | b[14]) & m
 			d[15] = (a[15]<<sh | b[15]) & m
-		case LOp(OpShl):
+		case OpShl:
 			d, a := p(in.Dst), p(in.A)
 			sh, m := in.Aux, in.Mask
 			d[0] = a[0] << sh & m
@@ -349,7 +347,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] << sh & m
 			d[14] = a[14] << sh & m
 			d[15] = a[15] << sh & m
-		case LOp(OpShr):
+		case OpShr:
 			d, a := p(in.Dst), p(in.A)
 			sh, m := in.Aux, in.Mask
 			d[0] = a[0] >> sh & m
@@ -368,7 +366,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] >> sh & m
 			d[14] = a[14] >> sh & m
 			d[15] = a[15] >> sh & m
-		case LOp(OpSar):
+		case OpSar:
 			d, a := p(in.Dst), p(in.A)
 			sh, m := in.Aux, in.Mask
 			d[0] = uint64(int64(a[0])>>sh) & m
@@ -387,7 +385,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = uint64(int64(a[13])>>sh) & m
 			d[14] = uint64(int64(a[14])>>sh) & m
 			d[15] = uint64(int64(a[15])>>sh) & m
-		case LOp(OpDshl):
+		case OpDshl:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = a[0] << b[0] & m
@@ -406,7 +404,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] << b[13] & m
 			d[14] = a[14] << b[14] & m
 			d[15] = a[15] << b[15] & m
-		case LOp(OpDshr):
+		case OpDshr:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = a[0] >> b[0] & m
@@ -425,7 +423,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = a[13] >> b[13] & m
 			d[14] = a[14] >> b[14] & m
 			d[15] = a[15] >> b[15] & m
-		case LOp(OpDsar):
+		case OpDsar:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
 			d[0] = dsarOne(a[0], b[0], m)
@@ -444,7 +442,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = dsarOne(a[13], b[13], m)
 			d[14] = dsarOne(a[14], b[14], m)
 			d[15] = dsarOne(a[15], b[15], m)
-		case LOp(OpSext):
+		case OpSext:
 			d, a := p(in.Dst), p(in.A)
 			w := in.Aux
 			d[0] = signExtend64(a[0], w)
@@ -463,7 +461,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = signExtend64(a[13], w)
 			d[14] = signExtend64(a[14], w)
 			d[15] = signExtend64(a[15], w)
-		case LOp(OpMux):
+		case OpMux:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			c := p(in.C)
 			m := in.Mask
@@ -483,7 +481,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = sel(-b2u(a[13] != 0), b[13], c[13]) & m
 			d[14] = sel(-b2u(a[14] != 0), b[14], c[14]) & m
 			d[15] = sel(-b2u(a[15] != 0), b[15], c[15]) & m
-		case LOp(OpLt):
+		case OpLt:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] < b[0])
 			d[1] = b2u(a[1] < b[1])
@@ -501,7 +499,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] < b[13])
 			d[14] = b2u(a[14] < b[14])
 			d[15] = b2u(a[15] < b[15])
-		case LOp(OpLeq):
+		case OpLeq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] <= b[0])
 			d[1] = b2u(a[1] <= b[1])
@@ -519,7 +517,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] <= b[13])
 			d[14] = b2u(a[14] <= b[14])
 			d[15] = b2u(a[15] <= b[15])
-		case LOp(OpGt):
+		case OpGt:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] > b[0])
 			d[1] = b2u(a[1] > b[1])
@@ -537,7 +535,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] > b[13])
 			d[14] = b2u(a[14] > b[14])
 			d[15] = b2u(a[15] > b[15])
-		case LOp(OpGeq):
+		case OpGeq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] >= b[0])
 			d[1] = b2u(a[1] >= b[1])
@@ -555,7 +553,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] >= b[13])
 			d[14] = b2u(a[14] >= b[14])
 			d[15] = b2u(a[15] >= b[15])
-		case LOp(OpSLt):
+		case OpSLt:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(int64(a[0]) < int64(b[0]))
 			d[1] = b2u(int64(a[1]) < int64(b[1]))
@@ -573,7 +571,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(int64(a[13]) < int64(b[13]))
 			d[14] = b2u(int64(a[14]) < int64(b[14]))
 			d[15] = b2u(int64(a[15]) < int64(b[15]))
-		case LOp(OpSLeq):
+		case OpSLeq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(int64(a[0]) <= int64(b[0]))
 			d[1] = b2u(int64(a[1]) <= int64(b[1]))
@@ -591,7 +589,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(int64(a[13]) <= int64(b[13]))
 			d[14] = b2u(int64(a[14]) <= int64(b[14]))
 			d[15] = b2u(int64(a[15]) <= int64(b[15]))
-		case LOp(OpSGt):
+		case OpSGt:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(int64(a[0]) > int64(b[0]))
 			d[1] = b2u(int64(a[1]) > int64(b[1]))
@@ -609,7 +607,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(int64(a[13]) > int64(b[13]))
 			d[14] = b2u(int64(a[14]) > int64(b[14]))
 			d[15] = b2u(int64(a[15]) > int64(b[15]))
-		case LOp(OpSGeq):
+		case OpSGeq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(int64(a[0]) >= int64(b[0]))
 			d[1] = b2u(int64(a[1]) >= int64(b[1]))
@@ -627,7 +625,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(int64(a[13]) >= int64(b[13]))
 			d[14] = b2u(int64(a[14]) >= int64(b[14]))
 			d[15] = b2u(int64(a[15]) >= int64(b[15]))
-		case LOp(OpEq):
+		case OpEq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] == b[0])
 			d[1] = b2u(a[1] == b[1])
@@ -645,7 +643,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] == b[13])
 			d[14] = b2u(a[14] == b[14])
 			d[15] = b2u(a[15] == b[15])
-		case LOp(OpNeq):
+		case OpNeq:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			d[0] = b2u(a[0] != b[0])
 			d[1] = b2u(a[1] != b[1])
@@ -663,447 +661,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 			d[13] = b2u(a[13] != b[13])
 			d[14] = b2u(a[14] != b[14])
 			d[15] = b2u(a[15] != b[15])
-		case lLtExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) < signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) < signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) < signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) < signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) < signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) < signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) < signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) < signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) < signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) < signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) < signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) < signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) < signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) < signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) < signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) < signExtend64(b[15], wb))
-		case lLeqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) <= signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) <= signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) <= signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) <= signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) <= signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) <= signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) <= signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) <= signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) <= signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) <= signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) <= signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) <= signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) <= signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) <= signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) <= signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) <= signExtend64(b[15], wb))
-		case lGtExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) > signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) > signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) > signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) > signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) > signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) > signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) > signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) > signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) > signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) > signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) > signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) > signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) > signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) > signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) > signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) > signExtend64(b[15], wb))
-		case lGeqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) >= signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) >= signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) >= signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) >= signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) >= signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) >= signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) >= signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) >= signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) >= signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) >= signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) >= signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) >= signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) >= signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) >= signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) >= signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) >= signExtend64(b[15], wb))
-		case lSLtExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(int64(signExtend64(a[0], wa)) < int64(signExtend64(b[0], wb)))
-			d[1] = b2u(int64(signExtend64(a[1], wa)) < int64(signExtend64(b[1], wb)))
-			d[2] = b2u(int64(signExtend64(a[2], wa)) < int64(signExtend64(b[2], wb)))
-			d[3] = b2u(int64(signExtend64(a[3], wa)) < int64(signExtend64(b[3], wb)))
-			d[4] = b2u(int64(signExtend64(a[4], wa)) < int64(signExtend64(b[4], wb)))
-			d[5] = b2u(int64(signExtend64(a[5], wa)) < int64(signExtend64(b[5], wb)))
-			d[6] = b2u(int64(signExtend64(a[6], wa)) < int64(signExtend64(b[6], wb)))
-			d[7] = b2u(int64(signExtend64(a[7], wa)) < int64(signExtend64(b[7], wb)))
-			d[8] = b2u(int64(signExtend64(a[8], wa)) < int64(signExtend64(b[8], wb)))
-			d[9] = b2u(int64(signExtend64(a[9], wa)) < int64(signExtend64(b[9], wb)))
-			d[10] = b2u(int64(signExtend64(a[10], wa)) < int64(signExtend64(b[10], wb)))
-			d[11] = b2u(int64(signExtend64(a[11], wa)) < int64(signExtend64(b[11], wb)))
-			d[12] = b2u(int64(signExtend64(a[12], wa)) < int64(signExtend64(b[12], wb)))
-			d[13] = b2u(int64(signExtend64(a[13], wa)) < int64(signExtend64(b[13], wb)))
-			d[14] = b2u(int64(signExtend64(a[14], wa)) < int64(signExtend64(b[14], wb)))
-			d[15] = b2u(int64(signExtend64(a[15], wa)) < int64(signExtend64(b[15], wb)))
-		case lSLeqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(int64(signExtend64(a[0], wa)) <= int64(signExtend64(b[0], wb)))
-			d[1] = b2u(int64(signExtend64(a[1], wa)) <= int64(signExtend64(b[1], wb)))
-			d[2] = b2u(int64(signExtend64(a[2], wa)) <= int64(signExtend64(b[2], wb)))
-			d[3] = b2u(int64(signExtend64(a[3], wa)) <= int64(signExtend64(b[3], wb)))
-			d[4] = b2u(int64(signExtend64(a[4], wa)) <= int64(signExtend64(b[4], wb)))
-			d[5] = b2u(int64(signExtend64(a[5], wa)) <= int64(signExtend64(b[5], wb)))
-			d[6] = b2u(int64(signExtend64(a[6], wa)) <= int64(signExtend64(b[6], wb)))
-			d[7] = b2u(int64(signExtend64(a[7], wa)) <= int64(signExtend64(b[7], wb)))
-			d[8] = b2u(int64(signExtend64(a[8], wa)) <= int64(signExtend64(b[8], wb)))
-			d[9] = b2u(int64(signExtend64(a[9], wa)) <= int64(signExtend64(b[9], wb)))
-			d[10] = b2u(int64(signExtend64(a[10], wa)) <= int64(signExtend64(b[10], wb)))
-			d[11] = b2u(int64(signExtend64(a[11], wa)) <= int64(signExtend64(b[11], wb)))
-			d[12] = b2u(int64(signExtend64(a[12], wa)) <= int64(signExtend64(b[12], wb)))
-			d[13] = b2u(int64(signExtend64(a[13], wa)) <= int64(signExtend64(b[13], wb)))
-			d[14] = b2u(int64(signExtend64(a[14], wa)) <= int64(signExtend64(b[14], wb)))
-			d[15] = b2u(int64(signExtend64(a[15], wa)) <= int64(signExtend64(b[15], wb)))
-		case lSGtExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(int64(signExtend64(a[0], wa)) > int64(signExtend64(b[0], wb)))
-			d[1] = b2u(int64(signExtend64(a[1], wa)) > int64(signExtend64(b[1], wb)))
-			d[2] = b2u(int64(signExtend64(a[2], wa)) > int64(signExtend64(b[2], wb)))
-			d[3] = b2u(int64(signExtend64(a[3], wa)) > int64(signExtend64(b[3], wb)))
-			d[4] = b2u(int64(signExtend64(a[4], wa)) > int64(signExtend64(b[4], wb)))
-			d[5] = b2u(int64(signExtend64(a[5], wa)) > int64(signExtend64(b[5], wb)))
-			d[6] = b2u(int64(signExtend64(a[6], wa)) > int64(signExtend64(b[6], wb)))
-			d[7] = b2u(int64(signExtend64(a[7], wa)) > int64(signExtend64(b[7], wb)))
-			d[8] = b2u(int64(signExtend64(a[8], wa)) > int64(signExtend64(b[8], wb)))
-			d[9] = b2u(int64(signExtend64(a[9], wa)) > int64(signExtend64(b[9], wb)))
-			d[10] = b2u(int64(signExtend64(a[10], wa)) > int64(signExtend64(b[10], wb)))
-			d[11] = b2u(int64(signExtend64(a[11], wa)) > int64(signExtend64(b[11], wb)))
-			d[12] = b2u(int64(signExtend64(a[12], wa)) > int64(signExtend64(b[12], wb)))
-			d[13] = b2u(int64(signExtend64(a[13], wa)) > int64(signExtend64(b[13], wb)))
-			d[14] = b2u(int64(signExtend64(a[14], wa)) > int64(signExtend64(b[14], wb)))
-			d[15] = b2u(int64(signExtend64(a[15], wa)) > int64(signExtend64(b[15], wb)))
-		case lSGeqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(int64(signExtend64(a[0], wa)) >= int64(signExtend64(b[0], wb)))
-			d[1] = b2u(int64(signExtend64(a[1], wa)) >= int64(signExtend64(b[1], wb)))
-			d[2] = b2u(int64(signExtend64(a[2], wa)) >= int64(signExtend64(b[2], wb)))
-			d[3] = b2u(int64(signExtend64(a[3], wa)) >= int64(signExtend64(b[3], wb)))
-			d[4] = b2u(int64(signExtend64(a[4], wa)) >= int64(signExtend64(b[4], wb)))
-			d[5] = b2u(int64(signExtend64(a[5], wa)) >= int64(signExtend64(b[5], wb)))
-			d[6] = b2u(int64(signExtend64(a[6], wa)) >= int64(signExtend64(b[6], wb)))
-			d[7] = b2u(int64(signExtend64(a[7], wa)) >= int64(signExtend64(b[7], wb)))
-			d[8] = b2u(int64(signExtend64(a[8], wa)) >= int64(signExtend64(b[8], wb)))
-			d[9] = b2u(int64(signExtend64(a[9], wa)) >= int64(signExtend64(b[9], wb)))
-			d[10] = b2u(int64(signExtend64(a[10], wa)) >= int64(signExtend64(b[10], wb)))
-			d[11] = b2u(int64(signExtend64(a[11], wa)) >= int64(signExtend64(b[11], wb)))
-			d[12] = b2u(int64(signExtend64(a[12], wa)) >= int64(signExtend64(b[12], wb)))
-			d[13] = b2u(int64(signExtend64(a[13], wa)) >= int64(signExtend64(b[13], wb)))
-			d[14] = b2u(int64(signExtend64(a[14], wa)) >= int64(signExtend64(b[14], wb)))
-			d[15] = b2u(int64(signExtend64(a[15], wa)) >= int64(signExtend64(b[15], wb)))
-		case lEqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) == signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) == signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) == signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) == signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) == signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) == signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) == signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) == signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) == signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) == signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) == signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) == signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) == signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) == signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) == signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) == signExtend64(b[15], wb))
-		case lNeqExt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			d[0] = b2u(signExtend64(a[0], wa) != signExtend64(b[0], wb))
-			d[1] = b2u(signExtend64(a[1], wa) != signExtend64(b[1], wb))
-			d[2] = b2u(signExtend64(a[2], wa) != signExtend64(b[2], wb))
-			d[3] = b2u(signExtend64(a[3], wa) != signExtend64(b[3], wb))
-			d[4] = b2u(signExtend64(a[4], wa) != signExtend64(b[4], wb))
-			d[5] = b2u(signExtend64(a[5], wa) != signExtend64(b[5], wb))
-			d[6] = b2u(signExtend64(a[6], wa) != signExtend64(b[6], wb))
-			d[7] = b2u(signExtend64(a[7], wa) != signExtend64(b[7], wb))
-			d[8] = b2u(signExtend64(a[8], wa) != signExtend64(b[8], wb))
-			d[9] = b2u(signExtend64(a[9], wa) != signExtend64(b[9], wb))
-			d[10] = b2u(signExtend64(a[10], wa) != signExtend64(b[10], wb))
-			d[11] = b2u(signExtend64(a[11], wa) != signExtend64(b[11], wb))
-			d[12] = b2u(signExtend64(a[12], wa) != signExtend64(b[12], wb))
-			d[13] = b2u(signExtend64(a[13], wa) != signExtend64(b[13], wb))
-			d[14] = b2u(signExtend64(a[14], wa) != signExtend64(b[14], wb))
-			d[15] = b2u(signExtend64(a[15], wa) != signExtend64(b[15], wb))
-		case lLtMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) < signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) < signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) < signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) < signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) < signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) < signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) < signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) < signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) < signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) < signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) < signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) < signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) < signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) < signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) < signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) < signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lLeqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) <= signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) <= signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) <= signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) <= signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) <= signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) <= signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) <= signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) <= signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) <= signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) <= signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) <= signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) <= signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) <= signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) <= signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) <= signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) <= signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lGtMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) > signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) > signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) > signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) > signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) > signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) > signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) > signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) > signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) > signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) > signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) > signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) > signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) > signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) > signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) > signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) > signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lGeqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) >= signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) >= signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) >= signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) >= signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) >= signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) >= signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) >= signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) >= signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) >= signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) >= signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) >= signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) >= signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) >= signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) >= signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) >= signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) >= signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lSLtMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) < int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-			d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) < int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-			d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) < int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-			d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) < int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-			d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) < int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-			d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) < int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-			d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) < int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-			d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) < int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-			d[8] = sel(-b2u(int64(signExtend64(a[8], wa)) < int64(signExtend64(b[8], wb))), c[8], e[8]) & m
-			d[9] = sel(-b2u(int64(signExtend64(a[9], wa)) < int64(signExtend64(b[9], wb))), c[9], e[9]) & m
-			d[10] = sel(-b2u(int64(signExtend64(a[10], wa)) < int64(signExtend64(b[10], wb))), c[10], e[10]) & m
-			d[11] = sel(-b2u(int64(signExtend64(a[11], wa)) < int64(signExtend64(b[11], wb))), c[11], e[11]) & m
-			d[12] = sel(-b2u(int64(signExtend64(a[12], wa)) < int64(signExtend64(b[12], wb))), c[12], e[12]) & m
-			d[13] = sel(-b2u(int64(signExtend64(a[13], wa)) < int64(signExtend64(b[13], wb))), c[13], e[13]) & m
-			d[14] = sel(-b2u(int64(signExtend64(a[14], wa)) < int64(signExtend64(b[14], wb))), c[14], e[14]) & m
-			d[15] = sel(-b2u(int64(signExtend64(a[15], wa)) < int64(signExtend64(b[15], wb))), c[15], e[15]) & m
-		case lSLeqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) <= int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-			d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) <= int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-			d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) <= int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-			d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) <= int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-			d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) <= int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-			d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) <= int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-			d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) <= int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-			d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) <= int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-			d[8] = sel(-b2u(int64(signExtend64(a[8], wa)) <= int64(signExtend64(b[8], wb))), c[8], e[8]) & m
-			d[9] = sel(-b2u(int64(signExtend64(a[9], wa)) <= int64(signExtend64(b[9], wb))), c[9], e[9]) & m
-			d[10] = sel(-b2u(int64(signExtend64(a[10], wa)) <= int64(signExtend64(b[10], wb))), c[10], e[10]) & m
-			d[11] = sel(-b2u(int64(signExtend64(a[11], wa)) <= int64(signExtend64(b[11], wb))), c[11], e[11]) & m
-			d[12] = sel(-b2u(int64(signExtend64(a[12], wa)) <= int64(signExtend64(b[12], wb))), c[12], e[12]) & m
-			d[13] = sel(-b2u(int64(signExtend64(a[13], wa)) <= int64(signExtend64(b[13], wb))), c[13], e[13]) & m
-			d[14] = sel(-b2u(int64(signExtend64(a[14], wa)) <= int64(signExtend64(b[14], wb))), c[14], e[14]) & m
-			d[15] = sel(-b2u(int64(signExtend64(a[15], wa)) <= int64(signExtend64(b[15], wb))), c[15], e[15]) & m
-		case lSGtMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) > int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-			d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) > int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-			d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) > int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-			d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) > int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-			d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) > int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-			d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) > int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-			d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) > int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-			d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) > int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-			d[8] = sel(-b2u(int64(signExtend64(a[8], wa)) > int64(signExtend64(b[8], wb))), c[8], e[8]) & m
-			d[9] = sel(-b2u(int64(signExtend64(a[9], wa)) > int64(signExtend64(b[9], wb))), c[9], e[9]) & m
-			d[10] = sel(-b2u(int64(signExtend64(a[10], wa)) > int64(signExtend64(b[10], wb))), c[10], e[10]) & m
-			d[11] = sel(-b2u(int64(signExtend64(a[11], wa)) > int64(signExtend64(b[11], wb))), c[11], e[11]) & m
-			d[12] = sel(-b2u(int64(signExtend64(a[12], wa)) > int64(signExtend64(b[12], wb))), c[12], e[12]) & m
-			d[13] = sel(-b2u(int64(signExtend64(a[13], wa)) > int64(signExtend64(b[13], wb))), c[13], e[13]) & m
-			d[14] = sel(-b2u(int64(signExtend64(a[14], wa)) > int64(signExtend64(b[14], wb))), c[14], e[14]) & m
-			d[15] = sel(-b2u(int64(signExtend64(a[15], wa)) > int64(signExtend64(b[15], wb))), c[15], e[15]) & m
-		case lSGeqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) >= int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-			d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) >= int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-			d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) >= int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-			d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) >= int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-			d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) >= int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-			d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) >= int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-			d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) >= int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-			d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) >= int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-			d[8] = sel(-b2u(int64(signExtend64(a[8], wa)) >= int64(signExtend64(b[8], wb))), c[8], e[8]) & m
-			d[9] = sel(-b2u(int64(signExtend64(a[9], wa)) >= int64(signExtend64(b[9], wb))), c[9], e[9]) & m
-			d[10] = sel(-b2u(int64(signExtend64(a[10], wa)) >= int64(signExtend64(b[10], wb))), c[10], e[10]) & m
-			d[11] = sel(-b2u(int64(signExtend64(a[11], wa)) >= int64(signExtend64(b[11], wb))), c[11], e[11]) & m
-			d[12] = sel(-b2u(int64(signExtend64(a[12], wa)) >= int64(signExtend64(b[12], wb))), c[12], e[12]) & m
-			d[13] = sel(-b2u(int64(signExtend64(a[13], wa)) >= int64(signExtend64(b[13], wb))), c[13], e[13]) & m
-			d[14] = sel(-b2u(int64(signExtend64(a[14], wa)) >= int64(signExtend64(b[14], wb))), c[14], e[14]) & m
-			d[15] = sel(-b2u(int64(signExtend64(a[15], wa)) >= int64(signExtend64(b[15], wb))), c[15], e[15]) & m
-		case lEqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) == signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) == signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) == signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) == signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) == signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) == signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) == signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) == signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) == signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) == signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) == signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) == signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) == signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) == signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) == signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) == signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lNeqMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			wa, wb := in.Aux&0xff, in.Aux>>8
-			m := in.Mask
-			d[0] = sel(-b2u(signExtend64(a[0], wa) != signExtend64(b[0], wb)), c[0], e[0]) & m
-			d[1] = sel(-b2u(signExtend64(a[1], wa) != signExtend64(b[1], wb)), c[1], e[1]) & m
-			d[2] = sel(-b2u(signExtend64(a[2], wa) != signExtend64(b[2], wb)), c[2], e[2]) & m
-			d[3] = sel(-b2u(signExtend64(a[3], wa) != signExtend64(b[3], wb)), c[3], e[3]) & m
-			d[4] = sel(-b2u(signExtend64(a[4], wa) != signExtend64(b[4], wb)), c[4], e[4]) & m
-			d[5] = sel(-b2u(signExtend64(a[5], wa) != signExtend64(b[5], wb)), c[5], e[5]) & m
-			d[6] = sel(-b2u(signExtend64(a[6], wa) != signExtend64(b[6], wb)), c[6], e[6]) & m
-			d[7] = sel(-b2u(signExtend64(a[7], wa) != signExtend64(b[7], wb)), c[7], e[7]) & m
-			d[8] = sel(-b2u(signExtend64(a[8], wa) != signExtend64(b[8], wb)), c[8], e[8]) & m
-			d[9] = sel(-b2u(signExtend64(a[9], wa) != signExtend64(b[9], wb)), c[9], e[9]) & m
-			d[10] = sel(-b2u(signExtend64(a[10], wa) != signExtend64(b[10], wb)), c[10], e[10]) & m
-			d[11] = sel(-b2u(signExtend64(a[11], wa) != signExtend64(b[11], wb)), c[11], e[11]) & m
-			d[12] = sel(-b2u(signExtend64(a[12], wa) != signExtend64(b[12], wb)), c[12], e[12]) & m
-			d[13] = sel(-b2u(signExtend64(a[13], wa) != signExtend64(b[13], wb)), c[13], e[13]) & m
-			d[14] = sel(-b2u(signExtend64(a[14], wa) != signExtend64(b[14], wb)), c[14], e[14]) & m
-			d[15] = sel(-b2u(signExtend64(a[15], wa) != signExtend64(b[15], wb)), c[15], e[15]) & m
-		case lAndMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			m := in.Mask
-			d[0] = sel(-b2u(a[0]&b[0] != 0), c[0], e[0]) & m
-			d[1] = sel(-b2u(a[1]&b[1] != 0), c[1], e[1]) & m
-			d[2] = sel(-b2u(a[2]&b[2] != 0), c[2], e[2]) & m
-			d[3] = sel(-b2u(a[3]&b[3] != 0), c[3], e[3]) & m
-			d[4] = sel(-b2u(a[4]&b[4] != 0), c[4], e[4]) & m
-			d[5] = sel(-b2u(a[5]&b[5] != 0), c[5], e[5]) & m
-			d[6] = sel(-b2u(a[6]&b[6] != 0), c[6], e[6]) & m
-			d[7] = sel(-b2u(a[7]&b[7] != 0), c[7], e[7]) & m
-			d[8] = sel(-b2u(a[8]&b[8] != 0), c[8], e[8]) & m
-			d[9] = sel(-b2u(a[9]&b[9] != 0), c[9], e[9]) & m
-			d[10] = sel(-b2u(a[10]&b[10] != 0), c[10], e[10]) & m
-			d[11] = sel(-b2u(a[11]&b[11] != 0), c[11], e[11]) & m
-			d[12] = sel(-b2u(a[12]&b[12] != 0), c[12], e[12]) & m
-			d[13] = sel(-b2u(a[13]&b[13] != 0), c[13], e[13]) & m
-			d[14] = sel(-b2u(a[14]&b[14] != 0), c[14], e[14]) & m
-			d[15] = sel(-b2u(a[15]&b[15] != 0), c[15], e[15]) & m
-		case lOrMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c, e := p(in.C), p(in.D)
-			m := in.Mask
-			d[0] = sel(-b2u(a[0]|b[0] != 0), c[0], e[0]) & m
-			d[1] = sel(-b2u(a[1]|b[1] != 0), c[1], e[1]) & m
-			d[2] = sel(-b2u(a[2]|b[2] != 0), c[2], e[2]) & m
-			d[3] = sel(-b2u(a[3]|b[3] != 0), c[3], e[3]) & m
-			d[4] = sel(-b2u(a[4]|b[4] != 0), c[4], e[4]) & m
-			d[5] = sel(-b2u(a[5]|b[5] != 0), c[5], e[5]) & m
-			d[6] = sel(-b2u(a[6]|b[6] != 0), c[6], e[6]) & m
-			d[7] = sel(-b2u(a[7]|b[7] != 0), c[7], e[7]) & m
-			d[8] = sel(-b2u(a[8]|b[8] != 0), c[8], e[8]) & m
-			d[9] = sel(-b2u(a[9]|b[9] != 0), c[9], e[9]) & m
-			d[10] = sel(-b2u(a[10]|b[10] != 0), c[10], e[10]) & m
-			d[11] = sel(-b2u(a[11]|b[11] != 0), c[11], e[11]) & m
-			d[12] = sel(-b2u(a[12]|b[12] != 0), c[12], e[12]) & m
-			d[13] = sel(-b2u(a[13]|b[13] != 0), c[13], e[13]) & m
-			d[14] = sel(-b2u(a[14]|b[14] != 0), c[14], e[14]) & m
-			d[15] = sel(-b2u(a[15]|b[15] != 0), c[15], e[15]) & m
-		case LOp(OpSDiv):
+		case OpSDiv:
 			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
 			for l := range d {
 				a, b := int64(av[l]), int64(bv[l])
@@ -1116,7 +674,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 					d[l] = uint64(a/b) & m
 				}
 			}
-		case LOp(OpSRem):
+		case OpSRem:
 			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
 			for l := range d {
 				a, b := int64(av[l]), int64(bv[l])
@@ -1129,7 +687,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 					d[l] = uint64(a%b) & m
 				}
 			}
-		case LOp(OpMemRd):
+		case OpMemRd:
 			d, a, m := col(in.Dst), col(in.A), in.Mask
 			for l := 0; l < n; l++ {
 				if !mask[l] {
@@ -1142,7 +700,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 					d[l] = 0
 				}
 			}
-		case LOp(OpMemWr):
+		case OpMemWr:
 			a, b, c, m := col(in.A), col(in.B), col(in.C), in.Mask
 			for l := 0; l < n; l++ {
 				if !mask[l] || c[l] == 0 {
@@ -1153,7 +711,7 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 					mem: in.Aux, addr: a[l], data: b[l] & m,
 				})
 			}
-		case LOp(OpWide):
+		case OpWide:
 			wn := &e.lp.WideNodes[in.Aux]
 			for l := 0; l < n; l++ {
 				if !mask[l] {
@@ -1161,9 +719,6 @@ func (e *BatchEngine) evalThreadBatch16(t int, mask []bool) {
 				}
 				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t], e.wval[l], e.wstore[l])
 			}
-		case lCopyRun:
-			copy(st[int(in.Dst)*16:int(in.Dst+in.Aux)*16],
-				st[int(in.A)*16:int(in.A+in.Aux)*16])
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}

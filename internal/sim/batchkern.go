@@ -366,318 +366,142 @@ func sext8(dv, av []blk8, w uint32) {
 	}
 }
 
-// Compare kernels: d = cmp(sext(a, wa), sext(b, wb)). The linked plain
-// compares reuse them with wa = wb = 0 (signExtend64 is the identity at
-// width 0), the fused *Ext superinstructions pass the real widths.
-
-func lt8(dv, av, bv []blk8, wa, wb uint32) {
+func lt8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) < signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) < signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) < signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) < signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) < signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) < signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) < signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) < signExtend64(b[7], wb))
+		d[0] = b2u(a[0] < b[0])
+		d[1] = b2u(a[1] < b[1])
+		d[2] = b2u(a[2] < b[2])
+		d[3] = b2u(a[3] < b[3])
+		d[4] = b2u(a[4] < b[4])
+		d[5] = b2u(a[5] < b[5])
+		d[6] = b2u(a[6] < b[6])
+		d[7] = b2u(a[7] < b[7])
 	}
 }
 
-func leq8(dv, av, bv []blk8, wa, wb uint32) {
+func leq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) <= signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) <= signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) <= signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) <= signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) <= signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) <= signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) <= signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) <= signExtend64(b[7], wb))
+		d[0] = b2u(a[0] <= b[0])
+		d[1] = b2u(a[1] <= b[1])
+		d[2] = b2u(a[2] <= b[2])
+		d[3] = b2u(a[3] <= b[3])
+		d[4] = b2u(a[4] <= b[4])
+		d[5] = b2u(a[5] <= b[5])
+		d[6] = b2u(a[6] <= b[6])
+		d[7] = b2u(a[7] <= b[7])
 	}
 }
 
-func gt8(dv, av, bv []blk8, wa, wb uint32) {
+func gt8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) > signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) > signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) > signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) > signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) > signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) > signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) > signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) > signExtend64(b[7], wb))
+		d[0] = b2u(a[0] > b[0])
+		d[1] = b2u(a[1] > b[1])
+		d[2] = b2u(a[2] > b[2])
+		d[3] = b2u(a[3] > b[3])
+		d[4] = b2u(a[4] > b[4])
+		d[5] = b2u(a[5] > b[5])
+		d[6] = b2u(a[6] > b[6])
+		d[7] = b2u(a[7] > b[7])
 	}
 }
 
-func geq8(dv, av, bv []blk8, wa, wb uint32) {
+func geq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) >= signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) >= signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) >= signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) >= signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) >= signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) >= signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) >= signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) >= signExtend64(b[7], wb))
+		d[0] = b2u(a[0] >= b[0])
+		d[1] = b2u(a[1] >= b[1])
+		d[2] = b2u(a[2] >= b[2])
+		d[3] = b2u(a[3] >= b[3])
+		d[4] = b2u(a[4] >= b[4])
+		d[5] = b2u(a[5] >= b[5])
+		d[6] = b2u(a[6] >= b[6])
+		d[7] = b2u(a[7] >= b[7])
 	}
 }
 
-func slt8(dv, av, bv []blk8, wa, wb uint32) {
+func slt8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(int64(signExtend64(a[0], wa)) < int64(signExtend64(b[0], wb)))
-		d[1] = b2u(int64(signExtend64(a[1], wa)) < int64(signExtend64(b[1], wb)))
-		d[2] = b2u(int64(signExtend64(a[2], wa)) < int64(signExtend64(b[2], wb)))
-		d[3] = b2u(int64(signExtend64(a[3], wa)) < int64(signExtend64(b[3], wb)))
-		d[4] = b2u(int64(signExtend64(a[4], wa)) < int64(signExtend64(b[4], wb)))
-		d[5] = b2u(int64(signExtend64(a[5], wa)) < int64(signExtend64(b[5], wb)))
-		d[6] = b2u(int64(signExtend64(a[6], wa)) < int64(signExtend64(b[6], wb)))
-		d[7] = b2u(int64(signExtend64(a[7], wa)) < int64(signExtend64(b[7], wb)))
+		d[0] = b2u(int64(a[0]) < int64(b[0]))
+		d[1] = b2u(int64(a[1]) < int64(b[1]))
+		d[2] = b2u(int64(a[2]) < int64(b[2]))
+		d[3] = b2u(int64(a[3]) < int64(b[3]))
+		d[4] = b2u(int64(a[4]) < int64(b[4]))
+		d[5] = b2u(int64(a[5]) < int64(b[5]))
+		d[6] = b2u(int64(a[6]) < int64(b[6]))
+		d[7] = b2u(int64(a[7]) < int64(b[7]))
 	}
 }
 
-func sleq8(dv, av, bv []blk8, wa, wb uint32) {
+func sleq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(int64(signExtend64(a[0], wa)) <= int64(signExtend64(b[0], wb)))
-		d[1] = b2u(int64(signExtend64(a[1], wa)) <= int64(signExtend64(b[1], wb)))
-		d[2] = b2u(int64(signExtend64(a[2], wa)) <= int64(signExtend64(b[2], wb)))
-		d[3] = b2u(int64(signExtend64(a[3], wa)) <= int64(signExtend64(b[3], wb)))
-		d[4] = b2u(int64(signExtend64(a[4], wa)) <= int64(signExtend64(b[4], wb)))
-		d[5] = b2u(int64(signExtend64(a[5], wa)) <= int64(signExtend64(b[5], wb)))
-		d[6] = b2u(int64(signExtend64(a[6], wa)) <= int64(signExtend64(b[6], wb)))
-		d[7] = b2u(int64(signExtend64(a[7], wa)) <= int64(signExtend64(b[7], wb)))
+		d[0] = b2u(int64(a[0]) <= int64(b[0]))
+		d[1] = b2u(int64(a[1]) <= int64(b[1]))
+		d[2] = b2u(int64(a[2]) <= int64(b[2]))
+		d[3] = b2u(int64(a[3]) <= int64(b[3]))
+		d[4] = b2u(int64(a[4]) <= int64(b[4]))
+		d[5] = b2u(int64(a[5]) <= int64(b[5]))
+		d[6] = b2u(int64(a[6]) <= int64(b[6]))
+		d[7] = b2u(int64(a[7]) <= int64(b[7]))
 	}
 }
 
-func sgt8(dv, av, bv []blk8, wa, wb uint32) {
+func sgt8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(int64(signExtend64(a[0], wa)) > int64(signExtend64(b[0], wb)))
-		d[1] = b2u(int64(signExtend64(a[1], wa)) > int64(signExtend64(b[1], wb)))
-		d[2] = b2u(int64(signExtend64(a[2], wa)) > int64(signExtend64(b[2], wb)))
-		d[3] = b2u(int64(signExtend64(a[3], wa)) > int64(signExtend64(b[3], wb)))
-		d[4] = b2u(int64(signExtend64(a[4], wa)) > int64(signExtend64(b[4], wb)))
-		d[5] = b2u(int64(signExtend64(a[5], wa)) > int64(signExtend64(b[5], wb)))
-		d[6] = b2u(int64(signExtend64(a[6], wa)) > int64(signExtend64(b[6], wb)))
-		d[7] = b2u(int64(signExtend64(a[7], wa)) > int64(signExtend64(b[7], wb)))
+		d[0] = b2u(int64(a[0]) > int64(b[0]))
+		d[1] = b2u(int64(a[1]) > int64(b[1]))
+		d[2] = b2u(int64(a[2]) > int64(b[2]))
+		d[3] = b2u(int64(a[3]) > int64(b[3]))
+		d[4] = b2u(int64(a[4]) > int64(b[4]))
+		d[5] = b2u(int64(a[5]) > int64(b[5]))
+		d[6] = b2u(int64(a[6]) > int64(b[6]))
+		d[7] = b2u(int64(a[7]) > int64(b[7]))
 	}
 }
 
-func sgeq8(dv, av, bv []blk8, wa, wb uint32) {
+func sgeq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(int64(signExtend64(a[0], wa)) >= int64(signExtend64(b[0], wb)))
-		d[1] = b2u(int64(signExtend64(a[1], wa)) >= int64(signExtend64(b[1], wb)))
-		d[2] = b2u(int64(signExtend64(a[2], wa)) >= int64(signExtend64(b[2], wb)))
-		d[3] = b2u(int64(signExtend64(a[3], wa)) >= int64(signExtend64(b[3], wb)))
-		d[4] = b2u(int64(signExtend64(a[4], wa)) >= int64(signExtend64(b[4], wb)))
-		d[5] = b2u(int64(signExtend64(a[5], wa)) >= int64(signExtend64(b[5], wb)))
-		d[6] = b2u(int64(signExtend64(a[6], wa)) >= int64(signExtend64(b[6], wb)))
-		d[7] = b2u(int64(signExtend64(a[7], wa)) >= int64(signExtend64(b[7], wb)))
+		d[0] = b2u(int64(a[0]) >= int64(b[0]))
+		d[1] = b2u(int64(a[1]) >= int64(b[1]))
+		d[2] = b2u(int64(a[2]) >= int64(b[2]))
+		d[3] = b2u(int64(a[3]) >= int64(b[3]))
+		d[4] = b2u(int64(a[4]) >= int64(b[4]))
+		d[5] = b2u(int64(a[5]) >= int64(b[5]))
+		d[6] = b2u(int64(a[6]) >= int64(b[6]))
+		d[7] = b2u(int64(a[7]) >= int64(b[7]))
 	}
 }
 
-func eq8(dv, av, bv []blk8, wa, wb uint32) {
+func eq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) == signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) == signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) == signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) == signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) == signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) == signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) == signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) == signExtend64(b[7], wb))
+		d[0] = b2u(a[0] == b[0])
+		d[1] = b2u(a[1] == b[1])
+		d[2] = b2u(a[2] == b[2])
+		d[3] = b2u(a[3] == b[3])
+		d[4] = b2u(a[4] == b[4])
+		d[5] = b2u(a[5] == b[5])
+		d[6] = b2u(a[6] == b[6])
+		d[7] = b2u(a[7] == b[7])
 	}
 }
 
-func neq8(dv, av, bv []blk8, wa, wb uint32) {
+func neq8(dv, av, bv []blk8) {
 	for ci := range dv {
 		d, a, b := &dv[ci], &av[ci], &bv[ci]
-		d[0] = b2u(signExtend64(a[0], wa) != signExtend64(b[0], wb))
-		d[1] = b2u(signExtend64(a[1], wa) != signExtend64(b[1], wb))
-		d[2] = b2u(signExtend64(a[2], wa) != signExtend64(b[2], wb))
-		d[3] = b2u(signExtend64(a[3], wa) != signExtend64(b[3], wb))
-		d[4] = b2u(signExtend64(a[4], wa) != signExtend64(b[4], wb))
-		d[5] = b2u(signExtend64(a[5], wa) != signExtend64(b[5], wb))
-		d[6] = b2u(signExtend64(a[6], wa) != signExtend64(b[6], wb))
-		d[7] = b2u(signExtend64(a[7], wa) != signExtend64(b[7], wb))
-	}
-}
-
-// Fused compare-mux kernels: d = cmp(sext(a, wa), sext(b, wb)) ? c : e,
-// selected branchless (per-lane conditions are uncorrelated, so a branch
-// here would mispredict constantly).
-
-func ltMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) < signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) < signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) < signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) < signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) < signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) < signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) < signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) < signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func leqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) <= signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) <= signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) <= signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) <= signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) <= signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) <= signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) <= signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) <= signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func gtMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) > signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) > signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) > signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) > signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) > signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) > signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) > signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) > signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func geqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) >= signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) >= signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) >= signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) >= signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) >= signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) >= signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) >= signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) >= signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func sltMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) < int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-		d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) < int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-		d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) < int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-		d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) < int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-		d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) < int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-		d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) < int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-		d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) < int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-		d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) < int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-	}
-}
-
-func sleqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) <= int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-		d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) <= int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-		d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) <= int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-		d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) <= int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-		d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) <= int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-		d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) <= int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-		d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) <= int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-		d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) <= int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-	}
-}
-
-func sgtMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) > int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-		d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) > int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-		d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) > int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-		d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) > int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-		d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) > int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-		d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) > int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-		d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) > int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-		d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) > int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-	}
-}
-
-func sgeqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(int64(signExtend64(a[0], wa)) >= int64(signExtend64(b[0], wb))), c[0], e[0]) & m
-		d[1] = sel(-b2u(int64(signExtend64(a[1], wa)) >= int64(signExtend64(b[1], wb))), c[1], e[1]) & m
-		d[2] = sel(-b2u(int64(signExtend64(a[2], wa)) >= int64(signExtend64(b[2], wb))), c[2], e[2]) & m
-		d[3] = sel(-b2u(int64(signExtend64(a[3], wa)) >= int64(signExtend64(b[3], wb))), c[3], e[3]) & m
-		d[4] = sel(-b2u(int64(signExtend64(a[4], wa)) >= int64(signExtend64(b[4], wb))), c[4], e[4]) & m
-		d[5] = sel(-b2u(int64(signExtend64(a[5], wa)) >= int64(signExtend64(b[5], wb))), c[5], e[5]) & m
-		d[6] = sel(-b2u(int64(signExtend64(a[6], wa)) >= int64(signExtend64(b[6], wb))), c[6], e[6]) & m
-		d[7] = sel(-b2u(int64(signExtend64(a[7], wa)) >= int64(signExtend64(b[7], wb))), c[7], e[7]) & m
-	}
-}
-
-func eqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) == signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) == signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) == signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) == signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) == signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) == signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) == signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) == signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func neqMux8(dv, av, bv, cv, ev []blk8, wa, wb uint32, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(signExtend64(a[0], wa) != signExtend64(b[0], wb)), c[0], e[0]) & m
-		d[1] = sel(-b2u(signExtend64(a[1], wa) != signExtend64(b[1], wb)), c[1], e[1]) & m
-		d[2] = sel(-b2u(signExtend64(a[2], wa) != signExtend64(b[2], wb)), c[2], e[2]) & m
-		d[3] = sel(-b2u(signExtend64(a[3], wa) != signExtend64(b[3], wb)), c[3], e[3]) & m
-		d[4] = sel(-b2u(signExtend64(a[4], wa) != signExtend64(b[4], wb)), c[4], e[4]) & m
-		d[5] = sel(-b2u(signExtend64(a[5], wa) != signExtend64(b[5], wb)), c[5], e[5]) & m
-		d[6] = sel(-b2u(signExtend64(a[6], wa) != signExtend64(b[6], wb)), c[6], e[6]) & m
-		d[7] = sel(-b2u(signExtend64(a[7], wa) != signExtend64(b[7], wb)), c[7], e[7]) & m
-	}
-}
-
-func andMux8(dv, av, bv, cv, ev []blk8, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(a[0]&b[0] != 0), c[0], e[0]) & m
-		d[1] = sel(-b2u(a[1]&b[1] != 0), c[1], e[1]) & m
-		d[2] = sel(-b2u(a[2]&b[2] != 0), c[2], e[2]) & m
-		d[3] = sel(-b2u(a[3]&b[3] != 0), c[3], e[3]) & m
-		d[4] = sel(-b2u(a[4]&b[4] != 0), c[4], e[4]) & m
-		d[5] = sel(-b2u(a[5]&b[5] != 0), c[5], e[5]) & m
-		d[6] = sel(-b2u(a[6]&b[6] != 0), c[6], e[6]) & m
-		d[7] = sel(-b2u(a[7]&b[7] != 0), c[7], e[7]) & m
-	}
-}
-
-func orMux8(dv, av, bv, cv, ev []blk8, m uint64) {
-	for ci := range dv {
-		d, a, b, c, e := &dv[ci], &av[ci], &bv[ci], &cv[ci], &ev[ci]
-		d[0] = sel(-b2u(a[0]|b[0] != 0), c[0], e[0]) & m
-		d[1] = sel(-b2u(a[1]|b[1] != 0), c[1], e[1]) & m
-		d[2] = sel(-b2u(a[2]|b[2] != 0), c[2], e[2]) & m
-		d[3] = sel(-b2u(a[3]|b[3] != 0), c[3], e[3]) & m
-		d[4] = sel(-b2u(a[4]|b[4] != 0), c[4], e[4]) & m
-		d[5] = sel(-b2u(a[5]|b[5] != 0), c[5], e[5]) & m
-		d[6] = sel(-b2u(a[6]|b[6] != 0), c[6], e[6]) & m
-		d[7] = sel(-b2u(a[7]|b[7] != 0), c[7], e[7]) & m
+		d[0] = b2u(a[0] != b[0])
+		d[1] = b2u(a[1] != b[1])
+		d[2] = b2u(a[2] != b[2])
+		d[3] = b2u(a[3] != b[3])
+		d[4] = b2u(a[4] != b[4])
+		d[5] = b2u(a[5] != b[5])
+		d[6] = b2u(a[6] != b[6])
+		d[7] = b2u(a[7] != b[7])
 	}
 }

@@ -321,7 +321,8 @@ func (c *compiler) layout(parts []PartSpec) error {
 	var wide uint32
 	p.inputByName = map[string]int{}
 	p.outputByName = map[string]int{}
-	p.regByName = map[string]int{}
+	p.regByName = make(map[string]int, len(g.Regs))
+	p.Regs = make([]RegSlot, 0, len(g.Regs))
 	for _, in := range g.Inputs {
 		v := &g.Vs[in]
 		ps := PortSlot{Name: v.Name, Width: v.Type.Width, Wide: isWideType(v.Type)}
@@ -590,6 +591,7 @@ func (tc *threadCompiler) internWideImm(v bitvec.Vec) uint32 {
 
 // compileAll emits the code for one thread's partition.
 func (tc *threadCompiler) compileAll(part PartSpec) error {
+	tc.th.Code = make([]Instr, 0, len(part.Vertices)) // about one instruction per vertex
 	for _, v := range part.Vertices {
 		if tc.c.cfg.Shared {
 			tc.th.Marks = append(tc.th.Marks, len(tc.th.Code))

@@ -146,15 +146,6 @@ func (e *Engine) evalThread(t int, v *view) {
 	}
 }
 
-// codeLen is the executed stream length of thread t (linked streams are
-// shorter after fusion).
-func (e *Engine) codeLen(t int) int {
-	if e.lp != nil {
-		return len(e.lp.Threads[t].Code)
-	}
-	return len(e.prog.Threads[t].Code)
-}
-
 // Program returns the engine's compiled program.
 func (e *Engine) Program() *Program { return e.prog }
 
@@ -409,9 +400,7 @@ func (e *Engine) run(n int, prof [][]PhaseSample) {
 		e.cur = (e.cur + n) & 1
 	}
 	e.cycles += uint64(n)
-	for t := range p.Threads {
-		e.instrsRetired += uint64(e.codeLen(t)) * uint64(n)
-	}
+	e.instrsRetired += uint64(p.TotalInstrs()) * uint64(n)
 }
 
 // runThread is thread t's cycle loop: evaluate over the current view,

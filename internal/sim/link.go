@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 	"unsafe"
 )
@@ -24,84 +23,16 @@ import (
 // dependent load per operand; BenchmarkOperandResolution in
 // link_bench_test.go records the bake-off that picked the flat frame.
 
-// LOp is a linked opcode. Values below numOpCodes are the base OpCode set
-// with identical semantics (operands pre-resolved); values from LFuseStart
-// up are superinstructions created by the fusion pass (fuse.go).
-type LOp uint8
-
-// LFuseStart is the first fused opcode value.
-const LFuseStart = LOp(numOpCodes)
-
-// Fused superinstructions. The ten compare opcodes keep the OpLt..OpNeq
-// order so a compare maps to its fused variant by constant offset.
-//
-// Ext variants absorb OpSext producers: operand A (and/or B) is
-// sign-extended inline from the width packed into Aux (low byte = width of
-// A, high byte = width of B, 0 = operand used as-is). Mux variants
-// additionally absorb an OpMux consumer: dst = cmp(a,b) ? c : d.
-const (
-	lLtExt LOp = LFuseStart + iota
-	lLeqExt
-	lGtExt
-	lGeqExt
-	lSLtExt
-	lSLeqExt
-	lSGtExt
-	lSGeqExt
-	lEqExt
-	lNeqExt
-	lLtMux
-	lLeqMux
-	lGtMux
-	lGeqMux
-	lSLtMux
-	lSLeqMux
-	lSGtMux
-	lSGeqMux
-	lEqMux
-	lNeqMux
-	// lAndMux / lOrMux gate a mux on (a&b) != 0 / (a|b) != 0 — the
-	// enable-gating idiom. Legal only when the and/or's result mask is a
-	// no-op on its operands (checked against tracked operand masks).
-	lAndMux
-	lOrMux
-	// lCopyRun copies Aux consecutive words st[Dst+i] = st[A+i] — the
-	// commit-shadow sink copies coalesced into one memmove.
-	lCopyRun
-	numLOps
-)
-
-var lOpNames = map[LOp]string{
-	lLtExt: "lt.ext", lLeqExt: "leq.ext", lGtExt: "gt.ext", lGeqExt: "geq.ext",
-	lSLtExt: "slt.ext", lSLeqExt: "sleq.ext", lSGtExt: "sgt.ext", lSGeqExt: "sgeq.ext",
-	lEqExt: "eq.ext", lNeqExt: "neq.ext",
-	lLtMux: "lt.mux", lLeqMux: "leq.mux", lGtMux: "gt.mux", lGeqMux: "geq.mux",
-	lSLtMux: "slt.mux", lSLeqMux: "sleq.mux", lSGtMux: "sgt.mux", lSGeqMux: "sgeq.mux",
-	lEqMux: "eq.mux", lNeqMux: "neq.mux",
-	lAndMux: "and.mux", lOrMux: "or.mux", lCopyRun: "copyrun",
-}
-
-func (o LOp) String() string {
-	if o < LFuseStart {
-		return OpCode(o).String()
-	}
-	if s, ok := lOpNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("?lop(%d)", uint8(o))
-}
-
-// LInstr is one linked instruction. Every operand field is a direct index
-// into the engine's unified state slice; D is the fourth operand consumed
-// by compare+mux superinstructions.
+// LInstr is one linked instruction: an Instr whose operand fields are
+// direct indices into the engine's unified state slice. 32 bytes, two per
+// cache line.
 type LInstr struct {
-	Op   LOp
+	Op   OpCode
 	Dst  uint32
 	A    uint32
 	B    uint32
 	C    uint32
-	D    uint32
-	Aux  uint32 // shift amount / cat low-width / mem or wide index / packed ext widths / run length
+	Aux  uint32 // shift amount / cat low-width / mem or wide index
 	Mask uint64
 }
 
@@ -115,24 +46,20 @@ type LinkedThread struct {
 	ShadowOff uint32
 }
 
-// LinkStats summarizes one link run.
+// LinkStats summarizes one link run. Linking is 1:1, so the two counts are
+// always equal; both fields and FusionRate remain only because
+// bench/layers.go reads them (the sim.linked_instrs and sim.fusion_rate
+// rows) and bench/ is frozen between benchmark PRs. The next benchmark PR
+// drops the row and this method together (ROADMAP item 7).
 type LinkStats struct {
-	Instrs int // interpreter instructions in (all threads, nops excluded)
+	Instrs int // interpreter instructions in (all threads)
 	Linked int // linked instructions out
-	Fused  int // input instructions absorbed into superinstructions
-	// PerOp counts superinstructions created, indexed by fused LOp.
-	PerOp [numLOps]int
 }
 
-// FusionRate is the fraction of input instructions eliminated by fusion.
-func (s *LinkStats) FusionRate() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.Fused) / float64(s.Instrs)
-}
+// FusionRate is identically 0: superinstruction fusion was removed.
+func (s *LinkStats) FusionRate() float64 { return 0 }
 
-// LinkedProgram is the resolved, fused execution form of a Program. It is
+// LinkedProgram is the resolved execution form of a Program. It is
 // immutable after link and shared by every engine (and every service
 // session) over the same Program; per-engine mutable state is just the
 // flat []uint64 of StateWords words.
@@ -182,11 +109,9 @@ func (lp *LinkedProgram) resolve(t int, ref uint32) uint32 {
 	}
 }
 
-// link lowers p: lay out the unified state, resolve every operand, then
-// (for private-temp programs) run the fusion peephole. Shared-mode
-// programs keep a strict 1:1 instruction mapping so Marks and TaskRange
-// slices remain valid, and are never fused: their threads communicate
-// mid-cycle, so eliminating or sinking an instruction is observable.
+// link lowers p: lay out the unified state and resolve every operand.
+// The mapping is strictly 1:1 for every program, so pcs, Marks and
+// TaskRange slices index Program and LinkedProgram code alike.
 func link(p *Program) *LinkedProgram {
 	lp := &LinkedProgram{prog: p}
 	off := padTo(uint32(p.GlobalWords), SegmentWords)
@@ -206,72 +131,27 @@ func link(p *Program) *LinkedProgram {
 	copy(lp.WideNodes, p.WideNodes)
 	wideOwned := make([]bool, len(p.WideNodes))
 
-	// masks[i] is the known upper bound on the bits state word i can hold
-	// (^0 when unknown); the fusion pass uses it to prove and/or gating
-	// and copy-run coalescing sound.
-	masks := make([]uint64, lp.StateWords)
-	for i := range masks {
-		masks[i] = ^uint64(0)
-	}
-	for _, in := range p.Inputs {
-		if !in.Wide {
-			masks[in.Slot] = maskOf(in.Width)
-		}
-	}
-	for i := range p.Regs {
-		if r := &p.Regs[i]; !r.Wide {
-			masks[r.Slot] = maskOf(r.Width)
-		}
-	}
-	for i, v := range p.Imms {
-		masks[lp.ImmOff+i] = v
-	}
-
 	for t := range p.Threads {
-		th := &p.Threads[t]
-		lt := &lp.Threads[t]
-		lt.Code = lp.translate(t, th, masks, wideOwned)
-		lp.Stats.Instrs += countNonNop(th.Code)
+		lp.Threads[t].Code = lp.translate(t, &p.Threads[t], wideOwned)
 	}
-	if !p.Shared {
-		fuse(lp, masks)
-	}
-	for t := range lp.Threads {
-		lp.Stats.Linked += len(lp.Threads[t].Code)
-	}
-	lp.Stats.Fused = lp.Stats.Instrs - lp.Stats.Linked
+	n := p.TotalInstrs()
+	lp.Stats = LinkStats{Instrs: n, Linked: n}
 	return lp
 }
 
-func countNonNop(code []Instr) int {
-	n := 0
-	for i := range code {
-		if code[i].Op != OpNop {
-			n++
-		}
-	}
-	return n
-}
-
-// translate resolves one thread's operands 1:1 (nops preserved for
-// Shared-mode mark stability; the fusion pass compacts them later for
-// private-temp programs) and records destination masks.
-func (lp *LinkedProgram) translate(t int, th *ThreadCode, masks []uint64, wideOwned []bool) []LInstr {
+// translate resolves one thread's operands.
+func (lp *LinkedProgram) translate(t int, th *ThreadCode, wideOwned []bool) []LInstr {
 	out := make([]LInstr, len(th.Code))
 	for pc := range th.Code {
 		in := &th.Code[pc]
 		li := &out[pc]
-		li.Op = LOp(in.Op)
+		li.Op = in.Op
 		li.Aux = in.Aux
 		li.Mask = in.Mask
 		switch in.Op {
 		case OpNop:
 		case OpWide:
 			li.Aux = lp.linkWideNode(t, in.Aux, wideOwned)
-			wn := &lp.WideNodes[li.Aux]
-			if wn.Dst.Space == wsNarrow && wn.RType.Width <= 64 {
-				masks[wn.Dst.Idx] = maskOf(wn.RType.Width)
-			}
 		case OpMemWr:
 			li.A = lp.resolve(t, in.A)
 			li.B = lp.resolve(t, in.B)
@@ -288,23 +168,9 @@ func (lp *LinkedProgram) translate(t int, th *ThreadCode, masks []uint64, wideOw
 				li.A = lp.resolve(t, in.A)
 			}
 			li.Dst = lp.resolve(t, in.Dst)
-			masks[li.Dst] = dstMask(in)
 		}
 	}
 	return out
-}
-
-// dstMask is the tightest known mask of an instruction's result.
-func dstMask(in *Instr) uint64 {
-	switch in.Op {
-	case OpLt, OpLeq, OpGt, OpGeq, OpSLt, OpSLeq, OpSGt, OpSGeq, OpEq, OpNeq,
-		OpAndr, OpOrr, OpXorr:
-		return 1
-	case OpSext:
-		return ^uint64(0) // full 64-bit sign-extended value
-	default:
-		return in.Mask
-	}
 }
 
 // linkWideNode clones wide node w with its narrow refs resolved for thread
@@ -365,11 +231,11 @@ func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 // unified-state indices) and its wide/memory locations (which have no flat
 // index) to the given slices, returning the extended slices. It is the
 // linked-code counterpart of Program.InstrDefUse, used by internal/verify
-// to prove race freedom over fused programs.
+// to prove race freedom over linked programs.
 func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, wuses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
-	switch {
-	case in.Op == LOp(OpNop):
-	case in.Op == LOp(OpWide):
+	switch in.Op {
+	case OpNop:
+	case OpWide:
 		wn := &lp.WideNodes[in.Aux]
 		for i := range wn.Args {
 			if wn.Args[i].Space == wsNarrow {
@@ -395,27 +261,16 @@ func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, 
 				wdefs = append(wdefs, WideLoc(wn.Dst))
 			}
 		}
-	case in.Op == LOp(OpMemRd):
+	case OpMemRd:
 		nuses = append(nuses, in.A)
 		wuses = append(wuses, Loc{SpaceMem, in.Aux})
 		ndefs = append(ndefs, in.Dst)
-	case in.Op == LOp(OpMemWr):
+	case OpMemWr:
 		nuses = append(nuses, in.A, in.B, in.C)
 		wdefs = append(wdefs, Loc{SpaceMem, in.Aux})
-	case in.Op == lCopyRun:
-		for k := uint32(0); k < in.Aux; k++ {
-			nuses = append(nuses, in.A+k)
-			ndefs = append(ndefs, in.Dst+k)
-		}
-	case in.Op >= lLtMux && in.Op <= lOrMux:
-		nuses = append(nuses, in.A, in.B, in.C, in.D)
-		ndefs = append(ndefs, in.Dst)
-	case in.Op >= lLtExt && in.Op <= lNeqExt:
-		nuses = append(nuses, in.A, in.B)
-		ndefs = append(ndefs, in.Dst)
 	default:
 		refs := [3]uint32{in.A, in.B, in.C}
-		for k := 0; k < opReads(OpCode(in.Op)); k++ {
+		for k := 0; k < opReads(in.Op); k++ {
 			nuses = append(nuses, refs[k])
 		}
 		ndefs = append(ndefs, in.Dst)

@@ -44,7 +44,7 @@ func BenchmarkEvalInterp(b *testing.B) {
 	runEngineBench(b, NewInterpEngine(benchProgram(b)))
 }
 
-// BenchmarkEvalLinked times the resolved+fused streams on the same design.
+// BenchmarkEvalLinked times the resolved streams on the same design.
 func BenchmarkEvalLinked(b *testing.B) {
 	runEngineBench(b, NewEngine(benchProgram(b)))
 }

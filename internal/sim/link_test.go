@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bitvec"
 	"repro/internal/cgraph"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/designs"
 	"repro/internal/firrtl"
 )
 
@@ -42,7 +44,7 @@ func compileSrc(t testing.TB, src string) *Program {
 }
 
 // TestLinkedMatchesInterp is the linked fast path's correctness claim: the
-// resolved+fused streams must be bit-identical to the closure-based
+// resolved streams must be bit-identical to the closure-based
 // interpreter on every register for any thread count.
 func TestLinkedMatchesInterp(t *testing.T) {
 	for seed := int64(20); seed < 24; seed++ {
@@ -186,66 +188,62 @@ func TestLinkedLayoutDisjoint(t *testing.T) {
 	}
 }
 
-// Shared-mode (Verilator-style) programs must link strictly 1:1 — same
-// length, same opcode at every pc, no fusion — so Marks and TaskRange
-// offsets stay valid on linked code.
-func TestSharedLinksOneToOne(t *testing.T) {
-	g := randomCircuit(t, 43, 60)
-	res, err := core.Partition(g, core.Options{K: 3, Seed: 7, Model: costmodel.Default()})
-	if err != nil {
-		t.Fatal(err)
+// Linking is strictly 1:1 for every program — same length, same opcode at
+// every pc — so Marks and TaskRange offsets stay valid on linked code and
+// the linked instruction set is the base instruction set. Checked on every
+// bundled design at k in {1,2} and on one Shared-mode program.
+func TestLinkOneToOne(t *testing.T) {
+	if sz := unsafe.Sizeof(LInstr{}); sz != 32 {
+		t.Fatalf("LInstr is %d bytes; want 32 (two per cache line)", sz)
 	}
-	prog, err := Compile(g, partSpecs(res), Config{Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp := prog.Linked()
-	if lp.Stats.Fused != 0 {
-		t.Fatalf("shared program fused %d instrs; want 0", lp.Stats.Fused)
-	}
-	for ti := range prog.Threads {
-		th, lt := &prog.Threads[ti], &lp.Threads[ti]
-		if len(lt.Code) != len(th.Code) {
-			t.Fatalf("thread %d: linked %d instrs, program %d", ti, len(lt.Code), len(th.Code))
-		}
-		for pc := range th.Code {
-			if lt.Code[pc].Op != LOp(th.Code[pc].Op) {
-				t.Fatalf("thread %d pc %d: opcode changed %v -> %v", ti, pc, th.Code[pc].Op, lt.Code[pc].Op)
+	check := func(t *testing.T, prog *Program) {
+		t.Helper()
+		lp := prog.Linked()
+		total := 0
+		for ti := range prog.Threads {
+			th, lt := &prog.Threads[ti], &lp.Threads[ti]
+			if len(lt.Code) != len(th.Code) {
+				t.Fatalf("thread %d: linked %d instrs, program %d", ti, len(lt.Code), len(th.Code))
 			}
+			for pc := range th.Code {
+				if lt.Code[pc].Op != th.Code[pc].Op {
+					t.Fatalf("thread %d pc %d: opcode changed %v -> %v", ti, pc, th.Code[pc].Op, lt.Code[pc].Op)
+				}
+			}
+			total += len(th.Code)
+		}
+		if lp.Stats.Instrs != total || lp.Stats.Linked != total {
+			t.Fatalf("stats instrs=%d linked=%d, program has %d", lp.Stats.Instrs, lp.Stats.Linked, total)
 		}
 	}
-}
-
-// Fusion must actually fire on a mux/compare-heavy design, and its stats
-// must be internally consistent.
-func TestFusionStats(t *testing.T) {
-	fused := 0
-	for seed := int64(20); seed < 26; seed++ {
-		g := randomCircuit(t, seed, 80)
-		prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	for _, cfg := range designs.Table1(1.0) {
+		g, err := designs.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp := prog.Linked()
-		s := &lp.Stats
-		if s.Linked != lp.Stats.Instrs-s.Fused {
-			t.Fatalf("inconsistent stats: instrs=%d linked=%d fused=%d", s.Instrs, s.Linked, s.Fused)
-		}
-		perOpFusions := 0
-		for _, n := range s.PerOp {
-			perOpFusions += n
-		}
-		if s.Fused > 0 && perOpFusions == 0 {
-			t.Fatalf("fused %d instrs but PerOp counts nothing", s.Fused)
-		}
-		if r := s.FusionRate(); r < 0 || r >= 1 {
-			t.Fatalf("fusion rate %v out of range", r)
-		}
-		fused += s.Fused
+		t.Run(cfg.Name()+"/k1", func(t *testing.T) {
+			prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, prog)
+		})
+		t.Run(cfg.Name()+"/k2", func(t *testing.T) {
+			check(t, partitioned(t, g, 2, 1))
+		})
 	}
-	if fused == 0 {
-		t.Fatal("fusion never fired across six random circuits")
-	}
+	t.Run("shared", func(t *testing.T) {
+		g := randomCircuit(t, 43, 60)
+		res, err := core.Partition(g, core.Options{K: 3, Seed: 7, Model: costmodel.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(g, partSpecs(res), Config{Shared: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, prog)
+	})
 }
 
 // A narrow-only design must run allocation-free in steady state: the frame

@@ -8,9 +8,8 @@ import (
 // evalLinked executes one linked instruction stream. It is the fast-path
 // replacement for evalBlock: every operand is a single indexed load or
 // store into the engine's unified state slice — no per-operand closure, no
-// RefTag switch — and the fused superinstructions from fuse.go each retire
-// two (or, for copy runs, many) interpreter instructions per dispatch.
-// Semantics are bit-identical to evalBlock (cross-checked in link_test.go).
+// RefTag switch. Semantics are bit-identical to evalBlock (cross-checked
+// in link_test.go).
 func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *globalState, tc *threadCtx) {
 	// Closures for the boxed wide path are built lazily: threads without
 	// wide nodes must not allocate per cycle.
@@ -20,30 +19,30 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
-		case LOp(OpNop):
-		case LOp(OpCopy):
+		case OpNop:
+		case OpCopy:
 			st[in.Dst] = st[in.A] & in.Mask
-		case LOp(OpAdd):
+		case OpAdd:
 			st[in.Dst] = (st[in.A] + st[in.B]) & in.Mask
-		case LOp(OpSub):
+		case OpSub:
 			st[in.Dst] = (st[in.A] - st[in.B]) & in.Mask
-		case LOp(OpMul):
+		case OpMul:
 			st[in.Dst] = (st[in.A] * st[in.B]) & in.Mask
-		case LOp(OpDiv):
+		case OpDiv:
 			b := st[in.B]
 			if b == 0 {
 				st[in.Dst] = 0
 			} else {
 				st[in.Dst] = (st[in.A] / b) & in.Mask
 			}
-		case LOp(OpRem):
+		case OpRem:
 			b := st[in.B]
 			if b == 0 {
 				st[in.Dst] = st[in.A] & in.Mask
 			} else {
 				st[in.Dst] = (st[in.A] % b) & in.Mask
 			}
-		case LOp(OpSDiv):
+		case OpSDiv:
 			a, b := int64(st[in.A]), int64(st[in.B])
 			switch {
 			case b == 0:
@@ -53,7 +52,7 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 			default:
 				st[in.Dst] = uint64(a/b) & in.Mask
 			}
-		case LOp(OpSRem):
+		case OpSRem:
 			a, b := int64(st[in.A]), int64(st[in.B])
 			switch {
 			case b == 0:
@@ -63,79 +62,79 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 			default:
 				st[in.Dst] = uint64(a%b) & in.Mask
 			}
-		case LOp(OpLt):
+		case OpLt:
 			st[in.Dst] = b2u(st[in.A] < st[in.B])
-		case LOp(OpLeq):
+		case OpLeq:
 			st[in.Dst] = b2u(st[in.A] <= st[in.B])
-		case LOp(OpGt):
+		case OpGt:
 			st[in.Dst] = b2u(st[in.A] > st[in.B])
-		case LOp(OpGeq):
+		case OpGeq:
 			st[in.Dst] = b2u(st[in.A] >= st[in.B])
-		case LOp(OpSLt):
+		case OpSLt:
 			st[in.Dst] = b2u(int64(st[in.A]) < int64(st[in.B]))
-		case LOp(OpSLeq):
+		case OpSLeq:
 			st[in.Dst] = b2u(int64(st[in.A]) <= int64(st[in.B]))
-		case LOp(OpSGt):
+		case OpSGt:
 			st[in.Dst] = b2u(int64(st[in.A]) > int64(st[in.B]))
-		case LOp(OpSGeq):
+		case OpSGeq:
 			st[in.Dst] = b2u(int64(st[in.A]) >= int64(st[in.B]))
-		case LOp(OpEq):
+		case OpEq:
 			st[in.Dst] = b2u(st[in.A] == st[in.B])
-		case LOp(OpNeq):
+		case OpNeq:
 			st[in.Dst] = b2u(st[in.A] != st[in.B])
-		case LOp(OpAnd):
+		case OpAnd:
 			st[in.Dst] = (st[in.A] & st[in.B]) & in.Mask
-		case LOp(OpOr):
+		case OpOr:
 			st[in.Dst] = (st[in.A] | st[in.B]) & in.Mask
-		case LOp(OpXor):
+		case OpXor:
 			st[in.Dst] = (st[in.A] ^ st[in.B]) & in.Mask
-		case LOp(OpNot):
+		case OpNot:
 			st[in.Dst] = ^st[in.A] & in.Mask
-		case LOp(OpNeg):
+		case OpNeg:
 			st[in.Dst] = (-st[in.A]) & in.Mask
-		case LOp(OpAndr):
+		case OpAndr:
 			st[in.Dst] = b2u(st[in.A] == in.Mask)
-		case LOp(OpOrr):
+		case OpOrr:
 			st[in.Dst] = b2u(st[in.A] != 0)
-		case LOp(OpXorr):
+		case OpXorr:
 			st[in.Dst] = uint64(bits.OnesCount64(st[in.A]) & 1)
-		case LOp(OpCat):
+		case OpCat:
 			st[in.Dst] = (st[in.A]<<in.Aux | st[in.B]) & in.Mask
-		case LOp(OpShl):
+		case OpShl:
 			st[in.Dst] = (st[in.A] << in.Aux) & in.Mask
-		case LOp(OpShr):
+		case OpShr:
 			st[in.Dst] = (st[in.A] >> in.Aux) & in.Mask
-		case LOp(OpSar):
+		case OpSar:
 			st[in.Dst] = uint64(int64(st[in.A])>>in.Aux) & in.Mask
-		case LOp(OpDshl):
+		case OpDshl:
 			n := st[in.B]
 			if n >= 64 {
 				st[in.Dst] = 0
 			} else {
 				st[in.Dst] = (st[in.A] << n) & in.Mask
 			}
-		case LOp(OpDshr):
+		case OpDshr:
 			n := st[in.B]
 			if n >= 64 {
 				st[in.Dst] = 0
 			} else {
 				st[in.Dst] = (st[in.A] >> n) & in.Mask
 			}
-		case LOp(OpDsar):
+		case OpDsar:
 			n := st[in.B]
 			if n > 63 {
 				n = 63
 			}
 			st[in.Dst] = uint64(int64(st[in.A])>>n) & in.Mask
-		case LOp(OpMux):
+		case OpMux:
 			if st[in.A] != 0 {
 				st[in.Dst] = st[in.B] & in.Mask
 			} else {
 				st[in.Dst] = st[in.C] & in.Mask
 			}
-		case LOp(OpSext):
+		case OpSext:
 			st[in.Dst] = signExtend64(st[in.A], in.Aux)
-		case LOp(OpMemRd):
+		case OpMemRd:
 			mem := gs.mems[in.Aux]
 			addr := st[in.A]
 			if addr < uint64(len(mem)) {
@@ -143,78 +142,20 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 			} else {
 				st[in.Dst] = 0
 			}
-		case LOp(OpMemWr):
+		case OpMemWr:
 			if st[in.C] != 0 {
 				tc.memBuf = append(tc.memBuf, memWrite{
 					mem: in.Aux, addr: st[in.A], data: st[in.B] & in.Mask,
 				})
 			}
-		case LOp(OpWide):
+		case OpWide:
 			if wval == nil {
 				wval = func(r uint32) uint64 { return st[r] }
 				wstore = func(r uint32, v uint64) { st[r] = v }
 			}
 			evalWide(&lp.WideNodes[in.Aux], p, gs, tc, wval, wstore)
-
-		// Fused superinstructions. Ext variants sign-extend inline from
-		// the widths packed into Aux (0 = operand used as-is), exactly as
-		// the absorbed OpSext producer would have.
-		case lLtExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) < signExtend64(st[in.B], in.Aux>>8))
-		case lLeqExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) <= signExtend64(st[in.B], in.Aux>>8))
-		case lGtExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) > signExtend64(st[in.B], in.Aux>>8))
-		case lGeqExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) >= signExtend64(st[in.B], in.Aux>>8))
-		case lSLtExt:
-			st[in.Dst] = b2u(int64(signExtend64(st[in.A], in.Aux&0xff)) < int64(signExtend64(st[in.B], in.Aux>>8)))
-		case lSLeqExt:
-			st[in.Dst] = b2u(int64(signExtend64(st[in.A], in.Aux&0xff)) <= int64(signExtend64(st[in.B], in.Aux>>8)))
-		case lSGtExt:
-			st[in.Dst] = b2u(int64(signExtend64(st[in.A], in.Aux&0xff)) > int64(signExtend64(st[in.B], in.Aux>>8)))
-		case lSGeqExt:
-			st[in.Dst] = b2u(int64(signExtend64(st[in.A], in.Aux&0xff)) >= int64(signExtend64(st[in.B], in.Aux>>8)))
-		case lEqExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) == signExtend64(st[in.B], in.Aux>>8))
-		case lNeqExt:
-			st[in.Dst] = b2u(signExtend64(st[in.A], in.Aux&0xff) != signExtend64(st[in.B], in.Aux>>8))
-		case lLtMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) < signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lLeqMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) <= signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lGtMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) > signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lGeqMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) >= signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lSLtMux:
-			st[in.Dst] = pick(int64(signExtend64(st[in.A], in.Aux&0xff)) < int64(signExtend64(st[in.B], in.Aux>>8)), st, in)
-		case lSLeqMux:
-			st[in.Dst] = pick(int64(signExtend64(st[in.A], in.Aux&0xff)) <= int64(signExtend64(st[in.B], in.Aux>>8)), st, in)
-		case lSGtMux:
-			st[in.Dst] = pick(int64(signExtend64(st[in.A], in.Aux&0xff)) > int64(signExtend64(st[in.B], in.Aux>>8)), st, in)
-		case lSGeqMux:
-			st[in.Dst] = pick(int64(signExtend64(st[in.A], in.Aux&0xff)) >= int64(signExtend64(st[in.B], in.Aux>>8)), st, in)
-		case lEqMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) == signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lNeqMux:
-			st[in.Dst] = pick(signExtend64(st[in.A], in.Aux&0xff) != signExtend64(st[in.B], in.Aux>>8), st, in)
-		case lAndMux:
-			st[in.Dst] = pick(st[in.A]&st[in.B] != 0, st, in)
-		case lOrMux:
-			st[in.Dst] = pick(st[in.A]|st[in.B] != 0, st, in)
-		case lCopyRun:
-			copy(st[in.Dst:in.Dst+in.Aux], st[in.A:in.A+in.Aux])
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}
 	}
-}
-
-// pick selects a fused mux's masked arm.
-func pick(cond bool, st []uint64, in *LInstr) uint64 {
-	if cond {
-		return st[in.C] & in.Mask
-	}
-	return st[in.D] & in.Mask
 }

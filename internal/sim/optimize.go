@@ -154,8 +154,10 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 // propagateCopies replaces uses of pure-alias copies (mask keeps every bit
 // the producer can set) with the original value.
 func propagateCopies(p *Program, th *ThreadCode) bool {
-	// maskOfLocal[t] = result mask of the instruction defining temp t.
-	maskOfLocal := map[uint32]uint64{}
+	// maskOfLocal[t] = result mask of the instruction defining temp t,
+	// valid where defined[t].
+	maskOfLocal := make([]uint64, th.NumTemps)
+	defined := make([]bool, th.NumTemps)
 	alias := map[uint32]uint32{} // temp -> ref it aliases
 	resolve := func(ref uint32) uint32 {
 		for RefTag(ref) == RefLocal {
@@ -183,14 +185,14 @@ func propagateCopies(p *Program, th *ThreadCode) bool {
 		}
 		dst := RefIdx(in.Dst)
 		if in.Op == OpCopy {
-			srcMask, known := producedMask(in.A, maskOfLocal)
+			srcMask, known := producedMask(in.A, maskOfLocal, defined)
 			if known && srcMask&in.Mask == srcMask {
 				alias[dst] = in.A
-				maskOfLocal[dst] = srcMask
+				maskOfLocal[dst], defined[dst] = srcMask, true
 				continue
 			}
 		}
-		maskOfLocal[dst] = in.Mask
+		maskOfLocal[dst], defined[dst] = in.Mask, true
 	}
 	// Rewrite aliased refs inside wide nodes too.
 	wideNarrowRefs(p, th, func(ref *uint32) {
@@ -203,11 +205,10 @@ func propagateCopies(p *Program, th *ThreadCode) bool {
 }
 
 // producedMask returns the set of bits ref can carry, when known.
-func producedMask(ref uint32, maskOfLocal map[uint32]uint64) (uint64, bool) {
+func producedMask(ref uint32, maskOfLocal []uint64, defined []bool) (uint64, bool) {
 	switch RefTag(ref) {
 	case RefLocal:
-		m, ok := maskOfLocal[RefIdx(ref)]
-		return m, ok
+		return maskOfLocal[RefIdx(ref)], defined[RefIdx(ref)]
 	case RefImm:
 		return ^uint64(0), true // exact value unknown here; be conservative
 	default:
@@ -218,9 +219,12 @@ func producedMask(ref uint32, maskOfLocal map[uint32]uint64) (uint64, bool) {
 // fuseTruncations merges a masked copy into its producer when the copy is
 // the producer's only consumer.
 func fuseTruncations(p *Program, th *ThreadCode) bool {
-	// Count uses and find the defining instruction of each temp.
-	uses := map[uint32]int{}
-	def := map[uint32]int{}
+	// Count uses and find the defining instruction of each temp (-1: none).
+	uses := make([]int32, th.NumTemps)
+	def := make([]int32, th.NumTemps)
+	for t := range def {
+		def[t] = -1
+	}
 	wideNarrowRefs(p, th, func(ref *uint32) {
 		if RefTag(*ref) == RefLocal {
 			uses[RefIdx(*ref)] += 2 // never single-use: cannot be fused away
@@ -236,7 +240,7 @@ func fuseTruncations(p *Program, th *ThreadCode) bool {
 			}
 		}
 		if definesDst(in) && RefTag(in.Dst) == RefLocal {
-			def[RefIdx(in.Dst)] = i
+			def[RefIdx(in.Dst)] = int32(i)
 		}
 	}
 	changed := false
@@ -249,8 +253,8 @@ func fuseTruncations(p *Program, th *ThreadCode) bool {
 		if uses[t] != 1 {
 			continue
 		}
-		di, ok := def[t]
-		if !ok {
+		di := def[t]
+		if di < 0 {
 			continue
 		}
 		prod := &th.Code[di]
@@ -281,7 +285,7 @@ func maskFusable(op OpCode) bool {
 
 // eliminateDead removes instructions whose local destination is never read.
 func eliminateDead(p *Program, th *ThreadCode) bool {
-	live := map[uint32]bool{}
+	live := make([]bool, th.NumTemps)
 	wideNarrowRefs(p, th, func(ref *uint32) {
 		if RefTag(*ref) == RefLocal {
 			live[RefIdx(*ref)] = true

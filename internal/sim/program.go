@@ -141,7 +141,7 @@ type Program struct {
 	outputByName map[string]int
 	regByName    map[string]int
 
-	// linked caches the program's resolved+fused execution form (link.go),
+	// linked caches the program's resolved execution form (link.go),
 	// built on first engine construction and shared by every engine and
 	// service session over this program. Not part of Fingerprint: it is
 	// derived entirely from the fields above.

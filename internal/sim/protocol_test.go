@@ -144,8 +144,10 @@ func TestProtocolPokeBetweenOddRuns(t *testing.T) {
 // A snapshot taken at odd parity reads the right view, restores into both
 // views of a fresh engine (whose own parity is even), and the restored
 // engine continues bit-identically. The encoded blob does not depend on
-// how many views the engine keeps: it equals, byte for byte, what the
-// two-barrier single-view engine encoded for the same run.
+// how many views the engine keeps, and neither does restoring depend on
+// the dead temp words it carries: a blob with every temp zeroed — what a
+// checkpoint from before superinstruction fusion was removed looks like in
+// the words the fuser had absorbed — restores and continues identically.
 func TestProtocolSnapshotOddParity(t *testing.T) {
 	g := randomCircuit(t, 73, 70)
 	prog, err := Compile(g, handParts(g, 2, func(sink string) int { return int(sink[len(sink)-1]) % 2 }), Config{OptLevel: 2})
@@ -164,13 +166,16 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 	}
 	blob := snap.Encode()
 
-	// Pinned from commit 77e354e (two barriers, one view) running exactly
-	// the lines above. A compiler change that moves the fingerprint makes
-	// the pinned blob meaningless; the round trip below still holds.
+	// Pinned from the lines above. Commit 77e354e (two barriers, one view,
+	// fusion on) encoded the same 1650 bytes except four temp words that
+	// its fuser had absorbed (zero there, a value here); layout, length
+	// and fingerprint are unchanged. A compiler change that moves the
+	// fingerprint makes the pinned blob meaningless; the round trips below
+	// still hold.
 	const (
 		pinnedFingerprint = uint64(0x822f2e73915283ab)
 		pinnedBlobLen     = 1650
-		pinnedBlobSum     = uint64(0xf261b8db44904249)
+		pinnedBlobSum     = uint64(0xbb7e47e5c1335f6c)
 	)
 	if prog.Fingerprint() != pinnedFingerprint {
 		t.Logf("program fingerprint %#x is not the pinned %#x: blob comparison skipped", prog.Fingerprint(), pinnedFingerprint)
@@ -179,25 +184,41 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 			len(blob), checksum(blob), pinnedBlobLen, pinnedBlobSum)
 	}
 
-	back, err := DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
+	// Two restores of the same blob: verbatim, and with every temp zeroed.
+	restores := []struct {
+		tag      string
+		zeroTemp bool
+		e        *Engine
+	}{{"restore", false, NewEngine(prog)}, {"restore with zeroed temps", true, NewEngine(prog)}}
+	for _, r := range restores {
+		back, err := DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.zeroTemp {
+			for _, lt := range prog.Linked().Threads {
+				clear(back.Words[lt.TempOff:lt.ShadowOff])
+			}
+		}
+		if err := r.e.RestoreSnapshot(back); err != nil {
+			t.Fatal(err)
+		}
+		compareEngines(t, orig, r.e, "after "+r.tag)
 	}
-	restored := NewEngine(prog)
-	if err := restored.RestoreSnapshot(back); err != nil {
-		t.Fatal(err)
-	}
-	compareEngines(t, orig, restored, "after restore")
 	for cyc := 0; cyc < 9; cyc++ {
 		in := randomInputs(prog, rng)
 		pokeAll(t, orig, in)
-		pokeAll(t, restored, in)
 		orig.Run(1)
-		restored.Run(1)
-		compareEngines(t, orig, restored, fmt.Sprintf("cycle %d after restore", cyc))
+		for _, r := range restores {
+			pokeAll(t, r.e, in)
+			r.e.Run(1)
+			compareEngines(t, orig, r.e, fmt.Sprintf("cycle %d after %s", cyc, r.tag))
+		}
 	}
-	if orig.Cycles() != restored.Cycles() {
-		t.Fatalf("cycle counts diverge: %d vs %d", orig.Cycles(), restored.Cycles())
+	for _, r := range restores {
+		if orig.Cycles() != r.e.Cycles() {
+			t.Fatalf("cycle counts diverge after %s: %d vs %d", r.tag, orig.Cycles(), r.e.Cycles())
+		}
 	}
 }
 
@@ -213,9 +234,9 @@ func linkedKernels(p *Program) []NativeThreadFunc {
 			gs := &globalState{mems: mems}
 			for i := range code {
 				switch in := &code[i]; in.Op {
-				case LOp(OpWide):
+				case OpWide:
 					wide(in.Aux)
-				case LOp(OpMemWr):
+				case OpMemWr:
 					if st[in.C] != 0 {
 						memwr(in.Aux, st[in.A], st[in.B]&in.Mask)
 					}

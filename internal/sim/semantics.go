@@ -85,46 +85,6 @@ func EvalOp(op OpCode, aux uint32, mask uint64, a, b, c uint64) (uint64, bool) {
 // OpSext with Aux 0 meaning "as-is").
 func SignExtend64(x uint64, w uint32) uint64 { return signExtend64(x, w) }
 
-// LClass partitions linked opcodes for analyses that must desugar fused
-// superinstructions back into base-op terms.
-type LClass uint8
-
-// Linked opcode classes.
-const (
-	// LClassBase: the LOp is a base OpCode executed with resolved operands.
-	LClassBase LClass = iota
-	// LClassCmpExt: compare with inline sign extension — base(sext(A, Aux
-	// low byte), sext(B, Aux high byte)); width 0 means "as-is".
-	LClassCmpExt
-	// LClassCmpMux: dst = base(sext(A, lo), sext(B, hi)) ? C&Mask : D&Mask.
-	LClassCmpMux
-	// LClassGateMux: dst = (A base B) != 0 ? C&Mask : D&Mask, base And/Or.
-	LClassGateMux
-	// LClassCopyRun: st[Dst+i] = st[A+i] for i in [0, Aux).
-	LClassCopyRun
-)
-
-// ClassifyLOp classifies a linked opcode and returns the base OpCode its
-// semantics desugar to: the LOp itself for base ops, the underlying compare
-// for the Ext/Mux fusions, OpAnd/OpOr for the gating fusions, and OpCopy
-// for lCopyRun.
-func ClassifyLOp(o LOp) (LClass, OpCode) {
-	switch {
-	case o < LFuseStart:
-		return LClassBase, OpCode(o)
-	case o >= lLtExt && o <= lNeqExt:
-		return LClassCmpExt, OpLt + OpCode(o-lLtExt)
-	case o >= lLtMux && o <= lNeqMux:
-		return LClassCmpMux, OpLt + OpCode(o-lLtMux)
-	case o == lAndMux:
-		return LClassGateMux, OpAnd
-	case o == lOrMux:
-		return LClassGateMux, OpOr
-	default: // lCopyRun
-		return LClassCopyRun, OpCopy
-	}
-}
-
 // Exported wide-node kind and operand-space identifiers, mirroring the
 // package-private enums so external analyses can branch on them.
 const (

@@ -108,10 +108,7 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 		v.dropWrites()
 	}
 	e.cycles = s.Cycles
-	e.instrsRetired = 0
-	for t := range e.prog.Threads {
-		e.instrsRetired += uint64(e.codeLen(t)) * s.Cycles
-	}
+	e.instrsRetired = uint64(e.prog.TotalInstrs()) * s.Cycles
 	return nil
 }
 

@@ -44,9 +44,8 @@ type TaskEngine struct {
 	gs   *globalState
 	tcs  []*threadCtx
 
-	// Shared-mode programs link strictly 1:1 (no fusion, nops preserved —
-	// see link.go), so the plan's TaskRange offsets index linked code
-	// directly and the engine runs the resolved fast path.
+	// Linking is 1:1 (link.go), so the plan's TaskRange offsets index
+	// linked code directly and the engine runs the resolved fast path.
 	lp    *LinkedProgram
 	state []uint64
 

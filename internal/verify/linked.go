@@ -7,10 +7,10 @@ import (
 )
 
 // This file extends the verifier to the linked execution form (sim/link.go):
-// the resolved, fused instruction streams every engine actually runs. The
+// the resolved instruction streams every engine actually runs. The
 // base scan proves the invariants over the compiled Program; this scan
 // re-proves them over the LinkedProgram, where every operand is a flat
-// unified-state index, so a linker or fusion bug that rewired an operand
+// unified-state index, so a linker bug that rewired an operand
 // into another thread's frame (a race the RefTag encoding made impossible)
 // is caught statically.
 
@@ -66,7 +66,7 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	for pc := range code {
 		in := &code[pc]
 		v.rep.Instrs++
-		if in.Op == sim.LOp(sim.OpWide) && int(in.Aux) >= len(lp.WideNodes) {
+		if in.Op == sim.OpWide && int(in.Aux) >= len(lp.WideNodes) {
 			v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("linked wide node %d", in.Aux),
 				fmt.Sprintf("wide-node index out of range (%d linked nodes)", len(lp.WideNodes)))
 			continue
@@ -239,9 +239,8 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 		}
 	}
 
-	// Fusion must preserve exactly-once sink production: every shadow word
-	// the commit memcpy publishes is still written exactly once per cycle
-	// (copy-run coalescing expands back to per-word defs in LinkedDefUse).
+	// Linking must preserve exactly-once sink production: every shadow word
+	// the commit memcpy publishes is still written exactly once per cycle.
 	for i, n := range shadowWrites {
 		slot := v.wordDesc(uint32(th.GlobalOff + i))
 		switch {

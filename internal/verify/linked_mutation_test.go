@@ -1,8 +1,8 @@
 package verify
 
 // Linked-scan mutation tests prove Options.Linked actually inspects the
-// cached linked execution form — the resolved, fused streams the engines
-// run — not just the interpreter code. Each test compiles a clean program,
+// cached linked execution form — the resolved streams the engines run —
+// not just the interpreter code. Each test compiles a clean program,
 // forces the linked form into the program's cache, corrupts the cached
 // streams directly, and asserts that the base scan stays clean while the
 // linked scan reports the fault with provenance.
@@ -26,8 +26,8 @@ func linkedMutProgram(t *testing.T) (*sim.Program, *sim.LinkedProgram) {
 }
 
 // simpleDst reports whether the instruction's sole narrow definition is its
-// Dst field (excludes nops, wide boxes, memory writes, and copy runs, whose
-// Dst means something else or spans a range).
+// Dst field (excludes nops, wide boxes, and memory writes, whose Dst means
+// something else).
 func simpleDst(lp *sim.LinkedProgram, in *sim.LInstr) bool {
 	nd, _, _, _ := lp.LinkedDefUse(in, nil, nil, nil, nil)
 	return len(nd) == 1 && nd[0] == in.Dst
@@ -55,7 +55,7 @@ func linkedTempRead(t *testing.T, lp *sim.LinkedProgram, th int) int {
 	return -1
 }
 
-// Linked fault 1 — cross-thread frame read: after fusion, thread 0 is
+// Linked fault 1 — cross-thread frame read: after linking, thread 0 is
 // rewired to read a word of thread 1's private frame. The interpreter code
 // is untouched (base scan clean); only the linked scan can see it.
 func TestLinkedMutationCrossThreadRead(t *testing.T) {
@@ -113,9 +113,9 @@ func TestLinkedMutationPaddingOperand(t *testing.T) {
 	}
 }
 
-// Linked fault 3 — shifted shadow store: sliding a fused-stream sink store
-// (including a coalesced copy run) one word over leaves the original sink
-// word stale; the exactly-once production proof must flag it.
+// Linked fault 3 — shifted shadow store: sliding a plain sink store one
+// word over leaves the original sink word stale; the exactly-once
+// production proof must flag it.
 func TestLinkedMutationShiftedShadowWrite(t *testing.T) {
 	p, lp := linkedMutProgram(t)
 	mutThread, mutPC := -1, -1
@@ -126,11 +126,10 @@ func TestLinkedMutationShiftedShadowWrite(t *testing.T) {
 		lt := &lp.Threads[ti]
 		for pc := range lt.Code {
 			in := &lt.Code[pc]
-			nd, _, _, _ := lp.LinkedDefUse(in, nil, nil, nil, nil)
-			if len(nd) == 0 {
+			if !simpleDst(lp, in) {
 				continue
 			}
-			if loc, owner, ok := lp.LinkedLoc(nd[0]); ok && owner == ti && loc.Space == sim.SpaceShadow {
+			if loc, owner, ok := lp.LinkedLoc(in.Dst); ok && owner == ti && loc.Space == sim.SpaceShadow {
 				mutThread, mutPC = ti, pc
 				break
 			}

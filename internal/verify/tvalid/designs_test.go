@@ -1,8 +1,8 @@
 package tvalid
 
 // End-to-end proof obligation over the bundled SoC designs: every
-// optimization the pipeline performs (O2 const-fold + copy-prop, fusion,
-// linking) must be provably equivalent to the O0 reference on real
+// optimization the pipeline performs (O2 const-fold + copy-prop, truncation
+// fusion, linking) must be provably equivalent to the O0 reference on real
 // processor-shaped circuits, serial and partitioned.
 
 import (
@@ -66,6 +66,7 @@ func TestValidateBundledDesigns(t *testing.T) {
 				if r.Pairs == 0 || r.Proved+r.Probed != r.Pairs {
 					t.Fatalf("implausible certificate: %s", r)
 				}
+				t.Log(r)
 			})
 		}
 	}

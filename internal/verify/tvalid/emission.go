@@ -27,12 +27,12 @@ type EmitRecord struct {
 	// Instr is the linked instruction the emitter translated, copied
 	// verbatim at emission time.
 	Instr sim.LInstr
-	// Inlined marks operands A,B,C,D (in that order) the emitter replaced
+	// Inlined marks operands A,B,C (in that order) the emitter replaced
 	// with a literal; InlinedVal holds the literal printed. An inlined
 	// operand must address the immediate region and the literal must equal
 	// the immediate's value.
-	Inlined    [4]bool
-	InlinedVal [4]uint64
+	Inlined    [3]bool
+	InlinedVal [3]uint64
 }
 
 // EmissionResult is the certificate of one emission validation run.
@@ -133,10 +133,10 @@ func ValidateEmission(lp *sim.LinkedProgram, recs []EmitRecord) *EmissionResult 
 // immediate table.
 func checkInlining(lp *sim.LinkedProgram, p *sim.Program, t, pc int, rec *EmitRecord, res *EmissionResult, diverge func(string, ...any)) {
 	in := &rec.Instr
-	reads := operandReads(in)
-	ops := [4]uint32{in.A, in.B, in.C, in.D}
-	names := [4]string{"A", "B", "C", "D"}
-	for k := 0; k < 4; k++ {
+	reads := sim.TraitsOf(in.Op).Reads // OpMemWr reads 3: addr, data, enable
+	ops := [3]uint32{in.A, in.B, in.C}
+	names := [3]string{"A", "B", "C"}
+	for k := range ops {
 		if !rec.Inlined[k] {
 			continue
 		}
@@ -167,35 +167,12 @@ func checkInlining(lp *sim.LinkedProgram, p *sim.Program, t, pc int, rec *EmitRe
 	}
 }
 
-// operandReads is the number of leading operand slots (A,B,C,D) the linked
-// opcode actually reads as scalar state words; lCopyRun reads a range and
-// never inlines.
-func operandReads(in *sim.LInstr) int {
-	cls, base := sim.ClassifyLOp(in.Op)
-	switch cls {
-	case sim.LClassBase:
-		return sim.TraitsOf(base).Reads // OpMemWr reads 3: addr, data, enable
-	case sim.LClassCmpExt:
-		return 2
-	case sim.LClassCmpMux, sim.LClassGateMux:
-		return 4
-	default: // LClassCopyRun
-		return 0
-	}
-}
-
 // writesDst reports whether the linked instruction stores to in.Dst as a
 // scalar state word.
 func writesDst(in *sim.LInstr) bool {
-	cls, base := sim.ClassifyLOp(in.Op)
-	if cls == sim.LClassBase {
-		switch base {
-		case sim.OpNop, sim.OpMemWr, sim.OpWide:
-			return false
-		}
-	}
-	if cls == sim.LClassCopyRun {
-		return false // writes a range, checked by the run bounds themselves
+	switch in.Op {
+	case sim.OpNop, sim.OpMemWr, sim.OpWide:
+		return false
 	}
 	return true
 }

@@ -260,7 +260,7 @@ func TestMutationDroppedMemWrite(t *testing.T) {
 
 // TestMutationLinkedOperandResolution (new class): a corrupt operand index
 // in the *linked* stream — the validator's linked-side symbolic executor
-// must catch bugs introduced after optimization, by resolution or fusion
+// must catch bugs introduced after optimization, by operand resolution
 // itself.
 func TestMutationLinkedOperandResolution(t *testing.T) {
 	g := mustGraph(t, dshiftSrc)
@@ -271,7 +271,7 @@ func TestMutationLinkedOperandResolution(t *testing.T) {
 	for ti := range lp.Threads {
 		for pc := range lp.Threads[ti].Code {
 			li := &lp.Threads[ti].Code[pc]
-			if cls, base := sim.ClassifyLOp(li.Op); cls == sim.LClassBase && base == sim.OpDshr {
+			if li.Op == sim.OpDshr {
 				ft, fpc = ti, pc
 			}
 		}

@@ -20,8 +20,8 @@ type threadState struct {
 }
 
 // memWrite is one buffered memory write in program order. The optimizer
-// and fusion never reorder, drop, or invent memory writes, so the O0 and
-// optimized lists must match positionally.
+// never reorders, drops, or invents memory writes, so the O0 and optimized
+// lists must match positionally.
 type memWrite struct {
 	mem  int
 	addr *term
@@ -129,10 +129,8 @@ func execO0(b *builder, p *sim.Program, t int) *threadState {
 	return st
 }
 
-// execLinked symbolically evaluates one thread of the linked (resolved +
-// fused) stream, desugaring every superinstruction back into base-op terms
-// via sim.ClassifyLOp so a correct fusion lands on the identical canonical
-// term as its O0 origin.
+// execLinked symbolically evaluates one thread of the linked (resolved)
+// stream, mirroring evalLinked (linkexec.go) term-for-term.
 func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 	p := lp.Program()
 	th := &p.Threads[t]
@@ -169,14 +167,6 @@ func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 		state[idx] = v
 		lastPC[idx] = pc
 	}
-	// ext models the inline sign extension of the fused compare forms:
-	// width 0 means "operand as-is" (signExtend64 identity).
-	ext := func(x *term, w uint32) *term {
-		if w == 0 {
-			return x
-		}
-		return b.app(sim.OpSext, w, ^uint64(0), x)
-	}
 	fetchWide := func(a sim.WideOperand) *term {
 		return fetchWideOperand(b, p, a, rd, wideTemps, st.wideShad)
 	}
@@ -184,59 +174,39 @@ func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 	var ab [3]*term // scratch: b.app never retains a caller's buffer
 	for pc := range lt.Code {
 		li := &lt.Code[pc]
-		class, base := sim.ClassifyLOp(li.Op)
-		switch class {
-		case sim.LClassBase:
-			switch base {
-			case sim.OpNop:
-			case sim.OpWide:
-				execWideNode(b, p, &lp.WideNodes[li.Aux], pc, st, fetchWide,
-					func(a sim.WideOperand, v *term) {
-						putWideLinked(b, a, v, pc, wr, wideTemps, st)
-					})
-			case sim.OpMemWr:
-				st.writes = append(st.writes, memWrite{
-					mem:  int(li.Aux),
-					addr: rd(li.A),
-					data: b.copyOf(rd(li.B), li.Mask),
-					en:   rd(li.C),
-					pc:   pc,
+		switch li.Op {
+		case sim.OpNop:
+		case sim.OpWide:
+			execWideNode(b, p, &lp.WideNodes[li.Aux], pc, st, fetchWide,
+				func(a sim.WideOperand, v *term) {
+					putWideLinked(b, a, v, pc, wr, wideTemps, st)
 				})
-			case sim.OpMemRd:
-				wr(li.Dst, b.app(sim.OpMemRd, li.Aux, li.Mask, rd(li.A)), pc)
-			default:
-				tr := sim.TraitsOf(base)
-				n := 0
-				if tr.Reads >= 1 {
-					ab[n] = rd(li.A)
-					n++
-				}
-				if tr.Reads >= 2 {
-					ab[n] = rd(li.B)
-					n++
-				}
-				if tr.Reads >= 3 {
-					ab[n] = rd(li.C)
-					n++
-				}
-				wr(li.Dst, b.app(base, li.Aux, li.Mask, ab[:n]...), pc)
+		case sim.OpMemWr:
+			st.writes = append(st.writes, memWrite{
+				mem:  int(li.Aux),
+				addr: rd(li.A),
+				data: b.copyOf(rd(li.B), li.Mask),
+				en:   rd(li.C),
+				pc:   pc,
+			})
+		case sim.OpMemRd:
+			wr(li.Dst, b.app(sim.OpMemRd, li.Aux, li.Mask, rd(li.A)), pc)
+		default:
+			tr := sim.TraitsOf(li.Op)
+			n := 0
+			if tr.Reads >= 1 {
+				ab[n] = rd(li.A)
+				n++
 			}
-		case sim.LClassCmpExt:
-			a := ext(rd(li.A), li.Aux&0xff)
-			bb := ext(rd(li.B), li.Aux>>8)
-			wr(li.Dst, b.app(base, 0, ^uint64(0), a, bb), pc)
-		case sim.LClassCmpMux:
-			a := ext(rd(li.A), li.Aux&0xff)
-			bb := ext(rd(li.B), li.Aux>>8)
-			cond := b.app(base, 0, ^uint64(0), a, bb)
-			wr(li.Dst, b.app(sim.OpMux, 0, li.Mask, cond, rd(li.C), rd(li.D)), pc)
-		case sim.LClassGateMux:
-			cond := b.app(base, 0, ^uint64(0), rd(li.A), rd(li.B))
-			wr(li.Dst, b.app(sim.OpMux, 0, li.Mask, cond, rd(li.C), rd(li.D)), pc)
-		case sim.LClassCopyRun:
-			for i := uint32(0); i < li.Aux; i++ {
-				wr(li.Dst+i, rd(li.A+i), pc)
+			if tr.Reads >= 2 {
+				ab[n] = rd(li.B)
+				n++
 			}
+			if tr.Reads >= 3 {
+				ab[n] = rd(li.C)
+				n++
+			}
+			wr(li.Dst, b.app(li.Op, li.Aux, li.Mask, ab[:n]...), pc)
 		}
 	}
 

@@ -304,20 +304,20 @@ func unmaskedBound(op sim.OpCode, aux uint32, args []*term) uint64 {
 }
 
 // app builds the canonical term for one narrow opcode application,
-// mirroring every rewrite the optimizer and fusion passes perform:
+// mirroring every rewrite the optimizer passes perform:
 //
 //   - constant folding through sim.EvalOp (the real interpreter — the
 //     validator owns no opcode semantics of its own)
 //   - copy-chain collapse and truncation fusion (OpCopy absorbs into any
 //     producer whose executor masks its result)
 //   - no-op mask canonicalization (a mask provably covering every settable
-//     bit is rewritten to the full mask, so fused unmasked forms meet their
-//     masked O0 originals)
+//     bit is rewritten to the full mask: fuseTruncations narrows a
+//     producer's mask to the copy's, and where both the O0 and the narrowed
+//     mask are no-ops the two sides must still intern as one term)
 //   - commutative operand ordering by term id
 //   - sign-extension idempotence (Aux 0 / width >= 64 / sign bit provably
 //     clear => identity)
-//   - mux absorption (constant condition folds to an arm; a proven 1-bit
-//     negated condition swaps the arms, as fusion's foldMuxCond does)
+//   - mux absorption (a constant condition folds to an arm)
 func (b *builder) app(op sim.OpCode, aux uint32, mask uint64, args ...*term) *term {
 	tr := sim.TraitsOf(op)
 
@@ -358,14 +358,6 @@ func (b *builder) app(op sim.OpCode, aux uint32, mask uint64, args ...*term) *te
 				return b.copyOf(args[1], mask)
 			}
 			return b.copyOf(args[2], mask)
-		}
-		// Mux(Not(x) [proven 1-bit], a, b) == Mux(x, b, a): fusion's
-		// Not-swap. (^x)&1 != 0  <=>  x == 0 when x has one settable bit.
-		if cond.kind == tkApp && cond.op == sim.OpNot && cond.mask == 1 &&
-			len(cond.args) == 1 && cond.args[0].bits <= 1 {
-			var swapped [3]*term
-			swapped[0], swapped[1], swapped[2] = cond.args[0], args[2], args[1]
-			args = swapped[:]
 		}
 	}
 

@@ -1,5 +1,5 @@
 // Package tvalid is a translation validator for the sim compile pipeline:
-// it proves, per compile, that the optimized + fused + linked program
+// it proves, per compile, that the optimized + linked program
 // computes the same cycle function as its unoptimized (O0) reference.
 //
 // Both instruction streams are symbolically evaluated per thread over the
@@ -7,7 +7,7 @@
 // normalization engine (constant folding through the real interpreter,
 // commutative operand ordering, mask and sign-extension idempotence, mux
 // absorption, copy-chain collapsing) canonicalizes terms so that every
-// rewrite the optimizer and fusion passes may legally perform maps both
+// rewrite the optimizer passes may legally perform maps both
 // sides onto the identical interned term: pointer-equal terms prove the
 // slot pair equivalent. Residual hash-mismatched pairs — normalization is
 // deliberately incomplete rather than unsound — fall back to seeded
@@ -159,8 +159,7 @@ type candidate struct {
 }
 
 // Validate proves (or refutes) that opt — as executed by the linked engine,
-// i.e. after O2 optimization, superinstruction fusion, and operand
-// resolution — computes the same cycle function as the O0 reference ref.
+// i.e. after O2 optimization and operand resolution — computes the same cycle function as the O0 reference ref.
 // Both programs must come from the same design and partition (the compile
 // pipeline guarantees layout-identical slot assignment across opt levels;
 // Validate checks it).
@@ -171,7 +170,7 @@ func Validate(ref, opt *sim.Program, o Options) *Result {
 	defer func() { res.Elapsed = time.Since(start) }()
 
 	if ref.Shared || opt.Shared {
-		res.Skipped = "shared-slot (Verilator-style) program: linked 1:1 unfused by construction; translation validation covers the private-temp pipeline only"
+		res.Skipped = "shared-slot (Verilator-style) program: translation validation covers the private-temp pipeline only"
 		return res
 	}
 	if d, ok := layoutCompatible(ref, opt); !ok {

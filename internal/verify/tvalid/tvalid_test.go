@@ -107,7 +107,7 @@ func TestValidateCleanMemMix(t *testing.T) {
 }
 
 // TestValidateSeededCircuits is the breadth gate: 200 generator circuits
-// (40 in -short mode) across thread counts validate O0 == O2+fusion+linked
+// (40 in -short mode) across thread counts validate O0 == O2+linked
 // with zero divergences.
 func TestValidateSeededCircuits(t *testing.T) {
 	n := 200

@@ -112,10 +112,10 @@ type Options struct {
 	// thread, e.g. from core.Partition or sim.SerialSpec).
 	Parts []sim.PartSpec
 	// Linked additionally scans the program's linked execution form
-	// (sim/link.go) — the resolved, fused streams the engines actually run —
+	// (sim/link.go) — the resolved streams the engines actually run —
 	// re-proving race freedom, closure, and exactly-once sink production
-	// over fused superinstructions. Builds (and caches) the linked form if
-	// the program has not been linked yet.
+	// over flat state indices. Builds (and caches) the linked form if the
+	// program has not been linked yet.
 	Linked bool
 	// Validate runs translation validation (internal/verify/tvalid): the
 	// program is proven to compute the same cycle function as an O0

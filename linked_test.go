@@ -16,7 +16,7 @@ import (
 // {0, 1, 2, 8}, the linked engine must match the reference interpreter
 // bit-for-bit on every register over a randomized input run, the
 // fingerprint must be identical across worker counts (linking changes
-// nothing observable), and the static verifier must prove the fused
+// nothing observable), and the static verifier must prove the linked
 // programs sound.
 func TestLinkedCrossCheckDesigns(t *testing.T) {
 	cases := []struct {
@@ -48,9 +48,6 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 				}
 				if comp.Verification == nil || comp.Verification.Err() != nil {
 					t.Fatalf("workers=%d: verify failed: %v", workers, comp.Verification.Err())
-				}
-				if comp.Program.Linked().Stats.Fused == 0 {
-					t.Fatalf("workers=%d: no fusion on %s", workers, c.cfg.Name())
 				}
 
 				linked := sim.NewEngine(comp.Program)
@@ -100,7 +97,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 	}
 }
 
-// The verifier's Linked option must re-scan the fused streams: a clean
+// The verifier's Linked option must re-scan the linked streams: a clean
 // program passes, and its report covers more locations than the base scan.
 func TestVerifyLinkedOption(t *testing.T) {
 	c, err := ParseCircuit(counterSrc)

@@ -91,7 +91,7 @@ func (d *Design) Stats() cgraph.Stats { return d.Graph.Stats() }
 type Backend int
 
 const (
-	// BackendLinked is the default: the linked/fused instruction-stream
+	// BackendLinked is the default: the linked instruction-stream
 	// interpreter (the repo's fast path).
 	BackendLinked Backend = iota
 	// BackendInterp is the closure-walking interpreter — the reference
@@ -153,7 +153,7 @@ type Options struct {
 	// diagnostic report is attached to the Simulator.
 	Verify bool
 	// Validate additionally runs translation validation: the optimized,
-	// fused, linked program is symbolically proven equivalent to an O0
+	// linked program is symbolically proven equivalent to an O0
 	// reference recompiled from the same partition (internal/verify/tvalid).
 	// Compilation fails on any divergence. Implies the Verify scan.
 	Validate bool
