@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 		maxComp    = flag.Int("max-compiles", 0, "concurrent compile admission limit (503 beyond; 0 = NumCPU)")
 		idle       = flag.Duration("idle-timeout", 2*time.Minute, "reap sessions idle longer than this")
 		workers    = flag.Int("workers", 0, "per-compile worker bound (0 = all cores)")
-		batchLanes = flag.Int("batch-lanes", 16, "lane width of the batched execution tier (1 disables batching)")
+		batchLanes = flag.Int("batch-lanes", 16, "sessions per 16-lane group, 1–16; 1 disables batching")
 		cgOn       = flag.Bool("codegen", false, "enable the native build-behind tier: compile-cache misses build plugin kernels asynchronously and sessions hot-swap onto them")
 		cgDir      = flag.String("codegen-dir", "", "native artifact store directory (empty = per-user default under the temp dir)")
 		cgBytes    = flag.Int64("codegen-bytes", 0, "native artifact store disk byte budget (0 = 1 GiB)")
@@ -55,6 +56,9 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress per-request logs")
 	)
 	flag.Parse()
+	if *batchLanes > sim.BatchWidth {
+		fatal(fmt.Errorf("-batch-lanes %d: a lane group holds at most %d sessions", *batchLanes, sim.BatchWidth))
+	}
 
 	logger := newLogger(*logJSON, *quiet)
 	cfg := service.Config{

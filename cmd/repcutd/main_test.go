@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -45,6 +46,12 @@ func TestDaemonBlackBox(t *testing.T) {
 	bin := filepath.Join(dir, "repcutd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// A lane count no group can hold is refused before listening.
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-batch-lanes", "17").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "at most 16 sessions") {
+		t.Fatalf("-batch-lanes 17: err %v, output %q; want a non-zero exit naming the 16-lane limit", err, out)
 	}
 
 	portFile := filepath.Join(dir, "port")

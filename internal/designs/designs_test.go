@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/firrtl"
 	"repro/internal/sim"
 )
 
@@ -174,5 +175,26 @@ func TestReplicationTrendAcrossSizes(t *testing.T) {
 	if rb.ReplicationCost >= rs.ReplicationCost {
 		t.Errorf("MegaBOOM-4C replication (%.2f%%) should be below RocketChip-1C (%.2f%%) at k=%d",
 			100*rb.ReplicationCost, 100*rs.ReplicationCost, k)
+	}
+}
+
+// TestPrintedDesignsReparse is the README's `designgen > x.fir && repcut
+// -file x.fir` flow for every bundled design: the text firrtl.Print writes
+// must parse, check, and print back to itself. Design names carry a '-'
+// ("RocketChip-1C"), which the lexer would read as the start of an integer.
+func TestPrintedDesignsReparse(t *testing.T) {
+	for _, cfg := range Table1(1) {
+		text := firrtl.Print(BuildCircuit(cfg))
+		c, err := firrtl.Parse(text)
+		if err != nil {
+			t.Errorf("%s: printed text does not parse: %v", cfg.Name(), err)
+			continue
+		}
+		if err := firrtl.Check(c); err != nil {
+			t.Errorf("%s: re-parsed circuit does not check: %v", cfg.Name(), err)
+		}
+		if firrtl.Print(c) != text {
+			t.Errorf("%s: print → parse → print is not a fixed point", cfg.Name())
+		}
 	}
 }

@@ -66,8 +66,8 @@ type Options struct {
 	// outputs, every memory word) against a private solo-engine twin after
 	// every cycle.
 	Batch bool
-	// BatchLanes overrides the batch column's lane count (default 4 — an
-	// odd mix of occupied and padding lanes at the engine's 8-lane blocks).
+	// BatchLanes overrides the batch column's lane count (default 5 —
+	// occupied plus padding lanes inside the engine's one 16-lane column).
 	BatchLanes int
 	// MutateBatch, when set, is applied to a fresh O2 program that backs
 	// the batch engine only; the solo twins keep the clean program, so a
@@ -524,7 +524,7 @@ func codegenEngine(p2 *sim.Program, opt Options) (*sim.Engine, string, *Mismatch
 func runBatchColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatch {
 	lanes := opt.BatchLanes
 	if lanes <= 0 {
-		lanes = 4
+		lanes = 5
 	}
 	bp, colName := p2, "batch"
 	if opt.MutateBatch != nil {

@@ -6,9 +6,12 @@ import (
 )
 
 // Print renders the circuit in the textual format accepted by Parse.
+// Circuit and module names go through ident, so a circuit built in process
+// under a name the lexer cannot read back (the bundled "RocketChip-1C")
+// re-parses as the same circuit named RocketChip_1C.
 func Print(c *Circuit) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "circuit %s {\n", c.Name)
+	fmt.Fprintf(&sb, "circuit %s {\n", ident(c.Name))
 	for _, m := range c.Modules {
 		printModule(&sb, m)
 	}
@@ -16,8 +19,25 @@ func Print(c *Circuit) string {
 	return sb.String()
 }
 
+// ident maps a name onto the lexer's identifier token,
+// [A-Za-z_$][A-Za-z0-9_$]*: every other byte becomes '_'. Identifiers are
+// returned unchanged.
+func ident(name string) string {
+	id := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '$':
+			return r
+		}
+		return '_'
+	}, name)
+	if id == "" || (id[0] >= '0' && id[0] <= '9') {
+		id = "_" + id
+	}
+	return id
+}
+
 func printModule(sb *strings.Builder, m *Module) {
-	fmt.Fprintf(sb, "  module %s {\n", m.Name)
+	fmt.Fprintf(sb, "  module %s {\n", ident(m.Name))
 	for _, p := range m.Ports {
 		fmt.Fprintf(sb, "    %s %s : %s\n", p.Dir, p.Name, p.Type)
 	}
@@ -40,7 +60,7 @@ func printStmt(sb *strings.Builder, st Stmt) {
 	case *Mem:
 		fmt.Fprintf(sb, "    mem %s : %s[%d]\n", s.Name, s.Type, s.Depth)
 	case *Inst:
-		fmt.Fprintf(sb, "    inst %s of %s\n", s.Name, s.Of)
+		fmt.Fprintf(sb, "    inst %s of %s\n", s.Name, ident(s.Of))
 	case *Node:
 		fmt.Fprintf(sb, "    node %s = %s\n", s.Name, ExprString(s.Expr))
 	case *MemWrite:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	repcut "repro"
+	"repro/internal/sim"
 )
 
 // wireRef compiles wireSrc offline with the same options the server uses,
@@ -485,5 +486,26 @@ func TestBatchDisabled(t *testing.T) {
 	}
 	if _, err := sess.Run(3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchLanesClamped: a programmatic lane count above the engine's one
+// column width must not silently disable batching (NewBatchEngine rejects
+// it, and the pool would fall back to solo engines); defaults() clamps it.
+func TestBatchLanesClamped(t *testing.T) {
+	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 64})
+	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sess.Batched {
+		t.Fatal("session not batched with BatchLanes above the column width")
+	}
+	if w := srv.Metrics().Batch.LaneWidth; w != sim.BatchWidth {
+		t.Fatalf("lane_width = %d, want %d", w, sim.BatchWidth)
 	}
 }

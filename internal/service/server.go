@@ -36,9 +36,10 @@ type Config struct {
 	MaxRunCycles int
 	// Workers bounds each compile's internal parallelism (0 = all cores).
 	Workers int
-	// BatchLanes is the lane width of the batched execution tier: sessions
+	// BatchLanes is the session capacity of one lane group: sessions
 	// simulating the same program share one sim.BatchEngine of this many
-	// lanes (default 16; negative or 1 disables batching).
+	// lanes (default and maximum sim.BatchWidth; negative or 1 disables
+	// batching).
 	BatchLanes int
 	// Codegen enables the native build-behind tier: every compile-cache
 	// miss asynchronously builds (or fetches from the artifact store) a
@@ -78,8 +79,8 @@ func (c *Config) defaults() {
 	if c.MaxRunCycles == 0 {
 		c.MaxRunCycles = 1_000_000
 	}
-	if c.BatchLanes == 0 {
-		c.BatchLanes = 16
+	if c.BatchLanes == 0 || c.BatchLanes > sim.BatchWidth {
+		c.BatchLanes = sim.BatchWidth
 	}
 	if c.BatchLanes < 0 {
 		c.BatchLanes = 1 // disabled

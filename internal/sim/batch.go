@@ -17,12 +17,12 @@ import (
 // batch group.
 //
 // State is laid out structure-of-arrays: one flat []uint64 of
-// StateWords×laneStride words, where word w of lane l lives at
-// st[w*laneStride+l] and laneStride is the lane count padded to a whole
-// 64-byte cache line. Columns (all lanes of one state word) are contiguous,
-// so the per-instruction lane loop is a sequential walk the hardware
-// prefetches, and the commit memcpy of the two-phase protocol becomes one
-// contiguous block copy across every lane at once.
+// StateWords×BatchWidth words, where word w of lane l lives at
+// st[w*BatchWidth+l]. Columns (all lanes of one state word) are contiguous
+// and two whole cache lines, so the per-instruction lane statements are a
+// sequential walk the hardware prefetches, no column shares a line with a
+// neighbouring word's, and the commit memcpy of the two-phase protocol
+// becomes one contiguous block copy across every lane at once.
 //
 // Narrow operations vectorize over lanes. Wide values and memories keep
 // their existing boxed per-lane representation and fall back to the
@@ -34,39 +34,23 @@ import (
 // makes it sound to evaluate every lane — including lanes that must not
 // advance this call — and gate only the commit on the mask.
 
-// batchLaneAlign is the lane-stride alignment in 64-bit words: 8 words =
-// one 64-byte cache line, so no column's line is shared with a neighbouring
-// word's column.
-const batchLaneAlign = 8
-
-// BatchAlign exports the lane-stride alignment for external analyses
-// (internal/verify proves the SoA layout lane-disjoint against it).
-const BatchAlign = batchLaneAlign
-
-// BatchStride returns the per-word lane stride a BatchEngine with the given
-// lane count uses: word w, lane l lives at st[w*stride+l]. Exported so the
-// static verifier reasons about the exact layout the engine allocates.
-func BatchStride(lanes int) int {
-	return int(padTo(uint32(lanes), batchLaneAlign))
-}
+// BatchWidth is the one SoA column width: every BatchEngine lays word w of
+// lane l at st[w*BatchWidth+l] and runs the executor unrolled for exactly
+// this many lanes (batchexec.go), so an engine's lane count is occupancy
+// capacity inside one column, 1 to BatchWidth. internal/verify proves the
+// layout lane-disjoint against it.
+const BatchWidth = 16
 
 // BatchEngine executes one linked program across many independent lanes.
 // It is not safe for concurrent use; callers (internal/service batch
 // groups) serialize access externally.
 type BatchEngine struct {
-	prog   *Program
-	lp     *LinkedProgram
-	lanes  int
-	stride int // lanes padded to batchLaneAlign
+	prog  *Program
+	lp    *LinkedProgram
+	lanes int
 
-	// st is the SoA state: word w, lane l at st[w*stride+l].
+	// st is the SoA state: word w, lane l at st[w*BatchWidth+l].
 	st []uint64
-
-	// blk is st reinterpreted as cache-line blocks of eight lanes: block b
-	// of word w at blk[w*nb+b], nb = stride/batchLaneAlign. The batch
-	// executor's unrolled kernels (batchkern.go) run over this view.
-	blk []blk8
-	nb  int
 
 	// Per-lane boxed state: wide globals, memories (laneGS[l].words is nil —
 	// narrow words live in st), and per-thread wide temps/shadows plus
@@ -94,8 +78,8 @@ type BatchEngine struct {
 // rejected: their threads communicate mid-cycle, so eval cannot run over
 // masked-out lanes.
 func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
-	if lanes < 1 {
-		return nil, fmt.Errorf("sim: batch engine needs lanes >= 1, got %d", lanes)
+	if lanes < 1 || lanes > BatchWidth {
+		return nil, fmt.Errorf("sim: batch engine needs 1 <= lanes <= %d, got %d", BatchWidth, lanes)
 	}
 	if p.Shared {
 		return nil, fmt.Errorf("sim: batch engine does not support shared-mode programs")
@@ -105,15 +89,10 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 		prog:     p,
 		lp:       lp,
 		lanes:    lanes,
-		stride:   int(padTo(uint32(lanes), batchLaneAlign)),
 		cycles:   make([]uint64, lanes),
 		fullMask: make([]bool, lanes),
 	}
-	e.st = make([]uint64, lp.StateWords*e.stride)
-	e.nb = e.stride / batchLaneAlign
-	if len(e.st) > 0 {
-		e.blk = unsafe.Slice((*blk8)(unsafe.Pointer(&e.st[0])), len(e.st)/batchLaneAlign)
-	}
+	e.st = make([]uint64, lp.StateWords*BatchWidth)
 	for l := 0; l < lanes; l++ {
 		e.fullMask[l] = true
 		gs := newGlobalStateWords(p, nil)
@@ -125,10 +104,10 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 		e.laneTC = append(e.laneTC, tcs)
 		l := l // captured per lane
 		e.wval = append(e.wval, func(r uint32) uint64 {
-			return e.st[int(r)*e.stride+l]
+			return e.st[int(r)*BatchWidth+l]
 		})
 		e.wstore = append(e.wstore, func(r uint32, v uint64) {
-			e.st[int(r)*e.stride+l] = v
+			e.st[int(r)*BatchWidth+l] = v
 		})
 	}
 	e.Reset()
@@ -177,12 +156,12 @@ func (e *BatchEngine) Reset() {
 // other lane. The service batch tier calls it when recycling a dead
 // session's lane for a new one.
 func (e *BatchEngine) ResetLane(lane int) {
-	p, stride := e.prog, e.stride
+	p := e.prog
 	for w := 0; w < e.lp.StateWords; w++ {
-		e.st[w*stride+lane] = 0
+		e.st[w*BatchWidth+lane] = 0
 	}
 	for i, v := range p.Imms {
-		e.st[(e.lp.ImmOff+i)*stride+lane] = v
+		e.st[(e.lp.ImmOff+i)*BatchWidth+lane] = v
 	}
 	gs := e.laneGS[lane]
 	for i, w := range p.WideWidths {
@@ -204,7 +183,7 @@ func (e *BatchEngine) ResetLane(lane int) {
 		if r.Wide {
 			gs.wide[r.Slot] = extendInit(r)
 		} else {
-			e.st[int(r.Slot)*stride+lane] = r.Init.Uint64() & maskOf(r.Width)
+			e.st[int(r.Slot)*BatchWidth+lane] = r.Init.Uint64() & maskOf(r.Width)
 		}
 	}
 	for _, tc := range e.laneTC[lane] {
@@ -234,7 +213,7 @@ func (e *BatchEngine) Poke(lane int, name string, v uint64) error {
 	if ps.Wide {
 		return fmt.Errorf("sim: input %q is %d bits wide; use PokeVec", name, ps.Width)
 	}
-	e.st[int(ps.Slot)*e.stride+lane] = v & maskOf(ps.Width)
+	e.st[int(ps.Slot)*BatchWidth+lane] = v & maskOf(ps.Width)
 	return nil
 }
 
@@ -251,7 +230,7 @@ func (e *BatchEngine) PokeVec(lane int, name string, v bitvec.Vec) error {
 		e.laneGS[lane].wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
 		return nil
 	}
-	e.st[int(ps.Slot)*e.stride+lane] = v.Uint64() & maskOf(ps.Width)
+	e.st[int(ps.Slot)*BatchWidth+lane] = v.Uint64() & maskOf(ps.Width)
 	return nil
 }
 
@@ -267,7 +246,7 @@ func (e *BatchEngine) Peek(lane int, name string) (uint64, error) {
 	if ps.Wide {
 		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekVec", name, ps.Width)
 	}
-	return e.st[int(ps.Slot)*e.stride+lane], nil
+	return e.st[int(ps.Slot)*BatchWidth+lane], nil
 }
 
 // PeekVec reads an output port of any width on one lane.
@@ -282,7 +261,7 @@ func (e *BatchEngine) PeekVec(lane int, name string) (bitvec.Vec, error) {
 	if ps.Wide {
 		return e.laneGS[lane].wide[ps.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(ps.Width, e.st[int(ps.Slot)*e.stride+lane]), nil
+	return bitvec.FromUint64(ps.Width, e.st[int(ps.Slot)*BatchWidth+lane]), nil
 }
 
 // PeekReg reads a register's current value on one lane.
@@ -297,7 +276,7 @@ func (e *BatchEngine) PeekReg(lane int, name string) (bitvec.Vec, error) {
 	if rs.Wide {
 		return e.laneGS[lane].wide[rs.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(rs.Width, e.st[int(rs.Slot)*e.stride+lane]), nil
+	return bitvec.FromUint64(rs.Width, e.st[int(rs.Slot)*BatchWidth+lane]), nil
 }
 
 // PeekMemVec reads one memory word of any element width on one lane.
@@ -305,20 +284,7 @@ func (e *BatchEngine) PeekMemVec(lane int, name string, addr int) (bitvec.Vec, e
 	if err := e.checkLane(lane); err != nil {
 		return bitvec.Vec{}, err
 	}
-	gs := e.laneGS[lane]
-	for mi, m := range e.prog.Mems {
-		if m.Name != name {
-			continue
-		}
-		if addr < 0 || addr >= m.Depth {
-			return bitvec.Vec{}, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
-		}
-		if m.Wide {
-			return gs.wideMems[mi][addr].Clone(), nil
-		}
-		return bitvec.FromUint64(m.Width, gs.mems[mi][addr]), nil
-	}
-	return bitvec.Vec{}, fmt.Errorf("sim: no memory %q", name)
+	return e.laneGS[lane].peekMemVec(e.prog, name, addr)
 }
 
 // Run advances every lane by n cycles.
@@ -369,16 +335,8 @@ func (e *BatchEngine) RunMasked(n int, mask []bool) {
 		e.maskRuns = runs
 	}
 	for c := 0; c < n; c++ {
-		if e.stride == 16 {
-			// Default-width groups take the fully inlined executor
-			// (batchexec16.go); other strides the block-kernel one.
-			for t := range e.prog.Threads {
-				e.evalThreadBatch16(t, mask)
-			}
-		} else {
-			for t := range e.prog.Threads {
-				e.evalThreadBatch(t, mask)
-			}
+		for t := range e.prog.Threads {
+			e.evalThreadBatch(t, mask)
 		}
 		for t := range e.prog.Threads {
 			e.updateBatch(t, mask, full, runs)
@@ -398,15 +356,14 @@ func (e *BatchEngine) RunMasked(n int, mask []bool) {
 func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) {
 	th := &e.prog.Threads[t]
 	lt := &e.lp.Threads[t]
-	stride := e.stride
 	gOff, shOff, sw := th.GlobalOff, int(lt.ShadowOff), th.ShadowWords
 	if sw > 0 {
 		if full {
-			copy(e.st[gOff*stride:(gOff+sw)*stride], e.st[shOff*stride:(shOff+sw)*stride])
+			copy(e.st[gOff*BatchWidth:(gOff+sw)*BatchWidth], e.st[shOff*BatchWidth:(shOff+sw)*BatchWidth])
 		} else {
 			for w := 0; w < sw; w++ {
-				dst := e.st[(gOff+w)*stride:]
-				src := e.st[(shOff+w)*stride:]
+				dst := e.st[(gOff+w)*BatchWidth:]
+				src := e.st[(shOff+w)*BatchWidth:]
 				for _, r := range runs {
 					copy(dst[r[0]:r[0]+r[1]], src[r[0]:r[0]+r[1]])
 				}

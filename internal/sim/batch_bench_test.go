@@ -13,7 +13,7 @@ import (
 // once instead of N times.
 func BenchmarkBatchEval(b *testing.B) {
 	prog := benchProgram(b)
-	for _, lanes := range []int{1, 4, 16, 64} {
+	for _, lanes := range []int{1, 4, BatchWidth} {
 		b.Run(fmt.Sprintf("batch/%d", lanes), func(b *testing.B) {
 			be, err := NewBatchEngine(prog, lanes)
 			if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -85,13 +86,15 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 // TestBatchMatchesEngine is the batch engine's correctness claim: N lanes
 // driven with N distinct input streams must each stay bit-identical to a
 // private Engine fed the same stream — serial and partitioned programs,
-// including wide values and memories. Lane count
-// 5 pads to a stride-8 frame (block-kernel executor), 11 to stride 16 (the
-// inlined evalThreadBatch16 path), so both executors are checked along
-// with their padding lanes.
+// including wide values and memories — for a single lane, a partial column
+// (occupied plus padding lanes) and a full column. The circuits together
+// must put every opcode but OpNop through the executor, so its table cannot
+// grow an arm this test never runs.
 func TestBatchMatchesEngine(t *testing.T) {
-	for _, lanes := range []int{5, 11} {
-		for seed := int64(50); seed < 54; seed++ {
+	var ran [numOpCodes]int
+	for _, lanes := range []int{1, 5, BatchWidth} {
+		// Seeds 55, 81 and 95 are there for the opcodes 50–53 never emit.
+		for _, seed := range []int64{50, 51, 52, 53, 55, 81, 95} {
 			lanes, seed := lanes, seed
 			t.Run(fmt.Sprintf("lanes%d/seed%d", lanes, seed), func(t *testing.T) {
 				g := randomCircuit(t, seed, 70)
@@ -114,6 +117,11 @@ func TestBatchMatchesEngine(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					for _, lt := range prog.Linked().Threads {
+						for _, in := range lt.Code {
+							ran[in.Op]++
+						}
+					}
 					twins := make([]*Engine, lanes)
 					rngs := make([]*rand.Rand, lanes)
 					for l := range twins {
@@ -132,6 +140,11 @@ func TestBatchMatchesEngine(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+	for op := OpNop + 1; op < numOpCodes; op++ {
+		if ran[op] == 0 {
+			t.Errorf("no circuit of this test runs %v through the batch executor", op)
 		}
 	}
 }
@@ -292,8 +305,17 @@ func TestBatchEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBatchEngine(prog, 0); err == nil {
-		t.Fatal("lanes=0 accepted")
+	for _, tc := range []struct {
+		lanes int
+		ok    bool
+	}{{0, false}, {1, true}, {BatchWidth, true}, {BatchWidth + 1, false}} {
+		_, err := NewBatchEngine(prog, tc.lanes)
+		if (err == nil) != tc.ok {
+			t.Fatalf("NewBatchEngine(lanes=%d): err %v, want accepted=%v", tc.lanes, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "1 <= lanes <= 16") {
+			t.Fatalf("lanes=%d: error %q does not name the range", tc.lanes, err)
+		}
 	}
 	shared, err := Compile(g, SerialSpec(g), Config{Shared: true})
 	if err != nil {
@@ -320,6 +342,20 @@ func TestBatchEngineErrors(t *testing.T) {
 	}
 	if be.StateBytes() <= 0 {
 		t.Fatalf("StateBytes() = %d, want > 0", be.StateBytes())
+	}
+}
+
+// TestBatchEmptyModule: a module without ports or state is legal input to
+// the service; its program has zero state words and must step, not index
+// an empty state array.
+func TestBatchEmptyModule(t *testing.T) {
+	be, err := NewBatchEngine(compileSrc(t, "circuit E {\n  module E {\n  }\n}\n"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be.Run(2)
+	if be.Cycles(3) != 2 {
+		t.Fatalf("lane 3 at cycle %d, want 2", be.Cycles(3))
 	}
 }
 

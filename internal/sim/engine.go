@@ -246,38 +246,24 @@ func (e *Engine) PeekReg(name string) (bitvec.Vec, error) {
 
 // PeekMem reads one memory word (narrow memories).
 func (e *Engine) PeekMem(name string, addr int) (uint64, error) {
-	for mi, m := range e.prog.Mems {
-		if m.Name != name {
-			continue
-		}
-		if addr < 0 || addr >= m.Depth {
-			return 0, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
-		}
-		if m.Wide {
-			return e.gs().wideMems[mi][addr].Uint64(), nil
-		}
-		return e.gs().mems[mi][addr], nil
+	mi, m, ok := e.prog.Mem(name)
+	if !ok {
+		return 0, fmt.Errorf("sim: no memory %q", name)
 	}
-	return 0, fmt.Errorf("sim: no memory %q", name)
+	if addr < 0 || addr >= m.Depth {
+		return 0, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
+	}
+	if m.Wide {
+		return e.gs().wideMems[mi][addr].Uint64(), nil
+	}
+	return e.gs().mems[mi][addr], nil
 }
 
 // PeekMemVec reads one memory word of any element width as a bit vector.
 // The differential oracle uses this for full-width comparison of wide
 // memories, where PeekMem would drop the high words.
 func (e *Engine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
-	for mi, m := range e.prog.Mems {
-		if m.Name != name {
-			continue
-		}
-		if addr < 0 || addr >= m.Depth {
-			return bitvec.Vec{}, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
-		}
-		if m.Wide {
-			return e.gs().wideMems[mi][addr].Clone(), nil
-		}
-		return bitvec.FromUint64(m.Width, e.gs().mems[mi][addr]), nil
-	}
-	return bitvec.Vec{}, fmt.Errorf("sim: no memory %q", name)
+	return e.gs().peekMemVec(e.prog, name, addr)
 }
 
 // gs is the current view's global state.

@@ -45,6 +45,22 @@ type globalState struct {
 	wideMems [][]bitvec.Vec
 }
 
+// peekMemVec reads one word of a named memory at any element width: the
+// PeekMemVec of every engine tier.
+func (gs *globalState) peekMemVec(p *Program, name string, addr int) (bitvec.Vec, error) {
+	mi, m, ok := p.Mem(name)
+	if !ok {
+		return bitvec.Vec{}, fmt.Errorf("sim: no memory %q", name)
+	}
+	if addr < 0 || addr >= m.Depth {
+		return bitvec.Vec{}, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
+	}
+	if m.Wide {
+		return gs.wideMems[mi][addr].Clone(), nil
+	}
+	return bitvec.FromUint64(m.Width, gs.mems[mi][addr]), nil
+}
+
 func newGlobalState(p *Program) *globalState {
 	return newGlobalStateWords(p, make([]uint64, p.GlobalWords))
 }

@@ -176,6 +176,16 @@ func (p *Program) Reg(name string) (RegSlot, bool) {
 	return p.Regs[i], true
 }
 
+// Mem returns the index and spec of a named memory.
+func (p *Program) Mem(name string) (index int, spec MemSpec, ok bool) {
+	for i, m := range p.Mems {
+		if m.Name == name {
+			return i, m, true
+		}
+	}
+	return 0, MemSpec{}, false
+}
+
 // TotalInstrs counts instructions across all threads.
 func (p *Program) TotalInstrs() int {
 	n := 0

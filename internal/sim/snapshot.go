@@ -127,7 +127,7 @@ func (e *BatchEngine) SnapshotLane(lane int) (*Snapshot, error) {
 		Words:       make([]uint64, e.lp.StateWords),
 	}
 	for w := 0; w < e.lp.StateWords; w++ {
-		s.Words[w] = e.st[w*e.stride+lane]
+		s.Words[w] = e.st[w*BatchWidth+lane]
 	}
 	gs := e.laneGS[lane]
 	s.Wide = make([]bitvec.Vec, len(gs.wide))
@@ -149,7 +149,7 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 		return err
 	}
 	for w := 0; w < e.lp.StateWords; w++ {
-		e.st[w*e.stride+lane] = s.Words[w]
+		e.st[w*BatchWidth+lane] = s.Words[w]
 	}
 	gs := e.laneGS[lane]
 	for i, v := range s.Wide {
@@ -179,7 +179,7 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 		if r.Wide {
 			h.vec(gs.wide[r.Slot])
 		} else {
-			h.u64(e.st[int(r.Slot)*e.stride+lane])
+			h.u64(e.st[int(r.Slot)*BatchWidth+lane])
 		}
 	}
 	for _, i := range p.outputHashOrder() {
@@ -187,7 +187,7 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 		if o.Wide {
 			h.vec(gs.wide[o.Slot])
 		} else {
-			h.u64(e.st[int(o.Slot)*e.stride+lane])
+			h.u64(e.st[int(o.Slot)*BatchWidth+lane])
 		}
 	}
 	for mi := range p.Mems {

@@ -158,19 +158,7 @@ func (e *TaskEngine) PeekOutputVec(name string) (bitvec.Vec, error) {
 
 // PeekMemVec reads one memory word of any element width as a bit vector.
 func (e *TaskEngine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
-	for mi, m := range e.prog.Mems {
-		if m.Name != name {
-			continue
-		}
-		if addr < 0 || addr >= m.Depth {
-			return bitvec.Vec{}, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
-		}
-		if m.Wide {
-			return e.gs.wideMems[mi][addr].Clone(), nil
-		}
-		return bitvec.FromUint64(m.Width, e.gs.mems[mi][addr]), nil
-	}
-	return bitvec.Vec{}, fmt.Errorf("sim: no memory %q", name)
+	return e.gs.peekMemVec(e.prog, name, addr)
 }
 
 // Cycles returns cycles simulated since Reset.

@@ -8,14 +8,15 @@ import (
 
 // scanBatch proves the program safe for a lane-batched engine
 // (sim.BatchEngine) with the given lane count. The batch executor stores
-// narrow state word w of lane l at st[w*stride+l]; its correctness rests on
-// three static facts this scan establishes:
+// narrow state word w of lane l at st[w*sim.BatchWidth+l]; its correctness
+// rests on three static facts this scan establishes:
 //
 //   - Lane disjointness: distinct lanes never alias one state cell. With
-//     stride >= lanes, w*stride+l == w'*stride+l' forces l == l', so it
-//     suffices that the stride covers the lane count and the word regions
-//     the engine block-copies (globals, immediates, per-thread frames) are
-//     disjoint and inside the allocation.
+//     l, l' < BatchWidth, w*BatchWidth+l == w'*BatchWidth+l' forces w == w'
+//     and l == l', so it suffices that the lane count fits the one column
+//     width and the word regions the engine block-copies (globals,
+//     immediates, per-thread frames) are disjoint and inside the
+//     allocation.
 //
 //   - RunMasked commit gating: masked-out lanes still evaluate but must not
 //     publish. Sound iff the eval phase is side-effect-free outside private
@@ -37,14 +38,10 @@ func (v *verifier) scanBatch(lanes int) {
 		v.diag(CheckBatch, Error, -1, -1, "", fmt.Sprintf("lane count %d is not positive", lanes))
 		return
 	}
-	stride := sim.BatchStride(lanes)
-	if stride < lanes {
+	if lanes > sim.BatchWidth {
 		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("lane stride %d is smaller than the lane count %d: columns of distinct lanes alias", stride, lanes))
-	}
-	if stride%sim.BatchAlign != 0 {
-		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("lane stride %d is not a multiple of the %d-lane block width: block kernels would straddle rows", stride, sim.BatchAlign))
+			fmt.Sprintf("lane count %d exceeds the %d-lane column width: lanes past the column would alias the next state word's; NewBatchEngine rejects it", lanes, sim.BatchWidth))
+		return
 	}
 
 	lp := p.Linked()
@@ -98,5 +95,5 @@ func (v *verifier) scanBatch(lanes int) {
 	}
 
 	v.diag(CheckBatch, Info, -1, -1, "",
-		fmt.Sprintf("batch layout proven lane-disjoint for %d lanes (stride %d): RunMasked may evaluate masked-out lanes and gate only their commit", lanes, stride))
+		fmt.Sprintf("batch layout proven lane-disjoint for %d lanes (column width %d): RunMasked may evaluate masked-out lanes and gate only their commit", lanes, sim.BatchWidth))
 }

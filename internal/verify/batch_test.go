@@ -26,7 +26,7 @@ func findBatchInfo(t *testing.T, rep *Report) Diag {
 
 // TestBatchCleanPrograms proves the batch-layout contract on correct
 // compiler output across thread counts, optimization levels, and lane
-// counts (including lanes that do not divide the block width).
+// counts (a single lane, a partial column, a full column).
 func TestBatchCleanPrograms(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	for _, k := range []int{1, 2} {

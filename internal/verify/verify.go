@@ -124,7 +124,7 @@ type Options struct {
 	// CheckTranslation errors and the full certificate as Report.Validation.
 	Validate bool
 	// BatchLanes, when positive, additionally proves the program safe for
-	// a sim.BatchEngine with that many lanes: the SoA stride layout is
+	// a sim.BatchEngine with that many lanes: the SoA column layout is
 	// lane-disjoint, RunMasked's commit gating is sound under the
 	// private-temp model (eval is side-effect-free outside temps/shadow,
 	// so masked-out lanes may evaluate without committing), and lane
