@@ -44,7 +44,7 @@ func main() {
 		maxComp    = flag.Int("max-compiles", 0, "concurrent compile admission limit (503 beyond; 0 = NumCPU)")
 		idle       = flag.Duration("idle-timeout", 2*time.Minute, "reap sessions idle longer than this")
 		workers    = flag.Int("workers", 0, "per-compile worker bound (0 = all cores)")
-		batchLanes = flag.Int("batch-lanes", 16, "sessions per 16-lane group, 1–16; 1 disables batching")
+		batchLanes = flag.Int("batch-lanes", 16, fmt.Sprintf("sessions per 16-lane group, %d–16 (a program's sessions share groups once %d are live, the measured break-even); 1 disables batching, 2–%d are refused", service.MinLaneGroup, service.MinLaneGroup, service.MinLaneGroup-1))
 		cgOn       = flag.Bool("codegen", false, "enable the native build-behind tier: compile-cache misses build plugin kernels asynchronously and sessions hot-swap onto them")
 		cgDir      = flag.String("codegen-dir", "", "native artifact store directory (empty = per-user default under the temp dir)")
 		cgBytes    = flag.Int64("codegen-bytes", 0, "native artifact store disk byte budget (0 = 1 GiB)")
@@ -58,6 +58,9 @@ func main() {
 	flag.Parse()
 	if *batchLanes > sim.BatchWidth {
 		fatal(fmt.Errorf("-batch-lanes %d: a lane group holds at most %d sessions", *batchLanes, sim.BatchWidth))
+	}
+	if *batchLanes > 1 && *batchLanes < service.MinLaneGroup {
+		fatal(fmt.Errorf("-batch-lanes %d: a lane group only pays from %d sessions, the measured break-even (1 disables batching)", *batchLanes, service.MinLaneGroup))
 	}
 
 	logger := newLogger(*logJSON, *quiet)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,10 +49,15 @@ func TestDaemonBlackBox(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	// A lane count no group can hold is refused before listening.
+	// A lane count no group can hold, or one below the break-even, is
+	// refused before listening.
 	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-batch-lanes", "17").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "at most 16 sessions") {
 		t.Fatalf("-batch-lanes 17: err %v, output %q; want a non-zero exit naming the 16-lane limit", err, out)
+	}
+	out, err = exec.Command(bin, "-addr", "127.0.0.1:0", "-batch-lanes", "3").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), fmt.Sprintf("only pays from %d sessions", service.MinLaneGroup)) {
+		t.Fatalf("-batch-lanes 3: err %v, output %q; want a non-zero exit naming the break-even", err, out)
 	}
 
 	portFile := filepath.Join(dir, "port")
@@ -148,6 +154,28 @@ func TestDaemonBlackBox(t *testing.T) {
 				t.Fatalf("step %d: %s = %#x over the wire, %#x in process", step, name, got, want)
 			}
 		}
+	}
+
+	// Two pokes queue on the handle and ride on the run; the checkpoint
+	// must show the state of an engine poked directly.
+	for _, v := range []uint64{0x1234, 0x00ff} {
+		if err := sess.Poke("in", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.PokeInput("in", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(3)
+	cp, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", ref.StateHash()); cp.StateHash != want || cp.Cycle != ref.Cycles() {
+		t.Fatalf("checkpoint after queued pokes: %s@%d over the wire, %s@%d in process", cp.StateHash, cp.Cycle, want, ref.Cycles())
 	}
 
 	// The session stays open: shutdown has to close it.

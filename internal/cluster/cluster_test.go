@@ -20,13 +20,50 @@ func startFleet(t *testing.T, nodes int, fetchTimeout time.Duration) *clustertes
 	f, err := clustertest.Start(clustertest.Options{
 		Nodes:        nodes,
 		FetchTimeout: fetchTimeout,
-		Service:      service.Config{BatchLanes: 4},
+		Service:      service.Config{BatchLanes: service.MinLaneGroup},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
 	return f
+}
+
+// openCoTenants opens the service.MinLaneGroup-1 idle default-placement
+// sessions after which a node puts the key's sessions, created or
+// restored, on batch lanes.
+func openCoTenants(t *testing.T, c *service.Client, key string) []*service.SessionHandle {
+	t.Helper()
+	var hs []*service.SessionHandle
+	for i := 1; i < service.MinLaneGroup; i++ {
+		h, err := c.NewSession(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Batched {
+			t.Fatalf("co-tenant %d batched below the break-even", i)
+		}
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+// migratedOntoLanes fails unless every session the peers restored from a
+// migration landed on a batch lane.
+func migratedOntoLanes(t *testing.T, f *clustertest.Fleet, peers ...int) {
+	t.Helper()
+	var in, batched int64
+	for _, i := range peers {
+		m, err := f.Client(i).Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in += m.Cluster.SessionsMigratedIn
+		batched += m.Batch.SessionsBatched
+	}
+	if in == 0 || batched != in {
+		t.Fatalf("peers restored %d migrated sessions, %d of them on batch lanes", in, batched)
+	}
 }
 
 func compileReq(design string, seed int64) service.CompileRequest {
@@ -116,7 +153,8 @@ func TestClusterCompileOnce(t *testing.T) {
 
 // TestClusterCheckpointRestore: checkpoint on one node, restore on another,
 // state hash and cycle count carry over exactly, and both sessions evolve
-// identically under shared stimulus afterwards.
+// identically under shared stimulus afterwards. Co-tenants on both nodes
+// make it a checkpoint from a batch lane restored into one.
 func TestClusterCheckpointRestore(t *testing.T) {
 	f := startFleet(t, 2, 0)
 	r := compileReq("RocketChip-1C", 2)
@@ -125,9 +163,13 @@ func TestClusterCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	openCoTenants(t, c0, resp.Key)
 	sA, err := c0.NewSession(resp.Key)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sA.Batched {
+		t.Fatal("session past the break-even not batched")
 	}
 	rngA := rand.New(rand.NewSource(7))
 	for step := 0; step < 4; step++ {
@@ -150,9 +192,13 @@ func TestClusterCheckpointRestore(t *testing.T) {
 	if _, err := c1.Compile(r); err != nil {
 		t.Fatal(err)
 	}
+	openCoTenants(t, c1, resp.Key)
 	sB, err := c1.RestoreSession(resp.Key, cpA.State, false)
 	if err != nil {
 		t.Fatalf("restore on peer: %v", err)
+	}
+	if !sB.Batched {
+		t.Fatal("restore past the break-even not batched")
 	}
 	cpB, err := sB.Checkpoint()
 	if err != nil {
@@ -210,6 +256,21 @@ func TestClusterDrainMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Lane sessions at both ends: co-tenants on node 0 (closed again before
+	// the drain, so only the sessions under test move) and on the node the
+	// drain ships the key's sessions to.
+	target := -1
+	succ := f.Nodes[0].Ring().Successors(resp.Key, f.Addrs[0])[0]
+	for i, a := range f.Addrs {
+		if a == succ {
+			target = i
+		}
+	}
+	if _, err := f.Client(target).Compile(r); err != nil {
+		t.Fatal(err)
+	}
+	openCoTenants(t, f.Client(target), resp.Key)
+	local := openCoTenants(t, f.Client(0), resp.Key)
 	const nSessions = 3
 	handles := make([]*service.SessionHandle, nSessions)
 	oldIDs := make([]string, nSessions)
@@ -218,6 +279,9 @@ func TestClusterDrainMigration(t *testing.T) {
 		h, err := f.Client(0).NewSession(resp.Key)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !h.Batched {
+			t.Fatalf("session %d past the break-even not batched", i)
 		}
 		handles[i] = h
 		oldIDs[i] = h.ID
@@ -233,6 +297,11 @@ func TestClusterDrainMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, h := range local {
+		if _, err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	moved, err := f.Nodes[0].DrainMigrate(ctx)
@@ -242,6 +311,7 @@ func TestClusterDrainMigration(t *testing.T) {
 	if moved != nSessions {
 		t.Fatalf("migrated %d sessions, want %d", moved, nSessions)
 	}
+	migratedOntoLanes(t, f, 1, 2)
 	// The drained node answers the old IDs with 503 + Retry-After and the
 	// forwarding address.
 	for i, id := range oldIDs {
@@ -478,11 +548,16 @@ func TestMigrationUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-warm every node so migrated restores never wait on a compile.
+	// Pre-warm every node so migrated restores never wait on a compile, and
+	// open co-tenants everywhere so the clients' sessions run on batch lanes
+	// before and after they move (node 0's co-tenants move with them).
 	for i := 1; i < 3; i++ {
 		if _, err := f.Client(i).Compile(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 3; i++ {
+		openCoTenants(t, f.Client(i), resp.Key)
 	}
 	const (
 		nClients = 4
@@ -501,6 +576,9 @@ func TestMigrationUnderLoad(t *testing.T) {
 				h, e2 = f.Client(0).NewSession(resp.Key)
 				return e2
 			})
+			if !h.Batched {
+				t.Errorf("client %d: session past the break-even not batched", cl)
+			}
 			rng := rand.New(rand.NewSource(int64(1000 + cl)))
 			last := uint64(0)
 			for step := 0; step < steps; step++ {
@@ -546,6 +624,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	migratedOntoLanes(t, f, 1, 2)
 	// Control: the same plans, uninterrupted, on a healthy node.
 	for cl := 0; cl < nClients; cl++ {
 		ctrl, err := f.Client(1).NewSession(resp.Key)

@@ -7,39 +7,70 @@ import (
 	"repro/internal/sim"
 )
 
+// MinLaneGroup is the placement break-even: a program's sessions share a
+// lane group only once it has this many live sessions asking for the
+// default placement. One ×16 round costs the same whatever its occupancy,
+// and it costs about five solo lane-cycles (BenchmarkBatchEval, RocketChip-1C
+// @0.5 on a 2-core Xeon VM, go1.24, min–max of five runs: batch/16 8.48–8.71
+// µs per round against solo/1 1.69–1.98 µs per cycle, median ratio 4.85; in a
+// slower spell 12.95–13.72 against 2.77–3.10), so a group carrying fewer
+// than ⌈round / solo cycle⌉ = 5 lanes per round loses to private engines.
+// That ratio is engine-only: it leaves out the group-commit linger, and it
+// comes from one design at one thread count. No benchmark workload runs
+// five or more co-tenants of one design, so the value is unverified end to
+// end; it stays fixed until such a workload can measure both sides of it.
+const MinLaneGroup = 5
+
 // batchPool coalesces sessions that simulate the same compiled program
 // into shared sim.BatchEngine groups, so the server executes one
 // instruction dispatch for up to laneWidth sessions instead of one per
-// session. Groups are keyed by program fingerprint; a session that cannot
-// be batched (batching disabled, program ineligible, every group full and
-// construction failed) falls back to a private engine at the caller.
+// session. Groups are keyed by program fingerprint. Placement is decided
+// once, at create or restore time: a session gets a lane only when its
+// program has at least MinLaneGroup live tenants (sessions that asked for
+// the default placement), and a session that cannot be batched (batching
+// disabled, program ineligible, below the break-even) runs a private
+// engine the caller builds. Sessions never migrate between the two, except
+// that VCD capture spills a lane to a private engine.
 type batchPool struct {
 	laneWidth int
 	m         *Metrics
 
-	mu     sync.Mutex
-	groups map[uint64][]*batchGroup
-	seq    int64
+	mu      sync.Mutex
+	groups  map[uint64][]*batchGroup
+	tenants map[uint64]int // live tenants per fingerprint
 }
 
 // newBatchPool creates a pool handing out lanes in groups of laneWidth.
-// Width <= 1 disables batching: alloc always declines.
+// Width <= 1 disables batching: place never claims a lane.
 func newBatchPool(laneWidth int, m *Metrics) *batchPool {
 	return &batchPool{
 		laneWidth: laneWidth,
 		m:         m,
 		groups:    make(map[uint64][]*batchGroup),
+		tenants:   make(map[uint64]int),
 	}
 }
 
-// alloc claims a lane for a session over the entry's program, creating a
-// new group when every existing one is full. ok=false means the session
-// should run a private engine instead.
-func (p *batchPool) alloc(e *Entry) (g *batchGroup, lane int, ok bool) {
-	if p == nil || p.laneWidth <= 1 {
-		return nil, 0, false
+// place gives a session that asked for the default placement its backend.
+// A session over a lane-eligible program becomes a tenant of its
+// fingerprint (Session.release ends that) and, once the fingerprint has
+// MinLaneGroup tenants, claims a lane, creating a new group when every
+// existing one is full. Otherwise s.group stays nil and the caller builds a
+// private engine; belowBreakEven reports that the break-even was the reason.
+func (p *batchPool) place(s *Session) (belowBreakEven bool) {
+	e := s.entry
+	if p == nil || p.laneWidth <= 1 || e.Compiled.Program.Shared {
+		return false
 	}
 	p.mu.Lock()
+	s.tenant = p
+	p.tenants[e.Fingerprint]++
+	if p.tenants[e.Fingerprint] < MinLaneGroup {
+		p.mu.Unlock()
+		return true
+	}
+	var g *batchGroup
+	lane := 0
 	for _, cand := range p.groups[e.Fingerprint] {
 		cand.mu.Lock()
 		for l, occ := range cand.occupied {
@@ -58,11 +89,9 @@ func (p *batchPool) alloc(e *Entry) (g *batchGroup, lane int, ok bool) {
 	if g == nil {
 		be, err := sim.NewBatchEngine(e.Compiled.Program, p.laneWidth)
 		if err != nil {
-			// Program ineligible for lane batching (e.g. shared-mode).
 			p.mu.Unlock()
-			return nil, 0, false
+			return false
 		}
-		p.seq++
 		g = &batchGroup{
 			pool:     p,
 			fp:       e.Fingerprint,
@@ -74,7 +103,6 @@ func (p *batchPool) alloc(e *Entry) (g *batchGroup, lane int, ok bool) {
 		g.cond = sync.NewCond(&g.mu)
 		g.occupied[0] = true
 		g.nOcc = 1
-		lane = 0
 		p.groups[e.Fingerprint] = append(p.groups[e.Fingerprint], g)
 	}
 	p.mu.Unlock()
@@ -84,7 +112,17 @@ func (p *batchPool) alloc(e *Entry) (g *batchGroup, lane int, ok bool) {
 		be.ResetLane(lane)
 		return nil
 	})
-	return g, lane, true
+	s.group, s.lane = g, lane
+	return false
+}
+
+// leave ends a tenancy place began.
+func (p *batchPool) leave(fp uint64) {
+	p.mu.Lock()
+	if p.tenants[fp]--; p.tenants[fp] == 0 {
+		delete(p.tenants, fp)
+	}
+	p.mu.Unlock()
 }
 
 // free returns a lane to its group, dropping the group (and its engine)

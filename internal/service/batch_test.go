@@ -29,21 +29,39 @@ func wireRef(t *testing.T, req CompileRequest) *repcut.Simulator {
 	return ref
 }
 
+// openCoTenants opens the MinLaneGroup-1 default-placement sessions a
+// program needs before its next session is batched, and checks that each of
+// them got a private engine. They stay open until the server shuts down.
+func openCoTenants(t *testing.T, client *Client, key string) {
+	t.Helper()
+	for i := 1; i < MinLaneGroup; i++ {
+		h, err := client.NewSession(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Batched {
+			t.Fatalf("co-tenant %d batched below the break-even", i)
+		}
+	}
+}
+
 // TestBatchCoalescing proves the transparent-tier contract: sessions over
-// the same program land on batch lanes, groups overflow into new groups at
-// lane-width, and every lane's outputs are bit-identical to a private
-// reference engine driven with that lane's own input trace.
+// the same program land on batch lanes once the program has reached the
+// break-even, groups overflow into new groups at lane-width, and every
+// lane's outputs are bit-identical to a private reference engine driven
+// with that lane's own input trace.
 func TestBatchCoalescing(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 4})
+	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := firstNarrow(cr.Inputs)
+	openCoTenants(t, client, cr.Key)
 
-	const nSess = 6 // 4-lane width → one full group + one partial
+	const nSess = 6 // 5-lane width → one full group + one partial
 	sessions := make([]*SessionHandle, nSess)
 	refs := make([]*repcut.Simulator, nSess)
 	for i := range sessions {
@@ -56,8 +74,8 @@ func TestBatchCoalescing(t *testing.T) {
 		}
 		refs[i] = wireRef(t, req)
 	}
-	if groups, occ, cap := srv.Sessions().BatchStats(); groups != 2 || occ != 6 || cap != 8 {
-		t.Fatalf("BatchStats = (%d groups, %d occupied, %d capacity), want (2, 6, 8)", groups, occ, cap)
+	if groups, occ, cap := srv.Sessions().BatchStats(); groups != 2 || occ != 6 || cap != 10 {
+		t.Fatalf("BatchStats = (%d groups, %d occupied, %d capacity), want (2, 6, 10)", groups, occ, cap)
 	}
 
 	// Distinct per-session traces with distinct step sizes, so the group
@@ -108,7 +126,9 @@ func TestBatchCoalescing(t *testing.T) {
 
 // TestBatchConcurrentFrontier drives one group from many goroutines at
 // once — the combining-leader protocol under real contention, with each
-// lane's trace checked against a private reference. Run with -race.
+// lane's trace checked against a private reference. The first
+// MinLaneGroup-1 sessions run private engines; the other eight fill one
+// group. Run with -race.
 func TestBatchConcurrentFrontier(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
 	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 8})
@@ -119,7 +139,7 @@ func TestBatchConcurrentFrontier(t *testing.T) {
 	}
 	in := firstNarrow(cr.Inputs)
 
-	const nSess = 8
+	const nSess = MinLaneGroup - 1 + 8
 	var wg sync.WaitGroup
 	errc := make(chan error, nSess)
 	for i := 0; i < nSess; i++ {
@@ -179,9 +199,11 @@ func TestBatchConcurrentFrontier(t *testing.T) {
 
 // TestBatchHotDesignOccupancy is the coalescing gate: when every client
 // steps the same design in long runs, the group-commit linger must put
-// several sessions into each engine round. An occupancy under 0.3 of a
-// 16-lane group means rounds degenerated to near one lane each and the
-// batched tier is paying lane-width cost for solo work.
+// several sessions into each engine round. The first MinLaneGroup-1 of the
+// sixteen run private engines, so at most twelve lanes are occupied; an
+// occupancy under 0.3 of the 16-lane group means rounds degenerated to near
+// one lane each and the batched tier is paying lane-width cost for solo
+// work.
 func TestBatchHotDesignOccupancy(t *testing.T) {
 	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 16})
 	cr, err := client.Compile(CompileRequest{Design: "RocketChip-1C", Scale: 0.5, Threads: 2})
@@ -219,18 +241,35 @@ func TestBatchHotDesignOccupancy(t *testing.T) {
 	}
 }
 
+// laneOf reports the batch lane a session occupies (-1 when it is not
+// batched).
+func laneOf(t *testing.T, srv *Server, id string) int {
+	t.Helper()
+	lane := -1
+	if err := srv.Sessions().Do(id, func(s *Session) error {
+		if s.Batched() {
+			lane = s.Lane()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return lane
+}
+
 // TestBatchLaneRecycling closes a batched session and reopens one: the
 // newcomer must land on the recycled lane with power-on state, not the
 // previous occupant's residue.
 func TestBatchLaneRecycling(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 2})
+	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := firstNarrow(cr.Inputs)
+	openCoTenants(t, client, cr.Key)
 
 	s1, err := client.NewSession(cr.Key)
 	if err != nil {
@@ -240,6 +279,7 @@ func TestBatchLaneRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lane1 := laneOf(t, srv, s1.ID)
 	// Dirty s1's lane, then vacate it. s2 keeps the group alive.
 	if err := s1.Poke(in, 0xbeef); err != nil {
 		t.Fatal(err)
@@ -258,8 +298,11 @@ func TestBatchLaneRecycling(t *testing.T) {
 	if !s3.Batched {
 		t.Fatal("recycled session not batched")
 	}
-	if groups, occ, cap := srv.Sessions().BatchStats(); groups != 1 || occ != 2 || cap != 2 {
-		t.Fatalf("BatchStats = (%d, %d, %d), want (1, 2, 2) — lane not recycled", groups, occ, cap)
+	if groups, occ, cap := srv.Sessions().BatchStats(); groups != 1 || occ != 2 || cap != 5 {
+		t.Fatalf("BatchStats = (%d, %d, %d), want (1, 2, 5)", groups, occ, cap)
+	}
+	if lane3 := laneOf(t, srv, s3.ID); lane3 != lane1 {
+		t.Fatalf("newcomer on lane %d, want the vacated lane %d — lane not recycled", lane3, lane1)
 	}
 	// The recycled lane must behave exactly like a fresh engine.
 	ref := wireRef(t, req)
@@ -301,13 +344,14 @@ func TestBatchLaneRecycling(t *testing.T) {
 // its other occupant throughout.
 func TestBatchSpillOnVCD(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 4})
+	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := firstNarrow(cr.Inputs)
+	openCoTenants(t, client, cr.Key)
 
 	spill, err := client.NewSession(cr.Key)
 	if err != nil {
@@ -316,6 +360,9 @@ func TestBatchSpillOnVCD(t *testing.T) {
 	stay, err := client.NewSession(cr.Key)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !spill.Batched || !stay.Batched {
+		t.Fatal("sessions past the break-even not batched")
 	}
 	ref := wireRef(t, req)
 
@@ -396,10 +443,11 @@ func TestBatchSpillOnVCD(t *testing.T) {
 }
 
 // TestBatchSoloAndMetrics checks the solo escape hatch and the /metrics
-// batch section end to end.
+// batch section end to end. An explicit solo session is not a co-tenant:
+// the MinLaneGroup-1 sessions after it are still below the break-even.
 func TestBatchSoloAndMetrics(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 4})
+	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -413,6 +461,7 @@ func TestBatchSoloAndMetrics(t *testing.T) {
 	if solo.Batched {
 		t.Fatal("solo session reported batched")
 	}
+	openCoTenants(t, client, cr.Key)
 	b1, err := client.NewSession(cr.Key)
 	if err != nil {
 		t.Fatal(err)
@@ -442,14 +491,20 @@ func TestBatchSoloAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := m.Batch
-	if b.LaneWidth != 4 {
-		t.Errorf("lane_width = %d, want 4", b.LaneWidth)
+	if b.LaneWidth != 5 {
+		t.Errorf("lane_width = %d, want 5", b.LaneWidth)
 	}
-	if b.SessionsSolo != 1 || b.SessionsBatched != 2 {
-		t.Errorf("sessions solo/batched = %d/%d, want 1/2", b.SessionsSolo, b.SessionsBatched)
+	if b.SessionsSolo != MinLaneGroup || b.SessionsBatched != 2 {
+		t.Errorf("sessions solo/batched = %d/%d, want %d/2", b.SessionsSolo, b.SessionsBatched, MinLaneGroup)
 	}
-	if b.Groups != 1 || b.LanesOccupied != 2 || b.LaneCapacity != 4 {
-		t.Errorf("gauges = (%d, %d, %d), want (1, 2, 4)", b.Groups, b.LanesOccupied, b.LaneCapacity)
+	if b.SessionsSoloBelowBreakEven != MinLaneGroup-1 {
+		t.Errorf("sessions_solo_below_break_even = %d, want %d", b.SessionsSoloBelowBreakEven, MinLaneGroup-1)
+	}
+	if !b1.Batched || !b2.Batched {
+		t.Error("sessions past the break-even not batched")
+	}
+	if b.Groups != 1 || b.LanesOccupied != 2 || b.LaneCapacity != 5 {
+		t.Errorf("gauges = (%d, %d, %d), want (1, 2, 5)", b.Groups, b.LanesOccupied, b.LaneCapacity)
 	}
 	if b.Runs <= 0 {
 		t.Fatalf("runs = %d, want > 0", b.Runs)
@@ -492,20 +547,38 @@ func TestBatchDisabled(t *testing.T) {
 // TestBatchLanesClamped: a programmatic lane count above the engine's one
 // column width must not silently disable batching (NewBatchEngine rejects
 // it, and the pool would fall back to solo engines); defaults() clamps it.
+// A count below the break-even describes a group that never pays, so
+// defaults() turns batching off instead.
 func TestBatchLanesClamped(t *testing.T) {
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 64})
-	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := client.NewSession(cr.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Batched {
-		t.Fatal("session not batched with BatchLanes above the column width")
-	}
-	if w := srv.Metrics().Batch.LaneWidth; w != sim.BatchWidth {
-		t.Fatalf("lane_width = %d, want %d", w, sim.BatchWidth)
+	for _, tc := range []struct {
+		lanes, width int
+		batched      bool
+		// Batching off is its own reason for a private engine, not the
+		// break-even.
+		belowBreakEven int64
+	}{
+		{64, sim.BatchWidth, true, MinLaneGroup - 1},
+		{MinLaneGroup - 1, 1, false, 0},
+	} {
+		srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: tc.lanes})
+		cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		openCoTenants(t, client, cr.Key)
+		sess, err := client.NewSession(cr.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Batched != tc.batched {
+			t.Fatalf("BatchLanes %d: session past the break-even batched = %t, want %t", tc.lanes, sess.Batched, tc.batched)
+		}
+		b := srv.Metrics().Batch
+		if b.LaneWidth != tc.width {
+			t.Fatalf("BatchLanes %d: lane_width = %d, want %d", tc.lanes, b.LaneWidth, tc.width)
+		}
+		if b.SessionsSoloBelowBreakEven != tc.belowBreakEven {
+			t.Fatalf("BatchLanes %d: sessions_solo_below_break_even = %d, want %d", tc.lanes, b.SessionsSoloBelowBreakEven, tc.belowBreakEven)
+		}
 	}
 }

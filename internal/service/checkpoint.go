@@ -79,9 +79,9 @@ func (s *Session) StateHash() (uint64, error) {
 }
 
 // Restore opens a session over a cached entry and loads a snapshot into it,
-// resuming at the snapshot's cycle count. Placement follows Create: a batch
-// lane unless solo is set or the program is ineligible (the lane restore
-// falls back to a private engine on failure).
+// resuming at the snapshot's cycle count. Placement follows Create, and a
+// restored session counts toward its program's break-even like a created
+// one (a failed lane restore falls back to a private engine).
 func (sm *SessionManager) Restore(e *Entry, snap *sim.Snapshot, solo bool) (*Session, error) {
 	if snap.Fingerprint != e.Fingerprint {
 		return nil, fmt.Errorf("%w: snapshot %016x, design %016x",
@@ -101,28 +101,27 @@ func (sm *SessionManager) Restore(e *Entry, snap *sim.Snapshot, solo bool) (*Ses
 		com:    e.Compiled,
 		entry:  e,
 	}
+	belowBreakEven := false
 	if !solo {
-		if g, lane, ok := sm.batch.alloc(e); ok {
-			err := g.withEngine(func(be *sim.BatchEngine) error {
-				return be.RestoreLane(lane, snap)
-			})
-			if err == nil {
-				s.group, s.lane = g, lane
-			} else {
-				g.pool.free(g, lane)
-			}
+		belowBreakEven = sm.batch.place(s)
+	}
+	if g := s.group; g != nil {
+		err := g.withEngine(func(be *sim.BatchEngine) error {
+			return be.RestoreLane(s.lane, snap)
+		})
+		if err != nil {
+			g.pool.free(g, s.lane)
+			s.group = nil
 		}
 	}
 	if s.group == nil {
 		simr := e.Compiled.NewSimulator()
 		if err := simr.Engine.RestoreSnapshot(snap); err != nil {
+			s.release()
 			sm.sem.Release()
 			return nil, err
 		}
 		s.Sim = simr
-		sm.m.sessionsSolo.Add(1)
-	} else {
-		sm.m.sessionsBatched.Add(1)
 	}
 	s.cycle = snap.Cycles
 	s.touch(time.Now())
@@ -135,7 +134,7 @@ func (sm *SessionManager) Restore(e *Entry, snap *sim.Snapshot, solo bool) (*Ses
 	}
 	sm.byID[s.ID] = s
 	sm.mu.Unlock()
-	sm.m.sessionsCreated.Add(1)
+	sm.countCreated(s, belowBreakEven)
 	sm.m.sessionsRestored.Add(1)
 	return s, nil
 }

@@ -144,12 +144,26 @@ func (c *Client) newSession(req CreateSessionRequest) (*SessionHandle, error) {
 	return &SessionHandle{c: c, ID: resp.SessionID, Design: resp.Design, Batched: resp.Batched}, nil
 }
 
-// SessionHandle drives one server-side session.
+// SessionHandle drives one server-side session. It is not safe for
+// concurrent use: it queues pokes, and following a migration rewrites its
+// client and ID.
+//
+// Pokes are write-behind. The server never re-evaluates on a poke, so a
+// poked value is observable only after the next step or through state a
+// checkpoint reads. The first poke of each port name goes to the server at
+// once, so an unknown or wide port fails at Poke; later pokes to an accepted
+// name queue on the handle and travel inside the next Run request. Peek,
+// PeekReg, Checkpoint and StartVCD send the queue through /poke first; VCD
+// leaves it queued and Close drops it, since neither result depends on an
+// input. Every result is the same as sending each poke when it was made.
 type SessionHandle struct {
 	c       *Client
 	ID      string
 	Design  string
 	Batched bool // placed on a batch lane at create time
+
+	accepted map[string]bool // port names the server has taken a poke for
+	pending  []PokeRequest   // queued pokes, oldest first
 }
 
 func (s *SessionHandle) path(op string) string {
@@ -176,15 +190,51 @@ func (s *SessionHandle) do(method, op string, in, out any) error {
 	return err
 }
 
-// Poke sets a narrow input port.
+// Poke sets a narrow input port: at once for the first poke of a name,
+// queued for the next request after that (see SessionHandle).
 func (s *SessionHandle) Poke(name string, v uint64) error {
-	return s.do(http.MethodPost, "poke", PokeRequest{Name: name, Value: v}, nil)
+	if s.accepted[name] {
+		s.pending = append(s.pending, PokeRequest{Name: name, Value: v})
+		return nil
+	}
+	// Queued pokes name other ports, and pokes to distinct ports commute.
+	if err := s.do(http.MethodPost, "poke", PokeRequest{Name: name, Value: v}, nil); err != nil {
+		return err
+	}
+	if s.accepted == nil {
+		s.accepted = make(map[string]bool)
+	}
+	s.accepted[name] = true
+	return nil
+}
+
+// flush sends the queued pokes through /poke, oldest first.
+func (s *SessionHandle) flush() error {
+	for len(s.pending) > 0 {
+		if err := s.do(http.MethodPost, "poke", s.pending[0], nil); err != nil {
+			s.settle(err)
+			return err
+		}
+		s.pending = s.pending[1:]
+	}
+	return nil
+}
+
+// settle drops the queue after a request that carried it, unless the
+// server never ran the operation: a 503 (draining, or a migration the
+// handle could not follow) or a transport error leaves the pokes queued for
+// the retry. Any other answer means they were applied, or that the session
+// is gone.
+func (s *SessionHandle) settle(err error) {
+	if st := StatusOf(err); err == nil || (st != 0 && st != http.StatusServiceUnavailable) {
+		s.pending = s.pending[:0]
+	}
 }
 
 // Peek reads a narrow output port.
 func (s *SessionHandle) Peek(name string) (uint64, error) {
 	var resp ValueResponse
-	if err := s.do(http.MethodPost, "peek", PeekRequest{Name: name}, &resp); err != nil {
+	if err := s.doFlushed(http.MethodPost, "peek", PeekRequest{Name: name}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Value, nil
@@ -193,19 +243,31 @@ func (s *SessionHandle) Peek(name string) (uint64, error) {
 // PeekReg reads a narrow register.
 func (s *SessionHandle) PeekReg(name string) (uint64, error) {
 	var resp ValueResponse
-	if err := s.do(http.MethodPost, "peek", PeekRequest{Name: name, Reg: true}, &resp); err != nil {
+	if err := s.doFlushed(http.MethodPost, "peek", PeekRequest{Name: name, Reg: true}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Value, nil
 }
 
+// doFlushed sends an operation that does not carry the queue, flushing it
+// first.
+func (s *SessionHandle) doFlushed(method, op string, in, out any) error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	return s.do(method, op, in, out)
+}
+
 // Step advances one cycle and returns the session's total cycles.
 func (s *SessionHandle) Step() (uint64, error) { return s.Run(1) }
 
-// Run advances n cycles and returns the session's total cycles.
+// Run applies the queued pokes, advances n cycles and returns the session's
+// total cycles.
 func (s *SessionHandle) Run(n int) (uint64, error) {
 	var resp StepResponse
-	if err := s.do(http.MethodPost, "run", StepRequest{Cycles: n}, &resp); err != nil {
+	err := s.do(http.MethodPost, "run", StepRequest{Cycles: n, Pokes: s.pending}, &resp)
+	s.settle(err)
+	if err != nil {
 		return 0, err
 	}
 	return resp.Cycle, nil
@@ -215,7 +277,7 @@ func (s *SessionHandle) Run(n int) (uint64, error) {
 // on any server whose cache holds the same key.
 func (s *SessionHandle) Checkpoint() (*CheckpointResponse, error) {
 	var resp CheckpointResponse
-	if err := s.do(http.MethodPost, "checkpoint", nil, &resp); err != nil {
+	if err := s.doFlushed(http.MethodPost, "checkpoint", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -224,10 +286,11 @@ func (s *SessionHandle) Checkpoint() (*CheckpointResponse, error) {
 // StartVCD begins waveform capture on the session (spilling it off any
 // batch lane server-side).
 func (s *SessionHandle) StartVCD() error {
-	return s.do(http.MethodPost, "vcd", nil, nil)
+	return s.doFlushed(http.MethodPost, "vcd", nil, nil)
 }
 
-// VCD fetches the waveform dump accumulated since StartVCD.
+// VCD fetches the waveform dump accumulated since StartVCD. Queued pokes
+// stay queued: the capture samples only on a step.
 func (s *SessionHandle) VCD() ([]byte, error) {
 	req, err := http.NewRequest(http.MethodGet, s.c.BaseURL+s.path("vcd"), nil)
 	if err != nil {
@@ -248,10 +311,13 @@ func (s *SessionHandle) VCD() ([]byte, error) {
 	return data, nil
 }
 
-// Close tears the session down, returning its final cycle count.
+// Close tears the session down, returning its final cycle count. Queued
+// pokes cannot change that, so a close that ran drops them unsent.
 func (s *SessionHandle) Close() (uint64, error) {
 	var resp StepResponse
-	if err := s.do(http.MethodPost, "close", nil, &resp); err != nil {
+	err := s.do(http.MethodPost, "close", nil, &resp)
+	s.settle(err)
+	if err != nil {
 		return 0, err
 	}
 	return resp.Cycle, nil

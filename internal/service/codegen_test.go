@@ -103,10 +103,17 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	}
 
 	// A batched session never swaps (the batch engine has no native path)
-	// but keeps serving correctly alongside the native solo session.
-	bsess, err := srv.Sessions().Create(e, false)
-	if err != nil {
-		t.Fatal(err)
+	// but keeps serving correctly alongside the native solo session. The
+	// explicit solo session is no co-tenant, so the MinLaneGroup-th
+	// default-placement session is the first one batched.
+	var bsess *Session
+	for i := 0; i < MinLaneGroup; i++ {
+		if bsess, err = srv.Sessions().Create(e, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bsess.Batched() {
+		t.Fatal("session past the break-even not batched")
 	}
 	if err := srv.Sessions().Do(bsess.ID, func(s *Session) error {
 		if err := s.Poke("in", 5); err != nil {
@@ -117,7 +124,7 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if bsess.Batched() && bsess.Sim != nil {
+	if bsess.Sim != nil {
 		t.Fatal("batched session grew a private engine")
 	}
 }

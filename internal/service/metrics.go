@@ -127,6 +127,10 @@ type Metrics struct {
 	batchRuns       atomic.Int64 // RunMasked rounds led
 	batchRunLanes   atomic.Int64 // sum of lanes carried per round
 	batchedCycles   atomic.Int64 // lane-cycles executed via batch groups
+	// sessionsBelowBreakEven counts the private engines given to sessions
+	// that asked for the default placement while their program had fewer
+	// than MinLaneGroup tenants.
+	sessionsBelowBreakEven atomic.Int64
 
 	codegenHits        atomic.Int64 // artifact warm in the store (no build)
 	codegenMisses      atomic.Int64 // artifact built by this server
@@ -187,23 +191,27 @@ type SimMetrics struct {
 	StepLatency  HistSnapshot `json:"step_latency"`
 }
 
-// BatchMetrics is the lane-batching section of /metrics. MeanLanesPerRun
-// and OccupancyRatio measure coalescing quality: how many sessions each
-// instruction dispatch actually carried, absolutely and relative to the
-// configured lane width.
+// BatchMetrics is the lane-batching section of /metrics. SessionsSolo counts
+// every session given a private engine; SessionsSoloBelowBreakEven is the
+// part placed there by the break-even rule (MinLaneGroup), as opposed to an
+// explicit solo request, an ineligible program or batching being off.
+// MeanLanesPerRun and OccupancyRatio measure coalescing quality: how many
+// sessions each instruction dispatch actually carried, absolutely and
+// relative to the configured lane width.
 type BatchMetrics struct {
-	LaneWidth       int     `json:"lane_width"`
-	Groups          int     `json:"groups"`
-	LanesOccupied   int     `json:"lanes_occupied"`
-	LaneCapacity    int     `json:"lane_capacity"`
-	SessionsBatched int64   `json:"sessions_batched"`
-	SessionsSolo    int64   `json:"sessions_solo"`
-	SessionsSpilled int64   `json:"sessions_spilled"`
-	Runs            int64   `json:"runs"`
-	MeanLanesPerRun float64 `json:"mean_lanes_per_run"`
-	OccupancyRatio  float64 `json:"occupancy_ratio"`
-	BatchedCycles   int64   `json:"batched_cycles"`
-	BatchedCPS      float64 `json:"batched_cycles_per_sec"`
+	LaneWidth                  int     `json:"lane_width"`
+	Groups                     int     `json:"groups"`
+	LanesOccupied              int     `json:"lanes_occupied"`
+	LaneCapacity               int     `json:"lane_capacity"`
+	SessionsBatched            int64   `json:"sessions_batched"`
+	SessionsSolo               int64   `json:"sessions_solo"`
+	SessionsSoloBelowBreakEven int64   `json:"sessions_solo_below_break_even"`
+	SessionsSpilled            int64   `json:"sessions_spilled"`
+	Runs                       int64   `json:"runs"`
+	MeanLanesPerRun            float64 `json:"mean_lanes_per_run"`
+	OccupancyRatio             float64 `json:"occupancy_ratio"`
+	BatchedCycles              int64   `json:"batched_cycles"`
+	BatchedCPS                 float64 `json:"batched_cycles_per_sec"`
 }
 
 // CodegenMetrics is the native-codegen section of /metrics. ArtifactHits
@@ -317,11 +325,12 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 // occupancy, lane width) are filled in by the Server.
 func (m *Metrics) batchSnapshot(uptimeSec float64) BatchMetrics {
 	b := BatchMetrics{
-		SessionsBatched: m.sessionsBatched.Load(),
-		SessionsSolo:    m.sessionsSolo.Load(),
-		SessionsSpilled: m.sessionsSpilled.Load(),
-		Runs:            m.batchRuns.Load(),
-		BatchedCycles:   m.batchedCycles.Load(),
+		SessionsBatched:            m.sessionsBatched.Load(),
+		SessionsSolo:               m.sessionsSolo.Load(),
+		SessionsSoloBelowBreakEven: m.sessionsBelowBreakEven.Load(),
+		SessionsSpilled:            m.sessionsSpilled.Load(),
+		Runs:                       m.batchRuns.Load(),
+		BatchedCycles:              m.batchedCycles.Load(),
 	}
 	if b.Runs > 0 {
 		b.MeanLanesPerRun = float64(m.batchRunLanes.Load()) / float64(b.Runs)

@@ -10,16 +10,21 @@ import (
 
 // TestCheckpointRestoreRoundTrip: checkpoint a session, restore the blob
 // into a fresh session on the same server, and verify the copy is at the
-// same cycle with the same state hash.
+// same cycle with the same state hash. Co-tenants put both on batch lanes,
+// so the checkpoint is taken from a lane and restored into one.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 1, BatchLanes: 4})
+	_, client := newTestServer(t, Config{Workers: 1, BatchLanes: MinLaneGroup})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	openCoTenants(t, client, cr.Key)
 	s, err := client.NewSession(cr.Key)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !s.Batched {
+		t.Fatal("session past the break-even not batched")
 	}
 	if err := s.Poke("in", 7); err != nil {
 		t.Fatal(err)
@@ -37,6 +42,9 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	restored, err := client.RestoreSession(cr.Key, cp.State, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !restored.Batched {
+		t.Fatal("restore past the break-even not batched")
 	}
 	cp2, err := restored.Checkpoint()
 	if err != nil {
@@ -136,4 +144,65 @@ func TestClientFollowsMigration(t *testing.T) {
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMigrationFollowCarriesQueuedPoke: a poke queued on the handle while
+// its session migrates rides on the Run that follows the forwarding
+// address, so it is applied on the peer exactly once.
+func TestMigrationFollowCarriesQueuedPoke(t *testing.T) {
+	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
+	srvA, clientA := newTestServer(t, Config{Workers: 1})
+	_, clientB := newTestServer(t, Config{Workers: 1})
+	cr, err := clientA.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clientB.Compile(req); err != nil {
+		t.Fatal(err)
+	}
+	ref := wireRef(t, req)
+
+	h, err := clientA.NewSession(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldID := h.ID
+	pokeBoth(t, h, ref, 7)
+	if _, err := h.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(2)
+	pokeBoth(t, h, ref, 9)
+	if len(h.pending) != 1 {
+		t.Fatalf("%d pokes pending, want 1", len(h.pending))
+	}
+
+	// Move the session to B behind the handle's back, as a drain does:
+	// checkpoint through a second handle (so the queue stays put), restore
+	// on B, close on A and leave the forwarding address.
+	cp, err := (&SessionHandle{c: clientA, ID: oldID}).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := clientB.RestoreSession(cr.Key, cp.State, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srvA.Sessions().Close(oldID); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Sessions().MarkMigrated(oldID, strings.TrimPrefix(clientB.BaseURL, "http://"), moved.ID)
+
+	n, err := h.Run(3)
+	if err != nil {
+		t.Fatalf("handle did not follow migration: %v", err)
+	}
+	ref.Run(3)
+	if h.ID != moved.ID || n != 5 {
+		t.Fatalf("followed run: %s@%d, want %s@5", h.ID, n, moved.ID)
+	}
+	if len(h.pending) != 0 {
+		t.Fatalf("followed Run left %d pokes queued", len(h.pending))
+	}
+	sameOutputs(t, h, ref, "after the followed run")
 }

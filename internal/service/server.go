@@ -36,10 +36,11 @@ type Config struct {
 	MaxRunCycles int
 	// Workers bounds each compile's internal parallelism (0 = all cores).
 	Workers int
-	// BatchLanes is the session capacity of one lane group: sessions
-	// simulating the same program share one sim.BatchEngine of this many
-	// lanes (default and maximum sim.BatchWidth; negative or 1 disables
-	// batching).
+	// BatchLanes is the session capacity of one lane group: once
+	// MinLaneGroup live sessions simulate the same program, later ones share
+	// a sim.BatchEngine of this many lanes (default and maximum
+	// sim.BatchWidth). Negative or 1 disables batching, and so does 2 to
+	// MinLaneGroup-1: a group that can never reach the break-even never pays.
 	BatchLanes int
 	// Codegen enables the native build-behind tier: every compile-cache
 	// miss asynchronously builds (or fetches from the artifact store) a
@@ -82,7 +83,7 @@ func (c *Config) defaults() {
 	if c.BatchLanes == 0 || c.BatchLanes > sim.BatchWidth {
 		c.BatchLanes = sim.BatchWidth
 	}
-	if c.BatchLanes < 0 {
+	if c.BatchLanes < MinLaneGroup {
 		c.BatchLanes = 1 // disabled
 	}
 	if c.Logger == nil {
@@ -546,12 +547,19 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	if n <= 0 {
 		n = 1
 	}
-	if n > s.cfg.MaxRunCycles {
-		writeErr(w, fmt.Errorf("service: cycles=%d exceeds the per-request cycle cap %d", n, s.cfg.MaxRunCycles))
-		return
-	}
 	var cycles uint64
 	err := s.sessions.Do(r.PathValue("id"), func(sess *Session) error {
+		// Carried pokes apply first and whatever happens to the step, so
+		// every outcome equals one poke request per entry followed by this
+		// step.
+		for _, p := range req.Pokes {
+			if err := sess.Poke(p.Name, p.Value); err != nil {
+				return err
+			}
+		}
+		if n > s.cfg.MaxRunCycles {
+			return fmt.Errorf("service: cycles=%d exceeds the per-request cycle cap %d", n, s.cfg.MaxRunCycles)
+		}
 		start := time.Now()
 		cycles = sess.Run(n)
 		s.m.stepLat.Observe(time.Since(start))

@@ -25,9 +25,10 @@ var (
 )
 
 // Session is one stateful simulation. It runs on one of two backends:
-// a lane of a shared batch group (the default when another live session
-// simulates the same program), or a private sim.Engine (solo creates,
-// ineligible programs, and sessions that spilled for VCD capture).
+// a lane of a shared batch group (the default once MinLaneGroup live
+// sessions simulate the same program), or a private sim.Engine (solo
+// creates, sessions below the break-even, ineligible programs, and sessions
+// that spilled for VCD capture).
 // Operations on a session are serialized by its mutex; different sessions
 // run fully concurrently.
 type Session struct {
@@ -37,8 +38,9 @@ type Session struct {
 	// Sim is the private engine; nil while the session rides a batch lane.
 	Sim *repcut.Simulator
 
-	group *batchGroup // non-nil iff batched
-	lane  int
+	group  *batchGroup // non-nil iff batched
+	lane   int
+	tenant *batchPool // non-nil while the session counts toward its program's break-even
 
 	vcd    *vcdCapture // non-nil while capturing (implies private engine)
 	cycle  uint64      // cycle count after the last operation
@@ -194,12 +196,17 @@ func (s *Session) maybeHotSwap(m *Metrics) {
 	}
 }
 
-// release frees the session's backend resources (its batch lane, if any).
-// Called with s.mu held, exactly once, by SessionManager.finish.
+// release frees the session's batch lane, if any, and ends its tenancy.
+// Called with s.mu held, exactly once, by SessionManager.finish, or on a
+// session that never became visible.
 func (s *Session) release() {
 	if g := s.group; g != nil {
 		g.pool.free(g, s.lane)
 		s.group = nil
+	}
+	if p := s.tenant; p != nil {
+		p.leave(s.entry.Fingerprint)
+		s.tenant = nil
 	}
 }
 
@@ -261,7 +268,8 @@ func (sm *SessionManager) BatchStats() (groups, occupied, capacity int) {
 }
 
 // Create opens a session over a cached entry, placing it on a batch lane
-// unless solo is set or the program is ineligible. ErrSessionLimit when
+// when the pool's break-even rule allows (never when solo is set).
+// ErrSessionLimit when
 // the admission bound is hit (HTTP 429), ErrDraining during shutdown
 // (503).
 func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
@@ -279,16 +287,12 @@ func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
 		com:    e.Compiled,
 		entry:  e,
 	}
+	belowBreakEven := false
 	if !solo {
-		if g, lane, ok := sm.batch.alloc(e); ok {
-			s.group, s.lane = g, lane
-		}
+		belowBreakEven = sm.batch.place(s)
 	}
 	if s.group == nil {
 		s.Sim = e.Compiled.NewSimulator()
-		sm.m.sessionsSolo.Add(1)
-	} else {
-		sm.m.sessionsBatched.Add(1)
 	}
 	s.touch(time.Now())
 	sm.mu.Lock()
@@ -300,8 +304,21 @@ func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
 	}
 	sm.byID[s.ID] = s
 	sm.mu.Unlock()
-	sm.m.sessionsCreated.Add(1)
+	sm.countCreated(s, belowBreakEven)
 	return s, nil
+}
+
+// countCreated records a session that became visible and how it was placed.
+func (sm *SessionManager) countCreated(s *Session, belowBreakEven bool) {
+	sm.m.sessionsCreated.Add(1)
+	if s.group != nil {
+		sm.m.sessionsBatched.Add(1)
+		return
+	}
+	sm.m.sessionsSolo.Add(1)
+	if belowBreakEven {
+		sm.m.sessionsBelowBreakEven.Add(1)
+	}
 }
 
 // Do runs fn against a live session with the session mutex held, keeping
@@ -369,8 +386,8 @@ func (sm *SessionManager) Close(id string) (*Session, error) {
 	return s, nil
 }
 
-// finish marks a removed session closed and returns its admission slot
-// and batch lane. It waits for any in-flight operation by taking the
+// finish marks a removed session closed and returns its admission slot,
+// batch lane and tenancy. It waits for any in-flight operation by taking the
 // session mutex.
 func (sm *SessionManager) finish(s *Session) {
 	s.mu.Lock()

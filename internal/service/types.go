@@ -2,9 +2,8 @@
 // into a long-running concurrent server: a content-addressed compile cache
 // (LRU by resident program bytes, singleflight dedup), a session manager
 // for stateful simulations with admission control and idle reaping, an
-// observability surface (/healthz, /metrics, structured request logs), a
-// Go client, and a load generator. Everything is pure stdlib net/http +
-// encoding/json.
+// observability surface (/healthz, /metrics, structured request logs) and
+// a Go client. Everything is pure stdlib net/http + encoding/json.
 package service
 
 import (
@@ -20,8 +19,8 @@ import (
 
 // CompileRequest names a design and the partition options to compile it
 // with. Exactly one of Design (a built-in name, e.g. "SmallBOOM-2C") or
-// Source (textual IR) must be set. The same struct parameterizes the CLI,
-// the HTTP API, and the load generator.
+// Source (textual IR) must be set. The same struct parameterizes the CLI
+// and the HTTP API.
 type CompileRequest struct {
 	Design string  `json:"design,omitempty"`
 	Scale  float64 `json:"scale,omitempty"`
@@ -275,9 +274,13 @@ type ValueResponse struct {
 	Value uint64 `json:"value"`
 }
 
-// StepRequest advances the simulation by Cycles cycles (0 means 1).
+// StepRequest advances the simulation by Cycles cycles (0 means 1). Pokes
+// are applied in order before the step, exactly as if each had been its
+// own poke request: a poke never re-evaluates, so the client may defer its
+// pokes until the next step.
 type StepRequest struct {
-	Cycles int `json:"cycles,omitempty"`
+	Cycles int           `json:"cycles,omitempty"`
+	Pokes  []PokeRequest `json:"pokes,omitempty"`
 }
 
 // StepResponse reports the session's current cycle counter.
