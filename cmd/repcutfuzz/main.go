@@ -1,6 +1,6 @@
 // Command repcutfuzz drives the differential fuzzing harness outside the
 // `go test -fuzz` loop: it generates seeded random circuits, runs each
-// one through the full cross-engine oracle (reference interpreter, serial
+// one through the full cross-engine oracle (tree-walking reference, serial
 // O0/O2, parallel partitions, task engine, compile-cache round-trip,
 // static verifier, translation validator), and on any disagreement greedily
 // shrinks the circuit and writes a replayable crasher to disk.

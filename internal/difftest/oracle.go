@@ -1,7 +1,7 @@
 // Package difftest is a differential oracle over the simulator stack. It
 // runs one generated circuit through every execution engine the repo has —
-// the tree-walking Reference, the serial interpreter, the linked fast
-// path, RepCut parallel partitions at several k, the Verilator-style task
+// the tree-walking Reference, the serial linked engine at O0 and O2,
+// RepCut parallel partitions at several k, the Verilator-style task
 // engine, and a compile-cache round-trip through the service layer — and
 // compares full architectural state (registers, outputs, every memory word)
 // cycle by cycle. Metamorphic invariants (partition-count invariance,
@@ -213,25 +213,21 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	ref := sim.NewReference(g)
 
 	var engines []namedEngine
-	addProgram := func(name string, p *sim.Program, interp bool) {
-		if interp {
-			engines = append(engines, namedEngine{name, serialAdapter{sim.NewInterpEngine(p)}})
-		} else {
-			engines = append(engines, namedEngine{name, serialAdapter{sim.NewEngine(p)}})
-		}
+	addProgram := func(name string, p *sim.Program) {
+		engines = append(engines, namedEngine{name, serialAdapter{sim.NewEngine(p)}})
 	}
 
-	// Serial interpreter (O0) and linked fast path (O2).
+	// Serial programs, unoptimized (O0) and optimized (O2).
 	p0, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 0})
 	if err != nil {
 		return &Mismatch{Engine: "serial-O0", Cycle: -1, Kind: "compile", Got: err.Error()}
 	}
-	addProgram("interp-O0", p0, true)
+	addProgram("linked-O0", p0)
 	p2, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
 	if err != nil {
 		return &Mismatch{Engine: "serial-O2", Cycle: -1, Kind: "compile", Got: err.Error()}
 	}
-	addProgram("linked-O2", p2, false)
+	addProgram("linked-O2", p2)
 
 	// Translation validation of the serial pair. The verdict is not trusted
 	// on its own: validatorCrossCheck reconciles it with what the dynamic
@@ -338,7 +334,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 					return &Mismatch{Engine: name, Cycle: -1, Kind: "verify", Got: err.Error()}
 				}
 			}
-			addProgram(name, pk, false)
+			addProgram(name, pk)
 		}
 	}
 
@@ -384,7 +380,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return &Mismatch{Engine: "mutant", Cycle: -1, Kind: "compile", Got: err.Error()}
 		}
 		if opt.Mutate(pm) {
-			addProgram("mutant", pm, true)
+			addProgram("mutant", pm)
 		}
 	}
 
@@ -584,7 +580,7 @@ func runBatchColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatch {
 // runCheckpointColumn proves session state survives serialization: a
 // linked-O2 engine runs the first half of the cycle budget, snapshots,
 // the snapshot round-trips through the binary wire encoding, and the
-// decoded form restores onto fresh engines — always a second interpreter
+// decoded form restores onto fresh engines — always a second linked
 // engine, plus a native-kernel engine when the codegen column is
 // available, so the restore is cross-backend. Every copy must match the
 // original's architectural state hash immediately after restore and stay

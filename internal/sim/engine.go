@@ -29,10 +29,7 @@ import (
 // view's globals or memories, so the publish needs no barrier of its own.
 type Engine struct {
 	prog *Program
-	// lp is set when the engine runs the linked fast path (link.go); nil
-	// is the reference interpreter (NewInterpEngine), kept for
-	// cross-checking.
-	lp *LinkedProgram
+	lp   *LinkedProgram
 
 	// views holds one state view for a single-threaded program and two
 	// for a multi-threaded one; cur indexes the view the next cycle
@@ -57,9 +54,8 @@ type Engine struct {
 // writes of the last cycle evaluated over its view, so the other view's
 // buffers are the previous cycle's writes — the catch-up set of publish.
 type view struct {
-	// state is the unified [globals|imms|frames] word array of a linked
-	// engine (gs.words and every context's temps/shadow alias it); nil on
-	// the reference interpreter.
+	// state is the unified [globals|imms|frames] word array (link.go);
+	// gs.words and every context's temps/shadow alias it.
 	state []uint64
 	gs    *globalState
 	tcs   []*threadCtx
@@ -72,17 +68,7 @@ type view struct {
 // resets it to power-on state. The linked form is built once per Program
 // and shared across engines.
 func NewEngine(p *Program) *Engine {
-	return newEngineMode(p, p.Linked())
-}
-
-// NewInterpEngine creates an engine that runs the original closure-based
-// interpreter (evalBlock). It is the reference semantics the linked fast
-// path is cross-checked against; production callers want NewEngine.
-func NewInterpEngine(p *Program) *Engine {
-	return newEngineMode(p, nil)
-}
-
-func newEngineMode(p *Program, lp *LinkedProgram) *Engine {
+	lp := p.Linked()
 	e := &Engine{prog: p, lp: lp, sharedMem: sharedMems(p)}
 	for range p.stateViews() {
 		e.views = append(e.views, newView(p, lp))
@@ -91,22 +77,22 @@ func newEngineMode(p *Program, lp *LinkedProgram) *Engine {
 	return e
 }
 
+// NewInterpEngine returns NewEngine(p).
+//
+// Deprecated: the closure interpreter it used to select is deleted. The
+// name survives only because the benchmark module (bench/layers.go, which
+// is frozen between benchmark changes) still calls it; the next change to
+// bench/ deletes it together with its sim.interp.rocket-1t row.
+func NewInterpEngine(p *Program) *Engine { return NewEngine(p) }
+
 func newView(p *Program, lp *LinkedProgram) *view {
-	v := &view{}
-	if lp != nil {
-		v.state = make([]uint64, lp.StateWords)
-		copy(v.state[lp.ImmOff:], p.Imms)
-		v.gs = newGlobalStateWords(p, v.state[:p.GlobalWords:p.GlobalWords])
-	} else {
-		v.gs = newGlobalState(p)
-	}
+	v := &view{state: make([]uint64, lp.StateWords)}
+	copy(v.state[lp.ImmOff:], p.Imms)
+	v.gs = newGlobalStateWords(p, v.state[:p.GlobalWords:p.GlobalWords])
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		var frame []uint64
-		if lp != nil {
-			lt := &lp.Threads[t]
-			frame = v.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-		}
+		lt := &lp.Threads[t]
+		frame := v.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
 		v.tcs = append(v.tcs, newThreadCtx(p, th, frame))
 	}
 	return v
@@ -127,23 +113,20 @@ func sharedMems(p *Program) []bool {
 	return shared
 }
 
-// evalThread runs one eval phase of thread t over view v through whichever
-// execution form the engine was built with. The thread's write buffers are
-// emptied here, not after publishing, because the other view's publish
-// still needs them for one more cycle.
+// evalThread runs one eval phase of thread t over view v: the native
+// kernel when one is installed, the linked stream otherwise. The thread's
+// write buffers are emptied here, not after publishing, because the other
+// view's publish still needs them for one more cycle.
 func (e *Engine) evalThread(t int, v *view) {
 	tc := v.tcs[t]
 	tc.memBuf = tc.memBuf[:0]
 	tc.wideMemBuf = tc.wideMemBuf[:0]
-	switch {
-	case v.native != nil:
+	if v.native != nil {
 		nt := &v.native[t]
 		nt.fn(v.state, v.gs.mems, nt.memwr, nt.wide)
-	case e.lp != nil:
-		evalLinked(e.lp.Threads[t].Code, v.state, e.prog, e.lp, v.gs, tc)
-	default:
-		evalBlock(e.prog.Threads[t].Code, e.prog, v.gs, tc)
+		return
 	}
+	evalLinked(e.lp.Threads[t].Code, v.state, e.prog, e.lp, v.gs, tc)
 }
 
 // Program returns the engine's compiled program.
@@ -179,30 +162,19 @@ func (v *view) dropWrites() {
 // PokeInput sets a narrow input port (values wider than 64 bits need
 // PokeInputVec). The value is masked to the port width.
 func (e *Engine) PokeInput(name string, v uint64) error {
-	ps, ok := e.prog.Input(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
-	if ps.Wide {
-		return fmt.Errorf("sim: input %q is %d bits wide; use PokeInputVec", name, ps.Width)
-	}
 	for _, vw := range e.views {
-		vw.gs.words[ps.Slot] = v & maskOf(ps.Width)
+		if err := vw.gs.pokeInput(e.prog, name, v); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // PokeInputVec sets an input port of any width.
 func (e *Engine) PokeInputVec(name string, v bitvec.Vec) error {
-	ps, ok := e.prog.Input(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
 	for _, vw := range e.views {
-		if ps.Wide {
-			vw.gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
-		} else {
-			vw.gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
+		if err := vw.gs.pokeInputVec(e.prog, name, v); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -210,38 +182,17 @@ func (e *Engine) PokeInputVec(name string, v bitvec.Vec) error {
 
 // PeekOutput reads a narrow output port.
 func (e *Engine) PeekOutput(name string) (uint64, error) {
-	ps, ok := e.prog.Output(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no output %q", name)
-	}
-	if ps.Wide {
-		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekOutputVec", name, ps.Width)
-	}
-	return e.gs().words[ps.Slot], nil
+	return e.gs().peekOutput(e.prog, name)
 }
 
 // PeekOutputVec reads an output port of any width.
 func (e *Engine) PeekOutputVec(name string) (bitvec.Vec, error) {
-	ps, ok := e.prog.Output(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no output %q", name)
-	}
-	if ps.Wide {
-		return e.gs().wide[ps.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(ps.Width, e.gs().words[ps.Slot]), nil
+	return e.gs().peekOutputVec(e.prog, name)
 }
 
 // PeekReg reads a register's current value as a bit vector.
 func (e *Engine) PeekReg(name string) (bitvec.Vec, error) {
-	rs, ok := e.prog.Reg(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no register %q", name)
-	}
-	if rs.Wide {
-		return e.gs().wide[rs.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(rs.Width, e.gs().words[rs.Slot]), nil
+	return e.gs().peekRegVec(e.prog, name)
 }
 
 // PeekMem reads one memory word (narrow memories).

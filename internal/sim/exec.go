@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/firrtl"
@@ -45,6 +44,70 @@ type globalState struct {
 	wideMems [][]bitvec.Vec
 }
 
+// pokeInput sets a narrow input port, masked to its width: the PokeInput of
+// every engine tier (Engine calls it once per view).
+func (gs *globalState) pokeInput(p *Program, name string, v uint64) error {
+	ps, ok := p.Input(name)
+	if !ok {
+		return fmt.Errorf("sim: no input %q", name)
+	}
+	if ps.Wide {
+		return fmt.Errorf("sim: input %q is %d bits wide; use PokeInputVec", name, ps.Width)
+	}
+	gs.words[ps.Slot] = v & maskOf(ps.Width)
+	return nil
+}
+
+// pokeInputVec sets an input port of any width.
+func (gs *globalState) pokeInputVec(p *Program, name string, v bitvec.Vec) error {
+	ps, ok := p.Input(name)
+	if !ok {
+		return fmt.Errorf("sim: no input %q", name)
+	}
+	if ps.Wide {
+		gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
+	} else {
+		gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
+	}
+	return nil
+}
+
+// peekOutput reads a narrow output port.
+func (gs *globalState) peekOutput(p *Program, name string) (uint64, error) {
+	ps, ok := p.Output(name)
+	if !ok {
+		return 0, fmt.Errorf("sim: no output %q", name)
+	}
+	if ps.Wide {
+		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekOutputVec", name, ps.Width)
+	}
+	return gs.words[ps.Slot], nil
+}
+
+// peekOutputVec reads an output port of any width.
+func (gs *globalState) peekOutputVec(p *Program, name string) (bitvec.Vec, error) {
+	ps, ok := p.Output(name)
+	if !ok {
+		return bitvec.Vec{}, fmt.Errorf("sim: no output %q", name)
+	}
+	if ps.Wide {
+		return gs.wide[ps.Slot].Clone(), nil
+	}
+	return bitvec.FromUint64(ps.Width, gs.words[ps.Slot]), nil
+}
+
+// peekRegVec reads a register of any width.
+func (gs *globalState) peekRegVec(p *Program, name string) (bitvec.Vec, error) {
+	rs, ok := p.Reg(name)
+	if !ok {
+		return bitvec.Vec{}, fmt.Errorf("sim: no register %q", name)
+	}
+	if rs.Wide {
+		return gs.wide[rs.Slot].Clone(), nil
+	}
+	return bitvec.FromUint64(rs.Width, gs.words[rs.Slot]), nil
+}
+
 // peekMemVec reads one word of a named memory at any element width: the
 // PeekMemVec of every engine tier.
 func (gs *globalState) peekMemVec(p *Program, name string, addr int) (bitvec.Vec, error) {
@@ -59,10 +122,6 @@ func (gs *globalState) peekMemVec(p *Program, name string, addr int) (bitvec.Vec
 		return gs.wideMems[mi][addr].Clone(), nil
 	}
 	return bitvec.FromUint64(m.Width, gs.mems[mi][addr]), nil
-}
-
-func newGlobalState(p *Program) *globalState {
-	return newGlobalStateWords(p, make([]uint64, p.GlobalWords))
 }
 
 // newGlobalStateWords builds a global state whose narrow words alias the
@@ -92,19 +151,14 @@ func newGlobalStateWords(p *Program, words []uint64) *globalState {
 	return gs
 }
 
-// newThreadCtx builds one thread's runtime context. When frame is non-nil
-// (linked engines) temps and shadow alias the thread's slice of the unified
-// state array; otherwise they are allocated privately. The memory-write
-// buffers are pre-sized to the thread's static write count so steady-state
-// cycles never grow them.
+// newThreadCtx builds one thread's runtime context: temps and shadow alias
+// the thread's frame in the unified state array. The memory-write buffers
+// are pre-sized to the thread's static write count so steady-state cycles
+// never grow them.
 func newThreadCtx(p *Program, tc *ThreadCode, frame []uint64) *threadCtx {
-	ctx := &threadCtx{}
-	if frame != nil {
-		ctx.temps = frame[:tc.NumTemps:tc.NumTemps]
-		ctx.shadow = frame[tc.NumTemps : tc.NumTemps+tc.ShadowWords : tc.NumTemps+tc.ShadowWords]
-	} else {
-		ctx.temps = make([]uint64, tc.NumTemps)
-		ctx.shadow = make([]uint64, tc.ShadowWords)
+	ctx := &threadCtx{
+		temps:  frame[:tc.NumTemps:tc.NumTemps],
+		shadow: frame[tc.NumTemps : tc.NumTemps+tc.ShadowWords : tc.NumTemps+tc.ShadowWords],
 	}
 	ctx.wideTemps = make([]bitvec.Vec, tc.NumWideTemps)
 	ctx.wideShadow = make([]bitvec.Vec, len(tc.WideShadowSlots))
@@ -158,175 +212,6 @@ func signExtend64(x uint64, w uint32) uint64 {
 	}
 	shift := 64 - w
 	return uint64(int64(x<<shift) >> shift)
-}
-
-// evalBlock interprets one instruction stream against the shared state.
-// It is the inner loop of both the serial engine, the RepCut parallel
-// engine, and the Verilator-style baseline.
-func evalBlock(code []Instr, p *Program, gs *globalState, tc *threadCtx) {
-	val := func(ref uint32) uint64 {
-		idx := RefIdx(ref)
-		switch RefTag(ref) {
-		case RefLocal:
-			return tc.temps[idx]
-		case RefGlobal:
-			return gs.words[idx]
-		case RefImm:
-			return p.Imms[idx]
-		default: // RefShadow
-			return tc.shadow[idx]
-		}
-	}
-	store := func(ref uint32, v uint64) {
-		idx := RefIdx(ref)
-		switch RefTag(ref) {
-		case RefShadow:
-			tc.shadow[idx] = v
-		case RefGlobal:
-			gs.words[idx] = v
-		default:
-			tc.temps[idx] = v
-		}
-	}
-
-	for i := range code {
-		in := &code[i]
-		switch in.Op {
-		case OpNop:
-		case OpCopy:
-			store(in.Dst, val(in.A)&in.Mask)
-		case OpAdd:
-			store(in.Dst, (val(in.A)+val(in.B))&in.Mask)
-		case OpSub:
-			store(in.Dst, (val(in.A)-val(in.B))&in.Mask)
-		case OpMul:
-			store(in.Dst, (val(in.A)*val(in.B))&in.Mask)
-		case OpDiv:
-			b := val(in.B)
-			if b == 0 {
-				store(in.Dst, 0)
-			} else {
-				store(in.Dst, (val(in.A)/b)&in.Mask)
-			}
-		case OpRem:
-			b := val(in.B)
-			if b == 0 {
-				store(in.Dst, val(in.A)&in.Mask)
-			} else {
-				store(in.Dst, (val(in.A)%b)&in.Mask)
-			}
-		case OpSDiv:
-			a, b := int64(val(in.A)), int64(val(in.B))
-			switch {
-			case b == 0:
-				store(in.Dst, 0)
-			case b == -1:
-				store(in.Dst, uint64(-a)&in.Mask) // avoids MinInt64 / -1 trap
-			default:
-				store(in.Dst, uint64(a/b)&in.Mask)
-			}
-		case OpSRem:
-			a, b := int64(val(in.A)), int64(val(in.B))
-			switch {
-			case b == 0:
-				store(in.Dst, uint64(a)&in.Mask)
-			case b == -1:
-				store(in.Dst, 0)
-			default:
-				store(in.Dst, uint64(a%b)&in.Mask)
-			}
-		case OpLt:
-			store(in.Dst, b2u(val(in.A) < val(in.B)))
-		case OpLeq:
-			store(in.Dst, b2u(val(in.A) <= val(in.B)))
-		case OpGt:
-			store(in.Dst, b2u(val(in.A) > val(in.B)))
-		case OpGeq:
-			store(in.Dst, b2u(val(in.A) >= val(in.B)))
-		case OpSLt:
-			store(in.Dst, b2u(int64(val(in.A)) < int64(val(in.B))))
-		case OpSLeq:
-			store(in.Dst, b2u(int64(val(in.A)) <= int64(val(in.B))))
-		case OpSGt:
-			store(in.Dst, b2u(int64(val(in.A)) > int64(val(in.B))))
-		case OpSGeq:
-			store(in.Dst, b2u(int64(val(in.A)) >= int64(val(in.B))))
-		case OpEq:
-			store(in.Dst, b2u(val(in.A) == val(in.B)))
-		case OpNeq:
-			store(in.Dst, b2u(val(in.A) != val(in.B)))
-		case OpAnd:
-			store(in.Dst, (val(in.A)&val(in.B))&in.Mask)
-		case OpOr:
-			store(in.Dst, (val(in.A)|val(in.B))&in.Mask)
-		case OpXor:
-			store(in.Dst, (val(in.A)^val(in.B))&in.Mask)
-		case OpNot:
-			store(in.Dst, ^val(in.A)&in.Mask)
-		case OpNeg:
-			store(in.Dst, (-val(in.A))&in.Mask)
-		case OpAndr:
-			store(in.Dst, b2u(val(in.A) == in.Mask))
-		case OpOrr:
-			store(in.Dst, b2u(val(in.A) != 0))
-		case OpXorr:
-			store(in.Dst, uint64(bits.OnesCount64(val(in.A))&1))
-		case OpCat:
-			store(in.Dst, (val(in.A)<<in.Aux|val(in.B))&in.Mask)
-		case OpShl:
-			store(in.Dst, (val(in.A)<<in.Aux)&in.Mask)
-		case OpShr:
-			store(in.Dst, (val(in.A)>>in.Aux)&in.Mask)
-		case OpSar:
-			store(in.Dst, uint64(int64(val(in.A))>>in.Aux)&in.Mask)
-		case OpDshl:
-			n := val(in.B)
-			if n >= 64 {
-				store(in.Dst, 0)
-			} else {
-				store(in.Dst, (val(in.A)<<n)&in.Mask)
-			}
-		case OpDshr:
-			n := val(in.B)
-			if n >= 64 {
-				store(in.Dst, 0)
-			} else {
-				store(in.Dst, (val(in.A)>>n)&in.Mask)
-			}
-		case OpDsar:
-			n := val(in.B)
-			if n > 63 {
-				n = 63
-			}
-			store(in.Dst, uint64(int64(val(in.A))>>n)&in.Mask)
-		case OpMux:
-			if val(in.A) != 0 {
-				store(in.Dst, val(in.B)&in.Mask)
-			} else {
-				store(in.Dst, val(in.C)&in.Mask)
-			}
-		case OpSext:
-			store(in.Dst, signExtend64(val(in.A), in.Aux))
-		case OpMemRd:
-			mem := gs.mems[in.Aux]
-			addr := val(in.A)
-			if addr < uint64(len(mem)) {
-				store(in.Dst, mem[addr]&in.Mask)
-			} else {
-				store(in.Dst, 0)
-			}
-		case OpMemWr:
-			if val(in.C) != 0 {
-				tc.memBuf = append(tc.memBuf, memWrite{
-					mem: in.Aux, addr: val(in.A), data: val(in.B) & in.Mask,
-				})
-			}
-		case OpWide:
-			evalWide(&p.WideNodes[in.Aux], p, gs, tc, val, store)
-		default:
-			panic(fmt.Sprintf("sim: bad opcode %v", in.Op))
-		}
-	}
 }
 
 func b2u(b bool) uint64 {

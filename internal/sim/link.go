@@ -7,8 +7,8 @@ import (
 
 // This file implements the link stage: lowering a compiled Program into a
 // resolved execution form where every narrow operand is a direct index into
-// one flat per-engine state slice, eliminating the per-operand closure call
-// and RefTag switch the interpreter (exec.go) pays on every read and write.
+// one flat per-engine state slice, so no read or write pays a per-operand
+// closure call or RefTag switch.
 //
 // Unified state layout (all regions padded to SegmentWords so no cache line
 // is written by two threads):
@@ -52,7 +52,7 @@ type LinkedThread struct {
 // rows) and bench/ is frozen between benchmark PRs. The next benchmark PR
 // drops the row and this method together (ROADMAP item 7).
 type LinkStats struct {
-	Instrs int // interpreter instructions in (all threads)
+	Instrs int // program instructions in (all threads)
 	Linked int // linked instructions out
 }
 

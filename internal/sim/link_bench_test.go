@@ -6,7 +6,7 @@ import (
 	"repro/internal/designs"
 )
 
-// benchProgram compiles a bundled design for the interp-vs-linked benchmarks.
+// benchProgram compiles a bundled design for the executor benchmarks.
 func benchProgram(b *testing.B) *Program {
 	b.Helper()
 	g, err := designs.Build(designs.Config{Kind: designs.Rocket, Cores: 1, Scale: 0.5})
@@ -20,8 +20,10 @@ func benchProgram(b *testing.B) *Program {
 	return prog
 }
 
-func runEngineBench(b *testing.B, e *Engine) {
-	b.Helper()
+// BenchmarkEvalLinked times the engine's linked streams on a bundled
+// design.
+func BenchmarkEvalLinked(b *testing.B) {
+	e := NewEngine(benchProgram(b))
 	for _, in := range e.prog.Inputs {
 		if !in.Wide {
 			if err := e.PokeInput(in.Name, 0xa5a5a5a5a5a5a5a5); err != nil {
@@ -38,20 +40,9 @@ func runEngineBench(b *testing.B, e *Engine) {
 	b.ReportMetric(cyc/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkEvalInterp times the closure-based interpreter on a bundled
-// design — the "before" side of the linked fast path's speedup claim.
-func BenchmarkEvalInterp(b *testing.B) {
-	runEngineBench(b, NewInterpEngine(benchProgram(b)))
-}
-
-// BenchmarkEvalLinked times the resolved streams on the same design.
-func BenchmarkEvalLinked(b *testing.B) {
-	runEngineBench(b, NewEngine(benchProgram(b)))
-}
-
 // BenchmarkOperandResolution is the layout bake-off referenced by link.go:
-// the same synthetic instruction mix executed with the interpreter's
-// closure-per-operand access, a views table (one slice per operand space,
+// the same synthetic instruction mix executed with closure-per-operand
+// access, a views table (one slice per operand space,
 // tag extracted per access), and the flat unified frame the linker emits.
 // The flat frame wins because each operand is a single predictable load
 // with no tag extraction and no second dependent slice header fetch.

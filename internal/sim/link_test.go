@@ -43,10 +43,10 @@ func compileSrc(t testing.TB, src string) *Program {
 	return prog
 }
 
-// TestLinkedMatchesInterp is the linked fast path's correctness claim: the
-// resolved streams must be bit-identical to the closure-based
-// interpreter on every register for any thread count.
-func TestLinkedMatchesInterp(t *testing.T) {
+// TestLinkedMatchesReference is the linked executor's correctness claim:
+// the resolved streams must be bit-identical to the graph-walking
+// Reference on every register for any thread count.
+func TestLinkedMatchesReference(t *testing.T) {
 	for seed := int64(20); seed < 24; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -66,11 +66,8 @@ func TestLinkedMatchesInterp(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile k=%d: %v", k, err)
 				}
-				interp := NewInterpEngine(prog)
+				ref := NewReference(g)
 				linked := NewEngine(prog)
-				if linked.lp == nil || interp.lp != nil {
-					t.Fatalf("engine modes wrong: interp.lp=%v linked.lp=%v", interp.lp, linked.lp)
-				}
 
 				rng := rand.New(rand.NewSource(seed * 31))
 				for cyc := 0; cyc < 15; cyc++ {
@@ -80,22 +77,26 @@ func TestLinkedMatchesInterp(t *testing.T) {
 						w.Words[j] = rng.Uint64()
 					}
 					w = bitvec.ZeroExtend(70, w)
-					for _, e := range []*Engine{interp, linked} {
-						if err := e.PokeInput("in1", v1); err != nil {
-							t.Fatal(err)
-						}
-						if err := e.PokeInputVec("in2", w); err != nil {
-							t.Fatal(err)
-						}
+					if err := ref.PokeInputUint("in1", v1); err != nil {
+						t.Fatal(err)
 					}
-					interp.Run(1)
+					if err := ref.PokeInput("in2", w); err != nil {
+						t.Fatal(err)
+					}
+					if err := linked.PokeInput("in1", v1); err != nil {
+						t.Fatal(err)
+					}
+					if err := linked.PokeInputVec("in2", w); err != nil {
+						t.Fatal(err)
+					}
+					ref.Step()
 					linked.Run(1)
 					for i := range g.Regs {
-						iv, _ := interp.PeekReg(g.Regs[i].Name)
+						rv, _ := ref.PeekReg(g.Regs[i].Name)
 						lv, _ := linked.PeekReg(g.Regs[i].Name)
-						if !bitvec.Eq(iv, lv) {
-							t.Fatalf("k=%d cycle=%d: interp/linked diverge on %s: %v vs %v",
-								k, cyc, g.Regs[i].Name, iv, lv)
+						if !bitvec.Eq(rv, lv) {
+							t.Fatalf("k=%d cycle=%d: reference/linked diverge on %s: %v vs %v",
+								k, cyc, g.Regs[i].Name, rv, lv)
 						}
 					}
 				}

@@ -5,11 +5,12 @@ import (
 	"math/bits"
 )
 
-// evalLinked executes one linked instruction stream. It is the fast-path
-// replacement for evalBlock: every operand is a single indexed load or
-// store into the engine's unified state slice — no per-operand closure, no
-// RefTag switch. Semantics are bit-identical to evalBlock (cross-checked
-// in link_test.go).
+// evalLinked executes one linked instruction stream: every operand is a
+// single indexed load or store into the engine's unified state slice. It is
+// the one scalar definition of narrow opcode semantics — engines, constant
+// folding and EvalOp all run it (pure ops touch only st, so a probe may pass
+// nil for p, lp, gs and tc) — and sim.Reference, which never sees an
+// OpCode, is the independent oracle it is cross-checked against.
 func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *globalState, tc *threadCtx) {
 	// Closures for the boxed wide path are built lazily: threads without
 	// wide nodes must not allocate per cycle.

@@ -98,8 +98,6 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 		return uint32(len(p.Imms) - 1)
 	}
 	changed := false
-	gs := &globalState{}
-	scratch := &threadCtx{temps: make([]uint64, 1)}
 	for i := range th.Code {
 		in := &th.Code[i]
 		n := opReads(in.Op)
@@ -129,12 +127,14 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 		if !allImm || n == 0 {
 			continue
 		}
-		// Evaluate through the interpreter itself so folding can never
+		// Evaluate through the executor itself so folding can never
 		// diverge from execution.
-		probe := *in
-		probe.Dst = MakeRef(RefLocal, 0)
-		evalBlock([]Instr{probe}, p, gs, scratch)
-		immOf[RefIdx(in.Dst)] = intern(scratch.temps[0])
+		var v [3]uint64
+		for k := 0; k < n; k++ {
+			v[k] = p.Imms[RefIdx(*refs[k])]
+		}
+		r, _ := EvalOp(in.Op, in.Aux, in.Mask, v[0], v[1], v[2])
+		immOf[RefIdx(in.Dst)] = intern(r)
 		in.Op = OpNop
 		changed = true
 	}

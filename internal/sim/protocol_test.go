@@ -100,22 +100,20 @@ func TestProtocolSteppedEqualsBulk(t *testing.T) {
 	g := randomCircuit(t, 71, 70)
 	for _, k := range []int{2, 3} {
 		prog := partitioned(t, g, k, 71)
-		for _, mk := range []func(*Program) *Engine{NewEngine, NewInterpEngine} {
-			for _, n := range []int{1, 2, 7, 12} {
-				stepped, bulk := mk(prog), mk(prog)
-				in := randomInputs(prog, rand.New(rand.NewSource(int64(n))))
-				pokeAll(t, stepped, in)
-				pokeAll(t, bulk, in)
-				for i := 0; i < n; i++ {
-					stepped.Run(1)
-				}
-				bulk.Run(n)
-				tag := fmt.Sprintf("k=%d n=%d", k, n)
-				if hs, hb := stepped.StateHash(), bulk.StateHash(); hs != hb {
-					t.Fatalf("%s: state hash %#x stepped, %#x bulk", tag, hs, hb)
-				}
-				compareEngines(t, stepped, bulk, tag)
+		for _, n := range []int{1, 2, 7, 12} {
+			stepped, bulk := NewEngine(prog), NewEngine(prog)
+			in := randomInputs(prog, rand.New(rand.NewSource(int64(n))))
+			pokeAll(t, stepped, in)
+			pokeAll(t, bulk, in)
+			for i := 0; i < n; i++ {
+				stepped.Run(1)
 			}
+			bulk.Run(n)
+			tag := fmt.Sprintf("k=%d n=%d", k, n)
+			if hs, hb := stepped.StateHash(), bulk.StateHash(); hs != hb {
+				t.Fatalf("%s: state hash %#x stepped, %#x bulk", tag, hs, hb)
+			}
+			compareEngines(t, stepped, bulk, tag)
 		}
 	}
 }
@@ -309,21 +307,19 @@ func TestProtocolCrossThreadMemory(t *testing.T) {
 		if slices.Contains(sharedMems(prog), true) {
 			t.Fatal("ram has one writer thread and must not be a shared memory")
 		}
-		for _, mk := range []func(*Program) *Engine{NewEngine, NewInterpEngine} {
-			e, ref := mk(prog), NewReference(g)
-			rng := rand.New(rand.NewSource(75))
-			for cyc := 0; cyc < 40; cyc++ {
-				v := rng.Uint64()
-				if err := e.PokeInput("in", v); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.PokeInputUint("in", v); err != nil {
-					t.Fatal(err)
-				}
-				e.Run(1 + cyc%3)
-				ref.Run(1 + cyc%3)
-				compareState(t, g, e, ref, fmt.Sprintf("O%d step %d", opt, cyc))
+		e, ref := NewEngine(prog), NewReference(g)
+		rng := rand.New(rand.NewSource(75))
+		for cyc := 0; cyc < 40; cyc++ {
+			v := rng.Uint64()
+			if err := e.PokeInput("in", v); err != nil {
+				t.Fatal(err)
 			}
+			if err := ref.PokeInputUint("in", v); err != nil {
+				t.Fatal(err)
+			}
+			e.Run(1 + cyc%3)
+			ref.Run(1 + cyc%3)
+			compareState(t, g, e, ref, fmt.Sprintf("O%d step %d", opt, cyc))
 		}
 	}
 }
@@ -366,21 +362,19 @@ func TestProtocolCatchUpHazard(t *testing.T) {
 	if sh := sharedMems(prog); !sh[0] {
 		t.Fatalf("ram has write ports in both threads; sharedMems = %v", sh)
 	}
-	for _, mk := range []func(*Program) *Engine{NewEngine, NewInterpEngine} {
-		e, ref := mk(prog), NewReference(g)
-		rng := rand.New(rand.NewSource(76))
-		for cyc := 0; cyc < 60; cyc++ {
-			v := rng.Uint64()
-			if err := e.PokeInput("in", v); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.PokeInputUint("in", v); err != nil {
-				t.Fatal(err)
-			}
-			e.Run(1 + cyc%4)
-			ref.Run(1 + cyc%4)
-			compareState(t, g, e, ref, fmt.Sprintf("step %d", cyc))
+	e, ref := NewEngine(prog), NewReference(g)
+	rng := rand.New(rand.NewSource(76))
+	for cyc := 0; cyc < 60; cyc++ {
+		v := rng.Uint64()
+		if err := e.PokeInput("in", v); err != nil {
+			t.Fatal(err)
 		}
+		if err := ref.PokeInputUint("in", v); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(1 + cyc%4)
+		ref.Run(1 + cyc%4)
+		compareState(t, g, e, ref, fmt.Sprintf("step %d", cyc))
 	}
 }
 

@@ -3,9 +3,9 @@ package sim
 // Exported per-opcode semantics surface for analyses outside the package,
 // chiefly the translation validator (internal/verify/tvalid). The validator
 // never re-implements an opcode: constant folding and concrete probing both
-// route through EvalOp, which executes the real interpreter (evalBlock) on a
-// one-instruction probe — the same trick the optimizer's foldConstants uses —
-// so executor and validator cannot drift apart.
+// route through EvalOp, which runs the engines' own executor (evalLinked)
+// on a one-instruction probe — as the optimizer's foldConstants does — so
+// executor, optimizer and validator cannot drift apart.
 
 // OpTraits classifies one narrow opcode for symbolic analysis.
 type OpTraits struct {
@@ -61,23 +61,17 @@ func TraitsOf(op OpCode) OpTraits {
 }
 
 // EvalOp computes the narrow result of one pure opcode on concrete operands
-// by running the real interpreter on a single-instruction probe (operands
-// supplied as immediates, result read back from temp 0). ok is false for
-// ops EvalOp cannot fold: OpNop, OpWide, and the memory ops.
+// by running evalLinked on a single-instruction probe over the state
+// [a, b, c, dst]. ok is false for ops EvalOp cannot fold: OpNop, OpWide,
+// and the memory ops.
 func EvalOp(op OpCode, aux uint32, mask uint64, a, b, c uint64) (uint64, bool) {
 	if op >= numOpCodes || !opTraitsTable[op].Pure {
 		return 0, false
 	}
-	probe := Instr{
-		Op:  op,
-		Dst: MakeRef(RefLocal, 0),
-		A:   MakeRef(RefImm, 0), B: MakeRef(RefImm, 1), C: MakeRef(RefImm, 2),
-		Aux: aux, Mask: mask,
-	}
-	p := &Program{Imms: []uint64{a, b, c}}
-	tc := &threadCtx{temps: make([]uint64, 1)}
-	evalBlock([]Instr{probe}, p, &globalState{}, tc)
-	return tc.temps[0], true
+	st := [4]uint64{a, b, c}
+	probe := [1]LInstr{{Op: op, Dst: 3, A: 0, B: 1, C: 2, Aux: aux, Mask: mask}}
+	evalLinked(probe[:], st[:], nil, nil, nil, nil)
+	return st[3], true
 }
 
 // SignExtend64 exposes the executor's sign extension: the low w bits of x

@@ -58,13 +58,9 @@ type Snapshot struct {
 	WideMems [][]bitvec.Vec
 }
 
-// Snapshot captures the engine's complete state. Only engines over the
-// linked execution form snapshot (the format IS the linked layout); the
-// reference interpreter is for cross-checking, not production sessions.
+// Snapshot captures the engine's complete state; the format is the linked
+// layout.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	if e.lp == nil {
-		return nil, fmt.Errorf("sim: snapshot requires a linked engine (NewEngine, not NewInterpEngine)")
-	}
 	cur := e.views[e.cur]
 	s := &Snapshot{
 		Version:     SnapshotVersion,
@@ -93,9 +89,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // the linked interpreter restores onto a native-kernel engine and vice
 // versa.
 func (e *Engine) RestoreSnapshot(s *Snapshot) error {
-	if e.lp == nil {
-		return fmt.Errorf("sim: restore requires a linked engine (NewEngine, not NewInterpEngine)")
-	}
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}

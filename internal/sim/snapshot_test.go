@@ -218,7 +218,7 @@ func TestSnapshotBatchLane(t *testing.T) {
 }
 
 // TestSnapshotGuards: every guard fires — wrong version, wrong program,
-// truncated blob, corrupted byte, trailing garbage, interp engines.
+// truncated blob, corrupted byte, trailing garbage.
 func TestSnapshotGuards(t *testing.T) {
 	g := randomCircuit(t, 88, 60)
 	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
@@ -266,14 +266,6 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal("decode accepted trailing garbage")
 	}
 
-	// Interp engines neither snapshot nor restore.
-	ie := NewInterpEngine(prog)
-	if _, err := ie.Snapshot(); err == nil {
-		t.Fatal("interp engine produced a snapshot")
-	}
-	if err := ie.RestoreSnapshot(snap); err == nil {
-		t.Fatal("interp engine accepted a restore")
-	}
 }
 
 // TestEncodeProgramRoundTrip: a compiled program survives the peer-fetch

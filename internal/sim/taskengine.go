@@ -41,13 +41,11 @@ type TaskPlan struct {
 type TaskEngine struct {
 	prog *Program
 	plan TaskPlan
-	gs   *globalState
-	tcs  []*threadCtx
-
 	// Linking is 1:1 (link.go), so the plan's TaskRange offsets index
 	// linked code directly and the engine runs the resolved fast path.
-	lp    *LinkedProgram
-	state []uint64
+	lp *LinkedProgram
+	// The engine's one state view (the same layout Engine uses).
+	*view
 
 	doneCycle []atomic.Uint64 // per task: cycles completed
 	cycles    uint64
@@ -59,16 +57,7 @@ func NewTaskEngine(p *Program, plan TaskPlan) (*TaskEngine, error) {
 		return nil, fmt.Errorf("sim: plan has %d threads, program has %d", len(plan.PerThread), p.NumThreads)
 	}
 	lp := p.Linked()
-	e := &TaskEngine{prog: p, plan: plan, lp: lp}
-	e.state = make([]uint64, lp.StateWords)
-	copy(e.state[lp.ImmOff:], p.Imms)
-	e.gs = newGlobalStateWords(p, e.state[:p.GlobalWords:p.GlobalWords])
-	for t := range p.Threads {
-		th := &p.Threads[t]
-		lt := &lp.Threads[t]
-		frame := e.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-		e.tcs = append(e.tcs, newThreadCtx(p, th, frame))
-	}
+	e := &TaskEngine{prog: p, plan: plan, lp: lp, view: newView(p, lp)}
 	e.doneCycle = make([]atomic.Uint64, plan.NumTasks)
 	e.Reset()
 	return e, nil
@@ -77,10 +66,7 @@ func NewTaskEngine(p *Program, plan TaskPlan) (*TaskEngine, error) {
 // Reset restores power-on state.
 func (e *TaskEngine) Reset() {
 	resetState(e.prog, e.gs)
-	for t := range e.tcs {
-		e.tcs[t].memBuf = e.tcs[t].memBuf[:0]
-		e.tcs[t].wideMemBuf = e.tcs[t].wideMemBuf[:0]
-	}
+	e.dropWrites()
 	for i := range e.doneCycle {
 		e.doneCycle[i].Store(0)
 	}
@@ -89,71 +75,33 @@ func (e *TaskEngine) Reset() {
 
 // PokeInput sets a narrow input port.
 func (e *TaskEngine) PokeInput(name string, v uint64) error {
-	ps, ok := e.prog.Input(name)
-	if !ok || ps.Wide {
-		return fmt.Errorf("sim: bad input %q", name)
-	}
-	e.gs.words[ps.Slot] = v & maskOf(ps.Width)
-	return nil
+	return e.gs.pokeInput(e.prog, name, v)
 }
 
-// PeekReg reads a register value (narrow registers).
+// PeekReg reads a register value (the low 64 bits of a wide register).
 func (e *TaskEngine) PeekReg(name string) (uint64, error) {
-	rs, ok := e.prog.Reg(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no register %q", name)
-	}
-	if rs.Wide {
-		return e.gs.wide[rs.Slot].Uint64(), nil
-	}
-	return e.gs.words[rs.Slot], nil
+	v, err := e.gs.peekRegVec(e.prog, name)
+	return v.Uint64(), err
 }
 
 // PeekOutput reads a narrow output port.
 func (e *TaskEngine) PeekOutput(name string) (uint64, error) {
-	ps, ok := e.prog.Output(name)
-	if !ok || ps.Wide {
-		return 0, fmt.Errorf("sim: bad output %q", name)
-	}
-	return e.gs.words[ps.Slot], nil
+	return e.gs.peekOutput(e.prog, name)
 }
 
 // PokeInputVec sets an input port of any width.
 func (e *TaskEngine) PokeInputVec(name string, v bitvec.Vec) error {
-	ps, ok := e.prog.Input(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
-	if ps.Wide {
-		e.gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
-		return nil
-	}
-	e.gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
-	return nil
+	return e.gs.pokeInputVec(e.prog, name, v)
 }
 
 // PeekRegVec reads a register of any width as a bit vector.
 func (e *TaskEngine) PeekRegVec(name string) (bitvec.Vec, error) {
-	rs, ok := e.prog.Reg(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no register %q", name)
-	}
-	if rs.Wide {
-		return e.gs.wide[rs.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(rs.Width, e.gs.words[rs.Slot]), nil
+	return e.gs.peekRegVec(e.prog, name)
 }
 
 // PeekOutputVec reads an output port of any width as a bit vector.
 func (e *TaskEngine) PeekOutputVec(name string) (bitvec.Vec, error) {
-	ps, ok := e.prog.Output(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no output %q", name)
-	}
-	if ps.Wide {
-		return e.gs.wide[ps.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(ps.Width, e.gs.words[ps.Slot]), nil
+	return e.gs.peekOutputVec(e.prog, name)
 }
 
 // PeekMemVec reads one memory word of any element width as a bit vector.
@@ -218,7 +166,7 @@ type TaskSample struct {
 
 // RunProfiled simulates n cycles, returning per-cycle task samples.
 func (e *TaskEngine) RunProfiled(n int) [][]TaskSample {
-	out := make([][]TaskSample, n)
+	out := make([][]TaskSample, max(n, 0))
 	var mu sync.Mutex
 	e.run(n, func(c int, s TaskSample) {
 		mu.Lock()

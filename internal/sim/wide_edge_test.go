@@ -6,12 +6,11 @@ import (
 	"repro/internal/bitvec"
 )
 
-// wideEdgeEngines compiles src and returns both execution modes, so each
-// edge case is asserted on the interpreter and the linked fast path alike.
-func wideEdgeEngines(t *testing.T, src string) (interp, linked *Engine) {
+// wideEdgeEngine compiles src and returns an engine over it; each edge
+// case asserts literal expected values.
+func wideEdgeEngine(t *testing.T, src string) *Engine {
 	t.Helper()
-	prog := compileSrc(t, src)
-	return NewInterpEngine(prog), NewEngine(prog)
+	return NewEngine(compileSrc(t, src))
 }
 
 // A narrow memory addressed by a wide value goes through evalWide's
@@ -34,35 +33,29 @@ circuit W {
   }
 }
 `
-	interp, linked := wideEdgeEngines(t, src)
+	e := wideEdgeEngine(t, src)
 	addr := func(v uint64) bitvec.Vec { return bitvec.FromUint64(70, v) }
 	step := func(a bitvec.Vec, d, en uint64) {
 		t.Helper()
-		for _, e := range []*Engine{interp, linked} {
-			if err := e.PokeInputVec("a", a); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.PokeInput("d", d); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.PokeInput("en", en); err != nil {
-				t.Fatal(err)
-			}
-			e.Run(1)
+		if err := e.PokeInputVec("a", a); err != nil {
+			t.Fatal(err)
 		}
+		if err := e.PokeInput("d", d); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.PokeInput("en", en); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(1)
 	}
 	check := func(want uint64, what string) {
 		t.Helper()
-		iv, err := interp.PeekOutput("o")
+		got, err := e.PeekOutput("o")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv, err := linked.PeekOutput("o")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv != want || lv != want {
-			t.Fatalf("%s: interp=%#x linked=%#x, want %#x", what, iv, lv, want)
+		if got != want {
+			t.Fatalf("%s: got %#x, want %#x", what, got, want)
 		}
 	}
 
@@ -84,9 +77,8 @@ circuit W {
 	check(0xbeef, "wide-path overwrite")
 }
 
-// OpMemRd past the end of a narrow memory returns zero on both the
-// interpreter (evalBlock) and the linked stream (evalLinked), and the
-// matching OpMemWr is dropped at commit.
+// OpMemRd past the end of a narrow memory returns zero, and the matching
+// OpMemWr is dropped at commit.
 func TestNarrowMemOutOfRangeBothModes(t *testing.T) {
 	src := `
 circuit N {
@@ -102,24 +94,20 @@ circuit N {
   }
 }
 `
-	interp, linked := wideEdgeEngines(t, src)
+	e := wideEdgeEngine(t, src)
 	step := func(a, d, en uint64) {
 		t.Helper()
-		for _, e := range []*Engine{interp, linked} {
-			for name, v := range map[string]uint64{"a": a, "d": d, "en": en} {
-				if err := e.PokeInput(name, v); err != nil {
-					t.Fatal(err)
-				}
+		for name, v := range map[string]uint64{"a": a, "d": d, "en": en} {
+			if err := e.PokeInput(name, v); err != nil {
+				t.Fatal(err)
 			}
-			e.Run(1)
 		}
+		e.Run(1)
 	}
 	check := func(want uint64, what string) {
 		t.Helper()
-		iv, _ := interp.PeekOutput("o")
-		lv, _ := linked.PeekOutput("o")
-		if iv != want || lv != want {
-			t.Fatalf("%s: interp=%#x linked=%#x, want %#x", what, iv, lv, want)
+		if got, _ := e.PeekOutput("o"); got != want {
+			t.Fatalf("%s: got %#x, want %#x", what, got, want)
 		}
 	}
 

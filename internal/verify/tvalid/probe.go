@@ -9,11 +9,10 @@ import (
 )
 
 // probe is the decision procedure for slot pairs the hash-cons proof could
-// not settle: it runs the O0 reference through the closure interpreter and
-// the optimized program through the linked executor — the real engines,
-// end to end, so there is no third semantics to drift — over seeded
-// boundary-pattern stimulus, comparing every register, output, and memory
-// each cycle. A concrete mismatch refutes equivalence with a witness; a
+// not settle: it runs the O0 reference and the optimized program on the
+// real engine, end to end, so there is no third semantics to drift — over
+// seeded boundary-pattern stimulus, comparing every register, output, and
+// memory each cycle. A concrete mismatch refutes equivalence with a witness; a
 // clean sweep over all rounds is strong evidence the residual mismatches
 // are normalization incompleteness, not miscompiles.
 func probe(ref, opt *sim.Program, o Options) (witness string, diverged bool) {
@@ -26,7 +25,7 @@ func probe(ref, opt *sim.Program, o Options) (witness string, diverged bool) {
 }
 
 func probeRound(ref, opt *sim.Program, o Options, round int) (string, bool) {
-	e0 := sim.NewInterpEngine(ref)
+	e0 := sim.NewEngine(ref)
 	e2 := sim.NewEngine(opt)
 	e0.Reset()
 	e2.Reset()

@@ -31,7 +31,7 @@ type memWrite struct {
 }
 
 // execO0 symbolically evaluates one thread of the unoptimized instruction
-// stream, mirroring evalBlock (exec.go) term-for-term.
+// stream, mirroring evalLinked (linkexec.go) term-for-term.
 func execO0(b *builder, p *sim.Program, t int) *threadState {
 	th := &p.Threads[t]
 	temps := make([]*term, th.NumTemps)

@@ -13,7 +13,7 @@ import (
 
 // TestLinkedCrossCheckDesigns is the ISSUE-level acceptance test for the
 // linked fast path: on bundled designs, for every compile worker count in
-// {0, 1, 2, 8}, the linked engine must match the reference interpreter
+// {0, 1, 2, 8}, the linked engine must match the graph-walking sim.Reference
 // bit-for-bit on every register over a randomized input run, the
 // fingerprint must be identical across worker counts (linking changes
 // nothing observable), and the static verifier must prove the linked
@@ -51,7 +51,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 				}
 
 				linked := sim.NewEngine(comp.Program)
-				interp := sim.NewInterpEngine(comp.Program)
+				ref := sim.NewReference(g)
 				rng := rand.New(rand.NewSource(99))
 				for cyc := 0; cyc < 50; cyc++ {
 					for _, in := range comp.Program.Inputs {
@@ -62,34 +62,37 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 						if err := linked.PokeInput(in.Name, v); err != nil {
 							t.Fatal(err)
 						}
-						if err := interp.PokeInput(in.Name, v); err != nil {
+						if err := ref.PokeInputUint(in.Name, v); err != nil {
 							t.Fatal(err)
 						}
 					}
 					linked.Run(1)
-					interp.Run(1)
+					ref.Step()
 				}
 				for _, r := range comp.Program.Regs {
 					lv, err := linked.PeekReg(r.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					iv, err := interp.PeekReg(r.Name)
+					rv, err := ref.PeekReg(r.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bitvec.Eq(lv, iv) {
-						t.Fatalf("workers=%d: reg %s diverges: linked %v, interp %v", workers, r.Name, lv, iv)
+					if !bitvec.Eq(lv, rv) {
+						t.Fatalf("workers=%d: reg %s diverges: linked %v, reference %v", workers, r.Name, lv, rv)
 					}
 				}
 				for _, o := range comp.Program.Outputs {
-					if o.Wide {
-						continue
+					lv, err := linked.PeekOutputVec(o.Name)
+					if err != nil {
+						t.Fatal(err)
 					}
-					lv, _ := linked.PeekOutput(o.Name)
-					iv, _ := interp.PeekOutput(o.Name)
-					if lv != iv {
-						t.Fatalf("workers=%d: output %s diverges: linked %d, interp %d", workers, o.Name, lv, iv)
+					rv, err := ref.PeekOutput(o.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bitvec.Eq(lv, rv) {
+						t.Fatalf("workers=%d: output %s diverges: linked %v, reference %v", workers, o.Name, lv, rv)
 					}
 				}
 			}

@@ -92,11 +92,8 @@ type Backend int
 
 const (
 	// BackendLinked is the default: the linked instruction-stream
-	// interpreter (the repo's fast path).
+	// executor.
 	BackendLinked Backend = iota
-	// BackendInterp is the closure-walking interpreter — the reference
-	// semantics, mainly useful for debugging and differential runs.
-	BackendInterp
 	// BackendNative emits each thread's linked stream as Go source,
 	// compiles it out of process into a plugin (internal/codegen), and
 	// runs the loaded kernel. When the platform cannot build or load
@@ -107,10 +104,7 @@ const (
 
 // String names the backend as the CLI flags spell it.
 func (b Backend) String() string {
-	switch b {
-	case BackendInterp:
-		return "interp"
-	case BackendNative:
+	if b == BackendNative {
 		return "native"
 	}
 	return "linked"
@@ -121,12 +115,10 @@ func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", "linked":
 		return BackendLinked, nil
-	case "interp":
-		return BackendInterp, nil
 	case "native":
 		return BackendNative, nil
 	}
-	return 0, fmt.Errorf("repcut: unknown backend %q (want linked, interp, or native)", s)
+	return 0, fmt.Errorf("repcut: unknown backend %q (want linked, native)", s)
 }
 
 // Options configure parallel compilation.
@@ -312,17 +304,11 @@ type Compiled struct {
 // Compiled.
 func (c *Compiled) NewSimulator() *Simulator {
 	s := &Simulator{Report: c.Report, Verification: c.Verification, Backend: BackendLinked}
-	switch {
-	case c.Backend == BackendInterp:
-		s.Engine = sim.NewInterpEngine(c.Program)
-		s.Backend = BackendInterp
-	case c.Backend == BackendNative && c.Native != nil:
-		s.Engine = sim.NewEngine(c.Program)
+	s.Engine = sim.NewEngine(c.Program)
+	if c.Backend == BackendNative && c.Native != nil {
 		if err := s.Engine.InstallNative(c.Native.Threads); err == nil {
 			s.Backend = BackendNative
 		}
-	default:
-		s.Engine = sim.NewEngine(c.Program)
 	}
 	return s
 }
