@@ -39,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("RepCut %d-way: replication %.2f%%, imbalance %.3f\n",
 		threads, 100*par.Report.ReplicationCost, par.Report.ImbalanceIncl)
-	base, err := verilator.New(d.Graph, verilator.Options{Threads: threads, Seed: 1})
+	base, err := verilator.New(d.Graph, verilator.Options{Threads: threads})
 	if err != nil {
 		log.Fatal(err)
 	}

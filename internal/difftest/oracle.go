@@ -340,7 +340,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 
 	// Verilator-style task engine.
 	if opt.Tasks {
-		if vs, err := verilator.New(g, verilator.Options{Threads: 2, Seed: opt.Seed}); err == nil {
+		if vs, err := verilator.New(g, verilator.Options{Threads: 2}); err == nil {
 			engines = append(engines, namedEngine{"tasks-t2", taskAdapter{vs.Engine}})
 		}
 	}

@@ -187,7 +187,7 @@ func (s *Suite) Verilator(cfg designs.Config, k int, pgo bool) *verilator.Sim {
 		return v
 	}
 	s.mu.Unlock()
-	v, err := verilator.New(s.Graph(cfg), verilator.Options{Threads: k, PGO: pgo, Seed: s.Seed})
+	v, err := verilator.New(s.Graph(cfg), verilator.Options{Threads: k, PGO: pgo})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: verilator %s: %v", key, err))
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/sim"
 )
 
@@ -30,7 +31,7 @@ const MinLaneGroup = 5
 // the default placement), and a session that cannot be batched (batching
 // disabled, program ineligible, below the break-even) runs a private
 // engine the caller builds. Sessions never migrate between the two, except
-// that VCD capture spills a lane to a private engine.
+// that VCD capture spills a lane to a private engine (Session.spill).
 type batchPool struct {
 	laneWidth int
 	m         *Metrics
@@ -55,7 +56,7 @@ func newBatchPool(laneWidth int, m *Metrics) *batchPool {
 // A session over a lane-eligible program becomes a tenant of its
 // fingerprint (Session.release ends that) and, once the fingerprint has
 // MinLaneGroup tenants, claims a lane, creating a new group when every
-// existing one is full. Otherwise s.group stays nil and the caller builds a
+// existing one is full. Otherwise s.b stays nil and the caller builds a
 // private engine; belowBreakEven reports that the break-even was the reason.
 func (p *batchPool) place(s *Session) (belowBreakEven bool) {
 	e := s.entry
@@ -108,11 +109,9 @@ func (p *batchPool) place(s *Session) (belowBreakEven bool) {
 	p.mu.Unlock()
 	// A recycled lane carries its previous occupant's state; give the new
 	// session power-on state (register inits included).
-	g.withEngine(func(be *sim.BatchEngine) error {
-		be.ResetLane(lane)
-		return nil
-	})
-	s.group, s.lane = g, lane
+	l := &laneBackend{g: g, lane: lane}
+	l.do(func(be *sim.BatchEngine, lane int) error { be.ResetLane(lane); return nil })
+	s.b = l
 	return false
 }
 
@@ -202,16 +201,6 @@ type batchGroup struct {
 	// nsPerCycle is an EWMA of wall nanoseconds per simulated cycle over
 	// recent rounds, used to size the group-commit linger budget.
 	nsPerCycle float64
-}
-
-// withEngine runs fn with exclusive, quiescent access to the engine.
-func (g *batchGroup) withEngine(fn func(*sim.BatchEngine) error) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.running {
-		g.cond.Wait()
-	}
-	return fn(g.be)
 }
 
 // Group-commit linger: a would-be leader of an under-occupied round
@@ -319,3 +308,61 @@ func (g *batchGroup) step(lane, n int) uint64 {
 	g.mu.Unlock()
 	return c
 }
+
+// laneBackend is a session's backend on one lane of a batch group: every
+// call runs on the group's quiescent engine, except Run, which goes through
+// the frontier protocol.
+type laneBackend struct {
+	g    *batchGroup
+	lane int
+}
+
+// do runs fn with exclusive, quiescent access to the engine.
+func (l *laneBackend) do(fn func(be *sim.BatchEngine, lane int) error) error {
+	g := l.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.running {
+		g.cond.Wait()
+	}
+	return fn(g.be, l.lane)
+}
+
+func (l *laneBackend) PokeInput(name string, v uint64) error {
+	return l.do(func(be *sim.BatchEngine, lane int) error { return be.Poke(lane, name, v) })
+}
+
+func (l *laneBackend) PeekOutput(name string) (v uint64, err error) {
+	err = l.do(func(be *sim.BatchEngine, lane int) (err error) { v, err = be.Peek(lane, name); return err })
+	return v, err
+}
+
+func (l *laneBackend) PeekReg(name string) (v bitvec.Vec, err error) {
+	err = l.do(func(be *sim.BatchEngine, lane int) (err error) { v, err = be.PeekReg(lane, name); return err })
+	return v, err
+}
+
+func (l *laneBackend) Run(n int) { l.g.step(l.lane, n) }
+
+// Cycles is a step of zero cycles: it reads the lane's count without
+// waiting out another session's round, which never includes this lane.
+func (l *laneBackend) Cycles() uint64 { return l.g.step(l.lane, 0) }
+
+func (l *laneBackend) Snapshot() (s *sim.Snapshot, err error) {
+	err = l.do(func(be *sim.BatchEngine, lane int) (err error) { s, err = be.SnapshotLane(lane); return err })
+	return s, err
+}
+
+func (l *laneBackend) RestoreSnapshot(s *sim.Snapshot) error {
+	return l.do(func(be *sim.BatchEngine, lane int) error { return be.RestoreLane(lane, s) })
+}
+
+// StateHash ignores StateHashLane's one error, a lane index out of range,
+// which a held lane never is.
+func (l *laneBackend) StateHash() (h uint64) {
+	l.do(func(be *sim.BatchEngine, lane int) error { h, _ = be.StateHashLane(lane); return nil })
+	return h
+}
+
+// free returns the lane to its group.
+func (l *laneBackend) free() { l.g.pool.free(l.g, l.lane) }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -247,8 +248,8 @@ func laneOf(t *testing.T, srv *Server, id string) int {
 	t.Helper()
 	lane := -1
 	if err := srv.Sessions().Do(id, func(s *Session) error {
-		if s.Batched() {
-			lane = s.Lane()
+		if l := s.laneHandle(); l != nil {
+			lane = l.lane
 		}
 		return nil
 	}); err != nil {
@@ -439,6 +440,60 @@ func TestBatchSpillOnVCD(t *testing.T) {
 	}
 	if m.Batch.SessionsSpilled != 1 {
 		t.Errorf("sessions_spilled = %d, want 1", m.Batch.SessionsSpilled)
+	}
+}
+
+// TestVCDTimestampsOnce: a capture started at cycle C and stepped by three
+// Run(1) calls holds each timestamp #C…#C+3 exactly once, in increasing
+// order — on a private session and on one that spilled off its lane.
+func TestVCDTimestampsOnce(t *testing.T) {
+	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := client.NewSoloSession(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openCoTenants(t, client, cr.Key)
+	laned, err := client.NewSession(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !laned.Batched {
+		t.Fatal("session past the break-even not batched")
+	}
+	for _, sess := range []*SessionHandle{solo, laned} {
+		start, err := sess.Run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.StartVCD(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := sess.Run(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dump, err := sess.VCD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stamps []string
+		for _, line := range strings.Split(string(dump), "\n") {
+			if strings.HasPrefix(line, "#") {
+				stamps = append(stamps, line)
+			}
+		}
+		var want []string
+		for c := start; c <= start+3; c++ {
+			want = append(want, fmt.Sprintf("#%d", c))
+		}
+		if strings.Join(stamps, " ") != strings.Join(want, " ") {
+			t.Errorf("session %s: timestamps %v, want %v", sess.ID, stamps, want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -49,94 +48,23 @@ func (e *MigratedError) Error() string {
 // Checkpoint serializes the session's full simulation state. Must be called
 // inside SessionManager.Do (the session mutex serializes it against other
 // operations); non-destructive — the session keeps running afterwards.
-func (s *Session) Checkpoint() (*sim.Snapshot, error) {
-	if g := s.group; g != nil {
-		var snap *sim.Snapshot
-		err := g.withEngine(func(be *sim.BatchEngine) error {
-			var e2 error
-			snap, e2 = be.SnapshotLane(s.lane)
-			return e2
-		})
-		return snap, err
-	}
-	return s.Sim.Engine.Snapshot()
-}
+func (s *Session) Checkpoint() (*sim.Snapshot, error) { return s.b.Snapshot() }
 
 // StateHash returns the session's architectural state hash (name-sorted
 // registers + outputs + memories — identical across backends and peers).
 // Must be called inside SessionManager.Do.
-func (s *Session) StateHash() (uint64, error) {
-	if g := s.group; g != nil {
-		var h uint64
-		err := g.withEngine(func(be *sim.BatchEngine) error {
-			var e2 error
-			h, e2 = be.StateHashLane(s.lane)
-			return e2
-		})
-		return h, err
-	}
-	return s.Sim.Engine.StateHash(), nil
-}
+func (s *Session) StateHash() uint64 { return s.b.StateHash() }
 
 // Restore opens a session over a cached entry and loads a snapshot into it,
 // resuming at the snapshot's cycle count. Placement follows Create, and a
 // restored session counts toward its program's break-even like a created
-// one (a failed lane restore falls back to a private engine).
+// one.
 func (sm *SessionManager) Restore(e *Entry, snap *sim.Snapshot, solo bool) (*Session, error) {
 	if snap.Fingerprint != e.Fingerprint {
 		return nil, fmt.Errorf("%w: snapshot %016x, design %016x",
 			ErrSnapshotMismatch, snap.Fingerprint, e.Fingerprint)
 	}
-	if sm.draining.Load() {
-		return nil, ErrDraining
-	}
-	if !sm.sem.TryAcquire() {
-		sm.m.sessionsRejected.Add(1)
-		return nil, ErrSessionLimit
-	}
-	s := &Session{
-		ID:     fmt.Sprintf("s%08x", sm.seq.Add(1)),
-		Key:    e.Key,
-		report: e.Compiled.Report,
-		com:    e.Compiled,
-		entry:  e,
-	}
-	belowBreakEven := false
-	if !solo {
-		belowBreakEven = sm.batch.place(s)
-	}
-	if g := s.group; g != nil {
-		err := g.withEngine(func(be *sim.BatchEngine) error {
-			return be.RestoreLane(s.lane, snap)
-		})
-		if err != nil {
-			g.pool.free(g, s.lane)
-			s.group = nil
-		}
-	}
-	if s.group == nil {
-		simr := e.Compiled.NewSimulator()
-		if err := simr.Engine.RestoreSnapshot(snap); err != nil {
-			s.release()
-			sm.sem.Release()
-			return nil, err
-		}
-		s.Sim = simr
-	}
-	s.cycle = snap.Cycles
-	s.touch(time.Now())
-	sm.mu.Lock()
-	if sm.draining.Load() { // re-check under the table lock
-		sm.mu.Unlock()
-		s.release()
-		sm.sem.Release()
-		return nil, ErrDraining
-	}
-	sm.byID[s.ID] = s
-	sm.mu.Unlock()
-	sm.countCreated(s, belowBreakEven)
-	sm.m.sessionsRestored.Add(1)
-	return s, nil
+	return sm.open(e, snap, solo)
 }
 
 // MarkMigrated records a forwarding address for a session that moved to a

@@ -84,8 +84,8 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	for cyc := 20; cyc < 60; cyc++ {
 		step(cyc)
 	}
-	if sess.Sim.Backend != repcut.BackendNative {
-		t.Fatalf("session backend = %v after kernel ready, want native", sess.Sim.Backend)
+	if b := sess.privateSim().Backend; b != repcut.BackendNative {
+		t.Fatalf("session backend = %v after kernel ready, want native", b)
 	}
 
 	snap := srv.Metrics()
@@ -124,7 +124,7 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if bsess.Sim != nil {
+	if bsess.privateSim() != nil {
 		t.Fatal("batched session grew a private engine")
 	}
 }

@@ -437,10 +437,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		hash, err := sess.StateHash()
-		if err != nil {
-			return err
-		}
+		hash := sess.StateHash()
 		resp = CheckpointResponse{
 			SessionID:   sess.ID,
 			Key:         sess.Key,
@@ -450,9 +447,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			StateHash:   fmt.Sprintf("%016x", hash),
 			State:       snap.Encode(),
 		}
-		if sess.entry != nil {
-			resp.Design = sess.entry.Name
-		}
+		resp.Design = sess.entry.Name
 		return nil
 	})
 	if err != nil {

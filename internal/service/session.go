@@ -26,100 +26,78 @@ var (
 
 // Session is one stateful simulation. It runs on one of two backends:
 // a lane of a shared batch group (the default once MinLaneGroup live
-// sessions simulate the same program), or a private sim.Engine (solo
-// creates, sessions below the break-even, ineligible programs, and sessions
-// that spilled for VCD capture).
+// sessions simulate the same program), or a private engine (solo creates,
+// sessions below the break-even, ineligible programs, and sessions that
+// spilled for VCD capture).
 // Operations on a session are serialized by its mutex; different sessions
 // run fully concurrently.
 type Session struct {
 	ID  string
 	Key string
 
-	// Sim is the private engine; nil while the session rides a batch lane.
-	Sim *repcut.Simulator
-
-	group  *batchGroup // non-nil iff batched
-	lane   int
+	b      backend
 	tenant *batchPool // non-nil while the session counts toward its program's break-even
 
-	vcd    *vcdCapture // non-nil while capturing (implies private engine)
-	cycle  uint64      // cycle count after the last operation
-	report *repcut.PartitionReport
-	com    *repcut.Compiled
-	entry  *Entry // cache entry the session was created from (kernel source)
+	vcd    *sim.VCDWriter // non-nil while capturing (implies private engine)
+	vcdBuf bytes.Buffer   // the capture so far
+	cycle  uint64         // cycle count after the last operation
+	entry  *Entry         // cache entry the session was created from (program, kernel)
 
 	mu       sync.Mutex
 	lastUsed atomic.Int64 // unix nanos
 	closed   bool
 }
 
-// vcdCapture accumulates a waveform dump for one session.
-type vcdCapture struct {
-	buf bytes.Buffer
-	w   *sim.VCDWriter
+// backend is where a session simulates: a private *repcut.Simulator or a
+// *laneBackend on a shared batch group. Every session operation is one call
+// on it.
+type backend interface {
+	PokeInput(name string, v uint64) error
+	PeekOutput(name string) (uint64, error)
+	PeekReg(name string) (bitvec.Vec, error)
+	Run(n int)
+	Cycles() uint64
+	Snapshot() (*sim.Snapshot, error)
+	RestoreSnapshot(s *sim.Snapshot) error
+	StateHash() uint64
+}
+
+// laneHandle returns the session's batch lane handle, nil on a private engine.
+func (s *Session) laneHandle() *laneBackend {
+	l, _ := s.b.(*laneBackend)
+	return l
+}
+
+// privateSim returns the session's private simulator, nil on a batch lane.
+func (s *Session) privateSim() *repcut.Simulator {
+	p, _ := s.b.(*repcut.Simulator)
+	return p
 }
 
 // Batched reports whether the session currently occupies a batch lane.
-func (s *Session) Batched() bool { return s.group != nil }
-
-// Lane returns the session's batch lane (meaningful only when Batched).
-func (s *Session) Lane() int { return s.lane }
+func (s *Session) Batched() bool { return s.laneHandle() != nil }
 
 // Cycles returns the session's cycle count as of its last operation.
 func (s *Session) Cycles() uint64 { return s.cycle }
 
-// Poke sets a narrow input port. Batched lanes poke their SoA column; the
-// write waits out any in-flight group round.
-func (s *Session) Poke(name string, v uint64) error {
-	if g := s.group; g != nil {
-		return g.withEngine(func(be *sim.BatchEngine) error {
-			return be.Poke(s.lane, name, v)
-		})
-	}
-	return s.Sim.PokeInput(name, v)
-}
+// Poke sets a narrow input port.
+func (s *Session) Poke(name string, v uint64) error { return s.b.PokeInput(name, v) }
 
 // PeekOutput reads a narrow output port.
-func (s *Session) PeekOutput(name string) (uint64, error) {
-	if g := s.group; g != nil {
-		var v uint64
-		err := g.withEngine(func(be *sim.BatchEngine) error {
-			var err error
-			v, err = be.Peek(s.lane, name)
-			return err
-		})
-		return v, err
-	}
-	return s.Sim.PeekOutput(name)
-}
+func (s *Session) PeekOutput(name string) (uint64, error) { return s.b.PeekOutput(name) }
 
 // PeekReg reads a register, narrow or wide.
-func (s *Session) PeekReg(name string) (bv bitvec.Vec, err error) {
-	if g := s.group; g != nil {
-		err = g.withEngine(func(be *sim.BatchEngine) error {
-			var e2 error
-			bv, e2 = be.PeekReg(s.lane, name)
-			return e2
-		})
-		return bv, err
-	}
-	return s.Sim.PeekReg(name)
-}
+func (s *Session) PeekReg(name string) (bitvec.Vec, error) { return s.b.PeekReg(name) }
 
-// Run advances the session n cycles and returns its new cycle count.
-// Batched lanes go through the group's frontier protocol; a session with
-// an active VCD capture samples every cycle.
+// Run advances the session n cycles and returns its new cycle count. A
+// session with an active VCD capture samples every cycle.
 func (s *Session) Run(n int) uint64 {
-	switch {
-	case s.group != nil:
-		s.cycle = s.group.step(s.lane, n)
-	case s.vcd != nil:
-		_ = s.vcd.w.RunSampled(n)
-		s.cycle = s.Sim.Cycles()
-	default:
-		s.Sim.Run(n)
-		s.cycle = s.Sim.Cycles()
+	if s.vcd != nil {
+		_ = s.vcd.RunSampled(n)
+	} else {
+		s.b.Run(n)
 	}
+	s.cycle = s.b.Cycles()
 	return s.cycle
 }
 
@@ -133,12 +111,11 @@ func (s *Session) StartVCD(sm *SessionManager) error {
 	if err := s.spill(sm); err != nil {
 		return err
 	}
-	cap := &vcdCapture{}
-	cap.w = sim.NewVCDWriter(&cap.buf, s.Sim.Engine)
-	if err := cap.w.Sample(); err != nil { // header + initial values
+	w := sim.NewVCDWriter(&s.vcdBuf, s.privateSim().Engine)
+	if err := w.Sample(); err != nil { // header + initial values
 		return err
 	}
-	s.vcd = cap
+	s.vcd = w
 	return nil
 }
 
@@ -147,30 +124,41 @@ func (s *Session) VCD() ([]byte, error) {
 	if s.vcd == nil {
 		return nil, ErrNoVCD
 	}
-	return s.vcd.buf.Bytes(), nil
+	return s.vcdBuf.Bytes(), nil
 }
 
-// spill migrates a batched session onto a private engine carrying the
-// lane's exact architectural state, then releases the lane.
+// spill moves a batched session onto a private engine: snapshot the lane,
+// free it, and load the snapshot the way a solo restore does. Sampling
+// through the lane instead would cost one group round, and so at least one
+// linger, per captured cycle.
 func (s *Session) spill(sm *SessionManager) error {
-	g := s.group
-	if g == nil {
+	l := s.laneHandle()
+	if l == nil {
 		return nil
 	}
-	var eng *sim.Engine
-	err := g.withEngine(func(be *sim.BatchEngine) error {
-		var e2 error
-		eng, e2 = be.ExtractLane(s.lane)
-		return e2
-	})
+	snap, err := l.Snapshot()
 	if err != nil {
 		return err
 	}
-	g.pool.free(g, s.lane)
-	s.group = nil
-	s.Sim = &repcut.Simulator{Engine: eng, Report: s.report}
+	l.free()
+	s.b = nil
+	if err := s.load(snap); err != nil {
+		return err
+	}
 	sm.m.sessionsSpilled.Add(1)
 	return nil
+}
+
+// load gives a session without a lane its private engine and restores snap
+// (when non-nil) into the session's backend.
+func (s *Session) load(snap *sim.Snapshot) error {
+	if s.b == nil {
+		s.b = s.entry.Compiled.NewSimulator()
+	}
+	if snap == nil {
+		return nil
+	}
+	return s.b.RestoreSnapshot(snap)
 }
 
 // maybeHotSwap installs the entry's native kernel on the session's
@@ -182,16 +170,16 @@ func (s *Session) spill(sm *SessionManager) error {
 // kernel indexes the same unified state slice the linked interpreter
 // does, so it is invisible mid-simulation.
 func (s *Session) maybeHotSwap(m *Metrics) {
-	sm := s.Sim
-	if s.group != nil || sm == nil || s.entry == nil || sm.Backend != repcut.BackendLinked {
+	p := s.privateSim()
+	if p == nil || p.Backend != repcut.BackendLinked {
 		return
 	}
 	k := s.entry.Native()
-	if k == nil || sm.Engine.NativeInstalled() {
+	if k == nil || p.Engine.NativeInstalled() {
 		return
 	}
-	if err := sm.Engine.InstallNative(k.Threads); err == nil {
-		sm.Backend = repcut.BackendNative
+	if err := p.Engine.InstallNative(k.Threads); err == nil {
+		p.Backend = repcut.BackendNative
 		m.codegenHotSwapped.Add(1)
 	}
 }
@@ -200,9 +188,9 @@ func (s *Session) maybeHotSwap(m *Metrics) {
 // Called with s.mu held, exactly once, by SessionManager.finish, or on a
 // session that never became visible.
 func (s *Session) release() {
-	if g := s.group; g != nil {
-		g.pool.free(g, s.lane)
-		s.group = nil
+	if l := s.laneHandle(); l != nil {
+		l.free()
+		s.b = nil
 	}
 	if p := s.tenant; p != nil {
 		p.leave(s.entry.Fingerprint)
@@ -273,6 +261,12 @@ func (sm *SessionManager) BatchStats() (groups, occupied, capacity int) {
 // the admission bound is hit (HTTP 429), ErrDraining during shutdown
 // (503).
 func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
+	return sm.open(e, nil, solo)
+}
+
+// open is Create and Restore: admit a session, place it, build its backend,
+// load snap into it when non-nil, re-check draining, and count it.
+func (sm *SessionManager) open(e *Entry, snap *sim.Snapshot, solo bool) (*Session, error) {
 	if sm.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -280,20 +274,17 @@ func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
 		sm.m.sessionsRejected.Add(1)
 		return nil, ErrSessionLimit
 	}
-	s := &Session{
-		ID:     fmt.Sprintf("s%08x", sm.seq.Add(1)),
-		Key:    e.Key,
-		report: e.Compiled.Report,
-		com:    e.Compiled,
-		entry:  e,
-	}
+	s := &Session{ID: fmt.Sprintf("s%08x", sm.seq.Add(1)), Key: e.Key, entry: e}
 	belowBreakEven := false
 	if !solo {
 		belowBreakEven = sm.batch.place(s)
 	}
-	if s.group == nil {
-		s.Sim = e.Compiled.NewSimulator()
+	if err := s.load(snap); err != nil {
+		s.release()
+		sm.sem.Release()
+		return nil, err
 	}
+	s.cycle = s.b.Cycles()
 	s.touch(time.Now())
 	sm.mu.Lock()
 	if sm.draining.Load() { // re-check under the table lock
@@ -305,13 +296,16 @@ func (sm *SessionManager) Create(e *Entry, solo bool) (*Session, error) {
 	sm.byID[s.ID] = s
 	sm.mu.Unlock()
 	sm.countCreated(s, belowBreakEven)
+	if snap != nil {
+		sm.m.sessionsRestored.Add(1)
+	}
 	return s, nil
 }
 
 // countCreated records a session that became visible and how it was placed.
 func (sm *SessionManager) countCreated(s *Session, belowBreakEven bool) {
 	sm.m.sessionsCreated.Add(1)
-	if s.group != nil {
+	if s.Batched() {
 		sm.m.sessionsBatched.Add(1)
 		return
 	}

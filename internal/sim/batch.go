@@ -25,8 +25,12 @@ import (
 // becomes one contiguous block copy across every lane at once.
 //
 // Narrow operations vectorize over lanes. Wide values and memories keep
-// their existing boxed per-lane representation and fall back to the
-// closure-based evalWide path, lane by lane, under the step mask.
+// their existing boxed per-lane representation and fall back to evalWide,
+// lane by lane, under the step mask.
+//
+// Each lane is also an ordinary strided globalState over st (stride
+// BatchWidth, offset the lane index), so a lane's ports, reset, snapshot and
+// state hash run the same accessors an Engine's view does.
 //
 // Only private-temp programs are supported: the eval phase then provably
 // writes nothing but thread-private temps and shadows (the RepCut
@@ -52,16 +56,12 @@ type BatchEngine struct {
 	// st is the SoA state: word w, lane l at st[w*BatchWidth+l].
 	st []uint64
 
-	// Per-lane boxed state: wide globals, memories (laneGS[l].words is nil —
-	// narrow words live in st), and per-thread wide temps/shadows plus
-	// deferred memory-write buffers.
+	// Per-lane state views: laneGS[l] addresses lane l's narrow words in st
+	// (stride BatchWidth) and holds its boxed wide globals and memories;
+	// laneTC[l] holds its per-thread wide temps/shadows and deferred
+	// memory-write buffers.
 	laneGS []*globalState
 	laneTC [][]*threadCtx
-
-	// Per-lane closures for the boxed wide fallback, built once so OpWide
-	// dispatch allocates nothing per cycle.
-	wval   []func(uint32) uint64
-	wstore []func(uint32, uint64)
 
 	cycles []uint64
 
@@ -95,20 +95,12 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 	e.st = make([]uint64, lp.StateWords*BatchWidth)
 	for l := 0; l < lanes; l++ {
 		e.fullMask[l] = true
-		gs := newGlobalStateWords(p, nil)
-		e.laneGS = append(e.laneGS, gs)
+		e.laneGS = append(e.laneGS, newGlobalState(p, e.st, BatchWidth, l))
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {
 			tcs[t] = newBatchThreadCtx(p, &p.Threads[t])
 		}
 		e.laneTC = append(e.laneTC, tcs)
-		l := l // captured per lane
-		e.wval = append(e.wval, func(r uint32) uint64 {
-			return e.st[int(r)*BatchWidth+l]
-		})
-		e.wstore = append(e.wstore, func(r uint32, v uint64) {
-			e.st[int(r)*BatchWidth+l] = v
-		})
 	}
 	e.Reset()
 	return e, nil
@@ -156,40 +148,7 @@ func (e *BatchEngine) Reset() {
 // other lane. The service batch tier calls it when recycling a dead
 // session's lane for a new one.
 func (e *BatchEngine) ResetLane(lane int) {
-	p := e.prog
-	for w := 0; w < e.lp.StateWords; w++ {
-		e.st[w*BatchWidth+lane] = 0
-	}
-	for i, v := range p.Imms {
-		e.st[(e.lp.ImmOff+i)*BatchWidth+lane] = v
-	}
-	gs := e.laneGS[lane]
-	for i, w := range p.WideWidths {
-		gs.wide[i] = zeroVec(w)
-	}
-	for mi := range gs.mems {
-		if gs.mems[mi] != nil {
-			for i := range gs.mems[mi] {
-				gs.mems[mi][i] = 0
-			}
-		}
-		if gs.wideMems[mi] != nil {
-			for i := range gs.wideMems[mi] {
-				gs.wideMems[mi][i] = zeroVec(p.Mems[mi].Width)
-			}
-		}
-	}
-	for _, r := range p.Regs {
-		if r.Wide {
-			gs.wide[r.Slot] = extendInit(r)
-		} else {
-			e.st[int(r.Slot)*BatchWidth+lane] = r.Init.Uint64() & maskOf(r.Width)
-		}
-	}
-	for _, tc := range e.laneTC[lane] {
-		tc.memBuf = tc.memBuf[:0]
-		tc.wideMemBuf = tc.wideMemBuf[:0]
-	}
+	resetState(e.lp, e.laneGS[lane], e.laneTC[lane])
 	e.cycles[lane] = 0
 }
 
@@ -206,15 +165,7 @@ func (e *BatchEngine) Poke(lane int, name string, v uint64) error {
 	if err := e.checkLane(lane); err != nil {
 		return err
 	}
-	ps, ok := e.prog.Input(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
-	if ps.Wide {
-		return fmt.Errorf("sim: input %q is %d bits wide; use PokeVec", name, ps.Width)
-	}
-	e.st[int(ps.Slot)*BatchWidth+lane] = v & maskOf(ps.Width)
-	return nil
+	return e.laneGS[lane].pokeInput(e.prog, name, v)
 }
 
 // PokeVec sets an input port of any width on one lane.
@@ -222,16 +173,7 @@ func (e *BatchEngine) PokeVec(lane int, name string, v bitvec.Vec) error {
 	if err := e.checkLane(lane); err != nil {
 		return err
 	}
-	ps, ok := e.prog.Input(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
-	if ps.Wide {
-		e.laneGS[lane].wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
-		return nil
-	}
-	e.st[int(ps.Slot)*BatchWidth+lane] = v.Uint64() & maskOf(ps.Width)
-	return nil
+	return e.laneGS[lane].pokeInputVec(e.prog, name, v)
 }
 
 // Peek reads a narrow output port of one lane.
@@ -239,14 +181,7 @@ func (e *BatchEngine) Peek(lane int, name string) (uint64, error) {
 	if err := e.checkLane(lane); err != nil {
 		return 0, err
 	}
-	ps, ok := e.prog.Output(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no output %q", name)
-	}
-	if ps.Wide {
-		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekVec", name, ps.Width)
-	}
-	return e.st[int(ps.Slot)*BatchWidth+lane], nil
+	return e.laneGS[lane].peekOutput(e.prog, name)
 }
 
 // PeekVec reads an output port of any width on one lane.
@@ -254,14 +189,7 @@ func (e *BatchEngine) PeekVec(lane int, name string) (bitvec.Vec, error) {
 	if err := e.checkLane(lane); err != nil {
 		return bitvec.Vec{}, err
 	}
-	ps, ok := e.prog.Output(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no output %q", name)
-	}
-	if ps.Wide {
-		return e.laneGS[lane].wide[ps.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(ps.Width, e.st[int(ps.Slot)*BatchWidth+lane]), nil
+	return e.laneGS[lane].peekOutputVec(e.prog, name)
 }
 
 // PeekReg reads a register's current value on one lane.
@@ -269,14 +197,7 @@ func (e *BatchEngine) PeekReg(lane int, name string) (bitvec.Vec, error) {
 	if err := e.checkLane(lane); err != nil {
 		return bitvec.Vec{}, err
 	}
-	rs, ok := e.prog.Reg(name)
-	if !ok {
-		return bitvec.Vec{}, fmt.Errorf("sim: no register %q", name)
-	}
-	if rs.Wide {
-		return e.laneGS[lane].wide[rs.Slot].Clone(), nil
-	}
-	return bitvec.FromUint64(rs.Width, e.st[int(rs.Slot)*BatchWidth+lane]), nil
+	return e.laneGS[lane].peekRegVec(e.prog, name)
 }
 
 // PeekMemVec reads one memory word of any element width on one lane.
@@ -394,27 +315,6 @@ func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) 
 		}
 		tc.wideMemBuf = tc.wideMemBuf[:0]
 	}
-}
-
-// ExtractLane copies one lane's architectural state (narrow globals, wide
-// globals, memories, cycle count) into a fresh private Engine over the
-// same program. The service uses it to spill a session out of its batch
-// group when it diverges — VCD capture, verification mode — without losing
-// simulation state. The lane itself is left untouched; the caller decides
-// whether to recycle it.
-func (e *BatchEngine) ExtractLane(lane int) (*Engine, error) {
-	if err := e.checkLane(lane); err != nil {
-		return nil, err
-	}
-	s, err := e.SnapshotLane(lane)
-	if err != nil {
-		return nil, err
-	}
-	ne := NewEngine(e.prog)
-	if err := ne.RestoreSnapshot(s); err != nil {
-		return nil, err
-	}
-	return ne, nil
 }
 
 // StateBytes estimates the engine's resident mutable state: the SoA array

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -245,55 +246,95 @@ func TestBatchResetLane(t *testing.T) {
 	compareLane(t, be, 1, fresh, "recycled lane after rerun")
 }
 
-// TestBatchExtractLane is the spill contract: the extracted private engine
-// must carry the lane's exact architectural state and then evolve
-// identically under further stimulus.
-func TestBatchExtractLane(t *testing.T) {
-	g := randomCircuit(t, 63, 70)
-	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+// TestBatchLanePortsMatchEngine: a batch lane runs the same port, hash
+// and snapshot plumbing as an Engine view, so every accessor answers with
+// the same value or the same error text, and at equal stimulus the lane's
+// state hash and encoded snapshot equal the engine's — serial and
+// partitioned.
+func TestBatchLanePortsMatchEngine(t *testing.T) {
+	const lane = 1
+	e := NewEngine(compileSrc(t, taskEngineSrc))
+	be, err := NewBatchEngine(e.Program(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := NewBatchEngine(prog, 2)
-	if err != nil {
-		t.Fatal(err)
+	sameErr := func(what string, a, b error) {
+		t.Helper()
+		if a == nil || b == nil || a.Error() != b.Error() {
+			t.Errorf("%s: Engine error %v, lane error %v", what, a, b)
+		}
 	}
-	twin := NewEngine(prog)
-	rng := rand.New(rand.NewSource(33))
-	for cyc := 0; cyc < 7; cyc++ {
-		pokeBoth(t, be, 1, twin, rng)
-		be.Run(1)
-		twin.Run(1)
+	sameErr("poke missing input", e.PokeInput("nope", 1), be.Poke(lane, "nope", 1))
+	sameErr("narrow poke of wide input", e.PokeInput("w", 1), be.Poke(lane, "w", 1))
+	sameErr("vec poke of missing input", e.PokeInputVec("nope", bitvec.New(8)), be.PokeVec(lane, "nope", bitvec.New(8)))
+	_, err1 := e.PeekOutput("nope")
+	_, err2 := be.Peek(lane, "nope")
+	sameErr("peek missing output", err1, err2)
+	_, err1 = e.PeekOutput("q")
+	_, err2 = be.Peek(lane, "q")
+	sameErr("narrow peek of wide output", err1, err2)
+	_, err1 = e.PeekOutputVec("nope")
+	_, err2 = be.PeekVec(lane, "nope")
+	sameErr("vec peek of missing output", err1, err2)
+	_, err1 = e.PeekReg("nope")
+	_, err2 = be.PeekReg(lane, "nope")
+	sameErr("peek missing register", err1, err2)
+
+	w := bitvec.FromUint64(70, 0x1234)
+	for _, poke := range []func() error{
+		func() error { return e.PokeInput("n", 0x1a5) },
+		func() error { return be.Poke(lane, "n", 0x1a5) },
+		func() error { return e.PokeInputVec("w", w) },
+		func() error { return be.PokeVec(lane, "w", w) },
+	} {
+		if err := poke(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sp, err := be.ExtractLane(1)
-	if err != nil {
-		t.Fatal(err)
+	e.Run(2)
+	be.Run(2)
+	o1, _ := e.PeekOutput("o")
+	o2, _ := be.Peek(lane, "o")
+	if o1 != 0xa5 || o2 != 0xa5 {
+		t.Errorf("output o: Engine %#x, lane %#x, want 0xa5", o1, o2)
 	}
-	if sp.Cycles() != be.Cycles(1) {
-		t.Fatalf("spilled cycles %d, want %d", sp.Cycles(), be.Cycles(1))
-	}
-	// Continue the spilled engine and the twin in lockstep; the batch lane
-	// stays frozen and must be unaffected by the spill.
-	frozen, err := be.ExtractLane(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cyc := 0; cyc < 5; cyc++ {
-		v := rng.Uint64()
-		for _, e := range []*Engine{sp, twin} {
-			if err := e.PokeInput("in1", v); err != nil {
+	compareLane(t, be, lane, e, "ports")
+
+	for _, seed := range []int64{50, 55} {
+		g := randomCircuit(t, seed, 70)
+		for _, k := range []int{1, 3} {
+			prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		sp.Run(1)
-		twin.Run(1)
-	}
-	compareLane(t, be, 1, frozen, "lane frozen across spill")
-	for _, r := range prog.Regs {
-		sv, _ := sp.PeekReg(r.Name)
-		tv, _ := twin.PeekReg(r.Name)
-		if !bitvec.Eq(sv, tv) {
-			t.Fatalf("spilled engine diverged on reg %s: %v vs %v", r.Name, sv, tv)
+			if k > 1 {
+				prog = partitioned(t, g, k, seed)
+			}
+			e := NewEngine(prog)
+			be, err := NewBatchEngine(prog, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for cyc := 0; cyc < 9; cyc++ {
+				pokeBoth(t, be, lane, e, rng)
+				be.Run(1)
+				e.Run(1)
+			}
+			if h, _ := be.StateHashLane(lane); h != e.StateHash() {
+				t.Errorf("seed %d k=%d: lane hash %016x, engine %016x", seed, k, h, e.StateHash())
+			}
+			ls, err := be.SnapshotLane(lane)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ls.Encode(), es.Encode()) {
+				t.Errorf("seed %d k=%d: lane snapshot encodes differently from the engine's", seed, k)
+			}
 		}
 	}
 }

@@ -756,7 +756,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 				if !mask[l] {
 					continue
 				}
-				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t], e.wval[l], e.wstore[l])
+				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t])
 			}
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))

@@ -55,7 +55,7 @@ type Engine struct {
 // buffers are the previous cycle's writes — the catch-up set of publish.
 type view struct {
 	// state is the unified [globals|imms|frames] word array (link.go);
-	// gs.words and every context's temps/shadow alias it.
+	// gs views it and every context's temps/shadow alias it.
 	state []uint64
 	gs    *globalState
 	tcs   []*threadCtx
@@ -85,10 +85,10 @@ func NewEngine(p *Program) *Engine {
 // bench/ deletes it together with its sim.interp.rocket-1t row.
 func NewInterpEngine(p *Program) *Engine { return NewEngine(p) }
 
+// newView allocates one state view; its owner resets it to power-on state.
 func newView(p *Program, lp *LinkedProgram) *view {
 	v := &view{state: make([]uint64, lp.StateWords)}
-	copy(v.state[lp.ImmOff:], p.Imms)
-	v.gs = newGlobalStateWords(p, v.state[:p.GlobalWords:p.GlobalWords])
+	v.gs = newGlobalState(p, v.state, 1, 0)
 	for t := range p.Threads {
 		th := &p.Threads[t]
 		lt := &lp.Threads[t]
@@ -143,20 +143,10 @@ func (e *Engine) InstrsRetired() uint64 { return e.instrsRetired }
 // and outputs to zero.
 func (e *Engine) Reset() {
 	for _, v := range e.views {
-		resetState(e.prog, v.gs)
-		v.dropWrites()
+		resetState(e.lp, v.gs, v.tcs)
 	}
 	e.cycles = 0
 	e.instrsRetired = 0
-}
-
-// dropWrites empties the memory-write buffers, so that a publish after
-// Reset or RestoreSnapshot (both views equal) has nothing to catch up on.
-func (v *view) dropWrites() {
-	for _, tc := range v.tcs {
-		tc.memBuf = tc.memBuf[:0]
-		tc.wideMemBuf = tc.wideMemBuf[:0]
-	}
 }
 
 // PokeInput sets a narrow input port (values wider than 64 bits need
@@ -235,7 +225,7 @@ func (e *Engine) other() *view { return e.views[len(e.views)-1-e.cur] }
 func (e *Engine) publish(t int, from, to *view) {
 	th := &e.prog.Threads[t]
 	tc := from.tcs[t]
-	copy(to.gs.words[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
+	copy(to.state[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
 	for i, slot := range th.WideShadowSlots {
 		to.gs.wide[slot] = tc.wideShadow[i]
 	}

@@ -36,13 +36,21 @@ type threadCtx struct {
 	_ [6]uint64
 }
 
-// globalState is the shared simulator state.
+// globalState is one simulation's view of the state: the narrow words of
+// the unified linked layout (link.go) plus the boxed wide values and
+// memories. Narrow word i lives at words[i*stride+lane] — stride 1, lane 0
+// over an engine view's own state array; stride BatchWidth and the lane
+// index over a batch engine's SoA array, where the lanes' words interleave.
 type globalState struct {
-	words    []uint64
-	wide     []bitvec.Vec
-	mems     [][]uint64
-	wideMems [][]bitvec.Vec
+	words        []uint64
+	stride, lane int
+	wide         []bitvec.Vec
+	mems         [][]uint64
+	wideMems     [][]bitvec.Vec
 }
+
+// at addresses narrow state word i.
+func (gs *globalState) at(i uint32) *uint64 { return &gs.words[int(i)*gs.stride+gs.lane] }
 
 // pokeInput sets a narrow input port, masked to its width: the PokeInput of
 // every engine tier (Engine calls it once per view).
@@ -54,7 +62,7 @@ func (gs *globalState) pokeInput(p *Program, name string, v uint64) error {
 	if ps.Wide {
 		return fmt.Errorf("sim: input %q is %d bits wide; use PokeInputVec", name, ps.Width)
 	}
-	gs.words[ps.Slot] = v & maskOf(ps.Width)
+	*gs.at(ps.Slot) = v & maskOf(ps.Width)
 	return nil
 }
 
@@ -67,7 +75,7 @@ func (gs *globalState) pokeInputVec(p *Program, name string, v bitvec.Vec) error
 	if ps.Wide {
 		gs.wide[ps.Slot] = bitvec.ZeroExtend(ps.Width, v)
 	} else {
-		gs.words[ps.Slot] = v.Uint64() & maskOf(ps.Width)
+		*gs.at(ps.Slot) = v.Uint64() & maskOf(ps.Width)
 	}
 	return nil
 }
@@ -81,7 +89,7 @@ func (gs *globalState) peekOutput(p *Program, name string) (uint64, error) {
 	if ps.Wide {
 		return 0, fmt.Errorf("sim: output %q is %d bits wide; use PeekOutputVec", name, ps.Width)
 	}
-	return gs.words[ps.Slot], nil
+	return *gs.at(ps.Slot), nil
 }
 
 // peekOutputVec reads an output port of any width.
@@ -93,7 +101,7 @@ func (gs *globalState) peekOutputVec(p *Program, name string) (bitvec.Vec, error
 	if ps.Wide {
 		return gs.wide[ps.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(ps.Width, gs.words[ps.Slot]), nil
+	return bitvec.FromUint64(ps.Width, *gs.at(ps.Slot)), nil
 }
 
 // peekRegVec reads a register of any width.
@@ -105,7 +113,7 @@ func (gs *globalState) peekRegVec(p *Program, name string) (bitvec.Vec, error) {
 	if rs.Wide {
 		return gs.wide[rs.Slot].Clone(), nil
 	}
-	return bitvec.FromUint64(rs.Width, gs.words[rs.Slot]), nil
+	return bitvec.FromUint64(rs.Width, *gs.at(rs.Slot)), nil
 }
 
 // peekMemVec reads one word of a named memory at any element width: the
@@ -124,13 +132,15 @@ func (gs *globalState) peekMemVec(p *Program, name string, addr int) (bitvec.Vec
 	return bitvec.FromUint64(m.Width, gs.mems[mi][addr]), nil
 }
 
-// newGlobalStateWords builds a global state whose narrow words alias the
-// given slice — the linked engines pass a prefix of their unified state
-// array so Poke/Peek/reset/update keep working unchanged.
-func newGlobalStateWords(p *Program, words []uint64) *globalState {
+// newGlobalState builds a global state whose narrow words are word
+// i*stride+lane of the given array: an engine view's unified state array
+// (stride 1, lane 0) or one lane of a batch engine's SoA array.
+func newGlobalState(p *Program, words []uint64, stride, lane int) *globalState {
 	gs := &globalState{
-		words: words,
-		wide:  make([]bitvec.Vec, p.GlobalWide),
+		words:  words,
+		stride: stride,
+		lane:   lane,
+		wide:   make([]bitvec.Vec, p.GlobalWide),
 	}
 	for i := range gs.wide {
 		gs.wide[i] = bitvec.New(64) // placeholder; sized properly on reset
@@ -221,10 +231,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// evalWide executes one boxed wide node through the bitvec path.
-func evalWide(wn *WideNode, p *Program, gs *globalState, tc *threadCtx,
-	val func(uint32) uint64, store func(uint32, uint64)) {
-
+// evalWide executes one boxed wide node through the bitvec path; its narrow
+// operands are gs's state words.
+func evalWide(wn *WideNode, p *Program, gs *globalState, tc *threadCtx) {
 	fetch := func(a WideOperand) bitvec.Vec {
 		switch a.Space {
 		case wsWideLocal:
@@ -236,7 +245,7 @@ func evalWide(wn *WideNode, p *Program, gs *globalState, tc *threadCtx,
 		case wsWideShadow:
 			return tc.wideShadow[a.Idx]
 		default: // narrow
-			return bitvec.FromUint64(a.Type.Width, val(a.Idx))
+			return bitvec.FromUint64(a.Type.Width, *gs.at(a.Idx))
 		}
 	}
 	put := func(v bitvec.Vec) {
@@ -248,7 +257,7 @@ func evalWide(wn *WideNode, p *Program, gs *globalState, tc *threadCtx,
 		case wsWideShadow:
 			tc.wideShadow[wn.Dst.Idx] = v
 		case wsNarrow:
-			store(wn.Dst.Idx, v.Uint64())
+			*gs.at(wn.Dst.Idx) = v.Uint64()
 		default:
 			panic("sim: bad wide destination")
 		}

@@ -10,13 +10,9 @@ import (
 // the one scalar definition of narrow opcode semantics — engines, constant
 // folding and EvalOp all run it (pure ops touch only st, so a probe may pass
 // nil for p, lp, gs and tc) — and sim.Reference, which never sees an
-// OpCode, is the independent oracle it is cross-checked against.
+// OpCode, is the independent oracle it is cross-checked against. gs views
+// st: the boxed wide path reaches its narrow operands through it.
 func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *globalState, tc *threadCtx) {
-	// Closures for the boxed wide path are built lazily: threads without
-	// wide nodes must not allocate per cycle.
-	var wval func(uint32) uint64
-	var wstore func(uint32, uint64)
-
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
@@ -150,11 +146,7 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 				})
 			}
 		case OpWide:
-			if wval == nil {
-				wval = func(r uint32) uint64 { return st[r] }
-				wstore = func(r uint32, v uint64) { st[r] = v }
-			}
-			evalWide(&lp.WideNodes[in.Aux], p, gs, tc, wval, wstore)
+			evalWide(&lp.WideNodes[in.Aux], p, gs, tc)
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}

@@ -61,9 +61,7 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 					tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
 				},
 				wide: func(node uint32) {
-					evalWide(&e.lp.WideNodes[node], e.prog, v.gs, tc,
-						func(r uint32) uint64 { return v.state[r] },
-						func(r uint32, x uint64) { v.state[r] = x })
+					evalWide(&e.lp.WideNodes[node], e.prog, v.gs, tc)
 				},
 			}
 		}
@@ -84,15 +82,18 @@ func (e *Engine) NativeInstalled() bool { return e.views[0].native != nil }
 // (name-sorted) order, never layout order, so the hash is identical across
 // backends AND across partitionings of the same design — refined and
 // unrefined compiles of one circuit must produce the same hash.
-func (e *Engine) StateHash() uint64 {
+func (e *Engine) StateHash() uint64 { return stateHash(e.prog, e.gs()) }
+
+// stateHash is StateHash over one state view: an engine's or a batch
+// lane's (BatchEngine.StateHashLane).
+func stateHash(p *Program, gs *globalState) uint64 {
 	h := fnv{1469598103934665603}
-	p, gs := e.prog, e.gs()
 	for _, i := range p.regHashOrder() {
 		r := &p.Regs[i]
 		if r.Wide {
 			h.vec(gs.wide[r.Slot])
 		} else {
-			h.u64(gs.words[r.Slot])
+			h.u64(*gs.at(r.Slot))
 		}
 	}
 	for _, i := range p.outputHashOrder() {
@@ -100,7 +101,7 @@ func (e *Engine) StateHash() uint64 {
 		if o.Wide {
 			h.vec(gs.wide[o.Slot])
 		} else {
-			h.u64(gs.words[o.Slot])
+			h.u64(*gs.at(o.Slot))
 		}
 	}
 	for mi := range p.Mems {

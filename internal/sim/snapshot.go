@@ -61,25 +61,13 @@ type Snapshot struct {
 // Snapshot captures the engine's complete state; the format is the linked
 // layout.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	cur := e.views[e.cur]
-	s := &Snapshot{
-		Version:     SnapshotVersion,
-		Fingerprint: e.prog.Fingerprint(),
-		LayoutWords: e.lp.StateWords,
-		Cycles:      e.cycles,
-		Words:       append([]uint64(nil), cur.state...),
-	}
+	words := append([]uint64(nil), e.views[e.cur].state...)
 	// The frames are dead scratch; take them from the view the last cycle
 	// evaluated over, so the blob does not depend on how many views the
 	// engine keeps.
 	frames := e.lp.Threads[0].TempOff
-	copy(s.Words[frames:], e.other().state[frames:])
-	s.Wide = make([]bitvec.Vec, len(cur.gs.wide))
-	for i, v := range cur.gs.wide {
-		s.Wide[i] = v.Clone()
-	}
-	s.Mems, s.WideMems = cloneMems(cur.gs)
-	return s, nil
+	copy(words[frames:], e.other().state[frames:])
+	return newSnapshot(e.lp, e.gs(), e.cycles, words), nil
 }
 
 // RestoreSnapshot overwrites the engine's state with the snapshot's. The
@@ -94,11 +82,7 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	}
 	for _, v := range e.views {
 		copy(v.state, s.Words)
-		for i, w := range s.Wide {
-			v.gs.wide[i] = w.Clone()
-		}
-		restoreMems(v.gs, s)
-		v.dropWrites()
+		s.restoreView(v.gs, v.tcs)
 	}
 	e.cycles = s.Cycles
 	e.instrsRetired = uint64(e.prog.TotalInstrs()) * s.Cycles
@@ -112,23 +96,12 @@ func (e *BatchEngine) SnapshotLane(lane int) (*Snapshot, error) {
 	if err := e.checkLane(lane); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		Version:     SnapshotVersion,
-		Fingerprint: e.prog.Fingerprint(),
-		LayoutWords: e.lp.StateWords,
-		Cycles:      e.cycles[lane],
-		Words:       make([]uint64, e.lp.StateWords),
-	}
-	for w := 0; w < e.lp.StateWords; w++ {
-		s.Words[w] = e.st[w*BatchWidth+lane]
-	}
 	gs := e.laneGS[lane]
-	s.Wide = make([]bitvec.Vec, len(gs.wide))
-	for i, v := range gs.wide {
-		s.Wide[i] = v.Clone()
+	words := make([]uint64, e.lp.StateWords)
+	for i := range words {
+		words[i] = *gs.at(uint32(i))
 	}
-	s.Mems, s.WideMems = cloneMems(gs)
-	return s, nil
+	return newSnapshot(e.lp, gs, e.cycles[lane], words), nil
 }
 
 // RestoreLane overwrites one batch lane's state with the snapshot's,
@@ -141,83 +114,63 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}
-	for w := 0; w < e.lp.StateWords; w++ {
-		e.st[w*BatchWidth+lane] = s.Words[w]
-	}
 	gs := e.laneGS[lane]
-	for i, v := range s.Wide {
-		gs.wide[i] = v.Clone()
+	for i, w := range s.Words {
+		*gs.at(uint32(i)) = w
 	}
-	restoreMems(gs, s)
-	for _, tc := range e.laneTC[lane] {
-		tc.memBuf = tc.memBuf[:0]
-		tc.wideMemBuf = tc.wideMemBuf[:0]
-	}
+	s.restoreView(gs, e.laneTC[lane])
 	e.cycles[lane] = s.Cycles
 	return nil
 }
 
 // StateHashLane hashes one lane's architectural state exactly as
 // Engine.StateHash does, so a migrated session's state can be compared
-// across nodes and backends without extracting the lane.
+// across nodes and backends.
 func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 	if err := e.checkLane(lane); err != nil {
 		return 0, err
 	}
-	h := fnv{1469598103934665603}
-	p := e.prog
-	gs := e.laneGS[lane]
-	for _, i := range p.regHashOrder() {
-		r := &p.Regs[i]
-		if r.Wide {
-			h.vec(gs.wide[r.Slot])
-		} else {
-			h.u64(e.st[int(r.Slot)*BatchWidth+lane])
-		}
-	}
-	for _, i := range p.outputHashOrder() {
-		o := &p.Outputs[i]
-		if o.Wide {
-			h.vec(gs.wide[o.Slot])
-		} else {
-			h.u64(e.st[int(o.Slot)*BatchWidth+lane])
-		}
-	}
-	for mi := range p.Mems {
-		if p.Mems[mi].Wide {
-			for _, v := range gs.wideMems[mi] {
-				h.vec(v)
-			}
-		} else {
-			for _, v := range gs.mems[mi] {
-				h.u64(v)
-			}
-		}
-	}
-	return h.h, nil
+	return stateHash(e.prog, e.laneGS[lane]), nil
 }
 
-// cloneMems deep-copies a global state's memory arrays.
-func cloneMems(gs *globalState) ([][]uint64, [][]bitvec.Vec) {
-	mems := make([][]uint64, len(gs.mems))
-	wideMems := make([][]bitvec.Vec, len(gs.wideMems))
+// newSnapshot freezes one state view at a cycle boundary: words is the
+// caller's gather of its narrow state words; the wide values and memories
+// are deep-copied from gs.
+func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint64) *Snapshot {
+	s := &Snapshot{
+		Version:     SnapshotVersion,
+		Fingerprint: lp.prog.Fingerprint(),
+		LayoutWords: lp.StateWords,
+		Cycles:      cycles,
+		Words:       words,
+		Wide:        make([]bitvec.Vec, len(gs.wide)),
+		Mems:        make([][]uint64, len(gs.mems)),
+		WideMems:    make([][]bitvec.Vec, len(gs.wideMems)),
+	}
+	for i, v := range gs.wide {
+		s.Wide[i] = v.Clone()
+	}
 	for mi := range gs.mems {
 		if gs.mems[mi] != nil {
-			mems[mi] = append([]uint64(nil), gs.mems[mi]...)
+			s.Mems[mi] = append([]uint64(nil), gs.mems[mi]...)
 		}
 		if gs.wideMems[mi] != nil {
-			wideMems[mi] = make([]bitvec.Vec, len(gs.wideMems[mi]))
+			s.WideMems[mi] = make([]bitvec.Vec, len(gs.wideMems[mi]))
 			for a, v := range gs.wideMems[mi] {
-				wideMems[mi][a] = v.Clone()
+				s.WideMems[mi][a] = v.Clone()
 			}
 		}
 	}
-	return mems, wideMems
+	return s
 }
 
-// restoreMems copies a (pre-checked) snapshot's memories into a global
-// state.
-func restoreMems(gs *globalState, s *Snapshot) {
+// restoreView copies a (pre-checked) snapshot's wide values and memories
+// into one state view and drops its contexts' buffered writes; the caller
+// scatters s.Words.
+func (s *Snapshot) restoreView(gs *globalState, tcs []*threadCtx) {
+	for i, v := range s.Wide {
+		gs.wide[i] = v.Clone()
+	}
 	for mi := range gs.mems {
 		if gs.mems[mi] != nil {
 			copy(gs.mems[mi], s.Mems[mi])
@@ -228,6 +181,7 @@ func restoreMems(gs *globalState, s *Snapshot) {
 			}
 		}
 	}
+	dropWrites(tcs)
 }
 
 // check validates the snapshot against the restoring program's layout: the

@@ -65,8 +65,7 @@ func NewTaskEngine(p *Program, plan TaskPlan) (*TaskEngine, error) {
 
 // Reset restores power-on state.
 func (e *TaskEngine) Reset() {
-	resetState(e.prog, e.gs)
-	e.dropWrites()
+	resetState(e.lp, e.gs, e.tcs)
 	for i := range e.doneCycle {
 		e.doneCycle[i].Store(0)
 	}
@@ -128,7 +127,7 @@ func (e *TaskEngine) waitFor(dep int, c uint64) {
 func (e *TaskEngine) update(t int) {
 	th := &e.prog.Threads[t]
 	tc := e.tcs[t]
-	copy(e.gs.words[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
+	copy(e.state[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
 	for i, slot := range th.WideShadowSlots {
 		e.gs.wide[slot] = tc.wideShadow[i]
 	}
@@ -231,11 +230,17 @@ func zeroVec(w int) bitvec.Vec { return bitvec.New(w) }
 
 func extendInit(r RegSlot) bitvec.Vec { return bitvec.ZeroExtend(r.Width, r.Init) }
 
-// resetState restores a global state to power-on values (shared by Engine
-// and TaskEngine).
-func resetState(p *Program, gs *globalState) {
-	for i := range gs.words {
-		gs.words[i] = 0
+// resetState restores one state view to power-on values — every narrow
+// word zero except the immediates and the register inits, wide values and
+// memories zero — and drops its contexts' buffered memory writes. Engine,
+// TaskEngine and every batch lane share it.
+func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
+	p := lp.prog
+	for i := 0; i < lp.StateWords; i++ {
+		*gs.at(uint32(i)) = 0
+	}
+	for i, v := range p.Imms {
+		*gs.at(uint32(lp.ImmOff + i)) = v
 	}
 	for i, w := range p.WideWidths {
 		gs.wide[i] = zeroVec(w)
@@ -256,7 +261,17 @@ func resetState(p *Program, gs *globalState) {
 		if r.Wide {
 			gs.wide[r.Slot] = extendInit(r)
 		} else {
-			gs.words[r.Slot] = r.Init.Uint64() & maskOf(r.Width)
+			*gs.at(r.Slot) = r.Init.Uint64() & maskOf(r.Width)
 		}
+	}
+	dropWrites(tcs)
+}
+
+// dropWrites empties the contexts' memory-write buffers, so that a publish
+// after a reset or restore has nothing to catch up on.
+func dropWrites(tcs []*threadCtx) {
+	for _, tc := range tcs {
+		tc.memBuf = tc.memBuf[:0]
+		tc.wideMemBuf = tc.wideMemBuf[:0]
 	}
 }

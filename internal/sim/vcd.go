@@ -104,10 +104,14 @@ func bitsOf(bin string, width int) string {
 }
 
 // Sample records the current state at the engine's cycle count, emitting
-// only signals that changed since the previous sample.
+// only signals that changed since the previous sample. A cycle already
+// sampled is not sampled again, so every timestamp appears once.
 func (v *VCDWriter) Sample() error {
 	if v.err != nil {
 		return v.err
+	}
+	if v.opened && v.time == v.eng.Cycles() {
+		return nil
 	}
 	if !v.opened {
 		v.header()
@@ -135,7 +139,7 @@ func (v *VCDWriter) Sample() error {
 // RunSampled advances the engine one cycle at a time for n cycles,
 // sampling after each.
 func (v *VCDWriter) RunSampled(n int) error {
-	if err := v.Sample(); err != nil { // initial values
+	if err := v.Sample(); err != nil { // initial values, unless already sampled
 		return err
 	}
 	for i := 0; i < n; i++ {

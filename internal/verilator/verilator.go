@@ -18,7 +18,6 @@ package verilator
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/cgraph"
@@ -36,7 +35,6 @@ type Options struct {
 	PGO bool
 	// Model is the true cost model (defaults to costmodel.Default()).
 	Model *costmodel.Model
-	Seed  int64
 }
 
 // MTask is one statically scheduled partition.
@@ -77,7 +75,7 @@ func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 	}
 
 	tasks := buildTasks(g, opt, model)
-	schedule(tasks, opt.Threads, opt.Seed)
+	schedule(tasks, opt.Threads)
 
 	// Thread vertex lists in scheduled order.
 	perThreadTasks := make([][]*MTask, opt.Threads)
@@ -333,7 +331,7 @@ func buildTasks(g *cgraph.Graph, opt Options, model costmodel.Model) []MTask {
 // schedule assigns tasks to threads by list scheduling: priority is the
 // critical-path (bottom-level) length in estimate units; each ready task
 // goes to the thread where it can start earliest.
-func schedule(tasks []MTask, threads int, seed int64) {
+func schedule(tasks []MTask, threads int) {
 	n := len(tasks)
 	succs := make([][]int, n)
 	indeg := make([]int, n)
@@ -359,8 +357,6 @@ func schedule(tasks []MTask, threads int, seed int64) {
 		level[t] += best
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	_ = rng
 	threadAvail := make([]int64, threads)
 	remaining := make([]int, n)
 	copy(remaining, indeg)

@@ -65,7 +65,7 @@ func mustGraph(t testing.TB, src string) *cgraph.Graph {
 
 func TestTaskInvariants(t *testing.T) {
 	g := mustGraph(t, pipelineSrc(40, 2))
-	s, err := New(g, Options{Threads: 3, Seed: 1})
+	s, err := New(g, Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMatchesSerial(t *testing.T) {
 		serial := sim.NewEngine(serialProg)
 		for _, threads := range []int{2, 4} {
 			for _, pgo := range []bool{false, true} {
-				v, err := New(g, Options{Threads: threads, PGO: pgo, Seed: seed})
+				v, err := New(g, Options{Threads: threads, PGO: pgo})
 				if err != nil {
 					t.Fatalf("threads=%d pgo=%v: %v", threads, pgo, err)
 				}
@@ -183,11 +183,11 @@ func TestPGOImprovesScheduleOnSkewedCosts(t *testing.T) {
 		}
 		return sum / float64(n)
 	}
-	base, err := New(g, Options{Threads: 4, Seed: 3, Model: &model})
+	base, err := New(g, Options{Threads: 4, Model: &model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgo, err := New(g, Options{Threads: 4, Seed: 3, PGO: true, Model: &model})
+	pgo, err := New(g, Options{Threads: 4, PGO: true, Model: &model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPGOImprovesScheduleOnSkewedCosts(t *testing.T) {
 
 func TestProfiledRun(t *testing.T) {
 	g := mustGraph(t, pipelineSrc(30, 9))
-	s, err := New(g, Options{Threads: 2, Seed: 4})
+	s, err := New(g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
