@@ -2,11 +2,13 @@ package main
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -32,6 +34,14 @@ circuit Acc {
   }
 }
 `
+
+// countingTransport counts the HTTP requests a client sends.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
 
 // TestDaemonBlackBox builds the real repcutd binary, boots it on an
 // ephemeral port, drives compile → session → poke/run/peek through the
@@ -86,9 +96,10 @@ func TestDaemonBlackBox(t *testing.T) {
 	})
 
 	var client *service.Client
+	rt := &countingTransport{}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		if addr, _ := os.ReadFile(portFile); len(addr) > 0 {
-			client = service.NewClient("http://" + string(addr))
+			client = &service.Client{BaseURL: "http://" + string(addr), HTTP: &http.Client{Transport: rt}}
 			if client.Health() == nil {
 				break
 			}
@@ -154,6 +165,43 @@ func TestDaemonBlackBox(t *testing.T) {
 				t.Fatalf("step %d: %s = %#x over the wire, %#x in process", step, name, got, want)
 			}
 		}
+	}
+
+	// A queued poke rides on Run(1) and the step answers with both outputs,
+	// so the peeks that follow send nothing and read the reference's values.
+	if err := sess.Poke("in", 0x0f0f); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.PokeInput("in", 0x0f0f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(1)
+	before := rt.n.Load()
+	for _, name := range []string{"out", "mix"} {
+		got, err := sess.Peek(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.PeekOutput(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("carried %s = %#x, %#x in process", name, got, want)
+		}
+	}
+	if n := rt.n.Load() - before; n != 0 {
+		t.Fatalf("Peek after Run(1) sent %d requests, want 0 (carried on the step)", n)
+	}
+	m, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Sim.StepsWithOutputs == 0 {
+		t.Fatal("steps_with_outputs = 0 after steps that carried outputs")
 	}
 
 	// Two pokes queue on the handle and ride on the run; the checkpoint

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -144,18 +145,24 @@ func (c *Client) newSession(req CreateSessionRequest) (*SessionHandle, error) {
 	return &SessionHandle{c: c, ID: resp.SessionID, Design: resp.Design, Batched: resp.Batched}, nil
 }
 
-// SessionHandle drives one server-side session. It is not safe for
-// concurrent use: it queues pokes, and following a migration rewrites its
-// client and ID.
+// SessionHandle drives one server-side session and assumes it is the
+// session's only driver. It is not safe for concurrent use: it queues pokes,
+// carries peeked outputs, and following a migration rewrites its client and
+// ID.
 //
-// Pokes are write-behind. The server never re-evaluates on a poke, so a
-// poked value is observable only after the next step or through state a
-// checkpoint reads. The first poke of each port name goes to the server at
-// once, so an unknown or wide port fails at Poke; later pokes to an accepted
-// name queue on the handle and travel inside the next Run request. Peek,
-// PeekReg, Checkpoint and StartVCD send the queue through /poke first; VCD
-// leaves it queued and Close drops it, since neither result depends on an
-// input. Every result is the same as sending each poke when it was made.
+// A lock-step cycle (Poke, Run, Peek) is one round trip. The server never
+// re-evaluates on a poke, so a poked value is observable only after the next
+// step or through state a checkpoint reads, and outputs change only on a
+// step. So pokes are write-behind: the first poke of each port name goes to
+// the server at once, so an unknown or wide port fails at Poke; later pokes
+// to an accepted name queue on the handle and travel inside the next Run.
+// And peeks ride on the step: once a /peek of an output has succeeded, every
+// Run asks for it, and Peek returns the value the last Run answered with,
+// without a request or a flush. A failed Run, and Close, drop those values.
+// PeekReg, Checkpoint, StartVCD and an uncarried Peek send the queue through
+// /poke first; VCD leaves it queued and Close drops it, since neither result
+// depends on an input. Every result is the same as sending each poke when it
+// was made and each peek when it was asked.
 type SessionHandle struct {
 	c       *Client
 	ID      string
@@ -164,6 +171,8 @@ type SessionHandle struct {
 
 	accepted map[string]bool // port names the server has taken a poke for
 	pending  []PokeRequest   // queued pokes, oldest first
+	watch    []string        // output names a /peek succeeded for, each once
+	carried  []ValueResponse // outputs the last Run answered with; nil after a failure or Close
 }
 
 func (s *SessionHandle) path(op string) string {
@@ -231,11 +240,20 @@ func (s *SessionHandle) settle(err error) {
 	}
 }
 
-// Peek reads a narrow output port.
+// Peek reads a narrow output port: the value the last Run carried, or else
+// through /peek, after which every Run carries it (see SessionHandle).
 func (s *SessionHandle) Peek(name string) (uint64, error) {
+	for _, c := range s.carried {
+		if c.Name == name {
+			return c.Value, nil
+		}
+	}
 	var resp ValueResponse
 	if err := s.doFlushed(http.MethodPost, "peek", PeekRequest{Name: name}, &resp); err != nil {
 		return 0, err
+	}
+	if !slices.Contains(s.watch, name) {
+		s.watch = append(s.watch, name)
 	}
 	return resp.Value, nil
 }
@@ -262,14 +280,16 @@ func (s *SessionHandle) doFlushed(method, op string, in, out any) error {
 func (s *SessionHandle) Step() (uint64, error) { return s.Run(1) }
 
 // Run applies the queued pokes, advances n cycles and returns the session's
-// total cycles.
+// total cycles. The answer carries the watched outputs for later Peeks.
 func (s *SessionHandle) Run(n int) (uint64, error) {
 	var resp StepResponse
-	err := s.do(http.MethodPost, "run", StepRequest{Cycles: n, Pokes: s.pending}, &resp)
+	err := s.do(http.MethodPost, "run", StepRequest{Cycles: n, Pokes: s.pending, Peek: s.watch}, &resp)
 	s.settle(err)
+	s.carried = nil
 	if err != nil {
 		return 0, err
 	}
+	s.carried = resp.Outputs
 	return resp.Cycle, nil
 }
 
@@ -312,8 +332,10 @@ func (s *SessionHandle) VCD() ([]byte, error) {
 }
 
 // Close tears the session down, returning its final cycle count. Queued
-// pokes cannot change that, so a close that ran drops them unsent.
+// pokes cannot change that, so a close that ran drops them unsent. The
+// carried outputs go whatever the answer, so no Peek outlives the session.
 func (s *SessionHandle) Close() (uint64, error) {
+	s.carried = nil
 	var resp StepResponse
 	err := s.do(http.MethodPost, "close", nil, &resp)
 	s.settle(err)

@@ -118,8 +118,9 @@ type Metrics struct {
 	sessionsCheckpointed atomic.Int64 // snapshots taken (API + drain-migrate)
 	sessionsRestored     atomic.Int64 // sessions opened from a snapshot
 
-	cyclesTotal atomic.Int64
-	stepsTotal  atomic.Int64
+	cyclesTotal      atomic.Int64
+	stepsTotal       atomic.Int64
+	stepsWithOutputs atomic.Int64 // steps that answered with peeked outputs
 
 	sessionsBatched atomic.Int64 // sessions placed on a batch lane
 	sessionsSolo    atomic.Int64 // sessions given a private engine
@@ -183,12 +184,15 @@ type CompileMetrics struct {
 	ValidateLatency HistSnapshot `json:"validate_latency"`
 }
 
-// SimMetrics is the simulation section of /metrics.
+// SimMetrics is the simulation section of /metrics. StepsWithOutputs counts
+// the steps that answered with the outputs their request named, so it shows
+// how many peeks rode on a step instead of costing a request of their own.
 type SimMetrics struct {
-	CyclesTotal  int64        `json:"cycles_total"`
-	CyclesPerSec float64      `json:"cycles_per_sec"`
-	Steps        int64        `json:"steps"`
-	StepLatency  HistSnapshot `json:"step_latency"`
+	CyclesTotal      int64        `json:"cycles_total"`
+	CyclesPerSec     float64      `json:"cycles_per_sec"`
+	Steps            int64        `json:"steps"`
+	StepsWithOutputs int64        `json:"steps_with_outputs"`
+	StepLatency      HistSnapshot `json:"step_latency"`
 }
 
 // BatchMetrics is the lane-batching section of /metrics. SessionsSolo counts
@@ -308,7 +312,8 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		},
 		Sim: SimMetrics{
 			CyclesTotal: cycles, CyclesPerSec: cps,
-			Steps: m.stepsTotal.Load(), StepLatency: m.stepLat.Snapshot(),
+			Steps: m.stepsTotal.Load(), StepsWithOutputs: m.stepsWithOutputs.Load(),
+			StepLatency: m.stepLat.Snapshot(),
 		},
 		Batch: m.batchSnapshot(up),
 		Codegen: CodegenMetrics{

@@ -148,11 +148,12 @@ func TestClientFollowsMigration(t *testing.T) {
 
 // TestMigrationFollowCarriesQueuedPoke: a poke queued on the handle while
 // its session migrates rides on the Run that follows the forwarding
-// address, so it is applied on the peer exactly once.
+// address, so it is applied on the peer exactly once, and the peer answers
+// that Run with the outputs the handle watches.
 func TestMigrationFollowCarriesQueuedPoke(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
 	srvA, clientA := newTestServer(t, Config{Workers: 1})
-	_, clientB := newTestServer(t, Config{Workers: 1})
+	srvB, clientB := newTestServer(t, Config{Workers: 1})
 	cr, err := clientA.Compile(req)
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +173,7 @@ func TestMigrationFollowCarriesQueuedPoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Run(2)
+	sameOutputs(t, h, ref, "before the move") // the handle now watches both outputs
 	pokeBoth(t, h, ref, 9)
 	if len(h.pending) != 1 {
 		t.Fatalf("%d pokes pending, want 1", len(h.pending))
@@ -203,6 +205,10 @@ func TestMigrationFollowCarriesQueuedPoke(t *testing.T) {
 	}
 	if len(h.pending) != 0 {
 		t.Fatalf("followed Run left %d pokes queued", len(h.pending))
+	}
+	if len(h.carried) != 2 || srvB.Metrics().Sim.StepsWithOutputs != 1 {
+		t.Fatalf("followed Run carried %d outputs (peer steps_with_outputs %d), want 2 (1)",
+			len(h.carried), srvB.Metrics().Sim.StepsWithOutputs)
 	}
 	sameOutputs(t, h, ref, "after the followed run")
 }

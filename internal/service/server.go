@@ -328,7 +328,10 @@ func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	resp := ErrorResponse{Error: err.Error()}
 	var mig *MigratedError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &mig):
 		status = http.StatusServiceUnavailable
 		resp.Peer, resp.SessionID = mig.Peer, mig.SessionID
@@ -347,9 +350,12 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, resp)
 }
 
+// maxRequestBody caps every request body; a longer one answers 413.
+const maxRequestBody = 16 << 20
+
 // decode reads a bounded JSON request body.
-func decode(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		return fmt.Errorf("service: read body: %w", err)
 	}
@@ -379,7 +385,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -407,7 +413,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -461,7 +467,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // handleRestore opens a session resuming from a checkpoint.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req RestoreSessionRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -488,7 +494,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePoke(w http.ResponseWriter, r *http.Request) {
 	var req PokeRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -504,7 +510,7 @@ func (s *Server) handlePoke(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	var req PeekRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -534,7 +540,7 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req StepRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -542,8 +548,11 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	if n <= 0 {
 		n = 1
 	}
-	var cycles uint64
+	var resp StepResponse
 	err := s.sessions.Do(r.PathValue("id"), func(sess *Session) error {
+		if err := checkPeek(sess.entry.Compiled.Program, req.Peek); err != nil {
+			return err
+		}
 		// Carried pokes apply first and whatever happens to the step, so
 		// every outcome equals one poke request per entry followed by this
 		// step.
@@ -556,17 +565,52 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 			return fmt.Errorf("service: cycles=%d exceeds the per-request cycle cap %d", n, s.cfg.MaxRunCycles)
 		}
 		start := time.Now()
-		cycles = sess.Run(n)
+		resp.Cycle = sess.Run(n)
 		s.m.stepLat.Observe(time.Since(start))
 		s.m.stepsTotal.Add(1)
 		s.m.cyclesTotal.Add(int64(n))
+		if len(req.Peek) == 0 {
+			return nil
+		}
+		resp.Outputs = make([]ValueResponse, len(req.Peek))
+		for i, name := range req.Peek {
+			v, err := sess.PeekOutput(name)
+			if err != nil {
+				return err
+			}
+			resp.Outputs[i] = ValueResponse{Name: name, Value: v}
+		}
+		s.m.stepsWithOutputs.Add(1)
 		return nil
 	})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StepResponse{Cycle: cycles})
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// checkPeek admits a step's peek list before anything runs: every name is a
+// narrow output of p, named once, so a step answers at most one value per
+// output however large its body.
+func checkPeek(p *sim.Program, names []string) error {
+	if len(names) > len(p.Outputs) {
+		return fmt.Errorf("service: peek names %d outputs; the program has %d", len(names), len(p.Outputs))
+	}
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		ps, ok := p.Output(name)
+		switch {
+		case !ok:
+			return fmt.Errorf("service: peek: no output %q", name)
+		case ps.Wide:
+			return fmt.Errorf("service: peek: output %q is %d bits wide (>64)", name, ps.Width)
+		case seen[name]:
+			return fmt.Errorf("service: peek names output %q twice", name)
+		}
+		seen[name] = true
+	}
+	return nil
 }
 
 // handleStartVCD begins waveform capture; a batched session spills to a

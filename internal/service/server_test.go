@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"log/slog"
@@ -23,18 +24,31 @@ func quietLogger() *slog.Logger {
 // newTestServer boots a service behind httptest with test-friendly knobs.
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
+	srv, client, _ := newCountingServer(t, cfg)
+	return srv, client
+}
+
+// newCountingServer is newTestServer plus a count of the HTTP requests the
+// server has received.
+func newCountingServer(t *testing.T, cfg Config) (*Server, *Client, *atomic.Int64) {
+	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quietLogger()
 	}
 	srv := New(cfg)
-	ts := httptest.NewServer(srv.Handler())
+	requests := new(atomic.Int64)
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
-	return srv, NewClient(ts.URL)
+	return srv, NewClient(ts.URL), requests
 }
 
 // firstNarrow picks the first ≤64-bit port from a table, "" if none.
@@ -425,6 +439,18 @@ func TestErrorPaths(t *testing.T) {
 	// Cycle cap → 400.
 	if _, err := sess.Run(101); StatusOf(err) != http.StatusBadRequest {
 		t.Errorf("over-cap run: err = %v, want HTTP 400", err)
+	}
+	// A body over the cap → 413, not a truncated-JSON 400.
+	huge := make([]byte, maxRequestBody+1)
+	for _, path := range []string{sess.path("step"), "/v1/compile"} {
+		resp, err := http.Post(client.BaseURL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("over-cap body to %s: HTTP %d, want 413", path, resp.StatusCode)
+		}
 	}
 	// Ops on a closed session → 404.
 	if _, err := sess.Close(); err != nil {

@@ -277,15 +277,22 @@ type ValueResponse struct {
 // StepRequest advances the simulation by Cycles cycles (0 means 1). Pokes
 // are applied in order before the step, exactly as if each had been its
 // own poke request: a poke never re-evaluates, so the client may defer its
-// pokes until the next step.
+// pokes until the next step. Peek names narrow output ports to read after
+// the step, each at most once; an unknown, wide or repeated name, or more
+// names than the program has outputs, fails the request before any poke
+// applies or any cycle runs. A request without Peek is the one that predates
+// it, byte for byte.
 type StepRequest struct {
 	Cycles int           `json:"cycles,omitempty"`
 	Pokes  []PokeRequest `json:"pokes,omitempty"`
+	Peek   []string      `json:"peek,omitempty"`
 }
 
-// StepResponse reports the session's current cycle counter.
+// StepResponse reports the session's current cycle counter and, for a step
+// that named outputs, their values at that cycle in the order named.
 type StepResponse struct {
-	Cycle uint64 `json:"cycle"`
+	Cycle   uint64          `json:"cycle"`
+	Outputs []ValueResponse `json:"outputs,omitempty"`
 }
 
 // CheckpointResponse is returned by POST /v1/sessions/{id}/checkpoint: the
