@@ -104,7 +104,7 @@ func TestMutationShadowSwap(t *testing.T) {
 			return false
 		}
 		pc := firstMutable(p, func(in *sim.Instr) bool {
-			return sim.NarrowLoc(in.Dst).Space == sim.SpaceShadow
+			return sim.RefTag(in.Dst) == sim.RefShadow
 		})
 		if pc < 0 {
 			return false
@@ -133,7 +133,7 @@ func TestMutationStaleOperand(t *testing.T) {
 			return false
 		}
 		pc := firstMutable(p, func(in *sim.Instr) bool {
-			return sim.OpReads(in.Op) >= 1 && sim.NarrowLoc(in.A).Space == sim.SpaceLocal
+			return sim.TraitsOf(in.Op).Reads >= 1 && sim.RefTag(in.A) == sim.RefLocal
 		})
 		if pc < 0 {
 			return false
@@ -170,28 +170,49 @@ func TestMutationDroppedInstr(t *testing.T) {
 }
 
 // firstLocalDefUsed finds a local def that some later instruction actually
-// reads (nopping an unused def would be invisible by construction).
+// reads (nopping an unused def would be invisible by construction). Wide
+// nodes count: their narrow operands and destinations are temps too.
 func firstLocalDefUsed(p *sim.Program) (int, bool) {
+	local := func(out []uint32, refs ...uint32) []uint32 {
+		for _, r := range refs {
+			if sim.RefTag(r) == sim.RefLocal {
+				out = append(out, sim.RefIdx(r))
+			}
+		}
+		return out
+	}
 	defAt := map[uint32]int{}
-	var defs, uses []sim.Loc
+	var defs, uses []uint32
 	code := p.Threads[0].Code
 	for pc := range code {
 		in := &code[pc]
-		if in.Op == sim.OpWide && int(in.Aux) >= len(p.WideNodes) {
-			continue
-		}
-		defs, uses = p.InstrDefUse(in, defs[:0], uses[:0])
-		for _, u := range uses {
-			if u.Space == sim.SpaceLocal {
-				if dp, ok := defAt[u.Idx]; ok {
-					return dp, true
+		defs, uses = defs[:0], uses[:0]
+		switch in.Op {
+		case sim.OpNop:
+		case sim.OpWide:
+			wn := &p.WideNodes[in.Aux]
+			for _, a := range wn.Args {
+				if a.SpaceID() == sim.WideSpaceNarr {
+					uses = local(uses, a.Idx)
 				}
+			}
+			if wn.KindID() != sim.WideKindMemWr && wn.Dst.SpaceID() == sim.WideSpaceNarr {
+				defs = local(defs, wn.Dst.Idx)
+			}
+		default:
+			refs := [3]uint32{in.A, in.B, in.C}
+			uses = local(uses, refs[:sim.TraitsOf(in.Op).Reads]...)
+			if in.Op != sim.OpMemWr {
+				defs = local(defs, in.Dst)
+			}
+		}
+		for _, u := range uses {
+			if dp, ok := defAt[u]; ok {
+				return dp, true
 			}
 		}
 		for _, d := range defs {
-			if d.Space == sim.SpaceLocal {
-				defAt[d.Idx] = pc
-			}
+			defAt[d] = pc
 		}
 	}
 	return -1, false

@@ -261,7 +261,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return &Mismatch{Engine: fmt.Sprintf("par-k%d", k), Cycle: -1, Kind: "compile", Got: err.Error()}
 		}
 		if opt.Verify || opt.Validate {
-			rep := verify.Program(pk, verify.Options{Graph: g, Parts: specs, Linked: true, Validate: opt.Validate})
+			rep := verify.Program(pk, verify.Options{Graph: g, Parts: specs, Validate: opt.Validate})
 			if err := rep.Err(); err != nil {
 				kind := "verify"
 				if rep.Validation != nil && len(rep.Validation.Divergences) > 0 {
@@ -329,7 +329,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 				return &Mismatch{Engine: name, Cycle: -1, Kind: "compile", Got: err.Error()}
 			}
 			if opt.Verify {
-				rep := verify.Program(pk, verify.Options{Graph: g, Parts: specs, Linked: true})
+				rep := verify.Program(pk, verify.Options{Graph: g, Parts: specs})
 				if err := rep.Err(); err != nil {
 					return &Mismatch{Engine: name, Cycle: -1, Kind: "verify", Got: err.Error()}
 				}

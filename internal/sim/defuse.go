@@ -2,11 +2,10 @@ package sim
 
 import "fmt"
 
-// RefSpace names one of the storage spaces a compiled instruction can
-// touch. It unifies the narrow operand encoding (RefLocal/RefGlobal/
-// RefImm/RefShadow) with the wide-operand spaces and memories so static
-// analyses (internal/verify) can reason about def/use sets without knowing
-// either encoding.
+// RefSpace names one of the storage spaces an instruction can touch. It
+// unifies the narrow regions of the linked state (LinkedLoc) with the
+// wide-operand spaces and memories so static analyses (internal/verify) can
+// reason about def/use sets without knowing either encoding.
 type RefSpace uint8
 
 // Storage spaces, in narrow-then-wide order.
@@ -43,26 +42,9 @@ type Loc struct {
 
 func (l Loc) String() string { return fmt.Sprintf("%s[%d]", l.Space, l.Idx) }
 
-// OpReads reports how many narrow operand refs (A, B, C) op reads.
-func OpReads(op OpCode) int { return opReads(op) }
-
-// NarrowLoc decodes a narrow operand reference into a Loc.
-func NarrowLoc(ref uint32) Loc {
-	idx := RefIdx(ref)
-	switch RefTag(ref) {
-	case RefLocal:
-		return Loc{SpaceLocal, idx}
-	case RefGlobal:
-		return Loc{SpaceGlobal, idx}
-	case RefImm:
-		return Loc{SpaceImm, idx}
-	default:
-		return Loc{SpaceShadow, idx}
-	}
-}
-
-// WideLoc decodes a wide operand into a Loc. Narrow operands embedded in
-// wide nodes decode through NarrowLoc.
+// WideLoc decodes a wide-pool operand into a Loc. A narrow operand
+// (wsNarrow) carries a ref, or after linking a flat state index, instead of
+// a wide-pool slot; callers decode those themselves.
 func WideLoc(a WideOperand) Loc {
 	switch a.Space {
 	case wsWideLocal:
@@ -71,50 +53,7 @@ func WideLoc(a WideOperand) Loc {
 		return Loc{SpaceWideGlobal, a.Idx}
 	case wsWideImm:
 		return Loc{SpaceWideImm, a.Idx}
-	case wsWideShadow:
+	default:
 		return Loc{SpaceWideShadow, a.Idx}
-	default:
-		return NarrowLoc(a.Idx)
 	}
-}
-
-// InstrDefUse appends the locations instruction in defines and reads to
-// defs and uses and returns the extended slices (pass nil or recycled
-// slices; no other state is needed, so the same Program can be analyzed
-// from many goroutines). For OpWide the referenced wide node's operands are
-// expanded; in.Aux must be a valid index into p.WideNodes. Memory writes
-// (OpMemWr and wide memory-write nodes) def the whole memory: the write is
-// buffered during evaluation and only published in the commit phase.
-func (p *Program) InstrDefUse(in *Instr, defs, uses []Loc) ([]Loc, []Loc) {
-	switch in.Op {
-	case OpNop:
-	case OpWide:
-		wn := &p.WideNodes[in.Aux]
-		for i := range wn.Args {
-			uses = append(uses, WideLoc(wn.Args[i]))
-		}
-		switch wn.Kind {
-		case wkMemRd:
-			uses = append(uses, Loc{SpaceMem, uint32(wn.Mem)})
-			defs = append(defs, WideLoc(wn.Dst))
-		case wkMemWr:
-			// Dst is unset for memory writes; the def is the memory.
-			defs = append(defs, Loc{SpaceMem, uint32(wn.Mem)})
-		default:
-			defs = append(defs, WideLoc(wn.Dst))
-		}
-	case OpMemRd:
-		uses = append(uses, NarrowLoc(in.A), Loc{SpaceMem, in.Aux})
-		defs = append(defs, NarrowLoc(in.Dst))
-	case OpMemWr:
-		uses = append(uses, NarrowLoc(in.A), NarrowLoc(in.B), NarrowLoc(in.C))
-		defs = append(defs, Loc{SpaceMem, in.Aux})
-	default:
-		refs := [3]uint32{in.A, in.B, in.C}
-		for k := 0; k < opReads(in.Op); k++ {
-			uses = append(uses, NarrowLoc(refs[k]))
-		}
-		defs = append(defs, NarrowLoc(in.Dst))
-	}
-	return defs, uses
 }

@@ -229,9 +229,11 @@ func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 
 // LinkedDefUse appends one linked instruction's narrow defs/uses (as
 // unified-state indices) and its wide/memory locations (which have no flat
-// index) to the given slices, returning the extended slices. It is the
-// linked-code counterpart of Program.InstrDefUse, used by internal/verify
-// to prove race freedom over linked programs.
+// index) to the given slices, returning the extended slices (pass nil or
+// recycled slices; the same LinkedProgram can be analyzed from many
+// goroutines). For OpWide in.Aux must index lp.WideNodes. Memory writes def
+// the whole memory: the write is buffered during evaluation and only
+// published in the commit phase. internal/verify's scan is built on it.
 func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, wuses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
 	switch in.Op {
 	case OpNop:
@@ -244,22 +246,17 @@ func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, 
 				wuses = append(wuses, WideLoc(wn.Args[i]))
 			}
 		}
-		switch wn.Kind {
-		case wkMemRd:
+		if wn.Kind == wkMemRd {
 			wuses = append(wuses, Loc{SpaceMem, uint32(wn.Mem)})
-			if wn.Dst.Space == wsNarrow {
-				ndefs = append(ndefs, wn.Dst.Idx)
-			} else {
-				wdefs = append(wdefs, WideLoc(wn.Dst))
-			}
-		case wkMemWr:
+		}
+		switch {
+		case wn.Kind == wkMemWr:
+			// Dst is unset for memory writes; the def is the memory.
 			wdefs = append(wdefs, Loc{SpaceMem, uint32(wn.Mem)})
+		case wn.Dst.Space == wsNarrow:
+			ndefs = append(ndefs, wn.Dst.Idx)
 		default:
-			if wn.Dst.Space == wsNarrow {
-				ndefs = append(ndefs, wn.Dst.Idx)
-			} else {
-				wdefs = append(wdefs, WideLoc(wn.Dst))
-			}
+			wdefs = append(wdefs, WideLoc(wn.Dst))
 		}
 	case OpMemRd:
 		nuses = append(nuses, in.A)

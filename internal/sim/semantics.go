@@ -9,7 +9,7 @@ package sim
 
 // OpTraits classifies one narrow opcode for symbolic analysis.
 type OpTraits struct {
-	// Reads is the operand arity (same as OpReads).
+	// Reads is how many narrow operand refs (A, B, C) the op reads.
 	Reads int
 	// Commutative: dst is invariant under swapping operands A and B.
 	Commutative bool

@@ -21,7 +21,7 @@ import (
 //   - RunMasked commit gating: masked-out lanes still evaluate but must not
 //     publish. Sound iff the eval phase is side-effect-free outside private
 //     temps and shadow — exactly the race-freedom family scanLinked proves
-//     over the linked stream (Program runs it whenever BatchLanes is set) —
+//     over the linked stream, which Program runs once this layout holds —
 //     and the program is not shared-slot.
 //
 //   - Lane recycling: ResetLane re-seeds the immediate column and register

@@ -44,13 +44,13 @@ func TestBatchCleanPrograms(t *testing.T) {
 	}
 }
 
-// TestFullVerificationStack runs every check family at once — structural
-// scans, linked-stream scan, batch layout, and translation validation —
+// TestFullVerificationStack runs every check family at once — layout and
+// linked-stream scans, batch layout, and translation validation —
 // the way a `repcut -validate` compile of a batch-served design would.
 func TestFullVerificationStack(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p, parts := compileParts(t, g, 2, 2)
-	rep := Program(p, Options{Graph: g, Parts: parts, Linked: true, Validate: true, BatchLanes: 8})
+	rep := Program(p, Options{Graph: g, Parts: parts, Validate: true, BatchLanes: 8})
 	requireClean(t, rep, "full stack")
 	if rep.Validation == nil || rep.Validation.Pairs == 0 {
 		t.Fatalf("no validation certificate attached: %s", rep.String())

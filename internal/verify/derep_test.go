@@ -99,12 +99,12 @@ func maxEvalCost(p *sim.Program) int64 {
 }
 
 // TestDerepCleanVerifies proves the shared-read tier on real compiler
-// output: the dereplicated program passes the full scan — interpreter and
-// linked streams, partition cross-check, derep soundness, and the balance
-// contract at the exact measured bound.
+// output: the dereplicated program passes the full scan — linked streams,
+// partition cross-check, derep soundness, and the balance contract at the
+// exact measured bound.
 func TestDerepCleanVerifies(t *testing.T) {
 	f := derepProgram(t)
-	rep := Program(f.p, Options{Graph: f.g, Parts: f.specs, Linked: true,
+	rep := Program(f.p, Options{Graph: f.g, Parts: f.specs,
 		MaxThreadCost: maxEvalCost(f.p)})
 	requireClean(t, rep, "derep clean")
 	if !strings.Contains(rep.String(), "race-free") {

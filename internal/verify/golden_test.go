@@ -24,12 +24,46 @@ circuit G {
 }
 `
 
+// soleReader returns a (defPC, usePC) pair on thread th where usePC, a
+// plain instruction, is the only reader of the temp defPC defines and reads
+// it through operand A.
+func soleReader(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
+	t.Helper()
+	code := p.Threads[th].Code
+	defAt := map[uint32]int{}
+	reads := map[uint32]int{}
+	var defs, uses []uint32
+	for pc := range code {
+		defs, uses = tempDefUse(p, &code[pc], defs[:0], uses[:0])
+		for _, u := range uses {
+			reads[u]++
+		}
+		for _, d := range defs {
+			defAt[d] = pc
+		}
+	}
+	for pc := range code {
+		in := &code[pc]
+		if in.Op == sim.OpWide || sim.TraitsOf(in.Op).Reads == 0 || sim.RefTag(in.A) != sim.RefLocal {
+			continue
+		}
+		tmp := sim.RefIdx(in.A)
+		if dp, ok := defAt[tmp]; ok && dp < pc && reads[tmp] == 1 {
+			return dp, pc
+		}
+	}
+	t.Fatalf("thread %d has no temp with a sole plain reader", th)
+	return -1, -1
+}
+
 // TestGoldenDiagnostics plants one mutation per check family and pins the
-// first Error diagnostic of that family, fully rendered.
+// first Error (or, for the warning cases, Warning) diagnostic of that
+// family, fully rendered.
 func TestGoldenDiagnostics(t *testing.T) {
 	cases := []struct {
 		name  string
 		check Check
+		warn  bool // pin a Warning instead of an Error
 		plant func(t *testing.T) *Report
 		want  string
 	}{
@@ -53,7 +87,48 @@ func TestGoldenDiagnostics(t *testing.T) {
 				p.Threads[0].Code[defPC] = sim.Instr{Op: sim.OpNop}
 				return Program(p, Options{})
 			},
-			want: "error [replication-closure] thread 0 pc 2 at local[0]: read of a temp with no earlier definition in this thread: the partition is not closed",
+			want: "error [replication-closure] thread 0 pc 2 at state word 24 = temp 0 of thread 0: read of a temp with no earlier definition in this thread: the partition is not closed",
+		},
+		{
+			name:  "schedule/dead-store",
+			check: CheckSchedule,
+			warn:  true,
+			plant: func(t *testing.T) *Report {
+				p := mutProgram(t)
+				_, usePC := soleReader(t, p, 0)
+				var reg uint32
+				for _, r := range p.Regs {
+					if !r.Wide {
+						reg = r.Slot
+						break
+					}
+				}
+				p.Threads[0].Code[usePC].A = sim.MakeRef(sim.RefGlobal, reg)
+				rep := Program(p, Options{})
+				requireClean(t, rep, "retargeted sole reader")
+				return rep
+			},
+			want: "warning [schedule] thread 0 pc 0 at state word 24 = temp 0 of thread 0: dead store: destination is never read by this thread",
+		},
+		{
+			name:  "schedule/temp-redefined",
+			check: CheckSchedule,
+			warn:  true,
+			plant: func(t *testing.T) *Report {
+				p := mutProgram(t)
+				first := firstLocalDef(t, p, 0)
+				code := p.Threads[0].Code
+				for pc := len(code) - 1; pc > first; pc-- {
+					if code[pc].Op != sim.OpNop && code[pc].Op != sim.OpWide && code[pc].Op != sim.OpMemWr &&
+						sim.RefTag(code[pc].Dst) == sim.RefLocal {
+						code[pc].Dst = code[first].Dst
+						return Program(p, Options{})
+					}
+				}
+				t.Fatal("thread 0 has one plain temp def")
+				return nil
+			},
+			want: "warning [schedule] thread 0 pc 6 at state word 24 = temp 0 of thread 0: temp redefined: single-assignment form expected from the compiler",
 		},
 		{
 			name:  "schedule/wide-index-out-of-range",
@@ -117,8 +192,11 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := tc.plant(t)
-			got := findDiag(t, rep, tc.check).String()
+			sev := Error
+			if tc.warn {
+				sev = Warning
+			}
+			got := findSeverity(t, tc.plant(t), tc.check, sev).String()
 			if got != tc.want {
 				t.Fatalf("diagnostic text changed:\n got: %s\nwant: %s", got, tc.want)
 			}

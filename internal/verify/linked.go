@@ -6,16 +6,37 @@ import (
 	"repro/internal/sim"
 )
 
-// This file extends the verifier to the linked execution form (sim/link.go):
-// the resolved instruction streams every engine actually runs. The
-// base scan proves the invariants over the compiled Program; this scan
-// re-proves them over the LinkedProgram, where every operand is a flat
-// unified-state index, so a linker bug that rewired an operand
-// into another thread's frame (a race the RefTag encoding made impossible)
-// is caught statically.
+// This file is the verifier's one per-instruction scan. It walks the linked
+// execution form (sim/link.go): the resolved streams every engine and the
+// native emitter run, where every narrow operand is a flat unified-state
+// index. Linking is strictly 1:1 and no executor runs the compiled Program
+// form, so scanning the linked streams proves the invariants over exactly
+// the code that executes, at the same pcs; a linker bug that rewired an
+// operand into another thread's frame is caught statically.
 
-// scanLinked re-runs the race/closure/schedule families over the linked
-// form of the program.
+// linkable walks every compiled instruction and reports whether the program
+// can be linked at all: linking resolves each OpWide's Aux against
+// p.WideNodes, so a corrupt index is diagnosed here, before anything builds
+// the linked form, and the scans that need that form are skipped.
+func (v *verifier) linkable() bool {
+	p := v.p
+	ok := true
+	for t := range p.Threads {
+		for pc := range p.Threads[t].Code {
+			in := &p.Threads[t].Code[pc]
+			v.rep.Instrs++
+			if in.Op == sim.OpWide && int(in.Aux) >= len(p.WideNodes) {
+				v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("wide node %d", in.Aux),
+					fmt.Sprintf("wide-node index out of range (%d nodes)", len(p.WideNodes)))
+				ok = false
+			}
+		}
+	}
+	return ok
+}
+
+// scanLinked runs the race/closure/schedule families over the linked form
+// of the program.
 func (v *verifier) scanLinked() {
 	lp := v.p.Linked()
 	if len(lp.Threads) != len(v.p.Threads) {
@@ -28,30 +49,52 @@ func (v *verifier) scanLinked() {
 	}
 }
 
-// linkedDesc names a unified-state index for diagnostics.
-func (v *verifier) linkedDesc(lp *sim.LinkedProgram, idx uint32) string {
+// stateDesc names a unified-state index for diagnostics. A global's flat
+// index is its global word, so globals keep their layout name.
+func (v *verifier) stateDesc(lp *sim.LinkedProgram, idx uint32) string {
 	loc, owner, ok := lp.LinkedLoc(idx)
-	if !ok {
+	switch {
+	case !ok:
 		return fmt.Sprintf("state word %d (padding)", idx)
-	}
-	switch loc.Space {
-	case sim.SpaceGlobal:
-		return fmt.Sprintf("state word %d = %s", idx, v.wordDesc(loc.Idx))
-	case sim.SpaceImm:
+	case loc.Space == sim.SpaceGlobal:
+		return v.wordDesc(idx)
+	case loc.Space == sim.SpaceImm:
 		return fmt.Sprintf("state word %d = imm %d", idx, loc.Idx)
-	case sim.SpaceLocal:
+	case loc.Space == sim.SpaceLocal:
 		return fmt.Sprintf("state word %d = temp %d of thread %d", idx, loc.Idx, owner)
-	default: // SpaceShadow
-		return fmt.Sprintf("state word %d = shadow %d of thread %d", idx, loc.Idx, owner)
 	}
+	return fmt.Sprintf("state word %d = shadow %d of thread %d", idx, loc.Idx, owner)
 }
 
-// scanLinkedThread walks one linked stream in order. Narrow operands are
-// decoded back to (space, owner) through the frame layout; any operand that
-// lands in padding or in another thread's frame is an error — the former a
-// broken layout, the latter a statically proven data race. Wide and memory
-// locations keep their space-relative encoding and get the same checks as
-// the base scan.
+// decode maps flat index idx, which thread t touches at pc, back to its
+// space-relative location. An index past the state, in padding, or in
+// another thread's frame is reported (the last a statically proven data
+// race) and ok is false. access is "reads" or "writes".
+func (v *verifier) decode(lp *sim.LinkedProgram, t, pc int, idx uint32, access string) (loc sim.Loc, ok bool) {
+	if int(idx) >= lp.StateWords {
+		v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("state word %d", idx),
+			fmt.Sprintf("instruction %s past the %d-word state", access, lp.StateWords))
+		return loc, false
+	}
+	loc, owner, ok := lp.LinkedLoc(idx)
+	if !ok {
+		v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+			fmt.Sprintf("instruction %s a padding word no region owns", access))
+		return loc, false
+	}
+	if owner >= 0 && owner != t {
+		v.diag(CheckRace, Error, t, pc, v.stateDesc(lp, idx),
+			fmt.Sprintf("instruction %s thread %d's private frame: cross-thread eval-phase race", access, owner))
+		return loc, false
+	}
+	return loc, true
+}
+
+// scanLinkedThread walks one linked stream in order, proving def-before-use
+// for private state, phase discipline for shared state, and exactly-once
+// sink writes. Narrow operands are decoded back to (space, owner) through
+// the frame layout; wide and memory locations keep their space-relative
+// encoding.
 func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	p := v.p
 	th := &p.Threads[t]
@@ -60,47 +103,44 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	definedWide := make([]bool, th.NumWideTemps)
 	shadowWrites := make([]int, th.ShadowWords)
 	wideShadowWrites := make([]int, len(th.WideShadowSlots))
+	localReads := make([]int, th.NumTemps)
+	wideReads := make([]int, th.NumWideTemps)
+	type defSite struct {
+		pc   int
+		slot uint32 // flat index of a narrow temp; wide temp index otherwise
+		wide bool
+		used *int
+	}
+	var defSites []defSite
 
 	var ndefs, nuses []uint32
 	var wdefs, wuses []sim.Loc
 	for pc := range code {
 		in := &code[pc]
-		v.rep.Instrs++
 		if in.Op == sim.OpWide && int(in.Aux) >= len(lp.WideNodes) {
-			v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("linked wide node %d", in.Aux),
-				fmt.Sprintf("wide-node index out of range (%d linked nodes)", len(lp.WideNodes)))
+			v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("wide node %d", in.Aux),
+				fmt.Sprintf("wide-node index out of range (%d nodes)", len(lp.WideNodes)))
 			continue
 		}
 		ndefs, nuses, wdefs, wuses = lp.LinkedDefUse(in, ndefs[:0], nuses[:0], wdefs[:0], wuses[:0])
 		v.rep.Locs += len(ndefs) + len(nuses) + len(wdefs) + len(wuses)
 
 		for _, idx := range nuses {
-			if int(idx) >= lp.StateWords {
-				v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("state word %d", idx),
-					fmt.Sprintf("linked operand out of range (%d state words)", lp.StateWords))
-				continue
-			}
-			loc, owner, ok := lp.LinkedLoc(idx)
+			loc, ok := v.decode(lp, t, pc, idx, "reads")
 			if !ok {
-				v.diag(CheckSchedule, Error, t, pc, v.linkedDesc(lp, idx),
-					"linked operand reads a padding word no region owns")
-				continue
-			}
-			if owner >= 0 && owner != t {
-				v.diag(CheckRace, Error, t, pc, v.linkedDesc(lp, idx),
-					fmt.Sprintf("linked operand reads thread %d's private frame: cross-thread eval-phase race", owner))
 				continue
 			}
 			switch loc.Space {
 			case sim.SpaceLocal:
 				if !definedLocal[loc.Idx] {
-					v.diag(CheckClosure, Error, t, pc, v.linkedDesc(lp, idx),
-						"linked read of a temp with no earlier definition in this thread")
+					v.diag(CheckClosure, Error, t, pc, v.stateDesc(lp, idx),
+						"read of a temp with no earlier definition in this thread: the partition is not closed")
 				}
+				localReads[loc.Idx]++
 			case sim.SpaceShadow:
 				if shadowWrites[loc.Idx] == 0 {
-					v.diag(CheckSchedule, Error, t, pc, v.linkedDesc(lp, idx),
-						"linked read of a shadow word before this thread wrote it this cycle")
+					v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+						"shadow word read before this thread wrote it this cycle")
 				}
 			case sim.SpaceGlobal:
 				if p.Shared {
@@ -108,53 +148,50 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				}
 				switch v.wordClass[loc.Idx] {
 				case clInput, clReg, clDerep:
+					// Stable for the whole evaluation phase: inputs are
+					// poked outside Run, registers flip only after the
+					// evaluation barrier, and a derep slot is written
+					// only by its owner's commit — so an eval-phase read
+					// always observes the previous cycle's value.
 				case clOutput:
-					v.diag(CheckClosure, Error, t, pc, v.linkedDesc(lp, idx),
-						"linked eval-phase read of an output slot: outputs are commit-only")
+					v.diag(CheckClosure, Error, t, pc, v.wordDesc(idx),
+						"eval-phase read of an output slot: outputs are commit-only, not sources — a mid-cycle value crossed threads")
 				default:
-					v.diag(CheckClosure, Error, t, pc, v.linkedDesc(lp, idx),
-						"linked eval-phase read of a padding word that no source or sink owns")
+					v.diag(CheckClosure, Error, t, pc, v.wordDesc(idx),
+						"eval-phase read of a padding word that no source or sink owns")
 				}
-			case sim.SpaceImm:
-				// In range by construction of LinkedLoc.
 			}
+			// SpaceImm: in range by construction of LinkedLoc.
 		}
 
 		for _, idx := range ndefs {
-			if int(idx) >= lp.StateWords {
-				v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("state word %d", idx),
-					fmt.Sprintf("linked destination out of range (%d state words)", lp.StateWords))
-				continue
-			}
-			loc, owner, ok := lp.LinkedLoc(idx)
+			loc, ok := v.decode(lp, t, pc, idx, "writes")
 			if !ok {
-				v.diag(CheckSchedule, Error, t, pc, v.linkedDesc(lp, idx),
-					"linked destination is a padding word no region owns")
-				continue
-			}
-			if owner >= 0 && owner != t {
-				v.diag(CheckRace, Error, t, pc, v.linkedDesc(lp, idx),
-					fmt.Sprintf("linked destination is in thread %d's private frame: cross-thread eval-phase race", owner))
 				continue
 			}
 			switch loc.Space {
 			case sim.SpaceLocal:
+				if definedLocal[loc.Idx] {
+					v.diag(CheckSchedule, Warning, t, pc, v.stateDesc(lp, idx),
+						"temp redefined: single-assignment form expected from the compiler")
+				}
 				definedLocal[loc.Idx] = true
+				defSites = append(defSites, defSite{pc, idx, false, &localReads[loc.Idx]})
 			case sim.SpaceShadow:
 				shadowWrites[loc.Idx]++
 			case sim.SpaceGlobal:
 				if !p.Shared {
-					v.diag(CheckRace, Error, t, pc, v.linkedDesc(lp, idx),
-						"linked eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
+					v.diag(CheckRace, Error, t, pc, v.wordDesc(idx),
+						"eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
 				}
 			case sim.SpaceImm:
-				v.diag(CheckSchedule, Error, t, pc, v.linkedDesc(lp, idx),
-					"linked write to the immutable immediate copy")
+				v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+					"write to the immutable immediate pool")
 			}
 		}
 
 		// Wide and memory locations are unaffected by linking's narrow
-		// relayout; re-prove the same invariants the base scan does.
+		// relayout.
 		for _, u := range wuses {
 			switch u.Space {
 			case sim.SpaceWideLocal:
@@ -165,8 +202,9 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				}
 				if !definedWide[u.Idx] {
 					v.diag(CheckClosure, Error, t, pc, u.String(),
-						"linked read of a wide temp with no earlier definition in this thread")
+						"read of a wide temp with no earlier definition in this thread: the partition is not closed")
 				}
+				wideReads[u.Idx]++
 			case sim.SpaceWideGlobal:
 				if int(u.Idx) >= p.GlobalWide {
 					v.diag(CheckSchedule, Error, t, pc, u.String(),
@@ -178,9 +216,12 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				}
 				switch v.wideClass[u.Idx] {
 				case clInput, clReg:
+				case clOutput:
+					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
+						"eval-phase read of a wide output slot: outputs are commit-only, not sources")
 				default:
 					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
-						"linked eval-phase read of a non-source wide-global slot")
+						"eval-phase read of an unowned wide-global slot")
 				}
 			case sim.SpaceWideImm:
 				if int(u.Idx) >= len(p.WideImms) {
@@ -195,13 +236,15 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				}
 				if wideShadowWrites[u.Idx] == 0 {
 					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						"linked read of a wide shadow slot before this thread wrote it this cycle")
+						"wide shadow slot read before this thread wrote it this cycle")
 				}
 			case sim.SpaceMem:
 				if int(u.Idx) >= len(p.Mems) {
 					v.diag(CheckSchedule, Error, t, pc, u.String(),
 						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
 				}
+				// Memory state is stable during evaluation: writes are
+				// buffered and only applied in the commit phase.
 			}
 		}
 		for _, d := range wdefs {
@@ -212,7 +255,12 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 						fmt.Sprintf("wide temp destination out of range (%d wide temps)", th.NumWideTemps))
 					continue
 				}
+				if definedWide[d.Idx] {
+					v.diag(CheckSchedule, Warning, t, pc, d.String(),
+						"wide temp redefined: single-assignment form expected from the compiler")
+				}
 				definedWide[d.Idx] = true
+				defSites = append(defSites, defSite{pc, d.Idx, true, &wideReads[d.Idx]})
 			case sim.SpaceWideShadow:
 				if int(d.Idx) >= len(wideShadowWrites) {
 					v.diag(CheckSchedule, Error, t, pc, d.String(),
@@ -228,28 +276,38 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				}
 				if !p.Shared {
 					v.diag(CheckRace, Error, t, pc, v.wideDesc(d.Idx),
-						"linked eval-phase write to a wide-global slot")
+						"eval-phase write to a wide-global slot: races with concurrent readers and the owner's commit")
 				}
+			case sim.SpaceWideImm:
+				v.diag(CheckSchedule, Error, t, pc, d.String(),
+					"write to the immutable immediate pool")
 			case sim.SpaceMem:
 				if int(d.Idx) >= len(p.Mems) {
 					v.diag(CheckSchedule, Error, t, pc, d.String(),
 						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
+					continue
+				}
+				// Buffered until commit; record the writer for the
+				// cross-thread disjointness check.
+				ws := v.memWriters[d.Idx]
+				if len(ws) == 0 || ws[len(ws)-1] != t {
+					v.memWriters[d.Idx] = append(ws, t)
 				}
 			}
 		}
 	}
 
-	// Linking must preserve exactly-once sink production: every shadow word
-	// the commit memcpy publishes is still written exactly once per cycle.
+	// Exactly-once sink writes: every shadow word the commit memcpy
+	// publishes must be produced exactly once per cycle.
 	for i, n := range shadowWrites {
 		slot := v.wordDesc(uint32(th.GlobalOff + i))
 		switch {
 		case n == 0:
 			v.diag(CheckSchedule, Error, t, -1, slot,
-				"linked code never writes this sink shadow word: the commit publishes a stale value")
+				"sink shadow word never written: the commit publishes a stale value every cycle")
 		case n > 1:
 			v.diag(CheckSchedule, Error, t, -1, slot,
-				fmt.Sprintf("linked code writes this sink shadow word %d times per cycle", n))
+				fmt.Sprintf("sink shadow word written %d times per cycle: drivers conflict", n))
 		}
 	}
 	for i, n := range wideShadowWrites {
@@ -260,10 +318,23 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 		switch {
 		case n == 0:
 			v.diag(CheckSchedule, Error, t, -1, slot,
-				"linked code never writes this wide sink")
+				"wide sink never written: the commit publishes a stale value every cycle")
 		case n > 1:
 			v.diag(CheckSchedule, Error, t, -1, slot,
-				fmt.Sprintf("linked code writes this wide sink %d times per cycle", n))
+				fmt.Sprintf("wide sink written %d times per cycle: drivers conflict", n))
+		}
+	}
+
+	// Dead stores: a defined temp nobody reads is wasted eval work (and
+	// usually a symptom of a miscompiled use). Warning only — OptLevel 0
+	// programs legitimately keep some.
+	for _, ds := range defSites {
+		if *ds.used == 0 {
+			slot := sim.Loc{Space: sim.SpaceWideLocal, Idx: ds.slot}.String()
+			if !ds.wide {
+				slot = v.stateDesc(lp, ds.slot)
+			}
+			v.diag(CheckSchedule, Warning, t, ds.pc, slot, "dead store: destination is never read by this thread")
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package verify
 
-// Linked-scan mutation tests prove Options.Linked actually inspects the
-// cached linked execution form — the resolved streams the engines run —
-// not just the interpreter code. Each test compiles a clean program,
-// forces the linked form into the program's cache, corrupts the cached
-// streams directly, and asserts that the base scan stays clean while the
-// linked scan reports the fault with provenance.
+// Linked-scan mutation tests prove the verifier inspects the cached linked
+// execution form — the resolved streams the engines run — not the compiled
+// Program code. Each test compiles a clean program, forces the linked form
+// into the program's cache, corrupts the cached streams directly (the
+// Program code stays clean), and asserts the scan reports the fault with
+// provenance.
 
 import (
 	"testing"
@@ -56,8 +56,8 @@ func linkedTempRead(t *testing.T, lp *sim.LinkedProgram, th int) int {
 }
 
 // Linked fault 1 — cross-thread frame read: after linking, thread 0 is
-// rewired to read a word of thread 1's private frame. The interpreter code
-// is untouched (base scan clean); only the linked scan can see it.
+// rewired to read a word of thread 1's private frame. The Program code is
+// untouched; only a scan of the linked stream can see it.
 func TestLinkedMutationCrossThreadRead(t *testing.T) {
 	p, lp := linkedMutProgram(t)
 	if p.Threads[1].NumTemps == 0 {
@@ -66,10 +66,7 @@ func TestLinkedMutationCrossThreadRead(t *testing.T) {
 	mutPC := linkedTempRead(t, lp, 0)
 	lp.Threads[0].Code[mutPC].A = lp.Threads[1].TempOff
 
-	if rep := Program(p, Options{}); rep.Err() != nil {
-		t.Fatalf("base scan sees linked-only fault: %v", rep.Err())
-	}
-	rep := Program(p, Options{Linked: true})
+	rep := Program(p, Options{})
 	if rep.Err() == nil {
 		t.Fatal("cross-thread linked read not detected")
 	}
@@ -98,10 +95,7 @@ func TestLinkedMutationPaddingOperand(t *testing.T) {
 	mutPC := linkedTempRead(t, lp, 0)
 	lp.Threads[0].Code[mutPC].A = pad
 
-	if rep := Program(p, Options{}); rep.Err() != nil {
-		t.Fatalf("base scan sees linked-only fault: %v", rep.Err())
-	}
-	rep := Program(p, Options{Linked: true})
+	rep := Program(p, Options{})
 	if rep.Err() == nil {
 		t.Fatal("padding operand not detected")
 	}
@@ -143,10 +137,7 @@ func TestLinkedMutationShiftedShadowWrite(t *testing.T) {
 	}
 	lp.Threads[mutThread].Code[mutPC].Dst++
 
-	if rep := Program(p, Options{}); rep.Err() != nil {
-		t.Fatalf("base scan sees linked-only fault: %v", rep.Err())
-	}
-	rep := Program(p, Options{Linked: true})
+	rep := Program(p, Options{})
 	if rep.Err() == nil {
 		t.Fatal("shifted linked shadow store not detected")
 	}

@@ -26,12 +26,19 @@ func mutProgram(t *testing.T) *sim.Program {
 // findDiag returns the first Error diagnostic of the given check family.
 func findDiag(t *testing.T, rep *Report, c Check) Diag {
 	t.Helper()
+	return findSeverity(t, rep, c, Error)
+}
+
+// findSeverity returns the first diagnostic of the given check family and
+// severity.
+func findSeverity(t *testing.T, rep *Report, c Check, sev Severity) Diag {
+	t.Helper()
 	for _, d := range rep.Diags {
-		if d.Check == c && d.Severity == Error {
+		if d.Check == c && d.Severity == sev {
 			return d
 		}
 	}
-	t.Fatalf("no %s error reported; report:\n%s", c, rep.String())
+	t.Fatalf("no %s %s reported; report:\n%s", c, sev, rep.String())
 	return Diag{}
 }
 
@@ -54,7 +61,7 @@ func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 		if in.Op == sim.OpNop || in.Op == sim.OpWide || in.Op == sim.OpMemWr {
 			continue
 		}
-		if sim.NarrowLoc(in.Dst).Space == sim.SpaceLocal {
+		if sim.RefTag(in.Dst) == sim.RefLocal {
 			return pc
 		}
 	}
@@ -62,30 +69,54 @@ func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 	return -1
 }
 
+// tempDefUse appends the private temps instruction in defines and reads,
+// the narrow operands of wide nodes included.
+func tempDefUse(p *sim.Program, in *sim.Instr, defs, uses []uint32) ([]uint32, []uint32) {
+	local := func(out []uint32, refs ...uint32) []uint32 {
+		for _, r := range refs {
+			if sim.RefTag(r) == sim.RefLocal {
+				out = append(out, sim.RefIdx(r))
+			}
+		}
+		return out
+	}
+	switch in.Op {
+	case sim.OpNop:
+	case sim.OpWide:
+		wn := &p.WideNodes[in.Aux]
+		for _, a := range wn.Args {
+			if a.SpaceID() == sim.WideSpaceNarr {
+				uses = local(uses, a.Idx)
+			}
+		}
+		if wn.KindID() != sim.WideKindMemWr && wn.Dst.SpaceID() == sim.WideSpaceNarr {
+			defs = local(defs, wn.Dst.Idx)
+		}
+	default:
+		refs := [3]uint32{in.A, in.B, in.C}
+		uses = local(uses, refs[:sim.TraitsOf(in.Op).Reads]...)
+		if in.Op != sim.OpMemWr {
+			defs = local(defs, in.Dst)
+		}
+	}
+	return defs, uses
+}
+
 // firstLocalUse returns the first (defPC, usePC) pair on thread t where
 // usePC reads a private temp that defPC defines.
 func firstLocalUse(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	t.Helper()
 	def := map[uint32]int{}
-	var defs, uses []sim.Loc
-	code := p.Threads[th].Code
-	for pc := range code {
-		in := &code[pc]
-		if in.Op == sim.OpWide && int(in.Aux) >= len(p.WideNodes) {
-			continue
-		}
-		defs, uses = p.InstrDefUse(in, defs[:0], uses[:0])
+	var defs, uses []uint32
+	for pc := range p.Threads[th].Code {
+		defs, uses = tempDefUse(p, &p.Threads[th].Code[pc], defs[:0], uses[:0])
 		for _, u := range uses {
-			if u.Space == sim.SpaceLocal {
-				if dp, ok := def[u.Idx]; ok {
-					return dp, pc
-				}
+			if dp, ok := def[u]; ok {
+				return dp, pc
 			}
 		}
 		for _, d := range defs {
-			if d.Space == sim.SpaceLocal {
-				def[d.Idx] = pc
-			}
+			def[d] = pc
 		}
 	}
 	t.Fatalf("thread %d has no local def/use pair", th)
@@ -157,11 +188,9 @@ func TestMutationPhaseViolation(t *testing.T) {
 		if in.Op == sim.OpNop || in.Op == sim.OpWide {
 			continue
 		}
-		if in.Op == sim.OpMemRd || in.Op == sim.OpMemWr || sim.OpReads(in.Op) > 0 {
-			if sim.NarrowLoc(in.A).Space == sim.SpaceLocal {
-				mutPC = pc
-				break
-			}
+		if sim.TraitsOf(in.Op).Reads > 0 && sim.RefTag(in.A) == sim.RefLocal {
+			mutPC = pc
+			break
 		}
 	}
 	if mutPC < 0 {
@@ -195,7 +224,7 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 		for pc := range th.Code {
 			in := &th.Code[pc]
 			if in.Op != sim.OpNop && in.Op != sim.OpWide &&
-				sim.NarrowLoc(in.Dst).Space == sim.SpaceShadow {
+				sim.RefTag(in.Dst) == sim.RefShadow {
 				other = (sim.RefIdx(in.Dst) + 1) % uint32(th.ShadowWords)
 				mutThread, mutPC = ti, pc
 				break
@@ -221,9 +250,13 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 }
 
 // Fault class 5 — corrupted wide-node index: an OpWide instruction whose
-// Aux points past the wide-node table.
+// Aux points past the wide-node table. Linking resolves Aux, so the program
+// cannot be linked: every option set must report the fault at its pc
+// instead of panicking in the linker — the batch scan and translation
+// validation both need the linked form.
 func TestMutationWideIndexOutOfRange(t *testing.T) {
-	p := mutProgram(t)
+	g := mustGraph(t, memMixSrc)
+	p, parts := compileParts(t, g, 2, 0)
 	mutThread, mutPC := -1, -1
 	for ti := range p.Threads {
 		for pc := range p.Threads[ti].Code {
@@ -241,15 +274,21 @@ func TestMutationWideIndexOutOfRange(t *testing.T) {
 	}
 	p.Threads[mutThread].Code[mutPC].Aux = uint32(len(p.WideNodes)) + 7
 
-	rep := Program(p, Options{})
-	if rep.Err() == nil {
-		t.Fatal("wide-node index corruption not detected")
-	}
-	d := findDiag(t, rep, CheckSchedule)
-	requireProvenance(t, d)
-	if d.Thread != mutThread || d.PC != mutPC {
-		t.Fatalf("wrong provenance: got thread %d pc %d, want thread %d pc %d: %s",
-			d.Thread, d.PC, mutThread, mutPC, d)
+	for name, opts := range map[string]Options{
+		"plain":    {},
+		"batch":    {BatchLanes: 4},
+		"validate": {Graph: g, Parts: parts, Validate: true},
+	} {
+		rep := Program(p, opts)
+		if rep.Err() == nil {
+			t.Fatalf("%s: wide-node index corruption not detected", name)
+		}
+		d := findDiag(t, rep, CheckSchedule)
+		requireProvenance(t, d)
+		if d.Thread != mutThread || d.PC != mutPC {
+			t.Fatalf("%s: wrong provenance: got thread %d pc %d, want thread %d pc %d: %s",
+				name, d.Thread, d.PC, mutThread, mutPC, d)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package verify statically proves that a compiled sim.Program upholds the
 // invariants RepCut's parallel runtime depends on, instead of trusting the
 // partitioner and code generator end-to-end. It reconstructs per-instruction
-// def/use sets from the instruction encoding (sim.InstrDefUse) and checks
-// three invariant families:
+// def/use sets from the linked stream every engine and the native emitter
+// run (sim.LinkedProgram.LinkedDefUse) and checks three invariant families:
 //
 //   - Race freedom (§5.1, Figure 5): during the evaluation phase threads
 //     write only private temps and their own shadow; every shared global
@@ -111,17 +111,15 @@ type Options struct {
 	// Parts is the partitioning the program was compiled from (one spec per
 	// thread, e.g. from core.Partition or sim.SerialSpec).
 	Parts []sim.PartSpec
-	// Linked additionally scans the program's linked execution form
-	// (sim/link.go) — the resolved streams the engines actually run —
-	// re-proving race freedom, closure, and exactly-once sink production
-	// over flat state indices. Builds (and caches) the linked form if the
-	// program has not been linked yet.
+	// Deprecated: Linked is ignored. The linked stream is always the one
+	// the verifier scans; the field remains only because bench/layers.go
+	// still sets it.
 	Linked bool
 	// Validate runs translation validation (internal/verify/tvalid): the
 	// program is proven to compute the same cycle function as an O0
-	// reference recompiled from Graph+Parts. Requires Graph and Parts;
-	// implies the linked form is built. Divergences surface as
-	// CheckTranslation errors and the full certificate as Report.Validation.
+	// reference recompiled from Graph+Parts. Requires Graph and Parts.
+	// Divergences surface as CheckTranslation errors and the full
+	// certificate as Report.Validation.
 	Validate bool
 	// BatchLanes, when positive, additionally proves the program safe for
 	// a sim.BatchEngine with that many lanes: the SoA column layout is
@@ -129,7 +127,6 @@ type Options struct {
 	// private-temp model (eval is side-effect-free outside temps/shadow,
 	// so masked-out lanes may evaluate without committing), and lane
 	// recycling (ResetLane) can re-seed every constant and register.
-	// Implies the linked-stream scan.
 	BatchLanes int
 	// MaxThreadCost, when positive, additionally enforces the partition's
 	// balance contract: every thread's predicted eval cost
@@ -247,10 +244,10 @@ type verifier struct {
 }
 
 // Program statically verifies a compiled program and returns the full
-// diagnostic report. It never modifies the program's observable state
-// (opts.Linked may populate the program's cached linked form, which engines
-// would build anyway) and is safe to run concurrently with other analyses
-// of the same Program.
+// diagnostic report. It scans the program's linked form, building and
+// caching it if the program has not been linked yet (engines would build
+// it anyway); it never modifies the program's observable state and is safe
+// to run concurrently with other analyses of the same Program.
 func Program(p *sim.Program, opts Options) *Report {
 	start := time.Now()
 	v := &verifier{
@@ -263,21 +260,19 @@ func Program(p *sim.Program, opts Options) *Report {
 			"shared-slot (Verilator-style) program: threads communicate mid-cycle by design; race-freedom and closure checks are out of scope, schedule checks only")
 	}
 	v.layout()
-	for t := range p.Threads {
-		v.scanThread(t)
-	}
+	linkable := v.linkable()
 	// The batch-layout scan is a precondition of the linked-stream scan:
 	// scanLinked classifies flat state indices by the region layout, so if
 	// the layout itself is corrupt the classification is meaningless (and
 	// may index off the end of per-region tracking). Prove the layout
 	// first and only scan the streams when it holds.
-	layoutOK := true
-	if opts.BatchLanes > 0 {
+	layoutOK := linkable
+	if opts.BatchLanes > 0 && linkable {
 		pre := v.rep.Count(Error)
 		v.scanBatch(opts.BatchLanes)
 		layoutOK = v.rep.Count(Error) == pre
 	}
-	if (opts.Linked || opts.BatchLanes > 0) && layoutOK {
+	if layoutOK {
 		v.scanLinked()
 	}
 	v.checkMems()
@@ -290,7 +285,7 @@ func Program(p *sim.Program, opts Options) *Report {
 			}
 		}
 	}
-	if opts.Validate {
+	if opts.Validate && linkable {
 		v.validate()
 	}
 	v.rep.Elapsed = time.Since(start)
@@ -480,260 +475,6 @@ func (v *verifier) layout() {
 	}
 }
 
-// scanThread walks one thread's instruction stream in order, proving
-// def-before-use for private state, phase discipline for shared state, and
-// exactly-once sink writes.
-func (v *verifier) scanThread(t int) {
-	p := v.p
-	th := &p.Threads[t]
-	definedLocal := make([]bool, th.NumTemps)
-	definedWide := make([]bool, th.NumWideTemps)
-	shadowWrites := make([]int, th.ShadowWords)
-	wideShadowWrites := make([]int, len(th.WideShadowSlots))
-	localReads := make([]int, th.NumTemps)
-	wideReads := make([]int, th.NumWideTemps)
-	type defSite struct {
-		pc   int
-		loc  sim.Loc
-		used *int
-	}
-	var defSites []defSite
-
-	var defs, uses []sim.Loc
-	for pc := range th.Code {
-		in := &th.Code[pc]
-		v.rep.Instrs++
-		if in.Op == sim.OpWide && int(in.Aux) >= len(p.WideNodes) {
-			v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("wide node %d", in.Aux),
-				fmt.Sprintf("wide-node index out of range (%d nodes)", len(p.WideNodes)))
-			continue
-		}
-		defs, uses = p.InstrDefUse(in, defs[:0], uses[:0])
-		v.rep.Locs += len(defs) + len(uses)
-
-		for _, u := range uses {
-			switch u.Space {
-			case sim.SpaceLocal:
-				if int(u.Idx) >= th.NumTemps {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("temp index out of range (%d temps)", th.NumTemps))
-					continue
-				}
-				if !definedLocal[u.Idx] {
-					v.diag(CheckClosure, Error, t, pc, u.String(),
-						"read of a temp with no earlier definition in this thread: the partition is not closed")
-				}
-				localReads[u.Idx]++
-			case sim.SpaceGlobal:
-				if int(u.Idx) >= p.GlobalWords {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("global word out of range (%d words)", p.GlobalWords))
-					continue
-				}
-				if p.Shared {
-					continue
-				}
-				switch v.wordClass[u.Idx] {
-				case clInput, clReg, clDerep:
-					// Stable for the whole evaluation phase: inputs are
-					// poked outside Run, registers flip only after the
-					// evaluation barrier, and a derep slot is written
-					// only by its owner's commit — so an eval-phase read
-					// always observes the previous cycle's value.
-				case clOutput:
-					v.diag(CheckClosure, Error, t, pc, v.wordDesc(u.Idx),
-						"eval-phase read of an output slot: outputs are commit-only, not sources — a mid-cycle value crossed threads")
-				default:
-					v.diag(CheckClosure, Error, t, pc, v.wordDesc(u.Idx),
-						"eval-phase read of a padding word that no source or sink owns")
-				}
-			case sim.SpaceImm:
-				if int(u.Idx) >= len(p.Imms) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("immediate index out of range (%d imms)", len(p.Imms)))
-				}
-			case sim.SpaceShadow:
-				if int(u.Idx) >= th.ShadowWords {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("shadow index out of range (%d shadow words)", th.ShadowWords))
-					continue
-				}
-				if shadowWrites[u.Idx] == 0 {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						"shadow word read before this thread wrote it this cycle")
-				}
-			case sim.SpaceWideLocal:
-				if int(u.Idx) >= th.NumWideTemps {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide temp out of range (%d wide temps)", th.NumWideTemps))
-					continue
-				}
-				if !definedWide[u.Idx] {
-					v.diag(CheckClosure, Error, t, pc, u.String(),
-						"read of a wide temp with no earlier definition in this thread: the partition is not closed")
-				}
-				wideReads[u.Idx]++
-			case sim.SpaceWideGlobal:
-				if int(u.Idx) >= p.GlobalWide {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide-global slot out of range (%d slots)", p.GlobalWide))
-					continue
-				}
-				if p.Shared {
-					continue
-				}
-				switch v.wideClass[u.Idx] {
-				case clInput, clReg:
-				case clOutput:
-					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
-						"eval-phase read of a wide output slot: outputs are commit-only, not sources")
-				default:
-					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
-						"eval-phase read of an unowned wide-global slot")
-				}
-			case sim.SpaceWideImm:
-				if int(u.Idx) >= len(p.WideImms) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide immediate out of range (%d wide imms)", len(p.WideImms)))
-				}
-			case sim.SpaceWideShadow:
-				if int(u.Idx) >= len(wideShadowWrites) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide shadow index out of range (%d slots)", len(wideShadowWrites)))
-					continue
-				}
-				if wideShadowWrites[u.Idx] == 0 {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						"wide shadow slot read before this thread wrote it this cycle")
-				}
-			case sim.SpaceMem:
-				if int(u.Idx) >= len(p.Mems) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
-				}
-				// Memory state is stable during evaluation: writes are
-				// buffered and only applied in the commit phase.
-			}
-		}
-
-		for _, d := range defs {
-			switch d.Space {
-			case sim.SpaceLocal:
-				if int(d.Idx) >= th.NumTemps {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("temp destination out of range (%d temps)", th.NumTemps))
-					continue
-				}
-				if definedLocal[d.Idx] {
-					v.diag(CheckSchedule, Warning, t, pc, d.String(),
-						"temp redefined: single-assignment form expected from the compiler")
-				}
-				definedLocal[d.Idx] = true
-				defSites = append(defSites, defSite{pc, d, &localReads[d.Idx]})
-			case sim.SpaceShadow:
-				if int(d.Idx) >= th.ShadowWords {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("shadow destination out of range (%d shadow words)", th.ShadowWords))
-					continue
-				}
-				shadowWrites[d.Idx]++
-			case sim.SpaceWideLocal:
-				if int(d.Idx) >= th.NumWideTemps {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide temp destination out of range (%d wide temps)", th.NumWideTemps))
-					continue
-				}
-				if definedWide[d.Idx] {
-					v.diag(CheckSchedule, Warning, t, pc, d.String(),
-						"wide temp redefined: single-assignment form expected from the compiler")
-				}
-				definedWide[d.Idx] = true
-				defSites = append(defSites, defSite{pc, d, &wideReads[d.Idx]})
-			case sim.SpaceWideShadow:
-				if int(d.Idx) >= len(wideShadowWrites) {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide shadow destination out of range (%d slots)", len(wideShadowWrites)))
-					continue
-				}
-				wideShadowWrites[d.Idx]++
-			case sim.SpaceGlobal:
-				if int(d.Idx) >= p.GlobalWords {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("global destination out of range (%d words)", p.GlobalWords))
-					continue
-				}
-				if !p.Shared {
-					v.diag(CheckRace, Error, t, pc, v.wordDesc(d.Idx),
-						"eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
-				}
-			case sim.SpaceWideGlobal:
-				if int(d.Idx) >= p.GlobalWide {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide-global destination out of range (%d slots)", p.GlobalWide))
-					continue
-				}
-				if !p.Shared {
-					v.diag(CheckRace, Error, t, pc, v.wideDesc(d.Idx),
-						"eval-phase write to a wide-global slot: races with concurrent readers and the owner's commit")
-				}
-			case sim.SpaceMem:
-				if int(d.Idx) >= len(p.Mems) {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
-					continue
-				}
-				// Buffered until commit; record the writer for the
-				// cross-thread disjointness check.
-				ws := v.memWriters[d.Idx]
-				if len(ws) == 0 || ws[len(ws)-1] != t {
-					v.memWriters[d.Idx] = append(ws, t)
-				}
-			case sim.SpaceImm, sim.SpaceWideImm:
-				v.diag(CheckSchedule, Error, t, pc, d.String(),
-					"write to the immutable immediate pool")
-			}
-		}
-	}
-
-	// Exactly-once sink writes: every shadow word the commit memcpy
-	// publishes must be produced exactly once per cycle.
-	for i, n := range shadowWrites {
-		slot := v.wordDesc(uint32(th.GlobalOff + i))
-		switch {
-		case n == 0:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				"sink shadow word never written: the commit publishes a stale value every cycle")
-		case n > 1:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				fmt.Sprintf("sink shadow word written %d times per cycle: drivers conflict", n))
-		}
-	}
-	for i, n := range wideShadowWrites {
-		slot := fmt.Sprintf("wide shadow %d", i)
-		if int(th.WideShadowSlots[i]) < p.GlobalWide {
-			slot = v.wideDesc(th.WideShadowSlots[i])
-		}
-		switch {
-		case n == 0:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				"wide sink never written: the commit publishes a stale value every cycle")
-		case n > 1:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				fmt.Sprintf("wide sink written %d times per cycle: drivers conflict", n))
-		}
-	}
-
-	// Dead stores: a defined temp nobody reads is wasted eval work (and
-	// usually a symptom of a miscompiled use). Warning only — OptLevel 0
-	// programs legitimately keep some.
-	for _, ds := range defSites {
-		if *ds.used == 0 {
-			v.diag(CheckSchedule, Warning, t, ds.pc, ds.loc.String(),
-				"dead store: destination is never read by this thread")
-		}
-	}
-}
-
 // checkMems flags memories whose write ports span threads. The engine
 // cannot let each writer publish such a memory on its own (a thread's
 // catch-up write of the previous cycle could land after another thread's
@@ -856,7 +597,7 @@ func (v *verifier) crossCheck() {
 // (no sign-extension is applied at the derep commit), (4) equal reset
 // values (the grouped registers alias one initialized word), and (5) the
 // shared slot to live in the owner's commit segment, published by the owner
-// alone. Together with scanThread's phase discipline (no eval-phase global
+// alone. Together with scanLinked's phase discipline (no eval-phase global
 // writes, exactly-once shadow production) this proves eval-phase reads of
 // the slot race-free under the two-phase protocol.
 func (v *verifier) checkDereps(g *cgraph.Graph, parts []sim.PartSpec) {

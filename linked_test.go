@@ -100,9 +100,10 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 	}
 }
 
-// The verifier's Linked option must re-scan the linked streams: a clean
-// program passes, and its report covers more locations than the base scan.
-func TestVerifyLinkedOption(t *testing.T) {
+// The verifier scans each instruction once, in its linked form: the report
+// counts every instruction exactly once whatever the options, and the
+// deprecated Linked option changes nothing.
+func TestVerifyCountsEachInstrOnce(t *testing.T) {
 	c, err := ParseCircuit(counterSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -115,13 +116,23 @@ func TestVerifyLinkedOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := verify.Program(comp.Program, verify.Options{})
-	withLinked := verify.Program(comp.Program, verify.Options{Linked: true})
-	if err := withLinked.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if withLinked.Instrs <= base.Instrs || withLinked.Locs <= base.Locs {
-		t.Fatalf("linked scan added no coverage: instrs %d vs %d, locs %d vs %d",
-			withLinked.Instrs, base.Instrs, withLinked.Locs, base.Locs)
+	p := comp.Program
+	base := verify.Program(p, verify.Options{})
+	for name, opts := range map[string]verify.Options{
+		"plain": {},
+		//lint:ignore SA1019 pins that the deprecated field changes nothing
+		"linked": {Linked: true},
+		"batch":  {BatchLanes: 4},
+	} {
+		rep := verify.Program(p, opts)
+		if err := rep.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Instrs != p.TotalInstrs() {
+			t.Fatalf("%s: %d instrs scanned, program has %d", name, rep.Instrs, p.TotalInstrs())
+		}
+		if rep.Locs != base.Locs {
+			t.Fatalf("%s: %d locations, plain scan %d", name, rep.Locs, base.Locs)
+		}
 	}
 }

@@ -399,7 +399,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 	c := &Compiled{Program: p, Report: rep, Backend: opt.Backend}
 	if opt.Verify || opt.Validate {
 		c.Verification = verify.Program(p, verify.Options{
-			Graph: d.Graph, Parts: specs, Linked: true, Validate: opt.Validate,
+			Graph: d.Graph, Parts: specs, Validate: opt.Validate,
 		})
 		if err := c.Verification.Err(); err != nil {
 			return nil, err
