@@ -93,10 +93,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	st := d.Stats()
+	st := d.Graph.Stats()
 	if !*jsonOut {
-		fmt.Printf("%s: %d IR nodes, %d edges, %d sinks (%.2f%%), %d reg writes\n",
-			name, st.IRNodes, st.Edges, st.SinkVtx, st.SinkPct, st.RegWrites)
+		fmt.Printf("%s: %d IR nodes, %d edges, %d sinks (%.2f%%), %d reg writes, %d merged vertices\n",
+			name, st.IRNodes, st.Edges, st.SinkVtx, st.SinkPct, st.RegWrites, st.Merged)
 	}
 
 	backend, err := repcut.ParseBackend(*backendF)

@@ -338,26 +338,51 @@ func (b *builder) finish() error {
 	return computeTopo(g)
 }
 
+// buildAdjacency fills Preds and Succs. Each side's lists are carved from
+// one backing array sized by a counting pass, so rebuilding costs a few
+// allocations, not one per vertex.
 func buildAdjacency(g *Graph) {
 	n := len(g.Vs)
-	g.Preds = make([][]VID, n)
-	g.Succs = make([][]VID, n)
-	addEdge := func(from, to VID) {
-		g.Succs[from] = append(g.Succs[from], to)
-		g.Preds[to] = append(g.Preds[to], from)
-	}
-	for i := range g.Vs {
-		v := &g.Vs[i]
-		for _, a := range v.Args {
-			if a.V != None && v.Kind != KindConst {
-				addEdge(a.V, VID(i))
+	edges := func(visit func(from, to VID)) {
+		for i := range g.Vs {
+			v := &g.Vs[i]
+			for _, a := range v.Args {
+				if a.V != None && v.Kind != KindConst {
+					visit(a.V, VID(i))
+				}
+			}
+			// Memory reads additionally depend on the memory's state source.
+			if v.Kind == KindMemRead {
+				visit(g.Mems[v.Mem].Source, VID(i))
 			}
 		}
-		// Memory reads additionally depend on the memory's state source.
-		if v.Kind == KindMemRead {
-			addEdge(g.Mems[v.Mem].Source, VID(i))
+	}
+	nIn, nOut := make([]int, n), make([]int, n)
+	edges(func(from, to VID) { nOut[from]++; nIn[to]++ })
+	g.Preds, g.Succs = carve(nIn), carve(nOut)
+	edges(func(from, to VID) {
+		g.Succs[from] = append(g.Succs[from], to)
+		g.Preds[to] = append(g.Preds[to], from)
+	})
+}
+
+// carve returns one empty list per vertex with room for count[v] entries,
+// all in a single backing array (nil where count is zero).
+func carve(count []int) [][]VID {
+	total := 0
+	for _, c := range count {
+		total += c
+	}
+	buf := make([]VID, total)
+	lists := make([][]VID, len(count))
+	off := 0
+	for v, c := range count {
+		if c > 0 {
+			lists[v] = buf[off : off : off+c]
+			off += c
 		}
 	}
+	return lists
 }
 
 // pruneDead removes combinational vertices (logic, const, memread) from
@@ -384,37 +409,56 @@ func pruneDead(g *Graph) int {
 	}
 	// Sources always stay (they are state; the simulator must still hold
 	// them), as do sinks.
+	rep := make([]VID, n)
 	removed := 0
 	for i := range g.Vs {
+		rep[i] = VID(i)
 		if !live[i] && !g.Vs[i].Kind.IsSource() {
+			rep[i] = None
 			removed++
 		}
 	}
-	if removed == 0 {
-		return 0
+	if removed > 0 {
+		renumber(g, rep)
 	}
-	remap := make([]VID, n)
-	vs := make([]Vertex, 0, n-removed)
+	return removed
+}
+
+// renumber compacts g.Vs down to the vertices i with rep[i] == i, in order,
+// and returns the old-to-new id map. Every other vertex is dropped: its
+// name and every id that named it move to the survivor rep[i], or vanish
+// when rep[i] is None. Adjacency and Topo are left to the caller.
+func renumber(g *Graph, rep []VID) []VID {
+	remap := make([]VID, len(g.Vs))
+	kept := 0
 	for i := range g.Vs {
-		if live[i] || g.Vs[i].Kind.IsSource() {
-			remap[i] = VID(len(vs))
-			vs = append(vs, g.Vs[i])
-		} else {
-			remap[i] = None
+		if rep[i] == VID(i) {
+			remap[i] = VID(kept)
+			g.Vs[kept] = g.Vs[i]
+			kept++
 		}
 	}
+	for i, r := range rep {
+		if r != VID(i) {
+			remap[i] = None
+			if r != None {
+				remap[i] = remap[r]
+			}
+		}
+	}
+	clear(g.Vs[kept:])
+	g.Vs = g.Vs[:kept]
 	mapID := func(v VID) VID {
 		if v == None {
 			return None
 		}
 		return remap[v]
 	}
-	for i := range vs {
-		for j := range vs[i].Args {
-			vs[i].Args[j].V = mapID(vs[i].Args[j].V)
+	for i := range g.Vs {
+		for j := range g.Vs[i].Args {
+			g.Vs[i].Args[j].V = mapID(g.Vs[i].Args[j].V)
 		}
 	}
-	g.Vs = vs
 	for i := range g.Regs {
 		g.Regs[i].Read = mapID(g.Regs[i].Read)
 		g.Regs[i].Write = mapID(g.Regs[i].Write)
@@ -433,7 +477,7 @@ func pruneDead(g *Graph) int {
 			g.byName[name] = nid
 		}
 	}
-	return removed
+	return remap
 }
 
 func mapIDs(ids []VID, remap []VID) []VID {

@@ -154,6 +154,9 @@ type Graph struct {
 	// DeadRemoved counts combinational vertices pruned because they reach
 	// no sink.
 	DeadRemoved int
+	// Merged counts combinational vertices Merge folded into an earlier
+	// vertex computing the same value.
+	Merged int
 
 	byName map[string]VID
 }
@@ -198,7 +201,7 @@ func (g *Graph) Sources() []VID {
 	return out
 }
 
-// Stats are the Table 1 columns for a design.
+// Stats are the Table 1 columns for a design, plus the merge count.
 type Stats struct {
 	IRNodes   int
 	Edges     int
@@ -206,11 +209,14 @@ type Stats struct {
 	SinkPct   float64
 	RegWrites int
 	MemWrites int
+	// Merged is Graph.Merged: vertices folded away before IRNodes was
+	// counted (0 for a graph Merge never ran on).
+	Merged int
 }
 
 // Stats computes the design statistics reported in Table 1.
 func (g *Graph) Stats() Stats {
-	s := Stats{IRNodes: g.NumVertices(), Edges: g.NumEdges()}
+	s := Stats{IRNodes: g.NumVertices(), Edges: g.NumEdges(), Merged: g.Merged}
 	for i := range g.Vs {
 		if g.Vs[i].Kind.IsSink() {
 			s.SinkVtx++

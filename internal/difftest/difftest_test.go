@@ -24,6 +24,29 @@ func TestOracleCleanOnGeneratedCircuits(t *testing.T) {
 	}
 }
 
+// The merged-O2 column is live: on most generated circuits the merge
+// folds something, and the column runs (and agrees) whether or not it
+// does.
+func TestMergedColumnLive(t *testing.T) {
+	folded := 0
+	const circuits = 20
+	for seed := int64(1); seed <= circuits; seed++ {
+		d, err := genckt.Generate(genckt.Config{Seed: seed, Size: 45}).Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if m := Run(d, Options{Seed: seed, Cycles: 12, Parts: []int{}, Workers: []int{}}); m != nil {
+			t.Fatalf("seed %d: %v\ncircuit:\n%s", seed, m, d.Text)
+		}
+		if d.Graph.Merge() > 0 {
+			folded++
+		}
+	}
+	if folded < circuits*3/4 {
+		t.Fatalf("the merge folded vertices on only %d of %d circuits", folded, circuits)
+	}
+}
+
 // corpusEntry is one replayable generator configuration.
 type corpusEntry struct {
 	Seed   int64 `json:"seed"`

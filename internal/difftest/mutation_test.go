@@ -10,9 +10,12 @@ package difftest
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cgraph"
+	"repro/internal/firrtl"
 	"repro/internal/genckt"
 	"repro/internal/sim"
 )
@@ -301,4 +304,36 @@ func TestMutationParSkippedCatchUp(t *testing.T) {
 	huntAndShrinkColumn(t, "par-skip-catch-up", "par-k", 16, func(seed int64) Options {
 		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: true}
 	})
+}
+
+// Bug 9 — merge-column liveness: the merge folds two bits of one operand
+// that select different bit ranges, as a hash-cons key of op and operands
+// alone would (for bits the constants also fix the result type). The
+// defect is planted by giving the later vertex the earlier one's constants
+// and type just before Merge runs on the merged-O2 column's graph; the
+// reference keeps the unmerged graph, so only that column can diverge.
+func TestMutationMergeIgnoresConsts(t *testing.T) {
+	huntAndShrinkColumn(t, "merge-ignores-consts", "merged-mutant", 16, func(seed int64) Options {
+		return Options{Seed: seed, Cycles: 12, Parts: []int{}, Workers: []int{}, MutateMerge: foldDistinctBits}
+	})
+}
+
+// foldDistinctBits finds two narrow bits vertices over one operand vertex
+// with different constants and makes the second a copy of the first, so
+// Merge folds it.
+func foldDistinctBits(g *cgraph.Graph) bool {
+	first := map[cgraph.VID]*cgraph.Vertex{}
+	for i := range g.Vs {
+		v := &g.Vs[i]
+		if v.Kind != cgraph.KindLogic || v.Op != firrtl.OpBits || v.Args[0].V == cgraph.None || v.Type.Width > 64 {
+			continue
+		}
+		if f, ok := first[v.Args[0].V]; !ok {
+			first[v.Args[0].V] = v
+		} else if !slices.Equal(f.Consts, v.Consts) {
+			v.Consts, v.Type = f.Consts, f.Type
+			return true
+		}
+	}
+	return false
 }

@@ -1,8 +1,9 @@
 // Package difftest is a differential oracle over the simulator stack. It
 // runs one generated circuit through every execution engine the repo has —
-// the tree-walking Reference, the serial linked engine at O0 and O2,
-// RepCut parallel partitions at several k, the Verilator-style task
-// engine, and a compile-cache round-trip through the service layer — and
+// the tree-walking Reference, the serial linked engine at O0 and O2 (and
+// at O2 over the redundant-node-merged graph), RepCut parallel partitions
+// at several k, the Verilator-style task engine, and a compile-cache
+// round-trip through the service layer — and
 // compares full architectural state (registers, outputs, every memory word)
 // cycle by cycle. Metamorphic invariants (partition-count invariance,
 // worker-count invariance, fingerprint stability, verifier agreement) catch
@@ -60,6 +61,12 @@ type Options struct {
 	// planted bug). Returning false marks the mutation inapplicable and no
 	// mutant engine runs.
 	Mutate func(*sim.Program) bool
+	// MutateMerge, when set, is applied to the merged-O2 column's freshly
+	// built graph just before cgraph.Graph.Merge runs on it (mutation
+	// testing: a defect that makes the merge fold vertices computing
+	// different values must surface as a state mismatch). Returning false
+	// marks the mutation inapplicable and skips the column.
+	MutateMerge func(*cgraph.Graph) bool
 	// Batch adds the lane-batched engine column: a multi-lane
 	// sim.BatchEngine over the linked O2 program, every lane driven with
 	// its own distinct input stream and compared full-width (registers,
@@ -229,6 +236,30 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	}
 	addProgram("linked-O2", p2)
 
+	// The same circuit through the redundant-node merge repcut.Elaborate
+	// applies, compiled at O2. Translation validation compares two streams
+	// from one graph and so cannot see a graph rewrite; here the reference
+	// keeps the unmerged graph, so every fold is checked against values the
+	// merge never touched.
+	if d.Text != "" {
+		name := "merged-O2"
+		if opt.MutateMerge != nil {
+			name = "merged-mutant"
+		}
+		md, err := genckt.FromText(d.Spec, d.Text)
+		if err != nil {
+			return &Mismatch{Engine: name, Cycle: -1, Kind: "compile", Got: err.Error()}
+		}
+		if opt.MutateMerge == nil || opt.MutateMerge(md.Graph) {
+			md.Graph.Merge()
+			pm, err := sim.Compile(md.Graph, sim.SerialSpec(md.Graph), sim.Config{OptLevel: 2})
+			if err != nil {
+				return &Mismatch{Engine: name, Cycle: -1, Kind: "compile", Got: err.Error()}
+			}
+			addProgram(name, pm)
+		}
+	}
+
 	// Translation validation of the serial pair. The verdict is not trusted
 	// on its own: validatorCrossCheck reconciles it with what the dynamic
 	// engines actually do, so a validator bug in either direction surfaces.
@@ -346,8 +377,8 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	}
 
 	// Compile-cache round trip: the service layer reparses the printed IR,
-	// compiles, caches, and the second request must hit with an identical
-	// fingerprint.
+	// elaborates it (merge included), compiles, caches, and the second
+	// request must hit with an identical fingerprint.
 	if opt.Service && d.Text != "" {
 		cache := service.NewCache(1<<30, 64, 2, nil)
 		req := service.CompileRequest{Source: d.Text, Threads: 3, Seed: opt.Seed, OptLevel: 2}

@@ -325,10 +325,19 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 				bestCum = cum
 				bestIdx = len(moves) - 1
 			}
+			// Critical-net rule, as in fmRefine: bestMove reads an edge
+			// only through "is row[q] zero" and "is row[part[u]] one", so
+			// it can change for e's pins only when the move empties or
+			// thins the from side (1 or 2 pins) or fills or thickens the to
+			// side (0 or 1 pins). Other edges are skipped without a scan.
 			for _, ei := range h.Inc[v] {
 				row := pc[int(ei)*k : int(ei)*k+k]
+				critical := row[from] <= 2 || row[to] <= 1
 				row[from]--
 				row[to]++
+				if !critical {
+					continue
+				}
 				for _, u := range h.Edges[ei].Pins {
 					if locked[u] {
 						continue

@@ -196,10 +196,9 @@ type scratch struct {
 	moves    []fmMove
 	match    []int32
 	pinBuf   []int32
-	score    map[int32]float64
+	rating   []float64
+	touched  []int32
 }
-
-func newScratch() *scratch { return &scratch{score: map[int32]float64{}} }
 
 // grow returns s resized to n, reallocating only when capacity is short.
 // Contents are unspecified; callers must overwrite what they read.
@@ -217,7 +216,7 @@ func (p *partitioner) bisect(h *H, frac0 float64, seed int64) []int32 {
 	total := h.TotalVWeight()
 	max0 := int64(math.Ceil(float64(total) * frac0 * (1 + p.epsB)))
 	max1 := int64(math.Ceil(float64(total) * (1 - frac0) * (1 + p.epsB)))
-	sc := newScratch()
+	sc := new(scratch)
 
 	// Coarsen.
 	levels := []level{{h: h}}
@@ -268,37 +267,46 @@ func (p *partitioner) coarsen(h *H, totalWeight int64, rng *rand.Rand, sc *scrat
 	for i := range match {
 		match[i] = -1
 	}
-	score := sc.score
+	// rating is dense and all zero between vertices; touched lists the
+	// entries the current vertex set, so resetting them costs no more than
+	// setting them did.
+	rating := grow(sc.rating, n)
+	clear(rating)
+	touched := sc.touched
 	for _, vi := range order {
 		v := int32(vi)
 		if match[v] >= 0 {
 			continue
 		}
-		// Score neighbors by heavy-edge rating w(e)/(|e|-1).
-		for k := range score {
-			delete(score, k)
-		}
+		// Rate neighbors by heavy-edge rating w(e)/(|e|-1).
+		touched = touched[:0]
 		for _, ei := range h.Inc[v] {
 			e := &h.Edges[ei]
 			r := float64(e.Weight) / float64(len(e.Pins)-1)
 			for _, u := range e.Pins {
 				if u != v && match[u] < 0 && h.VWeight[v]+h.VWeight[u] <= cap_ {
-					score[u] += r
+					if rating[u] == 0 {
+						touched = append(touched, u)
+					}
+					rating[u] += r
 				}
 			}
 		}
+		// The best rating wins; ties go to the lowest id.
 		var best int32 = -1
 		bestScore := 0.0
-		for u, s := range score {
-			if s > bestScore || (s == bestScore && best >= 0 && u < best) {
+		for _, u := range touched {
+			if s := rating[u]; s > bestScore || (s == bestScore && best >= 0 && u < best) {
 				best, bestScore = u, s
 			}
+			rating[u] = 0
 		}
 		if best >= 0 {
 			match[v] = best
 			match[best] = v
 		}
 	}
+	sc.rating, sc.touched = rating, touched
 
 	// Assign coarse IDs. cmap outlives this call (it becomes the level's
 	// fine→coarse projection), so it is always freshly allocated.
@@ -401,7 +409,7 @@ func (p *partitioner) initialBisection(h *H, frac0 float64, max0, max1 int64, se
 	outs := make([]runOut, p.opt.InitRuns)
 	p.pool.ForEach(p.opt.InitRuns, func(run int) {
 		rng := rand.New(rand.NewSource(par.Derive(seed, seedInit, int64(run))))
-		sc := newScratch()
+		sc := new(scratch)
 		part := p.greedyGrow(h, target0, rng)
 		p.fmRefine(h, part, max0, max1, sc)
 		r := Evaluate(h, 2, part)
@@ -585,10 +593,20 @@ func (p *partitioner) fmRefine(h *H, part []int32, max0, max1 int64, sc *scratch
 				bestCum = cum
 				bestIdx = len(moves) - 1
 			}
-			// Update pin counts and neighbor gains.
+			// Update pin counts and neighbor gains. A pin's gain term for
+			// edge e reads only whether its side holds all of e's pins or
+			// just one, and that can change only when the move crosses a
+			// critical count: 1 or 2 pins on the from side, 0 or 1 on the
+			// to side. Past any other edge every gain stays put, so its pin
+			// scan would push nothing.
 			for _, ei := range h.Inc[v] {
-				pinCount[ei][from]--
-				pinCount[ei][to]++
+				pc := &pinCount[ei]
+				critical := pc[from] <= 2 || pc[to] <= 1
+				pc[from]--
+				pc[to]++
+				if !critical {
+					continue
+				}
 				for _, u := range h.Edges[ei].Pins {
 					if !locked[u] {
 						g := gainOf(u)

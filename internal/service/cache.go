@@ -251,7 +251,7 @@ func (c *Cache) compile(req CompileRequest, key string) (*Entry, error) {
 		Key:         key,
 		Name:        name,
 		Compiled:    compiled,
-		Stats:       d.Stats(),
+		Stats:       d.Graph.Stats(),
 		Fingerprint: compiled.Program.Fingerprint(),
 		Bytes:       compiled.Program.MemBytes(),
 	}

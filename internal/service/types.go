@@ -88,14 +88,19 @@ func (r CompileRequest) Key() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DesignStats is the wire form of cgraph.Stats (Table 1 statistics).
+// DesignStats is the wire form of cgraph.Stats: the Table 1 statistics of
+// the graph that was partitioned and compiled, which is the elaborated
+// graph after its redundant-node merge. MergedVertices counts the vertices
+// that merge folded away; adding it to IRNodes gives the design's size as
+// written.
 type DesignStats struct {
-	IRNodes      int     `json:"ir_nodes"`
-	Edges        int     `json:"edges"`
-	SinkVertices int     `json:"sink_vertices"`
-	SinkPct      float64 `json:"sink_pct"`
-	RegWrites    int     `json:"reg_writes"`
-	MemWrites    int     `json:"mem_writes"`
+	IRNodes        int     `json:"ir_nodes"`
+	Edges          int     `json:"edges"`
+	SinkVertices   int     `json:"sink_vertices"`
+	SinkPct        float64 `json:"sink_pct"`
+	RegWrites      int     `json:"reg_writes"`
+	MemWrites      int     `json:"mem_writes"`
+	MergedVertices int     `json:"merged_vertices"`
 }
 
 // StatsJSON converts graph statistics to their wire form.
@@ -103,6 +108,7 @@ func StatsJSON(s cgraph.Stats) DesignStats {
 	return DesignStats{
 		IRNodes: s.IRNodes, Edges: s.Edges, SinkVertices: s.SinkVtx,
 		SinkPct: s.SinkPct, RegWrites: s.RegWrites, MemWrites: s.MemWrites,
+		MergedVertices: s.Merged,
 	}
 }
 

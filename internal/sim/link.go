@@ -50,7 +50,7 @@ type LinkedThread struct {
 // always equal; both fields and FusionRate remain only because
 // bench/layers.go reads them (the sim.linked_instrs and sim.fusion_rate
 // rows) and bench/ is frozen between benchmark PRs. The next benchmark PR
-// drops the row and this method together (ROADMAP item 7).
+// drops the row and this method together (ROADMAP item 8).
 type LinkStats struct {
 	Instrs int // program instructions in (all threads)
 	Linked int // linked instructions out

@@ -3,10 +3,11 @@
 //
 // It is the ESSENT-equivalent substrate of the RepCut reproduction plus
 // RepCut's parallel runtime (§5 of the paper): per-thread evaluation into
-// private shadow state, a barrier, a global update phase that publishes
-// register writes with one contiguous copy per thread, and a second barrier
-// — two synchronizations per simulated cycle, with a false-sharing-free
-// global layout (Figure 5).
+// private shadow state and a global update that publishes register writes
+// with one contiguous copy per thread, over a false-sharing-free global
+// layout (Figure 5). The paper separates the two phases with two barriers
+// per simulated cycle; the engine here keeps two state views and crosses
+// one barrier per cycle (DESIGN.md §4 "Runtime protocol").
 //
 // Signals at most 64 bits wide execute on a narrow fast path over flat
 // []uint64 arrays; wider signals run through a boxed bitvec path whose

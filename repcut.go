@@ -9,7 +9,7 @@
 // The typical flow:
 //
 //	circ, err := repcut.ParseCircuit(src)       // or designs.Build / firrtl.Builder
-//	d, err := repcut.Elaborate(circ)            // flatten + lower + graph
+//	d, err := repcut.Elaborate(circ)            // flatten + lower + graph + merge
 //	sim, err := d.CompileParallel(repcut.Options{Threads: 8})
 //	sim.PokeInput("io_in", 42)
 //	sim.Run(1000)
@@ -39,6 +39,9 @@ import (
 type Design struct {
 	Circuit *firrtl.Circuit
 	Graph   *cgraph.Graph
+	// built holds the Table 1 statistics of Graph as cgraph.Build made it,
+	// before Merge (nil for a Design assembled around an existing graph).
+	built *cgraph.Stats
 }
 
 // ParseCircuit parses the textual IR format (see internal/firrtl) and
@@ -64,7 +67,9 @@ func LoadCircuit(path string) (*firrtl.Circuit, error) {
 }
 
 // Elaborate flattens the module hierarchy, lowers expressions to graph
-// normal form, and builds the split circuit DAG.
+// normal form, builds the split circuit DAG, and merges its redundant
+// logic (cgraph.Graph.Merge), so everything downstream partitions,
+// compiles and runs each distinct computation once.
 func Elaborate(c *firrtl.Circuit) (*Design, error) {
 	fc, err := firrtl.Flatten(c)
 	if err != nil {
@@ -78,11 +83,21 @@ func Elaborate(c *firrtl.Circuit) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Design{Circuit: lc, Graph: g}, nil
+	built := g.Stats()
+	g.Merge()
+	return &Design{Circuit: lc, Graph: g, built: &built}, nil
 }
 
-// Stats returns the design's Table 1 statistics.
-func (d *Design) Stats() cgraph.Stats { return d.Graph.Stats() }
+// Stats returns the design's Table 1 statistics, counted on the graph as
+// built, before the merge: the same numbers designs.Build and the paper
+// tables report. Graph.Stats() describes the merged graph the partitioner
+// sees.
+func (d *Design) Stats() cgraph.Stats {
+	if d.built != nil {
+		return *d.built
+	}
+	return d.Graph.Stats()
+}
 
 // Backend selects the execution engine simulators created from a Compiled
 // will run on. All backends execute the same compiled Program over the
