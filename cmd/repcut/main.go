@@ -178,7 +178,7 @@ func main() {
 		}
 		out.Outputs = map[string]uint64{}
 		for _, o := range s.Program().Outputs {
-			if !o.Wide {
+			if o.Width <= 64 {
 				v, _ := s.PeekOutput(o.Name)
 				out.Outputs[o.Name] = v
 			}
@@ -188,7 +188,7 @@ func main() {
 				*cycles, el.Round(time.Millisecond), out.Run.KHz, s.InstrsRetired(), s.Backend)
 			fmt.Printf("state hash: %s\n", out.Run.StateHash)
 			for _, o := range s.Program().Outputs {
-				if !o.Wide {
+				if o.Width <= 64 {
 					fmt.Printf("  output %s = %#x\n", o.Name, out.Outputs[o.Name])
 				}
 			}

@@ -460,7 +460,11 @@ func (n *Node) handleMigrateIn(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := sim.DecodeSnapshot(req.State)
 	if err != nil {
-		jsonErr(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		if errors.Is(err, sim.ErrSnapshotVersion) {
+			status = http.StatusConflict
+		}
+		jsonErr(w, status, err.Error())
 		return
 	}
 	sess, err := n.srv.Sessions().Restore(e, snap, false)

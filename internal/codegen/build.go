@@ -109,8 +109,8 @@ var Fingerprint uint64 = 1
 
 var Emitter = "` + EmitterVersion + `"
 
-var Threads = []func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64), wide func(uint32)){
-	func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64), wide func(uint32)) { st[0]++ },
+var Threads = []func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64)){
+	func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64)) { st[0]++ },
 }
 
 func main() {}
@@ -177,7 +177,7 @@ func runProbe() error {
 		}
 	}
 	st := []uint64{41}
-	k.Threads[0](st, nil, nil, nil)
+	k.Threads[0](st, nil, nil)
 	if st[0] != 42 {
 		return fmt.Errorf("codegen: probe kernel computed %d, want 42", st[0])
 	}

@@ -1,8 +1,9 @@
 // Package codegen compiles a linked program's per-thread instruction
 // streams to native code: each stream is emitted as straight-line Go
 // source over the engine's flat unified state slice (constants inlined,
-// narrow ops on native uint64, wide and memory ops calling back into small
-// runtime helpers), built out of process with `go build -buildmode=plugin`,
+// every op on native uint64 — values wider than 64 bits are already
+// word-level code — and memory writes calling back into the engine), built
+// out of process with `go build -buildmode=plugin`,
 // and loaded as drop-in sim.NativeThreadFunc kernels — the compiled-
 // simulation backend the RepCut paper gets from emitting C++ per
 // partition.
@@ -31,7 +32,7 @@ import (
 
 // EmitterVersion names the generation scheme and is part of every artifact
 // key: bump it whenever emitted code could change for the same program.
-const EmitterVersion = "cg2"
+const EmitterVersion = "cg3"
 
 // Bug selects a deliberately planted emitter defect, used by the difftest
 // mutation suite to prove the codegen oracle column live. A planted bug

@@ -83,11 +83,11 @@ func huntAndShrinkColumn(t *testing.T, name, column string, maxVerts int, option
 }
 
 // firstMutable returns the pc of the first plain computational instruction
-// on thread 0 (OpNop/OpWide/OpMemWr excluded), or -1.
+// on thread 0 (OpNop/OpMemWr excluded), or -1.
 func firstMutable(p *sim.Program, accept func(*sim.Instr) bool) int {
 	for pc := range p.Threads[0].Code {
 		in := &p.Threads[0].Code[pc]
-		if in.Op == sim.OpNop || in.Op == sim.OpWide || in.Op == sim.OpMemWr {
+		if in.Op == sim.OpNop || in.Op == sim.OpMemWr {
 			continue
 		}
 		if accept == nil || accept(in) {
@@ -127,7 +127,7 @@ func TestMutationStaleOperand(t *testing.T) {
 		var slot uint32
 		found := false
 		for _, r := range p.Regs {
-			if !r.Wide {
+			if r.Width <= 64 {
 				slot, found = r.Slot, true
 				break
 			}
@@ -173,8 +173,7 @@ func TestMutationDroppedInstr(t *testing.T) {
 }
 
 // firstLocalDefUsed finds a local def that some later instruction actually
-// reads (nopping an unused def would be invisible by construction). Wide
-// nodes count: their narrow operands and destinations are temps too.
+// reads (nopping an unused def would be invisible by construction).
 func firstLocalDefUsed(p *sim.Program) (int, bool) {
 	local := func(out []uint32, refs ...uint32) []uint32 {
 		for _, r := range refs {
@@ -190,19 +189,7 @@ func firstLocalDefUsed(p *sim.Program) (int, bool) {
 	for pc := range code {
 		in := &code[pc]
 		defs, uses = defs[:0], uses[:0]
-		switch in.Op {
-		case sim.OpNop:
-		case sim.OpWide:
-			wn := &p.WideNodes[in.Aux]
-			for _, a := range wn.Args {
-				if a.SpaceID() == sim.WideSpaceNarr {
-					uses = local(uses, a.Idx)
-				}
-			}
-			if wn.KindID() != sim.WideKindMemWr && wn.Dst.SpaceID() == sim.WideSpaceNarr {
-				defs = local(defs, wn.Dst.Idx)
-			}
-		default:
+		if in.Op != sim.OpNop {
 			refs := [3]uint32{in.A, in.B, in.C}
 			uses = local(uses, refs[:sim.TraitsOf(in.Op).Reads]...)
 			if in.Op != sim.OpMemWr {
@@ -251,7 +238,24 @@ func TestMutationSwappedMux(t *testing.T) {
 	})
 }
 
-// Bug 7 — batch-column liveness: the same mask-truncation bug is planted
+// Bug 7 — dropped carry: words wider than 64 bits add through a carry
+// chain, sum = add(x, y) then carry = lt(sum, x). The first such carry is
+// zeroed (lt(sum, sum)), so a wide add (or the chain inside a wide mul or
+// negation) loses 2^64 whenever its low words overflow.
+func TestMutationWideCarryDrop(t *testing.T) {
+	huntAndShrink(t, "wide-carry-drop", func(p *sim.Program) bool {
+		code := p.Threads[0].Code
+		for pc := 1; pc < len(code); pc++ {
+			if add, lt := &code[pc-1], &code[pc]; add.Op == sim.OpAdd && lt.Op == sim.OpLt && lt.A == add.Dst && lt.B == add.A {
+				lt.B = lt.A
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// Bug 8 — batch-column liveness: the same mask-truncation bug is planted
 // into the program backing the lane-batched engine only (the solo twins
 // stay clean), so the divergence is visible exclusively through the batch
 // column's per-lane full-state compare. An oracle whose batch column
@@ -293,7 +297,7 @@ func TestMutationBatchColumn(t *testing.T) {
 	t.Fatal("batch-column: no seed in 1..25 triggered the mutation")
 }
 
-// Bug 8 — par-column liveness: the one-barrier engine keeps two views of
+// Bug 9 — par-column liveness: the one-barrier engine keeps two views of
 // every memory and each thread must re-apply its previous cycle's writes to
 // the view it publishes into. With that catch-up dropped, every view misses
 // every other cycle's writes. The defect lives in the engine, not in the
@@ -306,7 +310,7 @@ func TestMutationParSkippedCatchUp(t *testing.T) {
 	})
 }
 
-// Bug 9 — merge-column liveness: the merge folds two bits of one operand
+// Bug 10 — merge-column liveness: the merge folds two bits of one operand
 // that select different bit ranges, as a hash-cons key of op and operands
 // alone would (for bits the constants also fix the result type). The
 // defect is planted by giving the later vertex the earlier one's constants

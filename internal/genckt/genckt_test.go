@@ -99,7 +99,7 @@ func TestOpcodeCoverage(t *testing.T) {
 		sim.OpCat, sim.OpShl, sim.OpShr, sim.OpSar,
 		sim.OpDshl, sim.OpDshr, sim.OpDsar,
 		sim.OpMux, sim.OpSext,
-		sim.OpMemRd, sim.OpMemWr, sim.OpWide,
+		sim.OpMemRd, sim.OpMemWr, sim.OpMulHi,
 	}
 	for _, op := range want {
 		if !seen[op] {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,24 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	if a.StateHash != b.StateHash {
 		t.Fatalf("copies diverged after identical stimulus: %s vs %s", a.StateHash, b.StateHash)
+	}
+}
+
+// TestRestoreVersion1Conflict: a checkpoint blob written by the version-1
+// snapshot format is a conflict with this server's layout (HTTP 409), like
+// a fingerprint mismatch, not a malformed request.
+func TestRestoreVersion1Conflict(t *testing.T) {
+	_, client := newTestServer(t, Config{Workers: 1})
+	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile("../sim/testdata/snapshot-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.RestoreSession(cr.Key, blob, false); StatusOf(err) != http.StatusConflict {
+		t.Fatalf("restore of a version-1 blob: %v, want HTTP 409", err)
 	}
 }
 

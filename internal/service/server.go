@@ -319,8 +319,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeErr maps service errors to HTTP statuses: overload conditions get
-// 429/503 (the admission-control contract), lookups 404, fingerprint
-// conflicts 409, everything else 400 — compile and simulation failures are
+// 429/503 (the admission-control contract), lookups 404, fingerprint and
+// snapshot-version conflicts 409, everything else 400 — compile and simulation failures are
 // caused by request content. Every 503 carries Retry-After so clients know
 // the condition is transient; a migrated session's 503 additionally carries
 // the forwarding address so clients can follow instead of retrying here.
@@ -341,7 +341,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrNoSession), errors.Is(err, ErrSessionClosed):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrSnapshotMismatch):
+	case errors.Is(err, ErrSnapshotMismatch), errors.Is(err, sim.ErrSnapshotVersion):
 		status = http.StatusConflict
 	}
 	if status == http.StatusServiceUnavailable {
@@ -603,7 +603,7 @@ func checkPeek(p *sim.Program, names []string) error {
 		switch {
 		case !ok:
 			return fmt.Errorf("service: peek: no output %q", name)
-		case ps.Wide:
+		case ps.Width > 64:
 			return fmt.Errorf("service: peek: output %q is %d bits wide (>64)", name, ps.Width)
 		case seen[name]:
 			return fmt.Errorf("service: peek names output %q twice", name)

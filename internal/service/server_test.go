@@ -415,6 +415,24 @@ func TestErrorPaths(t *testing.T) {
 	if StatusOf(err) != http.StatusBadRequest {
 		t.Errorf("design+source: err = %v, want HTTP 400", err)
 	}
+	// A division of two 65536-bit values would lower to hundreds of millions
+	// of word instructions → 400, before any of them is emitted.
+	start := time.Now()
+	_, err = client.Compile(CompileRequest{Source: `
+circuit BigDiv {
+  module BigDiv {
+    input a : UInt<65536>
+    input b : UInt<65536>
+    output q : UInt<65536>
+    q <= div(a, b)
+  }
+}`})
+	if StatusOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "word steps") {
+		t.Errorf("oversized wide div: err = %v, want HTTP 400 naming the word-step bound", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Errorf("oversized wide div took %v to refuse", el)
+	}
 	// Session over an unknown key → 404.
 	_, err = client.NewSession(strings.Repeat("ab", 32))
 	if StatusOf(err) != http.StatusNotFound {

@@ -205,7 +205,7 @@ type PortInfo struct {
 func PortsJSON(slots []sim.PortSlot) []PortInfo {
 	out := make([]PortInfo, len(slots))
 	for i, s := range slots {
-		out[i] = PortInfo{Name: s.Name, Width: s.Width, Wide: s.Wide}
+		out[i] = PortInfo{Name: s.Name, Width: s.Width, Wide: s.Width > 64}
 	}
 	return out
 }

@@ -24,9 +24,9 @@ import (
 // neighbouring word's, and the commit memcpy of the two-phase protocol
 // becomes one contiguous block copy across every lane at once.
 //
-// Narrow operations vectorize over lanes. Wide values and memories keep
-// their existing boxed per-lane representation and fall back to evalWide,
-// lane by lane, under the step mask.
+// Every operation vectorizes over lanes (values wider than 64 bits are
+// already word-level code, lower.go); memories stay per lane, and the memory
+// operations run lane by lane under the step mask.
 //
 // Each lane is also an ordinary strided globalState over st (stride
 // BatchWidth, offset the lane index), so a lane's ports, reset, snapshot and
@@ -56,10 +56,9 @@ type BatchEngine struct {
 	// st is the SoA state: word w, lane l at st[w*BatchWidth+l].
 	st []uint64
 
-	// Per-lane state views: laneGS[l] addresses lane l's narrow words in st
-	// (stride BatchWidth) and holds its boxed wide globals and memories;
-	// laneTC[l] holds its per-thread wide temps/shadows and deferred
-	// memory-write buffers.
+	// Per-lane state views: laneGS[l] addresses lane l's words in st
+	// (stride BatchWidth) and holds its memories; laneTC[l] holds its
+	// per-thread deferred memory-write buffers.
 	laneGS []*globalState
 	laneTC [][]*threadCtx
 
@@ -98,32 +97,12 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 		e.laneGS = append(e.laneGS, newGlobalState(p, e.st, BatchWidth, l))
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {
-			tcs[t] = newBatchThreadCtx(p, &p.Threads[t])
+			tcs[t] = newThreadCtx(&p.Threads[t], nil)
 		}
 		e.laneTC = append(e.laneTC, tcs)
 	}
 	e.Reset()
 	return e, nil
-}
-
-// newBatchThreadCtx is newThreadCtx without the narrow temp/shadow arrays
-// (those live in the SoA state) but with the boxed wide state and pre-sized
-// memory-write buffers each lane needs.
-func newBatchThreadCtx(p *Program, tc *ThreadCode) *threadCtx {
-	ctx := &threadCtx{}
-	ctx.wideTemps = make([]bitvec.Vec, tc.NumWideTemps)
-	ctx.wideShadow = make([]bitvec.Vec, len(tc.WideShadowSlots))
-	for i, t := range tc.WideShadowTypes {
-		ctx.wideShadow[i] = bitvec.New(t.Width)
-	}
-	narrow, wide := memWriteCounts(p, tc)
-	if narrow > 0 {
-		ctx.memBuf = make([]memWrite, 0, narrow)
-	}
-	if wide > 0 {
-		ctx.wideMemBuf = make([]wideMemWrite, 0, wide)
-	}
-	return ctx
 }
 
 // Program returns the engine's compiled program.
@@ -212,12 +191,11 @@ func (e *BatchEngine) PeekMemVec(lane int, name string, addr int) (bitvec.Vec, e
 func (e *BatchEngine) Run(n int) { e.RunMasked(n, nil) }
 
 // RunMasked advances the lanes selected by mask (nil = all lanes) by n
-// cycles. Unselected lanes cost one branch in the per-lane fallback loops
-// and nothing in the commit: their architectural state (globals, wide
-// values, memories) is bit-for-bit untouched, because under the
-// private-temp model the eval phase writes only temps and shadows, and the
-// commit is gated on the mask. That is what lets batch groups hold lanes
-// at different cycle frontiers.
+// cycles. Unselected lanes cost one branch in the per-lane memory loops and
+// nothing in the commit: their architectural state (globals and memories)
+// is bit-for-bit untouched, because under the private-temp model the eval
+// phase writes only temps and shadows, and the commit is gated on the mask.
+// That is what lets batch groups hold lanes at different cycle frontiers.
 func (e *BatchEngine) RunMasked(n int, mask []bool) {
 	if n <= 0 {
 		return
@@ -271,9 +249,9 @@ func (e *BatchEngine) RunMasked(n int, mask []bool) {
 }
 
 // updateBatch publishes thread t's shadow state for the masked lanes: the
-// narrow commit is one contiguous block copy across all lanes when the
-// mask is full (the common case), per-word copies of the mask's lane runs
-// otherwise, then wide shadows and deferred memory writes lane by lane.
+// commit is one contiguous block copy across all lanes when the mask is
+// full (the common case), per-word copies of the mask's lane runs
+// otherwise, then the deferred memory writes lane by lane.
 func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) {
 	th := &e.prog.Threads[t]
 	lt := &e.lp.Threads[t]
@@ -297,9 +275,6 @@ func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) 
 		}
 		gs := e.laneGS[l]
 		tc := e.laneTC[l][t]
-		for i, slot := range th.WideShadowSlots {
-			gs.wide[slot] = tc.wideShadow[i]
-		}
 		for _, w := range tc.memBuf {
 			m := gs.mems[w.mem]
 			if w.addr < uint64(len(m)) {
@@ -307,19 +282,12 @@ func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) 
 			}
 		}
 		tc.memBuf = tc.memBuf[:0]
-		for _, w := range tc.wideMemBuf {
-			m := gs.wideMems[w.mem]
-			if w.addr < uint64(len(m)) {
-				m[w.addr] = w.data
-			}
-		}
-		tc.wideMemBuf = tc.wideMemBuf[:0]
 	}
 }
 
 // StateBytes estimates the engine's resident mutable state: the SoA array
-// plus every lane's boxed wide values and memories. The service charges it
-// when sizing batch groups.
+// plus every lane's memories. The service charges it when sizing batch
+// groups.
 func (e *BatchEngine) StateBytes() int64 {
 	n := int64(len(e.st)) * 8
 	n += int64(e.lanes) * (e.prog.viewBytes() - int64(e.prog.GlobalWords)*8)

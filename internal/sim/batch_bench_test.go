@@ -20,7 +20,7 @@ func BenchmarkBatchEval(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, in := range prog.Inputs {
-				if in.Wide {
+				if in.Width > 64 {
 					continue
 				}
 				for l := 0; l < lanes; l++ {
@@ -42,7 +42,7 @@ func BenchmarkBatchEval(b *testing.B) {
 			for i := range engines {
 				engines[i] = NewEngine(prog)
 				for _, in := range prog.Inputs {
-					if !in.Wide {
+					if in.Width <= 64 {
 						if err := engines[i].PokeInput(in.Name, 0xa5a5a5a5a5a5a5a5); err != nil {
 							b.Fatal(err)
 						}

@@ -8,31 +8,28 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/cgraph"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/genckt"
 )
 
-// pokeBoth drives one cycle of random stimulus into a batch lane and its
-// twin private engine, so the two must stay bit-identical forever.
+// pokeBoth drives one cycle of random stimulus into every input of a batch
+// lane and its twin private engine, so the two must stay bit-identical
+// forever.
 func pokeBoth(t *testing.T, be *BatchEngine, lane int, tw *Engine, rng *rand.Rand) {
 	t.Helper()
-	v1 := rng.Uint64()
-	w := bitvec.New(70)
-	for j := range w.Words {
-		w.Words[j] = rng.Uint64()
-	}
-	w = bitvec.ZeroExtend(70, w)
-	if err := be.Poke(lane, "in1", v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := be.PokeVec(lane, "in2", w); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.PokeInput("in1", v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.PokeInputVec("in2", w); err != nil {
-		t.Fatal(err)
+	for _, in := range be.Program().Inputs {
+		v := bitvec.New(in.Width)
+		for j := range v.Words {
+			v.Words[j] = rng.Uint64()
+		}
+		if err := be.PokeVec(lane, in.Name, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.PokeInputVec(in.Name, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -67,7 +64,8 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 			t.Fatalf("%s: lane %d out %s: batch %v, engine %v", tag, lane, o.Name, bv, ev)
 		}
 	}
-	for _, m := range p.Mems {
+	for _, mi := range p.Memories() {
+		m := p.Mems[mi]
 		for a := 0; a < m.Depth; a++ {
 			bv, err := be.PeekMemVec(lane, m.Name, a)
 			if err != nil {
@@ -84,6 +82,16 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 	}
 }
 
+// genFuzzCircuit builds the fuzz generator's circuit for seed.
+func genFuzzCircuit(t *testing.T, seed int64) *cgraph.Graph {
+	t.Helper()
+	d, err := genckt.Generate(genckt.Config{Seed: seed, Size: 60}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Graph
+}
+
 // TestBatchMatchesEngine is the batch engine's correctness claim: N lanes
 // driven with N distinct input streams must each stay bit-identical to a
 // private Engine fed the same stream — serial and partitioned programs,
@@ -92,18 +100,32 @@ func compareLane(t *testing.T, be *BatchEngine, lane int, tw *Engine, tag string
 // must put every opcode but OpNop through the executor, so its table cannot
 // grow an arm this test never runs.
 func TestBatchMatchesEngine(t *testing.T) {
+	type circuit struct {
+		name  string
+		seed  int64
+		build func(*testing.T, int64) *cgraph.Graph
+	}
+	random := func(t *testing.T, seed int64) *cgraph.Graph { return randomCircuit(t, seed, 70) }
+	var circuits []circuit
+	// Seeds 55, 81 and 95 are there for the opcodes 50–53 never emit.
+	for _, seed := range []int64{50, 51, 52, 53, 55, 81, 95} {
+		circuits = append(circuits, circuit{fmt.Sprintf("seed%d", seed), seed, random})
+	}
+	// Wide-heavy fuzz-generator circuits.
+	for _, seed := range []int64{3, 7} {
+		circuits = append(circuits, circuit{fmt.Sprintf("genckt%d", seed), seed, genFuzzCircuit})
+	}
 	var ran [numOpCodes]int
 	for _, lanes := range []int{1, 5, BatchWidth} {
-		// Seeds 55, 81 and 95 are there for the opcodes 50–53 never emit.
-		for _, seed := range []int64{50, 51, 52, 53, 55, 81, 95} {
-			lanes, seed := lanes, seed
-			t.Run(fmt.Sprintf("lanes%d/seed%d", lanes, seed), func(t *testing.T) {
-				g := randomCircuit(t, seed, 70)
+		for _, c := range circuits {
+			lanes, c := lanes, c
+			t.Run(fmt.Sprintf("lanes%d/%s", lanes, c.name), func(t *testing.T) {
+				g := c.build(t, c.seed)
 				for _, k := range []int{1, 3} {
 					specs := SerialSpec(g)
 					if k > 1 {
 						res, err := core.Partition(g, core.Options{
-							K: k, Seed: seed, Model: costmodel.Default(), Epsilon: 0.1,
+							K: k, Seed: c.seed, Model: costmodel.Default(), Epsilon: 0.1,
 						})
 						if err != nil {
 							t.Fatalf("partition k=%d: %v", k, err)
@@ -127,7 +149,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 					rngs := make([]*rand.Rand, lanes)
 					for l := range twins {
 						twins[l] = NewEngine(prog)
-						rngs[l] = rand.New(rand.NewSource(seed*100 + int64(l)))
+						rngs[l] = rand.New(rand.NewSource(c.seed*100 + int64(l)))
 					}
 					for cyc := 0; cyc < 12; cyc++ {
 						for l := 0; l < lanes; l++ {

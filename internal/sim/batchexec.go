@@ -21,6 +21,12 @@ func divLane(a, b, m uint64) uint64 {
 	return (a / (b | z)) & (z - 1) & m
 }
 
+// mulHi is the high word of the 128-bit product a*b.
+func mulHi(a, b uint64) uint64 {
+	hi, _ := bits.Mul64(a, b)
+	return hi
+}
+
 // remLane is x%0 = x, same guard as divLane with a fallback select.
 func remLane(a, b, m uint64) uint64 {
 	z := b2u(b == 0)
@@ -56,9 +62,9 @@ func dsarOne(a, s, m uint64) uint64 {
 // Go's variable shifts saturate to zero), and under the private-temp model
 // the eval phase writes only temps and shadow, so computing a lane that
 // must not advance is unobservable (the commit in updateBatch is what the
-// step mask gates). Memory operations, signed division and the boxed wide
-// path keep per-lane semantics over the live lanes and honor the mask
-// where they have side effects.
+// step mask gates). Memory operations and signed division keep per-lane
+// semantics over the live lanes and honor the mask where they have side
+// effects.
 //
 // The reference for every arm is evalLinked (linkexec.go): when touching
 // the semantics of an operation, change it there first and mirror the
@@ -160,6 +166,25 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] * b[13]) & m
 			d[14] = (a[14] * b[14]) & m
 			d[15] = (a[15] * b[15]) & m
+		case OpMulHi:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			m := in.Mask
+			d[0] = mulHi(a[0], b[0]) & m
+			d[1] = mulHi(a[1], b[1]) & m
+			d[2] = mulHi(a[2], b[2]) & m
+			d[3] = mulHi(a[3], b[3]) & m
+			d[4] = mulHi(a[4], b[4]) & m
+			d[5] = mulHi(a[5], b[5]) & m
+			d[6] = mulHi(a[6], b[6]) & m
+			d[7] = mulHi(a[7], b[7]) & m
+			d[8] = mulHi(a[8], b[8]) & m
+			d[9] = mulHi(a[9], b[9]) & m
+			d[10] = mulHi(a[10], b[10]) & m
+			d[11] = mulHi(a[11], b[11]) & m
+			d[12] = mulHi(a[12], b[12]) & m
+			d[13] = mulHi(a[13], b[13]) & m
+			d[14] = mulHi(a[14], b[14]) & m
+			d[15] = mulHi(a[15], b[15]) & m
 		case OpDiv:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -749,14 +774,6 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 				tc.memBuf = append(tc.memBuf, memWrite{
 					mem: in.Aux, addr: a[l], data: b[l] & m,
 				})
-			}
-		case OpWide:
-			wn := &e.lp.WideNodes[in.Aux]
-			for l := 0; l < n; l++ {
-				if !mask[l] {
-					continue
-				}
-				evalWide(wn, e.prog, e.laneGS[l], e.laneTC[l][t])
 			}
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/cgraph"
 	"repro/internal/costmodel"
 	"repro/internal/firrtl"
@@ -45,9 +44,9 @@ type Config struct {
 	// code emission and optimization fan out one task per partition.
 	// <= 0 means all cores; 1 forces serial compilation. The Program is
 	// bit-identical for every worker count: threads compile against
-	// private constant pools and wide-node lists that are merged in
-	// thread order afterwards. Shared mode always compiles serially (its
-	// scratch-slot allocator mutates compiler-global counters).
+	// private constant pools that are merged in thread order afterwards.
+	// Shared mode always compiles serially (its scratch-slot allocator
+	// mutates compiler-global counters).
 	Workers int
 }
 
@@ -102,11 +101,8 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 			return err
 		}
 		if cfg.OptLevel > 0 && !cfg.Shared {
-			// Optimize against the thread-local view; folding may extend
-			// the local immediate pool.
-			lp := &Program{Imms: tc.imms, WideImms: tc.wideImms, WideNodes: tc.wideNodes}
-			optimize(lp, tc.th, cfg.OptLevel)
-			tc.imms = lp.Imms
+			// Optimize against the thread-local pool; folding may extend it.
+			tc.imms = optimize(tc.imms, tc.th, cfg.OptLevel)
 		}
 		return nil
 	})
@@ -119,9 +115,8 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	c.merge(tcs)
 
 	if cfg.Shared {
-		// Scratch slots allocated during compilation extend the arrays.
+		// Scratch slots allocated during compilation extend the array.
 		c.prog.GlobalWords = int(c.nextWord)
-		c.prog.GlobalWide = int(c.nextWide)
 	}
 	// Cost statistics per thread (after optimization the vertex set is
 	// unchanged; the model works on vertices, matching the paper's
@@ -145,46 +140,23 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	return c.prog, nil
 }
 
-// merge folds each thread's private immediate pools and wide-node lists
-// into the Program, in thread order, rewriting the thread's code to the
-// global indices. Running it serially over an always-identical per-thread
-// input is what makes the compiled Program bit-identical regardless of how
-// many workers ran phase A.
+// merge folds each thread's private immediate pool into the Program, in
+// thread order, rewriting the thread's code to the global indices. Running
+// it serially over an always-identical per-thread input is what makes the
+// compiled Program bit-identical regardless of how many workers ran phase A.
 func (c *compiler) merge(tcs []*threadCompiler) {
-	p := c.prog
 	for _, tc := range tcs {
 		immMap := make([]uint32, len(tc.imms))
 		for i, v := range tc.imms {
 			immMap[i] = c.internImm(v)
-		}
-		wideImmMap := make([]uint32, len(tc.wideImms))
-		for i := range tc.wideImms {
-			wideImmMap[i] = c.internWideImm(tc.wideImms[i])
 		}
 		remap := func(ref *uint32) {
 			if RefTag(*ref) == RefImm {
 				*ref = MakeRef(RefImm, immMap[RefIdx(*ref)])
 			}
 		}
-		wideOff := uint32(len(p.WideNodes))
-		for i := range tc.wideNodes {
-			wn := &tc.wideNodes[i]
-			for a := range wn.Args {
-				switch wn.Args[a].Space {
-				case wsWideImm:
-					wn.Args[a].Idx = wideImmMap[wn.Args[a].Idx]
-				case wsNarrow:
-					remap(&wn.Args[a].Idx)
-				}
-			}
-		}
-		p.WideNodes = append(p.WideNodes, tc.wideNodes...)
 		for i := range tc.th.Code {
 			in := &tc.th.Code[i]
-			if in.Op == OpWide {
-				in.Aux += wideOff
-				continue
-			}
 			remap(&in.A)
 			remap(&in.B)
 			remap(&in.C)
@@ -192,12 +164,11 @@ func (c *compiler) merge(tcs []*threadCompiler) {
 	}
 }
 
+// sinkSlot is where a sink's value lands: its first word's index within
+// the owning thread's shadow (and commit segment).
 type sinkSlot struct {
 	thread int
-	// narrow: index within the thread's shadow/segment; wide: index into
-	// the thread's wide-shadow list.
-	idx  uint32
-	wide bool
+	idx    uint32
 }
 
 // derepCommit is one dereplication commit a thread owes per cycle: store
@@ -215,40 +186,36 @@ type compiler struct {
 	model costmodel.Model
 	cfg   Config
 
-	// globalOf[v] is the global ref for source vertices and sink results
-	// (narrow); wideGlobalOf[v] for wide ones.
-	globalOf     map[cgraph.VID]uint32
-	wideGlobalOf map[cgraph.VID]uint32
-	sinkSlots    map[cgraph.VID]sinkSlot
+	// globalOf[v] is the global ref of the first word of a source vertex
+	// or sink result.
+	globalOf  map[cgraph.VID]uint32
+	sinkSlots map[cgraph.VID]sinkSlot
+	// memBase[m] is the MemSpec index of graph memory m's first word
+	// column.
+	memBase []uint32
 
-	immIndex     map[uint64]uint32
-	wideImmIndex map[string]uint32
+	immIndex map[uint64]uint32
 
 	// derepCommits[t] are the dereplication commits thread t appends after
 	// its vertex code: copy the group driver's value into shadow word idx.
 	derepCommits map[int][]derepCommit
 
-	// Shared mode: per-vertex global slots for combinational results and
-	// running allocation counters.
-	sharedOf     map[cgraph.VID]uint32
-	sharedWideOf map[cgraph.VID]uint32
-	nextWord     uint32
-	nextWide     uint32
+	// Shared mode: per-vertex global slots (first word) for combinational
+	// results and the running allocation counter.
+	sharedOf map[cgraph.VID]uint32
+	nextWord uint32
 }
 
-func isWideType(t firrtl.Type) bool { return t.Width > 64 }
-
 // layout assigns global storage: an input region, then one padded segment
-// per thread holding its narrow sinks (registers first grouped by reader
-// thread and topo-ordered, per Figure 5), plus wide-global slots.
+// per thread holding its sinks (registers first grouped by reader thread
+// and topo-ordered, per Figure 5). A value of width w takes words(w)
+// consecutive words everywhere.
 func (c *compiler) layout(parts []PartSpec) error {
 	g := c.g
 	p := c.prog
 	c.globalOf = map[cgraph.VID]uint32{}
-	c.wideGlobalOf = map[cgraph.VID]uint32{}
 	c.sinkSlots = map[cgraph.VID]sinkSlot{}
 	c.immIndex = map[uint64]uint32{}
-	c.wideImmIndex = map[string]uint32{}
 
 	// Dereplicated registers: their write sinks are demoted (owned and
 	// executed by no thread); the owning thread commits the group driver
@@ -318,36 +285,29 @@ func (c *compiler) layout(parts []PartSpec) error {
 
 	// Input region.
 	var word uint32
-	var wide uint32
 	p.inputByName = map[string]int{}
 	p.outputByName = map[string]int{}
 	p.regByName = make(map[string]int, len(g.Regs))
 	p.Regs = make([]RegSlot, 0, len(g.Regs))
 	for _, in := range g.Inputs {
 		v := &g.Vs[in]
-		ps := PortSlot{Name: v.Name, Width: v.Type.Width, Wide: isWideType(v.Type)}
-		if ps.Wide {
-			ps.Slot = wide
-			c.wideGlobalOf[in] = wide
-			p.WideWidths = append(p.WideWidths, v.Type.Width)
-			wide++
-		} else {
-			ps.Slot = word
-			c.globalOf[in] = MakeRef(RefGlobal, word)
-			word++
-		}
+		ps := PortSlot{Name: v.Name, Width: v.Type.Width, Slot: word}
+		c.globalOf[in] = MakeRef(RefGlobal, word)
+		word += uint32(words(v.Type.Width))
 		p.inputByName[ps.Name] = len(p.Inputs)
 		p.Inputs = append(p.Inputs, ps)
 	}
 	// Pad input region to a segment boundary.
 	word = padTo(word, SegmentWords)
 
-	// Memories.
+	// Memories: one narrow column per word of the element.
+	c.memBase = make([]uint32, len(g.Mems))
 	for mi := range g.Mems {
 		m := &g.Mems[mi]
-		p.Mems = append(p.Mems, MemSpec{
-			Name: m.Name, Depth: m.Depth, Width: m.Type.Width, Wide: isWideType(m.Type),
-		})
+		c.memBase[mi] = uint32(len(p.Mems))
+		for range words(m.Type.Width) {
+			p.Mems = append(p.Mems, MemSpec{Name: m.Name, Depth: m.Depth, Width: m.Type.Width})
+		}
 	}
 
 	// Topo position for segment ordering.
@@ -361,15 +321,10 @@ func (c *compiler) layout(parts []PartSpec) error {
 	for t := range parts {
 		th := &p.Threads[t]
 		th.GlobalOff = int(word)
-		var narrow, wideSinks []cgraph.VID
+		var sinks []cgraph.VID
 		for _, s := range parts[t].Sinks {
-			if g.Vs[s].Kind == cgraph.KindMemWrite {
-				continue // buffered, not laid out
-			}
-			if isWideType(g.Vs[s].Type) {
-				wideSinks = append(wideSinks, s)
-			} else {
-				narrow = append(narrow, s)
+			if g.Vs[s].Kind != cgraph.KindMemWrite { // memory writes are buffered, not laid out
+				sinks = append(sinks, s)
 			}
 		}
 		// Group by reader thread of the value (the register's read vertex
@@ -381,18 +336,20 @@ func (c *compiler) layout(parts []PartSpec) error {
 			}
 			return t
 		}
-		sort.Slice(narrow, func(a, b int) bool {
-			ka, kb := groupKey(narrow[a]), groupKey(narrow[b])
+		sort.Slice(sinks, func(a, b int) bool {
+			ka, kb := groupKey(sinks[a]), groupKey(sinks[b])
 			if ka != kb {
 				return ka < kb
 			}
-			return pos[narrow[a]] < pos[narrow[b]]
+			return pos[sinks[a]] < pos[sinks[b]]
 		})
-		for i, s := range narrow {
-			c.sinkSlots[s] = sinkSlot{thread: t, idx: uint32(i)}
-			slot := word + uint32(i)
-			c.globalOf[s] = MakeRef(RefGlobal, slot)
+		var off uint32
+		for _, s := range sinks {
+			c.sinkSlots[s] = sinkSlot{thread: t, idx: off}
+			slot := word + off
 			v := &g.Vs[s]
+			off += uint32(words(v.Type.Width))
+			c.globalOf[s] = MakeRef(RefGlobal, slot)
 			switch v.Kind {
 			case cgraph.KindRegWrite:
 				// The register's read vertex shares the slot.
@@ -415,10 +372,10 @@ func (c *compiler) layout(parts []PartSpec) error {
 		// registers' current value.
 		for di, d := range parts[t].Dereps {
 			ux := &g.Vs[d.U]
-			if isWideType(ux.Type) {
+			if ux.Type.Width > 64 {
 				return fmt.Errorf("sim: derep driver %s is wide (%d bits)", ux.Name, ux.Type.Width)
 			}
-			idx := uint32(len(narrow) + di)
+			idx := off + uint32(di)
 			slot := word + idx
 			c.derepCommits[t] = append(c.derepCommits[t], derepCommit{u: d.U, idx: idx, width: ux.Type.Width})
 			for _, ri := range d.Regs {
@@ -435,65 +392,30 @@ func (c *compiler) layout(parts []PartSpec) error {
 				})
 			}
 		}
-		th.ShadowWords = len(narrow) + len(parts[t].Dereps)
+		th.ShadowWords = int(off) + len(parts[t].Dereps)
 		word = padTo(word+uint32(th.ShadowWords), SegmentWords)
-
-		// Wide sinks: one wide-global slot each; shadow copies by index.
-		for i, s := range wideSinks {
-			c.sinkSlots[s] = sinkSlot{thread: t, idx: uint32(i), wide: true}
-			c.wideGlobalOf[s] = wide
-			p.WideWidths = append(p.WideWidths, g.Vs[s].Type.Width)
-			th.WideShadowSlots = append(th.WideShadowSlots, wide)
-			th.WideShadowTypes = append(th.WideShadowTypes, g.Vs[s].Type)
-			v := &g.Vs[s]
-			switch v.Kind {
-			case cgraph.KindRegWrite:
-				c.wideGlobalOf[g.Regs[v.Reg].Read] = wide
-				p.regByName[g.Regs[v.Reg].Name] = len(p.Regs)
-				p.Regs = append(p.Regs, RegSlot{
-					Name: g.Regs[v.Reg].Name, Width: v.Type.Width, Wide: true,
-					Slot: wide, Init: g.Regs[v.Reg].Init,
-				})
-			case cgraph.KindOutput:
-				p.outputByName[v.Name] = len(p.Outputs)
-				p.Outputs = append(p.Outputs, PortSlot{Name: v.Name, Width: v.Type.Width, Wide: true, Slot: wide})
-			}
-			wide++
-		}
 	}
 	c.nextWord = word
-	c.nextWide = wide
 	if c.cfg.Shared {
-		// Every combinational vertex gets a shared slot; one writer each.
+		// Every combinational vertex gets shared slots; one writer each.
 		c.sharedOf = map[cgraph.VID]uint32{}
-		c.sharedWideOf = map[cgraph.VID]uint32{}
 		for vi := range g.Vs {
 			v := cgraph.VID(vi)
 			k := g.Vs[v].Kind
 			if k.IsSource() || k.IsSink() {
 				continue
 			}
-			if isWideType(g.Vs[v].Type) {
-				c.sharedWideOf[v] = c.nextWide
-				p.WideWidths = append(p.WideWidths, g.Vs[v].Type.Width)
-				c.nextWide++
-			} else {
-				c.sharedOf[v] = c.nextWord
-				c.nextWord++
-			}
+			c.sharedOf[v] = c.nextWord
+			c.nextWord += uint32(words(g.Vs[v].Type.Width))
 		}
 	}
 	p.GlobalWords = int(c.nextWord)
-	p.GlobalWide = int(c.nextWide)
 
 	// Registers with no read-side slot assignment (write pruned? cannot
 	// happen: writes are sinks and always live). Defensive check.
 	for ri := range g.Regs {
-		r := &g.Regs[ri]
-		_, n := c.globalOf[r.Read]
-		_, w := c.wideGlobalOf[r.Read]
-		if !n && !w {
-			return fmt.Errorf("sim: register %s has no storage", r.Name)
+		if _, ok := c.globalOf[g.Regs[ri].Read]; !ok {
+			return fmt.Errorf("sim: register %s has no storage", g.Regs[ri].Name)
 		}
 	}
 	return nil
@@ -518,51 +440,33 @@ func (c *compiler) internImm(v uint64) uint32 {
 	return idx
 }
 
-// internWideImm interns a wide literal into the Program's global pool
-// (merge phase only).
-func (c *compiler) internWideImm(v bitvec.Vec) uint32 {
-	key := v.String()
-	if idx, ok := c.wideImmIndex[key]; ok {
-		return idx
-	}
-	idx := uint32(len(c.prog.WideImms))
-	c.prog.WideImms = append(c.prog.WideImms, v.Clone())
-	c.wideImmIndex[key] = idx
-	return idx
-}
-
-// threadCompiler holds per-thread compile state. Narrow temps (vertex
-// results and sign-extension scratches) are allocated from one sequential
-// counter. Immediates and wide nodes go to thread-private pools so
-// threads can compile concurrently; compiler.merge renumbers them into
-// the Program afterwards.
+// threadCompiler holds per-thread compile state. Temps (vertex result
+// words and scratch words) are allocated from one sequential counter.
+// Immediates go to a thread-private pool so threads can compile
+// concurrently; compiler.merge renumbers them into the Program afterwards.
 type threadCompiler struct {
 	c  *compiler
 	t  int
 	th *ThreadCode
-	// tempOf maps a combinational vertex to its narrow temp index;
-	// wideTempOf to its wide temp index.
-	tempOf     map[cgraph.VID]uint32
-	wideTempOf map[cgraph.VID]uint32
-	nextTemp   uint32
-	nextWide   uint32
+	// tempOf maps a combinational vertex to its first result temp.
+	tempOf   map[cgraph.VID]uint32
+	nextTemp uint32
 
-	// Thread-local constant pools and wide-node list. Code emitted in
-	// phase A references these by local index.
-	imms         []uint64
-	immIndex     map[uint64]uint32
-	wideImms     []bitvec.Vec
-	wideImmIndex map[string]uint32
-	wideNodes    []WideNode
+	// Thread-local constant pool. Code emitted in phase A references it by
+	// local index.
+	imms     []uint64
+	immIndex map[uint64]uint32
+
+	// lowerSteps is the word steps spent so far on vertices touching wide
+	// values (lower.go), bounded by maxLowerSteps.
+	lowerSteps int
 }
 
 func newThreadCompiler(c *compiler, t int) *threadCompiler {
 	return &threadCompiler{
 		c: c, t: t, th: &c.prog.Threads[t],
-		tempOf:       map[cgraph.VID]uint32{},
-		wideTempOf:   map[cgraph.VID]uint32{},
-		immIndex:     map[uint64]uint32{},
-		wideImmIndex: map[string]uint32{},
+		tempOf:   map[cgraph.VID]uint32{},
+		immIndex: map[uint64]uint32{},
 	}
 }
 
@@ -574,18 +478,6 @@ func (tc *threadCompiler) internImm(v uint64) uint32 {
 	idx := uint32(len(tc.imms))
 	tc.imms = append(tc.imms, v)
 	tc.immIndex[v] = idx
-	return idx
-}
-
-// internWideImm interns a wide literal into the thread-local pool.
-func (tc *threadCompiler) internWideImm(v bitvec.Vec) uint32 {
-	key := v.String()
-	if idx, ok := tc.wideImmIndex[key]; ok {
-		return idx
-	}
-	idx := uint32(len(tc.wideImms))
-	tc.wideImms = append(tc.wideImms, v.Clone())
-	tc.wideImmIndex[key] = idx
 	return idx
 }
 
@@ -615,20 +507,16 @@ func (tc *threadCompiler) compileAll(part PartSpec) error {
 		tc.th.Marks = append(tc.th.Marks, len(tc.th.Code))
 	}
 	tc.th.NumTemps = int(tc.nextTemp)
-	tc.th.NumWideTemps = int(tc.nextWide)
 	return nil
 }
 
-// newTemp allocates a fresh narrow temp.
-func (tc *threadCompiler) newTemp() uint32 {
-	idx := tc.nextTemp
+// scratch allocates one fresh word for an intermediate value: a temp, or in
+// Shared mode a global scratch slot.
+func (tc *threadCompiler) scratch() uint32 {
+	if tc.c.cfg.Shared {
+		tc.c.nextWord++
+		return MakeRef(RefGlobal, tc.c.nextWord-1)
+	}
 	tc.nextTemp++
-	return idx
-}
-
-// newWideTemp allocates a fresh wide temp.
-func (tc *threadCompiler) newWideTemp() uint32 {
-	idx := tc.nextWide
-	tc.nextWide++
-	return idx
+	return MakeRef(RefLocal, tc.nextTemp-1)
 }

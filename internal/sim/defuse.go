@@ -2,30 +2,23 @@ package sim
 
 import "fmt"
 
-// RefSpace names one of the storage spaces an instruction can touch. It
-// unifies the narrow regions of the linked state (LinkedLoc) with the
-// wide-operand spaces and memories so static analyses (internal/verify) can
-// reason about def/use sets without knowing either encoding.
+// RefSpace names one of the storage spaces an instruction can touch: the
+// regions of the linked state (LinkedLoc) and the memories, so static
+// analyses (internal/verify) can reason about def/use sets without knowing
+// the flat encoding.
 type RefSpace uint8
 
-// Storage spaces, in narrow-then-wide order.
+// Storage spaces.
 const (
-	SpaceLocal      RefSpace = iota // thread-private narrow temp
-	SpaceGlobal                     // shared narrow global word
-	SpaceImm                        // narrow immediate pool (read-only)
-	SpaceShadow                     // thread-private narrow shadow (sink) word
-	SpaceWideLocal                  // thread-private wide temp
-	SpaceWideGlobal                 // shared wide-global slot
-	SpaceWideImm                    // wide immediate pool (read-only)
-	SpaceWideShadow                 // thread-private wide shadow slot
-	SpaceMem                        // a whole memory; Idx is the memory index
+	SpaceLocal  RefSpace = iota // thread-private temp
+	SpaceGlobal                 // shared global word
+	SpaceImm                    // immediate pool (read-only)
+	SpaceShadow                 // thread-private shadow (sink) word
+	SpaceMem                    // a whole memory column; Idx is its index
 	numRefSpaces
 )
 
-var refSpaceNames = [numRefSpaces]string{
-	"local", "global", "imm", "shadow",
-	"wide-local", "wide-global", "wide-imm", "wide-shadow", "mem",
-}
+var refSpaceNames = [numRefSpaces]string{"local", "global", "imm", "shadow", "mem"}
 
 func (s RefSpace) String() string {
 	if int(s) < len(refSpaceNames) {
@@ -41,19 +34,3 @@ type Loc struct {
 }
 
 func (l Loc) String() string { return fmt.Sprintf("%s[%d]", l.Space, l.Idx) }
-
-// WideLoc decodes a wide-pool operand into a Loc. A narrow operand
-// (wsNarrow) carries a ref, or after linking a flat state index, instead of
-// a wide-pool slot; callers decode those themselves.
-func WideLoc(a WideOperand) Loc {
-	switch a.Space {
-	case wsWideLocal:
-		return Loc{SpaceWideLocal, a.Idx}
-	case wsWideGlobal:
-		return Loc{SpaceWideGlobal, a.Idx}
-	case wsWideImm:
-		return Loc{SpaceWideImm, a.Idx}
-	default:
-		return Loc{SpaceWideShadow, a.Idx}
-	}
-}

@@ -93,7 +93,7 @@ func newView(p *Program, lp *LinkedProgram) *view {
 		th := &p.Threads[t]
 		lt := &lp.Threads[t]
 		frame := v.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-		v.tcs = append(v.tcs, newThreadCtx(p, th, frame))
+		v.tcs = append(v.tcs, newThreadCtx(th, frame))
 	}
 	return v
 }
@@ -104,7 +104,8 @@ func sharedMems(p *Program) []bool {
 	writer := make([]int, len(p.Mems)) // 1 + the last writing thread seen
 	for t := range p.Threads {
 		for i := range p.Threads[t].Code {
-			if m, ok := memWritten(p, &p.Threads[t].Code[i]); ok {
+			if in := &p.Threads[t].Code[i]; in.Op == OpMemWr {
+				m := in.Aux
 				shared[m] = shared[m] || (writer[m] != 0 && writer[m] != t+1)
 				writer[m] = t + 1
 			}
@@ -120,13 +121,12 @@ func sharedMems(p *Program) []bool {
 func (e *Engine) evalThread(t int, v *view) {
 	tc := v.tcs[t]
 	tc.memBuf = tc.memBuf[:0]
-	tc.wideMemBuf = tc.wideMemBuf[:0]
 	if v.native != nil {
 		nt := &v.native[t]
-		nt.fn(v.state, v.gs.mems, nt.memwr, nt.wide)
+		nt.fn(v.state, v.gs.mems, nt.memwr)
 		return
 	}
-	evalLinked(e.lp.Threads[t].Code, v.state, e.prog, e.lp, v.gs, tc)
+	evalLinked(e.lp.Threads[t].Code, v.state, v.gs, tc)
 }
 
 // Program returns the engine's compiled program.
@@ -185,7 +185,7 @@ func (e *Engine) PeekReg(name string) (bitvec.Vec, error) {
 	return e.gs().peekRegVec(e.prog, name)
 }
 
-// PeekMem reads one memory word (narrow memories).
+// PeekMem reads one element of a memory at most 64 bits wide.
 func (e *Engine) PeekMem(name string, addr int) (uint64, error) {
 	mi, m, ok := e.prog.Mem(name)
 	if !ok {
@@ -194,15 +194,13 @@ func (e *Engine) PeekMem(name string, addr int) (uint64, error) {
 	if addr < 0 || addr >= m.Depth {
 		return 0, fmt.Errorf("sim: mem %q address %d out of range", name, addr)
 	}
-	if m.Wide {
-		return e.gs().wideMems[mi][addr].Uint64(), nil
+	if m.Width > 64 {
+		return 0, fmt.Errorf("sim: mem %q is %d bits wide; use PeekMemVec", name, m.Width)
 	}
 	return e.gs().mems[mi][addr], nil
 }
 
-// PeekMemVec reads one memory word of any element width as a bit vector.
-// The differential oracle uses this for full-width comparison of wide
-// memories, where PeekMem would drop the high words.
+// PeekMemVec reads one memory element of any width as a bit vector.
 func (e *Engine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
 	return e.gs().peekMemVec(e.prog, name, addr)
 }
@@ -215,20 +213,16 @@ func (e *Engine) gs() *globalState { return e.views[e.cur].gs }
 func (e *Engine) other() *view { return e.views[len(e.views)-1-e.cur] }
 
 // publish commits what thread t evaluated over view from into view to: one
-// contiguous copy of the narrow shadow (the memcpy of §5.1), per-slot
-// assignment for wide values, and the buffered memory writes. With one view
-// (from == to) that is the in-place update of the serial simulator. With
-// two, to last held the state of one cycle earlier, so the thread first
-// re-applies the writes it made in the previous cycle (still buffered in
-// to's context) and then this cycle's; memories with writers in several
-// threads are left to commitShared.
+// contiguous copy of the shadow (the memcpy of §5.1) and the buffered
+// memory writes. With one view (from == to) that is the in-place update of
+// the serial simulator. With two, to last held the state of one cycle
+// earlier, so the thread first re-applies the writes it made in the
+// previous cycle (still buffered in to's context) and then this cycle's;
+// memories with writers in several threads are left to commitShared.
 func (e *Engine) publish(t int, from, to *view) {
 	th := &e.prog.Threads[t]
 	tc := from.tcs[t]
 	copy(to.state[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
-	for i, slot := range th.WideShadowSlots {
-		to.gs.wide[slot] = tc.wideShadow[i]
-	}
 	if to != from && !e.skipCatchUp {
 		e.applyWrites(to.tcs[t], to.gs, false)
 	}
@@ -245,11 +239,6 @@ func (e *Engine) PlantSkipCatchUp() { e.skipCatchUp = true }
 func (e *Engine) applyWrites(tc *threadCtx, gs *globalState, shared bool) {
 	for _, w := range tc.memBuf {
 		if m := gs.mems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
-			m[w.addr] = w.data
-		}
-	}
-	for _, w := range tc.wideMemBuf {
-		if m := gs.wideMems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
 			m[w.addr] = w.data
 		}
 	}

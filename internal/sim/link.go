@@ -17,8 +17,8 @@ import (
 //	                                     └ temps ┆ shadow ┘
 //
 // gs.words and each thread's temps/shadow become subslices of the one
-// state array, so the commit memcpy, Reset, Poke/Peek, and the wide path
-// all keep their existing shapes. The alternative views-table layout
+// state array, so the commit memcpy, Reset and Poke/Peek keep their
+// existing shapes. The alternative views-table layout
 // (st := views[tag][idx]) still pays a tag extraction plus a second
 // dependent load per operand; BenchmarkOperandResolution in
 // link_bench_test.go records the bake-off that picked the flat frame.
@@ -32,7 +32,7 @@ type LInstr struct {
 	A    uint32
 	B    uint32
 	C    uint32
-	Aux  uint32 // shift amount / cat low-width / mem or wide index
+	Aux  uint32 // shift amount / cat low-width / mem index
 	Mask uint64
 }
 
@@ -72,9 +72,6 @@ type LinkedProgram struct {
 	ImmOff     int
 
 	Threads []LinkedThread
-	// WideNodes mirrors prog.WideNodes with wsNarrow operand refs resolved
-	// to state indices for the owning thread.
-	WideNodes []WideNode
 
 	Stats LinkStats
 }
@@ -127,12 +124,8 @@ func link(p *Program) *LinkedProgram {
 	}
 	lp.StateWords = int(off)
 
-	lp.WideNodes = make([]WideNode, len(p.WideNodes))
-	copy(lp.WideNodes, p.WideNodes)
-	wideOwned := make([]bool, len(p.WideNodes))
-
 	for t := range p.Threads {
-		lp.Threads[t].Code = lp.translate(t, &p.Threads[t], wideOwned)
+		lp.Threads[t].Code = lp.translate(t, &p.Threads[t])
 	}
 	n := p.TotalInstrs()
 	lp.Stats = LinkStats{Instrs: n, Linked: n}
@@ -140,7 +133,7 @@ func link(p *Program) *LinkedProgram {
 }
 
 // translate resolves one thread's operands.
-func (lp *LinkedProgram) translate(t int, th *ThreadCode, wideOwned []bool) []LInstr {
+func (lp *LinkedProgram) translate(t int, th *ThreadCode) []LInstr {
 	out := make([]LInstr, len(th.Code))
 	for pc := range th.Code {
 		in := &th.Code[pc]
@@ -150,8 +143,6 @@ func (lp *LinkedProgram) translate(t int, th *ThreadCode, wideOwned []bool) []LI
 		li.Mask = in.Mask
 		switch in.Op {
 		case OpNop:
-		case OpWide:
-			li.Aux = lp.linkWideNode(t, in.Aux, wideOwned)
 		case OpMemWr:
 			li.A = lp.resolve(t, in.A)
 			li.B = lp.resolve(t, in.B)
@@ -171,31 +162,6 @@ func (lp *LinkedProgram) translate(t int, th *ThreadCode, wideOwned []bool) []LI
 		}
 	}
 	return out
-}
-
-// linkWideNode clones wide node w with its narrow refs resolved for thread
-// t. Compilation gives each thread its own wide-node range, but if a node
-// were ever shared across threads the second thread gets a fresh clone so
-// both resolve correctly.
-func (lp *LinkedProgram) linkWideNode(t int, w uint32, wideOwned []bool) uint32 {
-	src := &lp.prog.WideNodes[w]
-	wn := *src
-	wn.Args = append([]WideOperand(nil), src.Args...)
-	for i := range wn.Args {
-		if wn.Args[i].Space == wsNarrow {
-			wn.Args[i].Idx = lp.resolve(t, wn.Args[i].Idx)
-		}
-	}
-	if wn.Dst.Space == wsNarrow {
-		wn.Dst.Idx = lp.resolve(t, wn.Dst.Idx)
-	}
-	if int(w) < len(wideOwned) && !wideOwned[w] {
-		wideOwned[w] = true
-		lp.WideNodes[w] = wn
-		return w
-	}
-	lp.WideNodes = append(lp.WideNodes, wn)
-	return uint32(len(lp.WideNodes) - 1)
 }
 
 // LinkedLoc decodes a unified-state index back into the space-relative
@@ -227,44 +193,23 @@ func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 	return Loc{}, -1, false
 }
 
-// LinkedDefUse appends one linked instruction's narrow defs/uses (as
-// unified-state indices) and its wide/memory locations (which have no flat
-// index) to the given slices, returning the extended slices (pass nil or
-// recycled slices; the same LinkedProgram can be analyzed from many
-// goroutines). For OpWide in.Aux must index lp.WideNodes. Memory writes def
-// the whole memory: the write is buffered during evaluation and only
-// published in the commit phase. internal/verify's scan is built on it.
-func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, wuses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
+// LinkedDefUse appends one linked instruction's defs/uses of state words
+// (as unified-state indices) and of memories (as SpaceMem locations, which
+// have no flat index) to the given slices, returning the extended slices
+// (pass nil or recycled slices; the same LinkedProgram can be analyzed from
+// many goroutines). Memory writes def the whole memory: the write is
+// buffered during evaluation and only published in the commit phase.
+// internal/verify's scan is built on it.
+func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, mdefs, muses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
 	switch in.Op {
 	case OpNop:
-	case OpWide:
-		wn := &lp.WideNodes[in.Aux]
-		for i := range wn.Args {
-			if wn.Args[i].Space == wsNarrow {
-				nuses = append(nuses, wn.Args[i].Idx)
-			} else {
-				wuses = append(wuses, WideLoc(wn.Args[i]))
-			}
-		}
-		if wn.Kind == wkMemRd {
-			wuses = append(wuses, Loc{SpaceMem, uint32(wn.Mem)})
-		}
-		switch {
-		case wn.Kind == wkMemWr:
-			// Dst is unset for memory writes; the def is the memory.
-			wdefs = append(wdefs, Loc{SpaceMem, uint32(wn.Mem)})
-		case wn.Dst.Space == wsNarrow:
-			ndefs = append(ndefs, wn.Dst.Idx)
-		default:
-			wdefs = append(wdefs, WideLoc(wn.Dst))
-		}
 	case OpMemRd:
 		nuses = append(nuses, in.A)
-		wuses = append(wuses, Loc{SpaceMem, in.Aux})
+		muses = append(muses, Loc{SpaceMem, in.Aux})
 		ndefs = append(ndefs, in.Dst)
 	case OpMemWr:
 		nuses = append(nuses, in.A, in.B, in.C)
-		wdefs = append(wdefs, Loc{SpaceMem, in.Aux})
+		mdefs = append(mdefs, Loc{SpaceMem, in.Aux})
 	default:
 		refs := [3]uint32{in.A, in.B, in.C}
 		for k := 0; k < opReads(in.Op); k++ {
@@ -272,7 +217,7 @@ func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, 
 		}
 		ndefs = append(ndefs, in.Dst)
 	}
-	return ndefs, nuses, wdefs, wuses
+	return ndefs, nuses, mdefs, muses
 }
 
 // MemBytes estimates the resident footprint the linked form adds on top of
@@ -280,20 +225,12 @@ func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, wdefs, 
 // the service compile cache charges linked bytes to its LRU budget.
 func (lp *LinkedProgram) MemBytes() int64 {
 	const (
-		lInstrSize   = int64(unsafe.Sizeof(LInstr{}))
-		threadSize   = int64(unsafe.Sizeof(LinkedThread{}))
-		wideNodeSize = int64(unsafe.Sizeof(WideNode{}))
-		operandSize  = int64(unsafe.Sizeof(WideOperand{}))
+		lInstrSize = int64(unsafe.Sizeof(LInstr{}))
+		threadSize = int64(unsafe.Sizeof(LinkedThread{}))
 	)
 	n := int64(unsafe.Sizeof(LinkedProgram{}))
 	for t := range lp.Threads {
 		n += threadSize + int64(len(lp.Threads[t].Code))*lInstrSize
-	}
-	for i := range lp.WideNodes {
-		wn := &lp.WideNodes[i]
-		n += wideNodeSize
-		n += int64(len(wn.Args)) * operandSize
-		n += int64(len(wn.Consts)) * int64(unsafe.Sizeof(int(0)))
 	}
 	return n
 }

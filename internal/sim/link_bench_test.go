@@ -25,7 +25,7 @@ func benchProgram(b *testing.B) *Program {
 func BenchmarkEvalLinked(b *testing.B) {
 	e := NewEngine(benchProgram(b))
 	for _, in := range e.prog.Inputs {
-		if !in.Wide {
+		if in.Width <= 64 {
 			if err := e.PokeInput(in.Name, 0xa5a5a5a5a5a5a5a5); err != nil {
 				b.Fatal(err)
 			}

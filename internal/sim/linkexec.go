@@ -7,12 +7,12 @@ import (
 
 // evalLinked executes one linked instruction stream: every operand is a
 // single indexed load or store into the engine's unified state slice. It is
-// the one scalar definition of narrow opcode semantics — engines, constant
-// folding and EvalOp all run it (pure ops touch only st, so a probe may pass
-// nil for p, lp, gs and tc) — and sim.Reference, which never sees an
-// OpCode, is the independent oracle it is cross-checked against. gs views
-// st: the boxed wide path reaches its narrow operands through it.
-func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *globalState, tc *threadCtx) {
+// the one scalar definition of opcode semantics — engines, constant folding
+// and EvalOp all run it (pure ops touch only st, so a probe may pass nil for
+// gs and tc) — and sim.Reference, which never sees an OpCode, is the
+// independent oracle it is cross-checked against. gs supplies the memories
+// and tc the memory-write buffer.
+func evalLinked(code []LInstr, st []uint64, gs *globalState, tc *threadCtx) {
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
@@ -25,6 +25,8 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 			st[in.Dst] = (st[in.A] - st[in.B]) & in.Mask
 		case OpMul:
 			st[in.Dst] = (st[in.A] * st[in.B]) & in.Mask
+		case OpMulHi:
+			st[in.Dst] = mulHi(st[in.A], st[in.B]) & in.Mask
 		case OpDiv:
 			b := st[in.B]
 			if b == 0 {
@@ -145,8 +147,6 @@ func evalLinked(code []LInstr, st []uint64, p *Program, lp *LinkedProgram, gs *g
 					mem: in.Aux, addr: st[in.A], data: st[in.B] & in.Mask,
 				})
 			}
-		case OpWide:
-			evalWide(&lp.WideNodes[in.Aux], p, gs, tc)
 		default:
 			panic(fmt.Sprintf("sim: bad linked opcode %v", in.Op))
 		}

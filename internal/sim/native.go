@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/bitvec"
 )
 
 // Native-kernel hook: internal/codegen compiles a linked thread's
@@ -21,20 +19,18 @@ import (
 //
 //   - st is the engine's unified state slice (the evalLinked layout:
 //     [globals | imms | frames], indices baked into the generated code);
-//   - mems are the narrow memory arrays, indexed by MemSpec position;
-//   - memwr buffers one narrow memory write (mem, addr, data) for the
-//     update phase — the generated code has already applied enable gating
-//     and data masking;
-//   - wide evaluates linked wide node i through the boxed bitvec path.
-type NativeThreadFunc = func(st []uint64, mems [][]uint64, memwr func(mem uint32, addr, data uint64), wide func(node uint32))
+//   - mems are the memory columns, indexed by MemSpec position;
+//   - memwr buffers one memory write (mem, addr, data) for the update
+//     phase — the generated code has already applied enable gating and
+//     data masking.
+type NativeThreadFunc = func(st []uint64, mems [][]uint64, memwr func(mem uint32, addr, data uint64))
 
 // nativeThread pairs one thread's generated eval function with its runtime
-// callbacks, built once at install time so steady-state cycles allocate
+// callback, built once at install time so steady-state cycles allocate
 // nothing.
 type nativeThread struct {
 	fn    NativeThreadFunc
 	memwr func(mem uint32, addr, data uint64)
-	wide  func(node uint32)
 }
 
 // InstallNative switches the engine's eval phase to the given per-thread
@@ -60,9 +56,6 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 				memwr: func(mem uint32, addr, data uint64) {
 					tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
 				},
-				wide: func(node uint32) {
-					evalWide(&e.lp.WideNodes[node], e.prog, v.gs, tc)
-				},
 			}
 		}
 	}
@@ -81,37 +74,38 @@ func (e *Engine) NativeInstalled() bool { return e.views[0].native != nil }
 // so is scratch state. Registers and outputs fold in architectural
 // (name-sorted) order, never layout order, so the hash is identical across
 // backends AND across partitionings of the same design — refined and
-// unrefined compiles of one circuit must produce the same hash.
+// unrefined compiles of one circuit must produce the same hash. A value
+// wider than 64 bits folds in as its width then its words, and a wide
+// memory element likewise, so the hash does not depend on how such values
+// are stored.
 func (e *Engine) StateHash() uint64 { return stateHash(e.prog, e.gs()) }
 
 // stateHash is StateHash over one state view: an engine's or a batch
 // lane's (BatchEngine.StateHashLane).
 func stateHash(p *Program, gs *globalState) uint64 {
 	h := fnv{1469598103934665603}
-	for _, i := range p.regHashOrder() {
-		r := &p.Regs[i]
-		if r.Wide {
-			h.vec(gs.wide[r.Slot])
-		} else {
-			h.u64(*gs.at(r.Slot))
+	value := func(slot uint32, width int) {
+		if width > 64 {
+			h.u64(uint64(width))
 		}
+		for k := range words(width) {
+			h.u64(*gs.at(slot + uint32(k)))
+		}
+	}
+	for _, i := range p.regHashOrder() {
+		value(p.Regs[i].Slot, p.Regs[i].Width)
 	}
 	for _, i := range p.outputHashOrder() {
-		o := &p.Outputs[i]
-		if o.Wide {
-			h.vec(gs.wide[o.Slot])
-		} else {
-			h.u64(*gs.at(o.Slot))
-		}
+		value(p.Outputs[i].Slot, p.Outputs[i].Width)
 	}
-	for mi := range p.Mems {
-		if p.Mems[mi].Wide {
-			for _, v := range gs.wideMems[mi] {
-				h.vec(v)
+	for _, mi := range p.Memories() {
+		m := &p.Mems[mi]
+		for a := 0; a < m.Depth; a++ {
+			if m.Width > 64 {
+				h.u64(uint64(m.Width))
 			}
-		} else {
-			for _, v := range gs.mems[mi] {
-				h.u64(v)
+			for k := range words(m.Width) {
+				h.u64(gs.mems[mi+k][a])
 			}
 		}
 	}
@@ -138,12 +132,4 @@ func (p *Program) outputHashOrder() []int {
 	}
 	sort.Slice(idx, func(a, b int) bool { return p.Outputs[idx[a]].Name < p.Outputs[idx[b]].Name })
 	return idx
-}
-
-// vec folds one wide value (width plus payload words) into the hash.
-func (f *fnv) vec(v bitvec.Vec) {
-	f.u64(uint64(v.Width))
-	for _, w := range v.Words {
-		f.u64(w)
-	}
 }

@@ -9,9 +9,11 @@
 // per simulated cycle; the engine here keeps two state views and crosses
 // one barrier per cycle (DESIGN.md §4 "Runtime protocol").
 //
-// Signals at most 64 bits wide execute on a narrow fast path over flat
-// []uint64 arrays; wider signals run through a boxed bitvec path whose
-// semantics are shared with the reference evaluator.
+// Every opcode is narrow: it reads and writes single 64-bit words of flat
+// []uint64 arrays. The compiler lowers a signal wider than 64 bits into
+// ⌈w/64⌉ consecutive words, least significant first, with the top word
+// masked to its width (lower.go), so wide arithmetic is ordinary narrow
+// code that every executor runs unchanged.
 package sim
 
 import "fmt"
@@ -64,8 +66,7 @@ const (
 	OpMemRd
 	// OpMemWr buffers (mem=Aux, addr=a, data=b) when en=c is nonzero.
 	OpMemWr
-	// OpWide evaluates WideNodes[Aux] through the boxed bitvec path.
-	OpWide
+	OpMulHi // dst = high 64 bits of the 128-bit product a*b, masked
 	numOpCodes
 )
 
@@ -74,7 +75,7 @@ var opNames = [numOpCodes]string{
 	"lt", "leq", "gt", "geq", "slt", "sleq", "sgt", "sgeq", "eq", "neq",
 	"and", "or", "xor", "not", "neg", "andr", "orr", "xorr",
 	"cat", "shl", "shr", "sar", "dshl", "dshr", "dsar", "mux", "sext",
-	"memrd", "memwr", "wide",
+	"memrd", "memwr", "mulhi",
 }
 
 func (o OpCode) String() string {
@@ -123,7 +124,7 @@ type Instr struct {
 	A    uint32
 	B    uint32
 	C    uint32
-	Aux  uint32 // shift amount / cat low-width / mem index / wide index / sext width
+	Aux  uint32 // shift amount / cat low-width / mem index / sext width
 	Mask uint64 // result mask (also operand mask for Andr via Imm trick: stored here)
 }
 

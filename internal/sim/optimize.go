@@ -9,38 +9,23 @@ package sim
 // arithmetic, and the optimization a newer C++ compiler applies in the
 // paper's Figure 10 experiment.
 //
-// The optimizer never touches OpWide, memory, or shadow-writing semantics.
-func optimize(p *Program, th *ThreadCode, level int) {
+// The optimizer never touches memory or shadow-writing semantics.
+// Folding may extend the immediate pool imms; optimize returns the pool.
+func optimize(imms []uint64, th *ThreadCode, level int) []uint64 {
 	for pass := 0; pass < 4; pass++ {
 		changed := false
-		changed = foldConstants(p, th) || changed
-		changed = propagateCopies(p, th) || changed
+		changed = foldConstants(&imms, th) || changed
+		changed = propagateCopies(th) || changed
 		if level >= 2 {
-			changed = fuseTruncations(p, th) || changed
+			changed = fuseTruncations(th) || changed
 		}
-		changed = eliminateDead(p, th) || changed
+		changed = eliminateDead(th) || changed
 		if !changed {
 			break
 		}
 	}
 	compact(th)
-}
-
-// wideNarrowRefs visits every narrow ref used by the thread's wide nodes:
-// cb receives a pointer so passes can rewrite them. Wide nodes are created
-// per thread during compilation, so mutating them here is safe.
-func wideNarrowRefs(p *Program, th *ThreadCode, cb func(ref *uint32)) {
-	for i := range th.Code {
-		if th.Code[i].Op != OpWide {
-			continue
-		}
-		wn := &p.WideNodes[th.Code[i].Aux]
-		for a := range wn.Args {
-			if wn.Args[a].Space == wsNarrow {
-				cb(&wn.Args[a].Idx)
-			}
-		}
-	}
+	return imms
 }
 
 // opReads returns how many operand refs (A, B, C) each opcode reads.
@@ -53,49 +38,36 @@ func opReads(op OpCode) int {
 		return 1
 	case OpMux, OpMemWr:
 		return 3
-	case OpWide:
-		return 0
 	default:
 		return 2
 	}
 }
 
-// definesDst reports whether in.Dst is a real narrow definition. OpNop,
-// OpWide, and OpMemWr leave Dst meaningless (a wide node's destination
-// lives in the wide-node table; a memory write has none), so reading their
-// Dst/Mask fields as a local def would poison alias and mask tracking: the
-// zero Dst aliases local temp 0 and claims its produced mask is in.Mask.
-func definesDst(in *Instr) bool {
-	switch in.Op {
-	case OpNop, OpWide, OpMemWr:
-		return false
-	}
-	return true
-}
+// definesDst reports whether in.Dst is a real definition. OpNop and
+// OpMemWr leave Dst meaningless, so reading their Dst/Mask fields as a
+// local def would poison alias and mask tracking: the zero Dst aliases
+// local temp 0 and claims its produced mask is in.Mask.
+func definesDst(in *Instr) bool { return in.Op != OpNop && in.Op != OpMemWr }
 
 // hasSideEffect reports whether the instruction must be kept regardless of
 // whether its destination is read.
 func hasSideEffect(in *Instr) bool {
-	switch in.Op {
-	case OpMemWr, OpWide:
-		return true
-	}
-	return RefTag(in.Dst) == RefShadow
+	return in.Op == OpMemWr || RefTag(in.Dst) == RefShadow
 }
 
 // foldConstants replaces instructions whose operands are all immediates
 // with immediate references at their use sites.
-func foldConstants(p *Program, th *ThreadCode) bool {
+func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 	// immOf maps a local temp to the immediate ref that replaces it.
 	immOf := map[uint32]uint32{}
 	intern := func(v uint64) uint32 {
-		for i, x := range p.Imms {
+		for i, x := range *imms {
 			if x == v {
 				return uint32(i)
 			}
 		}
-		p.Imms = append(p.Imms, v)
-		return uint32(len(p.Imms) - 1)
+		*imms = append(*imms, v)
+		return uint32(len(*imms) - 1)
 	}
 	changed := false
 	for i := range th.Code {
@@ -111,7 +83,7 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 				}
 			}
 		}
-		if in.Op == OpNop || in.Op == OpWide || in.Op == OpMemRd || in.Op == OpMemWr {
+		if in.Op == OpNop || in.Op == OpMemRd || in.Op == OpMemWr {
 			continue
 		}
 		if RefTag(in.Dst) != RefLocal {
@@ -131,29 +103,19 @@ func foldConstants(p *Program, th *ThreadCode) bool {
 		// diverge from execution.
 		var v [3]uint64
 		for k := 0; k < n; k++ {
-			v[k] = p.Imms[RefIdx(*refs[k])]
+			v[k] = (*imms)[RefIdx(*refs[k])]
 		}
 		r, _ := EvalOp(in.Op, in.Aux, in.Mask, v[0], v[1], v[2])
 		immOf[RefIdx(in.Dst)] = intern(r)
 		in.Op = OpNop
 		changed = true
 	}
-	// Wide nodes read narrow locals too; point them at the folded
-	// immediates or their producers are gone.
-	wideNarrowRefs(p, th, func(ref *uint32) {
-		if RefTag(*ref) == RefLocal {
-			if imm, ok := immOf[RefIdx(*ref)]; ok {
-				*ref = MakeRef(RefImm, imm)
-				changed = true
-			}
-		}
-	})
 	return changed
 }
 
 // propagateCopies replaces uses of pure-alias copies (mask keeps every bit
 // the producer can set) with the original value.
-func propagateCopies(p *Program, th *ThreadCode) bool {
+func propagateCopies(th *ThreadCode) bool {
 	// maskOfLocal[t] = result mask of the instruction defining temp t,
 	// valid where defined[t].
 	maskOfLocal := make([]uint64, th.NumTemps)
@@ -194,13 +156,6 @@ func propagateCopies(p *Program, th *ThreadCode) bool {
 		}
 		maskOfLocal[dst], defined[dst] = in.Mask, true
 	}
-	// Rewrite aliased refs inside wide nodes too.
-	wideNarrowRefs(p, th, func(ref *uint32) {
-		if r := resolve(*ref); r != *ref {
-			*ref = r
-			changed = true
-		}
-	})
 	return changed
 }
 
@@ -218,18 +173,13 @@ func producedMask(ref uint32, maskOfLocal []uint64, defined []bool) (uint64, boo
 
 // fuseTruncations merges a masked copy into its producer when the copy is
 // the producer's only consumer.
-func fuseTruncations(p *Program, th *ThreadCode) bool {
+func fuseTruncations(th *ThreadCode) bool {
 	// Count uses and find the defining instruction of each temp (-1: none).
 	uses := make([]int32, th.NumTemps)
 	def := make([]int32, th.NumTemps)
 	for t := range def {
 		def[t] = -1
 	}
-	wideNarrowRefs(p, th, func(ref *uint32) {
-		if RefTag(*ref) == RefLocal {
-			uses[RefIdx(*ref)] += 2 // never single-use: cannot be fused away
-		}
-	})
 	for i := range th.Code {
 		in := &th.Code[i]
 		n := opReads(in.Op)
@@ -284,13 +234,8 @@ func maskFusable(op OpCode) bool {
 }
 
 // eliminateDead removes instructions whose local destination is never read.
-func eliminateDead(p *Program, th *ThreadCode) bool {
+func eliminateDead(th *ThreadCode) bool {
 	live := make([]bool, th.NumTemps)
-	wideNarrowRefs(p, th, func(ref *uint32) {
-		if RefTag(*ref) == RefLocal {
-			live[RefIdx(*ref)] = true
-		}
-	})
 	for i := range th.Code {
 		in := &th.Code[i]
 		n := opReads(in.Op)

@@ -10,10 +10,11 @@ import (
 
 // TestOptimizeWideProducerMask is the regression for a fuzz-found O2
 // miscompile (difftest crasher wide-producer-mask.fir): propagateCopies
-// treated an OpWide instruction's meaningless Dst/Mask fields as a
-// definition of local temp 0 with produced-mask 0, so a following tail
-// (masked copy) of the wide node's narrow result was aliased away and the
-// memory write stored the unmasked 16-bit value instead of the 4-bit tail.
+// treated the meaningless Dst/Mask fields of the boxed wide instruction
+// that computed bits(in1, 15, 0) as a definition of local temp 0 with
+// produced-mask 0, so the following tail (masked copy) was aliased away and
+// the memory write stored the unmasked 16-bit value instead of the 4-bit
+// tail. The bits now lower to word-level code the optimizer sees whole.
 func TestOptimizeWideProducerMask(t *testing.T) {
 	src := `
 circuit Gen {

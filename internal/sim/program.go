@@ -8,74 +8,37 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/costmodel"
-	"repro/internal/firrtl"
 )
 
-// wideSpace identifies where a wide operand lives.
-type wideSpace uint8
-
-const (
-	wsWideLocal wideSpace = iota
-	wsWideGlobal
-	wsWideImm
-	wsWideShadow
-	wsNarrow // narrow operand encoded as a regular uint32 ref
-)
-
-// WideOperand locates one operand of a boxed wide node.
-type WideOperand struct {
-	Space wideSpace
-	Idx   uint32 // index in the wide pool, or a narrow ref when Space==wsNarrow
-	Type  firrtl.Type
-}
-
-// wideKind classifies boxed wide nodes.
-type wideKind uint8
-
-const (
-	wkPrim wideKind = iota
-	wkCopy
-	wkConst
-	wkMemRd
-	wkMemWr
-)
-
-// WideNode is a circuit vertex executed through the boxed bitvec path
-// (needed when its result or any operand exceeds 64 bits).
-type WideNode struct {
-	Kind   wideKind
-	Op     firrtl.PrimOp
-	Consts []int
-	RType  firrtl.Type
-	Args   []WideOperand
-	Dst    WideOperand
-	Mem    int
-}
-
-// MemSpec describes one simulated memory.
+// MemSpec describes one simulated memory word column. A memory wider than
+// 64 bits is ⌈Width/64⌉ consecutive specs sharing one Name, Depth and
+// Width: the first holds bits 0..63 of every element, the next 64..127, and
+// so on, so every spec is a narrow []uint64 array.
 type MemSpec struct {
 	Name  string
 	Depth int
-	Width int
-	Wide  bool
+	Width int // element width of the whole memory, not of this column
 }
 
-// PortSlot maps a top-level port to its storage.
+// PortSlot maps a top-level port to its storage: words(Width) consecutive
+// global words, least significant first, starting at Slot.
 type PortSlot struct {
 	Name  string
 	Width int
-	Wide  bool
-	Slot  uint32 // narrow global word index, or wide global index
+	Slot  uint32
 }
 
-// RegSlot maps a register to its storage for reset and inspection.
+// RegSlot maps a register to its storage for reset and inspection, laid out
+// like a PortSlot.
 type RegSlot struct {
 	Name  string
 	Width int
-	Wide  bool
 	Slot  uint32
 	Init  bitvec.Vec
 }
+
+// words is the number of 64-bit words a value of width w occupies.
+func words(w int) int { return bitvec.WordsFor(w) }
 
 // SegmentWords is the alignment (in 64-bit words) of each thread's global
 // register segment: 8 words = one 64-byte cache line, so no line is written
@@ -85,16 +48,12 @@ const SegmentWords = 8
 // ThreadCode is the compiled program of one thread.
 type ThreadCode struct {
 	Code []Instr
-	// NumTemps / NumWideTemps size the thread's private value arrays.
-	NumTemps     int
-	NumWideTemps int
-	// ShadowWords is the narrow shadow length; GlobalOff is where the
-	// thread's segment begins in the global word array.
+	// NumTemps sizes the thread's private temp array.
+	NumTemps int
+	// ShadowWords is the shadow length; GlobalOff is where the thread's
+	// segment begins in the global word array.
 	ShadowWords int
 	GlobalOff   int
-	// WideShadow maps shadow-wide indices to wide-global slots.
-	WideShadowSlots []uint32
-	WideShadowTypes []firrtl.Type
 
 	// Marks, in Shared compilation mode, gives the code offset where each
 	// of the thread's vertices begins (plus a final end-of-code mark), so a
@@ -123,19 +82,13 @@ type Program struct {
 	Threads []ThreadCode
 
 	GlobalWords int
-	GlobalWide  int
 
-	Imms      []uint64
-	WideImms  []bitvec.Vec
-	Mems      []MemSpec
-	WideNodes []WideNode
+	Imms []uint64
+	Mems []MemSpec
 
 	Inputs  []PortSlot
 	Outputs []PortSlot
 	Regs    []RegSlot
-
-	// WideWidths[i] is the bit width of wide-global slot i.
-	WideWidths []int
 
 	inputByName  map[string]int
 	outputByName map[string]int
@@ -176,7 +129,8 @@ func (p *Program) Reg(name string) (RegSlot, bool) {
 	return p.Regs[i], true
 }
 
-// Mem returns the index and spec of a named memory.
+// Mem returns the index and spec of a named memory: for a memory wider than
+// 64 bits, its least significant word column.
 func (p *Program) Mem(name string) (index int, spec MemSpec, ok bool) {
 	for i, m := range p.Mems {
 		if m.Name == name {
@@ -184,6 +138,18 @@ func (p *Program) Mem(name string) (index int, spec MemSpec, ok bool) {
 		}
 	}
 	return 0, MemSpec{}, false
+}
+
+// Memories returns the index in Mems of each memory's first word column, in
+// declaration order. A w-bit memory is words(w) consecutive columns sharing
+// its name, depth and width; memory i spans columns Memories()[i] up to the
+// next memory's first.
+func (p *Program) Memories() []int {
+	var firsts []int
+	for i := 0; i < len(p.Mems); i += max(words(p.Mems[i].Width), 1) {
+		firsts = append(firsts, i)
+	}
+	return firsts
 }
 
 // TotalInstrs counts instructions across all threads.
@@ -195,50 +161,34 @@ func (p *Program) TotalInstrs() int {
 	return n
 }
 
-// String summarizes the program, including the wide pools that matter when
-// debugging wide-heavy designs.
+// String summarizes the program.
 func (p *Program) String() string {
-	return fmt.Sprintf("program %s: %d threads, %d instrs, %d global words (%d wide), %d imms (%d wide), %d mems",
-		p.Design, p.NumThreads, p.TotalInstrs(), p.GlobalWords, p.GlobalWide,
-		len(p.Imms), len(p.WideImms), len(p.Mems))
+	return fmt.Sprintf("program %s: %d threads, %d instrs, %d global words, %d imms, %d mem columns",
+		p.Design, p.NumThreads, p.TotalInstrs(), p.GlobalWords, len(p.Imms), len(p.Mems))
 }
 
 // MemBytes estimates the resident heap footprint of the compiled program:
-// instruction streams, constant pools, wide-node descriptors, and the slot
-// tables. The compile cache (internal/service) uses it as the LRU charge
-// for an entry, so it intentionally counts only what the *program* pins —
-// per-engine state (globalState, threadCtx) is charged to sessions, not to
-// the cache.
+// instruction streams, the constant pool, and the slot tables. The compile
+// cache (internal/service) uses it as the LRU charge for an entry, so it
+// intentionally counts only what the *program* pins — per-engine state
+// (globalState, threadCtx) is charged to sessions, not to the cache.
 func (p *Program) MemBytes() int64 {
 	const (
-		instrSize    = int64(unsafe.Sizeof(Instr{}))
-		wideNodeSize = int64(unsafe.Sizeof(WideNode{}))
-		operandSize  = int64(unsafe.Sizeof(WideOperand{}))
-		portSize     = int64(unsafe.Sizeof(PortSlot{}))
-		regSize      = int64(unsafe.Sizeof(RegSlot{}))
-		threadSize   = int64(unsafe.Sizeof(ThreadCode{}))
+		instrSize  = int64(unsafe.Sizeof(Instr{}))
+		portSize   = int64(unsafe.Sizeof(PortSlot{}))
+		regSize    = int64(unsafe.Sizeof(RegSlot{}))
+		threadSize = int64(unsafe.Sizeof(ThreadCode{}))
 	)
 	n := int64(unsafe.Sizeof(Program{}))
 	for t := range p.Threads {
 		th := &p.Threads[t]
 		n += threadSize
 		n += int64(len(th.Code)) * instrSize
-		n += int64(len(th.WideShadowSlots)) * 4
-		n += int64(len(th.WideShadowTypes)) * int64(unsafe.Sizeof(firrtl.Type{}))
 		n += int64(len(th.Marks)) * int64(unsafe.Sizeof(int(0)))
 	}
 	n += int64(len(p.Imms)) * 8
-	for i := range p.WideImms {
-		n += int64(unsafe.Sizeof(bitvec.Vec{})) + int64(len(p.WideImms[i].Words))*8
-	}
 	for i := range p.Mems {
 		n += int64(unsafe.Sizeof(MemSpec{})) + int64(len(p.Mems[i].Name))
-	}
-	for i := range p.WideNodes {
-		wn := &p.WideNodes[i]
-		n += wideNodeSize
-		n += int64(len(wn.Args)) * operandSize
-		n += int64(len(wn.Consts)) * int64(unsafe.Sizeof(int(0)))
 	}
 	for _, ps := range [2][]PortSlot{p.Inputs, p.Outputs} {
 		for i := range ps {
@@ -249,7 +199,6 @@ func (p *Program) MemBytes() int64 {
 		r := &p.Regs[i]
 		n += regSize + int64(len(r.Name)) + int64(len(r.Init.Words))*8
 	}
-	n += int64(len(p.WideWidths)) * int64(unsafe.Sizeof(int(0)))
 	for name := range p.inputByName {
 		n += int64(len(name)) + 16
 	}
@@ -269,8 +218,8 @@ func (p *Program) MemBytes() int64 {
 }
 
 // StateBytes estimates the per-engine mutable state footprint (global
-// words, wide values, memories, and thread-private temps/shadows) — what
-// one live session adds on top of the shared Program. An Engine over a
+// words, memories, and thread-private temps/shadows) — what one live
+// session adds on top of the shared Program. An Engine over a
 // multi-threaded program keeps two views of all of it.
 func (p *Program) StateBytes() int64 {
 	return int64(p.stateViews()) * p.viewBytes()
@@ -284,20 +233,12 @@ func (p *Program) stateViews() int { return min(p.NumThreads, 2) }
 // viewBytes is the footprint of one state view (one batch lane holds one).
 func (p *Program) viewBytes() int64 {
 	n := int64(p.GlobalWords) * 8
-	for _, w := range p.WideWidths {
-		n += int64(bitvec.WordsFor(w)) * 8
-	}
 	for i := range p.Mems {
-		words := int64(bitvec.WordsFor(p.Mems[i].Width))
-		if !p.Mems[i].Wide {
-			words = 1
-		}
-		n += int64(p.Mems[i].Depth) * words * 8
+		n += int64(p.Mems[i].Depth) * 8
 	}
 	for t := range p.Threads {
 		th := &p.Threads[t]
 		n += int64(th.NumTemps)*8 + int64(th.ShadowWords)*8
-		n += int64(th.NumWideTemps+len(th.WideShadowSlots)) * 16
 	}
 	return n
 }
@@ -312,14 +253,9 @@ func (p *Program) Fingerprint() uint64 {
 	h.u64(uint64(p.NumThreads))
 	h.bool(p.Shared)
 	h.u64(uint64(p.GlobalWords))
-	h.u64(uint64(p.GlobalWide))
 	h.u64(uint64(len(p.Imms)))
 	for _, v := range p.Imms {
 		h.u64(v)
-	}
-	h.u64(uint64(len(p.WideImms)))
-	for i := range p.WideImms {
-		h.str(p.WideImms[i].String())
 	}
 	h.u64(uint64(len(p.Mems)))
 	for i := range p.Mems {
@@ -327,18 +263,12 @@ func (p *Program) Fingerprint() uint64 {
 		h.str(m.Name)
 		h.u64(uint64(m.Depth))
 		h.u64(uint64(m.Width))
-		h.bool(m.Wide)
-	}
-	h.u64(uint64(len(p.WideNodes)))
-	for i := range p.WideNodes {
-		h.wideNode(&p.WideNodes[i])
 	}
 	for _, ps := range [2][]PortSlot{p.Inputs, p.Outputs} {
 		h.u64(uint64(len(ps)))
 		for _, s := range ps {
 			h.str(s.Name)
 			h.u64(uint64(s.Width))
-			h.bool(s.Wide)
 			h.u64(uint64(s.Slot))
 		}
 	}
@@ -347,13 +277,8 @@ func (p *Program) Fingerprint() uint64 {
 		r := &p.Regs[i]
 		h.str(r.Name)
 		h.u64(uint64(r.Width))
-		h.bool(r.Wide)
 		h.u64(uint64(r.Slot))
 		h.str(r.Init.String())
-	}
-	h.u64(uint64(len(p.WideWidths)))
-	for _, w := range p.WideWidths {
-		h.u64(uint64(w))
 	}
 	h.u64(uint64(len(p.Threads)))
 	for t := range p.Threads {
@@ -369,17 +294,8 @@ func (p *Program) Fingerprint() uint64 {
 			h.u64(in.Mask)
 		}
 		h.u64(uint64(th.NumTemps))
-		h.u64(uint64(th.NumWideTemps))
 		h.u64(uint64(th.ShadowWords))
 		h.u64(uint64(th.GlobalOff))
-		h.u64(uint64(len(th.WideShadowSlots)))
-		for _, s := range th.WideShadowSlots {
-			h.u64(uint64(s))
-		}
-		for _, ty := range th.WideShadowTypes {
-			h.u64(uint64(ty.Kind))
-			h.u64(uint64(ty.Width))
-		}
 		h.u64(uint64(len(th.Marks)))
 		for _, m := range th.Marks {
 			h.u64(uint64(m))
@@ -418,28 +334,4 @@ func (f *fnv) bool(b bool) {
 	} else {
 		f.u64(0)
 	}
-}
-
-func (f *fnv) wideNode(wn *WideNode) {
-	f.u64(uint64(wn.Kind))
-	f.u64(uint64(wn.Op))
-	f.u64(uint64(len(wn.Consts)))
-	for _, c := range wn.Consts {
-		f.u64(uint64(c))
-	}
-	f.u64(uint64(wn.RType.Kind))
-	f.u64(uint64(wn.RType.Width))
-	f.u64(uint64(len(wn.Args)))
-	for i := range wn.Args {
-		f.wideOperand(&wn.Args[i])
-	}
-	f.wideOperand(&wn.Dst)
-	f.u64(uint64(wn.Mem))
-}
-
-func (f *fnv) wideOperand(a *WideOperand) {
-	f.u64(uint64(a.Space))
-	f.u64(uint64(a.Idx))
-	f.u64(uint64(a.Type.Kind))
-	f.u64(uint64(a.Type.Width))
 }

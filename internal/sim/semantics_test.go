@@ -34,6 +34,10 @@ func TestEvalOpTable(t *testing.T) {
 		{OpAdd, 0, m8, 0xff, 0x02, 0, 0x01},
 		{OpSub, 0, m8, 0x01, 0x02, 0, 0xff},
 		{OpMul, 0, m8, 0x10, 0x11, 0, 0x10},
+		{OpMulHi, 0, full, minInt, 4, 0, 2},
+		{OpMulHi, 0, full, full, full, 0, full - 1},
+		{OpMulHi, 0, m8, full, full, 0, 0xfe},
+		{OpMulHi, 0, full, full, 1, 0, 0},
 		{OpDiv, 0, m8, 100, 7, 0, 14},
 		{OpDiv, 0, m8, 100, 0, 0, 0},
 		{OpRem, 0, m8, 100, 7, 0, 2},

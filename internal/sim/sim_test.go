@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -61,12 +62,12 @@ func compareState(t *testing.T, g *cgraph.Graph, e *Engine, r *Reference, tag st
 		name := g.Mems[mi].Name
 		for a := 0; a < g.Mems[mi].Depth; a++ {
 			rv, _ := r.PeekMem(name, a)
-			ev, err := e.PeekMem(name, a)
+			ev, err := e.PeekMemVec(name, a)
 			if err != nil {
 				t.Fatalf("%s: peek mem: %v", tag, err)
 			}
-			if ev != rv.Uint64() {
-				t.Fatalf("%s: mem %s[%d] mismatch: engine=%#x ref=%v", tag, name, a, ev, rv)
+			if !bitvec.Eq(ev, rv) {
+				t.Fatalf("%s: mem %s[%d] mismatch: engine=%v ref=%v", tag, name, a, ev, rv)
 			}
 		}
 	}
@@ -203,6 +204,12 @@ func TestEngineAPIErrors(t *testing.T) {
 	}
 	if _, err := e.PeekMem("nope", 0); err == nil {
 		t.Error("expected error for unknown memory")
+	}
+	if _, err := e.PeekOutput("o2"); err == nil || !strings.Contains(err.Error(), "use PeekOutputVec") {
+		t.Errorf("PeekOutput of the 70-bit output o2: %v, want a refusal", err)
+	}
+	if _, err := e.PeekMem("mw", 0); err == nil || !strings.Contains(err.Error(), "use PeekMemVec") {
+		t.Errorf("PeekMem of the 96-bit memory mw: %v, want a refusal", err)
 	}
 }
 

@@ -2,20 +2,19 @@ package sim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-
-	"repro/internal/bitvec"
 )
 
 // Session checkpoint/restore: an engine's complete simulation state frozen
 // at a cycle boundary, restorable onto any engine over a program with the
 // same fingerprint — including a different backend (linked interpreter vs
 // native kernel) or a different node of a repcutd cluster. The snapshot
-// carries the flat linked state slice verbatim (narrow globals, immediates,
-// per-thread frames), the boxed wide globals, every memory, and the cycle
-// count. At a cycle boundary the frames hold only dead scratch — every temp
-// and shadow word is defined before use within a cycle under the private-
-// temp model — so carrying them costs bytes but can never change behavior.
+// carries the flat linked state slice verbatim (globals, immediates,
+// per-thread frames), every memory column, and the cycle count. At a cycle
+// boundary the frames hold only dead scratch — every temp and shadow word
+// is defined before use within a cycle under the private-temp model — so
+// carrying them costs bytes but can never change behavior.
 //
 // The wire encoding is a deterministic binary format with a version field
 // (the layout-version guard: any change to the linked state layout or to
@@ -25,8 +24,14 @@ import (
 
 // SnapshotVersion is the snapshot layout version. Restore refuses any other
 // version; bump it whenever the linked state layout or the snapshot wire
-// format changes shape.
-const SnapshotVersion = 1
+// format changes shape. Version 2 holds values wider than 64 bits as words
+// of the state slice and wide memories as word columns; version 1 carried
+// them in separate boxed sections.
+const SnapshotVersion = 2
+
+// ErrSnapshotVersion is wrapped by every refusal of a snapshot captured
+// under another SnapshotVersion (the service answers it with HTTP 409).
+var ErrSnapshotVersion = errors.New("sim: snapshot layout version mismatch")
 
 // snapMagic brands every encoded snapshot blob.
 var snapMagic = [4]byte{'R', 'C', 'S', 'N'}
@@ -48,14 +53,8 @@ type Snapshot struct {
 	Cycles uint64
 	// Words is the full flat linked state slice [globals | imms | frames].
 	Words []uint64
-	// Wide holds the boxed wide global values, indexed by wide slot.
-	Wide []bitvec.Vec
-	// Mems holds the narrow memory arrays by memory index (nil entries are
-	// wide memories).
+	// Mems holds the memory columns by MemSpec index.
 	Mems [][]uint64
-	// WideMems holds the wide memory arrays by memory index (nil entries
-	// are narrow memories).
-	WideMems [][]bitvec.Vec
 }
 
 // Snapshot captures the engine's complete state; the format is the linked
@@ -134,8 +133,7 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 }
 
 // newSnapshot freezes one state view at a cycle boundary: words is the
-// caller's gather of its narrow state words; the wide values and memories
-// are deep-copied from gs.
+// caller's gather of its state words; the memories are copied from gs.
 func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint64) *Snapshot {
 	s := &Snapshot{
 		Version:     SnapshotVersion,
@@ -143,43 +141,20 @@ func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint
 		LayoutWords: lp.StateWords,
 		Cycles:      cycles,
 		Words:       words,
-		Wide:        make([]bitvec.Vec, len(gs.wide)),
 		Mems:        make([][]uint64, len(gs.mems)),
-		WideMems:    make([][]bitvec.Vec, len(gs.wideMems)),
 	}
-	for i, v := range gs.wide {
-		s.Wide[i] = v.Clone()
-	}
-	for mi := range gs.mems {
-		if gs.mems[mi] != nil {
-			s.Mems[mi] = append([]uint64(nil), gs.mems[mi]...)
-		}
-		if gs.wideMems[mi] != nil {
-			s.WideMems[mi] = make([]bitvec.Vec, len(gs.wideMems[mi]))
-			for a, v := range gs.wideMems[mi] {
-				s.WideMems[mi][a] = v.Clone()
-			}
-		}
+	for mi, m := range gs.mems {
+		s.Mems[mi] = append([]uint64(nil), m...)
 	}
 	return s
 }
 
-// restoreView copies a (pre-checked) snapshot's wide values and memories
-// into one state view and drops its contexts' buffered writes; the caller
-// scatters s.Words.
+// restoreView copies a (pre-checked) snapshot's memories into one state
+// view and drops its contexts' buffered writes; the caller scatters
+// s.Words.
 func (s *Snapshot) restoreView(gs *globalState, tcs []*threadCtx) {
-	for i, v := range s.Wide {
-		gs.wide[i] = v.Clone()
-	}
-	for mi := range gs.mems {
-		if gs.mems[mi] != nil {
-			copy(gs.mems[mi], s.Mems[mi])
-		}
-		if gs.wideMems[mi] != nil {
-			for a := range gs.wideMems[mi] {
-				gs.wideMems[mi][a] = s.WideMems[mi][a].Clone()
-			}
-		}
+	for mi, m := range gs.mems {
+		copy(m, s.Mems[mi])
 	}
 	dropWrites(tcs)
 }
@@ -190,7 +165,7 @@ func (s *Snapshot) restoreView(gs *globalState, tcs []*threadCtx) {
 // different program or format and restoring it would be silently wrong.
 func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
 	if s.Version != SnapshotVersion {
-		return fmt.Errorf("sim: snapshot layout version %d, engine speaks %d", s.Version, SnapshotVersion)
+		return fmt.Errorf("%w: snapshot is version %d, engine speaks %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
 	}
 	if fp := p.Fingerprint(); s.Fingerprint != fp {
 		return fmt.Errorf("sim: snapshot fingerprint %016x does not match program %016x", s.Fingerprint, fp)
@@ -199,19 +174,11 @@ func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
 		return fmt.Errorf("sim: snapshot has %d/%d state words, linked layout has %d",
 			s.LayoutWords, len(s.Words), lp.StateWords)
 	}
-	if len(s.Wide) != len(p.WideWidths) {
-		return fmt.Errorf("sim: snapshot has %d wide slots, program has %d", len(s.Wide), len(p.WideWidths))
-	}
-	if len(s.Mems) != len(p.Mems) || len(s.WideMems) != len(p.Mems) {
-		return fmt.Errorf("sim: snapshot has %d/%d memories, program has %d",
-			len(s.Mems), len(s.WideMems), len(p.Mems))
+	if len(s.Mems) != len(p.Mems) {
+		return fmt.Errorf("sim: snapshot has %d memory columns, program has %d", len(s.Mems), len(p.Mems))
 	}
 	for mi, m := range p.Mems {
-		if m.Wide {
-			if len(s.WideMems[mi]) != m.Depth {
-				return fmt.Errorf("sim: snapshot mem %q depth %d, program wants %d", m.Name, len(s.WideMems[mi]), m.Depth)
-			}
-		} else if len(s.Mems[mi]) != m.Depth {
+		if len(s.Mems[mi]) != m.Depth {
 			return fmt.Errorf("sim: snapshot mem %q depth %d, program wants %d", m.Name, len(s.Mems[mi]), m.Depth)
 		}
 	}
@@ -219,9 +186,9 @@ func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
 }
 
 // Encode serializes the snapshot to the deterministic binary wire format:
-// magic, version, fingerprint, layout, cycles, the state sections, and a
-// trailing FNV-1a checksum over everything before it. Identical snapshots
-// encode to identical bytes.
+// magic, version, fingerprint, layout, cycles, the state words, each memory
+// column (depth, then its words), and a trailing FNV-1a checksum over
+// everything before it. Identical snapshots encode to identical bytes.
 func (s *Snapshot) Encode() []byte {
 	var e snapEnc
 	e.b = append(e.b, snapMagic[:]...)
@@ -233,27 +200,11 @@ func (s *Snapshot) Encode() []byte {
 	for _, w := range s.Words {
 		e.u64(w)
 	}
-	e.u64(uint64(len(s.Wide)))
-	for _, v := range s.Wide {
-		e.vec(v)
-	}
 	e.u64(uint64(len(s.Mems)))
-	for mi := range s.Mems {
-		switch {
-		case s.Mems[mi] != nil:
-			e.b = append(e.b, 1)
-			e.u64(uint64(len(s.Mems[mi])))
-			for _, w := range s.Mems[mi] {
-				e.u64(w)
-			}
-		case s.WideMems[mi] != nil:
-			e.b = append(e.b, 2)
-			e.u64(uint64(len(s.WideMems[mi])))
-			for _, v := range s.WideMems[mi] {
-				e.vec(v)
-			}
-		default:
-			e.b = append(e.b, 0)
+	for _, m := range s.Mems {
+		e.u64(uint64(len(m)))
+		for _, w := range m {
+			e.u64(w)
 		}
 	}
 	e.u64(checksum(e.b))
@@ -278,7 +229,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	s.Version = d.u32()
 	if d.err == nil && s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("sim: snapshot layout version %d, decoder speaks %d", s.Version, SnapshotVersion)
+		return nil, fmt.Errorf("%w: blob is version %d, decoder speaks %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
 	}
 	s.Fingerprint = d.u64()
 	s.LayoutWords = int(d.u64())
@@ -290,37 +241,17 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			s.Words[i] = d.u64()
 		}
 	}
-	nv := d.count()
-	if d.err == nil {
-		s.Wide = make([]bitvec.Vec, nv)
-		for i := range s.Wide {
-			s.Wide[i] = d.vec()
-		}
-	}
 	nm := d.count()
 	if d.err == nil {
 		s.Mems = make([][]uint64, nm)
-		s.WideMems = make([][]bitvec.Vec, nm)
 		for mi := 0; mi < int(nm) && d.err == nil; mi++ {
-			switch d.u8() {
-			case 1:
-				depth := d.count()
-				if d.err != nil {
-					break
-				}
-				s.Mems[mi] = make([]uint64, depth)
-				for a := range s.Mems[mi] {
-					s.Mems[mi][a] = d.u64()
-				}
-			case 2:
-				depth := d.count()
-				if d.err != nil {
-					break
-				}
-				s.WideMems[mi] = make([]bitvec.Vec, depth)
-				for a := range s.WideMems[mi] {
-					s.WideMems[mi][a] = d.vec()
-				}
+			depth := d.count()
+			if d.err != nil {
+				break
+			}
+			s.Mems[mi] = make([]uint64, depth)
+			for a := range s.Mems[mi] {
+				s.Mems[mi][a] = d.u64()
 			}
 		}
 	}
@@ -348,13 +279,6 @@ type snapEnc struct{ b []byte }
 
 func (e *snapEnc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *snapEnc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *snapEnc) vec(v bitvec.Vec) {
-	e.u64(uint64(v.Width))
-	e.u64(uint64(len(v.Words)))
-	for _, w := range v.Words {
-		e.u64(w)
-	}
-}
 
 // snapDec consumes little-endian fields, latching the first error.
 type snapDec struct {
@@ -363,19 +287,6 @@ type snapDec struct {
 }
 
 func (d *snapDec) short() { d.err = fmt.Errorf("sim: snapshot blob truncated") }
-
-func (d *snapDec) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.short()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
 
 func (d *snapDec) u32() uint32 {
 	if d.err != nil {
@@ -412,17 +323,4 @@ func (d *snapDec) count() uint64 {
 		return 0
 	}
 	return n
-}
-
-func (d *snapDec) vec() bitvec.Vec {
-	w := int(d.u64())
-	n := d.count()
-	if d.err != nil {
-		return bitvec.Vec{}
-	}
-	v := bitvec.Vec{Width: w, Words: make([]uint64, n)}
-	for i := range v.Words {
-		v.Words[i] = d.u64()
-	}
-	return v
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -235,11 +237,11 @@ func TestSnapshotGuards(t *testing.T) {
 	// Version gate.
 	bad := *snap
 	bad.Version = SnapshotVersion + 1
-	if err := NewEngine(prog).RestoreSnapshot(&bad); err == nil {
-		t.Fatal("restore accepted a future layout version")
+	if err := NewEngine(prog).RestoreSnapshot(&bad); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("restore of a future layout version: %v, want ErrSnapshotVersion", err)
 	}
-	if _, err := DecodeSnapshot(bad.Encode()); err == nil {
-		t.Fatal("decode accepted a future layout version")
+	if _, err := DecodeSnapshot(bad.Encode()); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("decode of a future layout version: %v, want ErrSnapshotVersion", err)
 	}
 
 	// Fingerprint gate: a different circuit's engine must refuse.
@@ -326,5 +328,19 @@ func TestEncodeProgramRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: decode accepted a corrupted program blob", seed)
 			}
 		}
+	}
+}
+
+// TestSnapshotVersion1Refused: a blob the version-1 format wrote (boxed
+// wide sections; testdata/snapshot-v1.bin is the encoded state of
+// TestProtocolSnapshotOddParity's engine under that format) passes the
+// checksum and is then refused by name, not misread as version 2.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	blob, err := os.ReadFile("testdata/snapshot-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("decode of a version-1 blob: %v, want ErrSnapshotVersion", err)
 	}
 }

@@ -77,10 +77,16 @@ func (e *TaskEngine) PokeInput(name string, v uint64) error {
 	return e.gs.pokeInput(e.prog, name, v)
 }
 
-// PeekReg reads a register value (the low 64 bits of a wide register).
+// PeekReg reads a register at most 64 bits wide.
 func (e *TaskEngine) PeekReg(name string) (uint64, error) {
-	v, err := e.gs.peekRegVec(e.prog, name)
-	return v.Uint64(), err
+	rs, ok := e.prog.Reg(name)
+	if !ok {
+		return 0, fmt.Errorf("sim: no register %q", name)
+	}
+	if rs.Width > 64 {
+		return 0, fmt.Errorf("sim: register %q is %d bits wide; use PeekRegVec", name, rs.Width)
+	}
+	return *e.gs.at(rs.Slot), nil
 }
 
 // PeekOutput reads a narrow output port.
@@ -128,9 +134,6 @@ func (e *TaskEngine) update(t int) {
 	th := &e.prog.Threads[t]
 	tc := e.tcs[t]
 	copy(e.state[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
-	for i, slot := range th.WideShadowSlots {
-		e.gs.wide[slot] = tc.wideShadow[i]
-	}
 	for _, w := range tc.memBuf {
 		m := e.gs.mems[w.mem]
 		if w.addr < uint64(len(m)) {
@@ -138,13 +141,6 @@ func (e *TaskEngine) update(t int) {
 		}
 	}
 	tc.memBuf = tc.memBuf[:0]
-	for _, w := range tc.wideMemBuf {
-		m := e.gs.wideMems[w.mem]
-		if w.addr < uint64(len(m)) {
-			m[w.addr] = w.data
-		}
-	}
-	tc.wideMemBuf = tc.wideMemBuf[:0]
 }
 
 // Run simulates n cycles.
@@ -205,7 +201,7 @@ func (e *TaskEngine) run(n int, sample func(cycle int, s TaskSample)) {
 					if sample != nil {
 						t1 = time.Now()
 					}
-					evalLinked(code[task.Start:task.End], e.state, p, e.lp, e.gs, tc)
+					evalLinked(code[task.Start:task.End], e.state, e.gs, tc)
 					e.doneCycle[task.ID].Store(target)
 					if sample != nil {
 						t2 := time.Now()
@@ -226,14 +222,10 @@ func (e *TaskEngine) run(n int, sample func(cycle int, s TaskSample)) {
 	e.cycles += uint64(n)
 }
 
-func zeroVec(w int) bitvec.Vec { return bitvec.New(w) }
-
-func extendInit(r RegSlot) bitvec.Vec { return bitvec.ZeroExtend(r.Width, r.Init) }
-
-// resetState restores one state view to power-on values — every narrow
-// word zero except the immediates and the register inits, wide values and
-// memories zero — and drops its contexts' buffered memory writes. Engine,
-// TaskEngine and every batch lane share it.
+// resetState restores one state view to power-on values — every word zero
+// except the immediates and the register inits, memories zero — and drops
+// its contexts' buffered memory writes. Engine, TaskEngine and every batch
+// lane share it.
 func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
 	p := lp.prog
 	for i := 0; i < lp.StateWords; i++ {
@@ -242,27 +234,11 @@ func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
 	for i, v := range p.Imms {
 		*gs.at(uint32(lp.ImmOff + i)) = v
 	}
-	for i, w := range p.WideWidths {
-		gs.wide[i] = zeroVec(w)
-	}
-	for mi := range gs.mems {
-		if gs.mems[mi] != nil {
-			for i := range gs.mems[mi] {
-				gs.mems[mi][i] = 0
-			}
-		}
-		if gs.wideMems[mi] != nil {
-			for i := range gs.wideMems[mi] {
-				gs.wideMems[mi][i] = zeroVec(p.Mems[mi].Width)
-			}
-		}
+	for _, m := range gs.mems {
+		clear(m)
 	}
 	for _, r := range p.Regs {
-		if r.Wide {
-			gs.wide[r.Slot] = extendInit(r)
-		} else {
-			*gs.at(r.Slot) = r.Init.Uint64() & maskOf(r.Width)
-		}
+		gs.setVec(r.Slot, r.Width, r.Init)
 	}
 	dropWrites(tcs)
 }
@@ -272,6 +248,5 @@ func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
 func dropWrites(tcs []*threadCtx) {
 	for _, tc := range tcs {
 		tc.memBuf = tc.memBuf[:0]
-		tc.wideMemBuf = tc.wideMemBuf[:0]
 	}
 }

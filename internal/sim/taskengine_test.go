@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -14,7 +15,9 @@ circuit T {
     output o : UInt<8>
     output q : UInt<70>
     reg r : UInt<70> init 0
+    mem m : UInt<70>[2]
     r <= xor(w, r)
+    write(m, bits(n, 0, 0), w, UInt<1>(1))
     o <= n
     q <= r
   }
@@ -41,6 +44,7 @@ func newTaskPair(t *testing.T) (*Engine, *TaskEngine) {
 // TaskEngine and Engine share their port plumbing, so every port accessor
 // answers with the same value or the same error text — in particular a
 // missing port and a narrow accessor on a wide port are distinct errors.
+// Narrow accessors refuse wide values instead of truncating them.
 func TestTaskEnginePortsMatchEngine(t *testing.T) {
 	e, te := newTaskPair(t)
 	sameErr := func(what string, a, b error) {
@@ -82,9 +86,17 @@ func TestTaskEnginePortsMatchEngine(t *testing.T) {
 	}
 	r1, _ := e.PeekReg("r")
 	r2, _ := te.PeekRegVec("r")
-	r3, _ := te.PeekReg("r")
-	if !bitvec.Eq(r1, w) || !bitvec.Eq(r2, w) || r3 != 0x1234 {
-		t.Errorf("register r: Engine %v, TaskEngine %v / %#x, want %v", r1, r2, r3, w)
+	if !bitvec.Eq(r1, w) || !bitvec.Eq(r2, w) {
+		t.Errorf("register r: Engine %v, TaskEngine %v, want %v", r1, r2, w)
+	}
+	if _, err := te.PeekReg("r"); err == nil || !strings.Contains(err.Error(), "use PeekRegVec") {
+		t.Errorf("TaskEngine.PeekReg of the 70-bit register: %v, want a refusal", err)
+	}
+	if _, err := e.PeekMem("m", 0); err == nil || !strings.Contains(err.Error(), "use PeekMemVec") {
+		t.Errorf("Engine.PeekMem of the 70-bit memory: %v, want a refusal", err)
+	}
+	if m, err := e.PeekMemVec("m", 1); err != nil || !bitvec.Eq(m, w) {
+		t.Errorf("Engine.PeekMemVec(m, 1) = %v, %v, want %v", m, err, w)
 	}
 }
 

@@ -17,29 +17,6 @@ func maskOf(w int) uint64 {
 
 func (tc *threadCompiler) emit(i Instr) { tc.th.Code = append(tc.th.Code, i) }
 
-// vertexIsWide reports whether v must go through the boxed bitvec path.
-func (tc *threadCompiler) vertexIsWide(v cgraph.VID) bool {
-	vx := &tc.c.g.Vs[v]
-	if isWideType(vx.Type) {
-		return true
-	}
-	for i, a := range vx.Args {
-		var t firrtl.Type
-		if a.V != cgraph.None {
-			t = tc.c.g.Vs[a.V].Type
-		} else if a.Lit != nil {
-			t = a.Lit.Typ
-		} else {
-			continue
-		}
-		_ = i
-		if isWideType(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // operandType returns the IR type of an operand.
 func (tc *threadCompiler) operandType(a cgraph.Operand) firrtl.Type {
 	if a.V != cgraph.None {
@@ -48,7 +25,8 @@ func (tc *threadCompiler) operandType(a cgraph.Operand) firrtl.Type {
 	return a.Lit.Typ
 }
 
-// narrowRef resolves a narrow operand to an interpreter reference.
+// narrowRef resolves an operand to an interpreter reference: of its first
+// word, for a value wider than 64 bits.
 func (tc *threadCompiler) narrowRef(a cgraph.Operand) (uint32, error) {
 	if a.V == cgraph.None {
 		return MakeRef(RefImm, tc.internImm(a.Lit.Val.Uint64())), nil
@@ -81,13 +59,7 @@ func (tc *threadCompiler) sexted(ref uint32, t firrtl.Type) uint32 {
 	if t.Kind != firrtl.KSInt || t.Width >= 64 {
 		return ref
 	}
-	var dst uint32
-	if tc.c.cfg.Shared {
-		dst = MakeRef(RefGlobal, tc.c.nextWord)
-		tc.c.nextWord++
-	} else {
-		dst = MakeRef(RefLocal, tc.newTemp())
-	}
+	dst := tc.scratch()
 	tc.emit(Instr{Op: OpSext, Dst: dst, A: ref, Aux: uint32(t.Width), Mask: ^uint64(0)})
 	return dst
 }
@@ -98,8 +70,8 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 	if vx.Kind.IsSource() {
 		return nil
 	}
-	if tc.vertexIsWide(v) {
-		return tc.compileWide(v)
+	if tc.touchesWide(vx) {
+		return tc.lowerVertex(v)
 	}
 	switch vx.Kind {
 	case cgraph.KindConst:
@@ -115,7 +87,7 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 			return err
 		}
 		dst := tc.defineTemp(v)
-		tc.emit(Instr{Op: OpMemRd, Dst: dst, A: addr, Aux: uint32(vx.Mem), Mask: maskOf(vx.Type.Width)})
+		tc.emit(Instr{Op: OpMemRd, Dst: dst, A: addr, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
 		return nil
 	case cgraph.KindMemWrite:
 		addr, err := tc.narrowRef(vx.Args[0])
@@ -135,7 +107,7 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 		if dt.Kind == firrtl.KSInt && dt.Width < vx.Type.Width {
 			data = tc.sexted(data, dt)
 		}
-		tc.emit(Instr{Op: OpMemWr, A: addr, B: data, C: en, Aux: uint32(vx.Mem), Mask: maskOf(vx.Type.Width)})
+		tc.emit(Instr{Op: OpMemWr, A: addr, B: data, C: en, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
 		return nil
 	case cgraph.KindRegWrite, cgraph.KindOutput:
 		drv, err := tc.narrowRef(vx.Args[0])
@@ -156,9 +128,10 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 	return fmt.Errorf("unhandled vertex kind %v", vx.Kind)
 }
 
-// defineTemp allocates and registers the narrow result location of v: a
-// thread-private temp normally, or the vertex's shared global slot in
-// Shared mode.
+// defineTemp allocates and registers the result location of v, one word
+// per 64 bits of its width: consecutive thread-private temps normally, or
+// the vertex's shared global slots in Shared mode. It returns the ref of
+// the first word.
 func (tc *threadCompiler) defineTemp(v cgraph.VID) uint32 {
 	if tc.c.cfg.Shared {
 		slot, ok := tc.c.sharedOf[v]
@@ -167,16 +140,15 @@ func (tc *threadCompiler) defineTemp(v cgraph.VID) uint32 {
 		}
 		return MakeRef(RefGlobal, slot)
 	}
-	idx := tc.newTemp()
+	idx := tc.nextTemp
+	tc.nextTemp += uint32(words(tc.c.g.Vs[v].Type.Width))
 	tc.tempOf[v] = idx
-	return idx
+	return MakeRef(RefLocal, idx)
 }
 
 // compileLogic emits code for a primitive-operation vertex.
 func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 	vx := &tc.c.g.Vs[v]
-	g := tc.c.g
-	_ = g
 	refs := make([]uint32, len(vx.Args))
 	for i, a := range vx.Args {
 		r, err := tc.narrowRef(a)
@@ -329,132 +301,5 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 	default:
 		return fmt.Errorf("unhandled primitive %s", vx.Op)
 	}
-	return nil
-}
-
-// compileWide routes a vertex through the boxed bitvec path.
-func (tc *threadCompiler) compileWide(v cgraph.VID) error {
-	vx := &tc.c.g.Vs[v]
-	wn := WideNode{Op: vx.Op, Consts: vx.Consts, RType: vx.Type, Mem: vx.Mem}
-
-	wideArg := func(a cgraph.Operand) (WideOperand, error) {
-		t := tc.operandType(a)
-		if a.V == cgraph.None {
-			if isWideType(t) {
-				return WideOperand{Space: wsWideImm, Idx: tc.internWideImm(a.Lit.Val), Type: t}, nil
-			}
-			return WideOperand{Space: wsNarrow, Idx: MakeRef(RefImm, tc.internImm(a.Lit.Val.Uint64())), Type: t}, nil
-		}
-		av := &tc.c.g.Vs[a.V]
-		if isWideType(t) {
-			if av.Kind.IsSource() {
-				idx, ok := tc.c.wideGlobalOf[a.V]
-				if !ok {
-					return WideOperand{}, fmt.Errorf("wide source %s has no slot", av.Name)
-				}
-				return WideOperand{Space: wsWideGlobal, Idx: idx, Type: t}, nil
-			}
-			if tc.c.cfg.Shared {
-				idx, ok := tc.c.sharedWideOf[a.V]
-				if !ok {
-					return WideOperand{}, fmt.Errorf("wide operand %s has no shared slot", av.Name)
-				}
-				return WideOperand{Space: wsWideGlobal, Idx: idx, Type: t}, nil
-			}
-			idx, ok := tc.wideTempOf[a.V]
-			if !ok {
-				return WideOperand{}, fmt.Errorf("wide operand %s not computed", av.Name)
-			}
-			return WideOperand{Space: wsWideLocal, Idx: idx, Type: t}, nil
-		}
-		ref, err := tc.narrowRef(a)
-		if err != nil {
-			return WideOperand{}, err
-		}
-		return WideOperand{Space: wsNarrow, Idx: ref, Type: t}, nil
-	}
-
-	switch vx.Kind {
-	case cgraph.KindConst:
-		wn.Kind = wkConst
-		a, err := wideArg(vx.Args[0])
-		if err != nil {
-			return err
-		}
-		wn.Args = []WideOperand{a}
-	case cgraph.KindLogic:
-		wn.Kind = wkPrim
-		for _, a := range vx.Args {
-			wa, err := wideArg(a)
-			if err != nil {
-				return err
-			}
-			wn.Args = append(wn.Args, wa)
-		}
-	case cgraph.KindMemRead:
-		wn.Kind = wkMemRd
-		a, err := wideArg(vx.Args[0])
-		if err != nil {
-			return err
-		}
-		wn.Args = []WideOperand{a}
-	case cgraph.KindMemWrite:
-		wn.Kind = wkMemWr
-		for _, a := range vx.Args {
-			wa, err := wideArg(a)
-			if err != nil {
-				return err
-			}
-			wn.Args = append(wn.Args, wa)
-		}
-	case cgraph.KindRegWrite, cgraph.KindOutput:
-		wn.Kind = wkCopy
-		a, err := wideArg(vx.Args[0])
-		if err != nil {
-			return err
-		}
-		wn.Args = []WideOperand{a}
-	default:
-		return fmt.Errorf("unhandled wide vertex kind %v", vx.Kind)
-	}
-
-	// Destination.
-	switch {
-	case vx.Kind == cgraph.KindMemWrite:
-		// no result
-	case vx.Kind == cgraph.KindRegWrite || vx.Kind == cgraph.KindOutput:
-		slot, ok := tc.c.sinkSlots[v]
-		if !ok || slot.thread != tc.t {
-			return fmt.Errorf("wide sink %s has no shadow slot on thread %d", vx.Name, tc.t)
-		}
-		if !slot.wide {
-			// A narrow sink cannot have a wide driver (no implicit
-			// truncation), so a wide sink path with a narrow slot is a
-			// compiler bug.
-			return fmt.Errorf("wide value driving narrow sink %s", vx.Name)
-		}
-		wn.Dst = WideOperand{Space: wsWideShadow, Idx: slot.idx, Type: vx.Type}
-	case isWideType(vx.Type):
-		if tc.c.cfg.Shared {
-			idx, ok := tc.c.sharedWideOf[v]
-			if !ok {
-				return fmt.Errorf("wide vertex %s has no shared slot", vx.Name)
-			}
-			wn.Dst = WideOperand{Space: wsWideGlobal, Idx: idx, Type: vx.Type}
-			break
-		}
-		idx := tc.newWideTemp()
-		tc.wideTempOf[v] = idx
-		wn.Dst = WideOperand{Space: wsWideLocal, Idx: idx, Type: vx.Type}
-	default:
-		// Narrow result computed from wide operands (bits, eq, orr ...).
-		// defineTemp already returns a complete ref: a local temp normally
-		// (RefLocal tag is zero) or the vertex's RefGlobal slot in Shared
-		// mode — re-tagging it would corrupt the shared case.
-		wn.Dst = WideOperand{Space: wsNarrow, Idx: tc.defineTemp(v), Type: vx.Type}
-	}
-
-	tc.wideNodes = append(tc.wideNodes, wn)
-	tc.emit(Instr{Op: OpWide, Aux: uint32(len(tc.wideNodes) - 1)})
 	return nil
 }

@@ -78,7 +78,7 @@ func TestCompileSharedWorkerEquivalence(t *testing.T) {
 
 // A parallel-compiled program must still simulate identically to the
 // reference evaluator (end-to-end check that the merge phase renumbers
-// immediates and wide nodes correctly).
+// immediates correctly).
 func TestParallelCompileMatchesReference(t *testing.T) {
 	g := randomCircuit(t, 55, 140)
 	res, err := core.Partition(g, core.Options{K: 3, Seed: 4, Model: costmodel.Default()})

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 
+	"repro/internal/bitvec"
 	"repro/internal/sim"
 )
 
@@ -76,20 +77,11 @@ func (v *verifier) scanBatch(lanes int) {
 			fmt.Sprintf("regions end at word %d but the state allocation is %d words: the last lane column runs off the array", end, lp.StateWords))
 	}
 
-	// ResetLane cleanliness: every slot the per-lane reset re-seeds exists.
-	if len(p.WideWidths) != p.GlobalWide {
-		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("wide width table has %d entries for %d wide globals: lane recycling cannot rebuild the wide column", len(p.WideWidths), p.GlobalWide))
-	}
+	// ResetLane cleanliness: every word the per-lane reset re-seeds exists.
 	for i := range p.Regs {
 		r := &p.Regs[i]
-		if r.Wide {
-			if int(r.Slot) >= p.GlobalWide {
-				v.diag(CheckBatch, Error, -1, -1, v.wideDesc(r.Slot),
-					fmt.Sprintf("register %q init slot out of range: a recycled lane would keep the previous session's value", r.Name))
-			}
-		} else if int(r.Slot) >= p.GlobalWords {
-			v.diag(CheckBatch, Error, -1, -1, v.wordDesc(r.Slot),
+		if last := int(r.Slot) + bitvec.WordsFor(r.Width) - 1; last >= p.GlobalWords {
+			v.diag(CheckBatch, Error, -1, -1, v.wordDesc(uint32(last)),
 				fmt.Sprintf("register %q init slot out of range: a recycled lane would keep the previous session's value", r.Name))
 		}
 	}

@@ -126,20 +126,3 @@ func TestBatchMutationTruncatedState(t *testing.T) {
 		t.Fatalf("wrong rejection: %s", d)
 	}
 }
-
-// Batch fault class 5 — wide width table truncation: lane recycling
-// rebuilds the wide column from WideWidths, so a missing entry means a
-// recycled lane would keep the previous session's wide state.
-func TestBatchMutationWideWidths(t *testing.T) {
-	g := mustGraph(t, memMixSrc)
-	p, _ := compileParts(t, g, 2, 0)
-	if p.GlobalWide == 0 {
-		t.Fatal("test design has no wide globals")
-	}
-	p.WideWidths = p.WideWidths[:len(p.WideWidths)-1]
-	rep := Program(p, Options{BatchLanes: 4})
-	d := findDiag(t, rep, CheckBatch)
-	if !strings.Contains(d.Msg, "wide width table") {
-		t.Fatalf("wrong rejection: %s", d)
-	}
-}

@@ -6,6 +6,7 @@ package verify
 // formatting change must show up as an explicit test diff, not silently.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -34,7 +35,7 @@ func soleReader(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	reads := map[uint32]int{}
 	var defs, uses []uint32
 	for pc := range code {
-		defs, uses = tempDefUse(p, &code[pc], defs[:0], uses[:0])
+		defs, uses = tempDefUse(&code[pc], defs[:0], uses[:0])
 		for _, u := range uses {
 			reads[u]++
 		}
@@ -44,7 +45,7 @@ func soleReader(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	}
 	for pc := range code {
 		in := &code[pc]
-		if in.Op == sim.OpWide || sim.TraitsOf(in.Op).Reads == 0 || sim.RefTag(in.A) != sim.RefLocal {
+		if sim.TraitsOf(in.Op).Reads == 0 || sim.RefTag(in.A) != sim.RefLocal {
 			continue
 		}
 		tmp := sim.RefIdx(in.A)
@@ -87,7 +88,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				p.Threads[0].Code[defPC] = sim.Instr{Op: sim.OpNop}
 				return Program(p, Options{})
 			},
-			want: "error [replication-closure] thread 0 pc 2 at state word 24 = temp 0 of thread 0: read of a temp with no earlier definition in this thread: the partition is not closed",
+			want: "error [replication-closure] thread 0 pc 2 at state word 32 = temp 0 of thread 0: read of a temp with no earlier definition in this thread: the partition is not closed",
 		},
 		{
 			name:  "schedule/dead-store",
@@ -98,7 +99,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				_, usePC := soleReader(t, p, 0)
 				var reg uint32
 				for _, r := range p.Regs {
-					if !r.Wide {
+					if r.Width <= 64 {
 						reg = r.Slot
 						break
 					}
@@ -108,7 +109,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				requireClean(t, rep, "retargeted sole reader")
 				return rep
 			},
-			want: "warning [schedule] thread 0 pc 0 at state word 24 = temp 0 of thread 0: dead store: destination is never read by this thread",
+			want: "warning [schedule] thread 0 pc 0 at state word 32 = temp 0 of thread 0: dead store: destination is never read by this thread",
 		},
 		{
 			name:  "schedule/temp-redefined",
@@ -119,7 +120,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				first := firstLocalDef(t, p, 0)
 				code := p.Threads[0].Code
 				for pc := len(code) - 1; pc > first; pc-- {
-					if code[pc].Op != sim.OpNop && code[pc].Op != sim.OpWide && code[pc].Op != sim.OpMemWr &&
+					if code[pc].Op != sim.OpNop && code[pc].Op != sim.OpMemWr &&
 						sim.RefTag(code[pc].Dst) == sim.RefLocal {
 						code[pc].Dst = code[first].Dst
 						return Program(p, Options{})
@@ -128,25 +129,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				t.Fatal("thread 0 has one plain temp def")
 				return nil
 			},
-			want: "warning [schedule] thread 0 pc 6 at state word 24 = temp 0 of thread 0: temp redefined: single-assignment form expected from the compiler",
-		},
-		{
-			name:  "schedule/wide-index-out-of-range",
-			check: CheckSchedule,
-			plant: func(t *testing.T) *Report {
-				p := mutProgram(t)
-				for ti := range p.Threads {
-					for pc := range p.Threads[ti].Code {
-						if p.Threads[ti].Code[pc].Op == sim.OpWide {
-							p.Threads[ti].Code[pc].Aux = uint32(len(p.WideNodes)) + 7
-							return Program(p, Options{})
-						}
-					}
-				}
-				t.Fatal("program has no wide instructions")
-				return nil
-			},
-			want: "error [schedule] thread 0 pc 1 at wide node 11: wide-node index out of range (4 nodes)",
+			want: "warning [schedule] thread 0 pc 8 at state word 32 = temp 0 of thread 0: temp redefined: single-assignment form expected from the compiler",
 		},
 		{
 			name:  "translation/constant-pool",
@@ -177,7 +160,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 				p.Linked().Threads[0].TempOff = 0
 				return Program(p, Options{BatchLanes: 4})
 			},
-			want: "error [batch-layout] thread 0 at state word 0: thread frame begins at 0, inside the previous region ending at 24: lane columns of different regions overlap",
+			want: "error [batch-layout] thread 0 at state word 0: thread frame begins at 0, inside the previous region ending at 25: lane columns of different regions overlap",
 		},
 		{
 			name:  "batch/lanes-over-width",
@@ -204,17 +187,17 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}
 }
 
-// twoPortSrc has one memory with two write ports and enough sinks to give
-// each of two threads one port.
+// twoPortSrc has one memory of the given element width with two write
+// ports and enough sinks to give each of two threads one port.
 const twoPortSrc = `
 circuit T {
   module T {
     input in : UInt<8>
-    output out : UInt<8>
+    output out : UInt<%[1]d>
     reg n : UInt<8> init 0
-    mem ram : UInt<8>[4]
-    write(ram, bits(n, 1, 0), in, UInt<1>(1))
-    write(ram, bits(in, 1, 0), n, bits(n, 0, 0))
+    mem ram : UInt<%[1]d>[4]
+    write(ram, bits(n, 1, 0), pad(in, %[1]d), UInt<1>(1))
+    write(ram, bits(in, 1, 0), pad(n, %[1]d), bits(n, 0, 0))
     n <= tail(add(n, UInt<8>(1)), 1)
     out <= read(ram, bits(n, 1, 0))
   }
@@ -256,29 +239,32 @@ func sinkParts(g *cgraph.Graph, k int, owner func(sink string) int) []sim.PartSp
 // TestGoldenCrossThreadMemWriters pins the one Warning whose wording is a
 // statement about the engine's protocol: a memory with write ports in two
 // threads verifies clean (the barrier's last arriver commits it serially)
-// and the diagnostic says what order that commit uses.
+// and the diagnostic says what order that commit uses. A 150-bit memory is
+// three word columns and still one memory, so one warning.
 func TestGoldenCrossThreadMemWriters(t *testing.T) {
-	g := mustGraph(t, twoPortSrc)
-	parts := sinkParts(g, 2, func(sink string) int {
-		if sink == "ram$w1" || sink == "out" {
-			return 1
-		}
-		return 0
-	})
-	p, err := sim.Compile(g, parts, sim.Config{OptLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Program(p, Options{Graph: g, Parts: parts})
-	requireClean(t, rep, "two write ports, two threads")
 	const want = `warning [race-freedom] at mem "ram": write ports owned by threads [0 1]: committed serially at the barrier, by cycle then thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)`
-	for _, d := range rep.Diags {
-		if d.Check == CheckRace && d.Severity == Warning {
-			if got := d.String(); got != want {
-				t.Fatalf("diagnostic text changed:\n got: %s\nwant: %s", got, want)
+	for _, w := range []int{8, 150} {
+		g := mustGraph(t, fmt.Sprintf(twoPortSrc, w))
+		parts := sinkParts(g, 2, func(sink string) int {
+			if sink == "ram$w1" || sink == "out" {
+				return 1
 			}
-			return
+			return 0
+		})
+		p, err := sim.Compile(g, parts, sim.Config{OptLevel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Program(p, Options{Graph: g, Parts: parts})
+		requireClean(t, rep, "two write ports, two threads")
+		var got []string
+		for _, d := range rep.Diags {
+			if d.Check == CheckRace && d.Severity == Warning {
+				got = append(got, d.String())
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("%d-bit memory: race warnings\n got: %q\nwant: [%q]", w, got, want)
 		}
 	}
-	t.Fatalf("no cross-thread memory warning reported; report:\n%s", rep.String())
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -13,27 +14,6 @@ import (
 // form, so scanning the linked streams proves the invariants over exactly
 // the code that executes, at the same pcs; a linker bug that rewired an
 // operand into another thread's frame is caught statically.
-
-// linkable walks every compiled instruction and reports whether the program
-// can be linked at all: linking resolves each OpWide's Aux against
-// p.WideNodes, so a corrupt index is diagnosed here, before anything builds
-// the linked form, and the scans that need that form are skipped.
-func (v *verifier) linkable() bool {
-	p := v.p
-	ok := true
-	for t := range p.Threads {
-		for pc := range p.Threads[t].Code {
-			in := &p.Threads[t].Code[pc]
-			v.rep.Instrs++
-			if in.Op == sim.OpWide && int(in.Aux) >= len(p.WideNodes) {
-				v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("wide node %d", in.Aux),
-					fmt.Sprintf("wide-node index out of range (%d nodes)", len(p.WideNodes)))
-				ok = false
-			}
-		}
-	}
-	return ok
-}
 
 // scanLinked runs the race/closure/schedule families over the linked form
 // of the program.
@@ -92,38 +72,28 @@ func (v *verifier) decode(lp *sim.LinkedProgram, t, pc int, idx uint32, access s
 
 // scanLinkedThread walks one linked stream in order, proving def-before-use
 // for private state, phase discipline for shared state, and exactly-once
-// sink writes. Narrow operands are decoded back to (space, owner) through
-// the frame layout; wide and memory locations keep their space-relative
-// encoding.
+// sink writes. Operands are decoded back to (space, owner) through the
+// frame layout; memories keep their space-relative encoding.
 func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	p := v.p
 	th := &p.Threads[t]
 	code := lp.Threads[t].Code
 	definedLocal := make([]bool, th.NumTemps)
-	definedWide := make([]bool, th.NumWideTemps)
 	shadowWrites := make([]int, th.ShadowWords)
-	wideShadowWrites := make([]int, len(th.WideShadowSlots))
 	localReads := make([]int, th.NumTemps)
-	wideReads := make([]int, th.NumWideTemps)
 	type defSite struct {
 		pc   int
-		slot uint32 // flat index of a narrow temp; wide temp index otherwise
-		wide bool
+		slot uint32 // flat index of the temp
 		used *int
 	}
 	var defSites []defSite
 
 	var ndefs, nuses []uint32
-	var wdefs, wuses []sim.Loc
+	var mdefs, muses []sim.Loc
 	for pc := range code {
 		in := &code[pc]
-		if in.Op == sim.OpWide && int(in.Aux) >= len(lp.WideNodes) {
-			v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("wide node %d", in.Aux),
-				fmt.Sprintf("wide-node index out of range (%d nodes)", len(lp.WideNodes)))
-			continue
-		}
-		ndefs, nuses, wdefs, wuses = lp.LinkedDefUse(in, ndefs[:0], nuses[:0], wdefs[:0], wuses[:0])
-		v.rep.Locs += len(ndefs) + len(nuses) + len(wdefs) + len(wuses)
+		ndefs, nuses, mdefs, muses = lp.LinkedDefUse(in, ndefs[:0], nuses[:0], mdefs[:0], muses[:0])
+		v.rep.Locs += len(ndefs) + len(nuses) + len(mdefs) + len(muses)
 
 		for _, idx := range nuses {
 			loc, ok := v.decode(lp, t, pc, idx, "reads")
@@ -176,7 +146,7 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 						"temp redefined: single-assignment form expected from the compiler")
 				}
 				definedLocal[loc.Idx] = true
-				defSites = append(defSites, defSite{pc, idx, false, &localReads[loc.Idx]})
+				defSites = append(defSites, defSite{pc, idx, &localReads[loc.Idx]})
 			case sim.SpaceShadow:
 				shadowWrites[loc.Idx]++
 			case sim.SpaceGlobal:
@@ -190,109 +160,25 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 			}
 		}
 
-		// Wide and memory locations are unaffected by linking's narrow
-		// relayout.
-		for _, u := range wuses {
-			switch u.Space {
-			case sim.SpaceWideLocal:
-				if int(u.Idx) >= th.NumWideTemps {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide temp out of range (%d wide temps)", th.NumWideTemps))
-					continue
-				}
-				if !definedWide[u.Idx] {
-					v.diag(CheckClosure, Error, t, pc, u.String(),
-						"read of a wide temp with no earlier definition in this thread: the partition is not closed")
-				}
-				wideReads[u.Idx]++
-			case sim.SpaceWideGlobal:
-				if int(u.Idx) >= p.GlobalWide {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide-global slot out of range (%d slots)", p.GlobalWide))
-					continue
-				}
-				if p.Shared {
-					continue
-				}
-				switch v.wideClass[u.Idx] {
-				case clInput, clReg:
-				case clOutput:
-					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
-						"eval-phase read of a wide output slot: outputs are commit-only, not sources")
-				default:
-					v.diag(CheckClosure, Error, t, pc, v.wideDesc(u.Idx),
-						"eval-phase read of an unowned wide-global slot")
-				}
-			case sim.SpaceWideImm:
-				if int(u.Idx) >= len(p.WideImms) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide immediate out of range (%d wide imms)", len(p.WideImms)))
-				}
-			case sim.SpaceWideShadow:
-				if int(u.Idx) >= len(wideShadowWrites) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("wide shadow index out of range (%d slots)", len(wideShadowWrites)))
-					continue
-				}
-				if wideShadowWrites[u.Idx] == 0 {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						"wide shadow slot read before this thread wrote it this cycle")
-				}
-			case sim.SpaceMem:
-				if int(u.Idx) >= len(p.Mems) {
-					v.diag(CheckSchedule, Error, t, pc, u.String(),
-						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
-				}
-				// Memory state is stable during evaluation: writes are
-				// buffered and only applied in the commit phase.
+		// Memory state is stable during evaluation: writes are buffered and
+		// only applied in the commit phase.
+		for _, u := range muses {
+			if int(u.Idx) >= len(p.Mems) {
+				v.diag(CheckSchedule, Error, t, pc, u.String(),
+					fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
 			}
 		}
-		for _, d := range wdefs {
-			switch d.Space {
-			case sim.SpaceWideLocal:
-				if int(d.Idx) >= th.NumWideTemps {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide temp destination out of range (%d wide temps)", th.NumWideTemps))
-					continue
-				}
-				if definedWide[d.Idx] {
-					v.diag(CheckSchedule, Warning, t, pc, d.String(),
-						"wide temp redefined: single-assignment form expected from the compiler")
-				}
-				definedWide[d.Idx] = true
-				defSites = append(defSites, defSite{pc, d.Idx, true, &wideReads[d.Idx]})
-			case sim.SpaceWideShadow:
-				if int(d.Idx) >= len(wideShadowWrites) {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide shadow destination out of range (%d slots)", len(wideShadowWrites)))
-					continue
-				}
-				wideShadowWrites[d.Idx]++
-			case sim.SpaceWideGlobal:
-				if int(d.Idx) >= p.GlobalWide {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("wide-global destination out of range (%d slots)", p.GlobalWide))
-					continue
-				}
-				if !p.Shared {
-					v.diag(CheckRace, Error, t, pc, v.wideDesc(d.Idx),
-						"eval-phase write to a wide-global slot: races with concurrent readers and the owner's commit")
-				}
-			case sim.SpaceWideImm:
+		for _, d := range mdefs {
+			if int(d.Idx) >= len(p.Mems) {
 				v.diag(CheckSchedule, Error, t, pc, d.String(),
-					"write to the immutable immediate pool")
-			case sim.SpaceMem:
-				if int(d.Idx) >= len(p.Mems) {
-					v.diag(CheckSchedule, Error, t, pc, d.String(),
-						fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
-					continue
-				}
-				// Buffered until commit; record the writer for the
-				// cross-thread disjointness check.
-				ws := v.memWriters[d.Idx]
-				if len(ws) == 0 || ws[len(ws)-1] != t {
-					v.memWriters[d.Idx] = append(ws, t)
-				}
+					fmt.Sprintf("memory index out of range (%d mems)", len(p.Mems)))
+				continue
+			}
+			// Record the writer of the column's memory (the last one whose
+			// first column is at or below it) for the cross-thread check.
+			m := sort.SearchInts(v.mems, int(d.Idx)+1) - 1
+			if ws := v.memWriters[m]; len(ws) == 0 || ws[len(ws)-1] != t {
+				v.memWriters[m] = append(ws, t)
 			}
 		}
 	}
@@ -310,31 +196,12 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				fmt.Sprintf("sink shadow word written %d times per cycle: drivers conflict", n))
 		}
 	}
-	for i, n := range wideShadowWrites {
-		slot := fmt.Sprintf("wide shadow %d", i)
-		if int(th.WideShadowSlots[i]) < p.GlobalWide {
-			slot = v.wideDesc(th.WideShadowSlots[i])
-		}
-		switch {
-		case n == 0:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				"wide sink never written: the commit publishes a stale value every cycle")
-		case n > 1:
-			v.diag(CheckSchedule, Error, t, -1, slot,
-				fmt.Sprintf("wide sink written %d times per cycle: drivers conflict", n))
-		}
-	}
-
 	// Dead stores: a defined temp nobody reads is wasted eval work (and
 	// usually a symptom of a miscompiled use). Warning only — OptLevel 0
 	// programs legitimately keep some.
 	for _, ds := range defSites {
 		if *ds.used == 0 {
-			slot := sim.Loc{Space: sim.SpaceWideLocal, Idx: ds.slot}.String()
-			if !ds.wide {
-				slot = v.stateDesc(lp, ds.slot)
-			}
-			v.diag(CheckSchedule, Warning, t, ds.pc, slot, "dead store: destination is never read by this thread")
+			v.diag(CheckSchedule, Warning, t, ds.pc, v.stateDesc(lp, ds.slot), "dead store: destination is never read by this thread")
 		}
 	}
 }

@@ -52,13 +52,12 @@ func requireProvenance(t *testing.T, d Diag) {
 }
 
 // firstLocalDef returns the pc of the first plain instruction on thread t
-// whose destination is a private temp (OpWide is excluded: its real
-// destination lives in the wide node, not Instr.Dst).
+// whose destination is a private temp.
 func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 	t.Helper()
 	for pc := range p.Threads[th].Code {
 		in := &p.Threads[th].Code[pc]
-		if in.Op == sim.OpNop || in.Op == sim.OpWide || in.Op == sim.OpMemWr {
+		if in.Op == sim.OpNop || in.Op == sim.OpMemWr {
 			continue
 		}
 		if sim.RefTag(in.Dst) == sim.RefLocal {
@@ -69,9 +68,8 @@ func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 	return -1
 }
 
-// tempDefUse appends the private temps instruction in defines and reads,
-// the narrow operands of wide nodes included.
-func tempDefUse(p *sim.Program, in *sim.Instr, defs, uses []uint32) ([]uint32, []uint32) {
+// tempDefUse appends the private temps instruction in defines and reads.
+func tempDefUse(in *sim.Instr, defs, uses []uint32) ([]uint32, []uint32) {
 	local := func(out []uint32, refs ...uint32) []uint32 {
 		for _, r := range refs {
 			if sim.RefTag(r) == sim.RefLocal {
@@ -80,19 +78,7 @@ func tempDefUse(p *sim.Program, in *sim.Instr, defs, uses []uint32) ([]uint32, [
 		}
 		return out
 	}
-	switch in.Op {
-	case sim.OpNop:
-	case sim.OpWide:
-		wn := &p.WideNodes[in.Aux]
-		for _, a := range wn.Args {
-			if a.SpaceID() == sim.WideSpaceNarr {
-				uses = local(uses, a.Idx)
-			}
-		}
-		if wn.KindID() != sim.WideKindMemWr && wn.Dst.SpaceID() == sim.WideSpaceNarr {
-			defs = local(defs, wn.Dst.Idx)
-		}
-	default:
+	if in.Op != sim.OpNop {
 		refs := [3]uint32{in.A, in.B, in.C}
 		uses = local(uses, refs[:sim.TraitsOf(in.Op).Reads]...)
 		if in.Op != sim.OpMemWr {
@@ -109,7 +95,7 @@ func firstLocalUse(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	def := map[uint32]int{}
 	var defs, uses []uint32
 	for pc := range p.Threads[th].Code {
-		defs, uses = tempDefUse(p, &p.Threads[th].Code[pc], defs[:0], uses[:0])
+		defs, uses = tempDefUse(&p.Threads[th].Code[pc], defs[:0], uses[:0])
 		for _, u := range uses {
 			if dp, ok := def[u]; ok {
 				return dp, pc
@@ -174,7 +160,7 @@ func TestMutationPhaseViolation(t *testing.T) {
 	var outSlot uint32
 	found := false
 	for _, o := range p.Outputs {
-		if !o.Wide {
+		if o.Width <= 64 {
 			outSlot, found = o.Slot, true
 			break
 		}
@@ -185,7 +171,7 @@ func TestMutationPhaseViolation(t *testing.T) {
 	mutPC := -1
 	for pc := range p.Threads[0].Code {
 		in := &p.Threads[0].Code[pc]
-		if in.Op == sim.OpNop || in.Op == sim.OpWide {
+		if in.Op == sim.OpNop {
 			continue
 		}
 		if sim.TraitsOf(in.Op).Reads > 0 && sim.RefTag(in.A) == sim.RefLocal {
@@ -223,8 +209,7 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 		}
 		for pc := range th.Code {
 			in := &th.Code[pc]
-			if in.Op != sim.OpNop && in.Op != sim.OpWide &&
-				sim.RefTag(in.Dst) == sim.RefShadow {
+			if in.Op != sim.OpNop && sim.RefTag(in.Dst) == sim.RefShadow {
 				other = (sim.RefIdx(in.Dst) + 1) % uint32(th.ShadowWords)
 				mutThread, mutPC = ti, pc
 				break
@@ -246,49 +231,6 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 	d := findDiag(t, rep, CheckSchedule)
 	if d.Thread != mutThread || d.Slot == "" {
 		t.Fatalf("wrong provenance: %s", d)
-	}
-}
-
-// Fault class 5 — corrupted wide-node index: an OpWide instruction whose
-// Aux points past the wide-node table. Linking resolves Aux, so the program
-// cannot be linked: every option set must report the fault at its pc
-// instead of panicking in the linker — the batch scan and translation
-// validation both need the linked form.
-func TestMutationWideIndexOutOfRange(t *testing.T) {
-	g := mustGraph(t, memMixSrc)
-	p, parts := compileParts(t, g, 2, 0)
-	mutThread, mutPC := -1, -1
-	for ti := range p.Threads {
-		for pc := range p.Threads[ti].Code {
-			if p.Threads[ti].Code[pc].Op == sim.OpWide {
-				mutThread, mutPC = ti, pc
-				break
-			}
-		}
-		if mutPC >= 0 {
-			break
-		}
-	}
-	if mutPC < 0 {
-		t.Fatal("program has no wide instructions")
-	}
-	p.Threads[mutThread].Code[mutPC].Aux = uint32(len(p.WideNodes)) + 7
-
-	for name, opts := range map[string]Options{
-		"plain":    {},
-		"batch":    {BatchLanes: 4},
-		"validate": {Graph: g, Parts: parts, Validate: true},
-	} {
-		rep := Program(p, opts)
-		if rep.Err() == nil {
-			t.Fatalf("%s: wide-node index corruption not detected", name)
-		}
-		d := findDiag(t, rep, CheckSchedule)
-		requireProvenance(t, d)
-		if d.Thread != mutThread || d.PC != mutPC {
-			t.Fatalf("%s: wrong provenance: got thread %d pc %d, want thread %d pc %d: %s",
-				name, d.Thread, d.PC, mutThread, mutPC, d)
-		}
 	}
 }
 

@@ -170,9 +170,5 @@ func checkInlining(lp *sim.LinkedProgram, p *sim.Program, t, pc int, rec *EmitRe
 // writesDst reports whether the linked instruction stores to in.Dst as a
 // scalar state word.
 func writesDst(in *sim.LInstr) bool {
-	switch in.Op {
-	case sim.OpNop, sim.OpMemWr, sim.OpWide:
-		return false
-	}
-	return true
+	return in.Op != sim.OpNop && in.Op != sim.OpMemWr
 }

@@ -57,8 +57,9 @@ func requireRejected(t *testing.T, r *Result, slotSub string) Divergence {
 
 // wideProducerMaskSrc is the circuit of the first historical miscompile
 // (difftest crasher wide-producer-mask.fir): propagateCopies trusted the
-// meaningless Dst/Mask of an OpWide instruction and aliased away the
-// 4-bit tail mask on a memory write's data operand.
+// meaningless Dst/Mask of the boxed wide instruction that computed
+// bits(in1, 15, 0) and aliased away the 4-bit tail mask on a memory
+// write's data operand.
 const wideProducerMaskSrc = `
 circuit Gen {
   module Gen {
@@ -75,27 +76,23 @@ circuit Gen {
 }
 `
 
-// TestMutationCopyPropAliasing replays miscompile #1: the memory write's
-// data operand is re-aliased to the wide node's raw narrow result,
-// bypassing the tail mask — exactly what the Dst-trusting propagateCopies
-// produced.
+// TestMutationCopyPropAliasing replays miscompile #1 on the word-level
+// stream: the memory write's data operand is re-aliased to in1's raw low
+// word, bypassing both the bits and the tail mask — the value an unsound
+// copy propagation over the lowered bits would forward.
 func TestMutationCopyPropAliasing(t *testing.T) {
 	g := mustGraph(t, wideProducerMaskSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	wt, wpc := findInstr(p2, func(in sim.Instr) bool {
-		return in.Op == sim.OpWide &&
-			p2.WideNodes[in.Aux].Dst.SpaceID() == sim.WideSpaceNarr
-	})
-	if wt < 0 {
-		t.Fatal("no wide node with narrow destination in O2 stream")
+	in1, ok := p2.Input("in1")
+	if !ok {
+		t.Fatal("no input in1")
 	}
-	rawRef := p2.WideNodes[p2.Threads[wt].Code[wpc].Aux].Dst.Idx
 	mt, mpc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpMemWr })
-	if mt != wt {
-		t.Fatalf("memwr in thread %d, wide producer in %d", mt, wt)
+	if mt < 0 {
+		t.Fatal("no memory write in O2 stream")
 	}
-	p2.Threads[mt].Code[mpc].B = rawRef
+	p2.Threads[mt].Code[mpc].B = sim.MakeRef(sim.RefGlobal, in1.Slot)
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), `mem "m0"`)
 	if d.Thread != mt {

@@ -100,8 +100,8 @@ func compareState(e0, e2 *sim.Engine, p *sim.Program, round, cyc int) string {
 				round, cyc, name, a, b)
 		}
 	}
-	for i := range p.Mems {
-		m := &p.Mems[i]
+	for _, mi := range p.Memories() {
+		m := &p.Mems[mi]
 		depth := m.Depth
 		if depth > probeMemAddrs {
 			depth = probeMemAddrs

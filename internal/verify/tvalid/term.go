@@ -1,10 +1,8 @@
 package tvalid
 
 import (
-	"fmt"
 	"unsafe"
 
-	"repro/internal/firrtl"
 	"repro/internal/sim"
 )
 
@@ -20,13 +18,10 @@ func maskOf(w int) uint64 {
 type termKind uint8
 
 const (
-	tkConst     termKind = iota // concrete narrow value
-	tkVar                       // free variable: a register or input global word
-	tkUndef                     // read of storage nothing defined (never equal to anything)
-	tkApp                       // narrow opcode application
-	tkWideConst                 // concrete wide value (by canonical string)
-	tkWideVar                   // free wide variable: a wide-global register/input slot
-	tkWideApp                   // boxed wide-node application
+	tkConst termKind = iota // concrete value
+	tkVar                   // free variable: a register or input global word
+	tkUndef                 // read of storage nothing defined (never equal to anything)
+	tkApp                   // opcode application
 )
 
 // term is one hash-consed node. Terms are interned: two terms denote the
@@ -37,33 +32,27 @@ type term struct {
 	op   sim.OpCode // tkApp
 	aux  uint32     // tkApp: shift amount / cat width / mem index / sext width
 	mask uint64     // tkApp: canonicalized result mask (see builder.app)
-	val  uint64     // tkConst: value; tkVar/tkWideVar: slot; tkUndef: unique id
-	str  string     // tkWideConst: value; tkWideApp/tkApp-wide: structural descriptor
+	val  uint64     // tkConst: value; tkVar: slot; tkUndef: unique id
 	args []*term
-	// bits is a proven upper bound on the bits the (narrow) value can have
-	// set, seeded from port/register widths and immediate values exactly
-	// like the linker's mask tracking — it discharges the "this mask is a
-	// no-op" side conditions of the normalization rules.
+	// bits is a proven upper bound on the bits the value can have set,
+	// seeded from port/register widths and immediate values exactly like
+	// the linker's mask tracking — it discharges the "this mask is a no-op"
+	// side conditions of the normalization rules.
 	bits uint64
 	id   uint64
 }
 
-// termKey is the interning key. Up to four argument ids live in fixed
-// fields; rare wider applications spill the remainder into spill.
-// Structural descriptor strings are pre-interned to a small integer (desc)
-// so the hot lookup hashes no string at all.
+// termKey is the interning key: an application has at most three
+// arguments.
 type termKey struct {
-	kind  termKind
-	op    sim.OpCode
-	aux   uint32
-	desc  uint32
-	mask  uint64
-	val   uint64
-	a0    uint64
-	a1    uint64
-	a2    uint64
-	a3    uint64
-	spill string
+	kind termKind
+	op   sim.OpCode
+	aux  uint32
+	mask uint64
+	val  uint64
+	a0   uint64
+	a1   uint64
+	a2   uint64
 }
 
 // builder is the hash-cons arena plus the normalization engine. Terms and
@@ -72,19 +61,15 @@ type termKey struct {
 type builder struct {
 	terms map[termKey]*term
 	next  uint64
-	// narrowWidth[slot] bounds narrow global word slot (64 when unknown).
-	narrowWidth map[uint32]int
-	bytes       int64
-	slab        []term  // current term slab chunk
-	argSlab     []*term // current argument-vector slab chunk
-	descs       map[*sim.WideNode]string
-	boxDescs    map[firrtl.Type]string
-	strIDs      map[string]uint32 // descriptor string -> termKey.desc
-	// Hot-path caches in front of the interning map: free narrow variables
-	// by slot, and small constants by value.
+	// width[slot] bounds global word slot (64 when unknown).
+	width   map[uint32]int
+	bytes   int64
+	slab    []term  // current term slab chunk
+	argSlab []*term // current argument-vector slab chunk
+	// Hot-path caches in front of the interning map: free variables by
+	// slot, and small constants by value.
 	vars        []*term
 	smallConsts [512]*term
-	low64ID     uint32 // pre-interned desc of the wide->narrow projection
 }
 
 // slabChunk sizes the term and argument slabs. Retired chunks stay alive
@@ -97,26 +82,10 @@ func newBuilder(hint int) *builder {
 	if hint < 64 {
 		hint = 64
 	}
-	b := &builder{
-		terms:       make(map[termKey]*term, hint),
-		narrowWidth: make(map[uint32]int),
-		descs:       make(map[*sim.WideNode]string),
-		boxDescs:    make(map[firrtl.Type]string),
-		strIDs:      make(map[string]uint32),
+	return &builder{
+		terms: make(map[termKey]*term, hint),
+		width: make(map[uint32]int),
 	}
-	b.low64ID = b.strID("low64")
-	return b
-}
-
-// strID interns a structural descriptor string to the small integer the
-// term keys carry.
-func (b *builder) strID(s string) uint32 {
-	if id, ok := b.strIDs[s]; ok {
-		return id
-	}
-	id := uint32(len(b.strIDs) + 1)
-	b.strIDs[s] = id
-	return id
 }
 
 // arenaBytes approximates the retained size of the hash-cons arena: the
@@ -155,12 +124,11 @@ func (b *builder) intern(k termKey, t term) *term {
 	t.args = b.saveArgs(t.args)
 	p := b.alloc(t)
 	b.terms[k] = p
-	b.bytes += int64(unsafe.Sizeof(t)) + int64(unsafe.Sizeof(k)) +
-		int64(len(t.args))*8 + int64(len(t.str)+len(k.spill))
+	b.bytes += int64(unsafe.Sizeof(t)) + int64(unsafe.Sizeof(k)) + int64(len(t.args))*8
 	return p
 }
 
-// konst interns a concrete narrow value. Its bits bound is the value
+// konst interns a concrete value. Its bits bound is the value
 // itself, matching the linker's immediate mask seeding. Small values — the
 // overwhelming majority — hit an array cache in front of the map.
 func (b *builder) konst(v uint64) *term {
@@ -175,7 +143,15 @@ func (b *builder) konst(v uint64) *term {
 	return b.intern(termKey{kind: tkConst, val: v}, term{kind: tkConst, val: v, bits: v})
 }
 
-// variable interns the free variable for a narrow global word (register or
+// bound records that global word slot holds the given word of a width-bit
+// register or input: 64 bits except the value's top word.
+func (b *builder) bound(slot uint32, width int) {
+	for k := 0; k*64 < width; k++ {
+		b.width[slot+uint32(k)] = min(width-64*k, 64)
+	}
+}
+
+// variable interns the free variable for a global word (register or
 // input). Both sides of the validation read the same slots, so interning by
 // slot makes the two symbolic executions range over identical variables.
 // The by-slot cache keeps the per-read cost at one bounds check.
@@ -189,7 +165,7 @@ func (b *builder) variable(slot uint32) *term {
 		copy(nv, b.vars)
 		b.vars = nv
 	}
-	w, ok := b.narrowWidth[slot]
+	w, ok := b.width[slot]
 	if !ok {
 		w = 64
 	}
@@ -197,12 +173,6 @@ func (b *builder) variable(slot uint32) *term {
 		term{kind: tkVar, val: uint64(slot), bits: maskOf(w)})
 	b.vars[slot] = t
 	return t
-}
-
-// wideVariable interns the free variable for a wide-global slot.
-func (b *builder) wideVariable(slot uint32) *term {
-	return b.intern(termKey{kind: tkWideVar, val: uint64(slot)},
-		term{kind: tkWideVar, val: uint64(slot), bits: ^uint64(0)})
 }
 
 // undef makes a fresh never-equal term for a read nothing defined. The
@@ -215,45 +185,8 @@ func (b *builder) undef() *term {
 	return t
 }
 
-// wideConst interns a concrete wide value by its canonical string. low64
-// carries the value's low word for narrowing folds.
-func (b *builder) wideConst(s string, low64 uint64) *term {
-	return b.intern(termKey{kind: tkWideConst, desc: b.strID(s), val: low64},
-		term{kind: tkWideConst, str: s, val: low64, bits: ^uint64(0)})
-}
-
-// wideApp interns a boxed wide-node application under a structural
-// descriptor (kind, prim op, consts, result/operand types, memory index).
-// Wide semantics route through firrtl.EvalPrim/bitvec on both sides, so
-// structural equality of the descriptor plus argument-term equality proves
-// value equality.
-func (b *builder) wideApp(desc string, args ...*term) *term {
-	k := termKey{kind: tkWideApp, desc: b.strID(desc)}
-	fill(&k, args)
-	return b.intern(k, term{kind: tkWideApp, str: desc, args: args, bits: ^uint64(0)})
-}
-
-// narrowFromWide is the value a narrow destination receives from a wide
-// node: the executor stores v.Uint64() of the boxed result.
-func (b *builder) narrowFromWide(wt *term, width int) *term {
-	if wt.kind == tkWideConst {
-		return b.konst(wt.val)
-	}
-	k := termKey{kind: tkApp, op: sim.OpWide, desc: b.low64ID, a0: wt.id}
-	return b.intern(k, term{kind: tkApp, op: sim.OpWide, str: "low64",
-		args: []*term{wt}, bits: maskOf(width)})
-}
-
 func fill(k *termKey, args []*term) {
 	switch len(args) {
-	default:
-		for _, a := range args[4:] {
-			k.spill += fmt.Sprintf("|%d", a.id)
-		}
-		fallthrough
-	case 4:
-		k.a3 = args[3].id
-		fallthrough
 	case 3:
 		k.a2 = args[2].id
 		fallthrough
@@ -262,7 +195,6 @@ func fill(k *termKey, args []*term) {
 		fallthrough
 	case 1:
 		k.a0 = args[0].id
-	case 0:
 	}
 }
 
@@ -303,7 +235,7 @@ func unmaskedBound(op sim.OpCode, aux uint32, args []*term) uint64 {
 	return ^uint64(0)
 }
 
-// app builds the canonical term for one narrow opcode application,
+// app builds the canonical term for one opcode application,
 // mirroring every rewrite the optimizer passes perform:
 //
 //   - constant folding through sim.EvalOp (the real executor — the
@@ -402,7 +334,7 @@ func (b *builder) copyOf(x *term, mask uint64) *term {
 	if x.kind == tkConst {
 		return b.konst(x.val & mask)
 	}
-	if x.kind == tkApp && x.op != sim.OpWide && sim.TraitsOf(x.op).MasksResult {
+	if x.kind == tkApp && sim.TraitsOf(x.op).MasksResult {
 		// (f(...) & M) & M' == f(...) & (M & M') for every op the executor
 		// truncates, so fold the copy's mask into the producer.
 		return b.app(x.op, x.aux, x.mask&mask, x.args...)

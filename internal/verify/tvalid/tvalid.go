@@ -22,6 +22,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/bitvec"
 	"repro/internal/sim"
 )
 
@@ -62,8 +63,8 @@ type Divergence struct {
 	// RefInstr / OptInstr name the defining instructions (opcode text).
 	RefInstr string
 	OptInstr string
-	// Slot names what diverges: a register/output shadow word, a wide
-	// shadow slot, or a memory-write list position.
+	// Slot names what diverges: a register/output shadow word or a
+	// memory-write list position.
 	Slot string
 	// Detail carries the refutation: the concrete probe witness, or the
 	// structural reason no probe was needed.
@@ -79,9 +80,9 @@ func (d Divergence) String() string {
 type Result struct {
 	Design  string
 	Threads int
-	// Pairs is the number of compared slot pairs (shadow words, wide
-	// shadow slots, memory writes) across all threads; Proved of them were
-	// settled by hash equality, Probed by the concrete fallback.
+	// Pairs is the number of compared slot pairs (shadow words and memory
+	// writes) across all threads; Proved of them were settled by hash
+	// equality, Probed by the concrete fallback.
 	Pairs  int
 	Proved int
 	Probed int
@@ -185,14 +186,10 @@ func Validate(ref, opt *sim.Program, o Options) *Result {
 
 	b := newBuilder(ref.TotalInstrs() + opt.TotalInstrs())
 	for _, in := range opt.Inputs {
-		if !in.Wide {
-			b.narrowWidth[in.Slot] = in.Width
-		}
+		b.bound(in.Slot, in.Width)
 	}
 	for i := range opt.Regs {
-		if r := &opt.Regs[i]; !r.Wide {
-			b.narrowWidth[r.Slot] = r.Width
-		}
+		b.bound(opt.Regs[i].Slot, opt.Regs[i].Width)
 	}
 
 	lp := opt.Linked()
@@ -271,26 +268,6 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 		}
 		add(slotName(opt, uint32(th.GlobalOff+i)), pc0, pc2, o0Instr(pc0), optInstr(pc2))
 	}
-	for i := range th.WideShadowSlots {
-		res.Pairs++
-		a, bT := s0.wideShad[i], s2.wideShad[i]
-		if a == nil && bT == nil {
-			res.Proved++
-			continue
-		}
-		if a != nil && bT != nil && a == bT && a.kind != tkUndef {
-			res.Proved++
-			continue
-		}
-		pc0, pc2 := -1, -1
-		if a != nil {
-			pc0 = s0.wideShadPC[i]
-		}
-		if bT != nil {
-			pc2 = s2.wideShadPC[i]
-		}
-		add(wideSlotName(opt, th.WideShadowSlots[i]), pc0, pc2, o0Instr(pc0), optInstr(pc2))
-	}
 
 	nw := len(s0.writes)
 	if len(s2.writes) > nw {
@@ -328,8 +305,6 @@ func layoutCompatible(ref, opt *sim.Program) (string, bool) {
 		return fmt.Sprintf("thread counts differ (%d vs %d)", ref.NumThreads, opt.NumThreads), false
 	case ref.GlobalWords != opt.GlobalWords:
 		return fmt.Sprintf("global word counts differ (%d vs %d)", ref.GlobalWords, opt.GlobalWords), false
-	case ref.GlobalWide != opt.GlobalWide:
-		return fmt.Sprintf("wide global counts differ (%d vs %d)", ref.GlobalWide, opt.GlobalWide), false
 	case len(ref.Mems) != len(opt.Mems):
 		return fmt.Sprintf("memory counts differ (%d vs %d)", len(ref.Mems), len(opt.Mems)), false
 	}
@@ -339,53 +314,37 @@ func layoutCompatible(ref, opt *sim.Program) (string, bool) {
 			return fmt.Sprintf("thread %d commit segment differs (off %d/%d words %d/%d)",
 				t, a.GlobalOff, bb.GlobalOff, a.ShadowWords, bb.ShadowWords), false
 		}
-		if len(a.WideShadowSlots) != len(bb.WideShadowSlots) {
-			return fmt.Sprintf("thread %d wide shadow length differs (%d vs %d)",
-				t, len(a.WideShadowSlots), len(bb.WideShadowSlots)), false
-		}
-		for i := range a.WideShadowSlots {
-			if a.WideShadowSlots[i] != bb.WideShadowSlots[i] {
-				return fmt.Sprintf("thread %d wide shadow slot %d differs", t, i), false
-			}
-		}
 	}
 	return "", true
 }
 
-// slotName names a narrow global word for diagnostics, matching the
-// structural verifier's wordDesc convention.
+// slotName names a global word for diagnostics, matching the structural
+// verifier's wordDesc convention: a word past the first of a value wider
+// than 64 bits carries its index.
 func slotName(p *sim.Program, w uint32) string {
+	name := func(kind, n string, slot uint32) string {
+		if w == slot {
+			return fmt.Sprintf("%s %q (global word %d)", kind, n, w)
+		}
+		return fmt.Sprintf("%s %q word %d (global word %d)", kind, n, w-slot, w)
+	}
+	owns := func(slot uint32, width int) bool { return w >= slot && int(w-slot) < bitvec.WordsFor(width) }
 	for i := range p.Regs {
-		if r := &p.Regs[i]; !r.Wide && r.Slot == w {
-			return fmt.Sprintf("reg %q (global word %d)", r.Name, w)
+		if r := &p.Regs[i]; owns(r.Slot, r.Width) {
+			return name("reg", r.Name, r.Slot)
 		}
 	}
 	for i := range p.Outputs {
-		if o := &p.Outputs[i]; !o.Wide && o.Slot == w {
-			return fmt.Sprintf("output %q (global word %d)", o.Name, w)
+		if o := &p.Outputs[i]; owns(o.Slot, o.Width) {
+			return name("output", o.Name, o.Slot)
 		}
 	}
 	for i := range p.Inputs {
-		if in := &p.Inputs[i]; !in.Wide && in.Slot == w {
-			return fmt.Sprintf("input %q (global word %d)", in.Name, w)
+		if in := &p.Inputs[i]; owns(in.Slot, in.Width) {
+			return name("input", in.Name, in.Slot)
 		}
 	}
 	return fmt.Sprintf("global word %d", w)
-}
-
-// wideSlotName names a wide global slot.
-func wideSlotName(p *sim.Program, w uint32) string {
-	for i := range p.Regs {
-		if r := &p.Regs[i]; r.Wide && r.Slot == w {
-			return fmt.Sprintf("wide reg %q (wide slot %d)", r.Name, w)
-		}
-	}
-	for i := range p.Outputs {
-		if o := &p.Outputs[i]; o.Wide && o.Slot == w {
-			return fmt.Sprintf("wide output %q (wide slot %d)", o.Name, w)
-		}
-	}
-	return fmt.Sprintf("wide slot %d", w)
 }
 
 // memWriteName names position i of a thread's memory-write list.

@@ -7,8 +7,8 @@
 //   - Race freedom (§5.1, Figure 5): during the evaluation phase threads
 //     write only private temps and their own shadow; every shared global
 //     word a thread reads is a register or input source, stable until the
-//     commit phase; commit segments and wide commit slots are written by
-//     exactly one thread and do not overlap.
+//     commit phase; commit segments are written by exactly one thread and
+//     do not overlap.
 //
 //   - Replication closure (§4.2, Formulas 1–2): every value a thread reads
 //     is an immediate, a register/input source, or defined earlier in the
@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/cgraph"
 	"repro/internal/sim"
 	"repro/internal/verify/tvalid"
@@ -199,8 +200,7 @@ func (r *Report) String() string {
 		r.Design, r.Threads, r.Instrs, r.Locs, r.Elapsed.Round(10*time.Microsecond), verdict, extra)
 }
 
-// slotClass classifies a global (narrow or wide) slot by what the layout
-// says lives there.
+// slotClass classifies a global word by what the layout says lives there.
 type slotClass uint8
 
 const (
@@ -230,16 +230,15 @@ type verifier struct {
 	opts Options
 	rep  *Report
 
-	// Narrow global-word model: class, committing thread (-1 none), name.
+	// Global-word model: class, committing thread (-1 none), name.
 	wordClass []slotClass
 	wordSeg   []int
 	wordName  []string
-	// Wide-global model, same shape.
-	wideClass []slotClass
-	wideSeg   []int
-	wideName  []string
 
-	// memWriters[m] is the set of threads holding write ports of memory m.
+	// mems is Program.Memories(): each memory's first word column.
+	// memWriters[m] is the set of threads holding write ports of memory m,
+	// whichever of its columns they write.
+	mems       []int
 	memWriters [][]int
 }
 
@@ -260,14 +259,14 @@ func Program(p *sim.Program, opts Options) *Report {
 			"shared-slot (Verilator-style) program: threads communicate mid-cycle by design; race-freedom and closure checks are out of scope, schedule checks only")
 	}
 	v.layout()
-	linkable := v.linkable()
+	v.rep.Instrs = p.TotalInstrs()
 	// The batch-layout scan is a precondition of the linked-stream scan:
 	// scanLinked classifies flat state indices by the region layout, so if
 	// the layout itself is corrupt the classification is meaningless (and
 	// may index off the end of per-region tracking). Prove the layout
 	// first and only scan the streams when it holds.
-	layoutOK := linkable
-	if opts.BatchLanes > 0 && linkable {
+	layoutOK := true
+	if opts.BatchLanes > 0 {
 		pre := v.rep.Count(Error)
 		v.scanBatch(opts.BatchLanes)
 		layoutOK = v.rep.Count(Error) == pre
@@ -285,7 +284,7 @@ func Program(p *sim.Program, opts Options) *Report {
 			}
 		}
 	}
-	if opts.Validate && linkable {
+	if opts.Validate {
 		v.validate()
 	}
 	v.rep.Elapsed = time.Since(start)
@@ -298,7 +297,7 @@ func (v *verifier) diag(c Check, sev Severity, thread, pc int, slot, msg string)
 	})
 }
 
-// wordDesc names a narrow global word for diagnostics.
+// wordDesc names a global word for diagnostics.
 func (v *verifier) wordDesc(idx uint32) string {
 	if int(idx) >= len(v.wordClass) {
 		return fmt.Sprintf("global word %d (out of range)", idx)
@@ -313,66 +312,38 @@ func (v *verifier) wordDesc(idx uint32) string {
 	return desc + ")"
 }
 
-// wideDesc names a wide-global slot for diagnostics.
-func (v *verifier) wideDesc(idx uint32) string {
-	if int(idx) >= len(v.wideClass) {
-		return fmt.Sprintf("wide-global slot %d (out of range)", idx)
-	}
-	desc := fmt.Sprintf("wide-global slot %d (%s", idx, v.wideClass[idx])
-	if n := v.wideName[idx]; n != "" {
-		desc += fmt.Sprintf(" %q", n)
-	}
-	if s := v.wideSeg[idx]; s >= 0 {
-		desc += fmt.Sprintf(", committed by thread %d", s)
-	}
-	return desc + ")"
-}
-
 // layout reconstructs the global storage model from the program and checks
-// the commit-phase half of race freedom: thread segments and wide commit
-// slots must be disjoint, cache-line aligned, and cover every register and
-// output.
+// the commit-phase half of race freedom: thread segments must be disjoint,
+// cache-line aligned, and cover every word of every register and output.
 func (v *verifier) layout() {
 	p := v.p
 	v.wordClass = make([]slotClass, p.GlobalWords)
 	v.wordSeg = make([]int, p.GlobalWords)
 	v.wordName = make([]string, p.GlobalWords)
-	v.wideClass = make([]slotClass, p.GlobalWide)
-	v.wideSeg = make([]int, p.GlobalWide)
-	v.wideName = make([]string, p.GlobalWide)
 	for i := range v.wordSeg {
 		v.wordSeg[i] = -1
 	}
-	for i := range v.wideSeg {
-		v.wideSeg[i] = -1
-	}
-	v.memWriters = make([][]int, len(p.Mems))
+	v.mems = p.Memories()
+	v.memWriters = make([][]int, len(v.mems))
 
-	classify := func(name string, wide bool, slot uint32, cl slotClass) {
-		if wide {
-			if int(slot) >= p.GlobalWide {
-				v.diag(CheckSchedule, Error, -1, -1, fmt.Sprintf("wide-global slot %d", slot),
-					fmt.Sprintf("%s %q slot out of range (%d wide slots)", cl, name, p.GlobalWide))
+	classify := func(name string, width int, slot uint32, cl slotClass) {
+		for k := range uint32(bitvec.WordsFor(width)) {
+			if int(slot+k) >= p.GlobalWords {
+				v.diag(CheckSchedule, Error, -1, -1, fmt.Sprintf("global word %d", slot+k),
+					fmt.Sprintf("%s %q slot out of range (%d words)", cl, name, p.GlobalWords))
 				return
 			}
-			v.wideClass[slot], v.wideName[slot] = cl, name
-			return
+			v.wordClass[slot+k], v.wordName[slot+k] = cl, name
 		}
-		if int(slot) >= p.GlobalWords {
-			v.diag(CheckSchedule, Error, -1, -1, fmt.Sprintf("global word %d", slot),
-				fmt.Sprintf("%s %q slot out of range (%d words)", cl, name, p.GlobalWords))
-			return
-		}
-		v.wordClass[slot], v.wordName[slot] = cl, name
 	}
 	for _, in := range p.Inputs {
-		classify(in.Name, in.Wide, in.Slot, clInput)
+		classify(in.Name, in.Width, in.Slot, clInput)
 	}
 	for i := range p.Regs {
-		classify(p.Regs[i].Name, p.Regs[i].Wide, p.Regs[i].Slot, clReg)
+		classify(p.Regs[i].Name, p.Regs[i].Width, p.Regs[i].Slot, clReg)
 	}
 	for _, out := range p.Outputs {
-		classify(out.Name, out.Wide, out.Slot, clOutput)
+		classify(out.Name, out.Width, out.Slot, clOutput)
 	}
 
 	// Dereplicated register groups form the shared-read tier: each group's
@@ -384,7 +355,7 @@ func (v *verifier) layout() {
 	if g := v.opts.Graph; g != nil {
 		regSlot := map[string]uint32{}
 		for i := range p.Regs {
-			if !p.Regs[i].Wide {
+			if p.Regs[i].Width <= 64 {
 				regSlot[p.Regs[i].Name] = p.Regs[i].Slot
 			}
 		}
@@ -402,7 +373,7 @@ func (v *verifier) layout() {
 		}
 	}
 
-	// Per-thread commit segments (narrow) and wide commit slots.
+	// Per-thread commit segments.
 	for t := range p.Threads {
 		th := &p.Threads[t]
 		if th.GlobalOff%sim.SegmentWords != 0 {
@@ -428,50 +399,24 @@ func (v *verifier) layout() {
 			}
 			v.wordSeg[w] = t
 		}
-		for i, s := range th.WideShadowSlots {
-			if int(s) >= p.GlobalWide {
-				v.diag(CheckSchedule, Error, t, -1, fmt.Sprintf("wide-global slot %d", s),
-					fmt.Sprintf("wide shadow slot %d out of range (%d wide slots)", i, p.GlobalWide))
-				continue
-			}
-			if v.wideClass[s] == clInput {
-				v.diag(CheckRace, Error, t, -1, v.wideDesc(s),
-					"wide commit slot aliases an input: commit would clobber poked inputs")
-				continue
-			}
-			if prev := v.wideSeg[s]; prev >= 0 {
-				v.diag(CheckRace, Error, t, -1, v.wideDesc(s),
-					fmt.Sprintf("wide-global slot committed by threads %d and %d: concurrent commit-phase writes race", prev, t))
-				continue
-			}
-			v.wideSeg[s] = t
-		}
 	}
 
-	// Every register and output must be published by exactly one thread's
-	// commit, or it silently holds its reset value forever.
-	for i := range p.Regs {
-		r := &p.Regs[i]
-		if r.Wide {
-			if int(r.Slot) < p.GlobalWide && v.wideSeg[r.Slot] < 0 {
-				v.diag(CheckSchedule, Error, -1, -1, v.wideDesc(r.Slot),
-					fmt.Sprintf("register %q is in no thread's wide commit list: never published", r.Name))
+	// Every word of every register and output must be published by exactly
+	// one thread's commit, or it silently holds its reset value forever.
+	published := func(kind, name string, slot uint32, width int) {
+		for k := range uint32(bitvec.WordsFor(width)) {
+			if w := slot + k; int(w) < p.GlobalWords && v.wordSeg[w] < 0 {
+				v.diag(CheckSchedule, Error, -1, -1, v.wordDesc(w),
+					fmt.Sprintf("%s %q is outside every commit segment: never published", kind, name))
+				return
 			}
-		} else if int(r.Slot) < p.GlobalWords && v.wordSeg[r.Slot] < 0 {
-			v.diag(CheckSchedule, Error, -1, -1, v.wordDesc(r.Slot),
-				fmt.Sprintf("register %q is outside every commit segment: never published", r.Name))
 		}
 	}
+	for i := range p.Regs {
+		published("register", p.Regs[i].Name, p.Regs[i].Slot, p.Regs[i].Width)
+	}
 	for _, o := range p.Outputs {
-		if o.Wide {
-			if int(o.Slot) < p.GlobalWide && v.wideSeg[o.Slot] < 0 {
-				v.diag(CheckSchedule, Error, -1, -1, v.wideDesc(o.Slot),
-					fmt.Sprintf("output %q is in no thread's wide commit list: never published", o.Name))
-			}
-		} else if int(o.Slot) < p.GlobalWords && v.wordSeg[o.Slot] < 0 {
-			v.diag(CheckSchedule, Error, -1, -1, v.wordDesc(o.Slot),
-				fmt.Sprintf("output %q is outside every commit segment: never published", o.Name))
-		}
+		published("output", o.Name, o.Slot, o.Width)
 	}
 }
 
@@ -486,7 +431,7 @@ func (v *verifier) layout() {
 func (v *verifier) checkMems() {
 	for m, ws := range v.memWriters {
 		if len(ws) > 1 {
-			v.diag(CheckRace, Warning, -1, -1, fmt.Sprintf("mem %q", v.p.Mems[m].Name),
+			v.diag(CheckRace, Warning, -1, -1, fmt.Sprintf("mem %q", v.p.Mems[v.mems[m]].Name),
 				fmt.Sprintf("write ports owned by threads %v: committed serially at the barrier, by cycle then thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)", ws))
 		}
 	}
@@ -495,7 +440,7 @@ func (v *verifier) checkMems() {
 // crossCheck validates the program against the partition it was compiled
 // from: graph-level closure (every non-source predecessor present and
 // earlier), unique sink ownership, and agreement between the partition's
-// sink sets and the program's shadow layout.
+// sink words and the program's shadow layout.
 func (v *verifier) crossCheck() {
 	g, parts := v.opts.Graph, v.opts.Parts
 	if g == nil || len(parts) == 0 {
@@ -547,8 +492,9 @@ func (v *verifier) crossCheck() {
 				}
 			}
 		}
-		// Sink ownership and layout agreement.
-		narrow, wide := 0, 0
+		// Sink ownership and layout agreement: a sink takes one shadow word
+		// per 64 bits of its width.
+		sinkWords := 0
 		for _, s := range parts[t].Sinks {
 			if prev, dup := sinkOwner[s]; dup {
 				v.diag(CheckClosure, Error, t, -1, g.Vs[s].Name,
@@ -559,24 +505,14 @@ func (v *verifier) crossCheck() {
 				v.diag(CheckRace, Error, t, -1, g.Vs[s].Name,
 					"dereplicated register write still owned as a sink: it would commit alongside the owner's shared-read slot")
 			}
-			if g.Vs[s].Kind == cgraph.KindMemWrite {
-				continue // buffered, no shadow slot
-			}
-			if g.Vs[s].Type.Width > 64 {
-				wide++
-			} else {
-				narrow++
+			if g.Vs[s].Kind != cgraph.KindMemWrite { // buffered, no shadow words
+				sinkWords += bitvec.WordsFor(g.Vs[s].Type.Width)
 			}
 		}
-		th := &p.Threads[t]
-		if narrow+len(parts[t].Dereps) != th.ShadowWords {
+		if th := &p.Threads[t]; sinkWords+len(parts[t].Dereps) != th.ShadowWords {
 			v.diag(CheckSchedule, Error, t, -1, "",
-				fmt.Sprintf("partition owns %d narrow sinks and %d derep slots but the thread's shadow has %d words",
-					narrow, len(parts[t].Dereps), th.ShadowWords))
-		}
-		if wide != len(th.WideShadowSlots) {
-			v.diag(CheckSchedule, Error, t, -1, "",
-				fmt.Sprintf("partition owns %d wide sinks but the thread commits %d wide slots", wide, len(th.WideShadowSlots)))
+				fmt.Sprintf("partition owns %d sink words and %d derep slots but the thread's shadow has %d words",
+					sinkWords, len(parts[t].Dereps), th.ShadowWords))
 		}
 	}
 	for _, s := range g.Sinks() {
@@ -606,7 +542,7 @@ func (v *verifier) checkDereps(g *cgraph.Graph, parts []sim.PartSpec) {
 	regWide := map[string]bool{}
 	for i := range p.Regs {
 		regSlot[p.Regs[i].Name] = p.Regs[i].Slot
-		regWide[p.Regs[i].Name] = p.Regs[i].Wide
+		regWide[p.Regs[i].Name] = p.Regs[i].Width > 64
 	}
 	seen := map[int32]int{} // graph reg index -> thread whose group demoted it
 	for t := range parts {

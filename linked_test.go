@@ -55,7 +55,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 				rng := rand.New(rand.NewSource(99))
 				for cyc := 0; cyc < 50; cyc++ {
 					for _, in := range comp.Program.Inputs {
-						if in.Wide {
+						if in.Width > 64 {
 							continue
 						}
 						v := rng.Uint64()

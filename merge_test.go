@@ -47,7 +47,7 @@ func TestElaborateMergePreservesState(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(k)))
 				for cyc := 0; cyc < 200; cyc++ {
 					for _, in := range cm.Program.Inputs {
-						if in.Wide {
+						if in.Width > 64 {
 							continue
 						}
 						v := rng.Uint64()

@@ -56,7 +56,7 @@ func runHash(t *testing.T, s *Simulator, cycles int, seed int64) uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	for c := 0; c < cycles; c++ {
 		for _, in := range s.Program().Inputs {
-			if in.Wide {
+			if in.Width > 64 {
 				continue
 			}
 			if err := s.PokeInput(in.Name, rng.Uint64()); err != nil {
