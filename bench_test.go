@@ -281,16 +281,6 @@ func BenchmarkParallelEngine(b *testing.B) {
 	e.Run(b.N)
 }
 
-// BenchmarkVerilatorEngine measures the baseline task engine on this host.
-func BenchmarkVerilatorEngine(b *testing.B) {
-	s := benchSuite()
-	cfg := designs.Config{Kind: designs.SmallBoom, Cores: 1, Scale: 1}
-	v := s.Verilator(cfg, 4, false)
-	v.Engine.Reset()
-	b.ResetTimer()
-	v.Engine.Run(b.N)
-}
-
 // BenchmarkPartitionMegaBoom measures the full replication-aided
 // partitioning pipeline (cones, clustering, hypergraph, realization).
 func BenchmarkPartitionMegaBoom(b *testing.B) {

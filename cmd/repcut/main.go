@@ -128,7 +128,7 @@ func main() {
 		if s.Verification != nil {
 			fmt.Println(s.Verification)
 		}
-		if v := out.Validation; v != nil && v.Skipped == "" {
+		if v := out.Validation; v != nil {
 			fmt.Printf("translation validated: %d pairs (%d proved, %d probed) in %.1f ms\n",
 				v.Pairs, v.Proved, v.Probed, v.ElapsedMs)
 		}

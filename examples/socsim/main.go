@@ -1,7 +1,8 @@
 // socsim simulates a multi-core out-of-order SoC (the paper's benchmark
-// workload) three ways — serial, RepCut parallel, and the Verilator-style
-// baseline — verifies they agree cycle-for-cycle, and compares measured
-// and modeled throughput.
+// workload) two ways — serial and RepCut parallel — verifies they agree
+// cycle-for-cycle, and compares measured and modeled throughput. It also
+// reports how many MTasks the Verilator-style baseline schedules; the host
+// model replays that schedule, no engine runs it.
 //
 //	go run ./examples/socsim
 package main
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Verilator baseline: %d MTasks on %d threads\n", len(base.Tasks), threads)
+	fmt.Printf("Verilator baseline: %d MTasks on %d threads (modeled, not run)\n", len(base.Tasks), threads)
 
 	const cycles = 2000
 	run := func(name string, f func(int)) float64 {
@@ -57,9 +58,8 @@ func main() {
 	fmt.Println("simulating:")
 	run("serial", serial.Run)
 	run("repcut", par.Run)
-	run("verilator", func(n int) { base.Engine.Run(n) })
 
-	// All three engines must agree on every register.
+	// Both engines must agree on every register.
 	mismatches := 0
 	for i := range d.Graph.Regs {
 		name := d.Graph.Regs[i].Name
@@ -68,14 +68,11 @@ func main() {
 		if sv.Big().Cmp(pv.Big()) != 0 {
 			mismatches++
 		}
-		if vv, err := base.Engine.PeekReg(name); err == nil && sv.Width <= 64 && sv.Uint64() != vv {
-			mismatches++
-		}
 	}
 	if mismatches > 0 {
 		log.Fatalf("engines diverged on %d registers", mismatches)
 	}
-	fmt.Printf("all %d registers agree across the three engines after %d cycles\n",
+	fmt.Printf("all %d registers agree across the two engines after %d cycles\n",
 		len(d.Graph.Regs), cycles)
 
 	// What the same simulator would do on the paper's 48-core testbed.

@@ -47,14 +47,8 @@ type Emission struct {
 }
 
 // Emit generates plugin source for every thread of the linked program.
-// Shared-mode programs are rejected: their threads exchange values
-// mid-cycle, which the straight-line private-partition model (and the
-// Engine this backend plugs into) does not express.
 func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 	p := lp.Program()
-	if p.Shared {
-		return nil, fmt.Errorf("codegen: shared-mode program %s not supported", p.Design)
-	}
 	e := &emitter{lp: lp, p: p, bug: o.Bug}
 	if o.Bug != BugNone {
 		// Scan pass: collect every maskable site, then plant the bug where

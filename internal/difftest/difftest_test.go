@@ -18,7 +18,7 @@ func TestOracleCleanOnGeneratedCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if m := Run(d, Options{Seed: seed*7 + 1, Cycles: 12, Tasks: true}); m != nil {
+		if m := Run(d, Options{Seed: seed*7 + 1, Cycles: 12}); m != nil {
 			t.Fatalf("seed %d: %v\ncircuit:\n%s", seed, m, d.Text)
 		}
 	}

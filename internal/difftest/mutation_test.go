@@ -21,8 +21,8 @@ import (
 )
 
 // mutOptions is the cheap oracle matrix used for mutation hunting: the
-// mutant only has to disagree with the reference, so partition sweeps,
-// task engines, and the service layer stay out of the loop.
+// mutant only has to disagree with the reference, so partition sweeps and
+// the service layer stay out of the loop.
 func mutOptions(seed int64, mutate func(*sim.Program) bool) Options {
 	return Options{
 		Seed:    seed,

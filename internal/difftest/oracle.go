@@ -2,10 +2,9 @@
 // runs one generated circuit through every execution engine the repo has —
 // the tree-walking Reference, the serial linked engine at O0 and O2 (and
 // at O2 over the redundant-node-merged graph), RepCut parallel partitions
-// at several k, the Verilator-style task engine, and a compile-cache
-// round-trip through the service layer — and
-// compares full architectural state (registers, outputs, every memory word)
-// cycle by cycle. Metamorphic invariants (partition-count invariance,
+// at several k, and a compile-cache round-trip through the service layer —
+// and compares full architectural state (registers, outputs, every memory
+// word) cycle by cycle. Metamorphic invariants (partition-count invariance,
 // worker-count invariance, fingerprint stability, verifier agreement) catch
 // bugs no single engine pair would expose. A greedy shrinker (shrink.go)
 // reduces failing circuits to small replayable FIRRTL.
@@ -25,7 +24,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/verify"
 	"repro/internal/verify/tvalid"
-	"repro/internal/verilator"
 )
 
 // Options configures one differential run.
@@ -40,10 +38,6 @@ type Options struct {
 	// Workers lists worker-pool sizes for the compile-determinism check
 	// (default 0, 2): every pool size must produce the same fingerprint.
 	Workers []int
-	// Tasks includes the Verilator-style task engine (default on when nil
-	// options are filled by Default; the zero Options leaves it off so the
-	// fuzz path stays cheap).
-	Tasks bool
 	// Service round-trips the textual IR through the compile cache and
 	// checks the cached recompile hits and agrees.
 	Service bool
@@ -127,7 +121,7 @@ type Options struct {
 
 // Default returns the full-matrix options used by the corpus test and CLI.
 func Default(seed int64) Options {
-	return Options{Seed: seed, Cycles: 20, Tasks: true, Service: true, Verify: true, Validate: true, Batch: true, Repart: true, Checkpoint: true}
+	return Options{Seed: seed, Cycles: 20, Service: true, Verify: true, Validate: true, Batch: true, Repart: true, Checkpoint: true}
 }
 
 func (o *Options) fill() {
@@ -179,14 +173,6 @@ func (a serialAdapter) step()                                   { a.e.Run(1) }
 func (a serialAdapter) reg(n string) (bitvec.Vec, error)        { return a.e.PeekReg(n) }
 func (a serialAdapter) out(n string) (bitvec.Vec, error)        { return a.e.PeekOutputVec(n) }
 func (a serialAdapter) mem(n string, i int) (bitvec.Vec, error) { return a.e.PeekMemVec(n, i) }
-
-type taskAdapter struct{ e *sim.TaskEngine }
-
-func (a taskAdapter) poke(n string, v bitvec.Vec) error       { return a.e.PokeInputVec(n, v) }
-func (a taskAdapter) step()                                   { a.e.Run(1) }
-func (a taskAdapter) reg(n string) (bitvec.Vec, error)        { return a.e.PeekRegVec(n) }
-func (a taskAdapter) out(n string) (bitvec.Vec, error)        { return a.e.PeekOutputVec(n) }
-func (a taskAdapter) mem(n string, i int) (bitvec.Vec, error) { return a.e.PeekMemVec(n, i) }
 
 type namedEngine struct {
 	name string
@@ -369,13 +355,6 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 		}
 	}
 
-	// Verilator-style task engine.
-	if opt.Tasks {
-		if vs, err := verilator.New(g, verilator.Options{Threads: 2}); err == nil {
-			engines = append(engines, namedEngine{"tasks-t2", taskAdapter{vs.Engine}})
-		}
-	}
-
 	// Compile-cache round trip: the service layer reparses the printed IR,
 	// elaborates it (merge included), compiles, caches, and the second
 	// request must hit with an identical fingerprint.
@@ -501,7 +480,7 @@ func validatorCrossCheck(cert *tvalid.Result, m *Mismatch) *Mismatch {
 		}
 		return nil
 	}
-	if m.Engine == "linked-O2" && cert.Skipped == "" && cert.Valid() {
+	if m.Engine == "linked-O2" && cert.Valid() {
 		return &Mismatch{Engine: "tvalid", Cycle: m.Cycle, Kind: "validate", Name: m.Name,
 			Got: "equivalence certificate", Want: "refutation: " + m.Error()}
 	}

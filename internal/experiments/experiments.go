@@ -197,25 +197,6 @@ func (s *Suite) Verilator(cfg designs.Config, k int, pgo bool) *verilator.Sim {
 	return v
 }
 
-// taskWorks converts a Verilator schedule into host-model task workloads.
-func taskWorks(v *verilator.Sim) [][]hostmodel.TaskWork {
-	costOf := map[int]float64{}
-	for i := range v.Tasks {
-		costOf[v.Tasks[i].ID] = float64(v.Tasks[i].TrueCost)
-	}
-	out := make([][]hostmodel.TaskWork, len(v.Plan.PerThread))
-	for t := range v.Plan.PerThread {
-		for _, tr := range v.Plan.PerThread[t] {
-			out[t] = append(out[t], hostmodel.TaskWork{
-				ID: tr.ID, Thread: t, Deps: tr.Deps,
-				CostUnits: costOf[tr.ID],
-				Instrs:    float64(tr.End - tr.Start),
-			})
-		}
-	}
-	return out
-}
-
 // Perf is one simulator's modeled performance at one configuration.
 type Perf struct {
 	Design    string
@@ -273,7 +254,7 @@ func (s *Suite) VerilatorPerf(cfg designs.Config, k int, pgo bool, pl hostmodel.
 		name = SimVerilatorPGO
 	}
 	v1 := s.Verilator(cfg, 1, pgo)
-	serial := hostmodel.EvaluateTasks(s.CPU, hostmodel.WorkFromProgram(v1.Prog), taskWorks(v1), pl)
+	serial := hostmodel.EvaluateTasks(s.CPU, v1.Threads, v1.TaskWork, pl)
 	if k <= 1 {
 		return Perf{
 			Design: cfg.Name(), Simulator: name, K: 1, Placement: pl,
@@ -281,7 +262,7 @@ func (s *Suite) VerilatorPerf(cfg designs.Config, k int, pgo bool, pl hostmodel.
 		}
 	}
 	v := s.Verilator(cfg, k, pgo)
-	ev := hostmodel.EvaluateTasks(s.CPU, hostmodel.WorkFromProgram(v.Prog), taskWorks(v), pl)
+	ev := hostmodel.EvaluateTasks(s.CPU, v.Threads, v.TaskWork, pl)
 	return Perf{
 		Design: cfg.Name(), Simulator: name, K: k, Placement: pl,
 		KHz: ev.KHz, SerialKHz: serial.KHz, Speedup: ev.KHz / serial.KHz,

@@ -399,18 +399,16 @@ func (s *Suite) Table3() *report.Table {
 	return t
 }
 
-// RealEquivalence runs the actual engines (serial, RepCut parallel,
-// Verilator baseline) for a few hundred cycles and verifies they agree on
-// every register — the honesty check behind every modeled number.
+// RealEquivalence runs the actual engines (serial and RepCut parallel) for
+// a few hundred cycles and verifies they agree on every register — the
+// honesty check behind every modeled number. The Verilator baseline is a
+// schedule the host model replays, so no engine of its own takes part.
 func (s *Suite) RealEquivalence(cfg designs.Config, k, cycles int) error {
 	g := s.Graph(cfg)
 	serial := sim.NewEngine(s.SerialProgram(cfg, 2))
 	par := sim.NewEngine(s.Program(cfg, k, false, 2))
-	v := s.Verilator(cfg, k, false)
-	v.Engine.Reset()
 	serial.Run(cycles)
 	par.Run(cycles)
-	v.Engine.Run(cycles)
 	for i := range g.Regs {
 		name := g.Regs[i].Name
 		sv, err := serial.PeekReg(name)
@@ -423,13 +421,6 @@ func (s *Suite) RealEquivalence(cfg designs.Config, k, cycles int) error {
 		}
 		if sv.Big().Cmp(pv.Big()) != 0 {
 			return fmt.Errorf("%s k=%d: serial/parallel diverge on %s", cfg.Name(), k, name)
-		}
-		vv, err := v.Engine.PeekReg(name)
-		if err != nil {
-			return err
-		}
-		if sv.Uint64() != vv && sv.Width <= 64 {
-			return fmt.Errorf("%s k=%d: serial/verilator diverge on %s", cfg.Name(), k, name)
 		}
 	}
 	return nil

@@ -60,7 +60,7 @@ func newBatchPool(laneWidth int, m *Metrics) *batchPool {
 // private engine; belowBreakEven reports that the break-even was the reason.
 func (p *batchPool) place(s *Session) (belowBreakEven bool) {
 	e := s.entry
-	if p == nil || p.laneWidth <= 1 || e.Compiled.Program.Shared {
+	if p == nil || p.laneWidth <= 1 {
 		return false
 	}
 	p.mu.Lock()

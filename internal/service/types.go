@@ -176,7 +176,6 @@ type ValidationSummary struct {
 	Probed     int     `json:"probed"`
 	ArenaBytes int64   `json:"arena_bytes"`
 	ElapsedMs  float64 `json:"elapsed_ms"`
-	Skipped    string  `json:"skipped,omitempty"`
 }
 
 // ValidationJSON extracts the validation summary from a verification
@@ -190,7 +189,6 @@ func ValidationJSON(r *verify.Report) *ValidationSummary {
 		Pairs: v.Pairs, Proved: v.Proved, Probed: v.Probed,
 		ArenaBytes: v.ArenaBytes,
 		ElapsedMs:  float64(v.Elapsed.Nanoseconds()) / 1e6,
-		Skipped:    v.Skipped,
 	}
 }
 

@@ -73,15 +73,10 @@ type BatchEngine struct {
 }
 
 // NewBatchEngine creates a lane-batched engine over the program's linked
-// form and resets every lane to power-on state. Shared-mode programs are
-// rejected: their threads communicate mid-cycle, so eval cannot run over
-// masked-out lanes.
+// form and resets every lane to power-on state.
 func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 	if lanes < 1 || lanes > BatchWidth {
 		return nil, fmt.Errorf("sim: batch engine needs 1 <= lanes <= %d, got %d", BatchWidth, lanes)
-	}
-	if p.Shared {
-		return nil, fmt.Errorf("sim: batch engine does not support shared-mode programs")
 	}
 	lp := p.Linked()
 	e := &BatchEngine{

@@ -275,7 +275,7 @@ func TestBatchResetLane(t *testing.T) {
 // partitioned.
 func TestBatchLanePortsMatchEngine(t *testing.T) {
 	const lane = 1
-	e := NewEngine(compileSrc(t, taskEngineSrc))
+	e := NewEngine(compileSrc(t, portsSrc))
 	be, err := NewBatchEngine(e.Program(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -379,13 +379,6 @@ func TestBatchEngineErrors(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "1 <= lanes <= 16") {
 			t.Fatalf("lanes=%d: error %q does not name the range", tc.lanes, err)
 		}
-	}
-	shared, err := Compile(g, SerialSpec(g), Config{Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBatchEngine(shared, 4); err == nil {
-		t.Fatal("shared-mode program accepted")
 	}
 	be, err := NewBatchEngine(prog, 2)
 	if err != nil {

@@ -38,7 +38,8 @@ type Config struct {
 	// compilation model: tasks on different threads communicate through
 	// shared slots mid-cycle. Shared mode records per-vertex code marks
 	// (for task boundaries) and skips the stream optimizer, whose motion
-	// would invalidate them.
+	// would invalidate them. It is cost accounting for the Verilator
+	// baseline (internal/verilator), executed by no engine.
 	Shared bool
 	// Workers bounds the parallelism of compilation itself: per-thread
 	// code emission and optimization fan out one task per partition.
@@ -75,7 +76,7 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	}
 	c := &compiler{
 		g:     g,
-		prog:  &Program{Design: g.Name, NumThreads: len(parts), Shared: cfg.Shared},
+		prog:  &Program{Design: g.Name, NumThreads: len(parts)},
 		model: model,
 		cfg:   cfg,
 	}

@@ -149,6 +149,35 @@ func (e *Engine) Reset() {
 	e.instrsRetired = 0
 }
 
+// resetState restores one state view to power-on values — every word zero
+// except the immediates and the register inits, memories zero — and drops
+// its contexts' buffered memory writes. Engine views and batch lanes share
+// it.
+func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
+	p := lp.prog
+	for i := 0; i < lp.StateWords; i++ {
+		*gs.at(uint32(i)) = 0
+	}
+	for i, v := range p.Imms {
+		*gs.at(uint32(lp.ImmOff + i)) = v
+	}
+	for _, m := range gs.mems {
+		clear(m)
+	}
+	for _, r := range p.Regs {
+		gs.setVec(r.Slot, r.Width, r.Init)
+	}
+	dropWrites(tcs)
+}
+
+// dropWrites empties the contexts' memory-write buffers, so that a publish
+// after a reset or restore has nothing to catch up on.
+func dropWrites(tcs []*threadCtx) {
+	for _, tc := range tcs {
+		tc.memBuf = tc.memBuf[:0]
+	}
+}
+
 // PokeInput sets a narrow input port (values wider than 64 bits need
 // PokeInputVec). The value is masked to the port width.
 func (e *Engine) PokeInput(name string, v uint64) error {

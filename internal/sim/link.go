@@ -107,8 +107,8 @@ func (lp *LinkedProgram) resolve(t int, ref uint32) uint32 {
 }
 
 // link lowers p: lay out the unified state and resolve every operand.
-// The mapping is strictly 1:1 for every program, so pcs, Marks and
-// TaskRange slices index Program and LinkedProgram code alike.
+// The mapping is strictly 1:1 for every program, so pcs index Program and
+// LinkedProgram code alike.
 func link(p *Program) *LinkedProgram {
 	lp := &LinkedProgram{prog: p}
 	off := padTo(uint32(p.GlobalWords), SegmentWords)

@@ -190,9 +190,8 @@ func TestLinkedLayoutDisjoint(t *testing.T) {
 }
 
 // Linking is strictly 1:1 for every program — same length, same opcode at
-// every pc — so Marks and TaskRange offsets stay valid on linked code and
-// the linked instruction set is the base instruction set. Checked on every
-// bundled design at k in {1,2} and on one Shared-mode program.
+// every pc — so the linked instruction set is the base instruction set.
+// Checked on every bundled design at k in {1,2}.
 func TestLinkOneToOne(t *testing.T) {
 	if sz := unsafe.Sizeof(LInstr{}); sz != 32 {
 		t.Fatalf("LInstr is %d bytes; want 32 (two per cache line)", sz)
@@ -233,18 +232,6 @@ func TestLinkOneToOne(t *testing.T) {
 			check(t, partitioned(t, g, 2, 1))
 		})
 	}
-	t.Run("shared", func(t *testing.T) {
-		g := randomCircuit(t, 43, 60)
-		res, err := core.Partition(g, core.Options{K: 3, Seed: 7, Model: costmodel.Default()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(g, partSpecs(res), Config{Shared: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, prog)
-	})
 }
 
 // A narrow-only design must run allocation-free in steady state: the frame

@@ -56,8 +56,8 @@ type ThreadCode struct {
 	GlobalOff   int
 
 	// Marks, in Shared compilation mode, gives the code offset where each
-	// of the thread's vertices begins (plus a final end-of-code mark), so a
-	// task scheduler can slice the stream at vertex boundaries.
+	// of the thread's vertices begins (plus a final end-of-code mark), so
+	// the Verilator baseline can count its tasks' instructions.
 	Marks []int
 
 	// Statistics for the cost model and the simulated host.
@@ -73,13 +73,7 @@ func (t *ThreadCode) CodeBytes() int { return len(t.Code) * InstrBytes }
 type Program struct {
 	Design     string
 	NumThreads int
-	// Shared records that the program was compiled in the Verilator-style
-	// shared-slot model (Config.Shared): combinational values live in the
-	// global word array and threads communicate mid-cycle. Static analyses
-	// (internal/verify) use it to scope the RepCut race-freedom invariants,
-	// which only the private-temp model promises.
-	Shared  bool
-	Threads []ThreadCode
+	Threads    []ThreadCode
 
 	GlobalWords int
 
@@ -251,7 +245,9 @@ func (p *Program) Fingerprint() uint64 {
 	h := fnv{1469598103934665603}
 	h.str(p.Design)
 	h.u64(uint64(p.NumThreads))
-	h.bool(p.Shared)
+	// Constant where the removed shared-slot flag was hashed: persisted
+	// snapshots and native artifacts are keyed by this fingerprint.
+	h.bool(false)
 	h.u64(uint64(p.GlobalWords))
 	h.u64(uint64(len(p.Imms)))
 	for _, v := range p.Imms {

@@ -183,33 +183,94 @@ circuit C {
 	}
 }
 
+// portsSrc has a narrow and a 70-bit value of every accessor kind: input,
+// output, register and memory.
+const portsSrc = `
+circuit T {
+  module T {
+    input n  : UInt<8>
+    input w  : UInt<70>
+    output o : UInt<8>
+    output q : UInt<70>
+    reg r : UInt<70> init 0
+    mem m : UInt<70>[2]
+    r <= xor(w, r)
+    write(m, bits(n, 0, 0), w, UInt<1>(1))
+    o <= n
+    q <= r
+  }
+}
+`
+
+// Every Engine accessor error names its cause: a missing name and a narrow
+// accessor on a wide value are distinct errors, and narrow accessors refuse
+// wide values instead of truncating them.
 func TestEngineAPIErrors(t *testing.T) {
-	g := randomCircuit(t, 3, 20)
-	prog, err := Compile(g, SerialSpec(g), Config{})
-	if err != nil {
+	e := NewEngine(compileSrc(t, portsSrc))
+	errOf := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		what string
+		err  error
+		want string
+	}{
+		{"poke missing input", e.PokeInput("nope", 1), `no input "nope"`},
+		{"narrow poke of wide input", e.PokeInput("w", 1), "use PokeInputVec"},
+		{"vec poke of missing input", e.PokeInputVec("nope", bitvec.New(8)), `no input "nope"`},
+		{"peek missing output", errOf(e.PeekOutput("nope")), `no output "nope"`},
+		{"narrow peek of wide output", errOf(e.PeekOutput("q")), "use PeekOutputVec"},
+		{"vec peek of missing output", errOf(e.PeekOutputVec("nope")), `no output "nope"`},
+		{"peek missing register", errOf(e.PeekReg("nope")), `no register "nope"`},
+		{"peek missing memory", errOf(e.PeekMem("nope", 0)), `no memory "nope"`},
+		{"narrow peek of wide memory", errOf(e.PeekMem("m", 0)), "use PeekMemVec"},
+		{"vec peek out of range", errOf(e.PeekMemVec("m", 2)), "address 2 out of range"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.what, tc.err, tc.want)
+		}
+	}
+}
+
+// RunProfiled of a non-positive cycle count simulates nothing and returns an
+// empty profile.
+func TestRunProfiledNonPositive(t *testing.T) {
+	e := NewEngine(compileSrc(t, portsSrc))
+	for _, n := range []int{-1, 0} {
+		if got := e.RunProfiled(n); len(got) != 0 {
+			t.Errorf("RunProfiled(%d) has %d cycles", n, len(got))
+		}
+	}
+	if e.Cycles() != 0 {
+		t.Errorf("non-positive RunProfiled advanced %d cycles", e.Cycles())
+	}
+}
+
+// Narrow and 70-bit values round trip through the Engine's port, register
+// and memory accessors. (The name dates from a task-level engine that once
+// shared this port plumbing.)
+func TestTaskEnginePortsMatchEngine(t *testing.T) {
+	e := NewEngine(compileSrc(t, portsSrc))
+	w := bitvec.FromUint64(70, 0x1234)
+	if err := e.PokeInput("n", 0x1a5); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(prog)
-	if err := e.PokeInput("nope", 1); err == nil {
-		t.Error("expected error for unknown input")
+	if err := e.PokeInputVec("w", w); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.PeekOutput("nope"); err == nil {
-		t.Error("expected error for unknown output")
+	e.Run(1)
+	if o, err := e.PeekOutput("o"); err != nil || o != 0xa5 {
+		t.Errorf("output o = %#x, %v, want 0xa5", o, err)
 	}
-	if _, err := e.PeekReg("nope"); err == nil {
-		t.Error("expected error for unknown register")
+	if r, err := e.PeekReg("r"); err != nil || !bitvec.Eq(r, w) {
+		t.Errorf("register r = %v, %v, want %v", r, err, w)
 	}
-	if err := e.PokeInput("in2", 1); err == nil {
-		t.Error("expected error poking wide input with PokeInput")
+	if m, err := e.PeekMemVec("m", 1); err != nil || !bitvec.Eq(m, w) {
+		t.Errorf("PeekMemVec(m, 1) = %v, %v, want %v", m, err, w)
 	}
-	if _, err := e.PeekMem("nope", 0); err == nil {
-		t.Error("expected error for unknown memory")
-	}
-	if _, err := e.PeekOutput("o2"); err == nil || !strings.Contains(err.Error(), "use PeekOutputVec") {
-		t.Errorf("PeekOutput of the 70-bit output o2: %v, want a refusal", err)
-	}
-	if _, err := e.PeekMem("mw", 0); err == nil || !strings.Contains(err.Error(), "use PeekMemVec") {
-		t.Errorf("PeekMem of the 96-bit memory mw: %v, want a refusal", err)
+	// Outputs show the registers as they were before the cycle's update, so
+	// q carries r's new value one cycle later.
+	e.Run(1)
+	if q, err := e.PeekOutputVec("q"); err != nil || !bitvec.Eq(q, w) {
+		t.Errorf("PeekOutputVec(q) = %v, %v, want %v", q, err, w)
 	}
 }
 

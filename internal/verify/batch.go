@@ -22,19 +22,13 @@ import (
 //   - RunMasked commit gating: masked-out lanes still evaluate but must not
 //     publish. Sound iff the eval phase is side-effect-free outside private
 //     temps and shadow — exactly the race-freedom family scanLinked proves
-//     over the linked stream, which Program runs once this layout holds —
-//     and the program is not shared-slot.
+//     over the linked stream, which Program runs once this layout holds.
 //
 //   - Lane recycling: ResetLane re-seeds the immediate column and register
 //     initial values for one lane; every slot it touches must exist, or a
 //     recycled lane leaks the previous session's state.
 func (v *verifier) scanBatch(lanes int) {
 	p := v.p
-	if p.Shared {
-		v.diag(CheckBatch, Error, -1, -1, "",
-			"shared-slot program is not batch-executable: lanes would communicate mid-cycle through shared globals; NewBatchEngine rejects it")
-		return
-	}
 	if lanes < 1 {
 		v.diag(CheckBatch, Error, -1, -1, "", fmt.Sprintf("lane count %d is not positive", lanes))
 		return

@@ -8,8 +8,6 @@ package verify
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // findBatchInfo returns the concluding Info diagnostic of the batch scan.
@@ -61,23 +59,7 @@ func TestFullVerificationStack(t *testing.T) {
 	findBatchInfo(t, rep)
 }
 
-// Batch fault class 1 — shared-slot program: lanes would communicate
-// mid-cycle through the shared combinational slots, so the scan must
-// reject it outright (as NewBatchEngine does dynamically).
-func TestBatchRejectsShared(t *testing.T) {
-	g := mustGraph(t, memMixSrc)
-	p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{Shared: true})
-	if err != nil {
-		t.Fatalf("shared compile: %v", err)
-	}
-	rep := Program(p, Options{BatchLanes: 4})
-	d := findDiag(t, rep, CheckBatch)
-	if !strings.Contains(d.Msg, "shared-slot program is not batch-executable") {
-		t.Fatalf("wrong rejection: %s", d)
-	}
-}
-
-// Batch fault class 2 — frame overlap: a thread's temp frame is relocated
+// Batch fault class 1 — frame overlap: a thread's temp frame is relocated
 // onto the immediate region, so ResetLane's constant re-seed and the
 // thread's temps would alias lane columns.
 func TestBatchMutationFrameOverlap(t *testing.T) {
@@ -95,7 +77,7 @@ func TestBatchMutationFrameOverlap(t *testing.T) {
 	}
 }
 
-// Batch fault class 3 — shadow gap: a thread's shadow region no longer
+// Batch fault class 2 — shadow gap: a thread's shadow region no longer
 // abuts its temps, so the commit block-copy would publish the wrong words.
 func TestBatchMutationShadowGap(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
@@ -112,7 +94,7 @@ func TestBatchMutationShadowGap(t *testing.T) {
 	}
 }
 
-// Batch fault class 4 — truncated allocation: the state array is shorter
+// Batch fault class 3 — truncated allocation: the state array is shorter
 // than the regions it must hold, so the last lane column runs off the end.
 func TestBatchMutationTruncatedState(t *testing.T) {
 	g := mustGraph(t, memMixSrc)

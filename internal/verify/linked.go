@@ -113,9 +113,6 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 						"shadow word read before this thread wrote it this cycle")
 				}
 			case sim.SpaceGlobal:
-				if p.Shared {
-					continue
-				}
 				switch v.wordClass[loc.Idx] {
 				case clInput, clReg, clDerep:
 					// Stable for the whole evaluation phase: inputs are
@@ -150,10 +147,8 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 			case sim.SpaceShadow:
 				shadowWrites[loc.Idx]++
 			case sim.SpaceGlobal:
-				if !p.Shared {
-					v.diag(CheckRace, Error, t, pc, v.wordDesc(idx),
-						"eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
-				}
+				v.diag(CheckRace, Error, t, pc, v.wordDesc(idx),
+					"eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
 			case sim.SpaceImm:
 				v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
 					"write to the immutable immediate pool")

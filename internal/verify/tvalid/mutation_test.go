@@ -31,9 +31,6 @@ func findInstr(p *sim.Program, pred func(in sim.Instr) bool) (int, int) {
 // the mutated side, and the expected slot.
 func requireRejected(t *testing.T, r *Result, slotSub string) Divergence {
 	t.Helper()
-	if r.Skipped != "" {
-		t.Fatalf("unexpectedly skipped: %s", r.Skipped)
-	}
 	if err := r.Err(); err == nil {
 		t.Fatalf("planted mutation validated clean: %s", r)
 	}

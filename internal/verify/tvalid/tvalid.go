@@ -87,15 +87,12 @@ type Result struct {
 	Proved int
 	Probed int
 	// ArenaBytes is the peak hash-cons arena the proof built.
-	ArenaBytes int64
-	Elapsed    time.Duration
-	// Skipped is non-empty when the program class is out of scope
-	// (shared-slot mode) — no verdict either way.
-	Skipped     string
+	ArenaBytes  int64
+	Elapsed     time.Duration
 	Divergences []Divergence
 }
 
-// Err returns nil for a validated (or skipped) program, or an error
+// Err returns nil for a validated program, or an error
 // quoting the first few divergences.
 func (r *Result) Err() error {
 	if r == nil || len(r.Divergences) == 0 {
@@ -117,14 +114,11 @@ func (r *Result) Err() error {
 // Valid reports whether the program was checked and every pair proved or
 // probed clean.
 func (r *Result) Valid() bool {
-	return r != nil && r.Skipped == "" && len(r.Divergences) == 0
+	return r != nil && len(r.Divergences) == 0
 }
 
 // String summarizes the certificate.
 func (r *Result) String() string {
-	if r.Skipped != "" {
-		return fmt.Sprintf("validation skipped: %s", r.Skipped)
-	}
 	if len(r.Divergences) > 0 {
 		return fmt.Sprintf("INVALID: %d divergence(s), %d/%d pairs proved (%s)",
 			len(r.Divergences), r.Proved, r.Pairs, r.Elapsed.Round(time.Millisecond))
@@ -141,7 +135,7 @@ func (r *Result) MemBytes() int64 {
 	if r == nil {
 		return 0
 	}
-	n := int64(unsafe.Sizeof(*r)) + int64(len(r.Design)+len(r.Skipped))
+	n := int64(unsafe.Sizeof(*r)) + int64(len(r.Design))
 	for _, d := range r.Divergences {
 		n += int64(unsafe.Sizeof(d))
 		n += int64(len(d.Slot) + len(d.Detail) + len(d.RefInstr) + len(d.OptInstr))
@@ -170,10 +164,6 @@ func Validate(ref, opt *sim.Program, o Options) *Result {
 	res := &Result{Design: opt.Design, Threads: opt.NumThreads}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	if ref.Shared || opt.Shared {
-		res.Skipped = "shared-slot (Verilator-style) program: translation validation covers the private-temp pipeline only"
-		return res
-	}
 	if d, ok := layoutCompatible(ref, opt); !ok {
 		res.Divergences = append(res.Divergences, Divergence{
 			Thread: -1, RefPC: -1, OptPC: -1,

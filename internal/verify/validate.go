@@ -31,11 +31,6 @@ func (v *verifier) validate() {
 	res := tvalid.Validate(ref, v.p, tvalid.Options{})
 	v.rep.Validation = res
 	v.rep.Locs += res.Pairs
-	if res.Skipped != "" {
-		v.diag(CheckTranslation, Info, -1, -1, "",
-			"translation validation skipped: "+res.Skipped)
-		return
-	}
 	for _, d := range res.Divergences {
 		v.diag(CheckTranslation, Error, d.Thread, d.OptPC, d.Slot,
 			fmt.Sprintf("O0 pc %d (%s) vs linked pc %d (%s): %s",

@@ -254,10 +254,6 @@ func Program(p *sim.Program, opts Options) *Report {
 		opts: opts,
 		rep:  &Report{Design: p.Design, Threads: p.NumThreads},
 	}
-	if p.Shared {
-		v.diag(CheckRace, Info, -1, -1, "",
-			"shared-slot (Verilator-style) program: threads communicate mid-cycle by design; race-freedom and closure checks are out of scope, schedule checks only")
-	}
 	v.layout()
 	v.rep.Instrs = p.TotalInstrs()
 	// The batch-layout scan is a precondition of the linked-stream scan:

@@ -121,29 +121,6 @@ func TestReportWithoutGraph(t *testing.T) {
 	}
 }
 
-// TestSharedModeScopesChecks: a Verilator-style shared-slot program
-// communicates mid-cycle by design. The verifier must neither reject it
-// nor silently pretend the race checks ran.
-func TestSharedModeScopesChecks(t *testing.T) {
-	g := mustGraph(t, memMixSrc)
-	res, err := core.Partition(g, core.Options{K: 2, Seed: 1, Model: costmodel.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := sim.Compile(g, partSpecs(res), sim.Config{Shared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Shared {
-		t.Fatal("compiled program does not record Shared mode")
-	}
-	rep := Program(p, Options{Graph: g, Parts: partSpecs(res)})
-	requireClean(t, rep, "shared mode")
-	if rep.Count(Info) == 0 {
-		t.Fatal("shared-mode report must disclose its reduced scope with an Info diagnostic")
-	}
-}
-
 // TestExampleDesignsVerify runs the verifier over the paper's benchmark
 // configurations — the ISSUE's "passes on all example designs" gate.
 func TestExampleDesignsVerify(t *testing.T) {

@@ -5,6 +5,11 @@
 // dependences between tasks on different threads synchronize through
 // per-task completion flags.
 //
+// The baseline is a schedule, not an executor: New compiles it in the
+// shared-slot model (Shared in sim.Config) only to count each task's
+// instructions, and internal/hostmodel replays the result (Sim.Threads,
+// Sim.TaskWork) on the modeled host.
+//
 // Two cost estimators mirror the paper's configurations:
 //
 //   - default: the crude "AST weight" (one unit per IR node) that makes
@@ -22,6 +27,7 @@ import (
 
 	"repro/internal/cgraph"
 	"repro/internal/costmodel"
+	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
 
@@ -50,13 +56,16 @@ type MTask struct {
 	PredFinish int64
 }
 
-// Sim is a compiled Verilator-style parallel simulator.
+// Sim is a scheduled Verilator-style parallel simulator: what the host
+// model needs to replay one cycle of it.
 type Sim struct {
-	Graph  *cgraph.Graph
-	Prog   *sim.Program
-	Engine *sim.TaskEngine
-	Tasks  []MTask
-	Plan   sim.TaskPlan
+	Graph *cgraph.Graph
+	Tasks []MTask
+	// Threads is each thread's workload in the shared-slot compile.
+	Threads []hostmodel.ThreadWork
+	// TaskWork lists each thread's tasks in schedule order, with their
+	// instruction counts and cross-thread dependences.
+	TaskWork [][]hostmodel.TaskWork
 	// Makespan is the schedule's predicted cycle time in estimate units.
 	Makespan int64
 }
@@ -111,8 +120,13 @@ func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 	}
 
 	// Slice each thread's code at task boundaries using the per-vertex
-	// marks, and keep only cross-thread dependences for the wait loops.
-	plan := sim.TaskPlan{NumTasks: len(tasks), PerThread: make([][]sim.TaskRange, opt.Threads)}
+	// marks, and keep only cross-thread dependences: same-thread ones are
+	// implied by the thread's task order.
+	s := &Sim{
+		Graph: g, Tasks: tasks,
+		Threads:  hostmodel.WorkFromProgram(prog),
+		TaskWork: make([][]hostmodel.TaskWork, opt.Threads),
+	}
 	threadOf := make([]int, len(tasks))
 	for i := range tasks {
 		threadOf[tasks[i].ID] = tasks[i].Thread
@@ -123,24 +137,19 @@ func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 		for _, task := range perThreadTasks[t] {
 			start := marks[vtx]
 			vtx += len(task.Vertices)
-			end := marks[vtx]
 			var deps []int
 			for _, d := range task.Deps {
 				if threadOf[d] != t {
 					deps = append(deps, d)
 				}
 			}
-			plan.PerThread[t] = append(plan.PerThread[t], sim.TaskRange{
-				ID: task.ID, Start: start, End: end, Deps: deps, EstCost: task.EstCost,
+			s.TaskWork[t] = append(s.TaskWork[t], hostmodel.TaskWork{
+				ID: task.ID, Thread: t, Deps: deps,
+				CostUnits: float64(task.TrueCost),
+				Instrs:    float64(marks[vtx] - start),
 			})
 		}
 	}
-
-	eng, err := sim.NewTaskEngine(prog, plan)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sim{Graph: g, Prog: prog, Engine: eng, Tasks: tasks, Plan: plan}
 	for i := range tasks {
 		if tasks[i].PredFinish > s.Makespan {
 			s.Makespan = tasks[i].PredFinish
@@ -440,16 +449,6 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// ThreadCosts returns the per-thread total true cost (for imbalance and
-// host-model analysis).
-func (s *Sim) ThreadCosts() []int64 {
-	out := make([]int64, len(s.Plan.PerThread))
-	for i := range s.Tasks {
-		out[s.Tasks[i].Thread] += s.Tasks[i].TrueCost
-	}
-	return out
 }
 
 // MaxTaskCost returns the largest single task's true cost — the gigantic-

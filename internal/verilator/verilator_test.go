@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cgraph"
 	"repro/internal/costmodel"
+	"repro/internal/designs"
 	"repro/internal/firrtl"
 	"repro/internal/sim"
 )
@@ -99,46 +100,39 @@ func TestTaskInvariants(t *testing.T) {
 	}
 }
 
-// The baseline engine must be cycle-exact with the serial RepCut engine.
-func TestMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed < 4; seed++ {
-		g := mustGraph(t, pipelineSrc(30, seed))
-		serialProg, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{})
+// The baseline's instruction accounting is pinned to the real compiler:
+// every vertex emits the same number of instructions whether its value
+// lives in a private temp or a shared slot, so on every bundled design the
+// tasks' instruction counts sum to the serial O0 program's, and each
+// thread's tasks sum to its workload.
+func TestTaskInstrsMatchCompiler(t *testing.T) {
+	for _, cfg := range designs.Table1(1.0) {
+		g, err := designs.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := sim.NewEngine(serialProg)
-		for _, threads := range []int{2, 4} {
-			for _, pgo := range []bool{false, true} {
-				v, err := New(g, Options{Threads: threads, PGO: pgo})
-				if err != nil {
-					t.Fatalf("threads=%d pgo=%v: %v", threads, pgo, err)
+		serial, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 4} {
+			v, err := New(g, Options{Threads: k})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", cfg.Name(), k, err)
+			}
+			total := 0
+			for th, tasks := range v.TaskWork {
+				var sum float64
+				for _, tw := range tasks {
+					sum += tw.Instrs
 				}
-				serial.Reset()
-				rng := rand.New(rand.NewSource(seed))
-				for cyc := 0; cyc < 15; cyc++ {
-					in := rng.Uint64()
-					if err := serial.PokeInput("i", in); err != nil {
-						t.Fatal(err)
-					}
-					if err := v.Engine.PokeInput("i", in); err != nil {
-						t.Fatal(err)
-					}
-					serial.Run(1)
-					v.Engine.Run(1)
-					for ri := range g.Regs {
-						name := g.Regs[ri].Name
-						sv, _ := serial.PeekReg(name)
-						vv, err := v.Engine.PeekReg(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sv.Uint64() != vv {
-							t.Fatalf("threads=%d pgo=%v cycle=%d: reg %s: serial=%d verilator=%d",
-								threads, pgo, cyc, name, sv.Uint64(), vv)
-						}
-					}
+				if sum != v.Threads[th].Instrs {
+					t.Errorf("%s k=%d thread %d: tasks hold %v instrs, thread %v", cfg.Name(), k, th, sum, v.Threads[th].Instrs)
 				}
+				total += int(sum)
+			}
+			if want := serial.TotalInstrs(); total != want {
+				t.Errorf("%s k=%d: tasks hold %d instrs, serial compile %d", cfg.Name(), k, total, want)
 			}
 		}
 	}
@@ -196,25 +190,6 @@ func TestPGOImprovesScheduleOnSkewedCosts(t *testing.T) {
 	}
 	if e := estErr(base); e < 0.2 {
 		t.Fatalf("crude estimator should be badly wrong on skewed costs, mean error %.3f", e)
-	}
-}
-
-func TestProfiledRun(t *testing.T) {
-	g := mustGraph(t, pipelineSrc(30, 9))
-	s, err := New(g, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := s.Engine.RunProfiled(3)
-	if len(samples) != 3 {
-		t.Fatalf("want 3 cycles of samples")
-	}
-	total := 0
-	for _, row := range samples {
-		total += len(row)
-	}
-	if total != 3*len(s.Tasks) {
-		t.Fatalf("want %d task samples, got %d", 3*len(s.Tasks), total)
 	}
 }
 
