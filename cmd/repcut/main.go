@@ -63,7 +63,6 @@ func main() {
 		threads    = flag.Int("threads", 4, "partition/thread count")
 		cycles     = flag.Int("cycles", 1000, "cycles to simulate")
 		uw         = flag.Bool("uw", false, "disable the simulation cost model (RepCut UW)")
-		opt        = flag.Int("opt", 2, "backend optimization level (0..2)")
 		seed       = flag.Int64("seed", 1, "partitioning seed")
 		statsOnly  = flag.Bool("stats", false, "print design statistics and partition report, do not simulate")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON (same encoding as the repcutd service)")
@@ -103,7 +102,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := repcut.Options{Threads: *threads, Unweighted: *uw, OptLevel: *opt, Seed: *seed,
+	opts := repcut.Options{Threads: *threads, Unweighted: *uw, Seed: *seed,
 		Workers: *workers, Verify: *verifyFlag, Validate: *validate,
 		Backend: backend, Artifacts: *artifacts, Profile: *profileOpt}
 	start := time.Now()

@@ -29,7 +29,7 @@ func main() {
 	st := d.Stats()
 	fmt.Printf("%s: %d IR nodes, %d sinks (%.1f%%)\n", cfg.Name(), st.IRNodes, st.SinkVtx, st.SinkPct)
 
-	serial, err := d.CompileSerial(2)
+	serial, err := d.CompileSerial()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,24 +4,28 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/optable"
 	"repro/internal/sim"
 	"repro/internal/verify/tvalid"
 )
 
 // The emitter prints each linked thread's instruction stream as
-// straight-line Go statements over the unified state slice, reproducing
-// evalLinked's semantics case for case (linkexec.go is the normative
-// source; the cross-engine tests and the difftest column enforce
-// bit-identity). Three deviations from a 1:1 transliteration, all
-// semantics-preserving:
+// straight-line Go statements over the unified state slice. Each statement
+// is its opcode's template from internal/optable, the table evalLinked and
+// the lane executor are generated from, so the kernel and the interpreters
+// share one definition of every opcode; only the two memory ops are
+// written here, against the kernel's mems/memwr arguments. The cross-engine
+// tests and the difftest column enforce bit-identity. Where the text
+// differs from evalLinked's, it is semantics-preserving:
 //
 //   - immediate operands are inlined as uint64 literals (the linked state
 //     holds a read-only copy of the immediate table, so st[immOff+i] ==
-//     Imms[i] always), except in positions where a constant literal could
-//     turn a subexpression into an overflowing Go constant expression —
-//     constant shifts and int64 conversions — and except when every read
-//     of an instruction is an immediate (an all-constant Go expression);
-//   - a result mask of ^0 elides the AND;
+//     Imms[i] always), except where optable.NeedsLoad says a literal could
+//     turn a subexpression into an overflowing Go constant expression, and
+//     except when every read of an instruction is an immediate (an
+//     all-constant Go expression);
+//   - Aux and Mask print as literals, a result mask of ^0 elides the AND,
+//     and OpSext folds its width into constant shifts (its Native form);
 //   - each chunk function opens with a bounds-check hint (_ = st[max]) so
 //     the compiler drops the per-access checks on the constant indices.
 //
@@ -196,102 +200,54 @@ func (e *emitter) chunk(b *strings.Builder, t int, code []sim.LInstr, pc0 int) e
 	return nil
 }
 
-// instr emits one linked instruction, mirroring the evalLinked case arms,
-// and appends its emission record.
-func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
-	e.records = append(e.records, tvalid.EmitRecord{Thread: t, PC: pc, Instr: *in})
-	e.rec = &e.records[len(e.records)-1]
-	e.block = blockedSlots(e.lp, e.p, in)
+// memForms are the memory ops' statements, the one per-target part of
+// the semantics: the kernel reaches memories through its mems and memwr
+// arguments.
+var memForms = map[sim.OpCode]string{
+	sim.OpMemRd: "if q, x := mems[$AUX], $A; x < uint64(len(q)) {\n\t$D = $M(q[x])\n} else {\n\t$D = 0\n}",
+	sim.OpMemWr: "if $C != 0 {\n\tmemwr($AUX, $A, $M($B))\n}",
+}
 
-	d := fmt.Sprintf("st[%d]", in.Dst)
-	m := func(expr string) string { return e.mask(t, pc, expr, in.Mask) }
-	switch in.Op {
-	case sim.OpNop:
-	case sim.OpCopy:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(e.op(in.A, 0)))
-	case sim.OpAdd:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s + %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpSub:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s - %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpMul:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s * %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpMulHi:
-		fmt.Fprintf(b, "\t{\n\t\thi, _ := bits.Mul64(%s, %s)\n\t\t%s = %s\n\t}\n", e.op(in.A, 0), e.op(in.B, 1), d, m("hi"))
-		e.needBits = true
-	case sim.OpDiv:
-		fmt.Fprintf(b, "\tif y := %s; y == 0 {\n\t\t%s = 0\n\t} else {\n\t\t%s = %s\n\t}\n",
-			e.op(in.B, 1), d, d, m(fmt.Sprintf("(%s / y)", e.op(in.A, 0))))
-	case sim.OpRem:
-		fmt.Fprintf(b, "\tif y := %s; y == 0 {\n\t\t%s = %s\n\t} else {\n\t\t%s = %s\n\t}\n",
-			e.op(in.B, 1), d, m(e.op(in.A, 0)), d, m(fmt.Sprintf("(%s %% y)", e.op(in.A, 0))))
-	case sim.OpSDiv:
-		fmt.Fprintf(b, "\tswitch x, y := int64(%s), int64(%s); {\n", e.op(in.A, 0), e.op(in.B, 1))
-		fmt.Fprintf(b, "\tcase y == 0:\n\t\t%s = 0\n", d)
-		fmt.Fprintf(b, "\tcase y == -1:\n\t\t%s = %s\n", d, m("uint64(-x)")) // avoids MinInt64 / -1 trap
-		fmt.Fprintf(b, "\tdefault:\n\t\t%s = %s\n\t}\n", d, m("uint64(x/y)"))
-	case sim.OpSRem:
-		fmt.Fprintf(b, "\tswitch x, y := int64(%s), int64(%s); {\n", e.op(in.A, 0), e.op(in.B, 1))
-		fmt.Fprintf(b, "\tcase y == 0:\n\t\t%s = %s\n", d, m("uint64(x)"))
-		fmt.Fprintf(b, "\tcase y == -1:\n\t\t%s = 0\n", d)
-		fmt.Fprintf(b, "\tdefault:\n\t\t%s = %s\n\t}\n", d, m("uint64(x%y)"))
-	case sim.OpLt, sim.OpLeq, sim.OpGt, sim.OpGeq, sim.OpEq, sim.OpNeq:
-		fmt.Fprintf(b, "\t%s = b2u(%s)\n", d,
-			e.cond(t, pc, fmt.Sprintf("%s %s %s", e.op(in.A, 0), cmpTok(in.Op), e.op(in.B, 1))))
-		e.needB2u = true
-	case sim.OpSLt, sim.OpSLeq, sim.OpSGt, sim.OpSGeq:
-		fmt.Fprintf(b, "\t%s = b2u(%s)\n", d,
-			e.cond(t, pc, fmt.Sprintf("int64(%s) %s int64(%s)", e.op(in.A, 0), cmpTok(in.Op), e.op(in.B, 1))))
-		e.needB2u = true
-	case sim.OpAnd:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s & %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpOr:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s | %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpXor:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s ^ %s)", e.op(in.A, 0), e.op(in.B, 1))))
-	case sim.OpNot:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("^%s", e.op(in.A, 0))))
-	case sim.OpNeg:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(-%s)", e.op(in.A, 0))))
-	case sim.OpAndr:
-		fmt.Fprintf(b, "\t%s = b2u(%s == %#x)\n", d, e.op(in.A, 0), in.Mask)
-		e.needB2u = true
-	case sim.OpOrr:
-		fmt.Fprintf(b, "\t%s = b2u(%s != 0)\n", d, e.op(in.A, 0))
-		e.needB2u = true
-	case sim.OpXorr:
-		fmt.Fprintf(b, "\t%s = uint64(bits.OnesCount64(%s) & 1)\n", d, e.op(in.A, 0))
-		e.needBits = true
-	case sim.OpCat:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s<<%d | %s)", e.op(in.A, 0), in.Aux, e.op(in.B, 1))))
-	case sim.OpShl:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s << %d)", e.op(in.A, 0), in.Aux)))
-	case sim.OpShr:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("(%s >> %d)", e.op(in.A, 0), in.Aux)))
-	case sim.OpSar:
-		fmt.Fprintf(b, "\t%s = %s\n", d, m(fmt.Sprintf("uint64(int64(%s) >> %d)", e.op(in.A, 0), in.Aux)))
-	case sim.OpDshl:
-		fmt.Fprintf(b, "\tif n := %s; n >= 64 {\n\t\t%s = 0\n\t} else {\n\t\t%s = %s\n\t}\n",
-			e.op(in.B, 1), d, d, m(fmt.Sprintf("(%s << n)", e.op(in.A, 0))))
-	case sim.OpDshr:
-		fmt.Fprintf(b, "\tif n := %s; n >= 64 {\n\t\t%s = 0\n\t} else {\n\t\t%s = %s\n\t}\n",
-			e.op(in.B, 1), d, d, m(fmt.Sprintf("(%s >> n)", e.op(in.A, 0))))
-	case sim.OpDsar:
-		fmt.Fprintf(b, "\t{\n\t\tn := %s\n\t\tif n > 63 {\n\t\t\tn = 63\n\t\t}\n\t\t%s = %s\n\t}\n",
-			e.op(in.B, 1), d, m(fmt.Sprintf("uint64(int64(%s) >> n)", e.op(in.A, 0))))
-	case sim.OpMux:
-		fmt.Fprintf(b, "\tif %s != 0 {\n\t\t%s = %s\n\t} else {\n\t\t%s = %s\n\t}\n",
-			e.op(in.A, 0), d, m(e.op(in.B, 1)), d, m(e.op(in.C, 2)))
-	case sim.OpSext:
-		fmt.Fprintf(b, "\t%s = %s\n", d, sxU(e.op(in.A, 0), in.Aux)) // full 64-bit value, NOT masked
-	case sim.OpMemRd:
-		fmt.Fprintf(b, "\tif q, x := mems[%d], %s; x < uint64(len(q)) {\n\t\t%s = %s\n\t} else {\n\t\t%s = 0\n\t}\n",
-			in.Aux, e.op(in.A, 0), d, m("q[x]"), d)
-	case sim.OpMemWr:
-		fmt.Fprintf(b, "\tif %s != 0 {\n\t\tmemwr(%d, %s, %s)\n\t}\n",
-			e.op(in.C, 2), in.Aux, e.op(in.A, 0), m(e.op(in.B, 1)))
-	default:
+// form returns the statement template of a linked instruction.
+func form(in *sim.LInstr) (string, bool) {
+	if f, ok := memForms[in.Op]; ok {
+		return f, true
+	}
+	if int(in.Op) >= len(optable.Table) {
+		return "", false
+	}
+	op := &optable.Table[in.Op]
+	if op.Native != nil {
+		return op.Native(in.Aux), true
+	}
+	return op.Go, true
+}
+
+// instr emits one linked instruction and appends its emission record.
+func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
+	tmpl, ok := form(in)
+	if !ok {
 		return fmt.Errorf("codegen: unhandled opcode %v (thread %d pc %d)", in.Op, t, pc)
 	}
+	e.records = append(e.records, tvalid.EmitRecord{Thread: t, PC: pc, Instr: *in})
+	e.rec = &e.records[len(e.records)-1]
+	e.block = blockedSlots(e.lp, e.p, in, tmpl)
+	ops := [3]uint32{in.A, in.B, in.C}
+	stmt := optable.Expand(tmpl, &optable.Target{
+		Dst:     fmt.Sprintf("st[%d]", in.Dst),
+		Aux:     fmt.Sprint(in.Aux),
+		Mask:    fmt.Sprintf("%#x", in.Mask),
+		Operand: func(k int) string { return e.op(ops[k], k) },
+		M:       func(x string) string { return e.mask(t, pc, x, in.Mask) },
+		Cmp:     func(c string) string { return e.cond(t, pc, c) },
+	})
+	if stmt != "" {
+		for _, line := range strings.Split(stmt, "\n") {
+			b.WriteString("\t" + line + "\n")
+		}
+	}
+	e.needBits = e.needBits || strings.Contains(tmpl, "bits.")
+	e.needB2u = e.needB2u || strings.Contains(tmpl, "b2u(")
 	return nil
 }
 
@@ -326,21 +282,16 @@ type maskSite struct {
 // the global region is a small bonus: the garbage lands directly in
 // architectural state instead of needing to propagate there.
 func bugScore(in *sim.LInstr, globalWords int) int {
-	s := 0
-	switch in.Op {
-	case sim.OpNot:
-		s = 40
-	case sim.OpNeg:
-		s = 35
-	case sim.OpSub:
-		s = 30
-	case sim.OpAdd, sim.OpMul, sim.OpShl, sim.OpDshl:
-		s = 20
-	}
+	s := bugWeights[in.Op]
 	if in.Op != sim.OpMemWr && int(in.Dst) < globalWords {
 		s += 5
 	}
 	return s
+}
+
+var bugWeights = map[sim.OpCode]int{
+	sim.OpNot: 40, sim.OpNeg: 35, sim.OpSub: 30,
+	sim.OpAdd: 20, sim.OpMul: 20, sim.OpShl: 20, sim.OpDshl: 20,
 }
 
 // mask applies the result mask, eliding the no-op ^0 AND. This is where
@@ -372,49 +323,11 @@ func (e *emitter) cond(t, pc int, c string) string {
 	return c
 }
 
-// sxU prints the executor's signExtend64(expr, w) as an inline uint64
-// expression; w == 0 or >= 64 returns expr unchanged.
-func sxU(expr string, w uint32) string {
-	if w == 0 || w >= 64 {
-		return expr
-	}
-	return fmt.Sprintf("uint64(int64(%s<<%d) >> %d)", expr, 64-w, 64-w)
-}
-
-// cmpTok is the Go comparison token of a compare opcode.
-func cmpTok(op sim.OpCode) string {
-	switch op {
-	case sim.OpLt, sim.OpSLt:
-		return "<"
-	case sim.OpLeq, sim.OpSLeq:
-		return "<="
-	case sim.OpGt, sim.OpSGt:
-		return ">"
-	case sim.OpGeq, sim.OpSGeq:
-		return ">="
-	case sim.OpEq:
-		return "=="
-	default: // OpNeq
-		return "!="
-	}
-}
-
-// blockedSlots marks operand positions that must stay state loads. Two
-// classes: positions where a literal would form a constant Go
-// subexpression that can overflow at compile time (the constant shift in
-// OpCat, int64 conversions of possibly-high-bit constants in the signed
-// ops), and whole instructions every operand of which is an immediate (the
-// full expression would be constant).
-func blockedSlots(lp *sim.LinkedProgram, p *sim.Program, in *sim.LInstr) [3]bool {
-	var blocked [3]bool
-	switch in.Op {
-	case sim.OpCat, sim.OpSar, sim.OpDsar:
-		blocked[0] = true
-	case sim.OpSLt, sim.OpSLeq, sim.OpSGt, sim.OpSGeq, sim.OpSDiv, sim.OpSRem:
-		blocked[0], blocked[1] = true, true
-	}
-	// All-immediate reads: keep every operand a load so no expression is
-	// fully constant.
+// blockedSlots marks operand positions that must stay state loads: those
+// optable.NeedsLoad names for the template, and every operand of an
+// instruction whose reads are all immediates (the whole expression would
+// be constant).
+func blockedSlots(lp *sim.LinkedProgram, p *sim.Program, in *sim.LInstr, tmpl string) [3]bool {
 	ops := [3]uint32{in.A, in.B, in.C}
 	reads := sim.TraitsOf(in.Op).Reads
 	allImm := reads > 0
@@ -424,8 +337,9 @@ func blockedSlots(lp *sim.LinkedProgram, p *sim.Program, in *sim.LInstr) [3]bool
 			allImm = false
 		}
 	}
-	if allImm {
-		return [3]bool{true, true, true}
+	var blocked [3]bool
+	for k := range blocked {
+		blocked[k] = allImm || optable.NeedsLoad(tmpl, k)
 	}
 	return blocked
 }

@@ -360,7 +360,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	// request must hit with an identical fingerprint.
 	if opt.Service && d.Text != "" {
 		cache := service.NewCache(1<<30, 64, 2, nil)
-		req := service.CompileRequest{Source: d.Text, Threads: 3, Seed: opt.Seed, OptLevel: 2}
+		req := service.CompileRequest{Source: d.Text, Threads: 3, Seed: opt.Seed}
 		e1, hit1, err := cache.GetOrCompile(req)
 		if err != nil {
 			return &Mismatch{Engine: "service", Cycle: -1, Kind: "compile", Got: err.Error()}

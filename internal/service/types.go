@@ -30,7 +30,6 @@ type CompileRequest struct {
 	Epsilon    float64 `json:"epsilon,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
 	Unweighted bool    `json:"unweighted,omitempty"`
-	OptLevel   int     `json:"opt_level,omitempty"`
 	Verify     bool    `json:"verify,omitempty"`
 	// Validate runs translation validation during the compile (see
 	// repcut.Options.Validate). Like Verify and Workers it is excluded from
@@ -48,9 +47,6 @@ func (r CompileRequest) normalize() CompileRequest {
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.OptLevel == 0 {
-		r.OptLevel = 2
-	}
 	if r.Scale == 0 {
 		r.Scale = 1
 	}
@@ -64,7 +60,7 @@ func (r CompileRequest) Options(workers int) repcut.Options {
 	n := r.normalize()
 	return repcut.Options{
 		Threads: n.Threads, Epsilon: n.Epsilon, Seed: n.Seed,
-		Unweighted: n.Unweighted, OptLevel: n.OptLevel, Verify: n.Verify,
+		Unweighted: n.Unweighted, Verify: n.Verify,
 		Validate: n.Validate, Workers: workers,
 	}
 }
@@ -83,8 +79,10 @@ func (r CompileRequest) Key() string {
 	} else {
 		fmt.Fprintf(h, "builtin\x00%s\x00%g\x00", n.Design, n.Scale)
 	}
-	fmt.Fprintf(h, "k=%d e=%g s=%d uw=%t opt=%d",
-		n.Threads, n.Epsilon, n.Seed, n.Unweighted, n.OptLevel)
+	// opt=2 is the optimization level every compile runs; it stays in the
+	// hashed text so addresses from before its option was removed hold.
+	fmt.Fprintf(h, "k=%d e=%g s=%d uw=%t opt=2",
+		n.Threads, n.Epsilon, n.Seed, n.Unweighted)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

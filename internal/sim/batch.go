@@ -10,11 +10,11 @@ import (
 // This file implements the lane-batched execution engine: N independent
 // simulations ("lanes") of the same linked program advanced together, so
 // each linked instruction is fetched and dispatched once and then executed
-// across all lanes in a tight inner loop (batchexec.go). It is the
-// Parendi-style answer to the service's 1000-sessions-one-program workload:
-// the per-instruction interpreter overhead (stream walk, opcode switch,
-// operand decode) that a private Engine pays per session is paid once per
-// batch group.
+// across all lanes in a tight inner loop (batchexec.go, generated from
+// internal/optable). It is the Parendi-style answer to the service's
+// 1000-sessions-one-program workload: the per-instruction interpreter
+// overhead (stream walk, opcode switch, operand decode) that a private
+// Engine pays per session is paid once per batch group.
 //
 // State is laid out structure-of-arrays: one flat []uint64 of
 // StateWords×BatchWidth words, where word w of lane l lives at
@@ -44,6 +44,27 @@ import (
 // capacity inside one column, 1 to BatchWidth. internal/verify proves the
 // layout lane-disjoint against it.
 const BatchWidth = 16
+
+// col16 is one SoA column: the BatchWidth lanes' values of one state word,
+// two cache lines.
+type col16 = [BatchWidth]uint64
+
+// sel is a branchless two-way select: x where the condition mask s is all
+// ones, y where it is zero.
+func sel(s, x, y uint64) uint64 { return x&s | y&^s }
+
+// divLane is x/0 = 0 without a branch: divide by (b|1) when b is zero, then
+// squash the bogus quotient with z-1 (= ^0 iff b != 0).
+func divLane(a, b, m uint64) uint64 {
+	z := b2u(b == 0)
+	return (a / (b | z)) & (z - 1) & m
+}
+
+// remLane is x%0 = x, same guard as divLane with a fallback select.
+func remLane(a, b, m uint64) uint64 {
+	z := b2u(b == 0)
+	return (a%(b|z)&(z-1) | a&-z) & m
+}
 
 // BatchEngine executes one linked program across many independent lanes.
 // It is not safe for concurrent use; callers (internal/service batch

@@ -1,3 +1,5 @@
+// Code generated by repro/internal/optable/gen from optable.Table. DO NOT EDIT.
+
 package sim
 
 import (
@@ -6,40 +8,6 @@ import (
 	"unsafe"
 )
 
-// col16 is one SoA column: the BatchWidth lanes' values of one state word,
-// two cache lines.
-type col16 = [BatchWidth]uint64
-
-// sel is a branchless two-way select: x where the condition mask s is all
-// ones, y where it is zero.
-func sel(s, x, y uint64) uint64 { return x&s | y&^s }
-
-// divLane is x/0 = 0 without a branch: divide by (b|1) when b is zero, then
-// squash the bogus quotient with z-1 (= ^0 iff b != 0).
-func divLane(a, b, m uint64) uint64 {
-	z := b2u(b == 0)
-	return (a / (b | z)) & (z - 1) & m
-}
-
-// mulHi is the high word of the 128-bit product a*b.
-func mulHi(a, b uint64) uint64 {
-	hi, _ := bits.Mul64(a, b)
-	return hi
-}
-
-// remLane is x%0 = x, same guard as divLane with a fallback select.
-func remLane(a, b, m uint64) uint64 {
-	z := b2u(b == 0)
-	return (a%(b|z)&(z-1) | a&-z) & m
-}
-
-func dsarOne(a, s, m uint64) uint64 {
-	if s > 63 {
-		s = 63 // arithmetic shift saturates at the sign bit
-	}
-	return uint64(int64(a)>>s) & m
-}
-
 // evalThreadBatch executes thread t's linked instruction stream once,
 // applying each instruction to every lane of the column before moving to
 // the next instruction: instruction fetch, opcode dispatch and operand
@@ -47,29 +15,19 @@ func dsarOne(a, s, m uint64) uint64 {
 // instruction. It is the only batch executor; every BatchEngine, whatever
 // its lane count, runs it over full BatchWidth-lane columns.
 //
-// Each narrow operation is sixteen explicit, independent statements over
+// Each arm is its op's template written out for all sixteen lanes over
 // *col16 operands resolved with raw pointer arithmetic (one state word =
-// BatchWidth*8 bytes): constant indices need no bounds checks or loop
-// bookkeeping, and the statements have no cross-lane dependencies, so the
-// out-of-order core overlaps them. The pointer arithmetic is sound because
-// linked slot indices are bounded by the program's state-word count
-// (internal/verify proves it) and e.st spans StateWords*BatchWidth words.
-// A rolled `for l := range d` form of the same bodies measured 2.2x slower
-// (DESIGN.md §9), which is why the unrolled form stays.
+// BatchWidth*8 bytes). The pointer arithmetic is sound because linked slot
+// indices are bounded by the program's state-word count (internal/verify
+// proves it) and e.st spans StateWords*BatchWidth words.
 //
 // The arms run over every lane including masked-out and padding lanes:
 // they are total over arbitrary bit patterns (branchless division guards,
-// Go's variable shifts saturate to zero), and under the private-temp model
-// the eval phase writes only temps and shadow, so computing a lane that
-// must not advance is unobservable (the commit in updateBatch is what the
-// step mask gates). Memory operations and signed division keep per-lane
-// semantics over the live lanes and honor the mask where they have side
-// effects.
-//
-// The reference for every arm is evalLinked (linkexec.go): when touching
-// the semantics of an operation, change it there first and mirror the
-// per-lane expression here in all sixteen statements. TestBatchMatchesEngine
-// holds the two together and checks that every narrow opcode is exercised.
+// guarded shifts), and under the private-temp model the eval phase writes
+// only temps and shadow, so computing a lane that must not advance is
+// unobservable (the commit in updateBatch is what the step mask gates).
+// Signed division and the memory operations run per lane over the live
+// lanes, and the memory operations honor the mask.
 func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 	code := e.lp.Threads[t].Code
 	if len(code) == 0 {
@@ -83,7 +41,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 	p := func(w uint32) *col16 {
 		return (*col16)(unsafe.Add(base, uintptr(w)*BatchWidth*8))
 	}
-	// col is the live-lane prefix of a column (per-lane fallbacks).
+	// col is the live-lane prefix of a column (per-lane arms).
 	col := func(w uint32) []uint64 { return st[int(w)*BatchWidth:][:n] }
 
 	for i := range code {
@@ -109,6 +67,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = a[13] & m
 			d[14] = a[14] & m
 			d[15] = a[15] & m
+
 		case OpAdd:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -128,6 +87,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] + b[13]) & m
 			d[14] = (a[14] + b[14]) & m
 			d[15] = (a[15] + b[15]) & m
+
 		case OpSub:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -147,6 +107,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] - b[13]) & m
 			d[14] = (a[14] - b[14]) & m
 			d[15] = (a[15] - b[15]) & m
+
 		case OpMul:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -166,25 +127,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] * b[13]) & m
 			d[14] = (a[14] * b[14]) & m
 			d[15] = (a[15] * b[15]) & m
-		case OpMulHi:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			m := in.Mask
-			d[0] = mulHi(a[0], b[0]) & m
-			d[1] = mulHi(a[1], b[1]) & m
-			d[2] = mulHi(a[2], b[2]) & m
-			d[3] = mulHi(a[3], b[3]) & m
-			d[4] = mulHi(a[4], b[4]) & m
-			d[5] = mulHi(a[5], b[5]) & m
-			d[6] = mulHi(a[6], b[6]) & m
-			d[7] = mulHi(a[7], b[7]) & m
-			d[8] = mulHi(a[8], b[8]) & m
-			d[9] = mulHi(a[9], b[9]) & m
-			d[10] = mulHi(a[10], b[10]) & m
-			d[11] = mulHi(a[11], b[11]) & m
-			d[12] = mulHi(a[12], b[12]) & m
-			d[13] = mulHi(a[13], b[13]) & m
-			d[14] = mulHi(a[14], b[14]) & m
-			d[15] = mulHi(a[15], b[15]) & m
+
 		case OpDiv:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -204,6 +147,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = divLane(a[13], b[13], m)
 			d[14] = divLane(a[14], b[14], m)
 			d[15] = divLane(a[15], b[15], m)
+
 		case OpRem:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -223,25 +167,243 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = remLane(a[13], b[13], m)
 			d[14] = remLane(a[14], b[14], m)
 			d[15] = remLane(a[15], b[15], m)
+
+		case OpSDiv:
+			d, a, b := col(in.Dst), col(in.A), col(in.B)
+			m := in.Mask
+			for l := range d {
+				switch x, y := int64(a[l]), int64(b[l]); {
+				case y == 0:
+					d[l] = 0
+				case y == -1:
+					d[l] = uint64(-x) & m
+				default:
+					d[l] = uint64(x/y) & m
+				}
+			}
+		case OpSRem:
+			d, a, b := col(in.Dst), col(in.A), col(in.B)
+			m := in.Mask
+			for l := range d {
+				switch x, y := int64(a[l]), int64(b[l]); {
+				case y == 0:
+					d[l] = uint64(x) & m
+				case y == -1:
+					d[l] = 0
+				default:
+					d[l] = uint64(x%y) & m
+				}
+			}
+		case OpLt:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] < b[0])
+			d[1] = b2u(a[1] < b[1])
+			d[2] = b2u(a[2] < b[2])
+			d[3] = b2u(a[3] < b[3])
+			d[4] = b2u(a[4] < b[4])
+			d[5] = b2u(a[5] < b[5])
+			d[6] = b2u(a[6] < b[6])
+			d[7] = b2u(a[7] < b[7])
+			d[8] = b2u(a[8] < b[8])
+			d[9] = b2u(a[9] < b[9])
+			d[10] = b2u(a[10] < b[10])
+			d[11] = b2u(a[11] < b[11])
+			d[12] = b2u(a[12] < b[12])
+			d[13] = b2u(a[13] < b[13])
+			d[14] = b2u(a[14] < b[14])
+			d[15] = b2u(a[15] < b[15])
+
+		case OpLeq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] <= b[0])
+			d[1] = b2u(a[1] <= b[1])
+			d[2] = b2u(a[2] <= b[2])
+			d[3] = b2u(a[3] <= b[3])
+			d[4] = b2u(a[4] <= b[4])
+			d[5] = b2u(a[5] <= b[5])
+			d[6] = b2u(a[6] <= b[6])
+			d[7] = b2u(a[7] <= b[7])
+			d[8] = b2u(a[8] <= b[8])
+			d[9] = b2u(a[9] <= b[9])
+			d[10] = b2u(a[10] <= b[10])
+			d[11] = b2u(a[11] <= b[11])
+			d[12] = b2u(a[12] <= b[12])
+			d[13] = b2u(a[13] <= b[13])
+			d[14] = b2u(a[14] <= b[14])
+			d[15] = b2u(a[15] <= b[15])
+
+		case OpGt:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] > b[0])
+			d[1] = b2u(a[1] > b[1])
+			d[2] = b2u(a[2] > b[2])
+			d[3] = b2u(a[3] > b[3])
+			d[4] = b2u(a[4] > b[4])
+			d[5] = b2u(a[5] > b[5])
+			d[6] = b2u(a[6] > b[6])
+			d[7] = b2u(a[7] > b[7])
+			d[8] = b2u(a[8] > b[8])
+			d[9] = b2u(a[9] > b[9])
+			d[10] = b2u(a[10] > b[10])
+			d[11] = b2u(a[11] > b[11])
+			d[12] = b2u(a[12] > b[12])
+			d[13] = b2u(a[13] > b[13])
+			d[14] = b2u(a[14] > b[14])
+			d[15] = b2u(a[15] > b[15])
+
+		case OpGeq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] >= b[0])
+			d[1] = b2u(a[1] >= b[1])
+			d[2] = b2u(a[2] >= b[2])
+			d[3] = b2u(a[3] >= b[3])
+			d[4] = b2u(a[4] >= b[4])
+			d[5] = b2u(a[5] >= b[5])
+			d[6] = b2u(a[6] >= b[6])
+			d[7] = b2u(a[7] >= b[7])
+			d[8] = b2u(a[8] >= b[8])
+			d[9] = b2u(a[9] >= b[9])
+			d[10] = b2u(a[10] >= b[10])
+			d[11] = b2u(a[11] >= b[11])
+			d[12] = b2u(a[12] >= b[12])
+			d[13] = b2u(a[13] >= b[13])
+			d[14] = b2u(a[14] >= b[14])
+			d[15] = b2u(a[15] >= b[15])
+
+		case OpSLt:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(int64(a[0]) < int64(b[0]))
+			d[1] = b2u(int64(a[1]) < int64(b[1]))
+			d[2] = b2u(int64(a[2]) < int64(b[2]))
+			d[3] = b2u(int64(a[3]) < int64(b[3]))
+			d[4] = b2u(int64(a[4]) < int64(b[4]))
+			d[5] = b2u(int64(a[5]) < int64(b[5]))
+			d[6] = b2u(int64(a[6]) < int64(b[6]))
+			d[7] = b2u(int64(a[7]) < int64(b[7]))
+			d[8] = b2u(int64(a[8]) < int64(b[8]))
+			d[9] = b2u(int64(a[9]) < int64(b[9]))
+			d[10] = b2u(int64(a[10]) < int64(b[10]))
+			d[11] = b2u(int64(a[11]) < int64(b[11]))
+			d[12] = b2u(int64(a[12]) < int64(b[12]))
+			d[13] = b2u(int64(a[13]) < int64(b[13]))
+			d[14] = b2u(int64(a[14]) < int64(b[14]))
+			d[15] = b2u(int64(a[15]) < int64(b[15]))
+
+		case OpSLeq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(int64(a[0]) <= int64(b[0]))
+			d[1] = b2u(int64(a[1]) <= int64(b[1]))
+			d[2] = b2u(int64(a[2]) <= int64(b[2]))
+			d[3] = b2u(int64(a[3]) <= int64(b[3]))
+			d[4] = b2u(int64(a[4]) <= int64(b[4]))
+			d[5] = b2u(int64(a[5]) <= int64(b[5]))
+			d[6] = b2u(int64(a[6]) <= int64(b[6]))
+			d[7] = b2u(int64(a[7]) <= int64(b[7]))
+			d[8] = b2u(int64(a[8]) <= int64(b[8]))
+			d[9] = b2u(int64(a[9]) <= int64(b[9]))
+			d[10] = b2u(int64(a[10]) <= int64(b[10]))
+			d[11] = b2u(int64(a[11]) <= int64(b[11]))
+			d[12] = b2u(int64(a[12]) <= int64(b[12]))
+			d[13] = b2u(int64(a[13]) <= int64(b[13]))
+			d[14] = b2u(int64(a[14]) <= int64(b[14]))
+			d[15] = b2u(int64(a[15]) <= int64(b[15]))
+
+		case OpSGt:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(int64(a[0]) > int64(b[0]))
+			d[1] = b2u(int64(a[1]) > int64(b[1]))
+			d[2] = b2u(int64(a[2]) > int64(b[2]))
+			d[3] = b2u(int64(a[3]) > int64(b[3]))
+			d[4] = b2u(int64(a[4]) > int64(b[4]))
+			d[5] = b2u(int64(a[5]) > int64(b[5]))
+			d[6] = b2u(int64(a[6]) > int64(b[6]))
+			d[7] = b2u(int64(a[7]) > int64(b[7]))
+			d[8] = b2u(int64(a[8]) > int64(b[8]))
+			d[9] = b2u(int64(a[9]) > int64(b[9]))
+			d[10] = b2u(int64(a[10]) > int64(b[10]))
+			d[11] = b2u(int64(a[11]) > int64(b[11]))
+			d[12] = b2u(int64(a[12]) > int64(b[12]))
+			d[13] = b2u(int64(a[13]) > int64(b[13]))
+			d[14] = b2u(int64(a[14]) > int64(b[14]))
+			d[15] = b2u(int64(a[15]) > int64(b[15]))
+
+		case OpSGeq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(int64(a[0]) >= int64(b[0]))
+			d[1] = b2u(int64(a[1]) >= int64(b[1]))
+			d[2] = b2u(int64(a[2]) >= int64(b[2]))
+			d[3] = b2u(int64(a[3]) >= int64(b[3]))
+			d[4] = b2u(int64(a[4]) >= int64(b[4]))
+			d[5] = b2u(int64(a[5]) >= int64(b[5]))
+			d[6] = b2u(int64(a[6]) >= int64(b[6]))
+			d[7] = b2u(int64(a[7]) >= int64(b[7]))
+			d[8] = b2u(int64(a[8]) >= int64(b[8]))
+			d[9] = b2u(int64(a[9]) >= int64(b[9]))
+			d[10] = b2u(int64(a[10]) >= int64(b[10]))
+			d[11] = b2u(int64(a[11]) >= int64(b[11]))
+			d[12] = b2u(int64(a[12]) >= int64(b[12]))
+			d[13] = b2u(int64(a[13]) >= int64(b[13]))
+			d[14] = b2u(int64(a[14]) >= int64(b[14]))
+			d[15] = b2u(int64(a[15]) >= int64(b[15]))
+
+		case OpEq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] == b[0])
+			d[1] = b2u(a[1] == b[1])
+			d[2] = b2u(a[2] == b[2])
+			d[3] = b2u(a[3] == b[3])
+			d[4] = b2u(a[4] == b[4])
+			d[5] = b2u(a[5] == b[5])
+			d[6] = b2u(a[6] == b[6])
+			d[7] = b2u(a[7] == b[7])
+			d[8] = b2u(a[8] == b[8])
+			d[9] = b2u(a[9] == b[9])
+			d[10] = b2u(a[10] == b[10])
+			d[11] = b2u(a[11] == b[11])
+			d[12] = b2u(a[12] == b[12])
+			d[13] = b2u(a[13] == b[13])
+			d[14] = b2u(a[14] == b[14])
+			d[15] = b2u(a[15] == b[15])
+
+		case OpNeq:
+			d, a, b := p(in.Dst), p(in.A), p(in.B)
+			d[0] = b2u(a[0] != b[0])
+			d[1] = b2u(a[1] != b[1])
+			d[2] = b2u(a[2] != b[2])
+			d[3] = b2u(a[3] != b[3])
+			d[4] = b2u(a[4] != b[4])
+			d[5] = b2u(a[5] != b[5])
+			d[6] = b2u(a[6] != b[6])
+			d[7] = b2u(a[7] != b[7])
+			d[8] = b2u(a[8] != b[8])
+			d[9] = b2u(a[9] != b[9])
+			d[10] = b2u(a[10] != b[10])
+			d[11] = b2u(a[11] != b[11])
+			d[12] = b2u(a[12] != b[12])
+			d[13] = b2u(a[13] != b[13])
+			d[14] = b2u(a[14] != b[14])
+			d[15] = b2u(a[15] != b[15])
+
 		case OpAnd:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
-			d[0] = a[0] & b[0] & m
-			d[1] = a[1] & b[1] & m
-			d[2] = a[2] & b[2] & m
-			d[3] = a[3] & b[3] & m
-			d[4] = a[4] & b[4] & m
-			d[5] = a[5] & b[5] & m
-			d[6] = a[6] & b[6] & m
-			d[7] = a[7] & b[7] & m
-			d[8] = a[8] & b[8] & m
-			d[9] = a[9] & b[9] & m
-			d[10] = a[10] & b[10] & m
-			d[11] = a[11] & b[11] & m
-			d[12] = a[12] & b[12] & m
-			d[13] = a[13] & b[13] & m
-			d[14] = a[14] & b[14] & m
-			d[15] = a[15] & b[15] & m
+			d[0] = (a[0] & b[0]) & m
+			d[1] = (a[1] & b[1]) & m
+			d[2] = (a[2] & b[2]) & m
+			d[3] = (a[3] & b[3]) & m
+			d[4] = (a[4] & b[4]) & m
+			d[5] = (a[5] & b[5]) & m
+			d[6] = (a[6] & b[6]) & m
+			d[7] = (a[7] & b[7]) & m
+			d[8] = (a[8] & b[8]) & m
+			d[9] = (a[9] & b[9]) & m
+			d[10] = (a[10] & b[10]) & m
+			d[11] = (a[11] & b[11]) & m
+			d[12] = (a[12] & b[12]) & m
+			d[13] = (a[13] & b[13]) & m
+			d[14] = (a[14] & b[14]) & m
+			d[15] = (a[15] & b[15]) & m
+
 		case OpOr:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -261,6 +423,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] | b[13]) & m
 			d[14] = (a[14] | b[14]) & m
 			d[15] = (a[15] | b[15]) & m
+
 		case OpXor:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
@@ -280,6 +443,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = (a[13] ^ b[13]) & m
 			d[14] = (a[14] ^ b[14]) & m
 			d[15] = (a[15] ^ b[15]) & m
+
 		case OpNot:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
@@ -299,25 +463,27 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = ^a[13] & m
 			d[14] = ^a[14] & m
 			d[15] = ^a[15] & m
+
 		case OpNeg:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
-			d[0] = -a[0] & m
-			d[1] = -a[1] & m
-			d[2] = -a[2] & m
-			d[3] = -a[3] & m
-			d[4] = -a[4] & m
-			d[5] = -a[5] & m
-			d[6] = -a[6] & m
-			d[7] = -a[7] & m
-			d[8] = -a[8] & m
-			d[9] = -a[9] & m
-			d[10] = -a[10] & m
-			d[11] = -a[11] & m
-			d[12] = -a[12] & m
-			d[13] = -a[13] & m
-			d[14] = -a[14] & m
-			d[15] = -a[15] & m
+			d[0] = (-a[0]) & m
+			d[1] = (-a[1]) & m
+			d[2] = (-a[2]) & m
+			d[3] = (-a[3]) & m
+			d[4] = (-a[4]) & m
+			d[5] = (-a[5]) & m
+			d[6] = (-a[6]) & m
+			d[7] = (-a[7]) & m
+			d[8] = (-a[8]) & m
+			d[9] = (-a[9]) & m
+			d[10] = (-a[10]) & m
+			d[11] = (-a[11]) & m
+			d[12] = (-a[12]) & m
+			d[13] = (-a[13]) & m
+			d[14] = (-a[14]) & m
+			d[15] = (-a[15]) & m
+
 		case OpAndr:
 			d, a := p(in.Dst), p(in.A)
 			m := in.Mask
@@ -337,6 +503,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = b2u(a[13] == m)
 			d[14] = b2u(a[14] == m)
 			d[15] = b2u(a[15] == m)
+
 		case OpOrr:
 			d, a := p(in.Dst), p(in.A)
 			d[0] = b2u(a[0] != 0)
@@ -355,6 +522,7 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = b2u(a[13] != 0)
 			d[14] = b2u(a[14] != 0)
 			d[15] = b2u(a[15] != 0)
+
 		case OpXorr:
 			d, a := p(in.Dst), p(in.A)
 			d[0] = uint64(bits.OnesCount64(a[0]) & 1)
@@ -373,161 +541,377 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = uint64(bits.OnesCount64(a[13]) & 1)
 			d[14] = uint64(bits.OnesCount64(a[14]) & 1)
 			d[15] = uint64(bits.OnesCount64(a[15]) & 1)
+
 		case OpCat:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			sh, m := in.Aux, in.Mask
-			d[0] = (a[0]<<sh | b[0]) & m
-			d[1] = (a[1]<<sh | b[1]) & m
-			d[2] = (a[2]<<sh | b[2]) & m
-			d[3] = (a[3]<<sh | b[3]) & m
-			d[4] = (a[4]<<sh | b[4]) & m
-			d[5] = (a[5]<<sh | b[5]) & m
-			d[6] = (a[6]<<sh | b[6]) & m
-			d[7] = (a[7]<<sh | b[7]) & m
-			d[8] = (a[8]<<sh | b[8]) & m
-			d[9] = (a[9]<<sh | b[9]) & m
-			d[10] = (a[10]<<sh | b[10]) & m
-			d[11] = (a[11]<<sh | b[11]) & m
-			d[12] = (a[12]<<sh | b[12]) & m
-			d[13] = (a[13]<<sh | b[13]) & m
-			d[14] = (a[14]<<sh | b[14]) & m
-			d[15] = (a[15]<<sh | b[15]) & m
+			m := in.Mask
+			aux := in.Aux
+			d[0] = (a[0]<<aux | b[0]) & m
+			d[1] = (a[1]<<aux | b[1]) & m
+			d[2] = (a[2]<<aux | b[2]) & m
+			d[3] = (a[3]<<aux | b[3]) & m
+			d[4] = (a[4]<<aux | b[4]) & m
+			d[5] = (a[5]<<aux | b[5]) & m
+			d[6] = (a[6]<<aux | b[6]) & m
+			d[7] = (a[7]<<aux | b[7]) & m
+			d[8] = (a[8]<<aux | b[8]) & m
+			d[9] = (a[9]<<aux | b[9]) & m
+			d[10] = (a[10]<<aux | b[10]) & m
+			d[11] = (a[11]<<aux | b[11]) & m
+			d[12] = (a[12]<<aux | b[12]) & m
+			d[13] = (a[13]<<aux | b[13]) & m
+			d[14] = (a[14]<<aux | b[14]) & m
+			d[15] = (a[15]<<aux | b[15]) & m
+
 		case OpShl:
 			d, a := p(in.Dst), p(in.A)
-			sh, m := in.Aux, in.Mask
-			d[0] = a[0] << sh & m
-			d[1] = a[1] << sh & m
-			d[2] = a[2] << sh & m
-			d[3] = a[3] << sh & m
-			d[4] = a[4] << sh & m
-			d[5] = a[5] << sh & m
-			d[6] = a[6] << sh & m
-			d[7] = a[7] << sh & m
-			d[8] = a[8] << sh & m
-			d[9] = a[9] << sh & m
-			d[10] = a[10] << sh & m
-			d[11] = a[11] << sh & m
-			d[12] = a[12] << sh & m
-			d[13] = a[13] << sh & m
-			d[14] = a[14] << sh & m
-			d[15] = a[15] << sh & m
+			m := in.Mask
+			aux := in.Aux
+			d[0] = (a[0] << aux) & m
+			d[1] = (a[1] << aux) & m
+			d[2] = (a[2] << aux) & m
+			d[3] = (a[3] << aux) & m
+			d[4] = (a[4] << aux) & m
+			d[5] = (a[5] << aux) & m
+			d[6] = (a[6] << aux) & m
+			d[7] = (a[7] << aux) & m
+			d[8] = (a[8] << aux) & m
+			d[9] = (a[9] << aux) & m
+			d[10] = (a[10] << aux) & m
+			d[11] = (a[11] << aux) & m
+			d[12] = (a[12] << aux) & m
+			d[13] = (a[13] << aux) & m
+			d[14] = (a[14] << aux) & m
+			d[15] = (a[15] << aux) & m
+
 		case OpShr:
 			d, a := p(in.Dst), p(in.A)
-			sh, m := in.Aux, in.Mask
-			d[0] = a[0] >> sh & m
-			d[1] = a[1] >> sh & m
-			d[2] = a[2] >> sh & m
-			d[3] = a[3] >> sh & m
-			d[4] = a[4] >> sh & m
-			d[5] = a[5] >> sh & m
-			d[6] = a[6] >> sh & m
-			d[7] = a[7] >> sh & m
-			d[8] = a[8] >> sh & m
-			d[9] = a[9] >> sh & m
-			d[10] = a[10] >> sh & m
-			d[11] = a[11] >> sh & m
-			d[12] = a[12] >> sh & m
-			d[13] = a[13] >> sh & m
-			d[14] = a[14] >> sh & m
-			d[15] = a[15] >> sh & m
+			m := in.Mask
+			aux := in.Aux
+			d[0] = (a[0] >> aux) & m
+			d[1] = (a[1] >> aux) & m
+			d[2] = (a[2] >> aux) & m
+			d[3] = (a[3] >> aux) & m
+			d[4] = (a[4] >> aux) & m
+			d[5] = (a[5] >> aux) & m
+			d[6] = (a[6] >> aux) & m
+			d[7] = (a[7] >> aux) & m
+			d[8] = (a[8] >> aux) & m
+			d[9] = (a[9] >> aux) & m
+			d[10] = (a[10] >> aux) & m
+			d[11] = (a[11] >> aux) & m
+			d[12] = (a[12] >> aux) & m
+			d[13] = (a[13] >> aux) & m
+			d[14] = (a[14] >> aux) & m
+			d[15] = (a[15] >> aux) & m
+
 		case OpSar:
 			d, a := p(in.Dst), p(in.A)
-			sh, m := in.Aux, in.Mask
-			d[0] = uint64(int64(a[0])>>sh) & m
-			d[1] = uint64(int64(a[1])>>sh) & m
-			d[2] = uint64(int64(a[2])>>sh) & m
-			d[3] = uint64(int64(a[3])>>sh) & m
-			d[4] = uint64(int64(a[4])>>sh) & m
-			d[5] = uint64(int64(a[5])>>sh) & m
-			d[6] = uint64(int64(a[6])>>sh) & m
-			d[7] = uint64(int64(a[7])>>sh) & m
-			d[8] = uint64(int64(a[8])>>sh) & m
-			d[9] = uint64(int64(a[9])>>sh) & m
-			d[10] = uint64(int64(a[10])>>sh) & m
-			d[11] = uint64(int64(a[11])>>sh) & m
-			d[12] = uint64(int64(a[12])>>sh) & m
-			d[13] = uint64(int64(a[13])>>sh) & m
-			d[14] = uint64(int64(a[14])>>sh) & m
-			d[15] = uint64(int64(a[15])>>sh) & m
+			m := in.Mask
+			aux := in.Aux
+			d[0] = uint64(int64(a[0])>>aux) & m
+			d[1] = uint64(int64(a[1])>>aux) & m
+			d[2] = uint64(int64(a[2])>>aux) & m
+			d[3] = uint64(int64(a[3])>>aux) & m
+			d[4] = uint64(int64(a[4])>>aux) & m
+			d[5] = uint64(int64(a[5])>>aux) & m
+			d[6] = uint64(int64(a[6])>>aux) & m
+			d[7] = uint64(int64(a[7])>>aux) & m
+			d[8] = uint64(int64(a[8])>>aux) & m
+			d[9] = uint64(int64(a[9])>>aux) & m
+			d[10] = uint64(int64(a[10])>>aux) & m
+			d[11] = uint64(int64(a[11])>>aux) & m
+			d[12] = uint64(int64(a[12])>>aux) & m
+			d[13] = uint64(int64(a[13])>>aux) & m
+			d[14] = uint64(int64(a[14])>>aux) & m
+			d[15] = uint64(int64(a[15])>>aux) & m
+
 		case OpDshl:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
-			d[0] = a[0] << b[0] & m
-			d[1] = a[1] << b[1] & m
-			d[2] = a[2] << b[2] & m
-			d[3] = a[3] << b[3] & m
-			d[4] = a[4] << b[4] & m
-			d[5] = a[5] << b[5] & m
-			d[6] = a[6] << b[6] & m
-			d[7] = a[7] << b[7] & m
-			d[8] = a[8] << b[8] & m
-			d[9] = a[9] << b[9] & m
-			d[10] = a[10] << b[10] & m
-			d[11] = a[11] << b[11] & m
-			d[12] = a[12] << b[12] & m
-			d[13] = a[13] << b[13] & m
-			d[14] = a[14] << b[14] & m
-			d[15] = a[15] << b[15] & m
+			if n := b[0]; n >= 64 {
+				d[0] = 0
+			} else {
+				d[0] = (a[0] << n) & m
+			}
+			if n := b[1]; n >= 64 {
+				d[1] = 0
+			} else {
+				d[1] = (a[1] << n) & m
+			}
+			if n := b[2]; n >= 64 {
+				d[2] = 0
+			} else {
+				d[2] = (a[2] << n) & m
+			}
+			if n := b[3]; n >= 64 {
+				d[3] = 0
+			} else {
+				d[3] = (a[3] << n) & m
+			}
+			if n := b[4]; n >= 64 {
+				d[4] = 0
+			} else {
+				d[4] = (a[4] << n) & m
+			}
+			if n := b[5]; n >= 64 {
+				d[5] = 0
+			} else {
+				d[5] = (a[5] << n) & m
+			}
+			if n := b[6]; n >= 64 {
+				d[6] = 0
+			} else {
+				d[6] = (a[6] << n) & m
+			}
+			if n := b[7]; n >= 64 {
+				d[7] = 0
+			} else {
+				d[7] = (a[7] << n) & m
+			}
+			if n := b[8]; n >= 64 {
+				d[8] = 0
+			} else {
+				d[8] = (a[8] << n) & m
+			}
+			if n := b[9]; n >= 64 {
+				d[9] = 0
+			} else {
+				d[9] = (a[9] << n) & m
+			}
+			if n := b[10]; n >= 64 {
+				d[10] = 0
+			} else {
+				d[10] = (a[10] << n) & m
+			}
+			if n := b[11]; n >= 64 {
+				d[11] = 0
+			} else {
+				d[11] = (a[11] << n) & m
+			}
+			if n := b[12]; n >= 64 {
+				d[12] = 0
+			} else {
+				d[12] = (a[12] << n) & m
+			}
+			if n := b[13]; n >= 64 {
+				d[13] = 0
+			} else {
+				d[13] = (a[13] << n) & m
+			}
+			if n := b[14]; n >= 64 {
+				d[14] = 0
+			} else {
+				d[14] = (a[14] << n) & m
+			}
+			if n := b[15]; n >= 64 {
+				d[15] = 0
+			} else {
+				d[15] = (a[15] << n) & m
+			}
+
 		case OpDshr:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
-			d[0] = a[0] >> b[0] & m
-			d[1] = a[1] >> b[1] & m
-			d[2] = a[2] >> b[2] & m
-			d[3] = a[3] >> b[3] & m
-			d[4] = a[4] >> b[4] & m
-			d[5] = a[5] >> b[5] & m
-			d[6] = a[6] >> b[6] & m
-			d[7] = a[7] >> b[7] & m
-			d[8] = a[8] >> b[8] & m
-			d[9] = a[9] >> b[9] & m
-			d[10] = a[10] >> b[10] & m
-			d[11] = a[11] >> b[11] & m
-			d[12] = a[12] >> b[12] & m
-			d[13] = a[13] >> b[13] & m
-			d[14] = a[14] >> b[14] & m
-			d[15] = a[15] >> b[15] & m
+			if n := b[0]; n >= 64 {
+				d[0] = 0
+			} else {
+				d[0] = (a[0] >> n) & m
+			}
+			if n := b[1]; n >= 64 {
+				d[1] = 0
+			} else {
+				d[1] = (a[1] >> n) & m
+			}
+			if n := b[2]; n >= 64 {
+				d[2] = 0
+			} else {
+				d[2] = (a[2] >> n) & m
+			}
+			if n := b[3]; n >= 64 {
+				d[3] = 0
+			} else {
+				d[3] = (a[3] >> n) & m
+			}
+			if n := b[4]; n >= 64 {
+				d[4] = 0
+			} else {
+				d[4] = (a[4] >> n) & m
+			}
+			if n := b[5]; n >= 64 {
+				d[5] = 0
+			} else {
+				d[5] = (a[5] >> n) & m
+			}
+			if n := b[6]; n >= 64 {
+				d[6] = 0
+			} else {
+				d[6] = (a[6] >> n) & m
+			}
+			if n := b[7]; n >= 64 {
+				d[7] = 0
+			} else {
+				d[7] = (a[7] >> n) & m
+			}
+			if n := b[8]; n >= 64 {
+				d[8] = 0
+			} else {
+				d[8] = (a[8] >> n) & m
+			}
+			if n := b[9]; n >= 64 {
+				d[9] = 0
+			} else {
+				d[9] = (a[9] >> n) & m
+			}
+			if n := b[10]; n >= 64 {
+				d[10] = 0
+			} else {
+				d[10] = (a[10] >> n) & m
+			}
+			if n := b[11]; n >= 64 {
+				d[11] = 0
+			} else {
+				d[11] = (a[11] >> n) & m
+			}
+			if n := b[12]; n >= 64 {
+				d[12] = 0
+			} else {
+				d[12] = (a[12] >> n) & m
+			}
+			if n := b[13]; n >= 64 {
+				d[13] = 0
+			} else {
+				d[13] = (a[13] >> n) & m
+			}
+			if n := b[14]; n >= 64 {
+				d[14] = 0
+			} else {
+				d[14] = (a[14] >> n) & m
+			}
+			if n := b[15]; n >= 64 {
+				d[15] = 0
+			} else {
+				d[15] = (a[15] >> n) & m
+			}
+
 		case OpDsar:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
 			m := in.Mask
-			d[0] = dsarOne(a[0], b[0], m)
-			d[1] = dsarOne(a[1], b[1], m)
-			d[2] = dsarOne(a[2], b[2], m)
-			d[3] = dsarOne(a[3], b[3], m)
-			d[4] = dsarOne(a[4], b[4], m)
-			d[5] = dsarOne(a[5], b[5], m)
-			d[6] = dsarOne(a[6], b[6], m)
-			d[7] = dsarOne(a[7], b[7], m)
-			d[8] = dsarOne(a[8], b[8], m)
-			d[9] = dsarOne(a[9], b[9], m)
-			d[10] = dsarOne(a[10], b[10], m)
-			d[11] = dsarOne(a[11], b[11], m)
-			d[12] = dsarOne(a[12], b[12], m)
-			d[13] = dsarOne(a[13], b[13], m)
-			d[14] = dsarOne(a[14], b[14], m)
-			d[15] = dsarOne(a[15], b[15], m)
-		case OpSext:
-			d, a := p(in.Dst), p(in.A)
-			w := in.Aux
-			d[0] = signExtend64(a[0], w)
-			d[1] = signExtend64(a[1], w)
-			d[2] = signExtend64(a[2], w)
-			d[3] = signExtend64(a[3], w)
-			d[4] = signExtend64(a[4], w)
-			d[5] = signExtend64(a[5], w)
-			d[6] = signExtend64(a[6], w)
-			d[7] = signExtend64(a[7], w)
-			d[8] = signExtend64(a[8], w)
-			d[9] = signExtend64(a[9], w)
-			d[10] = signExtend64(a[10], w)
-			d[11] = signExtend64(a[11], w)
-			d[12] = signExtend64(a[12], w)
-			d[13] = signExtend64(a[13], w)
-			d[14] = signExtend64(a[14], w)
-			d[15] = signExtend64(a[15], w)
+			{
+				n := b[0]
+				if n > 63 {
+					n = 63
+				}
+				d[0] = uint64(int64(a[0])>>n) & m
+			}
+			{
+				n := b[1]
+				if n > 63 {
+					n = 63
+				}
+				d[1] = uint64(int64(a[1])>>n) & m
+			}
+			{
+				n := b[2]
+				if n > 63 {
+					n = 63
+				}
+				d[2] = uint64(int64(a[2])>>n) & m
+			}
+			{
+				n := b[3]
+				if n > 63 {
+					n = 63
+				}
+				d[3] = uint64(int64(a[3])>>n) & m
+			}
+			{
+				n := b[4]
+				if n > 63 {
+					n = 63
+				}
+				d[4] = uint64(int64(a[4])>>n) & m
+			}
+			{
+				n := b[5]
+				if n > 63 {
+					n = 63
+				}
+				d[5] = uint64(int64(a[5])>>n) & m
+			}
+			{
+				n := b[6]
+				if n > 63 {
+					n = 63
+				}
+				d[6] = uint64(int64(a[6])>>n) & m
+			}
+			{
+				n := b[7]
+				if n > 63 {
+					n = 63
+				}
+				d[7] = uint64(int64(a[7])>>n) & m
+			}
+			{
+				n := b[8]
+				if n > 63 {
+					n = 63
+				}
+				d[8] = uint64(int64(a[8])>>n) & m
+			}
+			{
+				n := b[9]
+				if n > 63 {
+					n = 63
+				}
+				d[9] = uint64(int64(a[9])>>n) & m
+			}
+			{
+				n := b[10]
+				if n > 63 {
+					n = 63
+				}
+				d[10] = uint64(int64(a[10])>>n) & m
+			}
+			{
+				n := b[11]
+				if n > 63 {
+					n = 63
+				}
+				d[11] = uint64(int64(a[11])>>n) & m
+			}
+			{
+				n := b[12]
+				if n > 63 {
+					n = 63
+				}
+				d[12] = uint64(int64(a[12])>>n) & m
+			}
+			{
+				n := b[13]
+				if n > 63 {
+					n = 63
+				}
+				d[13] = uint64(int64(a[13])>>n) & m
+			}
+			{
+				n := b[14]
+				if n > 63 {
+					n = 63
+				}
+				d[14] = uint64(int64(a[14])>>n) & m
+			}
+			{
+				n := b[15]
+				if n > 63 {
+					n = 63
+				}
+				d[15] = uint64(int64(a[15])>>n) & m
+			}
+
 		case OpMux:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			c := p(in.C)
+			d, a, b, c := p(in.Dst), p(in.A), p(in.B), p(in.C)
 			m := in.Mask
 			d[0] = sel(-b2u(a[0] != 0), b[0], c[0]) & m
 			d[1] = sel(-b2u(a[1] != 0), b[1], c[1]) & m
@@ -545,212 +929,95 @@ func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
 			d[13] = sel(-b2u(a[13] != 0), b[13], c[13]) & m
 			d[14] = sel(-b2u(a[14] != 0), b[14], c[14]) & m
 			d[15] = sel(-b2u(a[15] != 0), b[15], c[15]) & m
-		case OpLt:
+
+		case OpSext:
+			d, a := p(in.Dst), p(in.A)
+			aux := in.Aux
+			d[0] = signExtend64(a[0], aux)
+			d[1] = signExtend64(a[1], aux)
+			d[2] = signExtend64(a[2], aux)
+			d[3] = signExtend64(a[3], aux)
+			d[4] = signExtend64(a[4], aux)
+			d[5] = signExtend64(a[5], aux)
+			d[6] = signExtend64(a[6], aux)
+			d[7] = signExtend64(a[7], aux)
+			d[8] = signExtend64(a[8], aux)
+			d[9] = signExtend64(a[9], aux)
+			d[10] = signExtend64(a[10], aux)
+			d[11] = signExtend64(a[11], aux)
+			d[12] = signExtend64(a[12], aux)
+			d[13] = signExtend64(a[13], aux)
+			d[14] = signExtend64(a[14], aux)
+			d[15] = signExtend64(a[15], aux)
+
+		case OpMulHi:
 			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] < b[0])
-			d[1] = b2u(a[1] < b[1])
-			d[2] = b2u(a[2] < b[2])
-			d[3] = b2u(a[3] < b[3])
-			d[4] = b2u(a[4] < b[4])
-			d[5] = b2u(a[5] < b[5])
-			d[6] = b2u(a[6] < b[6])
-			d[7] = b2u(a[7] < b[7])
-			d[8] = b2u(a[8] < b[8])
-			d[9] = b2u(a[9] < b[9])
-			d[10] = b2u(a[10] < b[10])
-			d[11] = b2u(a[11] < b[11])
-			d[12] = b2u(a[12] < b[12])
-			d[13] = b2u(a[13] < b[13])
-			d[14] = b2u(a[14] < b[14])
-			d[15] = b2u(a[15] < b[15])
-		case OpLeq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] <= b[0])
-			d[1] = b2u(a[1] <= b[1])
-			d[2] = b2u(a[2] <= b[2])
-			d[3] = b2u(a[3] <= b[3])
-			d[4] = b2u(a[4] <= b[4])
-			d[5] = b2u(a[5] <= b[5])
-			d[6] = b2u(a[6] <= b[6])
-			d[7] = b2u(a[7] <= b[7])
-			d[8] = b2u(a[8] <= b[8])
-			d[9] = b2u(a[9] <= b[9])
-			d[10] = b2u(a[10] <= b[10])
-			d[11] = b2u(a[11] <= b[11])
-			d[12] = b2u(a[12] <= b[12])
-			d[13] = b2u(a[13] <= b[13])
-			d[14] = b2u(a[14] <= b[14])
-			d[15] = b2u(a[15] <= b[15])
-		case OpGt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] > b[0])
-			d[1] = b2u(a[1] > b[1])
-			d[2] = b2u(a[2] > b[2])
-			d[3] = b2u(a[3] > b[3])
-			d[4] = b2u(a[4] > b[4])
-			d[5] = b2u(a[5] > b[5])
-			d[6] = b2u(a[6] > b[6])
-			d[7] = b2u(a[7] > b[7])
-			d[8] = b2u(a[8] > b[8])
-			d[9] = b2u(a[9] > b[9])
-			d[10] = b2u(a[10] > b[10])
-			d[11] = b2u(a[11] > b[11])
-			d[12] = b2u(a[12] > b[12])
-			d[13] = b2u(a[13] > b[13])
-			d[14] = b2u(a[14] > b[14])
-			d[15] = b2u(a[15] > b[15])
-		case OpGeq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] >= b[0])
-			d[1] = b2u(a[1] >= b[1])
-			d[2] = b2u(a[2] >= b[2])
-			d[3] = b2u(a[3] >= b[3])
-			d[4] = b2u(a[4] >= b[4])
-			d[5] = b2u(a[5] >= b[5])
-			d[6] = b2u(a[6] >= b[6])
-			d[7] = b2u(a[7] >= b[7])
-			d[8] = b2u(a[8] >= b[8])
-			d[9] = b2u(a[9] >= b[9])
-			d[10] = b2u(a[10] >= b[10])
-			d[11] = b2u(a[11] >= b[11])
-			d[12] = b2u(a[12] >= b[12])
-			d[13] = b2u(a[13] >= b[13])
-			d[14] = b2u(a[14] >= b[14])
-			d[15] = b2u(a[15] >= b[15])
-		case OpSLt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(int64(a[0]) < int64(b[0]))
-			d[1] = b2u(int64(a[1]) < int64(b[1]))
-			d[2] = b2u(int64(a[2]) < int64(b[2]))
-			d[3] = b2u(int64(a[3]) < int64(b[3]))
-			d[4] = b2u(int64(a[4]) < int64(b[4]))
-			d[5] = b2u(int64(a[5]) < int64(b[5]))
-			d[6] = b2u(int64(a[6]) < int64(b[6]))
-			d[7] = b2u(int64(a[7]) < int64(b[7]))
-			d[8] = b2u(int64(a[8]) < int64(b[8]))
-			d[9] = b2u(int64(a[9]) < int64(b[9]))
-			d[10] = b2u(int64(a[10]) < int64(b[10]))
-			d[11] = b2u(int64(a[11]) < int64(b[11]))
-			d[12] = b2u(int64(a[12]) < int64(b[12]))
-			d[13] = b2u(int64(a[13]) < int64(b[13]))
-			d[14] = b2u(int64(a[14]) < int64(b[14]))
-			d[15] = b2u(int64(a[15]) < int64(b[15]))
-		case OpSLeq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(int64(a[0]) <= int64(b[0]))
-			d[1] = b2u(int64(a[1]) <= int64(b[1]))
-			d[2] = b2u(int64(a[2]) <= int64(b[2]))
-			d[3] = b2u(int64(a[3]) <= int64(b[3]))
-			d[4] = b2u(int64(a[4]) <= int64(b[4]))
-			d[5] = b2u(int64(a[5]) <= int64(b[5]))
-			d[6] = b2u(int64(a[6]) <= int64(b[6]))
-			d[7] = b2u(int64(a[7]) <= int64(b[7]))
-			d[8] = b2u(int64(a[8]) <= int64(b[8]))
-			d[9] = b2u(int64(a[9]) <= int64(b[9]))
-			d[10] = b2u(int64(a[10]) <= int64(b[10]))
-			d[11] = b2u(int64(a[11]) <= int64(b[11]))
-			d[12] = b2u(int64(a[12]) <= int64(b[12]))
-			d[13] = b2u(int64(a[13]) <= int64(b[13]))
-			d[14] = b2u(int64(a[14]) <= int64(b[14]))
-			d[15] = b2u(int64(a[15]) <= int64(b[15]))
-		case OpSGt:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(int64(a[0]) > int64(b[0]))
-			d[1] = b2u(int64(a[1]) > int64(b[1]))
-			d[2] = b2u(int64(a[2]) > int64(b[2]))
-			d[3] = b2u(int64(a[3]) > int64(b[3]))
-			d[4] = b2u(int64(a[4]) > int64(b[4]))
-			d[5] = b2u(int64(a[5]) > int64(b[5]))
-			d[6] = b2u(int64(a[6]) > int64(b[6]))
-			d[7] = b2u(int64(a[7]) > int64(b[7]))
-			d[8] = b2u(int64(a[8]) > int64(b[8]))
-			d[9] = b2u(int64(a[9]) > int64(b[9]))
-			d[10] = b2u(int64(a[10]) > int64(b[10]))
-			d[11] = b2u(int64(a[11]) > int64(b[11]))
-			d[12] = b2u(int64(a[12]) > int64(b[12]))
-			d[13] = b2u(int64(a[13]) > int64(b[13]))
-			d[14] = b2u(int64(a[14]) > int64(b[14]))
-			d[15] = b2u(int64(a[15]) > int64(b[15]))
-		case OpSGeq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(int64(a[0]) >= int64(b[0]))
-			d[1] = b2u(int64(a[1]) >= int64(b[1]))
-			d[2] = b2u(int64(a[2]) >= int64(b[2]))
-			d[3] = b2u(int64(a[3]) >= int64(b[3]))
-			d[4] = b2u(int64(a[4]) >= int64(b[4]))
-			d[5] = b2u(int64(a[5]) >= int64(b[5]))
-			d[6] = b2u(int64(a[6]) >= int64(b[6]))
-			d[7] = b2u(int64(a[7]) >= int64(b[7]))
-			d[8] = b2u(int64(a[8]) >= int64(b[8]))
-			d[9] = b2u(int64(a[9]) >= int64(b[9]))
-			d[10] = b2u(int64(a[10]) >= int64(b[10]))
-			d[11] = b2u(int64(a[11]) >= int64(b[11]))
-			d[12] = b2u(int64(a[12]) >= int64(b[12]))
-			d[13] = b2u(int64(a[13]) >= int64(b[13]))
-			d[14] = b2u(int64(a[14]) >= int64(b[14]))
-			d[15] = b2u(int64(a[15]) >= int64(b[15]))
-		case OpEq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] == b[0])
-			d[1] = b2u(a[1] == b[1])
-			d[2] = b2u(a[2] == b[2])
-			d[3] = b2u(a[3] == b[3])
-			d[4] = b2u(a[4] == b[4])
-			d[5] = b2u(a[5] == b[5])
-			d[6] = b2u(a[6] == b[6])
-			d[7] = b2u(a[7] == b[7])
-			d[8] = b2u(a[8] == b[8])
-			d[9] = b2u(a[9] == b[9])
-			d[10] = b2u(a[10] == b[10])
-			d[11] = b2u(a[11] == b[11])
-			d[12] = b2u(a[12] == b[12])
-			d[13] = b2u(a[13] == b[13])
-			d[14] = b2u(a[14] == b[14])
-			d[15] = b2u(a[15] == b[15])
-		case OpNeq:
-			d, a, b := p(in.Dst), p(in.A), p(in.B)
-			d[0] = b2u(a[0] != b[0])
-			d[1] = b2u(a[1] != b[1])
-			d[2] = b2u(a[2] != b[2])
-			d[3] = b2u(a[3] != b[3])
-			d[4] = b2u(a[4] != b[4])
-			d[5] = b2u(a[5] != b[5])
-			d[6] = b2u(a[6] != b[6])
-			d[7] = b2u(a[7] != b[7])
-			d[8] = b2u(a[8] != b[8])
-			d[9] = b2u(a[9] != b[9])
-			d[10] = b2u(a[10] != b[10])
-			d[11] = b2u(a[11] != b[11])
-			d[12] = b2u(a[12] != b[12])
-			d[13] = b2u(a[13] != b[13])
-			d[14] = b2u(a[14] != b[14])
-			d[15] = b2u(a[15] != b[15])
-		case OpSDiv:
-			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
-			for l := range d {
-				a, b := int64(av[l]), int64(bv[l])
-				switch {
-				case b == 0:
-					d[l] = 0
-				case b == -1:
-					d[l] = uint64(-a) & m // avoids MinInt64 / -1 trap
-				default:
-					d[l] = uint64(a/b) & m
-				}
+			m := in.Mask
+			{
+				hi, _ := bits.Mul64(a[0], b[0])
+				d[0] = hi & m
 			}
-		case OpSRem:
-			d, av, bv, m := col(in.Dst), col(in.A), col(in.B), in.Mask
-			for l := range d {
-				a, b := int64(av[l]), int64(bv[l])
-				switch {
-				case b == 0:
-					d[l] = uint64(a) & m
-				case b == -1:
-					d[l] = 0
-				default:
-					d[l] = uint64(a%b) & m
-				}
+			{
+				hi, _ := bits.Mul64(a[1], b[1])
+				d[1] = hi & m
 			}
+			{
+				hi, _ := bits.Mul64(a[2], b[2])
+				d[2] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[3], b[3])
+				d[3] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[4], b[4])
+				d[4] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[5], b[5])
+				d[5] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[6], b[6])
+				d[6] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[7], b[7])
+				d[7] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[8], b[8])
+				d[8] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[9], b[9])
+				d[9] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[10], b[10])
+				d[10] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[11], b[11])
+				d[11] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[12], b[12])
+				d[12] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[13], b[13])
+				d[13] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[14], b[14])
+				d[14] = hi & m
+			}
+			{
+				hi, _ := bits.Mul64(a[15], b[15])
+				d[15] = hi & m
+			}
+
 		case OpMemRd:
 			d, a, m := col(in.Dst), col(in.A), in.Mask
 			for l := 0; l < n; l++ {

@@ -148,7 +148,7 @@ func (lp *LinkedProgram) translate(t int, th *ThreadCode) []LInstr {
 			li.B = lp.resolve(t, in.B)
 			li.C = lp.resolve(t, in.C)
 		default:
-			switch opReads(in.Op) {
+			switch TraitsOf(in.Op).Reads {
 			case 3:
 				li.C = lp.resolve(t, in.C)
 				fallthrough
@@ -212,7 +212,7 @@ func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, mdefs, 
 		mdefs = append(mdefs, Loc{SpaceMem, in.Aux})
 	default:
 		refs := [3]uint32{in.A, in.B, in.C}
-		for k := 0; k < opReads(in.Op); k++ {
+		for k := 0; k < TraitsOf(in.Op).Reads; k++ {
 			nuses = append(nuses, refs[k])
 		}
 		ndefs = append(ndefs, in.Dst)

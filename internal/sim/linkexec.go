@@ -1,3 +1,5 @@
+// Code generated by repro/internal/optable/gen from optable.Table. DO NOT EDIT.
+
 package sim
 
 import (
@@ -5,13 +7,58 @@ import (
 	"math/bits"
 )
 
+// The opcodes, numbered by their row in optable.Table, which defines each
+// one's semantics and traits.
+const (
+	OpNop OpCode = iota
+	OpCopy
+	OpAdd
+	OpSub
+	OpMul
+	OpDiv
+	OpRem
+	OpSDiv
+	OpSRem
+	OpLt
+	OpLeq
+	OpGt
+	OpGeq
+	OpSLt
+	OpSLeq
+	OpSGt
+	OpSGeq
+	OpEq
+	OpNeq
+	OpAnd
+	OpOr
+	OpXor
+	OpNot
+	OpNeg
+	OpAndr
+	OpOrr
+	OpXorr
+	OpCat
+	OpShl
+	OpShr
+	OpSar
+	OpDshl
+	OpDshr
+	OpDsar
+	OpMux
+	OpSext
+	OpMemRd
+	OpMemWr
+	OpMulHi
+	numOpCodes
+)
+
 // evalLinked executes one linked instruction stream: every operand is a
 // single indexed load or store into the engine's unified state slice. It is
-// the one scalar definition of opcode semantics — engines, constant folding
-// and EvalOp all run it (pure ops touch only st, so a probe may pass nil for
-// gs and tc) — and sim.Reference, which never sees an OpCode, is the
-// independent oracle it is cross-checked against. gs supplies the memories
-// and tc the memory-write buffer.
+// the one scalar executor — engines, constant folding and EvalOp all run it
+// (pure ops touch only st, so a probe may pass nil for gs and tc) — and
+// sim.Reference, which never sees an OpCode, is the independent oracle it
+// is cross-checked against. gs supplies the memories and tc the
+// memory-write buffer.
 func evalLinked(code []LInstr, st []uint64, gs *globalState, tc *threadCtx) {
 	for i := range code {
 		in := &code[i]
@@ -25,41 +72,35 @@ func evalLinked(code []LInstr, st []uint64, gs *globalState, tc *threadCtx) {
 			st[in.Dst] = (st[in.A] - st[in.B]) & in.Mask
 		case OpMul:
 			st[in.Dst] = (st[in.A] * st[in.B]) & in.Mask
-		case OpMulHi:
-			st[in.Dst] = mulHi(st[in.A], st[in.B]) & in.Mask
 		case OpDiv:
-			b := st[in.B]
-			if b == 0 {
+			if y := st[in.B]; y == 0 {
 				st[in.Dst] = 0
 			} else {
-				st[in.Dst] = (st[in.A] / b) & in.Mask
+				st[in.Dst] = (st[in.A] / y) & in.Mask
 			}
 		case OpRem:
-			b := st[in.B]
-			if b == 0 {
+			if y := st[in.B]; y == 0 {
 				st[in.Dst] = st[in.A] & in.Mask
 			} else {
-				st[in.Dst] = (st[in.A] % b) & in.Mask
+				st[in.Dst] = (st[in.A] % y) & in.Mask
 			}
 		case OpSDiv:
-			a, b := int64(st[in.A]), int64(st[in.B])
-			switch {
-			case b == 0:
+			switch x, y := int64(st[in.A]), int64(st[in.B]); {
+			case y == 0:
 				st[in.Dst] = 0
-			case b == -1:
-				st[in.Dst] = uint64(-a) & in.Mask // avoids MinInt64 / -1 trap
+			case y == -1:
+				st[in.Dst] = uint64(-x) & in.Mask
 			default:
-				st[in.Dst] = uint64(a/b) & in.Mask
+				st[in.Dst] = uint64(x/y) & in.Mask
 			}
 		case OpSRem:
-			a, b := int64(st[in.A]), int64(st[in.B])
-			switch {
-			case b == 0:
-				st[in.Dst] = uint64(a) & in.Mask
-			case b == -1:
+			switch x, y := int64(st[in.A]), int64(st[in.B]); {
+			case y == 0:
+				st[in.Dst] = uint64(x) & in.Mask
+			case y == -1:
 				st[in.Dst] = 0
 			default:
-				st[in.Dst] = uint64(a%b) & in.Mask
+				st[in.Dst] = uint64(x%y) & in.Mask
 			}
 		case OpLt:
 			st[in.Dst] = b2u(st[in.A] < st[in.B])
@@ -106,25 +147,25 @@ func evalLinked(code []LInstr, st []uint64, gs *globalState, tc *threadCtx) {
 		case OpSar:
 			st[in.Dst] = uint64(int64(st[in.A])>>in.Aux) & in.Mask
 		case OpDshl:
-			n := st[in.B]
-			if n >= 64 {
+			if n := st[in.B]; n >= 64 {
 				st[in.Dst] = 0
 			} else {
 				st[in.Dst] = (st[in.A] << n) & in.Mask
 			}
 		case OpDshr:
-			n := st[in.B]
-			if n >= 64 {
+			if n := st[in.B]; n >= 64 {
 				st[in.Dst] = 0
 			} else {
 				st[in.Dst] = (st[in.A] >> n) & in.Mask
 			}
 		case OpDsar:
-			n := st[in.B]
-			if n > 63 {
-				n = 63
+			{
+				n := st[in.B]
+				if n > 63 {
+					n = 63
+				}
+				st[in.Dst] = uint64(int64(st[in.A])>>n) & in.Mask
 			}
-			st[in.Dst] = uint64(int64(st[in.A])>>n) & in.Mask
 		case OpMux:
 			if st[in.A] != 0 {
 				st[in.Dst] = st[in.B] & in.Mask
@@ -133,6 +174,11 @@ func evalLinked(code []LInstr, st []uint64, gs *globalState, tc *threadCtx) {
 			}
 		case OpSext:
 			st[in.Dst] = signExtend64(st[in.A], in.Aux)
+		case OpMulHi:
+			{
+				hi, _ := bits.Mul64(st[in.A], st[in.B])
+				st[in.Dst] = hi & in.Mask
+			}
 		case OpMemRd:
 			mem := gs.mems[in.Aux]
 			addr := st[in.A]

@@ -16,67 +16,29 @@
 // code that every executor runs unchanged.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
 
-// OpCode enumerates interpreter operations. Narrow values are canonical:
-// masked to their width, stored zero-extended in a uint64. Signed operators
-// consume operands that the compiler has sign-extended to 64 bits with
-// OpSext (the extended form is an internal value, never stored as a vertex
-// result).
-type OpCode uint8
-
-// Interpreter opcodes.
-const (
-	OpNop  OpCode = iota
-	OpCopy        // dst = a
-	OpAdd         // dst = (a + b) & mask
-	OpSub         // dst = (a - b) & mask
-	OpMul         // dst = (a * b) & mask
-	OpDiv         // dst = b==0 ? 0 : a/b (unsigned)
-	OpRem         // dst = b==0 ? a : a%b (unsigned)
-	OpSDiv        // signed div on sign-extended operands, masked
-	OpSRem        // signed rem on sign-extended operands, masked
-	OpLt          // unsigned comparisons -> 0/1
-	OpLeq
-	OpGt
-	OpGeq
-	OpSLt // signed comparisons on sign-extended operands
-	OpSLeq
-	OpSGt
-	OpSGeq
-	OpEq
-	OpNeq
-	OpAnd  // dst = (a & b) & mask
-	OpOr   // dst = (a | b) & mask
-	OpXor  // dst = (a ^ b) & mask
-	OpNot  // dst = ^a & mask
-	OpNeg  // dst = (-a) & mask
-	OpAndr // dst = (a == mask(aw)) ? 1 : 0 ; operand mask in Imm
-	OpOrr  // dst = a != 0
-	OpXorr // dst = parity(a)
-	OpCat  // dst = (a << Aux | b) & mask ; Aux = width of b
-	OpShl  // dst = (a << Aux) & mask
-	OpShr  // dst = (a >> Aux) & mask (logical; use after Sext for arithmetic)
-	OpSar  // dst = (int64(a) >> Aux) & mask (a must be sign-extended)
-	OpDshl // dst = (a << b) & mask, or 0 if b >= 64
-	OpDshr // dst = (a >> b) & mask (logical), or 0 if b >= 64
-	OpDsar // dst = (int64(a) >> min(b,63)) & mask (a must be sign-extended)
-	OpMux  // dst = a!=0 ? b : c (b, c pre-extended to result width)
-	OpSext // dst = signextend64(a, Aux)  -- full 64-bit, NOT masked
-	OpMemRd
-	// OpMemWr buffers (mem=Aux, addr=a, data=b) when en=c is nonzero.
-	OpMemWr
-	OpMulHi // dst = high 64 bits of the 128-bit product a*b, masked
-	numOpCodes
+	"repro/internal/optable"
 )
 
-var opNames = [numOpCodes]string{
-	"nop", "copy", "add", "sub", "mul", "div", "rem", "sdiv", "srem",
-	"lt", "leq", "gt", "geq", "slt", "sleq", "sgt", "sgeq", "eq", "neq",
-	"and", "or", "xor", "not", "neg", "andr", "orr", "xorr",
-	"cat", "shl", "shr", "sar", "dshl", "dshr", "dsar", "mux", "sext",
-	"memrd", "memwr", "mulhi",
-}
+// OpCode enumerates the narrow opcodes. Values are canonical: masked to
+// their width and stored zero-extended in a uint64; signed operators read
+// operands the compiler sign-extended with OpSext. internal/optable defines
+// each opcode once: its name, traits and semantics. The constants and both
+// executors (linkexec.go, batchexec.go) are generated from that table.
+type OpCode uint8
+
+//go:generate go run repro/internal/optable/gen
+
+// opNames are the lower-cased table names: "add", "sdiv", "mulhi".
+var opNames = func() (names [numOpCodes]string) {
+	for i := range names {
+		names[i] = strings.ToLower(optable.Table[i].Name)
+	}
+	return names
+}()
 
 func (o OpCode) String() string {
 	if int(o) < len(opNames) {
@@ -125,7 +87,7 @@ type Instr struct {
 	B    uint32
 	C    uint32
 	Aux  uint32 // shift amount / cat low-width / mem index / sext width
-	Mask uint64 // result mask (also operand mask for Andr via Imm trick: stored here)
+	Mask uint64 // result mask; OpAndr's comparand (Traits.MaskIsOperand)
 }
 
 // InstrBytes approximates the x86 code a compiled simulator would emit for

@@ -28,21 +28,6 @@ func optimize(imms []uint64, th *ThreadCode, level int) []uint64 {
 	return imms
 }
 
-// opReads returns how many operand refs (A, B, C) each opcode reads.
-func opReads(op OpCode) int {
-	switch op {
-	case OpNop:
-		return 0
-	case OpCopy, OpNot, OpNeg, OpAndr, OpOrr, OpXorr, OpShl, OpShr, OpSar,
-		OpSext, OpMemRd:
-		return 1
-	case OpMux, OpMemWr:
-		return 3
-	default:
-		return 2
-	}
-}
-
 // definesDst reports whether in.Dst is a real definition. OpNop and
 // OpMemWr leave Dst meaningless, so reading their Dst/Mask fields as a
 // local def would poison alias and mask tracking: the zero Dst aliases
@@ -72,7 +57,7 @@ func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 	changed := false
 	for i := range th.Code {
 		in := &th.Code[i]
-		n := opReads(in.Op)
+		n := TraitsOf(in.Op).Reads
 		// Rewrite operands already known constant.
 		refs := [3]*uint32{&in.A, &in.B, &in.C}
 		for k := 0; k < n; k++ {
@@ -134,7 +119,7 @@ func propagateCopies(th *ThreadCode) bool {
 	changed := false
 	for i := range th.Code {
 		in := &th.Code[i]
-		n := opReads(in.Op)
+		n := TraitsOf(in.Op).Reads
 		refs := [3]*uint32{&in.A, &in.B, &in.C}
 		for k := 0; k < n; k++ {
 			if r := resolve(*refs[k]); r != *refs[k] {
@@ -182,7 +167,7 @@ func fuseTruncations(th *ThreadCode) bool {
 	}
 	for i := range th.Code {
 		in := &th.Code[i]
-		n := opReads(in.Op)
+		n := TraitsOf(in.Op).Reads
 		refs := [3]uint32{in.A, in.B, in.C}
 		for k := 0; k < n; k++ {
 			if RefTag(refs[k]) == RefLocal {
@@ -208,7 +193,7 @@ func fuseTruncations(th *ThreadCode) bool {
 			continue
 		}
 		prod := &th.Code[di]
-		if !maskFusable(prod.Op) {
+		if !TraitsOf(prod.Op).MaskFusable {
 			continue
 		}
 		// Retarget the producer to the copy's destination with the
@@ -221,24 +206,12 @@ func fuseTruncations(th *ThreadCode) bool {
 	return changed
 }
 
-// maskFusable reports whether narrowing an op's result mask is equivalent
-// to masking afterwards.
-func maskFusable(op OpCode) bool {
-	switch op {
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpNot, OpNeg,
-		OpCat, OpShl, OpShr, OpSar, OpDshl, OpDshr, OpDsar, OpMux, OpCopy,
-		OpMemRd:
-		return true
-	}
-	return false
-}
-
 // eliminateDead removes instructions whose local destination is never read.
 func eliminateDead(th *ThreadCode) bool {
 	live := make([]bool, th.NumTemps)
 	for i := range th.Code {
 		in := &th.Code[i]
-		n := opReads(in.Op)
+		n := TraitsOf(in.Op).Reads
 		refs := [3]uint32{in.A, in.B, in.C}
 		for k := 0; k < n; k++ {
 			if RefTag(refs[k]) == RefLocal {

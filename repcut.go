@@ -146,9 +146,6 @@ type Options struct {
 	Seed int64
 	// Unweighted disables the simulation cost model ("RepCut UW").
 	Unweighted bool
-	// OptLevel selects backend optimization: 0 none, 1 const-fold +
-	// copy-prop, 2 (default) additionally fuses truncations.
-	OptLevel int
 	// Workers bounds the parallelism of partitioning and compilation
 	// themselves (not of the resulting simulator). <= 0 uses all cores;
 	// 1 forces the serial pipeline. Output is bit-identical for every
@@ -188,9 +185,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.OptLevel == 0 {
-		o.OptLevel = 2
 	}
 }
 
@@ -283,8 +277,12 @@ type Simulator struct {
 	Backend Backend
 }
 
+// optLevel is the stream optimization every pipeline compile runs:
+// constant folding, copy propagation and truncation fusion (sim.Config).
+const optLevel = 2
+
 // CompileSerial builds the single-threaded (ESSENT-style) simulator.
-func (d *Design) CompileSerial(optLevel int) (*Simulator, error) {
+func (d *Design) CompileSerial() (*Simulator, error) {
 	p, err := sim.Compile(d.Graph, sim.SerialSpec(d.Graph), sim.Config{OptLevel: optLevel})
 	if err != nil {
 		return nil, err
@@ -364,7 +362,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 		}
 		specs = partSpecs(res)
 	}
-	p, err := sim.Compile(d.Graph, specs, sim.Config{OptLevel: opt.OptLevel, Workers: opt.Workers})
+	p, err := sim.Compile(d.Graph, specs, sim.Config{OptLevel: optLevel, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +398,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 			return nil, err
 		}
 		specs2 := partSpecs(res2)
-		p2, err := sim.Compile(d.Graph, specs2, sim.Config{OptLevel: opt.OptLevel, Workers: opt.Workers})
+		p2, err := sim.Compile(d.Graph, specs2, sim.Config{OptLevel: optLevel, Workers: opt.Workers})
 		if err != nil {
 			return nil, err
 		}

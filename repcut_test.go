@@ -32,7 +32,7 @@ func TestPublicAPIFlow(t *testing.T) {
 	if st.RegWrites != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	s, err := d.CompileSerial(2)
+	s, err := d.CompileSerial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestParallelFacadeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := d.CompileSerial(2)
+	ser, err := d.CompileSerial()
 	if err != nil {
 		t.Fatal(err)
 	}
