@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/designs"
 	"repro/internal/firrtl"
@@ -65,28 +63,17 @@ func main() {
 			}
 		}
 	case *designName != "":
-		kind, cores, err := parseName(*designName)
+		cfg, err := designs.ParseName(*designName)
 		if err != nil {
 			fatal(err)
 		}
-		if err := emit(designs.Config{Kind: kind, Cores: cores, Scale: *scale}); err != nil {
+		cfg.Scale = *scale
+		if err := emit(cfg); err != nil {
 			fatal(err)
 		}
 	default:
 		fatal(fmt.Errorf("specify -design <name> or -all"))
 	}
-}
-
-func parseName(s string) (designs.Kind, int, error) {
-	i := strings.LastIndex(s, "-")
-	if i < 0 || !strings.HasSuffix(s, "C") {
-		return "", 0, fmt.Errorf("bad design name %q", s)
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(s[i+1:], "C"))
-	if err != nil {
-		return "", 0, err
-	}
-	return designs.Kind(s[:i]), n, nil
 }
 
 func fatal(err error) {

@@ -95,6 +95,13 @@ type Vertex struct {
 	Mem      int // memory index for KindMem*, else -1
 }
 
+// IsBranch reports whether v is a static data-dependent branch site (a mux
+// or a memory write's enable), the sites the host model's branch predictor
+// holds.
+func (v *Vertex) IsBranch() bool {
+	return v.Kind == KindMemWrite || v.Kind == KindLogic && v.Op == firrtl.OpMux
+}
+
 // RegInfo describes one split register.
 type RegInfo struct {
 	Name  string

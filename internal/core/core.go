@@ -53,9 +53,8 @@ type Options struct {
 	RefineBug bool
 	// Derep enables the dereplication post-pass: register groups whose
 	// common next-value driver is replicated across partitions are demoted
-	// to a single committed slot read cross-thread (see derep.go). Only
-	// two-phase backends may compile the result — Shared-mode (Verilator
-	// style) compilation rejects dereplicated partitions — so the pass is
+	// to a single committed slot read cross-thread (see derep.go). The
+	// result relies on the two-phase eval/commit protocol, so the pass is
 	// opt-in here and enabled by the top-level repcut API.
 	Derep bool
 	// Profile, when non-nil, scales the hypergraph vertex weights by the

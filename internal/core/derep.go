@@ -296,7 +296,7 @@ func dereplicate(g *cgraph.Graph, an *cone.Analysis, eta, vcost []int64, res *Re
 	// Rebuild the realized partitioning: a partition executes the members
 	// of every cluster it still covers plus its injected ancestor
 	// closures, minus the demoted register writes (replaced by the owners'
-	// shared-slot commits). Cones are ancestor-closed and injections are
+	// commits into one committed slot per group). Cones are ancestor-closed and injections are
 	// ancestor closures, so every partition stays closed.
 	k := res.K
 	parts := make([]Part, k)

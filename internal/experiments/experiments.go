@@ -175,7 +175,7 @@ func (s *Suite) Program(cfg designs.Config, k int, unweighted bool, opt int) *si
 	return p
 }
 
-// Verilator returns the compiled baseline simulator.
+// Verilator returns the scheduled baseline simulator.
 func (s *Suite) Verilator(cfg designs.Config, k int, pgo bool) *verilator.Sim {
 	key := fmt.Sprintf("%s/k%d/pgo%v", cfg.Name(), k, pgo)
 	s.mu.Lock()

@@ -151,8 +151,8 @@ type Fig10Point struct {
 }
 
 // Fig10Compiler reproduces Figure 10: the backend optimization level stands
-// in for the Clang 10 → Clang 14 upgrade. The baseline compiles through its
-// own shared-memory backend, which the optimizer does not apply to —
+// in for the Clang 10 → Clang 14 upgrade. The baseline is costed from the
+// O0 emitter's per-vertex counts, which the optimizer does not apply to —
 // mirroring the paper's finding that the newer compiler barely moves
 // Verilator.
 func (s *Suite) Fig10Compiler() ([]Fig10Point, *report.Table) {

@@ -182,22 +182,28 @@ type ThreadWork struct {
 // IdealNs is the thread's stall-free evaluation time.
 func (w *ThreadWork) IdealNs() float64 { return w.CostUnits * 0.01 }
 
+// Work is the footprint model of one thread: instrs instructions costing
+// costUnits, privateWords words of temps, shadowWords published per cycle,
+// branches static branch sites, and a globalWords array every thread reads
+// (inputs plus all register segments), of which it attributes a fixed share
+// to each thread.
+func Work(instrs int, costUnits int64, privateWords, shadowWords, globalWords, branches int) ThreadWork {
+	return ThreadWork{
+		Instrs:      float64(instrs),
+		CostUnits:   float64(costUnits),
+		CodeBytes:   float64(instrs * sim.InstrBytes),
+		DataBytes:   float64(privateWords+shadowWords)*8 + float64(globalWords)*8*0.15,
+		Branches:    float64(branches),
+		UpdateBytes: float64(shadowWords) * 8,
+	}
+}
+
 // WorkFromProgram extracts per-thread workloads from a compiled program.
 func WorkFromProgram(p *sim.Program) []ThreadWork {
 	out := make([]ThreadWork, p.NumThreads)
-	// Shared data (inputs + all register segments) is read by everyone;
-	// attribute the global footprint plus private temps to each thread.
-	globalBytes := float64(p.GlobalWords) * 8
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		out[t] = ThreadWork{
-			Instrs:      float64(len(th.Code)),
-			CostUnits:   float64(th.CostUnits),
-			CodeBytes:   float64(th.CodeBytes()),
-			DataBytes:   float64(th.NumTemps+th.ShadowWords)*8 + globalBytes*0.15,
-			Branches:    float64(th.Branches),
-			UpdateBytes: float64(th.ShadowWords) * 8,
-		}
+		out[t] = Work(len(th.Code), th.CostUnits, th.NumTemps, th.ShadowWords, p.GlobalWords, th.Branches)
 	}
 	return out
 }

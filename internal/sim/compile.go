@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cgraph"
 	"repro/internal/costmodel"
-	"repro/internal/firrtl"
 	"repro/internal/par"
 )
 
@@ -21,7 +20,7 @@ type PartSpec struct {
 	// vertex U into one extra shadow word per cycle, and every demoted
 	// register's read vertex aliases that committed slot. The demoted write
 	// sinks appear in no thread's Vertices or Sinks. Requires the two-phase
-	// protocol; Shared-mode compilation rejects dereplicated partitions.
+	// eval/commit protocol.
 	Dereps []cgraph.DerepGroup
 }
 
@@ -31,23 +30,11 @@ type Config struct {
 	// propagation; 2 = additionally fuse masking/truncation into producers
 	// (the "newer compiler" configuration of Figure 10).
 	OptLevel int
-	// Model attributes costs to threads (defaults to costmodel.Default()).
-	Model *costmodel.Model
-	// Shared stores every combinational value in the shared global array
-	// instead of thread-private temps. This is the Verilator-style
-	// compilation model: tasks on different threads communicate through
-	// shared slots mid-cycle. Shared mode records per-vertex code marks
-	// (for task boundaries) and skips the stream optimizer, whose motion
-	// would invalidate them. It is cost accounting for the Verilator
-	// baseline (internal/verilator), executed by no engine.
-	Shared bool
 	// Workers bounds the parallelism of compilation itself: per-thread
 	// code emission and optimization fan out one task per partition.
 	// <= 0 means all cores; 1 forces serial compilation. The Program is
 	// bit-identical for every worker count: threads compile against
 	// private constant pools that are merged in thread order afterwards.
-	// Shared mode always compiles serially (its scratch-slot allocator
-	// mutates compiler-global counters).
 	Workers int
 }
 
@@ -71,14 +58,9 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 		return nil, fmt.Errorf("sim: no partitions")
 	}
 	model := costmodel.Default()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	c := &compiler{
-		g:     g,
-		prog:  &Program{Design: g.Name, NumThreads: len(parts)},
-		model: model,
-		cfg:   cfg,
+		g:    g,
+		prog: &Program{Design: g.Name, NumThreads: len(parts)},
 	}
 	if err := c.layout(parts); err != nil {
 		return nil, err
@@ -86,14 +68,8 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 
 	// Phase A: emit (and optimize) every thread's code, one task per
 	// partition. Each task writes only its own ThreadCode and thread-local
-	// constant pools, so scheduling cannot influence the output. Shared
-	// mode allocates scratch slots from compiler-global counters and must
-	// stay serial.
-	workers := cfg.Workers
-	if cfg.Shared {
-		workers = 1
-	}
-	pool := par.NewPool(workers)
+	// constant pools, so scheduling cannot influence the output.
+	pool := par.NewPool(cfg.Workers)
 	tcs := make([]*threadCompiler, len(parts))
 	err := pool.ForEachErr(len(parts), func(t int) error {
 		tc := newThreadCompiler(c, t)
@@ -101,7 +77,7 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 		if err := tc.compileAll(parts[t]); err != nil {
 			return err
 		}
-		if cfg.OptLevel > 0 && !cfg.Shared {
+		if cfg.OptLevel > 0 {
 			// Optimize against the thread-local pool; folding may extend it.
 			tc.imms = optimize(tc.imms, tc.th, cfg.OptLevel)
 		}
@@ -115,10 +91,6 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	// a deterministic, worker-count-independent renumbering.
 	c.merge(tcs)
 
-	if cfg.Shared {
-		// Scratch slots allocated during compilation extend the array.
-		c.prog.GlobalWords = int(c.nextWord)
-	}
 	// Cost statistics per thread (after optimization the vertex set is
 	// unchanged; the model works on vertices, matching the paper's
 	// IR-level prediction).
@@ -130,15 +102,36 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 				th.Features[cl] += f[cl]
 			}
 			th.CostUnits += model.VertexCost(&g.Vs[v])
-			switch {
-			case g.Vs[v].Kind == cgraph.KindMemWrite:
-				th.Branches++
-			case g.Vs[v].Kind == cgraph.KindLogic && g.Vs[v].Op == firrtl.OpMux:
+			if g.Vs[v].IsBranch() {
 				th.Branches++
 			}
 		}
 	})
 	return c.prog, nil
+}
+
+// VertexInstrs runs the serial O0 emitter over g and returns how many
+// instructions each non-source vertex emits, the temp words the serial
+// thread uses, and the input region's words (padded to a segment). A
+// vertex emits the same code in every partition that holds it
+// (TestVertexInstrsMatchPartitions), so these counts cost any schedule of
+// g's vertices without compiling it.
+func VertexInstrs(g *cgraph.Graph) (counts map[cgraph.VID]int, temps, inputWords int, err error) {
+	parts := SerialSpec(g)
+	c := &compiler{g: g, prog: &Program{Design: g.Name, NumThreads: 1}}
+	if err := c.layout(parts); err != nil {
+		return nil, 0, 0, err
+	}
+	tc := newThreadCompiler(c, 0)
+	counts = make(map[cgraph.VID]int, len(parts[0].Vertices))
+	for _, v := range parts[0].Vertices {
+		start := len(tc.th.Code)
+		if err := tc.compileVertex(v); err != nil {
+			return nil, 0, 0, fmt.Errorf("sim: vertex %s: %w", g.Vs[v].Name, err)
+		}
+		counts[v] = len(tc.th.Code) - start
+	}
+	return counts, int(tc.nextTemp), tc.th.GlobalOff, nil
 }
 
 // merge folds each thread's private immediate pool into the Program, in
@@ -182,10 +175,8 @@ type derepCommit struct {
 }
 
 type compiler struct {
-	g     *cgraph.Graph
-	prog  *Program
-	model costmodel.Model
-	cfg   Config
+	g    *cgraph.Graph
+	prog *Program
 
 	// globalOf[v] is the global ref of the first word of a source vertex
 	// or sink result.
@@ -200,11 +191,6 @@ type compiler struct {
 	// derepCommits[t] are the dereplication commits thread t appends after
 	// its vertex code: copy the group driver's value into shadow word idx.
 	derepCommits map[int][]derepCommit
-
-	// Shared mode: per-vertex global slots (first word) for combinational
-	// results and the running allocation counter.
-	sharedOf map[cgraph.VID]uint32
-	nextWord uint32
 }
 
 // layout assigns global storage: an input region, then one padded segment
@@ -221,14 +207,11 @@ func (c *compiler) layout(parts []PartSpec) error {
 	// Dereplicated registers: their write sinks are demoted (owned and
 	// executed by no thread); the owning thread commits the group driver
 	// into one shared slot instead. The aliasing below depends on the
-	// two-phase eval/commit protocol, which Shared mode does not run.
+	// two-phase eval/commit protocol.
 	c.derepCommits = map[int][]derepCommit{}
 	demoted := map[cgraph.VID]int{}
 	for t := range parts {
 		for _, d := range parts[t].Dereps {
-			if c.cfg.Shared {
-				return fmt.Errorf("sim: shared-slot compilation cannot express dereplicated register groups")
-			}
 			for _, ri := range d.Regs {
 				if int(ri) < 0 || int(ri) >= len(g.Regs) {
 					return fmt.Errorf("sim: derep group references register %d out of range", ri)
@@ -396,21 +379,7 @@ func (c *compiler) layout(parts []PartSpec) error {
 		th.ShadowWords = int(off) + len(parts[t].Dereps)
 		word = padTo(word+uint32(th.ShadowWords), SegmentWords)
 	}
-	c.nextWord = word
-	if c.cfg.Shared {
-		// Every combinational vertex gets shared slots; one writer each.
-		c.sharedOf = map[cgraph.VID]uint32{}
-		for vi := range g.Vs {
-			v := cgraph.VID(vi)
-			k := g.Vs[v].Kind
-			if k.IsSource() || k.IsSink() {
-				continue
-			}
-			c.sharedOf[v] = c.nextWord
-			c.nextWord += uint32(words(g.Vs[v].Type.Width))
-		}
-	}
-	p.GlobalWords = int(c.nextWord)
+	p.GlobalWords = int(word)
 
 	// Registers with no read-side slot assignment (write pruned? cannot
 	// happen: writes are sinks and always live). Defensive check.
@@ -486,9 +455,6 @@ func (tc *threadCompiler) internImm(v uint64) uint32 {
 func (tc *threadCompiler) compileAll(part PartSpec) error {
 	tc.th.Code = make([]Instr, 0, len(part.Vertices)) // about one instruction per vertex
 	for _, v := range part.Vertices {
-		if tc.c.cfg.Shared {
-			tc.th.Marks = append(tc.th.Marks, len(tc.th.Code))
-		}
 		if err := tc.compileVertex(v); err != nil {
 			return fmt.Errorf("sim: thread %d vertex %s: %w", tc.t, tc.c.g.Vs[v].Name, err)
 		}
@@ -504,20 +470,12 @@ func (tc *threadCompiler) compileAll(part PartSpec) error {
 		}
 		tc.emit(Instr{Op: OpCopy, Dst: MakeRef(RefShadow, dc.idx), A: ref, Mask: maskOf(dc.width)})
 	}
-	if tc.c.cfg.Shared {
-		tc.th.Marks = append(tc.th.Marks, len(tc.th.Code))
-	}
 	tc.th.NumTemps = int(tc.nextTemp)
 	return nil
 }
 
-// scratch allocates one fresh word for an intermediate value: a temp, or in
-// Shared mode a global scratch slot.
+// scratch allocates one fresh temp word for an intermediate value.
 func (tc *threadCompiler) scratch() uint32 {
-	if tc.c.cfg.Shared {
-		tc.c.nextWord++
-		return MakeRef(RefGlobal, tc.c.nextWord-1)
-	}
 	tc.nextTemp++
 	return MakeRef(RefLocal, tc.nextTemp-1)
 }

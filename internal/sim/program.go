@@ -55,19 +55,11 @@ type ThreadCode struct {
 	ShadowWords int
 	GlobalOff   int
 
-	// Marks, in Shared compilation mode, gives the code offset where each
-	// of the thread's vertices begins (plus a final end-of-code mark), so
-	// the Verilator baseline can count its tasks' instructions.
-	Marks []int
-
 	// Statistics for the cost model and the simulated host.
 	Features  [costmodel.NumClasses]float64
 	CostUnits int64 // predicted execution cost in model units
 	Branches  int   // data-dependent branches (mux, mem enable)
 }
-
-// CodeBytes returns the thread's estimated compiled-code footprint.
-func (t *ThreadCode) CodeBytes() int { return len(t.Code) * InstrBytes }
 
 // Program is a compiled simulator: thread code plus the global layout.
 type Program struct {
@@ -178,7 +170,6 @@ func (p *Program) MemBytes() int64 {
 		th := &p.Threads[t]
 		n += threadSize
 		n += int64(len(th.Code)) * instrSize
-		n += int64(len(th.Marks)) * int64(unsafe.Sizeof(int(0)))
 	}
 	n += int64(len(p.Imms)) * 8
 	for i := range p.Mems {
@@ -292,10 +283,10 @@ func (p *Program) Fingerprint() uint64 {
 		h.u64(uint64(th.NumTemps))
 		h.u64(uint64(th.ShadowWords))
 		h.u64(uint64(th.GlobalOff))
-		h.u64(uint64(len(th.Marks)))
-		for _, m := range th.Marks {
-			h.u64(uint64(m))
-		}
+		// Constant where the removed per-vertex code offsets were hashed:
+		// persisted snapshots and native artifacts are keyed by this
+		// fingerprint.
+		h.u64(0)
 		for _, f := range th.Features {
 			h.u64(math.Float64bits(f))
 		}

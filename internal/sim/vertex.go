@@ -39,13 +39,6 @@ func (tc *threadCompiler) narrowRef(a cgraph.Operand) (uint32, error) {
 		}
 		return ref, nil
 	}
-	if tc.c.cfg.Shared {
-		slot, ok := tc.c.sharedOf[a.V]
-		if !ok {
-			return 0, fmt.Errorf("operand %s has no shared slot", vx.Name)
-		}
-		return MakeRef(RefGlobal, slot), nil
-	}
 	idx, ok := tc.tempOf[a.V]
 	if !ok {
 		return 0, fmt.Errorf("operand %s not yet computed in this partition (self-containment violated)", vx.Name)
@@ -128,18 +121,10 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 	return fmt.Errorf("unhandled vertex kind %v", vx.Kind)
 }
 
-// defineTemp allocates and registers the result location of v, one word
-// per 64 bits of its width: consecutive thread-private temps normally, or
-// the vertex's shared global slots in Shared mode. It returns the ref of
-// the first word.
+// defineTemp allocates and registers the result location of v, one
+// thread-private temp per 64 bits of its width. It returns the ref of the
+// first word.
 func (tc *threadCompiler) defineTemp(v cgraph.VID) uint32 {
-	if tc.c.cfg.Shared {
-		slot, ok := tc.c.sharedOf[v]
-		if !ok {
-			panic("sim: shared slot missing for vertex")
-		}
-		return MakeRef(RefGlobal, slot)
-	}
 	idx := tc.nextTemp
 	tc.nextTemp += uint32(words(tc.c.g.Vs[v].Type.Width))
 	tc.tempOf[v] = idx

@@ -54,28 +54,6 @@ func TestCompileWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// Shared (Verilator-style) compilation always runs serially under the hood;
-// requesting workers must not change its output.
-func TestCompileSharedWorkerEquivalence(t *testing.T) {
-	g := randomCircuit(t, 31, 120)
-	res, err := core.Partition(g, core.Options{K: 3, Seed: 2, Model: costmodel.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := partSpecs(res)
-	base, err := Compile(g, specs, Config{Shared: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Compile(g, specs, Config{Shared: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fingerprint() != got.Fingerprint() || !reflect.DeepEqual(base, got) {
-		t.Fatal("shared-mode program differs across worker settings")
-	}
-}
-
 // A parallel-compiled program must still simulate identically to the
 // reference evaluator (end-to-end check that the merge phase renumbers
 // immediates correctly).

@@ -21,10 +21,9 @@
 //
 // The verifier reports structured diagnostics with thread/PC/slot
 // provenance rather than a boolean, so an injected fault names exactly
-// where the emitted program went wrong. Shared-mode (Verilator-style)
-// programs intentionally communicate mid-cycle; for those only the
-// well-formedness family applies and the reduced scope is reported as an
-// Info diagnostic.
+// where the emitted program went wrong. Every compiled program keeps
+// combinational values in thread-private temps, so all families apply to
+// every program.
 package verify
 
 import (

@@ -5,10 +5,12 @@
 // dependences between tasks on different threads synchronize through
 // per-task completion flags.
 //
-// The baseline is a schedule, not an executor: New compiles it in the
-// shared-slot model (Shared in sim.Config) only to count each task's
-// instructions, and internal/hostmodel replays the result (Sim.Threads,
-// Sim.TaskWork) on the modeled host.
+// The baseline is a schedule, not an executor: New counts each task's
+// instructions from the serial compile's per-vertex counts
+// (sim.VertexInstrs), prices each thread with every combinational value
+// in the shared global array, as Verilator's tasks communicate mid-cycle,
+// and internal/hostmodel replays the result (Sim.Threads, Sim.TaskWork) on
+// the modeled host.
 //
 // Two cost estimators mirror the paper's configurations:
 //
@@ -25,18 +27,20 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/cgraph"
 	"repro/internal/costmodel"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
 
+// partsPerThread is the over-partitioning factor: "far more partitions
+// than threads" before merging.
+const partsPerThread = 3
+
 // Options configure the baseline simulator.
 type Options struct {
 	Threads int
-	// PartsPerThread controls over-partitioning (default 3: "far more
-	// partitions than threads" before merging).
-	PartsPerThread int
 	// PGO schedules with true model costs instead of node counts.
 	PGO bool
 	// Model is the true cost model (defaults to costmodel.Default()).
@@ -59,34 +63,34 @@ type MTask struct {
 // Sim is a scheduled Verilator-style parallel simulator: what the host
 // model needs to replay one cycle of it.
 type Sim struct {
-	Graph *cgraph.Graph
 	Tasks []MTask
-	// Threads is each thread's workload in the shared-slot compile.
+	// Threads is each thread's workload: its tasks' instructions and
+	// costs, with every value in the shared global array.
 	Threads []hostmodel.ThreadWork
 	// TaskWork lists each thread's tasks in schedule order, with their
 	// instruction counts and cross-thread dependences.
 	TaskWork [][]hostmodel.TaskWork
-	// Makespan is the schedule's predicted cycle time in estimate units.
-	Makespan int64
 }
 
-// New partitions, schedules, and compiles the baseline simulator for g.
+// New partitions and schedules the baseline simulator for g and costs it
+// from the serial compile's per-vertex instruction counts.
 func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 	if opt.Threads <= 0 {
 		return nil, fmt.Errorf("verilator: Threads must be positive")
-	}
-	if opt.PartsPerThread <= 0 {
-		opt.PartsPerThread = 3
 	}
 	model := costmodel.Default()
 	if opt.Model != nil {
 		model = *opt.Model
 	}
+	instrs, temps, inputWords, err := sim.VertexInstrs(g)
+	if err != nil {
+		return nil, fmt.Errorf("verilator: %w", err)
+	}
 
 	tasks := buildTasks(g, opt, model)
 	schedule(tasks, opt.Threads)
 
-	// Thread vertex lists in scheduled order.
+	// Thread task lists in scheduled order.
 	perThreadTasks := make([][]*MTask, opt.Threads)
 	for i := range tasks {
 		t := tasks[i].Thread
@@ -102,58 +106,49 @@ func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 		})
 	}
 
-	specs := make([]sim.PartSpec, opt.Threads)
+	// Count each task's instructions and keep only cross-thread
+	// dependences: same-thread ones are implied by the thread's task
+	// order. Every combinational value lives in the shared global array,
+	// after the inputs and each thread's padded segment of sink slots.
+	s := &Sim{Tasks: tasks, TaskWork: make([][]hostmodel.TaskWork, opt.Threads)}
+	type threadCount struct {
+		instrs, shadowWords, branches int
+		cost                          int64
+	}
+	counts := make([]threadCount, opt.Threads)
+	globalWords := inputWords + temps
 	for t := range perThreadTasks {
+		tc := &counts[t]
 		for _, task := range perThreadTasks[t] {
-			specs[t].Vertices = append(specs[t].Vertices, task.Vertices...)
+			n := 0
 			for _, v := range task.Vertices {
-				if g.Vs[v].Kind.IsSink() {
-					specs[t].Sinks = append(specs[t].Sinks, v)
+				n += instrs[v]
+				vx := &g.Vs[v]
+				if vx.Kind == cgraph.KindRegWrite || vx.Kind == cgraph.KindOutput {
+					tc.shadowWords += bitvec.WordsFor(vx.Type.Width)
+				}
+				if vx.IsBranch() {
+					tc.branches++
 				}
 			}
-		}
-	}
-
-	prog, err := sim.Compile(g, specs, sim.Config{Shared: true, Model: &model})
-	if err != nil {
-		return nil, fmt.Errorf("verilator: compile: %w", err)
-	}
-
-	// Slice each thread's code at task boundaries using the per-vertex
-	// marks, and keep only cross-thread dependences: same-thread ones are
-	// implied by the thread's task order.
-	s := &Sim{
-		Graph: g, Tasks: tasks,
-		Threads:  hostmodel.WorkFromProgram(prog),
-		TaskWork: make([][]hostmodel.TaskWork, opt.Threads),
-	}
-	threadOf := make([]int, len(tasks))
-	for i := range tasks {
-		threadOf[tasks[i].ID] = tasks[i].Thread
-	}
-	for t := range perThreadTasks {
-		marks := prog.Threads[t].Marks
-		vtx := 0
-		for _, task := range perThreadTasks[t] {
-			start := marks[vtx]
-			vtx += len(task.Vertices)
 			var deps []int
 			for _, d := range task.Deps {
-				if threadOf[d] != t {
+				if tasks[d].Thread != t {
 					deps = append(deps, d)
 				}
 			}
 			s.TaskWork[t] = append(s.TaskWork[t], hostmodel.TaskWork{
 				ID: task.ID, Thread: t, Deps: deps,
 				CostUnits: float64(task.TrueCost),
-				Instrs:    float64(marks[vtx] - start),
+				Instrs:    float64(n),
 			})
+			tc.instrs += n
+			tc.cost += task.TrueCost
 		}
+		globalWords += (tc.shadowWords + sim.SegmentWords - 1) / sim.SegmentWords * sim.SegmentWords
 	}
-	for i := range tasks {
-		if tasks[i].PredFinish > s.Makespan {
-			s.Makespan = tasks[i].PredFinish
-		}
+	for _, tc := range counts {
+		s.Threads = append(s.Threads, hostmodel.Work(tc.instrs, tc.cost, 0, tc.shadowWords, globalWords, tc.branches))
 	}
 	return s, nil
 }
@@ -177,7 +172,7 @@ func buildTasks(g *cgraph.Graph, opt Options, model costmodel.Model) []MTask {
 			totalEst += est(v)
 		}
 	}
-	cap_ := totalEst / int64(opt.Threads*opt.PartsPerThread*4)
+	cap_ := totalEst / int64(opt.Threads*partsPerThread*4)
 	if cap_ < 1 {
 		cap_ = 1
 	}
@@ -449,16 +444,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// MaxTaskCost returns the largest single task's true cost — the gigantic-
-// partition metric.
-func (s *Sim) MaxTaskCost() int64 {
-	var m int64
-	for i := range s.Tasks {
-		if s.Tasks[i].TrueCost > m {
-			m = s.Tasks[i].TrueCost
-		}
-	}
-	return m
 }

@@ -100,11 +100,11 @@ func TestTaskInvariants(t *testing.T) {
 	}
 }
 
-// The baseline's instruction accounting is pinned to the real compiler:
-// every vertex emits the same number of instructions whether its value
-// lives in a private temp or a shared slot, so on every bundled design the
-// tasks' instruction counts sum to the serial O0 program's, and each
-// thread's tasks sum to its workload.
+// The baseline's instruction accounting is pinned to the real compiler: on
+// every bundled design the tasks' instruction counts sum to the serial O0
+// program's, and each thread's tasks sum to its workload. (That a vertex's
+// count does not depend on its placement is sim's
+// TestVertexInstrsMatchPartitions.)
 func TestTaskInstrsMatchCompiler(t *testing.T) {
 	for _, cfg := range designs.Table1(1.0) {
 		g, err := designs.Build(cfg)
