@@ -98,22 +98,26 @@ func main() {
 			name, st.IRNodes, st.Edges, st.SinkVtx, st.SinkPct, st.RegWrites, st.Merged)
 	}
 
-	backend, err := repcut.ParseBackend(*backendF)
-	if err != nil {
-		fatal(err)
+	if *backendF != "linked" && *backendF != "native" {
+		fatal(fmt.Errorf("unknown backend %q (want linked, native)", *backendF))
 	}
 	opts := repcut.Options{Threads: *threads, Unweighted: *uw, Seed: *seed,
-		Workers: *workers, Verify: *verifyFlag, Validate: *validate,
-		Backend: backend, Artifacts: *artifacts, Profile: *profileOpt}
+		Workers: *workers, Verify: *verifyFlag, Validate: *validate, Profile: *profileOpt}
 	start := time.Now()
 	compiled, err := d.CompileProgram(opts)
 	if err != nil {
 		fatal(err)
 	}
-	compileTime := time.Since(start)
 	s := compiled.NewSimulator()
-	if backend == repcut.BackendNative && s.Backend != repcut.BackendNative && !*jsonOut {
-		fmt.Printf("native backend unavailable, running %s: %v\n", s.Backend, compiled.NativeErr)
+	if *backendF == "native" {
+		if err := s.UseNative(*artifacts); err != nil && !*jsonOut {
+			fmt.Printf("native backend unavailable, running linked: %v\n", err)
+		}
+	}
+	compileTime := time.Since(start)
+	backend := "linked"
+	if s.NativeInstalled() {
+		backend = "native"
 	}
 
 	out := jsonOutput{
@@ -172,7 +176,7 @@ func main() {
 			ElapsedSec:    el.Seconds(),
 			KHz:           float64(*cycles) / el.Seconds() / 1000,
 			InstrsRetired: s.InstrsRetired(),
-			Backend:       s.Backend.String(),
+			Backend:       backend,
 			StateHash:     fmt.Sprintf("%016x", s.StateHash()),
 		}
 		out.Outputs = map[string]uint64{}
@@ -184,7 +188,7 @@ func main() {
 		}
 		if !*jsonOut {
 			fmt.Printf("simulated %d cycles in %v (%.1f KHz on this host, %d instrs retired, %s backend)\n",
-				*cycles, el.Round(time.Millisecond), out.Run.KHz, s.InstrsRetired(), s.Backend)
+				*cycles, el.Round(time.Millisecond), out.Run.KHz, s.InstrsRetired(), backend)
 			fmt.Printf("state hash: %s\n", out.Run.StateHash)
 			for _, o := range s.Program().Outputs {
 				if o.Width <= 64 {

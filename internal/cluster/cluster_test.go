@@ -515,6 +515,26 @@ func TestFaultCorruptArtifact(t *testing.T) {
 	}
 }
 
+// TestMigrateInBodyCap: the migrate-in endpoint reads its body under the
+// service's 16 MiB cap and answers 413 past it, like every service
+// endpoint, instead of buffering up to 1 GiB before parsing.
+func TestMigrateInBodyCap(t *testing.T) {
+	f := startFleet(t, 1, 0)
+	huge := bytes.Repeat([]byte("a"), 17<<20)
+	resp, err := http.Post(f.URL(0)+"/v1/cluster/restore", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("17 MiB migrate body: HTTP %d, want 413", resp.StatusCode)
+	}
+	var er service.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+		t.Fatalf("413 body is not an ErrorResponse: %+v, %v", er, err)
+	}
+}
+
 // retry503 runs op, retrying while the server sheds with a bare 503 (drain
 // in progress, forwarding address not posted yet). Forwarded 503s are
 // followed inside the session handle and never surface here.

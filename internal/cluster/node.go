@@ -323,7 +323,7 @@ func decodeArtifact(blob []byte) (*service.Entry, error) {
 		Key:  w.Key,
 		Name: w.Name,
 		Compiled: &repcut.Compiled{
-			Program: p, Report: w.Report, Backend: repcut.BackendLinked,
+			Program: p, Report: w.Report,
 		},
 		Stats:       w.Stats,
 		Fingerprint: p.Fingerprint(),
@@ -338,12 +338,12 @@ func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	e, ok := n.srv.Cache().Lookup(key)
 	if !ok {
-		jsonErr(w, http.StatusNotFound, "cluster: artifact not resident")
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: artifact not resident"})
 		return
 	}
 	blob, err := encodeArtifact(e)
 	if err != nil {
-		jsonErr(w, http.StatusInternalServerError, err.Error())
+		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorResponse{Error: err.Error()})
 		return
 	}
 	sum := sha256.Sum256(blob)
@@ -358,21 +358,21 @@ func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleNativeArtifact(w http.ResponseWriter, r *http.Request) {
 	store := n.srv.CodegenStore()
 	if store == nil {
-		jsonErr(w, http.StatusNotFound, "cluster: native codegen disabled")
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: native codegen disabled"})
 		return
 	}
 	e, ok := n.srv.Cache().Lookup(r.PathValue("key"))
 	if !ok {
-		jsonErr(w, http.StatusNotFound, "cluster: artifact not resident")
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: artifact not resident"})
 		return
 	}
 	ck := codegen.Key(e.Compiled.Program, codegen.EmitOptions{})
 	so, meta, err := store.ExportArtifact(ck)
 	if err != nil {
-		jsonErr(w, http.StatusNotFound, "cluster: native artifact not built")
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: native artifact not built"})
 		return
 	}
-	writeJSON(w, http.StatusOK, nativeWire{Key: ck, So: so, Meta: meta})
+	service.WriteJSON(w, http.StatusOK, nativeWire{Key: ck, So: so, Meta: meta})
 }
 
 // migrateWire is one migrating session: its design key, serialized state,
@@ -435,54 +435,41 @@ func (n *Node) migrateTo(peer, key string, state []byte) (string, error) {
 // keeps serving /v1/artifacts), then the snapshot restores into a fresh
 // session.
 func (n *Node) handleMigrateIn(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		jsonErr(w, http.StatusBadRequest, err.Error())
+		service.WriteErr(w, err)
 		return
 	}
 	var req migrateWire
 	if err := json.Unmarshal(body, &req); err != nil {
-		jsonErr(w, http.StatusBadRequest, "cluster: bad migrate body: "+err.Error())
+		service.WriteErr(w, fmt.Errorf("cluster: bad migrate body: %w", err))
 		return
 	}
 	e, ok := n.srv.Cache().Lookup(req.Key)
 	if !ok {
 		if req.Origin == "" {
-			jsonErr(w, http.StatusNotFound, "cluster: unknown key and no origin to fetch from")
+			service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: unknown key and no origin to fetch from"})
 			return
 		}
 		var ferr error
 		e, ferr = n.fetchArtifact(req.Origin, req.Key)
 		if ferr != nil {
-			jsonErr(w, http.StatusNotFound, "cluster: fetch artifact for migration: "+ferr.Error())
+			service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "cluster: fetch artifact for migration: " + ferr.Error()})
 			return
 		}
 	}
 	snap, err := sim.DecodeSnapshot(req.State)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, sim.ErrSnapshotVersion) {
-			status = http.StatusConflict
-		}
-		jsonErr(w, status, err.Error())
+		service.WriteErr(w, err)
 		return
 	}
 	sess, err := n.srv.Sessions().Restore(e, snap, false)
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, service.ErrDraining):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, service.ErrSessionLimit):
-			status = http.StatusTooManyRequests
-		case errors.Is(err, service.ErrSnapshotMismatch):
-			status = http.StatusConflict
-		}
-		jsonErr(w, status, err.Error())
+		service.WriteErr(w, err)
 		return
 	}
 	n.migratedIn.Add(1)
-	writeJSON(w, http.StatusOK, service.SessionResponse{
+	service.WriteJSON(w, http.StatusOK, service.SessionResponse{
 		SessionID: sess.ID, Design: e.Name, Cycle: sess.Cycles(), Batched: sess.Batched(),
 	})
 }
@@ -519,14 +506,4 @@ func short(key string) string {
 		return key[:12]
 	}
 	return key
-}
-
-func jsonErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, service.ErrorResponse{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

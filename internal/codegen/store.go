@@ -173,36 +173,6 @@ func (s *Store) scan() error {
 // unload).
 func (s *Store) Close() { s.cancel() }
 
-var (
-	sharedMu sync.Mutex
-	sharedBy = map[string]*Store{}
-)
-
-// Shared returns a process-wide Store over dir, opening it on first use
-// (empty dir: the per-user default under the system temp dir). Shared
-// stores use the default byte budget and live for the process — callers
-// that need a private budget or lifecycle should Open their own.
-func Shared(dir string) (*Store, error) {
-	if dir == "" {
-		dir = filepath.Join(DefaultBaseDir(), "store")
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: %w", err)
-	}
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	if s, ok := sharedBy[abs]; ok {
-		return s, nil
-	}
-	s, err := Open(abs, 0)
-	if err != nil {
-		return nil, err
-	}
-	sharedBy[abs] = s
-	return s, nil
-}
-
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 

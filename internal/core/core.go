@@ -40,9 +40,6 @@ type Options struct {
 	// realization). <= 0 means all cores; 1 forces the serial path. The
 	// Result is bit-identical for every worker count.
 	Workers int
-	// Hypergraph overrides advanced partitioner knobs; zero values use
-	// defaults.
-	Hypergraph hypergraph.Options
 	// NoRefine disables the direct k-way FM cleanup that runs over the flat
 	// assignment after recursive bisection (hypergraph.KWayRefine). The
 	// unrefined partitioner is kept addressable so refined and unrefined
@@ -226,22 +223,10 @@ func Partition(g *cgraph.Graph, opt Options) (*Result, error) {
 	}
 	hg.Finish()
 
-	hopt := opt.Hypergraph
-	hopt.K = opt.K
-	hopt.Epsilon = opt.Epsilon
-	hopt.Seed = opt.Seed
-	if hopt.Workers == 0 {
-		hopt.Workers = opt.Workers
-	}
-	if hopt.InitRuns == 0 {
-		hopt.InitRuns = 24
-	}
-	if hopt.MaxFMPasses == 0 {
-		hopt.MaxFMPasses = 6
-	}
-	hopt.SkipKWay = hopt.SkipKWay || opt.NoRefine
-	hopt.KWayBug = hopt.KWayBug || opt.RefineBug
-	hr, err := hypergraph.Partition(hg, hopt)
+	hr, err := hypergraph.Partition(hg, hypergraph.Options{
+		K: opt.K, Epsilon: opt.Epsilon, Seed: opt.Seed, Workers: opt.Workers,
+		SkipKWay: opt.NoRefine, KWayBug: opt.RefineBug,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,10 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"sync"
 
+	repcut "repro"
 	"repro/internal/bitvec"
 	"repro/internal/cgraph"
 	"repro/internal/codegen"
@@ -156,27 +159,11 @@ func (m *Mismatch) Error() string {
 		m.Engine, m.Cycle, m.Kind, loc, m.Got, m.Want)
 }
 
-// engine is the minimal surface the oracle drives. All adapters return full
-// Vec values so wide state is compared exactly, not truncated to 64 bits.
-type engine interface {
-	poke(name string, v bitvec.Vec) error
-	step()
-	reg(name string) (bitvec.Vec, error)
-	out(name string) (bitvec.Vec, error)
-	mem(name string, addr int) (bitvec.Vec, error)
-}
-
-type serialAdapter struct{ e *sim.Engine }
-
-func (a serialAdapter) poke(n string, v bitvec.Vec) error       { return a.e.PokeInputVec(n, v) }
-func (a serialAdapter) step()                                   { a.e.Run(1) }
-func (a serialAdapter) reg(n string) (bitvec.Vec, error)        { return a.e.PeekReg(n) }
-func (a serialAdapter) out(n string) (bitvec.Vec, error)        { return a.e.PeekOutputVec(n) }
-func (a serialAdapter) mem(n string, i int) (bitvec.Vec, error) { return a.e.PeekMemVec(n, i) }
-
+// namedEngine is one column of the matrix. Peeks return full Vec values so
+// wide state is compared exactly, not truncated to 64 bits.
 type namedEngine struct {
 	name string
-	eng  engine
+	e    *sim.Engine
 }
 
 // partition returns the PartSpecs for a k-way cut, or nil if the circuit
@@ -190,11 +177,7 @@ func partition(g *cgraph.Graph, k int, seed int64) []sim.PartSpec {
 	if err != nil {
 		return nil
 	}
-	specs := make([]sim.PartSpec, len(res.Parts))
-	for i := range res.Parts {
-		specs[i] = sim.PartSpec{Vertices: res.Parts[i].Vertices, Sinks: res.Parts[i].Sinks}
-	}
-	return specs
+	return repcut.PartSpecs(res)
 }
 
 // Run executes the full differential matrix on one design and returns the
@@ -207,7 +190,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 
 	var engines []namedEngine
 	addProgram := func(name string, p *sim.Program) {
-		engines = append(engines, namedEngine{name, serialAdapter{sim.NewEngine(p)}})
+		engines = append(engines, namedEngine{name, sim.NewEngine(p)})
 	}
 
 	// Serial programs, unoptimized (O0) and optimized (O2).
@@ -291,7 +274,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 		if opt.ParBug {
 			par.PlantSkipCatchUp()
 		}
-		engines = append(engines, namedEngine{fmt.Sprintf("par-k%d", k), serialAdapter{par}})
+		engines = append(engines, namedEngine{fmt.Sprintf("par-k%d", k), par})
 	}
 
 	// Repartitioned parallel engines: replication-aware k-way refinement
@@ -336,11 +319,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 						Want: fmt.Sprintf("<= clean %.6f", clean.ReplicationCost)}
 				}
 			}
-			specs := make([]sim.PartSpec, len(refined.Parts))
-			for i := range refined.Parts {
-				specs[i] = sim.PartSpec{Vertices: refined.Parts[i].Vertices,
-					Sinks: refined.Parts[i].Sinks, Dereps: refined.DerepsOf(i)}
-			}
+			specs := repcut.PartSpecs(refined)
 			pk, err := sim.Compile(g, specs, sim.Config{OptLevel: 2})
 			if err != nil {
 				return &Mismatch{Engine: name, Cycle: -1, Kind: "compile", Got: err.Error()}
@@ -379,7 +358,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return &Mismatch{Engine: "service", Cycle: -1, Kind: "fingerprint",
 				Got: fmt.Sprintf("%#x", e2.Fingerprint), Want: fmt.Sprintf("%#x", e1.Fingerprint)}
 		}
-		engines = append(engines, namedEngine{"service", serialAdapter{e1.Compiled.NewSimulator().Engine}})
+		addProgram("service", e1.Compiled.Program)
 	}
 
 	// Mutation hook: plant a bug into a fresh O0 program and let the
@@ -404,7 +383,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			return m
 		}
 		if e != nil {
-			engines = append(engines, namedEngine{name, serialAdapter{e}})
+			engines = append(engines, namedEngine{name, e})
 		}
 	}
 
@@ -426,14 +405,14 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 				return &Mismatch{Engine: "reference", Cycle: cyc, Kind: "compile", Name: in.Name, Got: err.Error()}
 			}
 			for _, ne := range engines {
-				if err := ne.eng.poke(in.Name, w); err != nil {
+				if err := ne.e.PokeInputVec(in.Name, w); err != nil {
 					return &Mismatch{Engine: ne.name, Cycle: cyc, Kind: "compile", Name: in.Name, Got: err.Error()}
 				}
 			}
 		}
 		ref.Step()
 		for _, ne := range engines {
-			ne.eng.step()
+			ne.e.Run(1)
 		}
 		for _, ne := range engines {
 			if m := compare(g, ref, ne, cyc); m != nil {
@@ -491,8 +470,8 @@ func validatorCrossCheck(cert *tvalid.Result, m *Mismatch) *Mismatch {
 // with a nil mismatch means the column is inapplicable here: the platform
 // cannot build or load plugins, or the requested planted bug has no site
 // on this circuit (both are skips, not failures — mutation hunts scan
-// many seeds). Kernels come from the shared per-user artifact store, so
-// corpus reruns hit warm artifacts instead of rebuilding.
+// many seeds). Kernels come from the per-user artifact store, opened once
+// per process, so corpus reruns hit warm artifacts instead of rebuilding.
 func codegenEngine(p2 *sim.Program, opt Options) (*sim.Engine, string, *Mismatch) {
 	name := "codegen"
 	if opt.CodegenBug != codegen.BugNone {
@@ -506,7 +485,7 @@ func codegenEngine(p2 *sim.Program, opt Options) (*sim.Engine, string, *Mismatch
 			return nil, name, nil // no plantable site on this circuit
 		}
 	}
-	store, err := codegen.Shared("")
+	store, err := artifactStore()
 	if err != nil {
 		return nil, name, &Mismatch{Engine: name, Cycle: -1, Kind: "compile", Got: err.Error()}
 	}
@@ -520,6 +499,12 @@ func codegenEngine(p2 *sim.Program, opt Options) (*sim.Engine, string, *Mismatch
 	}
 	return e, name, nil
 }
+
+// artifactStore is the codegen column's store: the per-user default
+// directory, opened on first use and kept for the process.
+var artifactStore = sync.OnceValues(func() (*codegen.Store, error) {
+	return codegen.Open(filepath.Join(codegen.DefaultBaseDir(), "store"), 0)
+})
 
 // runBatchColumn cross-checks the lane-batched executor: an L-lane
 // BatchEngine where lane l sees input stream l, against L independent
@@ -828,7 +813,7 @@ func compare(g *cgraph.Graph, ref *sim.Reference, ne namedEngine, cyc int) *Mism
 		if err != nil {
 			continue
 		}
-		got, err := ne.eng.reg(name)
+		got, err := ne.e.PeekReg(name)
 		if err != nil || !bitvec.Eq(got, want) {
 			return mm("reg", name, 0, got, err, want)
 		}
@@ -839,7 +824,7 @@ func compare(g *cgraph.Graph, ref *sim.Reference, ne namedEngine, cyc int) *Mism
 		if err != nil {
 			continue
 		}
-		got, err := ne.eng.out(name)
+		got, err := ne.e.PeekOutputVec(name)
 		if err != nil || !bitvec.Eq(got, want) {
 			return mm("output", name, 0, got, err, want)
 		}
@@ -851,7 +836,7 @@ func compare(g *cgraph.Graph, ref *sim.Reference, ne namedEngine, cyc int) *Mism
 			if err != nil {
 				continue
 			}
-			got, err := ne.eng.mem(name, a)
+			got, err := ne.e.PeekMemVec(name, a)
 			if err != nil || !bitvec.Eq(got, want) {
 				return mm("mem", name, a, got, err, want)
 			}

@@ -41,12 +41,14 @@ func pathologicalH(seed int64, n, ne, huge int) *H {
 
 // TestPartitionGolden pins Partition's output on pathological hypergraphs.
 // Refinement speedups (FM's critical-net rule, coarsening's dense ratings)
-// must not move a single vertex: the hashes were recorded before them.
+// must not move a single vertex: the hashes were recorded before them, and
+// re-recorded with the same code at 24 initial runs and 6 FM passes when
+// those became the partitioner's fixed parameters.
 func TestPartitionGolden(t *testing.T) {
 	golden := map[int64][3]uint64{ // seed → hash at k = 2, 3, 8
-		1: {0xfe5d44cce390d838, 0xea6b6fa6f477dccd, 0xef6e18c5be32bdf1},
-		2: {0xebc652f044a779db, 0xf925b7344d4f88de, 0x2851a5319335c85b},
-		3: {0xfe0baaaa48063c16, 0xf054cfb233929884, 0xd40b8dd76bce4587},
+		1: {0x42be484172e99ecf, 0x8f61333306f3fd58, 0x2565566967ef5fc1},
+		2: {0xebc652f044a779db, 0xea11792b603991a3, 0x6fd5b303406f2fad},
+		3: {0xfe0baaaa48063c16, 0xc6682c4a5bc0fd26, 0xf795878d671fc2f7},
 	}
 	for seed, want := range golden {
 		h := pathologicalH(seed, 450, 1300, 3)

@@ -14,17 +14,15 @@ import (
 // Σ_p weight(p) = total + Σ_e (λ(e)−1)·ω(e), so every unit of gain here is
 // a unit of replicated work removed from some thread.
 
+// kwayPasses bounds refinement passes; each pass stops rolling forward
+// when its best prefix has non-positive gain.
+const kwayPasses = 8
+
 // KWayOptions configure one KWayRefine call.
 type KWayOptions struct {
 	// Epsilon is the balance tolerance: no part may exceed
 	// (1+Epsilon)·(total/k) after any applied move (default 0.03).
 	Epsilon float64
-	// MaxPasses bounds refinement passes (default 8); each pass stops
-	// rolling forward when its best prefix has non-positive gain.
-	MaxPasses int
-	// MaxPart optionally overrides the Epsilon-derived per-part weight
-	// bound (len k). Parts already over their bound can only lose weight.
-	MaxPart []int64
 	// BugGainSign is a deliberately planted defect: every computed gain is
 	// negated, so the pass greedily applies the most cut-increasing moves
 	// it can find. Mutation tests and the difftest repartition column use
@@ -99,19 +97,9 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 	if opt.Epsilon <= 0 {
 		opt.Epsilon = 0.03
 	}
-	if opt.MaxPasses <= 0 {
-		opt.MaxPasses = 8
-	}
 	n := h.NumV
 	total := h.TotalVWeight()
-	maxPart := opt.MaxPart
-	if maxPart == nil {
-		bound := int64(math.Ceil(float64(total) / float64(k) * (1 + opt.Epsilon)))
-		maxPart = make([]int64, k)
-		for i := range maxPart {
-			maxPart[i] = bound
-		}
-	}
+	maxPart := int64(math.Ceil(float64(total) / float64(k) * (1 + opt.Epsilon)))
 
 	// pc[e*k+p] counts edge e's pins in part p.
 	pc := make([]int32, len(h.Edges)*k)
@@ -209,7 +197,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 		bestTo := int32(-1)
 		var bestG int64
 		for q := int32(0); q < int32(k); q++ {
-			if q == from || side[q]+h.VWeight[v] > maxPart[q] {
+			if q == from || side[q]+h.VWeight[v] > maxPart {
 				continue
 			}
 			var c int64
@@ -241,7 +229,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 			over := int32(-1)
 			var worst int64
 			for p := 0; p < k; p++ {
-				if exc := side[p] - maxPart[p]; exc > worst {
+				if exc := side[p] - maxPart; exc > worst {
 					worst, over = exc, int32(p)
 				}
 			}
@@ -286,7 +274,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 	var hp kwHeap
 	moves := make([]kwMove, 0, n)
 
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < kwayPasses; pass++ {
 		recount()
 		rebalance()
 		for i := range locked {
@@ -312,7 +300,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 				continue // stale
 			}
 			from, to := part[v], it.to
-			if side[to]+h.VWeight[v] > maxPart[to] {
+			if side[to]+h.VWeight[v] > maxPart {
 				continue // would break balance; a neighbor update may requeue v
 			}
 			locked[v] = true
@@ -373,7 +361,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 		}
 	}
 	for p := 0; p < k; p++ {
-		if side[p] > maxPart[p] {
+		if side[p] > maxPart {
 			st.Overweight++
 		}
 	}

@@ -14,49 +14,38 @@ type Options struct {
 	K       int
 	Epsilon float64 // allowed imbalance, e.g. 0.03 = 3%
 	Seed    int64
-	// CoarsenTo is the coarsest vertex count before initial partitioning
-	// (default 160).
-	CoarsenTo int
-	// InitRuns is the number of randomized initial bisections (default 16).
-	InitRuns int
-	// MaxFMPasses bounds FM refinement passes per level (default 4).
-	MaxFMPasses int
 	// Workers bounds the parallelism of the partitioner (initial bisection
 	// runs and recursive-bisection branches). <= 0 means all cores; 1 runs
 	// fully serial. The partition produced is bit-identical for every
 	// worker count: randomized stages draw from seeds derived per branch
 	// and per run (par.Derive), never from a shared sequential RNG.
 	Workers int
-	// ParallelDepth is the recursion depth below which the two branches of
-	// a bisection may run concurrently (default 3, i.e. up to 8 in-flight
-	// branches). Deeper branches run inline on their parent's goroutine.
-	ParallelDepth int
 	// SkipKWay disables the direct k-way FM pass that normally replaces
 	// pure pairwise bisection cleanup (kway.go). Used for unrefined
 	// baselines and A/B measurement.
 	SkipKWay bool
-	// KWayPasses bounds the k-way refinement passes (default 8).
-	KWayPasses int
 	// KWayBug plants the gain-sign defect into the k-way pass (see
 	// KWayOptions.BugGainSign). Tests only.
 	KWayBug bool
 }
 
+// Fixed multilevel parameters.
+const (
+	// coarsenTo is the coarsest vertex count before initial partitioning.
+	coarsenTo = 160
+	// initRuns is the number of randomized initial bisections.
+	initRuns = 24
+	// maxFMPasses bounds FM refinement passes per level.
+	maxFMPasses = 6
+	// parallelDepth is the recursion depth below which the two branches of
+	// a bisection may run concurrently (up to 8 in-flight branches).
+	// Deeper branches run inline on their parent's goroutine.
+	parallelDepth = 3
+)
+
 func (o *Options) defaults() {
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 160
-	}
-	if o.InitRuns <= 0 {
-		o.InitRuns = 16
-	}
-	if o.MaxFMPasses <= 0 {
-		o.MaxFMPasses = 4
-	}
 	if o.Epsilon <= 0 {
 		o.Epsilon = 0.03
-	}
-	if o.ParallelDepth <= 0 {
-		o.ParallelDepth = 3
 	}
 }
 
@@ -92,7 +81,6 @@ func Partition(h *H, opt Options) (*Result, error) {
 			// connectivity metric (= replication cost).
 			KWayRefine(h, opt.K, part, KWayOptions{
 				Epsilon:     opt.Epsilon,
-				MaxPasses:   opt.KWayPasses,
 				BugGainSign: opt.KWayBug,
 			})
 		}
@@ -119,7 +107,7 @@ const (
 
 // recurse assigns parts [off, off+k) to the given vertices of orig. Each
 // branch owns a disjoint slice of the vertex universe and a derived seed
-// stream, so sibling branches can run concurrently (up to ParallelDepth)
+// stream, so sibling branches can run concurrently (up to parallelDepth)
 // without affecting the result.
 func (p *partitioner) recurse(orig *H, verts []int32, k, off int, out []int32, seed int64, depth int) {
 	if k == 1 {
@@ -142,7 +130,7 @@ func (p *partitioner) recurse(orig *H, verts []int32, k, off int, out []int32, s
 	}
 	left := func() { p.recurse(orig, v0, k0, off, out, par.Derive(seed, seedLeft), depth+1) }
 	right := func() { p.recurse(orig, v1, k-k0, off+k0, out, par.Derive(seed, seedRight), depth+1) }
-	if depth < p.opt.ParallelDepth && k > 2 {
+	if depth < parallelDepth && k > 2 {
 		p.pool.Do(left, right)
 	} else {
 		left()
@@ -221,7 +209,7 @@ func (p *partitioner) bisect(h *H, frac0 float64, seed int64) []int32 {
 	// Coarsen.
 	levels := []level{{h: h}}
 	cur := h
-	for li := int64(0); cur.NumV > p.opt.CoarsenTo; li++ {
+	for li := int64(0); cur.NumV > coarsenTo; li++ {
 		rng := rand.New(rand.NewSource(par.Derive(seed, seedCoarsen, li)))
 		coarse, m := p.coarsen(cur, total, rng, sc)
 		if coarse.NumV >= cur.NumV*19/20 {
@@ -406,8 +394,8 @@ func (p *partitioner) initialBisection(h *H, frac0 float64, max0, max1 int64, se
 		cut      int64
 		balanced bool
 	}
-	outs := make([]runOut, p.opt.InitRuns)
-	p.pool.ForEach(p.opt.InitRuns, func(run int) {
+	outs := make([]runOut, initRuns)
+	p.pool.ForEach(initRuns, func(run int) {
 		rng := rand.New(rand.NewSource(par.Derive(seed, seedInit, int64(run))))
 		sc := new(scratch)
 		part := p.greedyGrow(h, target0, rng)
@@ -551,7 +539,7 @@ func (p *partitioner) fmRefine(h *H, part []int32, max0, max1 int64, sc *scratch
 		return g
 	}
 
-	for pass := 0; pass < p.opt.MaxFMPasses; pass++ {
+	for pass := 0; pass < maxFMPasses; pass++ {
 		recount()
 		locked := grow(sc.locked, n)
 		sc.locked = locked

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	repcut "repro"
 	"repro/internal/codegen"
 )
 
@@ -84,8 +83,8 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	for cyc := 20; cyc < 60; cyc++ {
 		step(cyc)
 	}
-	if b := sess.privateSim().Backend; b != repcut.BackendNative {
-		t.Fatalf("session backend = %v after kernel ready, want native", b)
+	if !sess.privateEngine().NativeInstalled() {
+		t.Fatal("session engine still linked after kernel ready, want native")
 	}
 
 	snap := srv.Metrics()
@@ -124,7 +123,7 @@ func TestCodegenHotSwapMatchesLinked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if bsess.privateSim() != nil {
+	if bsess.privateEngine() != nil {
 		t.Fatal("batched session grew a private engine")
 	}
 }

@@ -166,9 +166,16 @@ func (s *Server) SetCompileHook(h CompileHook) { s.compileHook = h }
 func (s *Server) SetClusterMetrics(f func() *ClusterMetrics) { s.clusterMetrics = f }
 
 // Mount adds a handler to the server's mux (for the cluster layer's
-// peer-to-peer endpoints), inside the request-logging wrapper. Call before
+// peer-to-peer endpoints), inside the request-logging wrapper and under the
+// same request-body cap as the service's own endpoints: a read past it
+// fails with *http.MaxBytesError, which WriteErr answers 413. Call before
 // serving.
-func (s *Server) Mount(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+func (s *Server) Mount(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+		h(w, r)
+	})
+}
 
 // CodegenStore exposes the native artifact store, or nil when the codegen
 // tier is off.
@@ -311,20 +318,20 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 	})
 }
 
-// writeJSON writes a JSON body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr maps service errors to HTTP statuses: overload conditions get
+// WriteErr maps service errors to HTTP statuses: overload conditions get
 // 429/503 (the admission-control contract), lookups 404, fingerprint and
 // snapshot-version conflicts 409, everything else 400 — compile and simulation failures are
 // caused by request content. Every 503 carries Retry-After so clients know
 // the condition is transient; a migrated session's 503 additionally carries
 // the forwarding address so clients can follow instead of retrying here.
-func writeErr(w http.ResponseWriter, err error) {
+func WriteErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	resp := ErrorResponse{Error: err.Error()}
 	var mig *MigratedError
@@ -347,7 +354,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // maxRequestBody caps every request body; a longer one answers 413.
@@ -370,23 +377,23 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.sessions.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"uptime_sec": time.Since(s.m.start).Seconds(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	var (
@@ -400,10 +407,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		e, hit, err = s.cache.GetOrCompile(req)
 	}
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CompileResponse{
+	WriteJSON(w, http.StatusOK, CompileResponse{
 		Key:          e.Key,
 		CacheHit:     hit,
 		CompileMs:    float64(e.CompileTime.Microseconds()) / 1000,
@@ -414,21 +421,21 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	e, ok := s.cache.Lookup(req.Key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound,
+		WriteJSON(w, http.StatusNotFound,
 			ErrorResponse{Error: "service: unknown key (POST /v1/compile first)"})
 		return
 	}
 	sess, err := s.sessions.Create(e, req.Solo)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionResponse{
+	WriteJSON(w, http.StatusOK, SessionResponse{
 		SessionID: sess.ID, Design: e.Name, Cycle: 0, Batched: sess.Batched(),
 	})
 }
@@ -457,37 +464,37 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	s.m.sessionsCheckpointed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRestore opens a session resuming from a checkpoint.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req RestoreSessionRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	snap, err := sim.DecodeSnapshot(req.State)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	e, ok := s.cache.Lookup(req.Key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound,
+		WriteJSON(w, http.StatusNotFound,
 			ErrorResponse{Error: "service: unknown key (POST /v1/compile first)"})
 		return
 	}
 	sess, err := s.sessions.Restore(e, snap, req.Solo)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SessionResponse{
+	WriteJSON(w, http.StatusOK, SessionResponse{
 		SessionID: sess.ID, Design: e.Name, Cycle: sess.Cycles(), Batched: sess.Batched(),
 	})
 }
@@ -495,23 +502,23 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePoke(w http.ResponseWriter, r *http.Request) {
 	var req PokeRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	err := s.sessions.Do(r.PathValue("id"), func(sess *Session) error {
 		return sess.Poke(req.Name, req.Value)
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ValueResponse{Name: req.Name, Value: req.Value})
+	WriteJSON(w, http.StatusOK, ValueResponse{Name: req.Name, Value: req.Value})
 }
 
 func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 	var req PeekRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	var v uint64
@@ -532,16 +539,16 @@ func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
 		return err
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ValueResponse{Name: req.Name, Value: v})
+	WriteJSON(w, http.StatusOK, ValueResponse{Name: req.Name, Value: v})
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req StepRequest
 	if err := decode(w, r, &req); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	n := req.Cycles
@@ -584,10 +591,10 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // checkPeek admits a step's peek list before anything runs: every name is a
@@ -627,10 +634,10 @@ func (s *Server) handleStartVCD(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleGetVCD streams the capture accumulated so far.
@@ -642,7 +649,7 @@ func (s *Server) handleGetVCD(w http.ResponseWriter, r *http.Request) {
 		return e2
 	})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -653,8 +660,8 @@ func (s *Server) handleGetVCD(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.sessions.Close(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StepResponse{Cycle: sess.Cycles()})
+	WriteJSON(w, http.StatusOK, StepResponse{Cycle: sess.Cycles()})
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	repcut "repro"
 	"repro/internal/bitvec"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -48,7 +47,7 @@ type Session struct {
 	closed   bool
 }
 
-// backend is where a session simulates: a private *repcut.Simulator or a
+// backend is where a session simulates: a private *sim.Engine or a
 // *laneBackend on a shared batch group. Every session operation is one call
 // on it.
 type backend interface {
@@ -68,9 +67,9 @@ func (s *Session) laneHandle() *laneBackend {
 	return l
 }
 
-// privateSim returns the session's private simulator, nil on a batch lane.
-func (s *Session) privateSim() *repcut.Simulator {
-	p, _ := s.b.(*repcut.Simulator)
+// privateEngine returns the session's private engine, nil on a batch lane.
+func (s *Session) privateEngine() *sim.Engine {
+	p, _ := s.b.(*sim.Engine)
 	return p
 }
 
@@ -111,7 +110,7 @@ func (s *Session) StartVCD(sm *SessionManager) error {
 	if err := s.spill(sm); err != nil {
 		return err
 	}
-	w := sim.NewVCDWriter(&s.vcdBuf, s.privateSim().Engine)
+	w := sim.NewVCDWriter(&s.vcdBuf, s.privateEngine())
 	if err := w.Sample(); err != nil { // header + initial values
 		return err
 	}
@@ -153,7 +152,7 @@ func (s *Session) spill(sm *SessionManager) error {
 // (when non-nil) into the session's backend.
 func (s *Session) load(snap *sim.Snapshot) error {
 	if s.b == nil {
-		s.b = s.entry.Compiled.NewSimulator()
+		s.b = sim.NewEngine(s.entry.Compiled.Program)
 	}
 	if snap == nil {
 		return nil
@@ -170,16 +169,15 @@ func (s *Session) load(snap *sim.Snapshot) error {
 // kernel indexes the same unified state slice the linked interpreter
 // does, so it is invisible mid-simulation.
 func (s *Session) maybeHotSwap(m *Metrics) {
-	p := s.privateSim()
-	if p == nil || p.Backend != repcut.BackendLinked {
+	p := s.privateEngine()
+	if p == nil || p.NativeInstalled() {
 		return
 	}
 	k := s.entry.Native()
-	if k == nil || p.Engine.NativeInstalled() {
+	if k == nil {
 		return
 	}
-	if err := p.Engine.InstallNative(k.Threads); err == nil {
-		p.Backend = repcut.BackendNative
+	if err := p.InstallNative(k.Threads); err == nil {
 		m.codegenHotSwapped.Add(1)
 	}
 }

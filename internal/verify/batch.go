@@ -7,15 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// scanBatch proves the program safe for a lane-batched engine
-// (sim.BatchEngine) with the given lane count. The batch executor stores
-// narrow state word w of lane l at st[w*sim.BatchWidth+l]; its correctness
-// rests on three static facts this scan establishes:
+// scanBatch proves the program's state layout: the region order every
+// engine indexes by, and safety for a lane-batched engine (sim.BatchEngine).
+// The batch executor stores narrow state word w of lane l at
+// st[w*sim.BatchWidth+l]; its correctness rests on three static facts this
+// scan establishes:
 //
 //   - Lane disjointness: distinct lanes never alias one state cell. With
-//     l, l' < BatchWidth, w*BatchWidth+l == w'*BatchWidth+l' forces w == w'
-//     and l == l', so it suffices that the lane count fits the one column
-//     width and the word regions the engine block-copies (globals,
+//     l, l' < BatchWidth (NewBatchEngine rejects more lanes),
+//     w*BatchWidth+l == w'*BatchWidth+l' forces w == w' and l == l', so it
+//     suffices that the word regions the engine block-copies (globals,
 //     immediates, per-thread frames) are disjoint and inside the
 //     allocation.
 //
@@ -27,18 +28,8 @@ import (
 //   - Lane recycling: ResetLane re-seeds the immediate column and register
 //     initial values for one lane; every slot it touches must exist, or a
 //     recycled lane leaks the previous session's state.
-func (v *verifier) scanBatch(lanes int) {
+func (v *verifier) scanBatch() {
 	p := v.p
-	if lanes < 1 {
-		v.diag(CheckBatch, Error, -1, -1, "", fmt.Sprintf("lane count %d is not positive", lanes))
-		return
-	}
-	if lanes > sim.BatchWidth {
-		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("lane count %d exceeds the %d-lane column width: lanes past the column would alias the next state word's; NewBatchEngine rejects it", lanes, sim.BatchWidth))
-		return
-	}
-
 	lp := p.Linked()
 	// Word-region integrity, in ascending order: globals, immediates, then
 	// one frame (temps ++ shadow) per thread.
@@ -81,5 +72,5 @@ func (v *verifier) scanBatch(lanes int) {
 	}
 
 	v.diag(CheckBatch, Info, -1, -1, "",
-		fmt.Sprintf("batch layout proven lane-disjoint for %d lanes (column width %d): RunMasked may evaluate masked-out lanes and gate only their commit", lanes, sim.BatchWidth))
+		fmt.Sprintf("batch layout proven lane-disjoint for up to %d lanes (the column width): RunMasked may evaluate masked-out lanes and gate only their commit", sim.BatchWidth))
 }

@@ -3,7 +3,10 @@ package verify
 // Batch-layout tests prove scanBatch is live: clean compiles of every
 // shape pass with an explicit lane-disjointness conclusion, and planted
 // layout corruptions — the exact faults a broken linker or a stale cached
-// linked form would produce — are each rejected with provenance.
+// linked form would produce — are each rejected with provenance. The
+// mutants run with zero Options, as every production caller does: the
+// layout proof is not opt-in, and a corrupt layout must be reported, not
+// indexed by the stream scan's per-region tables (which would panic).
 
 import (
 	"strings"
@@ -23,20 +26,17 @@ func findBatchInfo(t *testing.T, rep *Report) Diag {
 }
 
 // TestBatchCleanPrograms proves the batch-layout contract on correct
-// compiler output across thread counts, optimization levels, and lane
-// counts (a single lane, a partial column, a full column).
+// compiler output across thread counts and optimization levels.
 func TestBatchCleanPrograms(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	for _, k := range []int{1, 2} {
 		for _, opt := range []int{0, 2} {
-			for _, lanes := range []int{1, 3, 16} {
-				p, parts := compileParts(t, g, k, opt)
-				rep := Program(p, Options{Graph: g, Parts: parts, BatchLanes: lanes})
-				requireClean(t, rep, "batch")
-				info := findBatchInfo(t, rep)
-				if !strings.Contains(info.Msg, "proven lane-disjoint") {
-					t.Fatalf("k=%d O%d lanes=%d: unexpected conclusion: %s", k, opt, lanes, info)
-				}
+			p, parts := compileParts(t, g, k, opt)
+			rep := Program(p, Options{Graph: g, Parts: parts})
+			requireClean(t, rep, "batch")
+			info := findBatchInfo(t, rep)
+			if !strings.Contains(info.Msg, "proven lane-disjoint") {
+				t.Fatalf("k=%d O%d: unexpected conclusion: %s", k, opt, info)
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func TestBatchCleanPrograms(t *testing.T) {
 func TestFullVerificationStack(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p, parts := compileParts(t, g, 2, 2)
-	rep := Program(p, Options{Graph: g, Parts: parts, Validate: true, BatchLanes: 8})
+	rep := Program(p, Options{Graph: g, Parts: parts, Validate: true})
 	requireClean(t, rep, "full stack")
 	if rep.Validation == nil || rep.Validation.Pairs == 0 {
 		t.Fatalf("no validation certificate attached: %s", rep.String())
@@ -67,7 +67,7 @@ func TestBatchMutationFrameOverlap(t *testing.T) {
 	p, _ := compileParts(t, g, 2, 0)
 	lp := p.Linked()
 	lp.Threads[0].TempOff = 0 // inside the global register/input region
-	rep := Program(p, Options{BatchLanes: 4})
+	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "thread frame begins at") {
 		t.Fatalf("wrong rejection: %s", d)
@@ -84,7 +84,7 @@ func TestBatchMutationShadowGap(t *testing.T) {
 	p, _ := compileParts(t, g, 2, 0)
 	lp := p.Linked()
 	lp.Threads[1].ShadowOff++
-	rep := Program(p, Options{BatchLanes: 4})
+	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "does not abut") {
 		t.Fatalf("wrong rejection: %s", d)
@@ -102,7 +102,7 @@ func TestBatchMutationTruncatedState(t *testing.T) {
 	lp := p.Linked()
 	last := &lp.Threads[len(lp.Threads)-1]
 	lp.StateWords = int(last.ShadowOff) // chops off the last shadow region
-	rep := Program(p, Options{BatchLanes: 4})
+	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "runs off the array") {
 		t.Fatalf("wrong rejection: %s", d)

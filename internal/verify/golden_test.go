@@ -158,19 +158,9 @@ func TestGoldenDiagnostics(t *testing.T) {
 				g := mustGraph(t, memMixSrc)
 				p, _ := compileParts(t, g, 2, 0)
 				p.Linked().Threads[0].TempOff = 0
-				return Program(p, Options{BatchLanes: 4})
+				return Program(p, Options{})
 			},
 			want: "error [batch-layout] thread 0 at state word 0: thread frame begins at 0, inside the previous region ending at 25: lane columns of different regions overlap",
-		},
-		{
-			name:  "batch/lanes-over-width",
-			check: CheckBatch,
-			plant: func(t *testing.T) *Report {
-				g := mustGraph(t, memMixSrc)
-				p, _ := compileParts(t, g, 2, 0)
-				return Program(p, Options{BatchLanes: sim.BatchWidth + 1})
-			},
-			want: "error [batch-layout]: lane count 17 exceeds the 16-lane column width: lanes past the column would alias the next state word's; NewBatchEngine rejects it",
 		},
 	}
 	for _, tc := range cases {

@@ -16,7 +16,7 @@ import (
 // clean sweep over all rounds is strong evidence the residual mismatches
 // are normalization incompleteness, not miscompiles.
 func probe(ref, opt *sim.Program, o Options) (witness string, diverged bool) {
-	for round := 0; round < o.Rounds; round++ {
+	for round := 0; round < probeRounds; round++ {
 		if w, d := probeRound(ref, opt, o, round); d {
 			return w, true
 		}
@@ -31,7 +31,7 @@ func probeRound(ref, opt *sim.Program, o Options, round int) (string, bool) {
 	e2.Reset()
 	rng := rand.New(rand.NewSource(o.Seed + int64(round)*0x9e3779b9))
 
-	for cyc := 0; cyc < o.Cycles; cyc++ {
+	for cyc := 0; cyc < probeCycles; cyc++ {
 		for _, in := range opt.Inputs {
 			v := stimulus(rng, round, in.Width)
 			e0.PokeInputVec(in.Name, v)

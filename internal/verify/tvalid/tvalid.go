@@ -28,23 +28,21 @@ import (
 
 // Options tunes the concrete-probing fallback.
 type Options struct {
-	// Rounds is the number of stimulus rounds the probe runs when the
-	// symbolic proof leaves residual mismatches (default 6: four boundary
-	// patterns plus two random).
-	Rounds int
-	// Cycles per probe round (default 8).
-	Cycles int
 	// Seed for the random stimulus rounds (default 1).
 	Seed int64
 }
 
+// The concrete-probing fallback's fixed size.
+const (
+	// probeRounds is the number of stimulus rounds the probe runs when the
+	// symbolic proof leaves residual mismatches: four boundary patterns
+	// plus two random.
+	probeRounds = 6
+	// probeCycles is the number of cycles per probe round.
+	probeCycles = 8
+)
+
 func (o Options) withDefaults() Options {
-	if o.Rounds <= 0 {
-		o.Rounds = 6
-	}
-	if o.Cycles <= 0 {
-		o.Cycles = 8
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}

@@ -121,13 +121,6 @@ type Options struct {
 	// Divergences surface as CheckTranslation errors and the full
 	// certificate as Report.Validation.
 	Validate bool
-	// BatchLanes, when positive, additionally proves the program safe for
-	// a sim.BatchEngine with that many lanes: the SoA column layout is
-	// lane-disjoint, RunMasked's commit gating is sound under the
-	// private-temp model (eval is side-effect-free outside temps/shadow,
-	// so masked-out lanes may evaluate without committing), and lane
-	// recycling (ResetLane) can re-seed every constant and register.
-	BatchLanes int
 	// MaxThreadCost, when positive, additionally enforces the partition's
 	// balance contract: every thread's predicted eval cost
 	// (ThreadCode.CostUnits) must stay at or below this bound. Callers
@@ -258,15 +251,11 @@ func Program(p *sim.Program, opts Options) *Report {
 	// The batch-layout scan is a precondition of the linked-stream scan:
 	// scanLinked classifies flat state indices by the region layout, so if
 	// the layout itself is corrupt the classification is meaningless (and
-	// may index off the end of per-region tracking). Prove the layout
+	// would index off the end of per-region tracking). Prove the layout
 	// first and only scan the streams when it holds.
-	layoutOK := true
-	if opts.BatchLanes > 0 {
-		pre := v.rep.Count(Error)
-		v.scanBatch(opts.BatchLanes)
-		layoutOK = v.rep.Count(Error) == pre
-	}
-	if layoutOK {
+	pre := v.rep.Count(Error)
+	v.scanBatch()
+	if v.rep.Count(Error) == pre {
 		v.scanLinked()
 	}
 	v.checkMems()

@@ -43,8 +43,6 @@ type Options struct {
 	Threads int
 	// PGO schedules with true model costs instead of node counts.
 	PGO bool
-	// Model is the true cost model (defaults to costmodel.Default()).
-	Model *costmodel.Model
 }
 
 // MTask is one statically scheduled partition.
@@ -78,16 +76,12 @@ func New(g *cgraph.Graph, opt Options) (*Sim, error) {
 	if opt.Threads <= 0 {
 		return nil, fmt.Errorf("verilator: Threads must be positive")
 	}
-	model := costmodel.Default()
-	if opt.Model != nil {
-		model = *opt.Model
-	}
 	instrs, temps, inputWords, err := sim.VertexInstrs(g)
 	if err != nil {
 		return nil, fmt.Errorf("verilator: %w", err)
 	}
 
-	tasks := buildTasks(g, opt, model)
+	tasks := buildTasks(g, opt, costmodel.Default())
 	schedule(tasks, opt.Threads)
 
 	// Thread task lists in scheduled order.

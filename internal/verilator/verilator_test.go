@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cgraph"
-	"repro/internal/costmodel"
 	"repro/internal/designs"
 	"repro/internal/firrtl"
 	"repro/internal/sim"
@@ -159,7 +158,6 @@ func TestPGOImprovesScheduleOnSkewedCosts(t *testing.T) {
 	sb.WriteString("    output o : UInt<16>\n    o <= n0\n  }\n}\n")
 	g := mustGraph(t, sb.String())
 
-	model := costmodel.Default()
 	// Mean relative estimate error |est-true|/true over tasks.
 	estErr := func(s *Sim) float64 {
 		var sum float64
@@ -177,11 +175,11 @@ func TestPGOImprovesScheduleOnSkewedCosts(t *testing.T) {
 		}
 		return sum / float64(n)
 	}
-	base, err := New(g, Options{Threads: 4, Model: &model})
+	base, err := New(g, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgo, err := New(g, Options{Threads: 4, PGO: true, Model: &model})
+	pgo, err := New(g, Options{Threads: 4, PGO: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,6 @@ func TestVerifyCountsEachInstrOnce(t *testing.T) {
 		"plain": {},
 		//lint:ignore SA1019 pins that the deprecated field changes nothing
 		"linked": {Linked: true},
-		"batch":  {BatchLanes: 4},
 	} {
 		rep := verify.Program(p, opts)
 		if err := rep.Err(); err != nil {

@@ -82,7 +82,7 @@ func TestProfileRebalanceKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgo, err := d.CompileProgram(Options{Threads: 4, Profile: true, ProfileCycles: 32})
+	pgo, err := d.CompileProgram(Options{Threads: 4, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,19 +118,12 @@ func TestRepartitionedStateHashAcrossBackends(t *testing.T) {
 		t.Fatalf("linked state hash diverges: derep %016x, plain %016x", got, want)
 	}
 
-	native, err := d.CompileProgram(Options{Threads: 16, Backend: BackendNative, Artifacts: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	s := derep.NewSimulator()
+	if err := s.UseNative(t.TempDir()); err != nil {
+		t.Skipf("native backend unavailable: %v", err)
 	}
-	if native.Native == nil {
-		t.Skipf("native backend unavailable: %v", native.NativeErr)
-	}
-	if native.Report.DerepGroups == 0 {
-		t.Fatal("native derep compile demoted nothing")
-	}
-	s := native.NewSimulator()
-	if s.Backend != BackendNative {
-		t.Fatalf("simulator fell back to %s", s.Backend)
+	if !s.NativeInstalled() {
+		t.Fatal("UseNative succeeded but the simulator still runs linked")
 	}
 	if got := runHash(t, s, cycles, seed); got != want {
 		t.Fatalf("native state hash diverges: derep-native %016x, plain-linked %016x", got, want)

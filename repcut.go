@@ -24,6 +24,7 @@ package repcut
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/cgraph"
 	"repro/internal/codegen"
@@ -99,43 +100,6 @@ func (d *Design) Stats() cgraph.Stats {
 	return d.Graph.Stats()
 }
 
-// Backend selects the execution engine simulators created from a Compiled
-// will run on. All backends execute the same compiled Program over the
-// same state layout, so they are freely interchangeable (and hot-swappable
-// between Run calls).
-type Backend int
-
-const (
-	// BackendLinked is the default: the linked instruction-stream
-	// executor.
-	BackendLinked Backend = iota
-	// BackendNative emits each thread's linked stream as Go source,
-	// compiles it out of process into a plugin (internal/codegen), and
-	// runs the loaded kernel. When the platform cannot build or load
-	// plugins — or the build fails — compilation still succeeds and
-	// simulators fall back to BackendLinked; Compiled.NativeErr says why.
-	BackendNative
-)
-
-// String names the backend as the CLI flags spell it.
-func (b Backend) String() string {
-	if b == BackendNative {
-		return "native"
-	}
-	return "linked"
-}
-
-// ParseBackend converts a CLI flag value to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "linked":
-		return BackendLinked, nil
-	case "native":
-		return BackendNative, nil
-	}
-	return 0, fmt.Errorf("repcut: unknown backend %q (want linked, native)", s)
-}
-
 // Options configure parallel compilation.
 type Options struct {
 	// Threads is the partition count (required, >= 1).
@@ -161,16 +125,8 @@ type Options struct {
 	// reference recompiled from the same partition (internal/verify/tvalid).
 	// Compilation fails on any divergence. Implies the Verify scan.
 	Validate bool
-	// Backend selects the execution engine for simulators created from
-	// the result (default BackendLinked). BackendNative builds (or fetches
-	// from the artifact store) a compiled kernel during CompileProgram.
-	Backend Backend
-	// Artifacts names the native artifact store directory (BackendNative
-	// only). Empty uses the per-user default under the system temp dir, so
-	// repeated runs share warm artifacts.
-	Artifacts string
 	// Profile enables profile-guided rebalance: compile once, measure
-	// per-thread eval+commit phase times over ProfileCycles simulated
+	// per-thread eval+commit phase times over profileCycles simulated
 	// cycles, and repartition with the hypergraph weights scaled by each
 	// thread's measured-vs-predicted cost ratio before the final compile.
 	// Timing-driven, so partitions may differ between hosts and runs —
@@ -178,9 +134,10 @@ type Options struct {
 	// but bit-identical partition reproducibility is deliberately traded
 	// for measured balance.
 	Profile bool
-	// ProfileCycles is the measurement run length for Profile (default 64).
-	ProfileCycles int
 }
+
+// profileCycles is the measurement run length for Options.Profile.
+const profileCycles = 64
 
 func (o *Options) defaults() {
 	if o.Seed == 0 {
@@ -271,10 +228,30 @@ type Simulator struct {
 	// Verification is the static soundness report (nil unless
 	// Options.Verify was set).
 	Verification *verify.Report
-	// Backend is the engine this simulator actually runs on — it can
-	// differ from the requested Options.Backend when the native kernel
-	// was unavailable and the linked interpreter stood in.
-	Backend Backend
+}
+
+// UseNative attaches a native kernel to the simulator: it emits each
+// thread's linked stream as Go source, builds it out of process into a
+// plugin (internal/codegen) or fetches it from the artifact store at
+// artifacts (empty: the per-user default under the system temp dir, so
+// repeated runs share warm artifacts), and installs it. The swap is
+// state-preserving. A non-nil error (plugins unsupported on this platform,
+// store trouble, a failed build) leaves the simulator on the linked
+// executor; NativeInstalled reports which one runs.
+func (s *Simulator) UseNative(artifacts string) error {
+	if artifacts == "" {
+		artifacts = filepath.Join(codegen.DefaultBaseDir(), "store")
+	}
+	store, err := codegen.Open(artifacts, 0)
+	if err != nil {
+		return err
+	}
+	defer store.Close()
+	k, err := store.Kernel(s.Program(), codegen.EmitOptions{})
+	if err != nil {
+		return err
+	}
+	return s.InstallNative(k.Threads)
 }
 
 // optLevel is the stream optimization every pipeline compile runs:
@@ -299,31 +276,13 @@ type Compiled struct {
 	Program      *sim.Program
 	Report       *PartitionReport
 	Verification *verify.Report
-	// Backend is the requested execution backend.
-	Backend Backend
-	// Native is the loaded native kernel (Backend == BackendNative and
-	// the artifact built and loaded). Kernels are process-pinned and
-	// shared by every simulator over this Compiled.
-	Native *codegen.Kernel
-	// NativeErr records why the native backend is unavailable when
-	// Backend == BackendNative but Native is nil (plugin-unsupported
-	// platform, build failure); simulators fall back to BackendLinked.
-	NativeErr error
 }
 
 // NewSimulator creates an independent simulator over a compiled program.
-// Engines share the (read-only) program and any loaded native kernel but
-// nothing else, so any number of concurrent sessions can run off one
-// Compiled.
+// Engines share the (read-only) program but nothing else, so any number of
+// concurrent sessions can run off one Compiled.
 func (c *Compiled) NewSimulator() *Simulator {
-	s := &Simulator{Report: c.Report, Verification: c.Verification, Backend: BackendLinked}
-	s.Engine = sim.NewEngine(c.Program)
-	if c.Backend == BackendNative && c.Native != nil {
-		if err := s.Engine.InstallNative(c.Native.Threads); err == nil {
-			s.Backend = BackendNative
-		}
-	}
-	return s
+	return &Simulator{Engine: sim.NewEngine(c.Program), Report: c.Report, Verification: c.Verification}
 }
 
 // CompileParallel partitions the design and builds the RepCut parallel
@@ -373,11 +332,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 	// partitioner's proxy weights, so the rebalanced program simulates the
 	// same design — state hashes match the unprofiled compile.
 	if opt.Profile && opt.Threads > 1 {
-		cycles := opt.ProfileCycles
-		if cycles <= 0 {
-			cycles = 64
-		}
-		samples := sim.NewEngine(p).RunProfiled(cycles)
+		samples := sim.NewEngine(p).RunProfiled(profileCycles)
 		measured := make([]float64, opt.Threads)
 		for _, row := range samples {
 			for t := range row {
@@ -386,7 +341,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 		}
 		predicted := make([]float64, opt.Threads)
 		for t := range p.Threads {
-			measured[t] /= float64(cycles)
+			measured[t] /= profileCycles
 			predicted[t] = float64(p.Threads[t].CostUnits)
 		}
 		pf := &core.ProfileFeedback{
@@ -409,26 +364,13 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 	// means every NewSimulator reuses it, and Program.MemBytes (the cache's
 	// LRU charge) is stable and includes the linked bytes.
 	p.Linked()
-	c := &Compiled{Program: p, Report: rep, Backend: opt.Backend}
+	c := &Compiled{Program: p, Report: rep}
 	if opt.Verify || opt.Validate {
 		c.Verification = verify.Program(p, verify.Options{
 			Graph: d.Graph, Parts: specs, Validate: opt.Validate,
 		})
 		if err := c.Verification.Err(); err != nil {
 			return nil, err
-		}
-	}
-	// Native backend: build (or fetch) the compiled kernel now, so every
-	// simulator over this Compiled shares it. Any failure — unsupported
-	// platform, artifact store trouble, build error — degrades to the
-	// linked interpreter instead of failing compilation.
-	if opt.Backend == BackendNative {
-		if store, err := codegen.Shared(opt.Artifacts); err != nil {
-			c.NativeErr = err
-		} else if k, err := store.Kernel(p, codegen.EmitOptions{}); err != nil {
-			c.NativeErr = err
-		} else {
-			c.Native = k
 		}
 	}
 	return c, nil

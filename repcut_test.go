@@ -137,21 +137,3 @@ func TestCompileParallelVerify(t *testing.T) {
 		t.Fatal("verification ran without Options.Verify")
 	}
 }
-
-// Every backend round-trips through its flag spelling, and the removed
-// "interp" value is rejected with an error naming exactly the survivors.
-func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{BackendLinked, BackendNative} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
-		}
-	}
-	_, err := ParseBackend("interp")
-	if err == nil {
-		t.Fatal(`ParseBackend("interp") succeeded`)
-	}
-	if want := `repcut: unknown backend "interp" (want linked, native)`; err.Error() != want {
-		t.Errorf("error %q, want %q", err, want)
-	}
-}
