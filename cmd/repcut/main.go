@@ -3,8 +3,9 @@
 // report (replication cost, imbalance), runs the requested number of
 // cycles on the real parallel engine, and reports both measured host
 // throughput and modeled throughput on the paper's reference machine.
-// With -json the same report is emitted machine-readable, using the exact
-// response types the repcutd service serves, so the two cannot drift.
+// It compiles through service.Compile, the door the repcutd cache compiles
+// its misses through, so with -json it emits the exact report the service
+// serves for the same request and the two cannot drift.
 //
 // Usage:
 //
@@ -20,9 +21,6 @@ import (
 	"os"
 	"time"
 
-	repcut "repro"
-	"repro/internal/designs"
-	"repro/internal/firrtl"
 	"repro/internal/hostmodel"
 	"repro/internal/profiling"
 	"repro/internal/report"
@@ -70,7 +68,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; output is identical)")
 		backendF   = flag.String("backend", "linked", "execution backend: linked (resolved instruction-stream executor), native (compiled plugin kernel; falls back to linked when unsupported)")
 		artifacts  = flag.String("artifacts", "", "native artifact store directory (-backend native; empty = per-user default under the temp dir)")
-		profileOpt = flag.Bool("pgo", false, "profile-guided rebalance: measure per-thread phase times and repartition once with measured weights")
 		verifyFlag = flag.Bool("verify", false, "statically prove the compiled program race-free and partition-closed; fail on any violation")
 		validate   = flag.Bool("validate", false, "translation validation: symbolically prove the optimized program equivalent to its O0 reference; fail on any divergence (implies -verify)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -84,31 +81,32 @@ func main() {
 	}
 	defer stopProf()
 
-	circ, name, err := loadDesign(*designName, *file, *scale)
-	if err != nil {
-		fatal(err)
+	if (*designName == "") == (*file == "") {
+		fatal(fmt.Errorf("specify exactly one of -design <name> or -file <path>"))
 	}
-	d, err := repcut.Elaborate(circ)
-	if err != nil {
-		fatal(err)
-	}
-	st := d.Graph.Stats()
-	if !*jsonOut {
-		fmt.Printf("%s: %d IR nodes, %d edges, %d sinks (%.2f%%), %d reg writes, %d merged vertices\n",
-			name, st.IRNodes, st.Edges, st.SinkVtx, st.SinkPct, st.RegWrites, st.Merged)
-	}
-
 	if *backendF != "linked" && *backendF != "native" {
 		fatal(fmt.Errorf("unknown backend %q (want linked, native)", *backendF))
 	}
-	opts := repcut.Options{Threads: *threads, Unweighted: *uw, Seed: *seed,
-		Workers: *workers, Verify: *verifyFlag, Validate: *validate, Profile: *profileOpt}
+	req := service.CompileRequest{Design: *designName, Scale: *scale, Threads: *threads,
+		Seed: *seed, Unweighted: *uw, Verify: *verifyFlag, Validate: *validate}
+	if *file != "" {
+		src, err := os.ReadFile(*file)
+		if err != nil {
+			fatal(err)
+		}
+		req.Source = string(src)
+	}
 	start := time.Now()
-	compiled, err := d.CompileProgram(opts)
+	e, err := service.Compile(req, *workers)
 	if err != nil {
 		fatal(err)
 	}
-	s := compiled.NewSimulator()
+	if !*jsonOut {
+		st := e.Stats
+		fmt.Printf("%s: %d IR nodes, %d edges, %d sinks (%.2f%%), %d reg writes, %d merged vertices\n",
+			e.Name, st.IRNodes, st.Edges, st.SinkVtx, st.SinkPct, st.RegWrites, st.Merged)
+	}
+	s := e.Compiled.NewSimulator()
 	if *backendF == "native" {
 		if err := s.UseNative(*artifacts); err != nil && !*jsonOut {
 			fmt.Printf("native backend unavailable, running linked: %v\n", err)
@@ -121,13 +119,13 @@ func main() {
 	}
 
 	out := jsonOutput{
-		DesignReport: service.ReportFor(name, st, compiled),
+		DesignReport: e.Report(),
 		CompileMs:    float64(compileTime.Microseconds()) / 1000,
 		Verified:     s.Verification != nil,
 	}
 
 	if !*jsonOut {
-		fmt.Printf("partitioned + compiled for %d threads in %v\n", *threads, compileTime.Round(time.Millisecond))
+		fmt.Printf("partitioned + compiled for %d threads in %v\n", s.Program().NumThreads, compileTime.Round(time.Millisecond))
 		if s.Verification != nil {
 			fmt.Println(s.Verification)
 		}
@@ -135,7 +133,7 @@ func main() {
 			fmt.Printf("translation validated: %d pairs (%d proved, %d probed) in %.1f ms\n",
 				v.Pairs, v.Proved, v.Probed, v.ElapsedMs)
 		}
-		if r := s.Report; r != nil && *threads > 1 {
+		if r := s.Report; r.Threads > 1 {
 			fmt.Printf("replication cost: %s   imbalance (excl/incl): %.3f / %.3f   replicated vertices: %d\n",
 				report.Pct(r.ReplicationCost), r.ImbalanceExcl, r.ImbalanceIncl, r.ReplicatedVertices)
 			fmt.Printf("cut cost: %d   derep groups: %d (%d registers demoted to shared-read slots)\n",
@@ -205,28 +203,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// loadDesign resolves the -design/-file flags into a checked circuit.
-func loadDesign(designName, file string, scale float64) (*firrtl.Circuit, string, error) {
-	switch {
-	case designName != "" && file != "":
-		return nil, "", fmt.Errorf("use either -design or -file, not both")
-	case file != "":
-		c, err := repcut.LoadCircuit(file)
-		if err != nil {
-			return nil, "", err
-		}
-		return c, file, nil
-	case designName != "":
-		cfg, err := designs.ParseName(designName)
-		if err != nil {
-			return nil, "", err
-		}
-		cfg.Scale = scale
-		return designs.BuildCircuit(cfg), cfg.Name(), nil
-	}
-	return nil, "", fmt.Errorf("specify -design <name> or -file <path>")
 }
 
 func fatal(err error) {

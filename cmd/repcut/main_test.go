@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/service"
 )
 
 // TestMain lets the tests run the command in a child process: the test
@@ -109,5 +110,73 @@ func TestNativeMatchesLinked(t *testing.T) {
 	}
 	if lh == "" || nh != lh {
 		t.Errorf("state hash: native %q, linked %q", nh, lh)
+	}
+}
+
+// -json reports exactly what service.Compile reports for the request the
+// flags spell, for a built-in design and for a file; a file's report names
+// its circuit.
+func TestJSONReportMatchesCompile(t *testing.T) {
+	file := tinyFile(t)
+	for _, tc := range []struct {
+		args []string
+		req  service.CompileRequest
+	}{
+		{[]string{"-design", "RocketChip-1C", "-scale", "0.25", "-threads", "2", "-seed", "3"},
+			service.CompileRequest{Design: "RocketChip-1C", Scale: 0.25, Threads: 2, Seed: 3}},
+		{[]string{"-file", file, "-threads", "1"},
+			service.CompileRequest{Source: tinySrc, Threads: 1}},
+	} {
+		args := append(tc.args, "-cycles", "10", "-json")
+		stdout, stderr, code := runRepcut(t, args...)
+		if code != 0 {
+			t.Fatalf("repcut %v: exit %d: %s", args, code, stderr)
+		}
+		e, err := service.Compile(tc.req, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(e.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+			t.Fatalf("repcut %v: %v\n%s", args, err, stdout)
+		}
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		for field, w := range want {
+			if field == "outputs" {
+				continue // the CLI's "outputs" holds the run's output values instead
+			}
+			var g, wc bytes.Buffer
+			if err := json.Compact(&g, got[field]); err != nil {
+				t.Errorf("repcut %v: field %q: %v", args, field, err)
+				continue
+			}
+			if err := json.Compact(&wc, w); err != nil {
+				t.Fatal(err)
+			}
+			if g.String() != wc.String() {
+				t.Errorf("repcut %v: %q = %s, service.Compile reports %s", args, field, g.String(), wc.String())
+			}
+		}
+	}
+}
+
+// The design comes from exactly one of -design and -file, and an unreadable
+// file exits 1.
+func TestDesignFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-design", "RocketChip-1C", "-file", tinyFile(t)},
+		{"-file", filepath.Join(t.TempDir(), "missing.fir")},
+	} {
+		stdout, stderr, code := runRepcut(t, args...)
+		if code != 1 || !strings.HasPrefix(stderr, "repcut: ") || stdout != "" {
+			t.Errorf("repcut %v: exit %d, stdout %q, stderr %q; want exit 1 with an error", args, code, stdout, stderr)
+		}
 	}
 }

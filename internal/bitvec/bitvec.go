@@ -524,15 +524,6 @@ func XorR(x Vec) Vec {
 	return r
 }
 
-// PopCount returns the number of set bits in x.
-func PopCount(x Vec) int {
-	var pop int
-	for _, w := range x.Words {
-		pop += bits.OnesCount64(w)
-	}
-	return pop
-}
-
 // String renders x as width'hHEX.
 func (x Vec) String() string {
 	var sb strings.Builder

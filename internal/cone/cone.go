@@ -196,6 +196,3 @@ func hashCones(s []int32) uint64 {
 	}
 	return h
 }
-
-// NumSinkClusters returns the number of sink clusters (== number of cones).
-func (a *Analysis) NumSinkClusters() int { return len(a.Sinks) }

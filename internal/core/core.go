@@ -28,7 +28,7 @@ type Options struct {
 	// K is the number of partitions (threads).
 	K int
 	// Epsilon is the balance tolerance handed to the hypergraph
-	// partitioner (default 0.03).
+	// partitioner (<= 0 means hypergraph.DefaultEpsilon).
 	Epsilon float64
 	// Seed makes partitioning deterministic.
 	Seed int64
@@ -54,29 +54,11 @@ type Options struct {
 	// result relies on the two-phase eval/commit protocol, so the pass is
 	// opt-in here and enabled by the top-level repcut API.
 	Derep bool
-	// Profile, when non-nil, scales the hypergraph vertex weights by the
-	// measured per-partition cost of a previous run of the same design and
-	// seed (profile-guided rebalance). Weights feeding the partitioner
-	// change; the realized partition semantics do not.
-	Profile *ProfileFeedback
 	// Verify re-checks the realized partitioning (self-containment, unique
 	// sink ownership, coverage, topological order) before returning it,
 	// turning a latent partitioner bug into a hard error instead of a
 	// miscompiled simulator.
 	Verify bool
-}
-
-// ProfileFeedback carries measured per-partition cost from a previous
-// partitioning of the same graph back into the partitioner. PartOfSink is
-// the previous Result.PartOfSink (cone IDs are deterministic per graph, so
-// they line up); Scales[p] is the measured cost of partition p relative to
-// the cost model's prediction, normalized so the mean is 1 (see
-// costmodel.ProfileScales). A sink cluster whose previous partition ran
-// slow gets proportionally heavier, so the rebalanced partition shifts
-// work away from measured-hot threads.
-type ProfileFeedback struct {
-	PartOfSink []int32
-	Scales     []float64
 }
 
 // Part is one independent partition.
@@ -198,17 +180,6 @@ func Partition(g *cgraph.Graph, opt Options) (*Result, error) {
 			vWeightF[cid] += share
 		}
 		hedges = append(hedges, hedge{cluster: int32(ci), weight: eta[ci]})
-	}
-	// Profile-guided rebalance: scale each sink cluster's weight by the
-	// measured relative cost of the partition that ran it last time. The
-	// scales only reshape the proxy problem; realization below is untouched,
-	// so the rebalanced partition is semantically interchangeable.
-	if pf := opt.Profile; pf != nil && len(pf.PartOfSink) == nCones && len(pf.Scales) > 0 {
-		for cid := 0; cid < nCones; cid++ {
-			if p := pf.PartOfSink[cid]; int(p) < len(pf.Scales) && pf.Scales[p] > 0 {
-				vWeightF[cid] *= pf.Scales[p]
-			}
-		}
 	}
 	vWeights := make([]int64, nCones)
 	for i, w := range vWeightF {

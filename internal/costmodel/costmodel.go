@@ -144,15 +144,6 @@ func (m Model) VertexCost(v *cgraph.Vertex) int64 {
 	return int64(c)
 }
 
-// GraphCost sums VertexCost over all vertices of g.
-func (m Model) GraphCost(g *cgraph.Graph) int64 {
-	var t int64
-	for i := range g.Vs {
-		t += m.VertexCost(&g.Vs[i])
-	}
-	return t
-}
-
 // Features returns the per-class word counts of a vertex, the regressors of
 // the linear model: Features[ClassDispatch] is 1 and Features[ClassOf(v)]
 // is the word count.
@@ -267,48 +258,5 @@ func abs(x float64) float64 {
 	return x
 }
 
-// UnitsToNanos converts model units to nanoseconds.
-func UnitsToNanos(u int64) float64 { return float64(u) * 0.01 }
-
 // NanosToUnits converts nanoseconds to model units.
 func NanosToUnits(ns float64) float64 { return ns * 100 }
-
-// ProfileScales turns measured per-partition execution times into weight
-// multipliers for a profile-guided repartition (the measured-cost source of
-// the PGO loop). measuredNs[p] is partition p's mean measured eval+commit
-// time per cycle; predictedUnits[p] is the model's prediction for the same
-// code (ThreadCode.CostUnits). The returned scale for p is the ratio of
-// p's measured-vs-predicted slowdown to the mean slowdown, so scales
-// average to 1 and only *relative* mispredictions reshape the partition.
-// Partitions with no measurement or no predicted work scale by 1.
-func ProfileScales(measuredNs, predictedUnits []float64) []float64 {
-	n := len(measuredNs)
-	if len(predictedUnits) < n {
-		n = len(predictedUnits)
-	}
-	scales := make([]float64, n)
-	ratios := make([]float64, n)
-	var sum float64
-	var cnt int
-	for p := 0; p < n; p++ {
-		scales[p] = 1
-		if measuredNs[p] > 0 && predictedUnits[p] > 0 {
-			ratios[p] = NanosToUnits(measuredNs[p]) / predictedUnits[p]
-			sum += ratios[p]
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return scales
-	}
-	mean := sum / float64(cnt)
-	if mean <= 0 {
-		return scales
-	}
-	for p := 0; p < n; p++ {
-		if ratios[p] > 0 {
-			scales[p] = ratios[p] / mean
-		}
-	}
-	return scales
-}

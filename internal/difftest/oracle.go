@@ -415,7 +415,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			ne.e.Run(1)
 		}
 		for _, ne := range engines {
-			if m := compare(g, ref, ne, cyc); m != nil {
+			if m := compareState(g, refPeeker(ref), enginePeeker(ne.e), ne.name, cyc); m != nil {
 				return validatorCrossCheck(cert, m)
 			}
 		}
@@ -564,7 +564,7 @@ func runBatchColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatch {
 			twins[l].Run(1)
 		}
 		for l := 0; l < lanes; l++ {
-			if m := compareBatchLane(g, be, twins[l], l, laneName(l), cyc); m != nil {
+			if m := compareState(g, enginePeeker(twins[l]), lanePeeker(be, l), laneName(l), cyc); m != nil {
 				return m
 			}
 		}
@@ -685,160 +685,70 @@ func runCheckpointColumn(g *cgraph.Graph, p2 *sim.Program, opt Options) *Mismatc
 	// Full-width architectural comparison at the end, beyond the 64-bit
 	// hash: every register, output, and memory word.
 	for _, e := range cohort {
-		if m := compareEngines(g, primary, e, colName, k1+k2-1); m != nil {
+		if m := compareState(g, enginePeeker(primary), enginePeeker(e), colName, k1+k2-1); m != nil {
 			return m
 		}
 	}
 	return nil
 }
 
-// compareEngines checks two live engines word for word: every register,
-// every output, every word of every memory, full width.
-func compareEngines(g *cgraph.Graph, want, got *sim.Engine, name string, cyc int) *Mismatch {
-	mm := func(kind, sig string, addr int, gv bitvec.Vec, gerr error, wv bitvec.Vec) *Mismatch {
-		gs := "<error>"
-		if gerr == nil {
-			gs = gv.String()
-		} else {
-			gs = gerr.Error()
+// peeker reads one simulator's architectural state at full width: the
+// reference, an engine, or one lane of a batch engine.
+type peeker struct {
+	reg func(name string) (bitvec.Vec, error)
+	out func(name string) (bitvec.Vec, error)
+	mem func(name string, addr int) (bitvec.Vec, error)
+}
+
+func refPeeker(r *sim.Reference) peeker { return peeker{r.PeekReg, r.PeekOutput, r.PeekMem} }
+
+func enginePeeker(e *sim.Engine) peeker { return peeker{e.PeekReg, e.PeekOutputVec, e.PeekMemVec} }
+
+func lanePeeker(be *sim.BatchEngine, lane int) peeker {
+	return peeker{
+		reg: func(name string) (bitvec.Vec, error) { return be.PeekReg(lane, name) },
+		out: func(name string) (bitvec.Vec, error) { return be.PeekVec(lane, name) },
+		mem: func(name string, addr int) (bitvec.Vec, error) { return be.PeekMemVec(lane, name, addr) },
+	}
+}
+
+// compareState checks got against want: every register, every output,
+// every word of every memory, full width. Names want cannot read are
+// skipped; a failed read on got is a mismatch.
+func compareState(g *cgraph.Graph, want, got peeker, name string, cyc int) *Mismatch {
+	check := func(kind, sig string, addr int, read func(p peeker) (bitvec.Vec, error)) *Mismatch {
+		wv, err := read(want)
+		if err != nil {
+			return nil
+		}
+		gv, err := read(got)
+		if err == nil && bitvec.Eq(gv, wv) {
+			return nil
+		}
+		gs := gv.String()
+		if err != nil {
+			gs = err.Error()
 		}
 		return &Mismatch{Engine: name, Cycle: cyc, Kind: kind, Name: sig, Addr: addr,
 			Got: gs, Want: wv.String()}
 	}
 	for i := range g.Regs {
 		sig := g.Regs[i].Name
-		wv, err := want.PeekReg(sig)
-		if err != nil {
-			continue
-		}
-		gv, err := got.PeekReg(sig)
-		if err != nil || !bitvec.Eq(gv, wv) {
-			return mm("reg", sig, 0, gv, err, wv)
+		if m := check("reg", sig, 0, func(p peeker) (bitvec.Vec, error) { return p.reg(sig) }); m != nil {
+			return m
 		}
 	}
 	for _, o := range g.Outputs {
 		sig := g.Vs[o].Name
-		wv, err := want.PeekOutputVec(sig)
-		if err != nil {
-			continue
-		}
-		gv, err := got.PeekOutputVec(sig)
-		if err != nil || !bitvec.Eq(gv, wv) {
-			return mm("output", sig, 0, gv, err, wv)
+		if m := check("output", sig, 0, func(p peeker) (bitvec.Vec, error) { return p.out(sig) }); m != nil {
+			return m
 		}
 	}
 	for mi := range g.Mems {
 		sig := g.Mems[mi].Name
 		for a := 0; a < g.Mems[mi].Depth; a++ {
-			wv, err := want.PeekMemVec(sig, a)
-			if err != nil {
-				continue
-			}
-			gv, err := got.PeekMemVec(sig, a)
-			if err != nil || !bitvec.Eq(gv, wv) {
-				return mm("mem", sig, a, gv, err, wv)
-			}
-		}
-	}
-	return nil
-}
-
-// compareBatchLane checks one batch lane against its solo twin: every
-// register, every output, every word of every memory, full width.
-func compareBatchLane(g *cgraph.Graph, be *sim.BatchEngine, twin *sim.Engine, lane int, name string, cyc int) *Mismatch {
-	mm := func(kind, sig string, addr int, got bitvec.Vec, gotErr error, want bitvec.Vec) *Mismatch {
-		gs := "<error>"
-		if gotErr == nil {
-			gs = got.String()
-		} else {
-			gs = gotErr.Error()
-		}
-		return &Mismatch{Engine: name, Cycle: cyc, Kind: kind, Name: sig, Addr: addr,
-			Got: gs, Want: want.String()}
-	}
-	for i := range g.Regs {
-		sig := g.Regs[i].Name
-		want, err := twin.PeekReg(sig)
-		if err != nil {
-			continue
-		}
-		got, err := be.PeekReg(lane, sig)
-		if err != nil || !bitvec.Eq(got, want) {
-			return mm("reg", sig, 0, got, err, want)
-		}
-	}
-	for _, o := range g.Outputs {
-		sig := g.Vs[o].Name
-		want, err := twin.PeekOutputVec(sig)
-		if err != nil {
-			continue
-		}
-		got, err := be.PeekVec(lane, sig)
-		if err != nil || !bitvec.Eq(got, want) {
-			return mm("output", sig, 0, got, err, want)
-		}
-	}
-	for mi := range g.Mems {
-		sig := g.Mems[mi].Name
-		for a := 0; a < g.Mems[mi].Depth; a++ {
-			want, err := twin.PeekMemVec(sig, a)
-			if err != nil {
-				continue
-			}
-			got, err := be.PeekMemVec(lane, sig, a)
-			if err != nil || !bitvec.Eq(got, want) {
-				return mm("mem", sig, a, got, err, want)
-			}
-		}
-	}
-	return nil
-}
-
-// compare checks one engine against the reference: every register, every
-// output, every word of every memory, full width.
-func compare(g *cgraph.Graph, ref *sim.Reference, ne namedEngine, cyc int) *Mismatch {
-	mm := func(kind, name string, addr int, got bitvec.Vec, gotErr error, want bitvec.Vec) *Mismatch {
-		gs := "<error>"
-		if gotErr == nil {
-			gs = got.String()
-		} else {
-			gs = gotErr.Error()
-		}
-		return &Mismatch{Engine: ne.name, Cycle: cyc, Kind: kind, Name: name, Addr: addr,
-			Got: gs, Want: want.String()}
-	}
-	for i := range g.Regs {
-		name := g.Regs[i].Name
-		want, err := ref.PeekReg(name)
-		if err != nil {
-			continue
-		}
-		got, err := ne.e.PeekReg(name)
-		if err != nil || !bitvec.Eq(got, want) {
-			return mm("reg", name, 0, got, err, want)
-		}
-	}
-	for _, o := range g.Outputs {
-		name := g.Vs[o].Name
-		want, err := ref.PeekOutput(name)
-		if err != nil {
-			continue
-		}
-		got, err := ne.e.PeekOutputVec(name)
-		if err != nil || !bitvec.Eq(got, want) {
-			return mm("output", name, 0, got, err, want)
-		}
-	}
-	for mi := range g.Mems {
-		name := g.Mems[mi].Name
-		for a := 0; a < g.Mems[mi].Depth; a++ {
-			want, err := ref.PeekMem(name, a)
-			if err != nil {
-				continue
-			}
-			got, err := ne.e.PeekMemVec(name, a)
-			if err != nil || !bitvec.Eq(got, want) {
-				return mm("mem", name, a, got, err, want)
+			if m := check("mem", sig, a, func(p peeker) (bitvec.Vec, error) { return p.mem(sig, a) }); m != nil {
+				return m
 			}
 		}
 	}

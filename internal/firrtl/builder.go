@@ -242,12 +242,6 @@ func Trunc(w int, a Expr) Expr {
 // PadE widens a to at least w bits.
 func PadE(w int, a Expr) Expr { return PC(OpPad, []Expr{a}, []int{w}) }
 
-// ShlE shifts left by constant n.
-func ShlE(a Expr, n int) Expr { return PC(OpShl, []Expr{a}, []int{n}) }
-
-// ShrE shifts right by constant n.
-func ShrE(a Expr, n int) Expr { return PC(OpShr, []Expr{a}, []int{n}) }
-
 // OrrE is the 1-bit OR-reduction.
 func OrrE(a Expr) Expr { return P(OpOrR, a) }
 

@@ -21,7 +21,7 @@ const kwayPasses = 8
 // KWayOptions configure one KWayRefine call.
 type KWayOptions struct {
 	// Epsilon is the balance tolerance: no part may exceed
-	// (1+Epsilon)·(total/k) after any applied move (default 0.03).
+	// (1+Epsilon)·(total/k) after any applied move (<= 0 means DefaultEpsilon).
 	Epsilon float64
 	// BugGainSign is a deliberately planted defect: every computed gain is
 	// negated, so the pass greedily applies the most cut-increasing moves
@@ -95,7 +95,7 @@ func KWayRefine(h *H, k int, part []int32, opt KWayOptions) KWayStats {
 		h.Finish()
 	}
 	if opt.Epsilon <= 0 {
-		opt.Epsilon = 0.03
+		opt.Epsilon = DefaultEpsilon
 	}
 	n := h.NumV
 	total := h.TotalVWeight()

@@ -12,7 +12,7 @@ import (
 // Options control the multilevel partitioner.
 type Options struct {
 	K       int
-	Epsilon float64 // allowed imbalance, e.g. 0.03 = 3%
+	Epsilon float64 // allowed imbalance; <= 0 means DefaultEpsilon
 	Seed    int64
 	// Workers bounds the parallelism of the partitioner (initial bisection
 	// runs and recursive-bisection branches). <= 0 means all cores; 1 runs
@@ -28,6 +28,10 @@ type Options struct {
 	// KWayOptions.BugGainSign). Tests only.
 	KWayBug bool
 }
+
+// DefaultEpsilon is the balance tolerance a non-positive Epsilon selects:
+// 3 % above the mean part weight.
+const DefaultEpsilon = 0.03
 
 // Fixed multilevel parameters.
 const (
@@ -45,7 +49,7 @@ const (
 
 func (o *Options) defaults() {
 	if o.Epsilon <= 0 {
-		o.Epsilon = 0.03
+		o.Epsilon = DefaultEpsilon
 	}
 }
 

@@ -115,9 +115,6 @@ func F2(f float64) string { return fmt.Sprintf("%.2f", f) }
 // F1 formats with one decimal.
 func F1(f float64) string { return fmt.Sprintf("%.1f", f) }
 
-// F3 formats with three decimals.
-func F3(f float64) string { return fmt.Sprintf("%.3f", f) }
-
 // SI formats a count with engineering suffixes (K/M/B), matching the
 // paper's Table 3 style. Negative values keep their sign with the same
 // suffix rules applied to the magnitude.

@@ -35,7 +35,7 @@ type Entry struct {
 	// compiles, the translation-validation certificate (including its peak
 	// hash-cons arena — re-validating on a refill costs that much again).
 	Bytes        int64
-	CompileTime  time.Duration // the miss's wall-clock compile latency
+	CompileTime  time.Duration // wall-clock latency of the Compile call
 	Validated    bool          // the compile carried translation validation
 	ValidateTime time.Duration // wall time the validation pass took
 
@@ -52,7 +52,16 @@ func (e *Entry) Native() *codegen.Kernel { return e.native.Load() }
 
 // Report renders the entry as the shared CLI/server report shape.
 func (e *Entry) Report() DesignReport {
-	return ReportFor(e.Name, e.Stats, e.Compiled)
+	c := e.Compiled
+	return DesignReport{
+		Design:     e.Name,
+		Stats:      StatsJSON(e.Stats),
+		Partition:  PartitionJSON(c.Report),
+		Program:    ProgramJSON(c.Program),
+		Validation: ValidationJSON(c.Verification),
+		Inputs:     PortsJSON(c.Program.Inputs),
+		Outputs:    PortsJSON(c.Program.Outputs),
+	}
 }
 
 // flight is one in-progress compile that concurrent requesters for the
@@ -164,14 +173,16 @@ func (c *Cache) GetOrCompile(req CompileRequest) (*Entry, bool, error) {
 	c.m.cacheMisses.Add(1)
 	c.mu.Unlock()
 
-	start := time.Now()
-	e, err := c.compile(req, key)
+	e, err := Compile(req, c.workers)
 	c.sem.Release()
 	if err != nil {
 		c.m.compileErrors.Add(1)
 	} else {
-		e.CompileTime = time.Since(start)
 		c.m.compileLat.Observe(e.CompileTime)
+		if e.Validated {
+			c.m.validations.Add(1)
+			c.m.validateLat.Observe(e.ValidateTime)
+		}
 	}
 
 	c.mu.Lock()
@@ -232,8 +243,12 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// compile resolves the design and runs the partition+compile pipeline.
-func (c *Cache) compile(req CompileRequest, key string) (*Entry, error) {
+// Compile resolves the request's design and runs the partition+compile
+// pipeline with the given worker bound (0 = all cores), outside any cache.
+// The cache compiles its misses through it, and so does the repcut
+// command, so both report the same DesignReport for one request.
+func Compile(req CompileRequest, workers int) (*Entry, error) {
+	start := time.Now()
 	req = req.normalize()
 	circ, name, err := resolveDesign(req)
 	if err != nil {
@@ -243,12 +258,12 @@ func (c *Cache) compile(req CompileRequest, key string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := d.CompileProgram(req.Options(c.workers))
+	compiled, err := d.CompileProgram(req.Options(workers))
 	if err != nil {
 		return nil, err
 	}
 	e := &Entry{
-		Key:         key,
+		Key:         req.Key(),
 		Name:        name,
 		Compiled:    compiled,
 		Stats:       d.Graph.Stats(),
@@ -259,9 +274,8 @@ func (c *Cache) compile(req CompileRequest, key string) (*Entry, error) {
 		e.Bytes += v.Validation.MemBytes()
 		e.Validated = true
 		e.ValidateTime = v.Validation.Elapsed
-		c.m.validations.Add(1)
-		c.m.validateLat.Observe(e.ValidateTime)
 	}
+	e.CompileTime = time.Since(start)
 	return e, nil
 }
 

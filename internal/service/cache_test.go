@@ -53,9 +53,24 @@ func TestKeyCanonicalization(t *testing.T) {
 			t.Errorf("%+v: key %s, want %s", *req, got, want)
 		}
 	}
+	// Requests for one program share one address: a non-positive or
+	// default epsilon reads as omitted, and a one-thread compile partitions
+	// nothing, so its epsilon, seed and weighting do not count.
+	for i, same := range [][]CompileRequest{
+		{a, {Design: "RocketChip-1C", Threads: 2, Epsilon: 0.03}, {Design: "RocketChip-1C", Threads: 2, Epsilon: -1}},
+		{{Design: "RocketChip-1C"}, {Design: "RocketChip-1C", Threads: 1, Seed: 9, Unweighted: true, Epsilon: 0.2}},
+	} {
+		for _, r := range same[1:] {
+			if r.Key() != same[0].Key() {
+				t.Errorf("group %d: %+v and %+v compile one program but hash differently", i, same[0], r)
+			}
+		}
+	}
 	// Every program-changing option must change the address.
 	variants := []CompileRequest{
 		{Design: "RocketChip-1C", Threads: 4},
+		{Design: "RocketChip-1C", Threads: 2, Epsilon: 0.2},
+		{Design: "RocketChip-1C"},
 		{Design: "RocketChip-1C", Threads: 2, Seed: 7},
 		{Design: "RocketChip-1C", Threads: 2, Unweighted: true},
 		{Design: "RocketChip-1C", Threads: 2, Scale: 0.5},

@@ -90,9 +90,10 @@ func (sm *SessionManager) migratedErr(id string) error {
 // migrate callback, which ships it to a peer and returns the forwarding
 // address. Sessions that migrate leave a MigratedError behind for their
 // clients; sessions the callback cannot place are closed like a plain
-// drain. Returns how many sessions moved and the first error encountered
-// (context expiry or a failed migration) — migration of the remaining
-// sessions continues past individual failures.
+// drain. A nil migrate is a plain drain: nothing is checkpointed and every
+// session closes. Returns how many sessions moved and the first error
+// encountered (context expiry or a failed migration) — migration of the
+// remaining sessions continues past individual failures.
 func (sm *SessionManager) DrainMigrate(ctx context.Context, migrate func(s *Session, snap *sim.Snapshot) (peer, newID string, err error)) (int, error) {
 	sm.draining.Store(true)
 	done := make(chan struct{})
@@ -118,7 +119,7 @@ func (sm *SessionManager) DrainMigrate(ctx context.Context, migrate func(s *Sess
 		s.mu.Lock()
 		var snap *sim.Snapshot
 		var err error
-		if !s.closed {
+		if !s.closed && migrate != nil {
 			snap, err = s.Checkpoint()
 		}
 		s.mu.Unlock()

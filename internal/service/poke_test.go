@@ -165,14 +165,14 @@ func TestPokeQueuedCheckpoint(t *testing.T) {
 // pokes it carried, exactly like the poke requests that preceded a
 // rejected step used to, and the handle drops them.
 func TestPokeCapRejectedRun(t *testing.T) {
-	_, _, h, ref := pokeSetup(t, Config{Workers: 2, MaxRunCycles: 100})
+	_, _, h, ref := pokeSetup(t, Config{Workers: 2})
 	pokeBoth(t, h, ref, 1)
 	if _, err := h.Run(1); err != nil {
 		t.Fatal(err)
 	}
 	ref.Run(1)
 	pokeBoth(t, h, ref, 0x77)
-	if _, err := h.Run(101); StatusOf(err) != http.StatusBadRequest {
+	if _, err := h.Run(maxRunCycles + 1); StatusOf(err) != http.StatusBadRequest {
 		t.Fatalf("over-cap run: err = %v, want HTTP 400", err)
 	}
 	if len(h.pending) != 0 {
@@ -401,7 +401,7 @@ func TestPeekListRejected(t *testing.T) {
 // 503 drop the handle's carried outputs, so the next Peek asks the server;
 // after Close a Peek answers 404, never a stale carried value.
 func TestPeekCarriedCleared(t *testing.T) {
-	srv, _, h, ref := pokeSetup(t, Config{Workers: 2, MaxRunCycles: 100})
+	srv, _, h, ref := pokeSetup(t, Config{Workers: 2})
 	carry := func(when string) {
 		t.Helper()
 		if _, err := h.Run(1); err != nil {
@@ -417,7 +417,7 @@ func TestPeekCarriedCleared(t *testing.T) {
 		t.Fatalf("Run carried %d outputs, want 2", len(h.carried))
 	}
 
-	if _, err := h.Run(101); StatusOf(err) != http.StatusBadRequest {
+	if _, err := h.Run(maxRunCycles + 1); StatusOf(err) != http.StatusBadRequest {
 		t.Fatalf("over-cap run: err = %v, want HTTP 400", err)
 	}
 	if h.carried != nil {

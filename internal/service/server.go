@@ -32,8 +32,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// ReapInterval is how often the reaper scans (default IdleTimeout/4).
 	ReapInterval time.Duration
-	// MaxRunCycles caps a single step/run request (default 1e6).
-	MaxRunCycles int
 	// Workers bounds each compile's internal parallelism (0 = all cores).
 	Workers int
 	// BatchLanes is the session capacity of one lane group: once
@@ -76,9 +74,6 @@ func (c *Config) defaults() {
 	}
 	if c.ReapInterval <= 0 {
 		c.ReapInterval = 30 * time.Second
-	}
-	if c.MaxRunCycles == 0 {
-		c.MaxRunCycles = 1_000_000
 	}
 	if c.BatchLanes == 0 || c.BatchLanes > sim.BatchWidth {
 		c.BatchLanes = sim.BatchWidth
@@ -360,6 +355,10 @@ func WriteErr(w http.ResponseWriter, err error) {
 // maxRequestBody caps every request body; a longer one answers 413.
 const maxRequestBody = 16 << 20
 
+// maxRunCycles caps the cycles of one step request; a longer one answers
+// 400 before any cycle runs.
+const maxRunCycles = 1_000_000
+
 // decode reads a bounded JSON request body.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
@@ -568,8 +567,8 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		if n > s.cfg.MaxRunCycles {
-			return fmt.Errorf("service: cycles=%d exceeds the per-request cycle cap %d", n, s.cfg.MaxRunCycles)
+		if n > maxRunCycles {
+			return fmt.Errorf("service: cycles=%d exceeds the per-request cycle cap %d", n, maxRunCycles)
 		}
 		start := time.Now()
 		resp.Cycle = sess.Run(n)

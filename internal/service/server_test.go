@@ -403,7 +403,7 @@ func TestHealthAndMetricsSurface(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 1, MaxRunCycles: 100})
+	_, client := newTestServer(t, Config{Workers: 1})
 
 	// Unknown design family → 400.
 	_, err := client.Compile(CompileRequest{Design: "Zilog-1C", Threads: 2})
@@ -455,7 +455,7 @@ circuit BigDiv {
 		t.Errorf("bad peek: err = %v, want HTTP 400", err)
 	}
 	// Cycle cap → 400.
-	if _, err := sess.Run(101); StatusOf(err) != http.StatusBadRequest {
+	if _, err := sess.Run(maxRunCycles + 1); StatusOf(err) != http.StatusBadRequest {
 		t.Errorf("over-cap run: err = %v, want HTTP 400", err)
 	}
 	// A body over the cap → 413, not a truncated-JSON 400.

@@ -419,28 +419,6 @@ func (sm *SessionManager) Reap(now time.Time) int {
 // in-flight operations to finish, then closes every remaining session.
 // Steps already executing complete; new creates and ops get ErrDraining.
 func (sm *SessionManager) Drain(ctx context.Context) error {
-	sm.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		sm.ops.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	sm.mu.Lock()
-	rest := make([]*Session, 0, len(sm.byID))
-	for id, s := range sm.byID {
-		rest = append(rest, s)
-		delete(sm.byID, id)
-	}
-	sm.mu.Unlock()
-	for _, s := range rest {
-		sm.finish(s)
-		sm.m.sessionsClosed.Add(1)
-	}
+	_, err := sm.DrainMigrate(ctx, nil)
 	return err
 }

@@ -13,6 +13,7 @@ import (
 
 	repcut "repro"
 	"repro/internal/cgraph"
+	"repro/internal/hypergraph"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
@@ -39,7 +40,10 @@ type CompileRequest struct {
 }
 
 // normalize applies the same defaults repcut.Options does, so requests
-// that spell a default explicitly and requests that omit it hash alike.
+// that spell a default explicitly and requests that omit it hash alike. A
+// non-positive or default Epsilon reads as omitted, and at one thread,
+// where nothing is partitioned, so do Epsilon, Seed and Unweighted: every
+// request for one program gets one key.
 func (r CompileRequest) normalize() CompileRequest {
 	if r.Threads == 0 {
 		r.Threads = 1
@@ -49,6 +53,12 @@ func (r CompileRequest) normalize() CompileRequest {
 	}
 	if r.Scale == 0 {
 		r.Scale = 1
+	}
+	if r.Epsilon <= 0 || r.Epsilon == hypergraph.DefaultEpsilon {
+		r.Epsilon = 0
+	}
+	if r.Threads == 1 {
+		r.Epsilon, r.Seed, r.Unweighted = 0, 1, false
 	}
 	return r
 }
@@ -122,9 +132,8 @@ type PartitionSummary struct {
 	CutCost int64 `json:"cut_cost"`
 	// DerepGroups/DerepRegs count applied dereplication groups and the
 	// registers they demoted to the shared-read tier.
-	DerepGroups int  `json:"derep_groups"`
-	DerepRegs   int  `json:"derep_regs"`
-	Profiled    bool `json:"profiled,omitempty"`
+	DerepGroups int `json:"derep_groups"`
+	DerepRegs   int `json:"derep_regs"`
 }
 
 // PartitionJSON converts a partition report to its wire form (nil for
@@ -138,7 +147,6 @@ func PartitionJSON(r *repcut.PartitionReport) *PartitionSummary {
 		ImbalanceExcl: r.ImbalanceExcl, ImbalanceIncl: r.ImbalanceIncl,
 		ReplicatedVertices: r.ReplicatedVertices, PartWeights: r.PartWeights,
 		CutCost: r.CutCost, DerepGroups: r.DerepGroups, DerepRegs: r.DerepRegs,
-		Profiled: r.Profiled,
 	}
 }
 
@@ -217,19 +225,6 @@ type DesignReport struct {
 	Validation *ValidationSummary `json:"validation,omitempty"`
 	Inputs     []PortInfo         `json:"inputs"`
 	Outputs    []PortInfo         `json:"outputs"`
-}
-
-// ReportFor assembles the shared report for a compiled design.
-func ReportFor(name string, stats cgraph.Stats, c *repcut.Compiled) DesignReport {
-	return DesignReport{
-		Design:     name,
-		Stats:      StatsJSON(stats),
-		Partition:  PartitionJSON(c.Report),
-		Program:    ProgramJSON(c.Program),
-		Validation: ValidationJSON(c.Verification),
-		Inputs:     PortsJSON(c.Program.Inputs),
-		Outputs:    PortsJSON(c.Program.Outputs),
-	}
 }
 
 // CompileResponse is returned by POST /v1/compile.

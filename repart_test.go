@@ -68,34 +68,6 @@ func runHash(t *testing.T, s *Simulator, cycles int, seed int64) uint64 {
 	return s.StateHash()
 }
 
-// TestProfileRebalanceKeepsState runs the profile-guided rebalance loop —
-// compile, measure per-thread phase times, repartition with measured
-// weights, recompile — and proves the rebalanced simulator computes the
-// same design: identical state hash to the unprofiled compile.
-func TestProfileRebalanceKeepsState(t *testing.T) {
-	g, err := designs.Build(designs.Config{Kind: designs.Rocket, Cores: 1, Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &Design{Graph: g}
-	plain, err := d.CompileProgram(Options{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pgo, err := d.CompileProgram(Options{Threads: 4, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pgo.Report.Profiled {
-		t.Fatal("profile compile did not record a rebalance")
-	}
-	const cycles, seed = 60, 17
-	want := runHash(t, plain.NewSimulator(), cycles, seed)
-	if got := runHash(t, pgo.NewSimulator(), cycles, seed); got != want {
-		t.Fatalf("profile-rebalanced state hash diverges: %016x vs %016x", got, want)
-	}
-}
-
 // TestRepartitionedStateHashAcrossBackends compiles RocketChip-1C at 16
 // threads four ways — {derep, no-derep} × {linked, native} — and demands
 // one state hash from all of them. The derep compile must actually demote

@@ -23,7 +23,6 @@ package repcut
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/cgraph"
@@ -56,15 +55,6 @@ func ParseCircuit(src string) (*firrtl.Circuit, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// LoadCircuit reads and parses a circuit file.
-func LoadCircuit(path string) (*firrtl.Circuit, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseCircuit(string(data))
 }
 
 // Elaborate flattens the module hierarchy, lowers expressions to graph
@@ -104,7 +94,8 @@ func (d *Design) Stats() cgraph.Stats {
 type Options struct {
 	// Threads is the partition count (required, >= 1).
 	Threads int
-	// Epsilon is the balance tolerance (default 0.03).
+	// Epsilon is the balance tolerance (<= 0 means
+	// hypergraph.DefaultEpsilon, 0.03).
 	Epsilon float64
 	// Seed makes partitioning deterministic (default 1).
 	Seed int64
@@ -125,19 +116,7 @@ type Options struct {
 	// reference recompiled from the same partition (internal/verify/tvalid).
 	// Compilation fails on any divergence. Implies the Verify scan.
 	Validate bool
-	// Profile enables profile-guided rebalance: compile once, measure
-	// per-thread eval+commit phase times over profileCycles simulated
-	// cycles, and repartition with the hypergraph weights scaled by each
-	// thread's measured-vs-predicted cost ratio before the final compile.
-	// Timing-driven, so partitions may differ between hosts and runs —
-	// results stay correct (the rebalance only reshapes the proxy weights)
-	// but bit-identical partition reproducibility is deliberately traded
-	// for measured balance.
-	Profile bool
 }
-
-// profileCycles is the measurement run length for Options.Profile.
-const profileCycles = 64
 
 func (o *Options) defaults() {
 	if o.Seed == 0 {
@@ -159,19 +138,10 @@ type PartitionReport struct {
 	// registers they demoted (0 when nothing was profitable).
 	DerepGroups int
 	DerepRegs   int
-	// Profiled is true when the partition was rebalanced from measured
-	// phase times (Options.Profile).
-	Profiled bool
 }
 
 // Partition runs the replication-aided partitioner without compiling.
 func (d *Design) Partition(opt Options) (*core.Result, *PartitionReport, error) {
-	return d.partition(opt, nil)
-}
-
-// partition runs the partitioner, optionally with profile feedback from a
-// previous iteration.
-func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result, *PartitionReport, error) {
 	opt.defaults()
 	model := costmodel.Default()
 	if opt.Unweighted {
@@ -179,8 +149,7 @@ func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result,
 	}
 	res, err := core.Partition(d.Graph, core.Options{
 		K: opt.Threads, Epsilon: opt.Epsilon, Seed: opt.Seed, Model: model,
-		Workers: opt.Workers, Verify: opt.Verify,
-		Derep: true, Profile: pf,
+		Workers: opt.Workers, Verify: opt.Verify, Derep: true,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -194,7 +163,6 @@ func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result,
 		CutCost:            res.CutCost,
 		DerepGroups:        len(res.Dereps),
 		DerepRegs:          res.DerepRegs,
-		Profiled:           pf != nil,
 	}
 	for i := range res.Parts {
 		rep.PartWeights = append(rep.PartWeights, res.Parts[i].Weight)
@@ -206,10 +174,6 @@ func (d *Design) partition(opt Options, pf *core.ProfileFeedback) (*core.Result,
 // dereplication groups included. Use it wherever a core.Result feeds
 // sim.Compile on a two-phase backend.
 func PartSpecs(res *core.Result) []sim.PartSpec {
-	return partSpecs(res)
-}
-
-func partSpecs(res *core.Result) []sim.PartSpec {
 	specs := make([]sim.PartSpec, len(res.Parts))
 	for i := range res.Parts {
 		specs[i] = sim.PartSpec{
@@ -305,59 +269,20 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 	if opt.Threads < 1 {
 		return nil, fmt.Errorf("repcut: Threads must be >= 1")
 	}
-	var (
-		specs []sim.PartSpec
-		rep   *PartitionReport
-	)
-	var res *core.Result
+	var specs []sim.PartSpec
+	rep := &PartitionReport{Threads: 1}
 	if opt.Threads == 1 {
 		specs = sim.SerialSpec(d.Graph)
-		rep = &PartitionReport{Threads: 1}
 	} else {
-		var err error
-		res, rep, err = d.partition(opt, nil)
+		res, r, err := d.Partition(opt)
 		if err != nil {
 			return nil, err
 		}
-		specs = partSpecs(res)
+		specs, rep = PartSpecs(res), r
 	}
 	p, err := sim.Compile(d.Graph, specs, sim.Config{OptLevel: optLevel, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
-	}
-	// Profile-guided rebalance: measure the per-thread eval+commit phase
-	// times of the program just compiled, convert them into weight scales
-	// relative to the cost model's prediction, and repartition+recompile
-	// once with the measured weights. The feedback only reshapes the
-	// partitioner's proxy weights, so the rebalanced program simulates the
-	// same design — state hashes match the unprofiled compile.
-	if opt.Profile && opt.Threads > 1 {
-		samples := sim.NewEngine(p).RunProfiled(profileCycles)
-		measured := make([]float64, opt.Threads)
-		for _, row := range samples {
-			for t := range row {
-				measured[t] += float64(row[t].Eval + row[t].Update)
-			}
-		}
-		predicted := make([]float64, opt.Threads)
-		for t := range p.Threads {
-			measured[t] /= profileCycles
-			predicted[t] = float64(p.Threads[t].CostUnits)
-		}
-		pf := &core.ProfileFeedback{
-			PartOfSink: res.PartOfSink,
-			Scales:     costmodel.ProfileScales(measured, predicted),
-		}
-		res2, rep2, err := d.partition(opt, pf)
-		if err != nil {
-			return nil, err
-		}
-		specs2 := partSpecs(res2)
-		p2, err := sim.Compile(d.Graph, specs2, sim.Config{OptLevel: optLevel, Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-		rep, specs, p = rep2, specs2, p2
 	}
 	// Link eagerly: the Compiled artifact is the unit the service cache
 	// shares across sessions, so building the linked execution form here

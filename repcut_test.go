@@ -1,10 +1,6 @@
 package repcut
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 const counterSrc = `
 circuit Counter {
@@ -79,20 +75,6 @@ func TestParallelFacadeMatchesSerial(t *testing.T) {
 	b, _ := par.PeekReg("r")
 	if a.Uint64() != b.Uint64() {
 		t.Fatalf("parallel facade diverges: %d vs %d", a.Uint64(), b.Uint64())
-	}
-}
-
-func TestLoadCircuit(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.fir")
-	if err := os.WriteFile(path, []byte(counterSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCircuit(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCircuit(filepath.Join(dir, "missing.fir")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 
