@@ -28,8 +28,6 @@ func main() {
 	var (
 		full    = flag.Bool("full", false, "run all 12 designs and the full thread sweep")
 		outDir  = flag.String("out", "", "directory to write .txt/.csv results into")
-		check   = flag.Bool("check", true, "run a real-engine equivalence spot check first")
-		doVerif = flag.Bool("verify", true, "statically verify every compiled program (race freedom, replication closure, schedule)")
 		workers = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; results are identical)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -64,26 +62,22 @@ func main() {
 		}
 	}
 
-	if *check {
-		step("real-engine equivalence spot check")
-		cfg := designs.Config{Kind: designs.SmallBoom, Cores: 1, Scale: 1}
-		if err := s.RealEquivalence(cfg, 4, 100); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("serial and RepCut(4 threads) agree over 100 cycles of %s; the Verilator baseline schedules %d MTasks (modeled, not run)\n",
-			cfg.Name(), len(s.Verilator(cfg, 4, false).Tasks))
-		fmt.Printf("real serial throughput on this host: %.1f KHz\n\n", s.RealThroughput(cfg, 2000))
+	step("real-engine equivalence spot check")
+	cfg := designs.Config{Kind: designs.SmallBoom, Cores: 1, Scale: 1}
+	if err := s.RealEquivalence(cfg, 4, 100); err != nil {
+		fatal(err)
 	}
+	fmt.Printf("serial and RepCut(4 threads) agree over 100 cycles of %s; the Verilator baseline schedules %d MTasks (modeled, not run)\n",
+		cfg.Name(), len(s.Verilator(cfg, 4, false).Tasks))
+	fmt.Printf("real serial throughput on this host: %.1f KHz\n\n", s.RealThroughput(cfg, 2000))
 
-	if *doVerif {
-		step("static soundness verification")
-		tv, errs := s.VerifyAll()
-		write("verify", tv)
-		if errs > 0 {
-			fatal(fmt.Errorf("static verification found %d error(s); results would not be trustworthy", errs))
-		}
-		fmt.Println("every compiled program proven race-free, partition-closed, and well-scheduled")
+	step("static soundness verification")
+	tv, errs := s.VerifyAll()
+	write("verify", tv)
+	if errs > 0 {
+		fatal(fmt.Errorf("static verification found %d error(s); results would not be trustworthy", errs))
 	}
+	fmt.Println("every compiled program proven race-free, partition-closed, and well-scheduled")
 
 	step("Table 1")
 	write("table1", s.Table1())

@@ -12,10 +12,10 @@
 // program fingerprint + emitter version + toolchain version (+ GOOS/GOARCH
 // and the race flag, which must match the host binary for the plugin to
 // load), with singleflight build dedup, byte-budget LRU eviction, and
-// corrupted-artifact recovery. Every build structurally validates its
-// emission 1:1 against the linked source (tvalid.ValidateEmission); the
-// printed text is checked dynamically by the difftest oracle column and
-// the CI state-hash smoke.
+// corrupted-artifact recovery. The printed text is checked by running it:
+// native against linked state hashes in the tests and the CI smoke, the
+// difftest oracle column with its planted mutants, and the pinned source
+// hashes of TestEmitGolden.
 //
 // Platforms without plugin support (or hosts built with CGO disabled)
 // fail Supported(); callers fall back to the linked interpreter.
@@ -36,9 +36,8 @@ const EmitterVersion = "cg3"
 
 // Bug selects a deliberately planted emitter defect, used by the difftest
 // mutation suite to prove the codegen oracle column live. A planted bug
-// changes only the printed text, never the emission records, so it is
-// invisible to the structural ValidateEmission check by design — only
-// dynamic differential execution can catch it.
+// changes only the printed text, so only differential execution can catch
+// it.
 type Bug int
 
 const (

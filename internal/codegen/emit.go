@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/optable"
 	"repro/internal/sim"
-	"repro/internal/verify/tvalid"
 )
 
 // The emitter prints each linked thread's instruction stream as
@@ -36,12 +35,9 @@ import (
 // chunkInstrs bounds the linked instructions per generated function.
 const chunkInstrs = 1024
 
-// Emission is one generated kernel source plus the emitter's per-
-// instruction claims, checked 1:1 against the linked program by
-// tvalid.ValidateEmission before anything is built.
+// Emission is one generated kernel source and what went into it.
 type Emission struct {
 	Source  []byte
-	Records []tvalid.EmitRecord
 	Threads int
 	Chunks  int
 	Inlined int // immediate operands inlined as literals
@@ -112,7 +108,6 @@ func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 
 	return &Emission{
 		Source:  []byte(b.String()),
-		Records: e.records,
 		Threads: len(lp.Threads),
 		Chunks:  e.chunks,
 		Inlined: e.inlined,
@@ -126,9 +121,7 @@ type emitter struct {
 	p   *sim.Program
 	bug Bug
 
-	records []tvalid.EmitRecord
-	rec     *tvalid.EmitRecord // record of the instruction being printed
-	block   [3]bool            // operand slots not eligible for inlining
+	block [3]bool // operand slots not eligible for inlining
 
 	// Bug placement. A scan pass collects candidate sites first; the real
 	// pass plants the defect at the chosen one (bugT/bugC).
@@ -223,14 +216,12 @@ func form(in *sim.LInstr) (string, bool) {
 	return op.Go, true
 }
 
-// instr emits one linked instruction and appends its emission record.
+// instr emits one linked instruction.
 func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
 	tmpl, ok := form(in)
 	if !ok {
 		return fmt.Errorf("codegen: unhandled opcode %v (thread %d pc %d)", in.Op, t, pc)
 	}
-	e.records = append(e.records, tvalid.EmitRecord{Thread: t, PC: pc, Instr: *in})
-	e.rec = &e.records[len(e.records)-1]
 	e.block = blockedSlots(e.lp, e.p, in, tmpl)
 	ops := [3]uint32{in.A, in.B, in.C}
 	stmt := optable.Expand(tmpl, &optable.Target{
@@ -238,7 +229,7 @@ func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
 		Aux:     fmt.Sprint(in.Aux),
 		Mask:    fmt.Sprintf("%#x", in.Mask),
 		Operand: func(k int) string { return e.op(ops[k], k) },
-		M:       func(x string) string { return e.mask(t, pc, x, in.Mask) },
+		M:       func(x string) string { return e.mask(t, pc, in, x) },
 		Cmp:     func(c string) string { return e.cond(t, pc, c) },
 	})
 	if stmt != "" {
@@ -253,12 +244,10 @@ func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
 
 // op prints operand slot k (state index idx): a uint64 literal when the
 // operand addresses the immediate region and the position allows inlining,
-// else the state load. Inlinings are recorded for ValidateEmission.
+// else the state load.
 func (e *emitter) op(idx uint32, k int) string {
 	if !e.block[k] {
 		if i := int(idx) - e.lp.ImmOff; i >= 0 && i < len(e.p.Imms) {
-			e.rec.Inlined[k] = true
-			e.rec.InlinedVal[k] = e.p.Imms[i]
 			e.inlined++
 			return fmt.Sprintf("uint64(%#x)", e.p.Imms[i])
 		}
@@ -294,25 +283,24 @@ var bugWeights = map[sim.OpCode]int{
 	sim.OpAdd: 20, sim.OpMul: 20, sim.OpShl: 20, sim.OpDshl: 20,
 }
 
-// mask applies the result mask, eliding the no-op ^0 AND. This is where
-// BugDropMask plants its defect: the chosen maskable site loses the AND
-// while its emission record keeps the true instruction.
-func (e *emitter) mask(t, pc int, expr string, m uint64) string {
-	if m == ^uint64(0) {
+// mask applies in's result mask to expr, eliding the no-op ^0 AND. This is
+// where BugDropMask plants its defect: the chosen maskable site loses the
+// AND.
+func (e *emitter) mask(t, pc int, in *sim.LInstr, expr string) string {
+	if in.Mask == ^uint64(0) {
 		return expr
 	}
 	if e.scan {
-		e.sites = append(e.sites, maskSite{t, pc, bugScore(&e.rec.Instr, e.p.GlobalWords)})
+		e.sites = append(e.sites, maskSite{t, pc, bugScore(in, e.p.GlobalWords)})
 	} else if e.bug == BugDropMask && e.bugSite == "" && t == e.bugT && pc == e.bugC {
 		e.bugSite = fmt.Sprintf("thread %d pc %d", t, pc)
 		return expr
 	}
-	return fmt.Sprintf("%s & %#x", expr, m)
+	return fmt.Sprintf("%s & %#x", expr, in.Mask)
 }
 
 // cond wraps an emitted boolean condition. This is where BugCmpInvert
-// plants its defect: the chosen comparison is negated while its emission
-// record keeps the true instruction.
+// plants its defect: the chosen comparison is negated.
 func (e *emitter) cond(t, pc int, c string) string {
 	if e.scan {
 		e.csites = append(e.csites, maskSite{t: t, pc: pc})

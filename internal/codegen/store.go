@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/verify/tvalid"
 )
 
 // Store is the content-addressed on-disk artifact cache for built native
@@ -249,12 +249,18 @@ func (s *Store) ensure(p *sim.Program, o EmitOptions, key string) (ArtifactInfo,
 			art := e.Value.(*artifact)
 			s.lru.MoveToFront(e)
 			s.mu.Unlock()
-			info, err := s.verifyOnDisk(key, art.bytes)
+			// Hashing streams the plugin, so a hit never loads it into
+			// memory.
+			meta, err := os.ReadFile(s.metaPath(key))
+			sum, n, herr := sha256File(s.soPath(key))
+			if err = errors.Join(err, herr); err == nil {
+				_, err = checkArtifact(key, meta, sum, n)
+			}
 			if err == nil {
 				s.mu.Lock()
 				s.stats.Hits++
 				s.mu.Unlock()
-				return info, nil
+				return ArtifactInfo{Key: key, Path: s.soPath(key), Bytes: art.bytes}, nil
 			}
 			// Corrupted on disk: recover by dropping and rebuilding.
 			s.dropCorrupt(key)
@@ -291,26 +297,6 @@ func (s *Store) ensure(p *sim.Program, o EmitOptions, key string) (ArtifactInfo,
 	}
 }
 
-// verifyOnDisk re-hashes the artifact against its metadata.
-func (s *Store) verifyOnDisk(key string, bytes int64) (ArtifactInfo, error) {
-	var m artifactMeta
-	data, err := os.ReadFile(s.metaPath(key))
-	if err != nil {
-		return ArtifactInfo{}, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return ArtifactInfo{}, err
-	}
-	sum, n, err := sha256File(s.soPath(key))
-	if err != nil {
-		return ArtifactInfo{}, err
-	}
-	if sum != m.SoSHA256 || n != m.SoBytes {
-		return ArtifactInfo{}, fmt.Errorf("codegen: artifact %s corrupted on disk", key)
-	}
-	return ArtifactInfo{Key: key, Path: s.soPath(key), Bytes: bytes}, nil
-}
-
 // dropCorrupt removes a damaged artifact from the index and disk.
 func (s *Store) dropCorrupt(key string) {
 	s.mu.Lock()
@@ -325,18 +311,14 @@ func (s *Store) dropCorrupt(key string) {
 	os.Remove(s.metaPath(key))
 }
 
-// build emits, validates the emission against its linked source, compiles
-// the plugin in a private tmp dir, and atomically installs .so then .json
-// (meta last: its presence marks a complete artifact).
+// build emits, compiles the plugin in a private tmp dir, and atomically
+// installs .so then .json (meta last: its presence marks a complete
+// artifact).
 func (s *Store) build(p *sim.Program, o EmitOptions, key string) (ArtifactInfo, error) {
 	start := time.Now()
-	lp := p.Linked()
-	em, err := Emit(lp, o)
+	em, err := Emit(p.Linked(), o)
 	if err != nil {
 		return ArtifactInfo{}, err
-	}
-	if res := tvalid.ValidateEmission(lp, em.Records); !res.Valid() {
-		return ArtifactInfo{}, res.Err()
 	}
 	tmp, err := os.MkdirTemp(s.dir, "tmp-"+key+"-")
 	if err != nil {
@@ -358,7 +340,7 @@ func (s *Store) build(p *sim.Program, o EmitOptions, key string) (ArtifactInfo, 
 		Emitter:     EmitterVersion, Toolchain: runtime.Version(), Race: raceEnabled, Bug: int(o.Bug),
 		SoSHA256: sum, SoBytes: soBytes,
 		BuildMs: float64(elapsed.Microseconds()) / 1000,
-		Instrs:  len(em.Records), Inlined: em.Inlined, Chunks: em.Chunks,
+		Instrs:  p.TotalInstrs(), Inlined: em.Inlined, Chunks: em.Chunks,
 	}
 	mdata, err := json.MarshalIndent(&meta, "", "  ")
 	if err != nil {
@@ -399,6 +381,23 @@ func (s *Store) evictLocked(keep string) {
 
 func (s *Store) soPath(key string) string   { return filepath.Join(s.dir, key+".so") }
 func (s *Store) metaPath(key string) string { return filepath.Join(s.dir, key+".json") }
+
+// checkArtifact is the one integrity check of an artifact: its metadata
+// must decode, name the expected key, and carry the plugin's SHA-256 hex
+// digest sum and length n. It returns the decoded metadata.
+func checkArtifact(key string, meta []byte, sum string, n int64) (*artifactMeta, error) {
+	var m artifactMeta
+	if err := json.Unmarshal(meta, &m); err != nil {
+		return nil, fmt.Errorf("codegen: artifact %s metadata unreadable: %w", key, err)
+	}
+	if m.Key != key {
+		return nil, fmt.Errorf("codegen: artifact metadata names key %s, expected %s", m.Key, key)
+	}
+	if sum != m.SoSHA256 || n != m.SoBytes {
+		return nil, fmt.Errorf("codegen: artifact %s plugin bytes do not match metadata hash", key)
+	}
+	return &m, nil
+}
 
 // sha256File hashes a file, returning the hex digest and byte length.
 func sha256File(path string) (string, int64, error) {

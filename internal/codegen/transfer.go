@@ -3,7 +3,6 @@ package codegen
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -40,7 +39,8 @@ func (s *Store) ExportArtifact(key string) (so, meta []byte, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("codegen: export %s: %w", key, err)
 	}
-	if err := checkArtifactBytes(key, so, meta); err != nil {
+	sum := sha256.Sum256(so)
+	if _, err := checkArtifact(key, meta, hex.EncodeToString(sum[:]), int64(len(so))); err != nil {
 		s.dropCorrupt(key)
 		return nil, nil, err
 	}
@@ -53,7 +53,8 @@ func (s *Store) ExportArtifact(key string) (so, meta []byte, err error) {
 // no-op. The install is atomic in the same sense build() is: the .so is
 // renamed into place first, the meta written last.
 func (s *Store) ImportArtifact(key string, so, meta []byte) error {
-	m, err := parseArtifactMeta(key, so, meta)
+	sum := sha256.Sum256(so)
+	m, err := checkArtifact(key, meta, hex.EncodeToString(sum[:]), int64(len(so)))
 	if err != nil {
 		return err
 	}
@@ -108,28 +109,4 @@ func (s *Store) Has(key string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.byKey[key]
 	return ok
-}
-
-// parseArtifactMeta decodes and verifies an artifact's metadata against its
-// plugin bytes and the expected key.
-func parseArtifactMeta(key string, so, meta []byte) (*artifactMeta, error) {
-	var m artifactMeta
-	if err := json.Unmarshal(meta, &m); err != nil {
-		return nil, fmt.Errorf("codegen: artifact %s metadata unreadable: %w", key, err)
-	}
-	if m.Key != key {
-		return nil, fmt.Errorf("codegen: artifact metadata names key %s, expected %s", m.Key, key)
-	}
-	sum := sha256.Sum256(so)
-	if hex.EncodeToString(sum[:]) != m.SoSHA256 || int64(len(so)) != m.SoBytes {
-		return nil, fmt.Errorf("codegen: artifact %s plugin bytes do not match metadata hash", key)
-	}
-	return &m, nil
-}
-
-// checkArtifactBytes verifies plugin bytes against their metadata without
-// the toolchain gate (export side: the bytes just have to be intact).
-func checkArtifactBytes(key string, so, meta []byte) error {
-	_, err := parseArtifactMeta(key, so, meta)
-	return err
 }

@@ -54,11 +54,6 @@ type Options struct {
 	// result relies on the two-phase eval/commit protocol, so the pass is
 	// opt-in here and enabled by the top-level repcut API.
 	Derep bool
-	// Verify re-checks the realized partitioning (self-containment, unique
-	// sink ownership, coverage, topological order) before returning it,
-	// turning a latent partitioner bug into a hard error instead of a
-	// miscompiled simulator.
-	Verify bool
 }
 
 // Part is one independent partition.
@@ -209,11 +204,6 @@ func Partition(g *cgraph.Graph, opt Options) (*Result, error) {
 	if opt.Derep {
 		dereplicate(g, an, eta, vcost, res, pool)
 	}
-	if opt.Verify {
-		if err := Verify(g, res); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -296,117 +286,4 @@ func realize(g *cgraph.Graph, an *cone.Analysis, eta []int64, totalWeight int64,
 		res.ImbalanceIncl = (float64(maxPart) - avg) / avg
 	}
 	return res, nil
-}
-
-// Verify checks the structural invariants of a partitioning:
-//
-//  1. every partition is self-contained: all non-source predecessors of its
-//     vertices are in the partition;
-//  2. every sink belongs to exactly one partition;
-//  3. every non-source vertex appears in at least one partition;
-//  4. partition vertex lists are topologically ordered.
-//
-// It is used by tests and exposed for downstream assertions.
-func Verify(g *cgraph.Graph, res *Result) error {
-	for p := range res.Parts {
-		in := make(map[cgraph.VID]int, len(res.Parts[p].Vertices))
-		for i, v := range res.Parts[p].Vertices {
-			if _, dup := in[v]; dup {
-				return fmt.Errorf("part %d: duplicate vertex %d", p, v)
-			}
-			in[v] = i
-		}
-		for _, v := range res.Parts[p].Vertices {
-			for _, pr := range g.Preds[v] {
-				if g.Vs[pr].Kind.IsSource() {
-					continue
-				}
-				pi, ok := in[pr]
-				if !ok {
-					return fmt.Errorf("part %d: vertex %s missing predecessor %s",
-						p, g.Vs[v].Name, g.Vs[pr].Name)
-				}
-				if pi >= in[v] {
-					return fmt.Errorf("part %d: %s scheduled before predecessor %s",
-						p, g.Vs[v].Name, g.Vs[pr].Name)
-				}
-			}
-		}
-	}
-	// Demoted register writes are executed by no partition: their value is
-	// the committed slot of the group's driver vertex instead.
-	demoted := map[cgraph.VID]bool{}
-	for _, d := range res.Dereps {
-		if int(d.Owner) < 0 || int(d.Owner) >= len(res.Parts) {
-			return fmt.Errorf("derep group of vertex %d has invalid owner %d", d.U, d.Owner)
-		}
-		for _, ri := range d.Regs {
-			if int(ri) >= len(g.Regs) {
-				return fmt.Errorf("derep group of vertex %d references register %d out of range", d.U, ri)
-			}
-			w := g.Regs[ri].Write
-			if demoted[w] {
-				return fmt.Errorf("register %s demoted twice", g.Regs[ri].Name)
-			}
-			demoted[w] = true
-			if drv := g.Vs[w].Args[0]; drv.V != d.U {
-				return fmt.Errorf("register %s demoted to vertex %s, which is not its next-value driver",
-					g.Regs[ri].Name, g.Vs[d.U].Name)
-			}
-		}
-	}
-	sinkCount := map[cgraph.VID]int{}
-	for p := range res.Parts {
-		for _, s := range res.Parts[p].Sinks {
-			sinkCount[s]++
-		}
-	}
-	for _, s := range g.Sinks() {
-		if demoted[s] {
-			if sinkCount[s] != 0 {
-				return fmt.Errorf("demoted sink %s still owned by %d partitions", g.Vs[s].Name, sinkCount[s])
-			}
-			continue
-		}
-		if sinkCount[s] != 1 {
-			return fmt.Errorf("sink %s owned by %d partitions", g.Vs[s].Name, sinkCount[s])
-		}
-	}
-	covered := make([]bool, g.NumVertices())
-	for p := range res.Parts {
-		for _, v := range res.Parts[p].Vertices {
-			covered[v] = true
-		}
-	}
-	// Coverage is owed only to live vertices: those reaching a surviving
-	// (non-demoted) sink. Logic feeding exclusively demoted register writes
-	// is dead — nobody consumes its value once the write is demoted — and
-	// must be dropped, not replicated.
-	live := make([]bool, g.NumVertices())
-	var stack []cgraph.VID
-	for _, s := range g.Sinks() {
-		if !demoted[s] {
-			live[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pr := range g.Preds[v] {
-			if !live[pr] {
-				live[pr] = true
-				stack = append(stack, pr)
-			}
-		}
-	}
-	for v := range g.Vs {
-		switch {
-		case demoted[cgraph.VID(v)] && covered[v]:
-			return fmt.Errorf("demoted register write %s still executed by a partition", g.Vs[v].Name)
-		case !g.Vs[v].Kind.IsSource() && live[cgraph.VID(v)] && !covered[v]:
-			return fmt.Errorf("vertex %s not covered by any partition", g.Vs[v].Name)
-		}
-	}
-	return nil
 }

@@ -28,7 +28,7 @@ func TestQuickPartitionProperties(t *testing.T) {
 			t.Logf("partition error: %v", err)
 			return false
 		}
-		if err := Verify(g, res); err != nil {
+		if err := verifyCompiled(g, res); err != nil {
 			t.Logf("verify: %v", err)
 			return false
 		}

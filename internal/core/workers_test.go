@@ -18,7 +18,7 @@ func TestPartitionWorkerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d serial: %v", k, err)
 		}
-		if err := Verify(g, base); err != nil {
+		if err := verifyCompiled(g, base); err != nil {
 			t.Fatalf("k=%d serial verify: %v", k, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
@@ -59,7 +59,7 @@ func TestWorkersVerifiedByStaticAnalyzer(t *testing.T) {
 	var baseFP uint64
 	for i, workers := range []int{0, 1, 2, 8} {
 		res, err := Partition(g, Options{
-			K: 4, Seed: 3, Model: costmodel.Default(), Workers: workers, Verify: true,
+			K: 4, Seed: 3, Model: costmodel.Default(), Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/firrtl"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -126,15 +127,15 @@ func TestDesignParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Verify(g, res); err != nil {
-		t.Fatal(err)
-	}
 	specs := make([]sim.PartSpec, len(res.Parts))
 	for i := range res.Parts {
 		specs[i] = sim.PartSpec{Vertices: res.Parts[i].Vertices, Sinks: res.Parts[i].Sinks}
 	}
 	prog, err := sim.Compile(g, specs, sim.Config{OptLevel: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Program(prog, verify.Options{Graph: g, Parts: specs}).Err(); err != nil {
 		t.Fatal(err)
 	}
 	par := sim.NewEngine(prog)

@@ -49,13 +49,10 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// NumWorkers returns the pool's resolved worker count.
-func (p *Pool) NumWorkers() int { return p.workers }
-
-// ForEach runs fn(i) for every i in [0, n), using up to NumWorkers
-// goroutines (including the caller). It returns when all calls complete.
-// fn must confine its writes to data owned by index i; under that contract
-// results are independent of scheduling and worker count.
+// ForEach runs fn(i) for every i in [0, n), using up to the pool's worker
+// count of goroutines (including the caller). It returns when all calls
+// complete. fn must confine its writes to data owned by index i; under that
+// contract results are independent of scheduling and worker count.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -106,9 +103,9 @@ func (p *Pool) ForEachErr(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Chunks splits [0, n) into up to NumWorkers contiguous ranges and runs
-// fn(lo, hi) for each, possibly concurrently. Use it when tasks want
-// per-worker scratch state amortized over many indices.
+// Chunks splits [0, n) into up to the pool's worker count of contiguous
+// ranges and runs fn(lo, hi) for each, possibly concurrently. Use it when
+// tasks want per-worker scratch state amortized over many indices.
 func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

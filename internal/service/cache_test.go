@@ -53,10 +53,12 @@ func TestKeyCanonicalization(t *testing.T) {
 			t.Errorf("%+v: key %s, want %s", *req, got, want)
 		}
 	}
-	// Requests for one program share one address: a non-positive or
-	// default epsilon reads as omitted, and a one-thread compile partitions
-	// nothing, so its epsilon, seed and weighting do not count.
+	// Requests for one program share one address: a non-positive scale
+	// builds the full-size design, a non-positive or default epsilon reads
+	// as omitted, and a one-thread compile partitions nothing, so its
+	// epsilon, seed and weighting do not count.
 	for i, same := range [][]CompileRequest{
+		{a, {Design: "RocketChip-1C", Threads: 2, Scale: -1}, {Design: "RocketChip-1C", Threads: 2, Scale: -0.5}},
 		{a, {Design: "RocketChip-1C", Threads: 2, Epsilon: 0.03}, {Design: "RocketChip-1C", Threads: 2, Epsilon: -1}},
 		{{Design: "RocketChip-1C"}, {Design: "RocketChip-1C", Threads: 1, Seed: 9, Unweighted: true, Epsilon: 0.2}},
 	} {

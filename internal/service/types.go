@@ -41,6 +41,7 @@ type CompileRequest struct {
 
 // normalize applies the same defaults repcut.Options does, so requests
 // that spell a default explicitly and requests that omit it hash alike. A
+// non-positive Scale reads as 1, as designs.BuildCircuit does; a
 // non-positive or default Epsilon reads as omitted, and at one thread,
 // where nothing is partitioned, so do Epsilon, Seed and Unweighted: every
 // request for one program gets one key.
@@ -51,7 +52,7 @@ func (r CompileRequest) normalize() CompileRequest {
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.Scale == 0 {
+	if r.Scale <= 0 {
 		r.Scale = 1
 	}
 	if r.Epsilon <= 0 || r.Epsilon == hypergraph.DefaultEpsilon {

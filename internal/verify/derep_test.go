@@ -3,13 +3,13 @@ package verify
 // Shared-read tier tests: the verifier must prove a dereplicated program
 // race-free (eval-phase reads of other threads' previous-cycle committed
 // slots are the only cross-thread traffic the relaxed tier adds) and must
-// reject the three fault classes the tier introduces: a slot that would
-// carry the current cycle's value, a demoted register whose shared slot a
-// reader would observe same-cycle, and a partition that breaks its balance
-// contract. A verifier that accepts all of these would bless the
-// dereplication post-pass vacuously.
+// reject the two fault classes the tier introduces: a slot that would
+// carry the current cycle's value, and a demoted register whose shared slot
+// a reader would observe same-cycle. A verifier that accepts these would
+// bless the dereplication post-pass vacuously.
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,11 +73,13 @@ func derepProgram(t *testing.T) *derepFixture {
 	return &derepFix
 }
 
-// cloneSpecs deep-copies the derep groups so a mutation cannot leak into
-// the shared fixture.
+// cloneSpecs deep-copies the vertex and sink lists and the derep groups so
+// a mutation cannot leak into the shared fixture.
 func cloneSpecs(specs []sim.PartSpec) []sim.PartSpec {
 	out := append([]sim.PartSpec(nil), specs...)
 	for i := range out {
+		out[i].Vertices = slices.Clone(out[i].Vertices)
+		out[i].Sinks = slices.Clone(out[i].Sinks)
 		ds := append([]cgraph.DerepGroup(nil), out[i].Dereps...)
 		for j := range ds {
 			ds[j].Regs = append([]int32(nil), ds[j].Regs...)
@@ -87,25 +89,12 @@ func cloneSpecs(specs []sim.PartSpec) []sim.PartSpec {
 	return out
 }
 
-// maxEvalCost returns the heaviest thread's predicted eval cost.
-func maxEvalCost(p *sim.Program) int64 {
-	var max int64
-	for t := range p.Threads {
-		if c := p.Threads[t].CostUnits; c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // TestDerepCleanVerifies proves the shared-read tier on real compiler
 // output: the dereplicated program passes the full scan — linked streams,
-// partition cross-check, derep soundness, and the balance contract at the
-// exact measured bound.
+// partition cross-check and derep soundness.
 func TestDerepCleanVerifies(t *testing.T) {
 	f := derepProgram(t)
-	rep := Program(f.p, Options{Graph: f.g, Parts: f.specs,
-		MaxThreadCost: maxEvalCost(f.p)})
+	rep := Program(f.p, Options{Graph: f.g, Parts: f.specs})
 	requireClean(t, rep, "derep clean")
 	if !strings.Contains(rep.String(), "race-free") {
 		t.Fatalf("unexpected summary: %s", rep.String())
@@ -175,22 +164,6 @@ func TestDerepMutationWrongDriver(t *testing.T) {
 	}
 	d := findDiag(t, rep, CheckRace)
 	if !strings.Contains(d.String(), "same-cycle") {
-		t.Fatalf("unexpected diagnostic: %s", d)
-	}
-}
-
-// Fault class D3 — broken balance contract: the partition claims an ε the
-// compiled threads do not meet. Handing the verifier a bound just below
-// the heaviest thread's measured cost must trip the balance check.
-func TestDerepMutationUnbalancedPart(t *testing.T) {
-	f := derepProgram(t)
-	rep := Program(f.p, Options{Graph: f.g, Parts: f.specs,
-		MaxThreadCost: maxEvalCost(f.p) - 1})
-	if rep.Err() == nil {
-		t.Fatal("balance-contract violation not detected")
-	}
-	d := findDiag(t, rep, CheckBalance)
-	if !strings.Contains(d.String(), "balance bound") {
 		t.Fatalf("unexpected diagnostic: %s", d)
 	}
 }

@@ -71,7 +71,6 @@ const (
 	CheckSchedule    Check = "schedule"
 	CheckTranslation Check = "translation"
 	CheckBatch       Check = "batch-layout"
-	CheckBalance     Check = "balance"
 )
 
 // Diag is one finding, with full provenance: which thread's code, which
@@ -121,11 +120,6 @@ type Options struct {
 	// Divergences surface as CheckTranslation errors and the full
 	// certificate as Report.Validation.
 	Validate bool
-	// MaxThreadCost, when positive, additionally enforces the partition's
-	// balance contract: every thread's predicted eval cost
-	// (ThreadCode.CostUnits) must stay at or below this bound. Callers
-	// derive it from the partitioner's ε, e.g. (1+ε)·(total/k).
-	MaxThreadCost int64
 }
 
 // Report is the outcome of verifying one program.
@@ -260,14 +254,6 @@ func Program(p *sim.Program, opts Options) *Report {
 	}
 	v.checkMems()
 	v.crossCheck()
-	if opts.MaxThreadCost > 0 {
-		for t := range p.Threads {
-			if c := p.Threads[t].CostUnits; c > opts.MaxThreadCost {
-				v.diag(CheckBalance, Error, t, -1, "",
-					fmt.Sprintf("thread's predicted eval cost %d units exceeds the balance bound %d: the partition violates its ε contract", c, opts.MaxThreadCost))
-			}
-		}
-	}
 	if opts.Validate {
 		v.validate()
 	}
@@ -423,8 +409,11 @@ func (v *verifier) checkMems() {
 
 // crossCheck validates the program against the partition it was compiled
 // from: graph-level closure (every non-source predecessor present and
-// earlier), unique sink ownership, and agreement between the partition's
-// sink words and the program's shadow layout.
+// earlier), unique sink ownership, every owned sink executed by its owner,
+// demoted register writes neither owned nor executed, and agreement between
+// the partition's sink words and the program's shadow layout. Closure plus
+// executed sinks is coverage: every vertex a surviving sink depends on runs
+// in that sink's partition.
 func (v *verifier) crossCheck() {
 	g, parts := v.opts.Graph, v.opts.Parts
 	if g == nil || len(parts) == 0 {
@@ -461,6 +450,10 @@ func (v *verifier) crossCheck() {
 			in[vid] = i
 		}
 		for _, vid := range parts[t].Vertices {
+			if demoted[vid] {
+				v.diag(CheckRace, Error, t, -1, g.Vs[vid].Name,
+					"dereplicated register write still executed by a partition: the owner's shared-read slot replaces it")
+			}
 			for _, pr := range g.Preds[vid] {
 				if g.Vs[pr].Kind.IsSource() {
 					continue
@@ -485,6 +478,10 @@ func (v *verifier) crossCheck() {
 					fmt.Sprintf("sink also owned by thread %d: double commit", prev))
 			}
 			sinkOwner[s] = t
+			if _, ok := in[s]; !ok {
+				v.diag(CheckClosure, Error, t, -1, g.Vs[s].Name,
+					"sink not executed by its owner: its cone is never computed")
+			}
 			if demoted[s] {
 				v.diag(CheckRace, Error, t, -1, g.Vs[s].Name,
 					"dereplicated register write still owned as a sink: it would commit alongside the owner's shared-read slot")

@@ -149,7 +149,7 @@ func (d *Design) Partition(opt Options) (*core.Result, *PartitionReport, error) 
 	}
 	res, err := core.Partition(d.Graph, core.Options{
 		K: opt.Threads, Epsilon: opt.Epsilon, Seed: opt.Seed, Model: model,
-		Workers: opt.Workers, Verify: opt.Verify, Derep: true,
+		Workers: opt.Workers, Derep: true,
 	})
 	if err != nil {
 		return nil, nil, err
