@@ -32,7 +32,7 @@ import (
 
 // EmitterVersion names the generation scheme and is part of every artifact
 // key: bump it whenever emitted code could change for the same program.
-const EmitterVersion = "cg3"
+const EmitterVersion = "cg4"
 
 // Bug selects a deliberately planted emitter defect, used by the difftest
 // mutation suite to prove the codegen oracle column live. A planted bug

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	repcut "repro"
@@ -31,50 +32,49 @@ var (
 // fails here: undo it, or bump EmitterVersion and record the new hashes.
 // Nothing is built, so the test runs on every platform.
 func TestEmitGolden(t *testing.T) {
-	// Recorded with EmitterVersion cg3.
+	// Recorded with EmitterVersion cg4.
 	want := map[string]string{
-		"LargeBOOM-1C/k1":  "b30fdd74841a27c5fb74ba556ef4fc5cc0a14197be4c0ee35f3f23289a229836",
-		"LargeBOOM-1C/k2":  "c662ac4821be5d3ca36088a28cfae2b26d12ee089e1fc2e63d3cb2b56cd697f6",
-		"LargeBOOM-2C/k1":  "3194b9e5b9a91ee5d863a3eb6c0c74e28469a0df3e1eb0e1c089eaea4f59f19c",
-		"LargeBOOM-2C/k2":  "aac1f2e4547815f77d5dba61d2ca96ddfbae5c4f33f17d6c97fc0cd9a0ff72e7",
-		"LargeBOOM-4C/k1":  "7ba21ea39224bf3fe604bf4f91475bbee3280582d3dc1b7a044ee368d82d0715",
-		"LargeBOOM-4C/k2":  "0ea55b61301b8488c4539bcbb21948af0a9a8b35a8a249da53c0fab05cca8d33",
-		"MegaBOOM-1C/k1":   "1342d1971b3967e9dd47b53a0cb7d8fa9a93cff562a8eeec85799127f3d8d1c1",
-		"MegaBOOM-1C/k2":   "eb8571c949d88e96d40204c07244517e434fa9f25c6dafe11fdc789fca8724d3",
-		"MegaBOOM-2C/k1":   "6323e644d8747958a6646d7cf2c8947ec55c233ee7c8403282ade6a796d066ba",
-		"MegaBOOM-2C/k2":   "296694cc755714f6dd37cca575ccc3d5f092815b27726a57a62b3de8fdd15092",
-		"MegaBOOM-4C/k1":   "bffc72755969bb5fb8721982cf9dd31628beafe3d42bd99db575d0e279bb030e",
-		"MegaBOOM-4C/k2":   "8360131011b3257bb34b0480b223f7cb10ec814b4733b761d266296c10058a62",
-		"RocketChip-1C/k1": "dece064521ed7954795dd014f7a3cfceed902996b3ea54976562a129d993080c",
-		"RocketChip-1C/k2": "d92c6527d75e7863aa6682be1ca6e7f3bf674ff940cb9b5929f9d3586cc5eb92",
-		"RocketChip-2C/k1": "4f9d4cc318b18ea951980c692e4e8af70af108f1d922554a048abc9a327a1ea6",
-		"RocketChip-2C/k2": "ebc7fdc682b6c140606c8cf50422ddf5470e9aea95918ac5b8effaccd086958a",
-		"RocketChip-4C/k1": "757b59730b4e5bfa5bbd5270965aac486e7c4ff4c7c0b5db298a4c0324bace92",
-		"RocketChip-4C/k2": "b827c0ba958dcf09c957e92313c845460538686b5537bd112e35772dffd0ed1e",
-		"SmallBOOM-1C/k1":  "0533dde5d759fc748a391175c69f227a71de54eef7f842ca0b6e3e3153d27634",
-		"SmallBOOM-1C/k2":  "49d3a14bd152fa6f512f28c50301fadd562cca25347490f8ccc2f1e8d24191ec",
-		"SmallBOOM-2C/k1":  "31a550722a48e9f18615869178527a0693e6a91f9b0bb8d63c95611a07527f51",
-		"SmallBOOM-2C/k2":  "75ae9335b830c3307b8474b03d8b6e98fb0358275ee53aea159bb3062293a1b1",
-		"SmallBOOM-4C/k1":  "f9322e62849942e5c32fb4f76c858a14f3a5a481ff0a12225e90bde584e29627",
-		"SmallBOOM-4C/k2":  "56381e1f290bddf6fe5dfbc3c37bef866c39c780caeffd9b4f1106a5071becf3",
-		"classic50":        "fe359331e951060c1479743b299863005fdb65bc65f07554090ae51189cd62a6",
-		"classic51":        "714d850b324ce29dad37f43d5a9cf9a50ac716346ea1be717699ad63cddcaec4",
-		"classic52":        "bb5390a05f6d822d1c05f12dfa1d64436bda8c99bd29cff7cd537b0dd1baf8c7",
-		"classic53":        "a04440459a0634255fc82bb746e89de323a6e7dd5049b14bcca1effac67ae842",
-		"classic55":        "d22e528d23e4b6bbbd9b350ec72b649d89b0c3c197076426cad1644cd2b09d21",
-		"classic81":        "96d8b775151de13a88f412756346837334b7d1b9f926ee622a4eefc15e1d900d",
-		"classic95":        "b71d5dffa151f738bb8a0ab3d3c6bc461203b7265b14c212b7af6ebcee09fdc2",
-		"genckt3":          "c88cb485afd6009fcd765bd4d9d77c8cf45c6e40ca45b617b3b65e187456801e",
-		"genckt7":          "a4239f58185b7e1a45399fdab9d0020413cb3609b4d777514c7658259b9133f8",
+		"LargeBOOM-1C/k1":  "6d66234d1ee1a21a6c84ccbc422556cfcbba4c13a44e613f1fff1c85095a29d9",
+		"LargeBOOM-1C/k2":  "1408f9acb3137ad738eb3728be139c5bb29ee5ab11fde788de7dc0d4c16e6f43",
+		"LargeBOOM-2C/k1":  "18d11a9af19991da257d6be27632b1f646509a3f179d34887808956d73e57f71",
+		"LargeBOOM-2C/k2":  "20aff6f509fe413aef34550ed990c58dc688fca556fc533e6e3ea13c6e758208",
+		"LargeBOOM-4C/k1":  "335c52f4d55dab3c8a381f3f7ac7f1ae0c6bf393b9374c6c8f53121139dd051e",
+		"LargeBOOM-4C/k2":  "da6b29ecc69152aeba2b7e4450f183273bc0451b3fd7cc84eeb94f0f9aa04be0",
+		"MegaBOOM-1C/k1":   "0d51ff6f83bd0ce95ec6998cdb05cf922162d51f2150716cf26c61dca91683d4",
+		"MegaBOOM-1C/k2":   "1d359f785ed5625c6b8f9f8844e0106ae682ba24762c20e173ed8e62b2fd8c07",
+		"MegaBOOM-2C/k1":   "1fa127bc86f24578cdaebba9afc4deaae0f499239507ce51c66555eb8c040e46",
+		"MegaBOOM-2C/k2":   "0ad72dfbfbc6e47bb9f2340b6a55c19dbdd4f83ac6f6e47cf4292223f4aee200",
+		"MegaBOOM-4C/k1":   "b855a3fb03d67ec07ff8bec40550857466b25657e7e086de7a7a9db1137f09db",
+		"MegaBOOM-4C/k2":   "53feb89dc503605619727341d9d45438ac1131a9c59f4565ec50547c0bb2e6db",
+		"RocketChip-1C/k1": "c9d46db316f5087b54e77fe7f1cb778a73c467d502f79c408e38a99ad90ccf7b",
+		"RocketChip-1C/k2": "74d8208fa9deaae21abbf3e7ff863f9f12a80d1cc259621797943b73858fdaaa",
+		"RocketChip-2C/k1": "3d66864d7d61f64064f44d341f3b0152d68b87b1465f324532303b67652665c7",
+		"RocketChip-2C/k2": "d85ddf85e94744512120ec3d5c1663275ff365b90f9581a63c01628e678154c2",
+		"RocketChip-4C/k1": "ae5256cbe46605d52f9405d99aa36a5d4cef13a1fdc07280167bd0586719d890",
+		"RocketChip-4C/k2": "ef7e4c6be620e3db14ab4e5ff8bfce413d94e09fd6584c546c32c2da33f3400c",
+		"SmallBOOM-1C/k1":  "f01b5adb0d0c0c433995ac7a2fb6cc95569a37feb1375fc682734c18efeb4a11",
+		"SmallBOOM-1C/k2":  "0683d0dfc0ef29c32449c5dc446bc071042106c99f408189848f0413ed3a076e",
+		"SmallBOOM-2C/k1":  "22b6b800fedb53e16c519f30c27dd80f3b05e5c02070269f854808b8b11c0a60",
+		"SmallBOOM-2C/k2":  "65d371b295081c82f8b38b24173ddd661b8ad9610f4173b57419d99878224c91",
+		"SmallBOOM-4C/k1":  "67b6019efb5ed49968ee3b0d98b04fba2628e52b7df9ca34842d4c32a5921e40",
+		"SmallBOOM-4C/k2":  "f835b2f3ad614af6d0a1fa923ec9c2e2119fd3abf2fc15937d23c1f9dd554266",
+		"classic50":        "703ff5f557725c5f963c757d69e28be1439b55181df236ea8c417e18f0d58c21",
+		"classic51":        "bd1159f820e1448fd0b448417dddb31bbf3921c1909b95351b3a610fb1062fe5",
+		"classic52":        "5987bcf4ea0115ca8c2a8267b1e22243ff4726bcb54c995c1f505a9527306810",
+		"classic53":        "98622dfbcc60aafb73e12325b85d3f3aa104dd958ce434743fc54d9a7da0cbe6",
+		"classic55":        "9b70f3b07378b7d0dd5df092bbb534207e212bdabfbdf593cc9435ee88d7a94a",
+		"classic81":        "c2e05a10235442282d332af478ba6605ecf596666b87d54ccc24447bc696d85f",
+		"classic95":        "f1e8011f08ddea8e59c1ea2691f357357229daac60efb0e3b67720196684a888",
+		"genckt3":          "6420dc3f9a8e118a9607021bd133b5f388e5e83c34744ed43205eb60e87700f1",
+		"genckt7":          "70448e5317671c8648b193631aad6bfd64cb4f783a4bcfc799a2e0d46b751997",
 	}
-	if codegen.EmitterVersion != "cg3" {
+	if codegen.EmitterVersion != "cg4" {
 		t.Fatalf("EmitterVersion %s: re-record the golden hashes for it", codegen.EmitterVersion)
 	}
 	got := map[string]string{}
 	var ran [len(optable.Table)]int
-	emit := func(name string, p *sim.Program) {
-		t.Helper()
-		lp := p.Linked()
+	for _, np := range goldenPrograms(t) {
+		lp := np.p.Linked()
 		for _, th := range lp.Threads {
 			for _, in := range th.Code {
 				ran[in.Op]++
@@ -82,44 +82,9 @@ func TestEmitGolden(t *testing.T) {
 		}
 		em, err := codegen.Emit(lp, codegen.EmitOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", np.name, err)
 		}
-		got[name] = fmt.Sprintf("%x", sha256.Sum256(em.Source))
-	}
-	for _, cfg := range designs.Table1(1) {
-		d, err := repcut.Elaborate(designs.BuildCircuit(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2} {
-			c, err := d.CompileProgram(repcut.Options{Threads: k})
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", cfg.Name(), k, err)
-			}
-			emit(fmt.Sprintf("%s/k%d", cfg.Name(), k), c.Program)
-		}
-	}
-	serial := func(name string, g *cgraph.Graph, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		emit(name, p)
-	}
-	for _, seed := range classicSeeds {
-		g, err := genckt.Classic(seed, 70)
-		serial(fmt.Sprintf("classic%d", seed), g, err)
-	}
-	for _, seed := range gencktSeeds {
-		d, err := genckt.Generate(genckt.Config{Seed: seed, Size: 60}).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial(fmt.Sprintf("genckt%d", seed), d.Graph, nil)
+		got[np.name] = fmt.Sprintf("%x", sha256.Sum256(em.Source))
 	}
 	for op := 1; op < len(ran); op++ {
 		if ran[op] == 0 {
@@ -138,3 +103,62 @@ func TestEmitGolden(t *testing.T) {
 			len(diff), len(got), strings.Join(diff, "\n"))
 	}
 }
+
+// namedProgram is one golden program and its TestEmitGolden name.
+type namedProgram struct {
+	name string
+	p    *sim.Program
+}
+
+// goldenPrograms are the 12 bundled designs at k ∈ {1,2}, compiled as
+// repcut does, plus the classic and genckt coverage circuits compiled
+// serially. They are built once per test binary.
+func goldenPrograms(t *testing.T) []namedProgram {
+	t.Helper()
+	ps, err := goldenOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+var goldenOnce = sync.OnceValues(func() ([]namedProgram, error) {
+	var ps []namedProgram
+	for _, cfg := range designs.Table1(1) {
+		d, err := repcut.Elaborate(designs.BuildCircuit(cfg))
+		if err != nil {
+			return nil, err
+		}
+		for _, k := range []int{1, 2} {
+			c, err := d.CompileProgram(repcut.Options{Threads: k})
+			if err != nil {
+				return nil, fmt.Errorf("%s k=%d: %w", cfg.Name(), k, err)
+			}
+			ps = append(ps, namedProgram{fmt.Sprintf("%s/k%d", cfg.Name(), k), c.Program})
+		}
+	}
+	serial := func(name string, g *cgraph.Graph) error {
+		p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
+		ps = append(ps, namedProgram{name, p})
+		return err
+	}
+	for _, seed := range classicSeeds {
+		g, err := genckt.Classic(seed, 70)
+		if err == nil {
+			err = serial(fmt.Sprintf("classic%d", seed), g)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, seed := range gencktSeeds {
+		d, err := genckt.Generate(genckt.Config{Seed: seed, Size: 60}).Build()
+		if err == nil {
+			err = serial(fmt.Sprintf("genckt%d", seed), d.Graph)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
+})

@@ -14,7 +14,8 @@ import (
 // per-thread frames), every memory column, and the cycle count. At a cycle
 // boundary the frames hold only dead scratch — every temp and shadow word
 // is defined before use within a cycle under the private-temp model — so
-// carrying them costs bytes but can never change behavior.
+// a snapshot carries them as zeroes, and restoring whatever a blob holds
+// there can never change behavior.
 //
 // The wire encoding is a deterministic binary format with a version field
 // (the layout-version guard: any change to the linked state layout or to
@@ -61,11 +62,6 @@ type Snapshot struct {
 // layout.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	words := append([]uint64(nil), e.views[e.cur].state...)
-	// The frames are dead scratch; take them from the view the last cycle
-	// evaluated over, so the blob does not depend on how many views the
-	// engine keeps.
-	frames := e.lp.Threads[0].TempOff
-	copy(words[frames:], e.other().state[frames:])
 	return newSnapshot(e.lp, e.gs(), e.cycles, words), nil
 }
 
@@ -133,8 +129,16 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 }
 
 // newSnapshot freezes one state view at a cycle boundary: words is the
-// caller's gather of its state words; the memories are copied from gs.
+// caller's gather of its state words, whose frames it zeroes; the memories
+// are copied from gs. The frames are dead scratch at a cycle boundary (the
+// shadow is published within the cycle) and what they hold depends on the
+// backend — a native kernel keeps chunk-local temps out of them — and on
+// the engine's view count, so zeroing them makes the blob of one state the
+// same on every engine.
 func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint64) *Snapshot {
+	if len(lp.Threads) > 0 {
+		clear(words[lp.Threads[0].TempOff:])
+	}
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		Fingerprint: lp.prog.Fingerprint(),

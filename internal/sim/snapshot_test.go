@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -215,6 +216,61 @@ func TestSnapshotBatchLane(t *testing.T) {
 		if h0 != h1 || h0 != priv.StateHash() {
 			t.Fatalf("cycle %d: hashes diverged: lane %016x, restored lane %016x, engine %016x",
 				cyc, h0, h1, priv.StateHash())
+		}
+	}
+}
+
+// TestSnapshotBytesAcrossEngines: a snapshot of one state encodes to the
+// same bytes on an Engine and on any lane of a ×16 BatchEngine, serial
+// and two-view, at an odd cycle count, because the dead-scratch frames
+// are zeroed on capture.
+func TestSnapshotBytesAcrossEngines(t *testing.T) {
+	g := randomCircuit(t, 78, 70)
+	serial, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Partition(g, core.Options{K: 2, Seed: 78, Model: costmodel.Default(), Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Compile(g, partSpecs(res), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []*Program{serial, par} {
+		e := NewEngine(prog)
+		be, err := NewBatchEngine(prog, BatchWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(78))
+		for cyc := 0; cyc < 7; cyc++ {
+			vals := randomInputs(prog, rng)
+			pokeAll(t, e, vals)
+			for l := 0; l < BatchWidth; l++ {
+				for name, v := range vals {
+					if err := be.PokeVec(l, name, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			e.Run(1)
+			be.Run(1)
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := snap.Encode()
+		for _, l := range []int{0, BatchWidth - 1} {
+			ls, err := be.SnapshotLane(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ls.Encode(), want) {
+				t.Fatalf("%d thread(s): lane %d snapshot bytes differ from the engine's", prog.NumThreads, l)
+			}
 		}
 	}
 }
