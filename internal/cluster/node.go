@@ -217,7 +217,7 @@ func (n *Node) getArtifactBlob(addr, key string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
+	data, err := service.ReadCapped(resp.Body, 1<<30)
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +260,12 @@ func (n *Node) prefetchNative(addr, key string, e *service.Entry) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return
 	}
+	data, err := service.ReadCapped(resp.Body, 1<<30)
+	if err != nil {
+		return
+	}
 	var nw nativeWire
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<30)).Decode(&nw); err != nil {
+	if err := json.Unmarshal(data, &nw); err != nil {
 		return
 	}
 	if nw.Key != ck {

@@ -306,7 +306,18 @@ func TestMutationBatchColumn(t *testing.T) {
 // clean.
 func TestMutationParSkippedCatchUp(t *testing.T) {
 	huntAndShrinkColumn(t, "par-skip-catch-up", "par-k", 16, func(seed int64) Options {
-		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: true}
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantSkipCatchUp}
+	})
+}
+
+// Bug 9b — exchange liveness: each thread of the multi-threaded engine
+// evaluates over a private array and sees other threads' registers only
+// through the per-cycle exchange. With the exchange packed before the
+// commit, every reader evaluates with last cycle's copy of each remote
+// register, which only the par-k columns can see.
+func TestMutationParStaleExchange(t *testing.T) {
+	huntAndShrinkColumn(t, "par-stale-exchange", "par-k", 16, func(seed int64) Options {
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantStaleExchange}
 	})
 }
 

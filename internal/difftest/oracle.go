@@ -109,11 +109,13 @@ type Options struct {
 	// refinement stage (mutation testing: the quality gate must catch the
 	// worsened partition, proving the column live). Implies Repart.
 	RepartBug bool
-	// ParBug plants the double-buffering defect (sim.Engine.PlantSkipCatchUp:
-	// memory writes reach only one of the two state views) into the par-k
-	// columns' engines (mutation testing: the columns whose subject is the
-	// one-barrier protocol must catch it).
-	ParBug bool
+	// ParBug, when non-nil, plants a protocol defect into the par-k
+	// columns' engines — (*sim.Engine).PlantSkipCatchUp (memory writes
+	// reach only one of the two memory views) or PlantStaleExchange
+	// (readers copy in last cycle's remote registers) — for mutation
+	// testing: the columns whose subject is the one-barrier protocol must
+	// catch it.
+	ParBug func(*sim.Engine)
 	// CodegenBug plants a deliberate emitter defect into the codegen
 	// column's kernel (mutation testing: the matrix must catch it; the
 	// solo engines keep the clean program). The bug is part of the
@@ -271,8 +273,8 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 			}
 		}
 		par := sim.NewEngine(pk)
-		if opt.ParBug {
-			par.PlantSkipCatchUp()
+		if opt.ParBug != nil {
+			opt.ParBug(par)
 		}
 		engines = append(engines, namedEngine{fmt.Sprintf("par-k%d", k), par})
 	}

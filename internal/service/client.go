@@ -72,7 +72,7 @@ func (c *Client) do(method, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := ReadCapped(resp.Body, 64<<20)
 	if err != nil {
 		return err
 	}
@@ -83,6 +83,21 @@ func (c *Client) do(method, path string, in, out any) error {
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// ReadCapped reads r to EOF but refuses a body longer than limit bytes. A
+// plain limited read would cut the body at the cap and carry on, so an
+// oversized response would surface later as malformed JSON or a content-hash
+// mismatch instead of as what it is.
+func ReadCapped(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("response exceeds %d bytes", limit)
+	}
+	return data, nil
 }
 
 // apiError assembles an APIError from a non-2xx response, extracting the
@@ -321,7 +336,7 @@ func (s *SessionHandle) VCD() ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	data, err := ReadCapped(resp.Body, 256<<20)
 	if err != nil {
 		return nil, err
 	}

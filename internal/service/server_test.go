@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,9 @@ func TestWireDeterminism(t *testing.T) {
 	}
 	if want := ref.Program().Fingerprint(); cr.Program.Fingerprint != fpHex(want) {
 		t.Fatalf("served fingerprint %s != offline %s", cr.Program.Fingerprint, fpHex(want))
+	}
+	if want := ref.Program().Linked().ExchangeWords(); !slices.Equal(cr.Program.ExchangeWords, want) {
+		t.Fatalf("served exchange_words %v != offline %v", cr.Program.ExchangeWords, want)
 	}
 
 	in := firstNarrow(cr.Inputs)

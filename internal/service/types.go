@@ -162,6 +162,9 @@ type ProgramSummary struct {
 	MemBytes     int64  `json:"mem_bytes"`
 	StateBytes   int64  `json:"state_bytes"`
 	Fingerprint  string `json:"fingerprint"`
+	// ExchangeWords is, per reader thread, how many words a multi-threaded
+	// engine copies in from other threads' segments each cycle.
+	ExchangeWords []int `json:"exchange_words"`
 }
 
 // ProgramJSON summarizes a compiled program for the wire.
@@ -170,7 +173,7 @@ func ProgramJSON(p *sim.Program) ProgramSummary {
 	return ProgramSummary{
 		Design: p.Design, Threads: p.NumThreads, Instrs: p.TotalInstrs(),
 		LinkedInstrs: lp.Stats.Linked, MemBytes: p.MemBytes(), StateBytes: p.StateBytes(),
-		Fingerprint: fmt.Sprintf("%016x", p.Fingerprint()),
+		Fingerprint: fmt.Sprintf("%016x", p.Fingerprint()), ExchangeWords: lp.ExchangeWords(),
 	}
 }
 

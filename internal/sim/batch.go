@@ -302,11 +302,10 @@ func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) 
 }
 
 // StateBytes estimates the engine's resident mutable state: the SoA array
-// plus every lane's memories. The service charges it when sizing batch
-// groups.
+// plus every lane's memories.
 func (e *BatchEngine) StateBytes() int64 {
 	n := int64(len(e.st)) * 8
-	n += int64(e.lanes) * (e.prog.viewBytes() - int64(e.prog.GlobalWords)*8)
+	n += int64(e.lanes) * e.prog.memBytes()
 	n += int64(unsafe.Sizeof(BatchEngine{}))
 	return n
 }

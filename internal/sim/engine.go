@@ -9,58 +9,77 @@ import (
 	"repro/internal/bitvec"
 )
 
-// Engine executes a compiled Program. One Engine holds the global state
-// (registers, memories, ports) and per-thread contexts; Run advances the
-// simulation by whole cycles.
+// Engine executes a compiled Program. Run advances the simulation by whole
+// cycles.
 //
 // With a single thread the engine evaluates into the thread's shadow and
 // commits it in place — the ESSENT-style serial simulator, no goroutines
 // and no barrier.
 //
-// With several threads it keeps two complete views of the state and
-// synchronises once per cycle (a bulk-synchronous superstep; the paper's
-// §5.1 runtime needs two barriers, see DESIGN.md §5):
+// With several threads every thread owns a private state array: the prefix
+// of the unified layout (link.go) holding the globals, the immediates and
+// its own frame, which is every index its code uses. Threads share nothing
+// during evaluation but the memories, and each cycle is one bulk-synchronous
+// superstep with one barrier (DESIGN.md §4 "Runtime protocol"):
 //
-//	cycle c:  evaluate over view c mod 2 (into private shadows)
-//	          → publish own shadow and memory writes into the other view
-//	          → barrier.
+//	cycle c:  evaluate over the own array and memory view c mod 2
+//	          → commit the shadow into the own segment
+//	          → pack the words each reader reads (LinkedProgram.Exchange)
+//	            into buffer [writer][reader][c mod 2]
+//	          → publish memory writes into the other memory view
+//	          → barrier
+//	          → copy in the remote words it reads from [writer][self][c mod 2].
 //
-// During cycle c nobody reads the other view and nobody writes the current
-// view's globals or memories, so the publish needs no barrier of its own.
+// A writer refills a parity only after crossing the next barrier, which its
+// reader reaches only after its copy-in, so one barrier per cycle suffices.
+// During cycle c nobody writes memory view c mod 2, so the memory publish
+// needs no barrier of its own either.
 type Engine struct {
 	prog *Program
 	lp   *LinkedProgram
 
-	// views holds one state view for a single-threaded program and two
-	// for a multi-threaded one; cur indexes the view the next cycle
-	// evaluates over, which is also the one Peek, Snapshot and StateHash
-	// read. Poke, Reset and RestoreSnapshot write every view.
-	views []*view
-	cur   int
+	// st[t] is thread t's private state array, [0, lp.Threads[t].End) of
+	// the unified layout; a single-threaded engine's one array is the
+	// whole layout. Every reader's copy of an exchanged word equals the
+	// owner's between Run calls, and Run copies every other thread's
+	// segment into st[0] as it returns, so st[0]'s globals are canonical
+	// then: Peek, StateHash and Snapshot read them. Poke, Reset and
+	// RestoreSnapshot write every array.
+	st [][]uint64
+
+	// mv holds one memory view for a single-threaded program and two for
+	// a multi-threaded one; cur indexes the view the next cycle evaluates
+	// over, which is also the one Peek, Snapshot and StateHash read.
+	mv  []*memView
+	cur int
+
+	// xbuf[w][r][p] is the buffer writer w packs lp.Exchange[w][r] into on
+	// cycles of parity p: each its own allocation of whole cache lines.
+	xbuf [][][2][]uint64
 
 	// sharedMem[m] marks memory m as written by more than one thread: the
 	// barrier's last arriver commits it (commitShared), not its writers.
 	sharedMem []bool
 
-	// skipCatchUp is the planted protocol defect (PlantSkipCatchUp).
-	skipCatchUp bool
+	// skipCatchUp and staleExchange are the planted protocol defects
+	// (PlantSkipCatchUp, PlantStaleExchange).
+	skipCatchUp, staleExchange bool
 
 	cycles        uint64
 	instrsRetired uint64
 }
 
-// view is one complete copy of the simulation state plus the per-thread
-// contexts that evaluate over it. A context's memory-write buffers hold the
-// writes of the last cycle evaluated over its view, so the other view's
-// buffers are the previous cycle's writes — the catch-up set of publish.
-type view struct {
-	// state is the unified [globals|imms|frames] word array (link.go);
-	// gs views it and every context's temps/shadow alias it.
-	state []uint64
-	gs    *globalState
-	tcs   []*threadCtx
+// memView is one copy of the memories plus what each thread evaluates with
+// over it. A context's write buffer holds the writes of the thread's last
+// cycle over this view, so the other view's buffers are the previous
+// cycle's writes — the catch-up set of the memory publish.
+type memView struct {
+	mems [][]uint64
+	// gs[t] addresses thread t's private array with this view's memories.
+	gs  []*globalState
+	tcs []*threadCtx
 	// native, when non-nil, replaces each thread's eval phase with a
-	// compiled kernel over state (InstallNative, native.go).
+	// compiled kernel (InstallNative, native.go).
 	native []nativeThread
 }
 
@@ -70,12 +89,37 @@ type view struct {
 func NewEngine(p *Program) *Engine {
 	lp := p.Linked()
 	e := &Engine{prog: p, lp: lp, sharedMem: sharedMems(p)}
-	for range p.stateViews() {
-		e.views = append(e.views, newView(p, lp))
+	for t := range lp.Threads {
+		e.st = append(e.st, make([]uint64, lp.Threads[t].End))
+	}
+	for range min(p.NumThreads, 2) {
+		mv := &memView{}
+		for _, m := range p.Mems {
+			mv.mems = append(mv.mems, make([]uint64, m.Depth))
+		}
+		for t := range p.Threads {
+			th, lt := &p.Threads[t], &lp.Threads[t]
+			mv.gs = append(mv.gs, &globalState{words: e.st[t], stride: 1, mems: mv.mems})
+			mv.tcs = append(mv.tcs, newThreadCtx(th, e.st[t][lt.TempOff:lt.End]))
+		}
+		e.mv = append(e.mv, mv)
+	}
+	e.xbuf = make([][][2][]uint64, len(lp.Exchange))
+	for w := range lp.Exchange {
+		e.xbuf[w] = make([][2][]uint64, len(lp.Exchange[w]))
+		for r, words := range lp.Exchange[w] {
+			for par := range e.xbuf[w][r] {
+				e.xbuf[w][r][par] = make([]uint64, exchangeBufWords(len(words)))
+			}
+		}
 	}
 	e.Reset()
 	return e
 }
+
+// exchangeBufWords is the length of an exchange buffer of n words, padded
+// so that no two buffers share a cache line.
+func exchangeBufWords(n int) int { return int(padTo(uint32(n), SegmentWords)) }
 
 // NewInterpEngine returns NewEngine(p).
 //
@@ -84,19 +128,6 @@ func NewEngine(p *Program) *Engine {
 // is frozen between benchmark changes) still calls it; the next change to
 // bench/ deletes it together with its sim.interp.rocket-1t row.
 func NewInterpEngine(p *Program) *Engine { return NewEngine(p) }
-
-// newView allocates one state view; its owner resets it to power-on state.
-func newView(p *Program, lp *LinkedProgram) *view {
-	v := &view{state: make([]uint64, lp.StateWords)}
-	v.gs = newGlobalState(p, v.state, 1, 0)
-	for t := range p.Threads {
-		th := &p.Threads[t]
-		lt := &lp.Threads[t]
-		frame := v.state[lt.TempOff : int(lt.TempOff)+th.NumTemps+th.ShadowWords]
-		v.tcs = append(v.tcs, newThreadCtx(th, frame))
-	}
-	return v
-}
 
 // sharedMems marks the memories with write ports in more than one thread.
 func sharedMems(p *Program) []bool {
@@ -114,19 +145,20 @@ func sharedMems(p *Program) []bool {
 	return shared
 }
 
-// evalThread runs one eval phase of thread t over view v: the native
-// kernel when one is installed, the linked stream otherwise. The thread's
-// write buffers are emptied here, not after publishing, because the other
-// view's publish still needs them for one more cycle.
-func (e *Engine) evalThread(t int, v *view) {
-	tc := v.tcs[t]
+// evalThread runs one eval phase of thread t over its array and memory
+// view mv: the native kernel when one is installed, the linked stream
+// otherwise. The thread's write buffer is emptied here, not after
+// publishing, because the other view's publish still needs it for one more
+// cycle.
+func (e *Engine) evalThread(t int, mv *memView) {
+	tc := mv.tcs[t]
 	tc.memBuf = tc.memBuf[:0]
-	if v.native != nil {
-		nt := &v.native[t]
-		nt.fn(v.state, v.gs.mems, nt.memwr)
+	if mv.native != nil {
+		nt := &mv.native[t]
+		nt.fn(e.st[t], mv.mems, nt.memwr)
 		return
 	}
-	evalLinked(e.lp.Threads[t].Code, v.state, v.gs, tc)
+	evalLinked(e.lp.Threads[t].Code, e.st[t], mv.gs[t], tc)
 }
 
 // Program returns the engine's compiled program.
@@ -142,20 +174,23 @@ func (e *Engine) InstrsRetired() uint64 { return e.instrsRetired }
 // Reset restores power-on state: registers to their init values, memories
 // and outputs to zero.
 func (e *Engine) Reset() {
-	for _, v := range e.views {
-		resetState(e.lp, v.gs, v.tcs)
+	for _, mv := range e.mv {
+		for _, gs := range mv.gs {
+			resetState(e.lp, gs, mv.tcs)
+		}
 	}
 	e.cycles = 0
 	e.instrsRetired = 0
 }
 
-// resetState restores one state view to power-on values — every word zero
+// resetState restores one state array to power-on values — every word zero
 // except the immediates and the register inits, memories zero — and drops
-// its contexts' buffered memory writes. Engine views and batch lanes share
-// it.
+// its contexts' buffered memory writes. Engine arrays (prefixes of the
+// unified layout, which all hold the globals and immediates) and batch
+// lanes share it.
 func resetState(lp *LinkedProgram, gs *globalState, tcs []*threadCtx) {
 	p := lp.prog
-	for i := 0; i < lp.StateWords; i++ {
+	for i := range len(gs.words) / gs.stride {
 		*gs.at(uint32(i)) = 0
 	}
 	for i, v := range p.Imms {
@@ -181,8 +216,8 @@ func dropWrites(tcs []*threadCtx) {
 // PokeInput sets a narrow input port (values wider than 64 bits need
 // PokeInputVec). The value is masked to the port width.
 func (e *Engine) PokeInput(name string, v uint64) error {
-	for _, vw := range e.views {
-		if err := vw.gs.pokeInput(e.prog, name, v); err != nil {
+	for _, gs := range e.mv[0].gs {
+		if err := gs.pokeInput(e.prog, name, v); err != nil {
 			return err
 		}
 	}
@@ -191,8 +226,8 @@ func (e *Engine) PokeInput(name string, v uint64) error {
 
 // PokeInputVec sets an input port of any width.
 func (e *Engine) PokeInputVec(name string, v bitvec.Vec) error {
-	for _, vw := range e.views {
-		if err := vw.gs.pokeInputVec(e.prog, name, v); err != nil {
+	for _, gs := range e.mv[0].gs {
+		if err := gs.pokeInputVec(e.prog, name, v); err != nil {
 			return err
 		}
 	}
@@ -234,28 +269,46 @@ func (e *Engine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
 	return e.gs().peekMemVec(e.prog, name, addr)
 }
 
-// gs is the current view's global state.
-func (e *Engine) gs() *globalState { return e.views[e.cur].gs }
+// gs is the canonical state between Run calls: thread 0's array, whose
+// globals Run leaves coherent, with the current memory view.
+func (e *Engine) gs() *globalState { return e.mv[e.cur].gs[0] }
 
-// other is the view the next cycle publishes into and the last cycle
-// evaluated over; on a single-view engine, the current view itself.
-func (e *Engine) other() *view { return e.views[len(e.views)-1-e.cur] }
-
-// publish commits what thread t evaluated over view from into view to: one
-// contiguous copy of the shadow (the memcpy of §5.1) and the buffered
-// memory writes. With one view (from == to) that is the in-place update of
-// the serial simulator. With two, to last held the state of one cycle
-// earlier, so the thread first re-applies the writes it made in the
-// previous cycle (still buffered in to's context) and then this cycle's;
-// memories with writers in several threads are left to commitShared.
-func (e *Engine) publish(t int, from, to *view) {
-	th := &e.prog.Threads[t]
-	tc := from.tcs[t]
-	copy(to.state[th.GlobalOff:th.GlobalOff+th.ShadowWords], tc.shadow)
+// publishMems commits thread t's buffered memory writes of a cycle evaluated
+// over memory view from into view to. With one view (from == to) that is
+// the in-place update of the serial simulator. With two, to last held the
+// memories of one cycle earlier, so the thread first re-applies the writes
+// it made in the previous cycle (still buffered in to's context) and then
+// this cycle's; memories with writers in several threads are left to
+// commitShared.
+func (e *Engine) publishMems(t int, from, to *memView) {
 	if to != from && !e.skipCatchUp {
-		e.applyWrites(to.tcs[t], to.gs, false)
+		e.applyWrites(to.tcs[t], to.mems, false)
 	}
-	e.applyWrites(tc, to.gs, false)
+	e.applyWrites(from.tcs[t], to.mems, false)
+}
+
+// pack copies the words of thread t's segment each reader reads into the
+// readers' buffers of parity par.
+func (e *Engine) pack(t, par int) {
+	st := e.st[t]
+	for r, words := range e.lp.Exchange[t] {
+		buf := e.xbuf[t][r][par]
+		for i, w := range words {
+			buf[i] = st[w]
+		}
+	}
+}
+
+// copyIn copies the remote words thread t reads out of the writers'
+// buffers of parity par into its array.
+func (e *Engine) copyIn(t, par int) {
+	st := e.st[t]
+	for w := range e.lp.Exchange {
+		buf := e.xbuf[w][t][par]
+		for i, x := range e.lp.Exchange[w][t] {
+			st[x] = buf[i]
+		}
+	}
 }
 
 // PlantSkipCatchUp plants the double-buffering defect that mutation tests
@@ -263,11 +316,18 @@ func (e *Engine) publish(t int, from, to *view) {
 // cycle's memory writes, so each view misses every other cycle's writes.
 func (e *Engine) PlantSkipCatchUp() { e.skipCatchUp = true }
 
+// PlantStaleExchange plants the exchange defect that mutation tests
+// (internal/difftest) must catch: every thread packs its exchange buffers
+// before committing its shadow, so each reader copies in the previous
+// cycle's value of every remote word — what a copy-in from the wrong
+// parity reads, without that mutant's data race.
+func (e *Engine) PlantStaleExchange() { e.staleExchange = true }
+
 // applyWrites stores tc's buffered memory writes of single-writer
-// (shared == false) or multi-writer (shared == true) memories into gs.
-func (e *Engine) applyWrites(tc *threadCtx, gs *globalState, shared bool) {
+// (shared == false) or multi-writer (shared == true) memories into mems.
+func (e *Engine) applyWrites(tc *threadCtx, mems [][]uint64, shared bool) {
 	for _, w := range tc.memBuf {
-		if m := gs.mems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
+		if m := mems[w.mem]; w.addr < uint64(len(m)) && e.sharedMem[w.mem] == shared {
 			m[w.addr] = w.data
 		}
 	}
@@ -278,10 +338,10 @@ func (e *Engine) applyWrites(tc *threadCtx, gs *globalState, shared bool) {
 // cycle's writes and then this cycle's, each in thread order, so a later
 // cycle always overwrites an earlier one and two ports hitting one address
 // in the same cycle resolve the same way on every run.
-func (e *Engine) commitShared(from, to *view) {
-	for _, v := range [2]*view{to, from} {
+func (e *Engine) commitShared(from, to *memView) {
+	for _, v := range [2]*memView{to, from} {
 		for _, tc := range v.tcs {
-			e.applyWrites(tc, to.gs, true)
+			e.applyWrites(tc, to.mems, true)
 		}
 	}
 }
@@ -299,7 +359,7 @@ func (e *Engine) Run(n int) {
 type PhaseSample struct {
 	Eval          time.Duration // evaluation phase
 	EvalBarrier   time.Duration // waiting at the cycle's barrier
-	Update        time.Duration // publishing the shadow and memory writes
+	Update        time.Duration // commit, pack, memory publish and copy-in
 	UpdateBarrier time.Duration // always 0: publishing needs no barrier
 }
 
@@ -329,7 +389,7 @@ func (e *Engine) run(n int, prof [][]PhaseSample) {
 			// its own parity.
 			cur := e.cur
 			bar.Last = func() {
-				e.commitShared(e.views[cur], e.views[cur^1])
+				e.commitShared(e.mv[cur], e.mv[cur^1])
 				cur ^= 1
 			}
 		}
@@ -343,18 +403,28 @@ func (e *Engine) run(n int, prof [][]PhaseSample) {
 		}
 		wg.Wait()
 		e.cur = (e.cur + n) & 1
+		for t := 1; t < p.NumThreads; t++ {
+			th := &p.Threads[t]
+			seg := e.st[t][th.GlobalOff : th.GlobalOff+th.ShadowWords]
+			copy(e.st[0][th.GlobalOff:], seg)
+		}
 	}
 	e.cycles += uint64(n)
 	e.instrsRetired += uint64(p.TotalInstrs()) * uint64(n)
 }
 
-// runThread is thread t's cycle loop: evaluate over the current view,
-// publish into the next, meet the others at the barrier, swap views. A nil
-// bar is the single-threaded engine, whose one view is both.
+// runThread is thread t's cycle loop: evaluate, commit, pack, publish the
+// memory writes, meet the others at the barrier, copy in, swap memory
+// views. A nil bar is the single-threaded engine, whose one memory view is
+// both and which exchanges nothing.
 func (e *Engine) runThread(t, n int, bar *Barrier, prof [][]PhaseSample) {
-	from, to := e.views[e.cur], e.other()
+	th := &e.prog.Threads[t]
+	seg := e.st[t][th.GlobalOff : th.GlobalOff+th.ShadowWords]
+	from, to := e.mv[e.cur], e.mv[len(e.mv)-1-e.cur]
+	// The planted stale exchange packs before the commit.
+	packEarly, packLate := bar != nil && e.staleExchange, bar != nil && !e.staleExchange
 	var crossing uint32
-	var t0, t1, t2 time.Time
+	var t0, t1, t2, t3 time.Time
 	for c := 0; c < n; c++ {
 		if prof != nil {
 			t0 = time.Now()
@@ -363,7 +433,14 @@ func (e *Engine) runThread(t, n int, bar *Barrier, prof [][]PhaseSample) {
 		if prof != nil {
 			t1 = time.Now()
 		}
-		e.publish(t, from, to)
+		if packEarly {
+			e.pack(t, c&1)
+		}
+		copy(seg, from.tcs[t].shadow)
+		if packLate {
+			e.pack(t, c&1)
+		}
+		e.publishMems(t, from, to)
 		if prof != nil {
 			t2 = time.Now()
 		}
@@ -371,7 +448,13 @@ func (e *Engine) runThread(t, n int, bar *Barrier, prof [][]PhaseSample) {
 			bar.Wait(&crossing)
 		}
 		if prof != nil {
-			prof[c][t] = PhaseSample{Eval: t1.Sub(t0), Update: t2.Sub(t1), EvalBarrier: time.Since(t2)}
+			t3 = time.Now()
+		}
+		if bar != nil {
+			e.copyIn(t, c&1)
+		}
+		if prof != nil {
+			prof[c][t] = PhaseSample{Eval: t1.Sub(t0), EvalBarrier: t3.Sub(t2), Update: t2.Sub(t1) + time.Since(t3)}
 		}
 		from, to = to, from
 	}

@@ -27,9 +27,9 @@ type threadCtx struct {
 
 // globalState is one simulation's view of the state: the words of the
 // unified linked layout (link.go) plus the memories. Word i lives at
-// words[i*stride+lane] — stride 1, lane 0 over an engine view's own state
-// array; stride BatchWidth and the lane index over a batch engine's SoA
-// array, where the lanes' words interleave.
+// words[i*stride+lane] — stride 1, lane 0 over an engine thread's private
+// array (a prefix of the layout); stride BatchWidth and the lane index over
+// a batch engine's SoA array, where the lanes' words interleave.
 type globalState struct {
 	words        []uint64
 	stride, lane int
@@ -57,7 +57,7 @@ func (gs *globalState) setVec(slot uint32, width int, v bitvec.Vec) {
 }
 
 // pokeInput sets a narrow input port, masked to its width: the PokeInput of
-// every engine tier (Engine calls it once per view).
+// every engine tier (Engine calls it once per thread's array).
 func (gs *globalState) pokeInput(p *Program, name string, v uint64) error {
 	ps, ok := p.Input(name)
 	if !ok {
@@ -129,8 +129,8 @@ func (gs *globalState) peekMemVec(p *Program, name string, addr int) (bitvec.Vec
 }
 
 // newGlobalState builds a global state whose words are word i*stride+lane
-// of the given array: an engine view's unified state array (stride 1, lane
-// 0) or one lane of a batch engine's SoA array.
+// of the given array, one lane of a batch engine's SoA array, with its own
+// memories.
 func newGlobalState(p *Program, words []uint64, stride, lane int) *globalState {
 	gs := &globalState{words: words, stride: stride, lane: lane}
 	for _, m := range p.Mems {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -44,6 +45,11 @@ type LinkedThread struct {
 	// [TempOff, ShadowOff), shadow [ShadowOff, ShadowOff+ShadowWords).
 	TempOff   uint32
 	ShadowOff uint32
+	// End is the end of the frame padded to SegmentWords. The prefix
+	// [0, End) holds the globals, the immediates and this thread's frame:
+	// every index its code uses, so it is the thread's private state
+	// array in a multi-threaded Engine.
+	End uint32
 }
 
 // LinkStats summarizes one link run. Linking is 1:1, so the two counts are
@@ -72,6 +78,11 @@ type LinkedProgram struct {
 	ImmOff     int
 
 	Threads []LinkedThread
+
+	// Exchange[w][r] lists, sorted, the global words of writer w's segment
+	// that reader r's code reads: the words a multi-threaded Engine copies
+	// from w's private array into r's every cycle. Exchange[t][t] is empty.
+	Exchange [][][]uint32
 
 	Stats LinkStats
 }
@@ -121,12 +132,14 @@ func link(p *Program) *LinkedProgram {
 		lt.TempOff = off
 		lt.ShadowOff = off + uint32(th.NumTemps)
 		off = padTo(lt.ShadowOff+uint32(th.ShadowWords), SegmentWords)
+		lt.End = off
 	}
 	lp.StateWords = int(off)
 
 	for t := range p.Threads {
 		lp.Threads[t].Code = lp.translate(t, &p.Threads[t])
 	}
+	lp.Exchange = lp.exchange()
 	n := p.TotalInstrs()
 	lp.Stats = LinkStats{Instrs: n, Linked: n}
 	return lp
@@ -162,6 +175,45 @@ func (lp *LinkedProgram) translate(t int, th *ThreadCode) []LInstr {
 		}
 	}
 	return out
+}
+
+// exchange computes the Exchange table from the linked streams' reads.
+func (lp *LinkedProgram) exchange() [][][]uint32 {
+	p := lp.prog
+	owner := p.segmentOwners()
+	x := make([][][]uint32, len(p.Threads))
+	for w := range x {
+		x[w] = make([][]uint32, len(p.Threads))
+	}
+	var nuses []uint32
+	for r := range lp.Threads {
+		seen := make(map[uint32]bool)
+		for pc := range lp.Threads[r].Code {
+			_, nuses, _, _ = lp.LinkedDefUse(&lp.Threads[r].Code[pc], nil, nuses[:0], nil, nil)
+			for _, idx := range nuses {
+				if int(idx) < len(owner) && owner[idx] >= 0 && owner[idx] != r && !seen[idx] {
+					seen[idx] = true
+					x[owner[idx]][r] = append(x[owner[idx]][r], idx)
+				}
+			}
+		}
+		for w := range x {
+			slices.Sort(x[w][r])
+		}
+	}
+	return x
+}
+
+// ExchangeWords returns, per reader thread, how many words it copies in
+// from other threads' segments each cycle.
+func (lp *LinkedProgram) ExchangeWords() []int {
+	n := make([]int, len(lp.Threads))
+	for w := range lp.Exchange {
+		for r, words := range lp.Exchange[w] {
+			n[r] += len(words)
+		}
+	}
+	return n
 }
 
 // LinkedLoc decodes a unified-state index back into the space-relative
@@ -231,6 +283,11 @@ func (lp *LinkedProgram) MemBytes() int64 {
 	n := int64(unsafe.Sizeof(LinkedProgram{}))
 	for t := range lp.Threads {
 		n += threadSize + int64(len(lp.Threads[t].Code))*lInstrSize
+	}
+	for w := range lp.Exchange {
+		for _, words := range lp.Exchange[w] {
+			n += int64(unsafe.Sizeof(words)) + int64(len(words))*4
+		}
 	}
 	return n
 }

@@ -118,22 +118,46 @@ func TestStateBytesPositiveAndSeparate(t *testing.T) {
 	}
 }
 
-// A multi-threaded engine keeps two views of everything StateBytes counts;
-// the serial engine and a batch lane keep one.
+// StateBytes is what NewEngine allocates: a serial engine keeps the whole
+// layout and one copy of the memories; a multi-threaded one keeps each
+// thread's prefix of the layout, two copies of the memories and two
+// parities of every exchange buffer.
 func TestStateBytesCountsBothViews(t *testing.T) {
 	g := randomCircuit(t, 5, 60)
 	serial, err := Compile(g, SerialSpec(g), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.StateBytes() != serial.viewBytes() {
-		t.Errorf("serial: StateBytes %d, one view is %d", serial.StateBytes(), serial.viewBytes())
+	if want := int64(serial.Linked().StateWords)*8 + serial.memBytes(); serial.StateBytes() != want {
+		t.Errorf("serial: StateBytes %d, the layout plus one copy of the memories is %d", serial.StateBytes(), want)
 	}
 	par := partitioned(t, g, 3, 5)
-	if par.StateBytes() != 2*par.viewBytes() {
-		t.Errorf("3 threads: StateBytes %d, two views are %d", par.StateBytes(), 2*par.viewBytes())
+	e := NewEngine(par)
+	if len(e.mv) != 2 {
+		t.Errorf("3-thread engine keeps %d memory views", len(e.mv))
 	}
-	if got := len(NewEngine(par).views); got != 2 {
-		t.Errorf("3-thread engine keeps %d views", got)
+	var allocated int64
+	for _, st := range e.st {
+		allocated += int64(len(st)) * 8
+	}
+	for _, mv := range e.mv {
+		for _, m := range mv.mems {
+			allocated += int64(len(m)) * 8
+		}
+	}
+	exchanged := 0
+	for w := range e.xbuf {
+		for r := range e.xbuf[w] {
+			exchanged += len(par.Linked().Exchange[w][r])
+			for _, buf := range e.xbuf[w][r] {
+				allocated += int64(len(buf)) * 8
+			}
+		}
+	}
+	if exchanged == 0 {
+		t.Error("3-thread engine exchanges no words")
+	}
+	if par.StateBytes() != allocated {
+		t.Errorf("3 threads: StateBytes %d, the engine allocates %d", par.StateBytes(), allocated)
 	}
 }

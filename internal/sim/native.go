@@ -8,7 +8,7 @@ import (
 // Native-kernel hook: internal/codegen compiles a linked thread's
 // instruction stream to straight-line Go source, builds it out of process
 // as a plugin, and installs the resulting functions here. A native kernel
-// indexes the same unified state slice evalLinked does, so installing one
+// indexes the same private state array evalLinked does, so installing one
 // between Run calls is state-preserving — the service layer hot-swaps live
 // sessions from interpreted to native exactly this way.
 
@@ -17,8 +17,9 @@ import (
 // plain function values and must type-assert structurally, without sharing
 // this package across the plugin boundary.
 //
-//   - st is the engine's unified state slice (the evalLinked layout:
-//     [globals | imms | frames], indices baked into the generated code);
+//   - st is the thread's private state array, a prefix of the unified
+//     layout evalLinked runs over ([globals | imms | frames] up to the end
+//     of the thread's own frame; indices baked into the generated code);
 //   - mems are the memory columns, indexed by MemSpec position;
 //   - memwr buffers one memory write (mem, addr, data) for the update
 //     phase — the generated code has already applied enable gating and
@@ -35,9 +36,9 @@ type nativeThread struct {
 
 // InstallNative switches the engine's eval phase to the given per-thread
 // native kernels (the generated code hard-codes the linked state layout,
-// which every view shares); publish, the barrier, Poke/Peek, and Reset are
-// unchanged, so a kernel may be installed between any two Run calls of a
-// live engine.
+// whose prefix every thread's private array is); commit, the exchange, the
+// barrier, Poke/Peek, and Reset are unchanged, so a kernel may be installed
+// between any two Run calls of a live engine.
 func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 	if len(fns) != e.prog.NumThreads {
 		return fmt.Errorf("sim: kernel has %d thread funcs, program has %d threads", len(fns), e.prog.NumThreads)
@@ -47,11 +48,11 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 			return fmt.Errorf("sim: nil native func for thread %d", t)
 		}
 	}
-	for _, v := range e.views {
-		v.native = make([]nativeThread, len(fns))
+	for _, mv := range e.mv {
+		mv.native = make([]nativeThread, len(fns))
 		for t := range fns {
-			tc := v.tcs[t]
-			v.native[t] = nativeThread{
+			tc := mv.tcs[t]
+			mv.native[t] = nativeThread{
 				fn: fns[t],
 				memwr: func(mem uint32, addr, data uint64) {
 					tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
@@ -64,7 +65,7 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 
 // NativeInstalled reports whether the engine's eval phase runs native
 // kernels.
-func (e *Engine) NativeInstalled() bool { return e.views[0].native != nil }
+func (e *Engine) NativeInstalled() bool { return e.mv[0].native != nil }
 
 // StateHash hashes the engine's complete architectural state — registers,
 // output ports, and memory contents — into one value. Two engines that

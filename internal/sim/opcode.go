@@ -6,8 +6,10 @@
 // private shadow state and a global update that publishes register writes
 // with one contiguous copy per thread, over a false-sharing-free global
 // layout (Figure 5). The paper separates the two phases with two barriers
-// per simulated cycle; the engine here keeps two state views and crosses
-// one barrier per cycle (DESIGN.md §4 "Runtime protocol").
+// per simulated cycle; the engine here gives each thread a private state
+// array, exchanges only the register words other threads read through
+// parity buffers, and crosses one barrier per cycle (DESIGN.md §4 "Runtime
+// protocol").
 //
 // Every opcode is narrow: it reads and writes single 64-bit words of flat
 // []uint64 arrays. The compiler lowers a signal wider than 64 bits into

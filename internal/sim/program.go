@@ -202,28 +202,47 @@ func (p *Program) MemBytes() int64 {
 	return n
 }
 
-// StateBytes estimates the per-engine mutable state footprint (global
-// words, memories, and thread-private temps/shadows) — what one live
-// session adds on top of the shared Program. An Engine over a
-// multi-threaded program keeps two views of all of it.
-func (p *Program) StateBytes() int64 {
-	return int64(p.stateViews()) * p.viewBytes()
-}
-
-// stateViews is how many complete views of the state an Engine keeps: the
-// serial engine updates one in place, the parallel engine alternates
-// between two.
-func (p *Program) stateViews() int { return min(p.NumThreads, 2) }
-
-// viewBytes is the footprint of one state view (one batch lane holds one).
-func (p *Program) viewBytes() int64 {
-	n := int64(p.GlobalWords) * 8
-	for i := range p.Mems {
-		n += int64(p.Mems[i].Depth) * 8
+// segmentOwners maps each global word to the thread whose commit writes it
+// (the thread's segment [GlobalOff, GlobalOff+ShadowWords)), or -1 for
+// words no segment holds (inputs, padding).
+func (p *Program) segmentOwners() []int {
+	owner := make([]int, p.GlobalWords)
+	for i := range owner {
+		owner[i] = -1
 	}
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		n += int64(th.NumTemps)*8 + int64(th.ShadowWords)*8
+		for i := th.GlobalOff; i < th.GlobalOff+th.ShadowWords && i < len(owner); i++ {
+			owner[i] = t
+		}
+	}
+	return owner
+}
+
+// StateBytes estimates one Engine's mutable state — what one live session
+// adds on top of the shared Program: every thread's private array (the
+// prefix of the unified layout it evaluates over), the memories once per
+// memory view (two on a multi-threaded engine) and the exchange buffers
+// (two parities per writer and reader).
+func (p *Program) StateBytes() int64 {
+	lp := p.Linked()
+	n := int64(min(p.NumThreads, 2)) * p.memBytes()
+	for t := range lp.Threads {
+		n += int64(lp.Threads[t].End) * 8
+	}
+	for w := range lp.Exchange {
+		for _, words := range lp.Exchange[w] {
+			n += 2 * int64(exchangeBufWords(len(words))) * 8
+		}
+	}
+	return n
+}
+
+// memBytes is the footprint of one copy of the memories.
+func (p *Program) memBytes() int64 {
+	var n int64
+	for i := range p.Mems {
+		n += int64(p.Mems[i].Depth) * 8
 	}
 	return n
 }

@@ -1,9 +1,11 @@
 package sim
 
-// Protocol tests for the multi-threaded engine's one-barrier cycle: two
-// state views, evaluate over one, publish into the other, swap. Each test
-// names the hazard or boundary it provokes. CI runs this file under -race
-// at GOMAXPROCS 1 and 2 (-run 'Protocol|Barrier').
+// Protocol tests for the multi-threaded engine's one-barrier cycle: each
+// thread evaluates over its private array, commits, packs the words others
+// read into a parity buffer, publishes memory writes into the other memory
+// view, crosses the barrier and copies in what it reads. Each test names
+// the hazard or boundary it provokes. CI runs this file under -race at
+// GOMAXPROCS 1 and 2 (-run 'Protocol|Barrier').
 
 import (
 	"fmt"
@@ -94,8 +96,8 @@ func partitioned(t *testing.T, g *cgraph.Graph, k int, seed int64) *Program {
 }
 
 // Run(1) N times and Run(N) once must land in the same state whether N is
-// odd or even: the view parity carried across Run calls is the only thing
-// that differs between the two.
+// odd or even: the memory-view parity carried across Run calls is the only
+// thing that differs between the two.
 func TestProtocolSteppedEqualsBulk(t *testing.T) {
 	g := randomCircuit(t, 71, 70)
 	for _, k := range []int{2, 3} {
@@ -118,8 +120,134 @@ func TestProtocolSteppedEqualsBulk(t *testing.T) {
 	}
 }
 
-// A poke lands in both views: after an odd number of cycles the next cycle
-// evaluates over the view the poke before the run did not have to reach.
+// Between Run calls every reader's copy of an exchanged word equals the
+// owner's, and thread 0's array holds every segment as its owner does, after
+// odd and even runs alike.
+func TestProtocolExchangeCoherent(t *testing.T) {
+	g := randomCircuit(t, 77, 70)
+	for _, k := range []int{2, 3} {
+		prog := partitioned(t, g, k, 77)
+		lp := prog.Linked()
+		if slices.Equal(lp.ExchangeWords(), make([]int, k)) {
+			t.Fatalf("k=%d: no thread reads another's words", k)
+		}
+		e := NewEngine(prog)
+		rng := rand.New(rand.NewSource(77))
+		for round, n := range []int{1, 2, 3, 1, 4, 5} {
+			pokeAll(t, e, randomInputs(prog, rng))
+			e.Run(n)
+			for w := range lp.Exchange {
+				for r, words := range lp.Exchange[w] {
+					for _, x := range words {
+						if e.st[r][x] != e.st[w][x] {
+							t.Fatalf("k=%d round %d (+%d cycles): reader %d holds %#x for word %d, owner %d holds %#x",
+								k, round, n, r, e.st[r][x], x, w, e.st[w][x])
+						}
+					}
+				}
+			}
+			for th := range prog.Threads {
+				lo, hi := prog.Threads[th].GlobalOff, prog.Threads[th].GlobalOff+prog.Threads[th].ShadowWords
+				if !slices.Equal(e.st[0][lo:hi], e.st[th][lo:hi]) {
+					t.Fatalf("k=%d round %d: thread 0's copy of thread %d's segment is not the owner's", k, round, th)
+				}
+			}
+		}
+	}
+}
+
+// PeekReg answers with the owner's value for a register of every thread's
+// segment, odd and even cycle counts alike.
+func TestProtocolPeekRegEachOwner(t *testing.T) {
+	g := randomCircuit(t, 78, 70)
+	for _, k := range []int{2, 3} {
+		// Sinks dealt round-robin by name, so every thread owns registers.
+		var n int
+		byName := map[string]int{}
+		prog, err := Compile(g, handParts(g, k, func(sink string) int {
+			if _, ok := byName[sink]; !ok {
+				byName[sink] = n % k
+				n++
+			}
+			return byName[sink]
+		}), Config{OptLevel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := prog.segmentOwners()
+		e, ref := NewEngine(prog), NewReference(g)
+		rng := rand.New(rand.NewSource(78))
+		for round, n := range []int{1, 2, 3, 4} {
+			in := randomInputs(prog, rng)
+			pokeAll(t, e, in)
+			for name, v := range in {
+				if err := ref.PokeInput(name, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Run(n)
+			ref.Run(n)
+			peeked := make([]bool, k)
+			for _, r := range prog.Regs {
+				th := owner[r.Slot]
+				got, err := e.PeekReg(r.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.PeekReg(r.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitvec.Eq(got, want) || got.Words[0] != e.st[th][r.Slot] {
+					t.Fatalf("k=%d round %d: reg %s of thread %d peeks %v, reference %v, owner's word %#x",
+						k, round, r.Name, th, got, want, e.st[th][r.Slot])
+				}
+				peeked[th] = true
+			}
+			if slices.Contains(peeked, false) {
+				t.Fatalf("k=%d: some thread owns no register: %v", k, peeked)
+			}
+		}
+	}
+}
+
+// A snapshot restored into a k=3 engine in the middle of an unrelated run
+// (odd parity, stale exchange buffers and copies) continues exactly as the
+// engine it was taken from.
+func TestProtocolRestoreMidRun(t *testing.T) {
+	g := randomCircuit(t, 79, 70)
+	prog := partitioned(t, g, 3, 79)
+	orig, other := NewEngine(prog), NewEngine(prog)
+	rng := rand.New(rand.NewSource(79))
+	for _, n := range []int{2, 3, 2} {
+		pokeAll(t, orig, randomInputs(prog, rng))
+		orig.Run(n)
+		pokeAll(t, other, randomInputs(prog, rng))
+		other.Run(n + 1)
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for round, n := range []int{1, 4, 3, 2} {
+		in := randomInputs(prog, rng)
+		pokeAll(t, orig, in)
+		pokeAll(t, other, in)
+		orig.Run(n)
+		other.Run(n)
+		tag := fmt.Sprintf("round %d after restore", round)
+		if orig.StateHash() != other.StateHash() {
+			t.Fatalf("%s: state hash %#x uninterrupted, %#x restored", tag, orig.StateHash(), other.StateHash())
+		}
+		compareEngines(t, orig, other, tag)
+	}
+}
+
+// A poke lands in every thread's array, whichever memory view the next
+// cycle evaluates over.
 func TestProtocolPokeBetweenOddRuns(t *testing.T) {
 	g := randomCircuit(t, 72, 60)
 	prog := partitioned(t, g, 2, 72)
@@ -139,10 +267,11 @@ func TestProtocolPokeBetweenOddRuns(t *testing.T) {
 	}
 }
 
-// A snapshot taken at odd parity reads the right view, restores into both
-// views of a fresh engine (whose own parity is even), and the restored
-// engine continues bit-identically. The encoded blob does not depend on
-// how many views the engine keeps (its frames are zeroed), and restoring
+// A snapshot taken at odd parity reads the right memory view, restores into
+// every array and both memory views of a fresh engine (whose own parity is
+// even), and the restored engine continues bit-identically. The encoded
+// blob does not depend on how the engine splits its state (its frames are
+// zeroed), and restoring
 // does not depend on the dead frame words a blob carries: a blob whose
 // frames hold stale scratch — what blobs captured before snapshots zeroed
 // the frames carry — restores and continues identically.
@@ -247,25 +376,31 @@ func linkedKernels(p *Program) []NativeThreadFunc {
 	return fns
 }
 
-// Kernels installed at odd parity must run over the view the next cycle
-// evaluates, with that view's memories and write buffers.
+// Kernels installed at odd parity, between odd-length runs, must leave the
+// state as it was and run with the memories and write buffers of the view
+// the next cycle evaluates over.
 func TestProtocolInstallNativeOddParity(t *testing.T) {
 	g := randomCircuit(t, 74, 70)
 	prog := partitioned(t, g, 2, 74)
 	plain, swapped := NewEngine(prog), NewEngine(prog)
 	rng := rand.New(rand.NewSource(74))
-	for cyc := 0; cyc < 16; cyc++ {
-		if cyc == 5 {
+	for step := 0; step < 16; step++ {
+		if step == 5 {
+			before := swapped.StateHash()
 			if err := swapped.InstallNative(linkedKernels(prog)); err != nil {
 				t.Fatal(err)
+			}
+			if swapped.StateHash() != before {
+				t.Fatal("InstallNative changed the state")
 			}
 		}
 		in := randomInputs(prog, rng)
 		pokeAll(t, plain, in)
 		pokeAll(t, swapped, in)
-		plain.Run(1)
-		swapped.Run(1)
-		compareEngines(t, plain, swapped, fmt.Sprintf("cycle %d", cyc))
+		n := 1 + 2*(step%2) // runs of 1 and 3 cycles
+		plain.Run(n)
+		swapped.Run(n)
+		compareEngines(t, plain, swapped, fmt.Sprintf("step %d", step))
 	}
 	if !swapped.NativeInstalled() {
 		t.Fatal("kernels not installed")

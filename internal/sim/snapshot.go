@@ -58,10 +58,12 @@ type Snapshot struct {
 	Mems [][]uint64
 }
 
-// Snapshot captures the engine's complete state; the format is the linked
-// layout.
+// Snapshot captures the engine's complete state in the canonical linked
+// layout: the globals from thread 0's array, which holds every segment as
+// its owner does between Run calls.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	words := append([]uint64(nil), e.views[e.cur].state...)
+	words := make([]uint64, e.lp.StateWords)
+	copy(words, e.st[0])
 	return newSnapshot(e.lp, e.gs(), e.cycles, words), nil
 }
 
@@ -75,9 +77,11 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}
-	for _, v := range e.views {
-		copy(v.state, s.Words)
-		s.restoreView(v.gs, v.tcs)
+	for _, st := range e.st {
+		copy(st, s.Words)
+	}
+	for _, mv := range e.mv {
+		s.restoreView(mv.mems, mv.tcs)
 	}
 	e.cycles = s.Cycles
 	e.instrsRetired = uint64(e.prog.TotalInstrs()) * s.Cycles
@@ -113,7 +117,7 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 	for i, w := range s.Words {
 		*gs.at(uint32(i)) = w
 	}
-	s.restoreView(gs, e.laneTC[lane])
+	s.restoreView(gs.mems, e.laneTC[lane])
 	e.cycles[lane] = s.Cycles
 	return nil
 }
@@ -133,8 +137,8 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 // are copied from gs. The frames are dead scratch at a cycle boundary (the
 // shadow is published within the cycle) and what they hold depends on the
 // backend — a native kernel keeps chunk-local temps out of them — and on
-// the engine's view count, so zeroing them makes the blob of one state the
-// same on every engine.
+// how the engine splits its state, so zeroing them makes the blob of one
+// state the same on every engine.
 func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint64) *Snapshot {
 	if len(lp.Threads) > 0 {
 		clear(words[lp.Threads[0].TempOff:])
@@ -153,11 +157,11 @@ func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint
 	return s
 }
 
-// restoreView copies a (pre-checked) snapshot's memories into one state
-// view and drops its contexts' buffered writes; the caller scatters
-// s.Words.
-func (s *Snapshot) restoreView(gs *globalState, tcs []*threadCtx) {
-	for mi, m := range gs.mems {
+// restoreView copies a (pre-checked) snapshot's memories into one copy of
+// the memories and drops its contexts' buffered writes; the caller
+// scatters s.Words.
+func (s *Snapshot) restoreView(mems [][]uint64, tcs []*threadCtx) {
+	for mi, m := range mems {
 		copy(m, s.Mems[mi])
 	}
 	dropWrites(tcs)

@@ -8,7 +8,9 @@ import (
 )
 
 // scanBatch proves the program's state layout: the region order every
-// engine indexes by, and safety for a lane-batched engine (sim.BatchEngine).
+// engine indexes by, that each thread's private array (the prefix [0, End)
+// a multi-threaded Engine gives it) holds its own frame, and safety for a
+// lane-batched engine (sim.BatchEngine).
 // The batch executor stores narrow state word w of lane l at
 // st[w*sim.BatchWidth+l]; its correctness rests on three static facts this
 // scan establishes:
@@ -51,6 +53,10 @@ func (v *verifier) scanBatch() {
 		}
 		if e := int(lt.ShadowOff) + th.ShadowWords; e > end {
 			end = e
+		}
+		if fe := int(lt.ShadowOff) + th.ShadowWords; int(lt.End) < fe {
+			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", lt.End),
+				fmt.Sprintf("private array ends at %d, before the thread's frame ends at %d: an Engine's thread would index past its own array", lt.End, fe))
 		}
 		if th.GlobalOff+th.ShadowWords > p.GlobalWords {
 			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("global word %d", th.GlobalOff),

@@ -162,6 +162,29 @@ func TestGoldenDiagnostics(t *testing.T) {
 			},
 			want: "error [batch-layout] thread 0 at state word 0: thread frame begins at 0, inside the previous region ending at 25: lane columns of different regions overlap",
 		},
+		{
+			name:  "exchange/dropped-entry",
+			check: CheckExchange,
+			plant: func(t *testing.T) *Report {
+				p := mutProgram(t)
+				w, r := exchangePair(t, p)
+				x := p.Linked().Exchange
+				x[w][r] = x[w][r][1:]
+				return Program(p, Options{})
+			},
+			want: "error [exchange] thread 1 at global word 8 (reg \"a\", segment of thread 0): eval-phase read of thread 0's segment with no exchange entry: the reader evaluates with a stale copy",
+		},
+		{
+			name:  "exchange/reader-own-segment",
+			check: CheckExchange,
+			plant: func(t *testing.T) *Report {
+				p := mutProgram(t)
+				w, r := exchangePair(t, p)
+				p.Linked().Exchange[w][r][0] = uint32(p.Threads[r].GlobalOff)
+				return Program(p, Options{})
+			},
+			want: "error [exchange] thread 1 at global word 16 (output \"out\", segment of thread 1): exchange entry 0 of writer 0 for reader 1 lies in the reader's own segment: its copy-in overwrites a word the reader's commit writes",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +198,20 @@ func TestGoldenDiagnostics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exchangePair returns the first writer and reader with exchange entries.
+func exchangePair(t *testing.T, p *sim.Program) (w, r int) {
+	t.Helper()
+	for w, row := range p.Linked().Exchange {
+		for r, words := range row {
+			if len(words) > 0 {
+				return w, r
+			}
+		}
+	}
+	t.Fatal("program exchanges no words")
+	return -1, -1
 }
 
 // twoPortSrc has one memory of the given element width with two write

@@ -24,7 +24,9 @@ func (v *verifier) scanLinked() {
 			fmt.Sprintf("linked form has %d threads, program has %d", len(lp.Threads), len(v.p.Threads)))
 		return
 	}
+	v.remoteReads = make([]map[uint32]int, len(lp.Threads))
 	for t := range lp.Threads {
+		v.remoteReads[t] = map[uint32]int{}
 		v.scanLinkedThread(lp, t)
 	}
 }
@@ -49,7 +51,9 @@ func (v *verifier) stateDesc(lp *sim.LinkedProgram, idx uint32) string {
 // decode maps flat index idx, which thread t touches at pc, back to its
 // space-relative location. An index past the state, in padding, or in
 // another thread's frame is reported (the last a statically proven data
-// race) and ok is false. access is "reads" or "writes".
+// race) and ok is false. access is "reads" or "writes". So every index a
+// clean stream uses lies in the globals, the immediates or t's own frame:
+// inside t's private array, the prefix [0, End) of the layout.
 func (v *verifier) decode(lp *sim.LinkedProgram, t, pc int, idx uint32, access string) (loc sim.Loc, ok bool) {
 	if int(idx) >= lp.StateWords {
 		v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("state word %d", idx),
@@ -113,6 +117,9 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 						"shadow word read before this thread wrote it this cycle")
 				}
 			case sim.SpaceGlobal:
+				if seg := v.wordSeg[loc.Idx]; seg >= 0 && seg != t {
+					v.remoteReads[t][loc.Idx] += 0 // a read no entry delivers yet
+				}
 				switch v.wordClass[loc.Idx] {
 				case clInput, clReg, clDerep:
 					// Stable for the whole evaluation phase: inputs are

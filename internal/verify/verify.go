@@ -19,6 +19,10 @@
 //     every sink slot written exactly once per cycle, all operand indices in
 //     bounds, memory instructions consistent with the program's MemSpecs.
 //
+// On top of these it proves the link-time exchange table exact (exchange.go):
+// each thread evaluates over its own prefix of the linked state and sees
+// another thread's registers only through copies the table names.
+//
 // The verifier reports structured diagnostics with thread/PC/slot
 // provenance rather than a boolean, so an injected fault names exactly
 // where the emitted program went wrong. Every compiled program keeps
@@ -64,13 +68,15 @@ type Check string
 
 // The invariant families. The first three are structural; CheckTranslation
 // is the semantic family (O0 vs optimized equivalence, internal/verify/
-// tvalid); CheckBatch covers the lane-batched engine's layout contract.
+// tvalid); CheckBatch covers the lane-batched engine's layout contract and
+// CheckExchange the multi-threaded engine's register exchange.
 const (
 	CheckRace        Check = "race-freedom"
 	CheckClosure     Check = "replication-closure"
 	CheckSchedule    Check = "schedule"
 	CheckTranslation Check = "translation"
 	CheckBatch       Check = "batch-layout"
+	CheckExchange    Check = "exchange"
 )
 
 // Diag is one finding, with full provenance: which thread's code, which
@@ -226,6 +232,10 @@ type verifier struct {
 	// whichever of its columns they write.
 	mems       []int
 	memWriters [][]int
+
+	// remoteReads[r] counts, per global word of another thread's segment
+	// that thread r's code reads, the exchange entries that deliver it.
+	remoteReads []map[uint32]int
 }
 
 // Program statically verifies a compiled program and returns the full
@@ -251,6 +261,7 @@ func Program(p *sim.Program, opts Options) *Report {
 	v.scanBatch()
 	if v.rep.Count(Error) == pre {
 		v.scanLinked()
+		v.checkExchange()
 	}
 	v.checkMems()
 	v.crossCheck()
