@@ -297,16 +297,17 @@ func TestMutationBatchColumn(t *testing.T) {
 	t.Fatal("batch-column: no seed in 1..25 triggered the mutation")
 }
 
-// Bug 9 — par-column liveness: the one-barrier engine keeps two views of
-// every memory and each thread must re-apply its previous cycle's writes to
-// the view it publishes into. With that catch-up dropped, every view misses
-// every other cycle's writes. The defect lives in the engine, not in the
+// Bug 9 — par-column liveness: each thread of the multi-threaded engine
+// keeps its own copy of the memory columns it touches, and every copy must
+// apply the writes of every thread that writes the column. With only the
+// own writes applied, a thread that reads a memory another thread writes
+// never sees those writes. The defect lives in the engine, not in the
 // program, so only the par-k columns (the multi-threaded sim.Engine) can
-// see it; the serial engines over the same circuit keep one view and stay
-// clean.
-func TestMutationParSkippedCatchUp(t *testing.T) {
-	huntAndShrinkColumn(t, "par-skip-catch-up", "par-k", 16, func(seed int64) Options {
-		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantSkipCatchUp}
+// see it; the serial engines over the same circuit write and read one copy
+// and stay clean.
+func TestMutationParDroppedRemoteWrites(t *testing.T) {
+	huntAndShrinkColumn(t, "par-drop-remote-writes", "par-k", 16, func(seed int64) Options {
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantDropRemoteWrites}
 	})
 }
 

@@ -110,11 +110,11 @@ type Options struct {
 	// worsened partition, proving the column live). Implies Repart.
 	RepartBug bool
 	// ParBug, when non-nil, plants a protocol defect into the par-k
-	// columns' engines — (*sim.Engine).PlantSkipCatchUp (memory writes
-	// reach only one of the two memory views) or PlantStaleExchange
-	// (readers copy in last cycle's remote registers) — for mutation
-	// testing: the columns whose subject is the one-barrier protocol must
-	// catch it.
+	// columns' engines — (*sim.Engine).PlantDropRemoteWrites (a thread's
+	// copy of a memory never sees another thread's writes) or
+	// PlantStaleExchange (readers copy in last cycle's remote registers) —
+	// for mutation testing: the columns whose subject is the one-barrier
+	// protocol must catch it.
 	ParBug func(*sim.Engine)
 	// CodegenBug plants a deliberate emitter defect into the codegen
 	// column's kernel (mutation testing: the matrix must catch it; the

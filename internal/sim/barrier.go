@@ -31,16 +31,10 @@ const yieldLoads = 64
 type Barrier struct {
 	n    uint32
 	spin int
-	// Last, when non-nil, runs on the last arriver of every crossing
-	// before the others are released: everything the other participants
-	// wrote before arriving is visible to it, and everything it writes is
-	// visible to them after the crossing. Set it before the first Wait.
-	Last func()
 
-	_ [5]uint64 // the hot word gets a cache line to itself
-	// arrived counts arrivals over the barrier's whole life, plus one
-	// release per crossing when Last is set (the last arriver then has
-	// work to do between arriving and releasing). Compared modulo 2^32.
+	_ [6]uint64 // the hot word gets a cache line to itself
+	// arrived counts arrivals over the barrier's whole life, compared
+	// modulo 2^32.
 	arrived atomic.Uint32
 	_       [15]uint32
 }
@@ -63,26 +57,12 @@ func (b *Barrier) Wait(crossing *uint32) {
 		// The others may not have been scheduled yet, and may need this P.
 		budget = yieldLoads
 	}
-	if b.Last != nil {
-		// n arrivals and one release per crossing.
-		done := *crossing * (b.n + 1)
-		if b.arrived.Add(1) == done-1 {
-			b.Last()
-			b.arrived.Add(1)
-			return
-		}
-		b.await(done, budget)
+	done := *crossing * b.n
+	if b.arrived.Add(1) == done {
 		return
 	}
-	done := *crossing * b.n
-	if b.arrived.Add(1) != done {
-		b.await(done, budget)
-	}
-}
-
-// await polls until the arrival word reaches done, yielding after budget
-// polls and then after every yieldLoads more.
-func (b *Barrier) await(done uint32, budget int) {
+	// Poll until the arrival word reaches done, yielding after budget polls
+	// and then after every yieldLoads more.
 	for ; int32(b.arrived.Load()-done) < 0; budget-- {
 		if budget <= 0 {
 			runtime.Gosched()

@@ -4,9 +4,23 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 var barrierSink uint64
+
+// The arrival word every participant adds to and polls must sit alone on
+// its cache line: at a line boundary inside a whole number of lines (the
+// allocator places a 128-byte object at a 128-byte boundary).
+func TestBarrierLayout(t *testing.T) {
+	const line = 64
+	if off := unsafe.Offsetof(Barrier{}.arrived); off%line != 0 {
+		t.Fatalf("Barrier.arrived at offset %d, not on a %d-byte line boundary; adjust the pad", off, line)
+	}
+	if sz := unsafe.Sizeof(Barrier{}); sz%line != 0 {
+		t.Fatalf("Barrier is %d bytes, not a multiple of the %d-byte cache line; adjust the pad", sz, line)
+	}
+}
 
 // benchBarrier times b.N crossings of n participants. Participant 0 runs
 // lag dependent multiplies (about 1.4 ns each on the reference host) before

@@ -113,7 +113,7 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 		e.laneGS = append(e.laneGS, newGlobalState(p, e.st, BatchWidth, l))
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {
-			tcs[t] = newThreadCtx(&p.Threads[t], nil)
+			tcs[t] = newThreadCtx(&p.Threads[t])
 		}
 		e.laneTC = append(e.laneTC, tcs)
 	}
@@ -143,7 +143,7 @@ func (e *BatchEngine) Reset() {
 // other lane. The service batch tier calls it when recycling a dead
 // session's lane for a new one.
 func (e *BatchEngine) ResetLane(lane int) {
-	resetState(e.lp, e.laneGS[lane], e.laneTC[lane])
+	resetState(e.lp, e.laneGS[lane])
 	e.cycles[lane] = 0
 }
 
@@ -289,14 +289,8 @@ func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) 
 		if !on {
 			continue
 		}
-		gs := e.laneGS[l]
 		tc := e.laneTC[l][t]
-		for _, w := range tc.memBuf {
-			m := gs.mems[w.mem]
-			if w.addr < uint64(len(m)) {
-				m[w.addr] = w.data
-			}
-		}
+		applyWrites(e.laneGS[l].mems, tc.memBuf)
 		tc.memBuf = tc.memBuf[:0]
 	}
 }

@@ -13,11 +13,13 @@ type memWrite struct {
 	data uint64
 }
 
-// threadCtx is one thread's runtime state.
+// threadCtx is one thread's runtime context: its memory-write buffers.
 type threadCtx struct {
-	temps  []uint64
-	shadow []uint64
+	// memBuf collects the cycle's memory writes. An Engine evaluates cycle
+	// c into wbuf[c mod 2], which other threads apply after the barrier;
+	// a batch lane uses memBuf alone.
 	memBuf []memWrite
+	wbuf   [2][]memWrite
 	// pad rounds the struct up to a whole number of 64-byte cache lines so
 	// contiguously stored threadCtx values never share a line (three slice
 	// headers = 72 bytes; +56 = 128 = 2 lines). A test asserts the size
@@ -139,25 +141,19 @@ func newGlobalState(p *Program, words []uint64, stride, lane int) *globalState {
 	return gs
 }
 
-// newThreadCtx builds one thread's runtime context: temps and shadow alias
-// the thread's frame (nil for a batch lane, whose frames live in the SoA
-// array). The memory-write buffer is pre-sized to the thread's static write
-// count so steady-state cycles never grow it.
-func newThreadCtx(tc *ThreadCode, frame []uint64) *threadCtx {
-	ctx := &threadCtx{}
-	if frame != nil {
-		ctx.temps = frame[:tc.NumTemps:tc.NumTemps]
-		ctx.shadow = frame[tc.NumTemps : tc.NumTemps+tc.ShadowWords : tc.NumTemps+tc.ShadowWords]
-	}
+// newThreadCtx builds one thread's runtime context. Both parities of the
+// memory-write buffer are pre-sized to at least the thread's static write
+// count so steady-state cycles never grow them.
+func newThreadCtx(tc *ThreadCode) *threadCtx {
 	n := 0
 	for i := range tc.Code {
 		if tc.Code[i].Op == OpMemWr {
 			n++
 		}
 	}
-	if n > 0 {
-		ctx.memBuf = make([]memWrite, 0, n)
-	}
+	n = (n + 7) &^ 7 // 8 writes fill 3 cache lines: other threads read these, so no line is shared
+	ctx := &threadCtx{wbuf: [2][]memWrite{make([]memWrite, 0, n), make([]memWrite, 0, n)}}
+	ctx.memBuf = ctx.wbuf[0]
 	return ctx
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -231,6 +232,57 @@ func TestLinkOneToOne(t *testing.T) {
 		t.Run(cfg.Name()+"/k2", func(t *testing.T) {
 			check(t, partitioned(t, g, 2, 1))
 		})
+	}
+}
+
+// Every memory column a thread's linked code reads or writes is allocated
+// in that thread's copy, and the thread applies the write buffer of every
+// thread whose linked code writes such a column: both are derived from the
+// stream that runs. On the bundled designs the held copies never cost more
+// than two whole copies of the memories.
+func TestMemHoldersCoverLinkedCode(t *testing.T) {
+	for _, cfg := range designs.Table1(1.0) {
+		g, err := designs.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 3, 4} {
+			t.Run(fmt.Sprintf("%s/k%d", cfg.Name(), k), func(t *testing.T) {
+				var prog *Program
+				if k == 1 {
+					if prog, err = Compile(g, SerialSpec(g), Config{OptLevel: 2}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					prog = partitioned(t, g, k, 1)
+				}
+				lp, e := prog.Linked(), NewEngine(prog)
+				for w := range lp.Threads {
+					for pc, in := range lp.Threads[w].Code {
+						if in.Op != OpMemRd && in.Op != OpMemWr {
+							continue
+						}
+						if e.gs[w].mems[in.Aux] == nil {
+							t.Fatalf("thread %d pc %d: %v on column %d, which the thread does not hold", w, pc, in.Op, in.Aux)
+						}
+						for r := range lp.Threads {
+							if in.Op == OpMemWr && e.gs[r].mems[in.Aux] != nil && !slices.Contains(e.writers[r], w) {
+								t.Fatalf("thread %d holds column %d but does not apply thread %d's writes", r, in.Aux, w)
+							}
+						}
+					}
+				}
+				var held int64
+				for _, gs := range e.gs {
+					for _, col := range gs.mems {
+						held += int64(len(col)) * 8
+					}
+				}
+				if views := int64(min(k, 2)) * prog.memBytes(); held > views {
+					t.Fatalf("held memory copies take %d bytes, %d whole copies %d", held, min(k, 2), views)
+				}
+			})
+		}
 	}
 }
 

@@ -120,8 +120,8 @@ func TestStateBytesPositiveAndSeparate(t *testing.T) {
 
 // StateBytes is what NewEngine allocates: a serial engine keeps the whole
 // layout and one copy of the memories; a multi-threaded one keeps each
-// thread's prefix of the layout, two copies of the memories and two
-// parities of every exchange buffer.
+// thread's prefix of the layout, its own copy of each memory column it
+// holds and two parities of every exchange buffer.
 func TestStateBytesCountsBothViews(t *testing.T) {
 	g := randomCircuit(t, 5, 60)
 	serial, err := Compile(g, SerialSpec(g), Config{})
@@ -133,17 +133,25 @@ func TestStateBytesCountsBothViews(t *testing.T) {
 	}
 	par := partitioned(t, g, 3, 5)
 	e := NewEngine(par)
-	if len(e.mv) != 2 {
-		t.Errorf("3-thread engine keeps %d memory views", len(e.mv))
-	}
+	holds, _ := par.Linked().memHolders()
 	var allocated int64
 	for _, st := range e.st {
 		allocated += int64(len(st)) * 8
 	}
-	for _, mv := range e.mv {
-		for _, m := range mv.mems {
-			allocated += int64(len(m)) * 8
+	copies := 0
+	for th, gs := range e.gs {
+		for m, col := range gs.mems {
+			if (col != nil) != holds[th][m] {
+				t.Errorf("thread %d: column %d allocated %v, held %v", th, m, col != nil, holds[th][m])
+			}
+			if col != nil {
+				copies++
+			}
+			allocated += int64(len(col)) * 8
 		}
+	}
+	if copies < len(par.Mems) {
+		t.Errorf("3-thread engine keeps %d copies of %d memory columns", copies, len(par.Mems))
 	}
 	exchanged := 0
 	for w := range e.xbuf {

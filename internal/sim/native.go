@@ -20,7 +20,8 @@ import (
 //   - st is the thread's private state array, a prefix of the unified
 //     layout evalLinked runs over ([globals | imms | frames] up to the end
 //     of the thread's own frame; indices baked into the generated code);
-//   - mems are the memory columns, indexed by MemSpec position;
+//   - mems are the thread's own copies of the memory columns, indexed by
+//     MemSpec position (nil for a column the thread's code never touches);
 //   - memwr buffers one memory write (mem, addr, data) for the update
 //     phase — the generated code has already applied enable gating and
 //     data masking.
@@ -48,16 +49,14 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 			return fmt.Errorf("sim: nil native func for thread %d", t)
 		}
 	}
-	for _, mv := range e.mv {
-		mv.native = make([]nativeThread, len(fns))
-		for t := range fns {
-			tc := mv.tcs[t]
-			mv.native[t] = nativeThread{
-				fn: fns[t],
-				memwr: func(mem uint32, addr, data uint64) {
-					tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
-				},
-			}
+	e.native = make([]nativeThread, len(fns))
+	for t := range fns {
+		tc := e.tcs[t]
+		e.native[t] = nativeThread{
+			fn: fns[t],
+			memwr: func(mem uint32, addr, data uint64) {
+				tc.memBuf = append(tc.memBuf, memWrite{mem: mem, addr: addr, data: data})
+			},
 		}
 	}
 	return nil
@@ -65,7 +64,7 @@ func (e *Engine) InstallNative(fns []NativeThreadFunc) error {
 
 // NativeInstalled reports whether the engine's eval phase runs native
 // kernels.
-func (e *Engine) NativeInstalled() bool { return e.mv[0].native != nil }
+func (e *Engine) NativeInstalled() bool { return e.native != nil }
 
 // StateHash hashes the engine's complete architectural state — registers,
 // output ports, and memory contents — into one value. Two engines that
@@ -79,7 +78,7 @@ func (e *Engine) NativeInstalled() bool { return e.mv[0].native != nil }
 // wider than 64 bits folds in as its width then its words, and a wide
 // memory element likewise, so the hash does not depend on how such values
 // are stored.
-func (e *Engine) StateHash() uint64 { return stateHash(e.prog, e.gs()) }
+func (e *Engine) StateHash() uint64 { return stateHash(e.prog, e.canon) }
 
 // stateHash is StateHash over one state view: an engine's or a batch
 // lane's (BatchEngine.StateHashLane).

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -221,14 +222,20 @@ func (p *Program) segmentOwners() []int {
 
 // StateBytes estimates one Engine's mutable state — what one live session
 // adds on top of the shared Program: every thread's private array (the
-// prefix of the unified layout it evaluates over), the memories once per
-// memory view (two on a multi-threaded engine) and the exchange buffers
-// (two parities per writer and reader).
+// prefix of the unified layout it evaluates over), its own copy of every
+// memory column it holds (memHolders) and the exchange buffers (two
+// parities per writer and reader).
 func (p *Program) StateBytes() int64 {
 	lp := p.Linked()
-	n := int64(min(p.NumThreads, 2)) * p.memBytes()
+	var n int64
+	holds, _ := lp.memHolders()
 	for t := range lp.Threads {
 		n += int64(lp.Threads[t].End) * 8
+		for m, held := range holds[t] {
+			if held {
+				n += int64(p.Mems[m].Depth) * 8
+			}
+		}
 	}
 	for w := range lp.Exchange {
 		for _, words := range lp.Exchange[w] {
@@ -236,6 +243,41 @@ func (p *Program) StateBytes() int64 {
 		}
 	}
 	return n
+}
+
+// memHolders reports which memory columns each thread of an Engine keeps
+// its own copy of: holds[t][m] when thread t's linked code reads or writes
+// column m, and for thread 0 also every column no thread touches (a memory
+// without ports, or whose only read was optimised away), so every column
+// has a copy to peek and snapshot. writers[t] lists, in thread order, the
+// threads whose code writes a column t holds: the write buffers t applies
+// to its copies each cycle.
+func (lp *LinkedProgram) memHolders() (holds [][]bool, writers [][]int) {
+	holds = make([][]bool, len(lp.Threads))
+	written := make([][]uint32, len(lp.Threads)) // the columns each thread writes
+	for t := range lp.Threads {
+		holds[t] = make([]bool, len(lp.prog.Mems))
+		for _, in := range lp.Threads[t].Code {
+			if in.Op == OpMemRd || in.Op == OpMemWr {
+				holds[t][in.Aux] = true
+			}
+			if in.Op == OpMemWr {
+				written[t] = append(written[t], in.Aux)
+			}
+		}
+	}
+	for m := range lp.prog.Mems {
+		holds[0][m] = holds[0][m] || !slices.ContainsFunc(holds, func(h []bool) bool { return h[m] })
+	}
+	writers = make([][]int, len(lp.Threads))
+	for t := range holds {
+		for w := range written {
+			if slices.ContainsFunc(written[w], func(m uint32) bool { return holds[t][m] }) {
+				writers[t] = append(writers[t], w)
+			}
+		}
+	}
+	return holds, writers
 }
 
 // memBytes is the footprint of one copy of the memories.

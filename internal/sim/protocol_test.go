@@ -1,10 +1,11 @@
 package sim
 
 // Protocol tests for the multi-threaded engine's one-barrier cycle: each
-// thread evaluates over its private array, commits, packs the words others
-// read into a parity buffer, publishes memory writes into the other memory
-// view, crosses the barrier and copies in what it reads. Each test names
-// the hazard or boundary it provokes. CI runs this file under -race at
+// thread evaluates over its private array and its own memory copies
+// (buffering its memory writes in a parity buffer), commits, packs the
+// words others read into a parity buffer, crosses the barrier, copies in
+// what it reads and applies the memory writes of every thread that writes
+// a column it holds. Each test names the hazard or boundary it provokes. CI runs this file under -race at
 // GOMAXPROCS 1 and 2 (-run 'Protocol|Barrier').
 
 import (
@@ -96,8 +97,8 @@ func partitioned(t *testing.T, g *cgraph.Graph, k int, seed int64) *Program {
 }
 
 // Run(1) N times and Run(N) once must land in the same state whether N is
-// odd or even: the memory-view parity carried across Run calls is the only
-// thing that differs between the two.
+// odd or even: the parity buffers restart at every Run call, so where the
+// calls split the cycles is the only thing that differs between the two.
 func TestProtocolSteppedEqualsBulk(t *testing.T) {
 	g := randomCircuit(t, 71, 70)
 	for _, k := range []int{2, 3} {
@@ -212,8 +213,8 @@ func TestProtocolPeekRegEachOwner(t *testing.T) {
 }
 
 // A snapshot restored into a k=3 engine in the middle of an unrelated run
-// (odd parity, stale exchange buffers and copies) continues exactly as the
-// engine it was taken from.
+// (after odd-length runs, with stale exchange and memory-write buffers)
+// continues exactly as the engine it was taken from.
 func TestProtocolRestoreMidRun(t *testing.T) {
 	g := randomCircuit(t, 79, 70)
 	prog := partitioned(t, g, 3, 79)
@@ -246,8 +247,8 @@ func TestProtocolRestoreMidRun(t *testing.T) {
 	}
 }
 
-// A poke lands in every thread's array, whichever memory view the next
-// cycle evaluates over.
+// A poke lands in every thread's array, after odd-length runs as after
+// even ones.
 func TestProtocolPokeBetweenOddRuns(t *testing.T) {
 	g := randomCircuit(t, 72, 60)
 	prog := partitioned(t, g, 2, 72)
@@ -267,9 +268,10 @@ func TestProtocolPokeBetweenOddRuns(t *testing.T) {
 	}
 }
 
-// A snapshot taken at odd parity reads the right memory view, restores into
-// every array and both memory views of a fresh engine (whose own parity is
-// even), and the restored engine continues bit-identically. The encoded
+// A snapshot taken after an odd number of cycles reads the canonical state
+// (each memory column from its lowest holder), restores into every array
+// and every held memory copy of a fresh engine, and the restored engine
+// continues bit-identically. The encoded
 // blob does not depend on how the engine splits its state (its frames are
 // zeroed), and restoring
 // does not depend on the dead frame words a blob carries: a blob whose
@@ -310,7 +312,7 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 	if prog.Fingerprint() != pinnedFingerprint {
 		t.Logf("program fingerprint %#x is not the pinned %#x: blob comparison skipped", prog.Fingerprint(), pinnedFingerprint)
 	} else if len(blob) != pinnedBlobLen || checksum(blob) != pinnedBlobSum {
-		t.Fatalf("encoded blob: %d bytes sum %#x, the single-view engine produced %d bytes sum %#x",
+		t.Fatalf("encoded blob: %d bytes sum %#x, pinned %d bytes sum %#x",
 			len(blob), checksum(blob), pinnedBlobLen, pinnedBlobSum)
 	}
 
@@ -376,9 +378,8 @@ func linkedKernels(p *Program) []NativeThreadFunc {
 	return fns
 }
 
-// Kernels installed at odd parity, between odd-length runs, must leave the
-// state as it was and run with the memories and write buffers of the view
-// the next cycle evaluates over.
+// Kernels installed between odd-length runs must leave the state as it was
+// and run with each thread's own memory copies and write buffers.
 func TestProtocolInstallNativeOddParity(t *testing.T) {
 	g := randomCircuit(t, 74, 70)
 	prog := partitioned(t, g, 2, 74)
@@ -408,8 +409,8 @@ func TestProtocolInstallNativeOddParity(t *testing.T) {
 }
 
 // Thread 0 owns the write port of ram and thread 1 reads it: every write
-// must be in the view thread 1 evaluates over one cycle later, and stay
-// there (the other view catches up a cycle after).
+// must be in thread 1's copy when it evaluates the next cycle, and stay
+// there.
 const crossMemSrc = `
 circuit X {
   module X {
@@ -439,9 +440,6 @@ func TestProtocolCrossThreadMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slices.Contains(sharedMems(prog), true) {
-			t.Fatal("ram has one writer thread and must not be a shared memory")
-		}
 		e, ref := NewEngine(prog), NewReference(g)
 		rng := rand.New(rand.NewSource(75))
 		for cyc := 0; cyc < 40; cyc++ {
@@ -459,13 +457,11 @@ func TestProtocolCrossThreadMemory(t *testing.T) {
 	}
 }
 
-// The catch-up hazard. Both ports write address 0 of ram, port a on even
-// cycles from thread 0 and port b on odd cycles from thread 1. When thread 0
-// publishes cycle c it first re-applies its write of cycle c-1 to the other
-// view; done concurrently with thread 1's write of cycle c to the same
-// word, the older value could land last. Memories with writers in several
-// threads are therefore committed by the barrier's last arriver, in cycle
-// then thread order.
+// Two threads write one word. Both ports write address 0 of ram, port a on
+// even cycles from thread 0 and port b on odd cycles from thread 1. Both
+// threads hold ram and apply both threads' write buffers every cycle, in
+// thread order, so both copies see every write in the same order and a
+// cycle's value never lands before the previous cycle's.
 const catchUpSrc = `
 circuit H {
   module H {
@@ -494,9 +490,6 @@ func TestProtocolCatchUpHazard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh := sharedMems(prog); !sh[0] {
-		t.Fatalf("ram has write ports in both threads; sharedMems = %v", sh)
-	}
 	e, ref := NewEngine(prog), NewReference(g)
 	rng := rand.New(rand.NewSource(76))
 	for cyc := 0; cyc < 60; cyc++ {
@@ -513,14 +506,58 @@ func TestProtocolCatchUpHazard(t *testing.T) {
 	}
 }
 
+// Two threads write one word in the same cycle: every holder applies the
+// write buffers in thread order, so thread 1's write wins on every copy —
+// the order the verifier's cross-thread-writers warning states.
+func TestProtocolSameCycleWriters(t *testing.T) {
+	g := graphOf(t, `
+circuit S {
+  module S {
+    input in : UInt<16>
+    output out : UInt<16>
+    reg n : UInt<16> init 1
+    mem ram : UInt<16>[4]
+    write(ram, UInt<2>(0), xor(in, n), UInt<1>(1))
+    write(ram, UInt<2>(0), not(n), UInt<1>(1))
+    n <= tail(add(n, UInt<16>(1)), 1)
+    out <= read(ram, UInt<2>(0))
+  }
+}
+`)
+	prog, err := Compile(g, handParts(g, 2, func(sink string) int {
+		if sink == "ram$w1" || sink == "out" {
+			return 1
+		}
+		return 0
+	}), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ref := NewEngine(prog), NewReference(g)
+	for cyc := 0; cyc < 20; cyc++ {
+		v := uint64(cyc * 40503)
+		if err := e.PokeInput("in", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.PokeInputUint("in", v); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(1 + cyc%3)
+		ref.Run(1 + cyc%3)
+		n, _ := e.PeekReg("n")
+		if got, err := e.PeekMem("ram", 0); err != nil || got != ^(n.Words[0]-1)&0xffff {
+			t.Fatalf("step %d: ram[0] = %#x (%v), thread 1's write is %#x", cyc, got, err, ^(n.Words[0]-1)&0xffff)
+		}
+		compareState(t, g, e, ref, fmt.Sprintf("step %d", cyc))
+	}
+}
+
 // The barrier must stay live when the host cannot run every participant
 // at once: a waiter that only spun would hold the one P forever.
 func TestBarrierLivenessOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, rounds = 4, 2000
 	bar := NewBarrier(n)
-	lastRuns := 0
-	bar.Last = func() { lastRuns++ }
 	var arrived [n]int
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
@@ -548,13 +585,9 @@ func TestBarrierLivenessOversubscribed(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("barrier with 4 participants at GOMAXPROCS=1 did not finish")
 	}
-	if lastRuns != 2*rounds {
-		t.Fatalf("Last ran %d times over %d crossings", lastRuns, 2*rounds)
-	}
 }
 
-// Writes to a wide memory's word columns take the same catch-up path as
-// narrow ones.
+// Writes to a wide memory's word columns cross threads like narrow ones.
 func TestProtocolWideMemoryCatchUp(t *testing.T) {
 	g := graphOf(t, `
 circuit W {
@@ -600,5 +633,156 @@ circuit W {
 			}
 		}
 		compareState(t, g, e, ref, fmt.Sprintf("cycle %d", cyc))
+	}
+}
+
+// Thread 1 owns the write port of ram, thread 0 reads it and thread 2 never
+// touches it: the reader is the lowest holder, so its copy is the one Peek,
+// StateHash and Snapshot read, and it is current only through the writes
+// it applies from thread 1's buffer after each barrier.
+const readerFirstSrc = `
+circuit R {
+  module R {
+    input in : UInt<16>
+    output out : UInt<16>
+    output cnt : UInt<8>
+    reg wp : UInt<3> init 0
+    reg acc : UInt<16> init 0
+    reg n : UInt<8> init 0
+    mem ram : UInt<16>[8]
+    write(ram, wp, xor(in, cat(n, n)), UInt<1>(1))
+    wp <= tail(add(wp, UInt<3>(1)), 1)
+    acc <= tail(add(acc, read(ram, tail(sub(wp, UInt<3>(1)), 1))), 1)
+    out <= xor(acc, read(ram, wp))
+    n <= tail(add(n, bits(in, 7, 0)), 1)
+    cnt <= n
+  }
+}
+`
+
+func TestProtocolReaderIsLowestHolder(t *testing.T) {
+	g := graphOf(t, readerFirstSrc)
+	prog, err := Compile(g, handParts(g, 3, func(sink string) int {
+		switch sink {
+		case "acc", "out":
+			return 0
+		case "n", "cnt":
+			return 2
+		}
+		return 1
+	}), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ref := NewEngine(prog), NewReference(g)
+	if e.gs[0].mems[0] == nil || e.gs[1].mems[0] == nil || e.gs[2].mems[0] != nil {
+		t.Fatal("ram must be held by threads 0 and 1 only")
+	}
+	if !slices.Equal(e.writers[0], []int{1}) {
+		t.Fatalf("thread 0 applies the writes of threads %v, want [1]", e.writers[0])
+	}
+	engines := []*Engine{e} // and, from round 9 on, a restored copy
+	rng := rand.New(rand.NewSource(78))
+	for round := 0; round < 24; round++ {
+		v := rng.Uint64()
+		if err := ref.PokeInputUint("in", v); err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + 2*(round%3) // runs of 1, 3 and 5 cycles
+		ref.Run(n)
+		for _, x := range engines {
+			if err := x.PokeInput("in", v); err != nil {
+				t.Fatal(err)
+			}
+			x.Run(n)
+		}
+		if round == 9 {
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := NewEngine(prog)
+			restored.Run(3) // leave it somewhere else first
+			if err := restored.RestoreSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			engines = append(engines, restored)
+		}
+		for i, x := range engines {
+			tag := fmt.Sprintf("round %d engine %d", round, i)
+			for a := 0; a < 8; a++ {
+				rv, _ := ref.PeekMem("ram", a)
+				if ev, err := x.PeekMem("ram", a); err != nil || ev != rv.Words[0] {
+					t.Fatalf("%s: ram[%d] = %#x (%v), reference %v", tag, a, ev, err, rv)
+				}
+			}
+			compareState(t, g, x, ref, tag)
+		}
+	}
+}
+
+// A memory no thread's code touches — one without ports, or whose only
+// read was optimised away — is still part of the state: thread 0 holds it,
+// so it peeks, hashes and snapshots like any other column.
+func TestProtocolUntouchedMemory(t *testing.T) {
+	g := graphOf(t, `
+circuit U {
+  module U {
+    input in : UInt<8>
+    output out : UInt<8>
+    reg r : UInt<8> init 3
+    mem idle : UInt<8>[4]
+    mem dead : UInt<8>[2]
+    node x = read(dead, UInt<1>(1))
+    r <= xor(r, in)
+    out <= r
+  }
+}
+`)
+	for _, k := range []int{1, 2} {
+		prog, err := Compile(g, handParts(g, k, func(sink string) int {
+			if sink == "out" {
+				return k - 1
+			}
+			return 0
+		}), Config{OptLevel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds, _ := prog.Linked().memHolders()
+		for m := range prog.Mems {
+			for th := range prog.Linked().Threads {
+				for _, in := range prog.Linked().Threads[th].Code {
+					if (in.Op == OpMemRd || in.Op == OpMemWr) && int(in.Aux) == m {
+						t.Fatalf("k=%d: thread %d touches column %d; the test needs untouched columns", k, th, m)
+					}
+				}
+			}
+			if !holds[0][m] {
+				t.Fatalf("k=%d: untouched column %d has no holder", k, m)
+			}
+		}
+		e, ref := NewEngine(prog), NewReference(g)
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mi := range prog.Memories() {
+			if len(snap.Mems[mi]) != prog.Mems[mi].Depth {
+				t.Fatalf("k=%d: snapshot column %d has %d words", k, mi, len(snap.Mems[mi]))
+			}
+		}
+		if err := e.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.PokeInput("in", 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.PokeInputUint("in", 5); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(3)
+		ref.Run(3)
+		compareState(t, g, e, ref, fmt.Sprintf("k=%d", k))
 	}
 }

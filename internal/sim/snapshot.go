@@ -60,11 +60,12 @@ type Snapshot struct {
 
 // Snapshot captures the engine's complete state in the canonical linked
 // layout: the globals from thread 0's array, which holds every segment as
-// its owner does between Run calls.
+// its owner does between Run calls, and each memory column's lowest
+// holder's copy.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	words := make([]uint64, e.lp.StateWords)
 	copy(words, e.st[0])
-	return newSnapshot(e.lp, e.gs(), e.cycles, words), nil
+	return newSnapshot(e.lp, e.canon, e.cycles, words), nil
 }
 
 // RestoreSnapshot overwrites the engine's state with the snapshot's. The
@@ -77,11 +78,9 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	if err := s.check(e.prog, e.lp); err != nil {
 		return err
 	}
-	for _, st := range e.st {
+	for t, st := range e.st {
 		copy(st, s.Words)
-	}
-	for _, mv := range e.mv {
-		s.restoreView(mv.mems, mv.tcs)
+		s.restoreMems(e.gs[t].mems)
 	}
 	e.cycles = s.Cycles
 	e.instrsRetired = uint64(e.prog.TotalInstrs()) * s.Cycles
@@ -117,7 +116,7 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 	for i, w := range s.Words {
 		*gs.at(uint32(i)) = w
 	}
-	s.restoreView(gs.mems, e.laneTC[lane])
+	s.restoreMems(gs.mems)
 	e.cycles[lane] = s.Cycles
 	return nil
 }
@@ -157,14 +156,13 @@ func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint
 	return s
 }
 
-// restoreView copies a (pre-checked) snapshot's memories into one copy of
-// the memories and drops its contexts' buffered writes; the caller
-// scatters s.Words.
-func (s *Snapshot) restoreView(mems [][]uint64, tcs []*threadCtx) {
+// restoreMems copies a (pre-checked) snapshot's memories into one set of
+// memory columns, skipping the nil columns an engine thread does not hold;
+// the caller scatters s.Words.
+func (s *Snapshot) restoreMems(mems [][]uint64) {
 	for mi, m := range mems {
 		copy(m, s.Mems[mi])
 	}
-	dropWrites(tcs)
 }
 
 // check validates the snapshot against the restoring program's layout: the

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -387,6 +390,66 @@ func TestEncodeProgramRoundTrip(t *testing.T) {
 	}
 }
 
+// A program blob is inflated under a cap: one that inflates to exactly the
+// cap decodes, one byte less refuses it, and so does a small blob that
+// inflates to far more than its size: a gob message that announces 8 MiB
+// and carries them as zeros.
+func TestDecodeProgramInflateCap(t *testing.T) {
+	g := randomCircuit(t, 60, 70)
+	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := io.Copy(io.Discard, zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := decodeProgram(blob, size); err != nil || p.Fingerprint() != prog.Fingerprint() {
+		t.Fatalf("decode under a cap of exactly %d bytes: %v", size, err)
+	}
+	want := fmt.Sprintf("program exceeds %d bytes", size-1)
+	if _, err := decodeProgram(blob, size-1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decode under a cap of %d bytes: %v, want %q", size-1, err, want)
+	}
+	var bomb bytes.Buffer
+	zw := gzip.NewWriter(&bomb)
+	if _, err := zw.Write(append([]byte{0xfd, 0x80, 0, 0}, make([]byte, 8<<20)...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeProgram(bomb.Bytes(), 1<<20); err == nil || !strings.Contains(err.Error(), "program exceeds 1048576 bytes") {
+		t.Fatalf("decode of %d bytes inflating to 8 MiB under a 1 MiB cap: %v", bomb.Len(), err)
+	}
+}
+
+// A peer's program must have one code stream per thread: an engine over a
+// program without threads would have no state to peek.
+func TestDecodeProgramRejectsThreadless(t *testing.T) {
+	g := randomCircuit(t, 61, 30)
+	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Threads = nil
+	blob, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "0 thread codes for 1 threads") {
+		t.Fatalf("decode of a program without thread code: %v", err)
+	}
+}
+
 // TestSnapshotVersion1Refused: a blob the version-1 format wrote (boxed
 // wide sections; testdata/snapshot-v1.bin is the encoded state of
 // TestProtocolSnapshotOddParity's engine under that format) passes the
@@ -399,4 +462,47 @@ func TestSnapshotVersion1Refused(t *testing.T) {
 	if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("decode of a version-1 blob: %v, want ErrSnapshotVersion", err)
 	}
+}
+
+// DecodeSnapshot reads blobs from peers and clients, so no input may panic
+// it, and a blob it accepts must be exactly what Encode writes for the
+// decoded snapshot. The seeds are real blobs of a serial and a 3-thread
+// engine, and the version-1 blob the decoder refuses.
+//
+//	go test -run=NONE -fuzz=FuzzDecodeSnapshot ./internal/sim
+func FuzzDecodeSnapshot(f *testing.F) {
+	g := randomCircuit(f, 81, 40)
+	for _, k := range []int{1, 3} {
+		prog, err := Compile(g, handParts(g, k, func(sink string) int { return len(sink) % k }), Config{OptLevel: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		e := NewEngine(prog)
+		rng := rand.New(rand.NewSource(81))
+		for range 3 {
+			for name, v := range randomInputs(prog, rng) {
+				if err := e.PokeInputVec(name, v); err != nil {
+					f.Fatal(err)
+				}
+			}
+			e.Run(2)
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snap.Encode())
+	}
+	if v1, err := os.ReadFile("testdata/snapshot-v1.bin"); err == nil {
+		f.Add(v1)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, err := DecodeSnapshot(blob)
+		if err != nil {
+			return
+		}
+		if again := s.Encode(); !bytes.Equal(again, blob) {
+			t.Fatalf("accepted a %d-byte blob that re-encodes to %d different bytes", len(blob), len(again))
+		}
+	})
 }

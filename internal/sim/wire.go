@@ -38,30 +38,44 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxProgramBytes caps the inflated size of a peer's program blob, which
+// gob would otherwise follow up to 8 GiB. It is the service's default
+// compile-cache budget, 500× MegaBOOM-4C's 0.5 MB program at four threads.
+const maxProgramBytes = 256 << 20
+
 // DecodeProgram reverses EncodeProgram, rebuilds the derived lookup tables,
 // and verifies the decoded program's fingerprint against the one carried in
-// the envelope.
+// the envelope. A blob that inflates past maxProgramBytes is refused.
 func DecodeProgram(data []byte) (*Program, error) {
+	return decodeProgram(data, maxProgramBytes)
+}
+
+// decodeProgram is DecodeProgram with the inflated-size cap as a parameter.
+func decodeProgram(data []byte, limit int64) (*Program, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
 	}
+	// Reading to EOF also verifies the gzip CRC; one byte past the cap
+	// tells a stream that ends exactly at it from one that goes on.
+	raw, err := io.ReadAll(io.LimitReader(zr, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("sim: decode program: %w", err)
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("sim: decode program: program exceeds %d bytes", limit)
+	}
 	var w programWire
-	if err := gob.NewDecoder(zr).Decode(&w); err != nil {
-		return nil, fmt.Errorf("sim: decode program: %w", err)
-	}
-	// Drain to EOF so the gzip CRC is actually verified (gob stops reading
-	// at the end of the value, before the trailer).
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return nil, fmt.Errorf("sim: decode program: %w", err)
-	}
-	if err := zr.Close(); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
 	}
 	if w.Program == nil {
 		return nil, fmt.Errorf("sim: decode program: empty envelope")
 	}
 	p := w.Program
+	if len(p.Threads) == 0 || len(p.Threads) != p.NumThreads {
+		return nil, fmt.Errorf("sim: decode program: %d thread codes for %d threads", len(p.Threads), p.NumThreads)
+	}
 	p.reindex()
 	if fp := p.Fingerprint(); fp != w.Fingerprint {
 		return nil, fmt.Errorf("sim: decoded program fingerprint %016x does not match envelope %016x",

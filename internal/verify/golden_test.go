@@ -265,11 +265,11 @@ func sinkParts(g *cgraph.Graph, k int, owner func(sink string) int) []sim.PartSp
 
 // TestGoldenCrossThreadMemWriters pins the one Warning whose wording is a
 // statement about the engine's protocol: a memory with write ports in two
-// threads verifies clean (the barrier's last arriver commits it serially)
-// and the diagnostic says what order that commit uses. A 150-bit memory is
+// threads verifies clean (every thread holding it applies both writers'
+// buffers after the barrier) and the diagnostic says what order they apply. A 150-bit memory is
 // three word columns and still one memory, so one warning.
 func TestGoldenCrossThreadMemWriters(t *testing.T) {
-	const want = `warning [race-freedom] at mem "ram": write ports owned by threads [0 1]: committed serially at the barrier, by cycle then thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)`
+	const want = `warning [race-freedom] at mem "ram": write ports owned by threads [0 1]: applied by every holder after the barrier, in thread order; same-cycle writes to one address resolve to the highest thread (address disjointness not statically provable)`
 	for _, w := range []int{8, 150} {
 		g := mustGraph(t, fmt.Sprintf(twoPortSrc, w))
 		parts := sinkParts(g, 2, func(sink string) int {
