@@ -68,12 +68,15 @@ results:
 # deterministic 200-seed cross-engine sweep via the repcutfuzz CLI.
 # Crashers are minimized and written to internal/difftest/testdata/crashers/
 # where TestDifferentialCorpus replays them forever after.
+# FuzzDecodeProgram decodes, links and runs a program per exec, so its new
+# inputs are minimized for 3 s, not the default minute that stalls it.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDifferentialSim -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run=NONE -fuzz=FuzzFirrtlRoundTrip -fuzztime=$(FUZZTIME) ./internal/firrtl/
 	$(GO) test -run=NONE -fuzz=FuzzBitvecOps -fuzztime=$(FUZZTIME) ./internal/bitvec/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME) -fuzzminimizetime=3s ./internal/sim/
 	$(GO) run ./cmd/repcutfuzz -seeds 200
 
 # Boot the simulation service on the default local address.

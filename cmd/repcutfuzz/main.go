@@ -1,9 +1,10 @@
 // Command repcutfuzz drives the differential fuzzing harness outside the
 // `go test -fuzz` loop: it generates seeded random circuits, runs each
 // one through the full cross-engine oracle (tree-walking reference, serial
-// O0/O2, parallel partitions, task engine, compile-cache round-trip,
-// static verifier, translation validator), and on any disagreement greedily
-// shrinks the circuit and writes a replayable crasher to disk.
+// O0/O2, parallel and repartitioned partitions, lane-batched engine,
+// checkpoint/restore, compile-cache round-trip, static verifier,
+// translation validator), and on any disagreement greedily shrinks the
+// circuit and writes a replayable crasher to disk.
 //
 // Unlike native fuzzing this is fully deterministic — seed k always
 // produces the same circuit and stimulus — so it doubles as a long-form

@@ -30,7 +30,9 @@ var (
 // and the statements come from internal/optable's templates, so a change
 // to a template, to the emitter or to the compiler that alters any kernel
 // fails here: undo it, or bump EmitterVersion and record the new hashes.
-// Nothing is built, so the test runs on every platform.
+// A change that moves only a program's Fingerprint, which the header
+// prints, already changes that program's key, so it re-records the hash
+// without a bump. Nothing is built, so the test runs on every platform.
 func TestEmitGolden(t *testing.T) {
 	// Recorded with EmitterVersion cg4.
 	want := map[string]string{
@@ -59,11 +61,11 @@ func TestEmitGolden(t *testing.T) {
 		"SmallBOOM-4C/k1":  "67b6019efb5ed49968ee3b0d98b04fba2628e52b7df9ca34842d4c32a5921e40",
 		"SmallBOOM-4C/k2":  "f835b2f3ad614af6d0a1fa923ec9c2e2119fd3abf2fc15937d23c1f9dd554266",
 		"classic50":        "703ff5f557725c5f963c757d69e28be1439b55181df236ea8c417e18f0d58c21",
-		"classic51":        "bd1159f820e1448fd0b448417dddb31bbf3921c1909b95351b3a610fb1062fe5",
+		"classic51":        "bb246236b671fb0754aef53aaca05b5e017c8e8756a77bf9007ef82cafa6d9b5",
 		"classic52":        "5987bcf4ea0115ca8c2a8267b1e22243ff4726bcb54c995c1f505a9527306810",
-		"classic53":        "98622dfbcc60aafb73e12325b85d3f3aa104dd958ce434743fc54d9a7da0cbe6",
-		"classic55":        "9b70f3b07378b7d0dd5df092bbb534207e212bdabfbdf593cc9435ee88d7a94a",
-		"classic81":        "c2e05a10235442282d332af478ba6605ecf596666b87d54ccc24447bc696d85f",
+		"classic53":        "fc7e688c6db033c043cec583b77a259c630fa8b01a41d9a01dfd9fd882e86377",
+		"classic55":        "6129a0edb81b2257934e46ff03624debb9dd60b54da197e5818b0e20d38928b9",
+		"classic81":        "7396601b0a73047dcd7aca5e78c0e0b063b644004233f85156474c1b6f0c7b9a",
 		"classic95":        "f1e8011f08ddea8e59c1ea2691f357357229daac60efb0e3b67720196684a888",
 		"genckt3":          "6420dc3f9a8e118a9607021bd133b5f388e5e83c34744ed43205eb60e87700f1",
 		"genckt7":          "70448e5317671c8648b193631aad6bfd64cb4f783a4bcfc799a2e0d46b751997",

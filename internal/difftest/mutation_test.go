@@ -82,11 +82,21 @@ func huntAndShrinkColumn(t *testing.T, name, column string, maxVerts int, option
 	t.Fatalf("%s: no seed in 1..25 triggered the mutation", name)
 }
 
+// code0 returns thread 0's linked code, which the mutations corrupt.
+func code0(p *sim.Program) []sim.LInstr { return p.Linked().Threads[0].Code }
+
+// inSpace reports whether state index idx lies in region sp.
+func inSpace(p *sim.Program, idx uint32, sp sim.RefSpace) bool {
+	loc, _, ok := p.Linked().LinkedLoc(idx)
+	return ok && loc.Space == sp
+}
+
 // firstMutable returns the pc of the first plain computational instruction
 // on thread 0 (OpNop/OpMemWr excluded), or -1.
-func firstMutable(p *sim.Program, accept func(*sim.Instr) bool) int {
-	for pc := range p.Threads[0].Code {
-		in := &p.Threads[0].Code[pc]
+func firstMutable(p *sim.Program, accept func(*sim.LInstr) bool) int {
+	code := code0(p)
+	for pc := range code {
+		in := &code[pc]
 		if in.Op == sim.OpNop || in.Op == sim.OpMemWr {
 			continue
 		}
@@ -106,15 +116,14 @@ func TestMutationShadowSwap(t *testing.T) {
 		if th.ShadowWords < 2 {
 			return false
 		}
-		pc := firstMutable(p, func(in *sim.Instr) bool {
-			return sim.RefTag(in.Dst) == sim.RefShadow
+		pc := firstMutable(p, func(in *sim.LInstr) bool {
+			return inSpace(p, in.Dst, sim.SpaceShadow)
 		})
 		if pc < 0 {
 			return false
 		}
-		in := &th.Code[pc]
-		other := (sim.RefIdx(in.Dst) + 1) % uint32(th.ShadowWords)
-		in.Dst = sim.MakeRef(sim.RefShadow, other)
+		in, off := &code0(p)[pc], p.Linked().Threads[0].ShadowOff
+		in.Dst = off + (in.Dst-off+1)%uint32(th.ShadowWords)
 		return true
 	})
 }
@@ -135,13 +144,13 @@ func TestMutationStaleOperand(t *testing.T) {
 		if !found {
 			return false
 		}
-		pc := firstMutable(p, func(in *sim.Instr) bool {
-			return sim.TraitsOf(in.Op).Reads >= 1 && sim.RefTag(in.A) == sim.RefLocal
+		pc := firstMutable(p, func(in *sim.LInstr) bool {
+			return sim.TraitsOf(in.Op).Reads >= 1 && inSpace(p, in.A, sim.SpaceLocal)
 		})
 		if pc < 0 {
 			return false
 		}
-		p.Threads[0].Code[pc].A = sim.MakeRef(sim.RefGlobal, slot)
+		code0(p)[pc].A = slot // global words keep their index in the linked layout
 		return true
 	})
 }
@@ -167,7 +176,7 @@ func TestMutationDroppedInstr(t *testing.T) {
 		if !ok {
 			return false
 		}
-		p.Threads[0].Code[defPC] = sim.Instr{Op: sim.OpNop}
+		code0(p)[defPC] = sim.LInstr{Op: sim.OpNop}
 		return true
 	})
 }
@@ -177,15 +186,15 @@ func TestMutationDroppedInstr(t *testing.T) {
 func firstLocalDefUsed(p *sim.Program) (int, bool) {
 	local := func(out []uint32, refs ...uint32) []uint32 {
 		for _, r := range refs {
-			if sim.RefTag(r) == sim.RefLocal {
-				out = append(out, sim.RefIdx(r))
+			if inSpace(p, r, sim.SpaceLocal) {
+				out = append(out, r)
 			}
 		}
 		return out
 	}
 	defAt := map[uint32]int{}
 	var defs, uses []uint32
-	code := p.Threads[0].Code
+	code := code0(p)
 	for pc := range code {
 		in := &code[pc]
 		defs, uses = defs[:0], uses[:0]
@@ -212,13 +221,13 @@ func firstLocalDefUsed(p *sim.Program) (int, bool) {
 // narrowing one signal by one bit.
 func TestMutationMaskTruncation(t *testing.T) {
 	huntAndShrink(t, "mask-truncation", func(p *sim.Program) bool {
-		pc := firstMutable(p, func(in *sim.Instr) bool {
+		pc := firstMutable(p, func(in *sim.LInstr) bool {
 			return bits.OnesCount64(in.Mask) > 1
 		})
 		if pc < 0 {
 			return false
 		}
-		p.Threads[0].Code[pc].Mask >>= 1
+		code0(p)[pc].Mask >>= 1
 		return true
 	})
 }
@@ -226,13 +235,13 @@ func TestMutationMaskTruncation(t *testing.T) {
 // Bug 6 — swapped mux arms: the select polarity inverts on one mux.
 func TestMutationSwappedMux(t *testing.T) {
 	huntAndShrink(t, "swapped-mux", func(p *sim.Program) bool {
-		pc := firstMutable(p, func(in *sim.Instr) bool {
+		pc := firstMutable(p, func(in *sim.LInstr) bool {
 			return in.Op == sim.OpMux
 		})
 		if pc < 0 {
 			return false
 		}
-		in := &p.Threads[0].Code[pc]
+		in := &code0(p)[pc]
 		in.B, in.C = in.C, in.B
 		return true
 	})
@@ -244,7 +253,7 @@ func TestMutationSwappedMux(t *testing.T) {
 // negation) loses 2^64 whenever its low words overflow.
 func TestMutationWideCarryDrop(t *testing.T) {
 	huntAndShrink(t, "wide-carry-drop", func(p *sim.Program) bool {
-		code := p.Threads[0].Code
+		code := code0(p)
 		for pc := 1; pc < len(code); pc++ {
 			if add, lt := &code[pc-1], &code[pc]; add.Op == sim.OpAdd && lt.Op == sim.OpLt && lt.A == add.Dst && lt.B == add.A {
 				lt.B = lt.A
@@ -255,6 +264,28 @@ func TestMutationWideCarryDrop(t *testing.T) {
 	})
 }
 
+// Bug 7b — off-by-one immediates: every immediate operand reads the word
+// after its constant, what an off-by-one ImmOff in link's operand
+// resolution produces. The translation validator cannot see it, because
+// both of its sides go through that resolution, so the engine matrix's
+// comparison of the linked code against sim.Reference must.
+func TestMutationImmOffByOne(t *testing.T) {
+	huntAndShrink(t, "imm-off-by-one", func(p *sim.Program) bool {
+		shifted := false
+		code := code0(p)
+		for pc := range code {
+			in := &code[pc]
+			for _, ref := range []*uint32{&in.A, &in.B, &in.C}[:sim.TraitsOf(in.Op).Reads] {
+				if inSpace(p, *ref, sim.SpaceImm) {
+					*ref++
+					shifted = true
+				}
+			}
+		}
+		return shifted
+	})
+}
+
 // Bug 8 — batch-column liveness: the same mask-truncation bug is planted
 // into the program backing the lane-batched engine only (the solo twins
 // stay clean), so the divergence is visible exclusively through the batch
@@ -262,13 +293,13 @@ func TestMutationWideCarryDrop(t *testing.T) {
 // could not fail would vacuously pass a broken batched executor.
 func TestMutationBatchColumn(t *testing.T) {
 	mutate := func(p *sim.Program) bool {
-		pc := firstMutable(p, func(in *sim.Instr) bool {
+		pc := firstMutable(p, func(in *sim.LInstr) bool {
 			return bits.OnesCount64(in.Mask) > 1
 		})
 		if pc < 0 {
 			return false
 		}
-		p.Threads[0].Code[pc].Mask >>= 1
+		code0(p)[pc].Mask >>= 1
 		return true
 	}
 	for seed := int64(1); seed <= 25; seed++ {

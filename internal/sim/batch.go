@@ -113,7 +113,7 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 		e.laneGS = append(e.laneGS, newGlobalState(p, e.st, BatchWidth, l))
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {
-			tcs[t] = newThreadCtx(&p.Threads[t])
+			tcs[t] = newThreadCtx(lp.Threads[t].Code)
 		}
 		e.laneTC = append(e.laneTC, tcs)
 	}

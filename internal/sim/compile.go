@@ -50,12 +50,25 @@ func SerialSpec(g *cgraph.Graph) []PartSpec {
 }
 
 // Compile translates the graph into a Program with one instruction stream
-// per partition. Partitions must be self-contained (every non-source
-// predecessor of a partition vertex is in the partition, earlier in the
-// list) — core.Partition results and SerialSpec satisfy this.
+// per partition, linked. Partitions must be self-contained (every
+// non-source predecessor of a partition vertex is in the partition, earlier
+// in the list) — core.Partition results and SerialSpec satisfy this.
 func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
+	p, code, err := compileTagged(g, parts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.reindex()
+	p.link(code)
+	p.fp = p.fingerprint()
+	return p, nil
+}
+
+// compileTagged is Compile up to link: the program's layout and statistics,
+// and each thread's tagged instruction buffer.
+func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][]instr, error) {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("sim: no partitions")
+		return nil, nil, fmt.Errorf("sim: no partitions")
 	}
 	model := costmodel.Default()
 	c := &compiler{
@@ -63,12 +76,12 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 		prog: &Program{Design: g.Name, NumThreads: len(parts)},
 	}
 	if err := c.layout(parts); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Phase A: emit (and optimize) every thread's code, one task per
-	// partition. Each task writes only its own ThreadCode and thread-local
-	// constant pools, so scheduling cannot influence the output.
+	// partition. Each task writes only its own ThreadCode, code buffer and
+	// constant pool, so scheduling cannot influence the output.
 	pool := par.NewPool(cfg.Workers)
 	tcs := make([]*threadCompiler, len(parts))
 	err := pool.ForEachErr(len(parts), func(t int) error {
@@ -79,12 +92,12 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 		}
 		if cfg.OptLevel > 0 {
 			// Optimize against the thread-local pool; folding may extend it.
-			tc.imms = optimize(tc.imms, tc.th, cfg.OptLevel)
+			tc.code, tc.imms = optimize(tc.imms, tc.code, tc.th.NumTemps, cfg.OptLevel)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Phase B: merge thread-local pools into the Program in thread order —
@@ -107,7 +120,11 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 			}
 		}
 	})
-	return c.prog, nil
+	code := make([][]instr, len(tcs))
+	for t, tc := range tcs {
+		code[t] = tc.code
+	}
+	return c.prog, code, nil
 }
 
 // VertexInstrs runs the serial O0 emitter over g and returns how many
@@ -125,11 +142,11 @@ func VertexInstrs(g *cgraph.Graph) (counts map[cgraph.VID]int, temps, inputWords
 	tc := newThreadCompiler(c, 0)
 	counts = make(map[cgraph.VID]int, len(parts[0].Vertices))
 	for _, v := range parts[0].Vertices {
-		start := len(tc.th.Code)
+		start := len(tc.code)
 		if err := tc.compileVertex(v); err != nil {
 			return nil, 0, 0, fmt.Errorf("sim: vertex %s: %w", g.Vs[v].Name, err)
 		}
-		counts[v] = len(tc.th.Code) - start
+		counts[v] = len(tc.code) - start
 	}
 	return counts, int(tc.nextTemp), tc.th.GlobalOff, nil
 }
@@ -145,12 +162,12 @@ func (c *compiler) merge(tcs []*threadCompiler) {
 			immMap[i] = c.internImm(v)
 		}
 		remap := func(ref *uint32) {
-			if RefTag(*ref) == RefImm {
-				*ref = MakeRef(RefImm, immMap[RefIdx(*ref)])
+			if refTag(*ref) == refImm {
+				*ref = makeRef(refImm, immMap[refIdx(*ref)])
 			}
 		}
-		for i := range tc.th.Code {
-			in := &tc.th.Code[i]
+		for i := range tc.code {
+			in := &tc.code[i]
 			remap(&in.A)
 			remap(&in.B)
 			remap(&in.C)
@@ -269,16 +286,12 @@ func (c *compiler) layout(parts []PartSpec) error {
 
 	// Input region.
 	var word uint32
-	p.inputByName = map[string]int{}
-	p.outputByName = map[string]int{}
-	p.regByName = make(map[string]int, len(g.Regs))
 	p.Regs = make([]RegSlot, 0, len(g.Regs))
 	for _, in := range g.Inputs {
 		v := &g.Vs[in]
 		ps := PortSlot{Name: v.Name, Width: v.Type.Width, Slot: word}
-		c.globalOf[in] = MakeRef(RefGlobal, word)
+		c.globalOf[in] = makeRef(refGlobal, word)
 		word += uint32(words(v.Type.Width))
-		p.inputByName[ps.Name] = len(p.Inputs)
 		p.Inputs = append(p.Inputs, ps)
 	}
 	// Pad input region to a segment boundary.
@@ -333,18 +346,16 @@ func (c *compiler) layout(parts []PartSpec) error {
 			slot := word + off
 			v := &g.Vs[s]
 			off += uint32(words(v.Type.Width))
-			c.globalOf[s] = MakeRef(RefGlobal, slot)
+			c.globalOf[s] = makeRef(refGlobal, slot)
 			switch v.Kind {
 			case cgraph.KindRegWrite:
 				// The register's read vertex shares the slot.
-				c.globalOf[g.Regs[v.Reg].Read] = MakeRef(RefGlobal, slot)
-				p.regByName[g.Regs[v.Reg].Name] = len(p.Regs)
+				c.globalOf[g.Regs[v.Reg].Read] = makeRef(refGlobal, slot)
 				p.Regs = append(p.Regs, RegSlot{
 					Name: g.Regs[v.Reg].Name, Width: v.Type.Width,
 					Slot: slot, Init: g.Regs[v.Reg].Init,
 				})
 			case cgraph.KindOutput:
-				p.outputByName[v.Name] = len(p.Outputs)
 				p.Outputs = append(p.Outputs, PortSlot{Name: v.Name, Width: v.Type.Width, Slot: slot})
 			}
 		}
@@ -368,8 +379,7 @@ func (c *compiler) layout(parts []PartSpec) error {
 					return fmt.Errorf("sim: demoted register %s width %d != driver %s width %d",
 						r.Name, g.Vs[r.Write].Type.Width, ux.Name, ux.Type.Width)
 				}
-				c.globalOf[r.Read] = MakeRef(RefGlobal, slot)
-				p.regByName[r.Name] = len(p.Regs)
+				c.globalOf[r.Read] = makeRef(refGlobal, slot)
 				p.Regs = append(p.Regs, RegSlot{
 					Name: r.Name, Width: g.Vs[r.Write].Type.Width,
 					Slot: slot, Init: r.Init,
@@ -418,6 +428,8 @@ type threadCompiler struct {
 	c  *compiler
 	t  int
 	th *ThreadCode
+	// code is the thread's tagged instruction buffer, resolved by link.
+	code []instr
 	// tempOf maps a combinational vertex to its first result temp.
 	tempOf   map[cgraph.VID]uint32
 	nextTemp uint32
@@ -453,7 +465,7 @@ func (tc *threadCompiler) internImm(v uint64) uint32 {
 
 // compileAll emits the code for one thread's partition.
 func (tc *threadCompiler) compileAll(part PartSpec) error {
-	tc.th.Code = make([]Instr, 0, len(part.Vertices)) // about one instruction per vertex
+	tc.code = make([]instr, 0, len(part.Vertices)) // about one instruction per vertex
 	for _, v := range part.Vertices {
 		if err := tc.compileVertex(v); err != nil {
 			return fmt.Errorf("sim: thread %d vertex %s: %w", tc.t, tc.c.g.Vs[v].Name, err)
@@ -468,7 +480,7 @@ func (tc *threadCompiler) compileAll(part PartSpec) error {
 		if err != nil {
 			return fmt.Errorf("sim: thread %d derep driver %s: %w", tc.t, tc.c.g.Vs[dc.u].Name, err)
 		}
-		tc.emit(Instr{Op: OpCopy, Dst: MakeRef(RefShadow, dc.idx), A: ref, Mask: maskOf(dc.width)})
+		tc.emit(instr{Op: OpCopy, Dst: makeRef(refShadow, dc.idx), A: ref, Mask: maskOf(dc.width)})
 	}
 	tc.th.NumTemps = int(tc.nextTemp)
 	return nil
@@ -477,5 +489,5 @@ func (tc *threadCompiler) compileAll(part PartSpec) error {
 // scratch allocates one fresh temp word for an intermediate value.
 func (tc *threadCompiler) scratch() uint32 {
 	tc.nextTemp++
-	return MakeRef(RefLocal, tc.nextTemp-1)
+	return makeRef(refLocal, tc.nextTemp-1)
 }

@@ -36,7 +36,7 @@ func TestVertexInstrsMatchPartitions(t *testing.T) {
 				for _, v := range specs[th].Vertices {
 					sum += counts[v]
 				}
-				if got := len(prog.Threads[th].Code); sum != got {
+				if got := len(prog.Linked().Threads[th].Code); sum != got {
 					t.Errorf("%s k=%d thread %d: vertex counts sum to %d, thread has %d instrs", name, k, th, sum, got)
 				}
 			}

@@ -68,6 +68,7 @@ func TestLinkedDefUseRecycles(t *testing.T) {
 func TestProgramStringCounts(t *testing.T) {
 	p := &Program{Design: "D", NumThreads: 2, GlobalWords: 40,
 		Imms: make([]uint64, 3), Mems: make([]MemSpec, 2)}
+	p.link(nil) // a Program is linked when built
 	s := p.String()
 	for _, want := range []string{"40 global words", "3 imms", "2 mem columns"} {
 		if !strings.Contains(s, want) {

@@ -76,9 +76,8 @@ type Engine struct {
 	instrsRetired uint64
 }
 
-// NewEngine creates an engine over the program's linked execution form and
-// resets it to power-on state. The linked form is built once per Program
-// and shared across engines.
+// NewEngine creates an engine over the program's linked code, which every
+// engine over the Program shares, and resets it to power-on state.
 func NewEngine(p *Program) *Engine {
 	lp := p.Linked()
 	holds, writers := lp.memHolders()
@@ -97,7 +96,7 @@ func NewEngine(p *Program) *Engine {
 		}
 		e.st = append(e.st, st)
 		e.gs = append(e.gs, &globalState{words: st, stride: 1, mems: mems})
-		e.tcs = append(e.tcs, newThreadCtx(&p.Threads[t]))
+		e.tcs = append(e.tcs, newThreadCtx(lp.Threads[t].Code))
 	}
 	e.canon = &globalState{words: e.st[0], stride: 1, mems: canon}
 	e.xbuf = make([][][2][]uint64, len(lp.Exchange))

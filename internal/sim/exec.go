@@ -144,10 +144,10 @@ func newGlobalState(p *Program, words []uint64, stride, lane int) *globalState {
 // newThreadCtx builds one thread's runtime context. Both parities of the
 // memory-write buffer are pre-sized to at least the thread's static write
 // count so steady-state cycles never grow them.
-func newThreadCtx(tc *ThreadCode) *threadCtx {
+func newThreadCtx(code []LInstr) *threadCtx {
 	n := 0
-	for i := range tc.Code {
-		if tc.Code[i].Op == OpMemWr {
+	for i := range code {
+		if code[i].Op == OpMemWr {
 			n++
 		}
 	}

@@ -3,13 +3,14 @@ package sim
 import (
 	"slices"
 	"sort"
-	"unsafe"
 )
 
-// This file implements the link stage: lowering a compiled Program into a
-// resolved execution form where every narrow operand is a direct index into
-// one flat per-engine state slice, so no read or write pays a per-operand
-// closure call or RefTag switch.
+// This file implements the link stage, the last step of Compile: resolving
+// the compiler's tagged instruction buffers into the execution form a
+// Program stores, where every narrow operand is a direct index into one
+// flat per-engine state slice, so no read or write pays a per-operand
+// closure call or tag switch. The tagged buffers are dropped after; tagged
+// rebuilds one instruction of them for Fingerprint and the wire form.
 //
 // Unified state layout (all regions padded to SegmentWords so no cache line
 // is written by two threads):
@@ -24,7 +25,7 @@ import (
 // dependent load per operand; BenchmarkOperandResolution in
 // link_bench_test.go records the bake-off that picked the flat frame.
 
-// LInstr is one linked instruction: an Instr whose operand fields are
+// LInstr is one linked instruction: an instr whose operand fields are
 // direct indices into the engine's unified state slice. 32 bytes, two per
 // cache line.
 type LInstr struct {
@@ -65,10 +66,10 @@ type LinkStats struct {
 // FusionRate is identically 0: superinstruction fusion was removed.
 func (s *LinkStats) FusionRate() float64 { return 0 }
 
-// LinkedProgram is the resolved execution form of a Program. It is
-// immutable after link and shared by every engine (and every service
-// session) over the same Program; per-engine mutable state is just the
-// flat []uint64 of StateWords words.
+// LinkedProgram is the resolved execution form of a Program: its only
+// stored code. It is immutable after link and shared by every engine (and
+// every service session) over the same Program; per-engine mutable state
+// is just the flat []uint64 of StateWords words.
 type LinkedProgram struct {
 	prog *Program
 
@@ -90,37 +91,14 @@ type LinkedProgram struct {
 // Program returns the program this linked form was built from.
 func (lp *LinkedProgram) Program() *Program { return lp.prog }
 
-// Linked returns the program's linked execution form, building it on first
-// use. The result depends only on the Program, so it is computed once and
-// shared by all engines and sessions.
-func (p *Program) Linked() *LinkedProgram {
-	p.linkMu.Lock()
-	defer p.linkMu.Unlock()
-	if p.linked == nil {
-		p.linked = link(p)
-	}
-	return p.linked
-}
+// Linked returns the program's code in its linked execution form, which
+// Compile or DecodeProgram built; it is never nil.
+func (p *Program) Linked() *LinkedProgram { return p.linked }
 
-// resolve maps a narrow operand reference of thread t to its state index.
-func (lp *LinkedProgram) resolve(t int, ref uint32) uint32 {
-	idx := RefIdx(ref)
-	switch RefTag(ref) {
-	case RefLocal:
-		return lp.Threads[t].TempOff + idx
-	case RefGlobal:
-		return idx
-	case RefImm:
-		return uint32(lp.ImmOff) + idx
-	default: // RefShadow
-		return lp.Threads[t].ShadowOff + idx
-	}
-}
-
-// link lowers p: lay out the unified state and resolve every operand.
-// The mapping is strictly 1:1 for every program, so pcs index Program and
-// LinkedProgram code alike.
-func link(p *Program) *LinkedProgram {
+// link lays out p's unified state and resolves every operand of the tagged
+// buffers code (one per thread) into p's linked form. The mapping is
+// strictly 1:1, so a pc indexes the buffer and the linked code alike.
+func (p *Program) link(code [][]instr) {
 	lp := &LinkedProgram{prog: p}
 	off := padTo(uint32(p.GlobalWords), SegmentWords)
 	lp.ImmOff = int(off)
@@ -136,42 +114,59 @@ func link(p *Program) *LinkedProgram {
 	}
 	lp.StateWords = int(off)
 
+	n := 0
 	for t := range p.Threads {
-		lp.Threads[t].Code = lp.translate(t, &p.Threads[t])
+		lp.Threads[t].Code = lp.translate(t, code[t])
+		n += len(code[t])
 	}
 	lp.Exchange = lp.exchange()
-	n := p.TotalInstrs()
 	lp.Stats = LinkStats{Instrs: n, Linked: n}
-	return lp
+	p.linked = lp
 }
 
 // translate resolves one thread's operands.
-func (lp *LinkedProgram) translate(t int, th *ThreadCode) []LInstr {
-	out := make([]LInstr, len(th.Code))
-	for pc := range th.Code {
-		in := &th.Code[pc]
-		li := &out[pc]
-		li.Op = in.Op
-		li.Aux = in.Aux
-		li.Mask = in.Mask
-		switch in.Op {
-		case OpNop:
-		case OpMemWr:
-			li.A = lp.resolve(t, in.A)
-			li.B = lp.resolve(t, in.B)
-			li.C = lp.resolve(t, in.C)
-		default:
-			switch TraitsOf(in.Op).Reads {
-			case 3:
-				li.C = lp.resolve(t, in.C)
-				fallthrough
-			case 2:
-				li.B = lp.resolve(t, in.B)
-				fallthrough
-			case 1:
-				li.A = lp.resolve(t, in.A)
-			}
-			li.Dst = lp.resolve(t, in.Dst)
+func (lp *LinkedProgram) translate(t int, code []instr) []LInstr {
+	lt := &lp.Threads[t]
+	resolve := func(ref uint32) uint32 {
+		idx := refIdx(ref)
+		switch refTag(ref) {
+		case refLocal:
+			return lt.TempOff + idx
+		case refGlobal:
+			return idx
+		case refImm:
+			return uint32(lp.ImmOff) + idx
+		default: // refShadow
+			return lt.ShadowOff + idx
+		}
+	}
+	out := make([]LInstr, len(code))
+	for pc, in := range code {
+		ops := mapOperands(in.Op, [4]uint32{in.Dst, in.A, in.B, in.C}, resolve)
+		out[pc] = LInstr{Op: in.Op, Dst: ops[0], A: ops[1], B: ops[2], C: ops[3], Aux: in.Aux, Mask: in.Mask}
+	}
+	return out
+}
+
+// tagged is the inverse of translate: the tagged instruction that li was
+// resolved from. Each operand maps back through LinkedLoc to the region its
+// index lies in: the globals, the immediates, or its thread's temps or
+// shadow.
+func (lp *LinkedProgram) tagged(li *LInstr) instr {
+	ops := mapOperands(li.Op, [4]uint32{li.Dst, li.A, li.B, li.C}, func(idx uint32) uint32 {
+		loc, _, _ := lp.LinkedLoc(idx)
+		return makeRef(uint32(loc.Space)<<refTagShift, loc.Idx)
+	})
+	return instr{Op: li.Op, Dst: ops[0], A: ops[1], B: ops[2], C: ops[3], Aux: li.Aux, Mask: li.Mask}
+}
+
+// mapOperands maps the operand fields (Dst, A, B, C) that opcode op uses
+// through f, and zeroes the fields it does not use.
+func mapOperands(op OpCode, ops [4]uint32, f func(uint32) uint32) [4]uint32 {
+	var out [4]uint32
+	for k := range ops {
+		if k == 0 && definesDst(op) || k > 0 && k <= TraitsOf(op).Reads {
+			out[k] = f(ops[k])
 		}
 	}
 	return out
@@ -253,41 +248,16 @@ func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 // buffered during evaluation and only published in the commit phase.
 // internal/verify's scan is built on it.
 func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, mdefs, muses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
+	refs := [3]uint32{in.A, in.B, in.C}
+	nuses = append(nuses, refs[:TraitsOf(in.Op).Reads]...)
+	if definesDst(in.Op) {
+		ndefs = append(ndefs, in.Dst)
+	}
 	switch in.Op {
-	case OpNop:
 	case OpMemRd:
-		nuses = append(nuses, in.A)
 		muses = append(muses, Loc{SpaceMem, in.Aux})
-		ndefs = append(ndefs, in.Dst)
 	case OpMemWr:
-		nuses = append(nuses, in.A, in.B, in.C)
 		mdefs = append(mdefs, Loc{SpaceMem, in.Aux})
-	default:
-		refs := [3]uint32{in.A, in.B, in.C}
-		for k := 0; k < TraitsOf(in.Op).Reads; k++ {
-			nuses = append(nuses, refs[k])
-		}
-		ndefs = append(ndefs, in.Dst)
 	}
 	return ndefs, nuses, mdefs, muses
-}
-
-// MemBytes estimates the resident footprint the linked form adds on top of
-// the Program; Program.MemBytes includes it once the program is linked, so
-// the service compile cache charges linked bytes to its LRU budget.
-func (lp *LinkedProgram) MemBytes() int64 {
-	const (
-		lInstrSize = int64(unsafe.Sizeof(LInstr{}))
-		threadSize = int64(unsafe.Sizeof(LinkedThread{}))
-	)
-	n := int64(unsafe.Sizeof(LinkedProgram{}))
-	for t := range lp.Threads {
-		n += threadSize + int64(len(lp.Threads[t].Code))*lInstrSize
-	}
-	for w := range lp.Exchange {
-		for _, words := range lp.Exchange[w] {
-			n += int64(unsafe.Sizeof(words)) + int64(len(words))*4
-		}
-	}
-	return n
 }

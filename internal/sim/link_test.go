@@ -13,6 +13,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/designs"
 	"repro/internal/firrtl"
+	"repro/internal/genckt"
 )
 
 // compileSrc compiles textual IR to a serial program at OptLevel 2.
@@ -106,8 +107,8 @@ func TestLinkedMatchesReference(t *testing.T) {
 	}
 }
 
-// Linking must not change the program's observable identity: the linked
-// form is derived state, excluded from Fingerprint.
+// Linked returns the program's one stored code form, the same object on
+// every call, and reading it leaves Fingerprint unchanged.
 func TestLinkedFingerprintUnchanged(t *testing.T) {
 	g := randomCircuit(t, 41, 60)
 	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
@@ -123,7 +124,7 @@ func TestLinkedFingerprintUnchanged(t *testing.T) {
 		t.Fatalf("Fingerprint changed by linking: %016x -> %016x", before, after)
 	}
 	if prog.Linked() != lp {
-		t.Fatal("Linked() not cached: second call returned a different object")
+		t.Fatal("second Linked() call returned a different object")
 	}
 }
 
@@ -190,9 +191,9 @@ func TestLinkedLayoutDisjoint(t *testing.T) {
 	}
 }
 
-// Linking is strictly 1:1 for every program — same length, same opcode at
-// every pc — so the linked instruction set is the base instruction set.
-// Checked on every bundled design at k in {1,2}.
+// A linked instruction is 32 bytes, and LinkStats counts every linked
+// instruction on both sides (linking is 1:1: TestTaggedRoundTrip). Checked
+// on every bundled design at k in {1,2}.
 func TestLinkOneToOne(t *testing.T) {
 	if sz := unsafe.Sizeof(LInstr{}); sz != 32 {
 		t.Fatalf("LInstr is %d bytes; want 32 (two per cache line)", sz)
@@ -201,20 +202,12 @@ func TestLinkOneToOne(t *testing.T) {
 		t.Helper()
 		lp := prog.Linked()
 		total := 0
-		for ti := range prog.Threads {
-			th, lt := &prog.Threads[ti], &lp.Threads[ti]
-			if len(lt.Code) != len(th.Code) {
-				t.Fatalf("thread %d: linked %d instrs, program %d", ti, len(lt.Code), len(th.Code))
-			}
-			for pc := range th.Code {
-				if lt.Code[pc].Op != th.Code[pc].Op {
-					t.Fatalf("thread %d pc %d: opcode changed %v -> %v", ti, pc, th.Code[pc].Op, lt.Code[pc].Op)
-				}
-			}
-			total += len(th.Code)
+		for ti := range lp.Threads {
+			total += len(lp.Threads[ti].Code)
 		}
-		if lp.Stats.Instrs != total || lp.Stats.Linked != total {
-			t.Fatalf("stats instrs=%d linked=%d, program has %d", lp.Stats.Instrs, lp.Stats.Linked, total)
+		if lp.Stats.Instrs != total || lp.Stats.Linked != total || prog.TotalInstrs() != total {
+			t.Fatalf("stats instrs=%d linked=%d total=%d, linked code has %d",
+				lp.Stats.Instrs, lp.Stats.Linked, prog.TotalInstrs(), total)
 		}
 	}
 	for _, cfg := range designs.Table1(1.0) {
@@ -232,6 +225,55 @@ func TestLinkOneToOne(t *testing.T) {
 		t.Run(cfg.Name()+"/k2", func(t *testing.T) {
 			check(t, partitioned(t, g, 2, 1))
 		})
+	}
+}
+
+// Linking is 1:1 and tagged inverts translate on every instruction the
+// compiler emits, so Fingerprint and the wire form, which rebuild the
+// tagged code from the linked, see exactly the compiler's buffers. Checked
+// on every bundled design at k in {1,2,4} and on 200 generated circuits at
+// O0 and O2.
+func TestTaggedRoundTrip(t *testing.T) {
+	check := func(t *testing.T, name string, g *cgraph.Graph, parts []PartSpec, level int) {
+		t.Helper()
+		p, code, err := compileTagged(g, parts, Config{OptLevel: level})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p.link(code)
+		for ti, lt := range p.linked.Threads {
+			if len(lt.Code) != len(code[ti]) {
+				t.Fatalf("%s thread %d: linked %d instrs, compiled %d", name, ti, len(lt.Code), len(code[ti]))
+			}
+			for pc := range lt.Code {
+				if got := p.linked.tagged(&lt.Code[pc]); got != code[ti][pc] {
+					t.Fatalf("%s thread %d pc %d: tagged(translate(%+v)) = %+v", name, ti, pc, code[ti][pc], got)
+				}
+			}
+		}
+	}
+	for _, cfg := range designs.Table1(1.0) {
+		g, err := designs.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, cfg.Name()+"/k1", g, SerialSpec(g), 2)
+		for _, k := range []int{2, 4} {
+			res, err := core.Partition(g, core.Options{K: k, Seed: 1, Model: costmodel.Default(), Epsilon: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, fmt.Sprintf("%s/k%d", cfg.Name(), k), g, partSpecs(res), 2)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		d, err := genckt.Generate(genckt.Config{Seed: seed}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []int{0, 2} {
+			check(t, fmt.Sprintf("genckt seed %d O%d", seed, level), d.Graph, SerialSpec(d.Graph), level)
+		}
 	}
 }
 

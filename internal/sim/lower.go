@@ -27,7 +27,7 @@ const all = ^uint64(0)
 func wordMask(w, k int) uint64 { return maskOf(w - 64*k) }
 
 // at is the ref of the k-th word after ref.
-func at(ref uint32, k int) uint32 { return MakeRef(RefTag(ref), RefIdx(ref)+uint32(k)) }
+func at(ref uint32, k int) uint32 { return makeRef(refTag(ref), refIdx(ref)+uint32(k)) }
 
 // val is one operand of a lowered vertex.
 type val struct {
@@ -125,19 +125,19 @@ func (tc *threadCompiler) lowerVertex(v cgraph.VID) error {
 	case cgraph.KindMemRead:
 		dst, addr := tc.defineTemp(v), tc.word(args[0], 0)
 		for k := range words(w) {
-			tc.emit(Instr{Op: OpMemRd, Dst: at(dst, k), A: addr, Aux: tc.c.memBase[vx.Mem] + uint32(k), Mask: wordMask(w, k)})
+			tc.emit(instr{Op: OpMemRd, Dst: at(dst, k), A: addr, Aux: tc.c.memBase[vx.Mem] + uint32(k), Mask: wordMask(w, k)})
 		}
 	case cgraph.KindMemWrite:
 		addr, en := tc.word(args[0], 0), tc.fold(OpOr, tc.raw(args[2])) // en is nonzero iff any word is
 		for k, d := range tc.ext(args[1], w) {
-			tc.emit(Instr{Op: OpMemWr, A: addr, B: d, C: en, Aux: tc.c.memBase[vx.Mem] + uint32(k), Mask: wordMask(w, k)})
+			tc.emit(instr{Op: OpMemWr, A: addr, B: d, C: en, Aux: tc.c.memBase[vx.Mem] + uint32(k), Mask: wordMask(w, k)})
 		}
 	case cgraph.KindRegWrite, cgraph.KindOutput:
 		slot, ok := tc.c.sinkSlots[v]
 		if !ok || slot.thread != tc.t {
 			return fmt.Errorf("sink %s has no shadow slot on thread %d", vx.Name, tc.t)
 		}
-		tc.store(MakeRef(RefShadow, slot.idx), w, tc.ext(args[0], w))
+		tc.store(makeRef(refShadow, slot.idx), w, tc.ext(args[0], w))
 	default:
 		return fmt.Errorf("unhandled vertex kind %v", vx.Kind)
 	}
@@ -189,8 +189,11 @@ func (tc *threadCompiler) lowerPrim(vx *cgraph.Vertex, a []val) []uint32 {
 	case firrtl.OpXor:
 		return perWord(OpXor, tc.ext(a[0], w), tc.ext(a[1], w))
 	case firrtl.OpNot:
-		x := tc.ext(a[0], w)
-		return perWord(OpNot, x, x)
+		out := tc.ext(a[0], w)
+		for k, x := range out {
+			out[k] = tc.op(OpNot, 0, x)
+		}
+		return out
 	case firrtl.OpAndR, firrtl.OpOrR, firrtl.OpXorR:
 		return []uint32{tc.reduce(vx.Op, a[0])}
 	case firrtl.OpCat:
@@ -239,12 +242,12 @@ func (tc *threadCompiler) lowerPrim(vx *cgraph.Vertex, a []val) []uint32 {
 // store copies words into the w-bit value at dst, masking each word.
 func (tc *threadCompiler) store(dst uint32, w int, ws []uint32) {
 	for k := range words(w) {
-		tc.emit(Instr{Op: OpCopy, Dst: at(dst, k), A: ws[k], Mask: wordMask(w, k)})
+		tc.emit(instr{Op: OpCopy, Dst: at(dst, k), A: ws[k], Mask: wordMask(w, k)})
 	}
 }
 
 // imm is the ref of the literal word v.
-func (tc *threadCompiler) imm(v uint64) uint32 { return MakeRef(RefImm, tc.internImm(v)) }
+func (tc *threadCompiler) imm(v uint64) uint32 { return makeRef(refImm, tc.internImm(v)) }
 
 // word is the ref of word k of x.
 func (tc *threadCompiler) word(x val, k int) uint32 {
@@ -266,7 +269,7 @@ func (tc *threadCompiler) op(op OpCode, aux uint32, args ...uint32) uint32 {
 
 // opMask is op with an explicit result mask.
 func (tc *threadCompiler) opMask(op OpCode, aux uint32, mask uint64, args ...uint32) uint32 {
-	in := Instr{Op: op, Dst: tc.scratch(), Aux: aux, Mask: mask}
+	in := instr{Op: op, Dst: tc.scratch(), Aux: aux, Mask: mask}
 	refs := [3]*uint32{&in.A, &in.B, &in.C}
 	for i, a := range args {
 		*refs[i] = a

@@ -56,8 +56,8 @@ func TestMemBytesAccountsProgramFootprint(t *testing.T) {
 	}
 	// The code stream alone is a hard floor on the footprint.
 	var codeBytes int64
-	for i := range p.Threads {
-		codeBytes += int64(len(p.Threads[i].Code)) * int64(InstrBytes)
+	for _, lt := range p.Linked().Threads {
+		codeBytes += int64(len(lt.Code)) * int64(InstrBytes)
 	}
 	if got < codeBytes {
 		t.Errorf("MemBytes %d < code bytes %d", got, codeBytes)

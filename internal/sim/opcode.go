@@ -49,42 +49,46 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("?op(%d)", uint8(o))
 }
 
-// Operand reference encoding: 2 tag bits in the top of a uint32.
+// Operand reference encoding of the compiler's instruction buffer: 2 tag
+// bits in the top of a uint32.
 const (
 	refTagShift = 30
 	refTagMask  = uint32(3) << refTagShift
 	refIdxMask  = ^refTagMask
 
-	// RefLocal indexes the thread's temp array.
-	RefLocal = uint32(0) << refTagShift
-	// RefGlobal indexes the shared global word array.
-	RefGlobal = uint32(1) << refTagShift
-	// RefImm indexes the program's immediate table.
-	RefImm = uint32(2) << refTagShift
-	// RefShadow indexes the thread's shadow (sink) array. Valid only as a
+	// A tag is its RefSpace shifted, so tagged maps a LinkedLoc back.
+	// refLocal indexes the thread's temp array.
+	refLocal = uint32(SpaceLocal) << refTagShift
+	// refGlobal indexes the shared global word array.
+	refGlobal = uint32(SpaceGlobal) << refTagShift
+	// refImm indexes the program's immediate table.
+	refImm = uint32(SpaceImm) << refTagShift
+	// refShadow indexes the thread's shadow (sink) array. Valid only as a
 	// destination or copy source.
-	RefShadow = uint32(3) << refTagShift
+	refShadow = uint32(SpaceShadow) << refTagShift
 )
 
-// MakeRef builds an operand reference.
-func MakeRef(tag, idx uint32) uint32 {
+// makeRef builds an operand reference.
+func makeRef(tag, idx uint32) uint32 {
 	if idx&refTagMask != 0 {
 		panic(fmt.Sprintf("sim: ref index %d overflows", idx))
 	}
 	return tag | idx
 }
 
-// RefTag extracts the tag bits of a reference.
-func RefTag(r uint32) uint32 { return r & refTagMask }
+// refTag extracts the tag bits of a reference.
+func refTag(r uint32) uint32 { return r & refTagMask }
 
-// RefIdx extracts the index bits of a reference.
-func RefIdx(r uint32) uint32 { return r & refIdxMask }
+// refIdx extracts the index bits of a reference.
+func refIdx(r uint32) uint32 { return r & refIdxMask }
 
-// Instr is one interpreter instruction. Estimated encoded size is used as
-// the per-instruction code footprint by the host model.
-type Instr struct {
+// instr is one instruction of the compiler's buffer: emission, optimize and
+// the immediate-pool merge write it with tagged operands, link resolves it
+// into the LInstr stream a Program stores, and it is dropped. Only the
+// program wire form (wire.go) and Fingerprint rebuild it, through tagged.
+type instr struct {
 	Op   OpCode
-	Dst  uint32 // RefLocal or RefShadow destination
+	Dst  uint32 // refLocal or refShadow destination
 	A    uint32
 	B    uint32
 	C    uint32

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // optimize improves one thread's instruction stream in place.
 //
 // Level 1: constant folding and copy propagation with dead-code removal.
@@ -10,39 +12,39 @@ package sim
 // paper's Figure 10 experiment.
 //
 // The optimizer never touches memory or shadow-writing semantics.
-// Folding may extend the immediate pool imms; optimize returns the pool.
-func optimize(imms []uint64, th *ThreadCode, level int) []uint64 {
+// Folding may extend the immediate pool imms; optimize returns the
+// compacted code and the pool. numTemps sizes the thread's temp array.
+func optimize(imms []uint64, code []instr, numTemps, level int) ([]instr, []uint64) {
 	for pass := 0; pass < 4; pass++ {
 		changed := false
-		changed = foldConstants(&imms, th) || changed
-		changed = propagateCopies(th) || changed
+		changed = foldConstants(&imms, code) || changed
+		changed = propagateCopies(code, numTemps) || changed
 		if level >= 2 {
-			changed = fuseTruncations(th) || changed
+			changed = fuseTruncations(code, numTemps) || changed
 		}
-		changed = eliminateDead(th) || changed
+		changed = eliminateDead(code, numTemps) || changed
 		if !changed {
 			break
 		}
 	}
-	compact(th)
-	return imms
+	return slices.DeleteFunc(code, func(in instr) bool { return in.Op == OpNop }), imms
 }
 
-// definesDst reports whether in.Dst is a real definition. OpNop and
-// OpMemWr leave Dst meaningless, so reading their Dst/Mask fields as a
-// local def would poison alias and mask tracking: the zero Dst aliases
+// definesDst reports whether an instruction of opcode op defines its Dst.
+// OpNop and OpMemWr leave Dst meaningless, so reading their Dst/Mask fields
+// as a local def would poison alias and mask tracking: the zero Dst aliases
 // local temp 0 and claims its produced mask is in.Mask.
-func definesDst(in *Instr) bool { return in.Op != OpNop && in.Op != OpMemWr }
+func definesDst(op OpCode) bool { return op != OpNop && op != OpMemWr }
 
 // hasSideEffect reports whether the instruction must be kept regardless of
 // whether its destination is read.
-func hasSideEffect(in *Instr) bool {
-	return in.Op == OpMemWr || RefTag(in.Dst) == RefShadow
+func hasSideEffect(in *instr) bool {
+	return in.Op == OpMemWr || refTag(in.Dst) == refShadow
 }
 
 // foldConstants replaces instructions whose operands are all immediates
 // with immediate references at their use sites.
-func foldConstants(imms *[]uint64, th *ThreadCode) bool {
+func foldConstants(imms *[]uint64, code []instr) bool {
 	// immOf maps a local temp to the immediate ref that replaces it.
 	immOf := map[uint32]uint32{}
 	intern := func(v uint64) uint32 {
@@ -55,15 +57,15 @@ func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 		return uint32(len(*imms) - 1)
 	}
 	changed := false
-	for i := range th.Code {
-		in := &th.Code[i]
+	for i := range code {
+		in := &code[i]
 		n := TraitsOf(in.Op).Reads
 		// Rewrite operands already known constant.
 		refs := [3]*uint32{&in.A, &in.B, &in.C}
 		for k := 0; k < n; k++ {
-			if RefTag(*refs[k]) == RefLocal {
-				if imm, ok := immOf[RefIdx(*refs[k])]; ok {
-					*refs[k] = MakeRef(RefImm, imm)
+			if refTag(*refs[k]) == refLocal {
+				if imm, ok := immOf[refIdx(*refs[k])]; ok {
+					*refs[k] = makeRef(refImm, imm)
 					changed = true
 				}
 			}
@@ -71,12 +73,12 @@ func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 		if in.Op == OpNop || in.Op == OpMemRd || in.Op == OpMemWr {
 			continue
 		}
-		if RefTag(in.Dst) != RefLocal {
+		if refTag(in.Dst) != refLocal {
 			continue
 		}
 		allImm := true
 		for k := 0; k < n; k++ {
-			if RefTag(*refs[k]) != RefImm {
+			if refTag(*refs[k]) != refImm {
 				allImm = false
 				break
 			}
@@ -88,10 +90,10 @@ func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 		// diverge from execution.
 		var v [3]uint64
 		for k := 0; k < n; k++ {
-			v[k] = (*imms)[RefIdx(*refs[k])]
+			v[k] = (*imms)[refIdx(*refs[k])]
 		}
 		r, _ := EvalOp(in.Op, in.Aux, in.Mask, v[0], v[1], v[2])
-		immOf[RefIdx(in.Dst)] = intern(r)
+		immOf[refIdx(in.Dst)] = intern(r)
 		in.Op = OpNop
 		changed = true
 	}
@@ -100,15 +102,15 @@ func foldConstants(imms *[]uint64, th *ThreadCode) bool {
 
 // propagateCopies replaces uses of pure-alias copies (mask keeps every bit
 // the producer can set) with the original value.
-func propagateCopies(th *ThreadCode) bool {
+func propagateCopies(code []instr, numTemps int) bool {
 	// maskOfLocal[t] = result mask of the instruction defining temp t,
 	// valid where defined[t].
-	maskOfLocal := make([]uint64, th.NumTemps)
-	defined := make([]bool, th.NumTemps)
+	maskOfLocal := make([]uint64, numTemps)
+	defined := make([]bool, numTemps)
 	alias := map[uint32]uint32{} // temp -> ref it aliases
 	resolve := func(ref uint32) uint32 {
-		for RefTag(ref) == RefLocal {
-			a, ok := alias[RefIdx(ref)]
+		for refTag(ref) == refLocal {
+			a, ok := alias[refIdx(ref)]
 			if !ok {
 				return ref
 			}
@@ -117,8 +119,8 @@ func propagateCopies(th *ThreadCode) bool {
 		return ref
 	}
 	changed := false
-	for i := range th.Code {
-		in := &th.Code[i]
+	for i := range code {
+		in := &code[i]
 		n := TraitsOf(in.Op).Reads
 		refs := [3]*uint32{&in.A, &in.B, &in.C}
 		for k := 0; k < n; k++ {
@@ -127,10 +129,10 @@ func propagateCopies(th *ThreadCode) bool {
 				changed = true
 			}
 		}
-		if !definesDst(in) || RefTag(in.Dst) != RefLocal {
+		if !definesDst(in.Op) || refTag(in.Dst) != refLocal {
 			continue
 		}
-		dst := RefIdx(in.Dst)
+		dst := refIdx(in.Dst)
 		if in.Op == OpCopy {
 			srcMask, known := producedMask(in.A, maskOfLocal, defined)
 			if known && srcMask&in.Mask == srcMask {
@@ -146,10 +148,10 @@ func propagateCopies(th *ThreadCode) bool {
 
 // producedMask returns the set of bits ref can carry, when known.
 func producedMask(ref uint32, maskOfLocal []uint64, defined []bool) (uint64, bool) {
-	switch RefTag(ref) {
-	case RefLocal:
-		return maskOfLocal[RefIdx(ref)], defined[RefIdx(ref)]
-	case RefImm:
+	switch refTag(ref) {
+	case refLocal:
+		return maskOfLocal[refIdx(ref)], defined[refIdx(ref)]
+	case refImm:
 		return ^uint64(0), true // exact value unknown here; be conservative
 	default:
 		return 0, false
@@ -158,33 +160,33 @@ func producedMask(ref uint32, maskOfLocal []uint64, defined []bool) (uint64, boo
 
 // fuseTruncations merges a masked copy into its producer when the copy is
 // the producer's only consumer.
-func fuseTruncations(th *ThreadCode) bool {
+func fuseTruncations(code []instr, numTemps int) bool {
 	// Count uses and find the defining instruction of each temp (-1: none).
-	uses := make([]int32, th.NumTemps)
-	def := make([]int32, th.NumTemps)
+	uses := make([]int32, numTemps)
+	def := make([]int32, numTemps)
 	for t := range def {
 		def[t] = -1
 	}
-	for i := range th.Code {
-		in := &th.Code[i]
+	for i := range code {
+		in := &code[i]
 		n := TraitsOf(in.Op).Reads
 		refs := [3]uint32{in.A, in.B, in.C}
 		for k := 0; k < n; k++ {
-			if RefTag(refs[k]) == RefLocal {
-				uses[RefIdx(refs[k])]++
+			if refTag(refs[k]) == refLocal {
+				uses[refIdx(refs[k])]++
 			}
 		}
-		if definesDst(in) && RefTag(in.Dst) == RefLocal {
-			def[RefIdx(in.Dst)] = int32(i)
+		if definesDst(in.Op) && refTag(in.Dst) == refLocal {
+			def[refIdx(in.Dst)] = int32(i)
 		}
 	}
 	changed := false
-	for i := range th.Code {
-		in := &th.Code[i]
-		if in.Op != OpCopy || RefTag(in.A) != RefLocal {
+	for i := range code {
+		in := &code[i]
+		if in.Op != OpCopy || refTag(in.A) != refLocal {
 			continue
 		}
-		t := RefIdx(in.A)
+		t := refIdx(in.A)
 		if uses[t] != 1 {
 			continue
 		}
@@ -192,7 +194,7 @@ func fuseTruncations(th *ThreadCode) bool {
 		if di < 0 {
 			continue
 		}
-		prod := &th.Code[di]
+		prod := &code[di]
 		if !TraitsOf(prod.Op).MaskFusable {
 			continue
 		}
@@ -207,39 +209,28 @@ func fuseTruncations(th *ThreadCode) bool {
 }
 
 // eliminateDead removes instructions whose local destination is never read.
-func eliminateDead(th *ThreadCode) bool {
-	live := make([]bool, th.NumTemps)
-	for i := range th.Code {
-		in := &th.Code[i]
+func eliminateDead(code []instr, numTemps int) bool {
+	live := make([]bool, numTemps)
+	for i := range code {
+		in := &code[i]
 		n := TraitsOf(in.Op).Reads
 		refs := [3]uint32{in.A, in.B, in.C}
 		for k := 0; k < n; k++ {
-			if RefTag(refs[k]) == RefLocal {
-				live[RefIdx(refs[k])] = true
+			if refTag(refs[k]) == refLocal {
+				live[refIdx(refs[k])] = true
 			}
 		}
 	}
 	changed := false
-	for i := range th.Code {
-		in := &th.Code[i]
+	for i := range code {
+		in := &code[i]
 		if in.Op == OpNop || hasSideEffect(in) {
 			continue
 		}
-		if RefTag(in.Dst) == RefLocal && !live[RefIdx(in.Dst)] {
+		if refTag(in.Dst) == refLocal && !live[refIdx(in.Dst)] {
 			in.Op = OpNop
 			changed = true
 		}
 	}
 	return changed
-}
-
-// compact drops OpNop placeholders.
-func compact(th *ThreadCode) {
-	out := th.Code[:0]
-	for _, in := range th.Code {
-		if in.Op != OpNop {
-			out = append(out, in)
-		}
-	}
-	th.Code = out
 }

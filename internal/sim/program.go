@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/bitvec"
@@ -46,9 +45,9 @@ func words(w int) int { return bitvec.WordsFor(w) }
 // by two threads (§5.2).
 const SegmentWords = 8
 
-// ThreadCode is the compiled program of one thread.
+// ThreadCode is the layout and statistics of one thread's compiled
+// program; its code is LinkedProgram.Threads[t].Code.
 type ThreadCode struct {
-	Code []Instr
 	// NumTemps sizes the thread's private temp array.
 	NumTemps int
 	// ShadowWords is the shadow length; GlobalOff is where the thread's
@@ -63,6 +62,8 @@ type ThreadCode struct {
 }
 
 // Program is a compiled simulator: thread code plus the global layout.
+// Compile and DecodeProgram build it, and it is not mutated after: the
+// code is stored once, linked, and Fingerprint is computed with it.
 type Program struct {
 	Design     string
 	NumThreads int
@@ -81,12 +82,11 @@ type Program struct {
 	outputByName map[string]int
 	regByName    map[string]int
 
-	// linked caches the program's resolved execution form (link.go),
-	// built on first engine construction and shared by every engine and
-	// service session over this program. Not part of Fingerprint: it is
-	// derived entirely from the fields above.
-	linkMu sync.Mutex
+	// linked is the program's code in its resolved execution form
+	// (link.go), shared by every engine and service session over this
+	// program; fp is Fingerprint, computed when it is linked.
 	linked *LinkedProgram
+	fp     uint64
 }
 
 // Input returns the slot of a named input port.
@@ -142,8 +142,8 @@ func (p *Program) Memories() []int {
 // TotalInstrs counts instructions across all threads.
 func (p *Program) TotalInstrs() int {
 	n := 0
-	for i := range p.Threads {
-		n += len(p.Threads[i].Code)
+	for i := range p.linked.Threads {
+		n += len(p.linked.Threads[i].Code)
 	}
 	return n
 }
@@ -155,22 +155,26 @@ func (p *Program) String() string {
 }
 
 // MemBytes estimates the resident heap footprint of the compiled program:
-// instruction streams, the constant pool, and the slot tables. The compile
-// cache (internal/service) uses it as the LRU charge for an entry, so it
-// intentionally counts only what the *program* pins — per-engine state
-// (globalState, threadCtx) is charged to sessions, not to the cache.
+// the linked code and exchange table, the constant pool, and the slot
+// tables. The compile cache (internal/service) uses it as the LRU charge
+// for an entry, so it intentionally counts only what the *program* pins —
+// per-engine state (globalState, threadCtx) is charged to sessions, not to
+// the cache.
 func (p *Program) MemBytes() int64 {
 	const (
-		instrSize  = int64(unsafe.Sizeof(Instr{}))
-		portSize   = int64(unsafe.Sizeof(PortSlot{}))
-		regSize    = int64(unsafe.Sizeof(RegSlot{}))
-		threadSize = int64(unsafe.Sizeof(ThreadCode{}))
+		portSize = int64(unsafe.Sizeof(PortSlot{}))
+		regSize  = int64(unsafe.Sizeof(RegSlot{}))
 	)
-	n := int64(unsafe.Sizeof(Program{}))
-	for t := range p.Threads {
-		th := &p.Threads[t]
-		n += threadSize
-		n += int64(len(th.Code)) * instrSize
+	lp := p.linked
+	n := int64(unsafe.Sizeof(Program{})) + int64(len(p.Threads))*int64(unsafe.Sizeof(ThreadCode{}))
+	n += int64(unsafe.Sizeof(LinkedProgram{})) + int64(len(lp.Threads))*int64(unsafe.Sizeof(LinkedThread{}))
+	for t := range lp.Threads {
+		n += int64(len(lp.Threads[t].Code)) * int64(unsafe.Sizeof(LInstr{}))
+	}
+	for w := range lp.Exchange {
+		for _, words := range lp.Exchange[w] {
+			n += int64(unsafe.Sizeof(words)) + int64(len(words))*4
+		}
 	}
 	n += int64(len(p.Imms)) * 8
 	for i := range p.Mems {
@@ -185,20 +189,10 @@ func (p *Program) MemBytes() int64 {
 		r := &p.Regs[i]
 		n += regSize + int64(len(r.Name)) + int64(len(r.Init.Words))*8
 	}
-	for name := range p.inputByName {
-		n += int64(len(name)) + 16
-	}
-	for name := range p.outputByName {
-		n += int64(len(name)) + 16
-	}
-	for name := range p.regByName {
-		n += int64(len(name)) + 16
-	}
-	p.linkMu.Lock()
-	lp := p.linked
-	p.linkMu.Unlock()
-	if lp != nil {
-		n += lp.MemBytes()
+	for _, byName := range [3]map[string]int{p.inputByName, p.outputByName, p.regByName} {
+		for name := range byName {
+			n += int64(len(name)) + 16
+		}
 	}
 	return n
 }
@@ -292,14 +286,20 @@ func (p *Program) memBytes() int64 {
 // Fingerprint hashes every observable part of the compiled program (code,
 // layout, constant pools, statistics) into one value. Two programs with the
 // same fingerprint execute identically; determinism tests compare
-// fingerprints across worker counts and repeated compiles.
-func (p *Program) Fingerprint() uint64 {
+// fingerprints across worker counts and repeated compiles. It is computed
+// once, when the program is linked.
+func (p *Program) Fingerprint() uint64 { return p.fp }
+
+// fingerprint computes Fingerprint. The code is hashed in its tagged form
+// (link.go's tagged), so the value does not depend on where link places
+// the frames: persisted snapshots and native artifacts are keyed by it.
+func (p *Program) fingerprint() uint64 {
 	h := fnv{1469598103934665603}
 	h.str(p.Design)
 	h.u64(uint64(p.NumThreads))
-	// Constant where the removed shared-slot flag was hashed: persisted
-	// snapshots and native artifacts are keyed by this fingerprint.
-	h.bool(false)
+	// Constant (false) where the removed shared-slot flag was hashed:
+	// persisted snapshots and native artifacts are keyed by this fingerprint.
+	h.u64(0)
 	h.u64(uint64(p.GlobalWords))
 	h.u64(uint64(len(p.Imms)))
 	for _, v := range p.Imms {
@@ -331,8 +331,10 @@ func (p *Program) Fingerprint() uint64 {
 	h.u64(uint64(len(p.Threads)))
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		h.u64(uint64(len(th.Code)))
-		for _, in := range th.Code {
+		code := p.linked.Threads[t].Code
+		h.u64(uint64(len(code)))
+		for i := range code {
+			in := p.linked.tagged(&code[i])
 			h.u64(uint64(in.Op))
 			h.u64(uint64(in.Dst))
 			h.u64(uint64(in.A))
@@ -361,11 +363,12 @@ func (p *Program) Fingerprint() uint64 {
 type fnv struct{ h uint64 }
 
 func (f *fnv) u64(v uint64) {
+	h := f.h // a local, so the byte chain stays in a register
 	for i := 0; i < 8; i++ {
-		f.h ^= v & 0xff
-		f.h *= 1099511628211
+		h = (h ^ v&0xff) * 1099511628211
 		v >>= 8
 	}
+	f.h = h
 }
 
 func (f *fnv) str(s string) {
@@ -373,13 +376,5 @@ func (f *fnv) str(s string) {
 	for i := 0; i < len(s); i++ {
 		f.h ^= uint64(s[i])
 		f.h *= 1099511628211
-	}
-}
-
-func (f *fnv) bool(b bool) {
-	if b {
-		f.u64(1)
-	} else {
-		f.u64(0)
 	}
 }

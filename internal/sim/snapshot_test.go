@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -441,13 +443,146 @@ func TestDecodeProgramRejectsThreadless(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.Threads = nil
-	blob, err := EncodeProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := wireBlob(t, programWire{Version: programWireVersion, Program: prog, Fingerprint: prog.Fingerprint()})
 	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "0 thread codes for 1 threads") {
 		t.Fatalf("decode of a program without thread code: %v", err)
 	}
+}
+
+// corruptBlob is a peer's blob of a small serial program whose first
+// operand-reading instruction reads the tagged reference ref returns (ref
+// may grow the layout first), under the fingerprint a decoder that links
+// and hashes it without checking it computes: what a peer that links its
+// own way, or means harm, can send.
+func corruptBlob(t testing.TB, ref func(p *Program) uint32) []byte {
+	t.Helper()
+	g := randomCircuit(t, 60, 20)
+	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := prog.linked.taggedCode()
+	pc := slices.IndexFunc(code[0], func(in instr) bool { return TraitsOf(in.Op).Reads > 0 })
+	code[0][pc].A = ref(prog)
+	prog.link(code)
+	return wireBlob(t, programWire{Version: programWireVersion, Program: prog, Code: code, Fingerprint: prog.fingerprint()})
+}
+
+// outOfRangeBlob reads temp 1<<20, far past the thread's state array.
+func outOfRangeBlob(t testing.TB) []byte {
+	return corruptBlob(t, func(*Program) uint32 { return makeRef(refLocal, 1<<20) })
+}
+
+// paddingBlob reads global GlobalWords: below the thread's End, but in the
+// padding between the globals and the immediates, which no region owns.
+// GlobalWords grows by one when it is a multiple of SegmentWords so that
+// the padding exists.
+func paddingBlob(t testing.TB) []byte {
+	return corruptBlob(t, func(p *Program) uint32 {
+		if p.GlobalWords%SegmentWords == 0 {
+			p.GlobalWords++
+		}
+		return makeRef(refGlobal, uint32(p.GlobalWords))
+	})
+}
+
+// wireBlob gob-encodes and gzips an envelope the way EncodeProgram does,
+// for envelopes EncodeProgram would never write.
+func wireBlob(t testing.TB, w programWire) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A peer's program must not index outside the globals, the immediates and
+// the reading thread's own frame: past its state array an engine would
+// panic on its first Run, at k >= 2 on a goroutine no recover covers, and
+// in the padding the decoder's own fingerprint would panic.
+func TestDecodeProgramRejectsOutOfRangeOperand(t *testing.T) {
+	for name, blob := range map[string][]byte{"past End": outOfRangeBlob(t), "padding": paddingBlob(t)} {
+		if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "outside the globals, the immediates and the thread's frame") {
+			t.Errorf("%s: decode of a program reading outside its state: %v", name, err)
+		}
+	}
+}
+
+// A blob of the unversioned format, which carried the code inside Program,
+// is refused by its version.
+func TestDecodeProgramRejectsUnversioned(t *testing.T) {
+	g := randomCircuit(t, 61, 20)
+	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := wireBlob(t, programWire{Program: prog, Fingerprint: prog.Fingerprint()})
+	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "unsupported program wire version 0") {
+		t.Fatalf("decode of an unversioned blob: %v", err)
+	}
+}
+
+// inflate gunzips one program blob.
+func inflate(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzDecodeProgram: decoding never panics, an engine over a program it
+// accepts runs without panicking, and re-encoding an accepted program
+// decodes to the same fingerprint. It fuzzes the inflated gob envelope
+// (decodeWire), the stage after gzip: mutated gzip bytes almost all fail
+// the CRC before gob, the layout check or the code check sees them. The
+// seeds are real envelopes of a serial and a 3-thread program, and the
+// out-of-range and padding envelopes the decoder refuses.
+//
+//	go test -run=NONE -fuzz=FuzzDecodeProgram ./internal/sim
+func FuzzDecodeProgram(f *testing.F) {
+	g := randomCircuit(f, 62, 20)
+	for _, k := range []int{1, 3} {
+		prog, err := Compile(g, handParts(g, k, func(sink string) int { return len(sink) % k }), Config{OptLevel: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		blob, err := EncodeProgram(prog)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(inflate(f, blob))
+	}
+	f.Add(inflate(f, outOfRangeBlob(f)))
+	f.Add(inflate(f, paddingBlob(f)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := decodeWire(raw)
+		if err != nil {
+			return
+		}
+		NewEngine(p).Run(2)
+		again, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := DecodeProgram(again)
+		if err != nil {
+			t.Fatalf("re-encoded program refused: %v", err)
+		}
+		if q.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("re-encoded fingerprint %016x, accepted %016x", q.Fingerprint(), p.Fingerprint())
+		}
+	})
 }
 
 // TestSnapshotVersion1Refused: a blob the version-1 format wrote (boxed

@@ -15,7 +15,7 @@ func maskOf(w int) uint64 {
 	return (1 << uint(w)) - 1
 }
 
-func (tc *threadCompiler) emit(i Instr) { tc.th.Code = append(tc.th.Code, i) }
+func (tc *threadCompiler) emit(i instr) { tc.code = append(tc.code, i) }
 
 // operandType returns the IR type of an operand.
 func (tc *threadCompiler) operandType(a cgraph.Operand) firrtl.Type {
@@ -29,7 +29,7 @@ func (tc *threadCompiler) operandType(a cgraph.Operand) firrtl.Type {
 // word, for a value wider than 64 bits.
 func (tc *threadCompiler) narrowRef(a cgraph.Operand) (uint32, error) {
 	if a.V == cgraph.None {
-		return MakeRef(RefImm, tc.internImm(a.Lit.Val.Uint64())), nil
+		return makeRef(refImm, tc.internImm(a.Lit.Val.Uint64())), nil
 	}
 	vx := &tc.c.g.Vs[a.V]
 	if vx.Kind.IsSource() {
@@ -43,7 +43,7 @@ func (tc *threadCompiler) narrowRef(a cgraph.Operand) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("operand %s not yet computed in this partition (self-containment violated)", vx.Name)
 	}
-	return MakeRef(RefLocal, idx), nil
+	return makeRef(refLocal, idx), nil
 }
 
 // sexted returns a reference to the 64-bit sign-extended form of ref when t
@@ -53,7 +53,7 @@ func (tc *threadCompiler) sexted(ref uint32, t firrtl.Type) uint32 {
 		return ref
 	}
 	dst := tc.scratch()
-	tc.emit(Instr{Op: OpSext, Dst: dst, A: ref, Aux: uint32(t.Width), Mask: ^uint64(0)})
+	tc.emit(instr{Op: OpSext, Dst: dst, A: ref, Aux: uint32(t.Width), Mask: ^uint64(0)})
 	return dst
 }
 
@@ -69,8 +69,8 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 	switch vx.Kind {
 	case cgraph.KindConst:
 		dst := tc.defineTemp(v)
-		ref := MakeRef(RefImm, tc.internImm(vx.Args[0].Lit.Val.Uint64()))
-		tc.emit(Instr{Op: OpCopy, Dst: dst, A: ref, Mask: maskOf(vx.Type.Width)})
+		ref := makeRef(refImm, tc.internImm(vx.Args[0].Lit.Val.Uint64()))
+		tc.emit(instr{Op: OpCopy, Dst: dst, A: ref, Mask: maskOf(vx.Type.Width)})
 		return nil
 	case cgraph.KindLogic:
 		return tc.compileLogic(v)
@@ -80,7 +80,7 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 			return err
 		}
 		dst := tc.defineTemp(v)
-		tc.emit(Instr{Op: OpMemRd, Dst: dst, A: addr, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
+		tc.emit(instr{Op: OpMemRd, Dst: dst, A: addr, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
 		return nil
 	case cgraph.KindMemWrite:
 		addr, err := tc.narrowRef(vx.Args[0])
@@ -100,7 +100,7 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 		if dt.Kind == firrtl.KSInt && dt.Width < vx.Type.Width {
 			data = tc.sexted(data, dt)
 		}
-		tc.emit(Instr{Op: OpMemWr, A: addr, B: data, C: en, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
+		tc.emit(instr{Op: OpMemWr, A: addr, B: data, C: en, Aux: tc.c.memBase[vx.Mem], Mask: maskOf(vx.Type.Width)})
 		return nil
 	case cgraph.KindRegWrite, cgraph.KindOutput:
 		drv, err := tc.narrowRef(vx.Args[0])
@@ -115,7 +115,7 @@ func (tc *threadCompiler) compileVertex(v cgraph.VID) error {
 		if !ok || slot.thread != tc.t {
 			return fmt.Errorf("sink %s has no shadow slot on thread %d", vx.Name, tc.t)
 		}
-		tc.emit(Instr{Op: OpCopy, Dst: MakeRef(RefShadow, slot.idx), A: drv, Mask: maskOf(vx.Type.Width)})
+		tc.emit(instr{Op: OpCopy, Dst: makeRef(refShadow, slot.idx), A: drv, Mask: maskOf(vx.Type.Width)})
 		return nil
 	}
 	return fmt.Errorf("unhandled vertex kind %v", vx.Kind)
@@ -128,7 +128,7 @@ func (tc *threadCompiler) defineTemp(v cgraph.VID) uint32 {
 	idx := tc.nextTemp
 	tc.nextTemp += uint32(words(tc.c.g.Vs[v].Type.Width))
 	tc.tempOf[v] = idx
-	return MakeRef(RefLocal, idx)
+	return makeRef(refLocal, idx)
 }
 
 // compileLogic emits code for a primitive-operation vertex.
@@ -152,14 +152,14 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 			a = tc.sexted(a, ats[0])
 			b = tc.sexted(b, ats[1])
 		}
-		tc.emit(Instr{Op: op, Dst: tc.defineTemp(v), A: a, B: b, Mask: mask})
+		tc.emit(instr{Op: op, Dst: tc.defineTemp(v), A: a, B: b, Mask: mask})
 	}
 	emitUn := func(op OpCode, aux uint32, sext bool) {
 		a := refs[0]
 		if sext {
 			a = tc.sexted(a, ats[0])
 		}
-		tc.emit(Instr{Op: op, Dst: tc.defineTemp(v), A: a, Aux: aux, Mask: mask})
+		tc.emit(instr{Op: op, Dst: tc.defineTemp(v), A: a, Aux: aux, Mask: mask})
 	}
 
 	switch vx.Op {
@@ -233,13 +233,13 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 	case firrtl.OpCvt, firrtl.OpAsUInt, firrtl.OpAsSInt:
 		emitUn(OpCopy, 0, false)
 	case firrtl.OpAndR:
-		tc.emit(Instr{Op: OpAndr, Dst: tc.defineTemp(v), A: refs[0], Mask: maskOf(ats[0].Width)})
+		tc.emit(instr{Op: OpAndr, Dst: tc.defineTemp(v), A: refs[0], Mask: maskOf(ats[0].Width)})
 	case firrtl.OpOrR:
 		emitUn(OpOrr, 0, false)
 	case firrtl.OpXorR:
 		emitUn(OpXorr, 0, false)
 	case firrtl.OpCat:
-		tc.emit(Instr{Op: OpCat, Dst: tc.defineTemp(v), A: refs[0], B: refs[1],
+		tc.emit(instr{Op: OpCat, Dst: tc.defineTemp(v), A: refs[0], B: refs[1],
 			Aux: uint32(ats[1].Width), Mask: mask})
 	case firrtl.OpBits:
 		emitUn(OpShr, uint32(vx.Consts[1]), false)
@@ -250,7 +250,7 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 	case firrtl.OpPad:
 		if signed && vx.Consts[0] > ats[0].Width {
 			a := tc.sexted(refs[0], ats[0])
-			tc.emit(Instr{Op: OpCopy, Dst: tc.defineTemp(v), A: a, Mask: mask})
+			tc.emit(instr{Op: OpCopy, Dst: tc.defineTemp(v), A: a, Mask: mask})
 		} else {
 			emitUn(OpCopy, 0, false)
 		}
@@ -267,7 +267,7 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 	case firrtl.OpDshr:
 		if signed {
 			a := tc.sexted(refs[0], ats[0])
-			tc.emit(Instr{Op: OpDsar, Dst: tc.defineTemp(v), A: a, B: refs[1],
+			tc.emit(instr{Op: OpDsar, Dst: tc.defineTemp(v), A: a, B: refs[1],
 				Aux: uint32(ats[0].Width), Mask: mask})
 		} else {
 			emitBin(OpDshr, false)
@@ -282,7 +282,7 @@ func (tc *threadCompiler) compileLogic(v cgraph.VID) error {
 				c = tc.sexted(c, ats[2])
 			}
 		}
-		tc.emit(Instr{Op: OpMux, Dst: tc.defineTemp(v), A: refs[0], B: b, C: c, Mask: mask})
+		tc.emit(instr{Op: OpMux, Dst: tc.defineTemp(v), A: refs[0], B: b, C: c, Mask: mask})
 	default:
 		return fmt.Errorf("unhandled primitive %s", vx.Op)
 	}

@@ -6,30 +6,37 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Program wire format: a compiled program serialized for peer-to-peer
-// artifact fetch in a repcutd cluster, so a design partitioned and compiled
-// on one node installs on another without recompiling. Every field that
-// execution observes is exported and travels through gob; the unexported
-// caches (name maps, the linked form) are derived and rebuilt on the
-// receiving side. The program fingerprint rides alongside and is recomputed
-// after decode — a blob that decodes to anything other than the exact
-// program that was sent is rejected, whatever mangled it.
+// artifact fetch in a repcutd cluster, so a program compiled on one node
+// installs on another. The layout travels through gob beside each thread's
+// tagged code; the receiver links it itself and recomputes the fingerprint.
+// A blob that decodes to anything but the exact program sent, or to one an
+// engine could not run, is rejected.
 
-// programWire is the gob envelope: the program plus its fingerprint at
+// programWire is the gob envelope: the format version, the program's
+// layout, its tagged code (one stream per thread) and its fingerprint at
 // encode time.
 type programWire struct {
+	Version     int
 	Program     *Program
+	Code        [][]instr
 	Fingerprint uint64
 }
+
+// programWireVersion is the only envelope format DecodeProgram reads. The
+// unversioned one before it (code inside Program) decodes as version 0.
+const programWireVersion = 1
 
 // EncodeProgram serializes a compiled program (gob, gzipped) for transfer
 // to a peer.
 func EncodeProgram(p *Program) ([]byte, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(programWire{Program: p, Fingerprint: p.Fingerprint()}); err != nil {
+	w := programWire{Version: programWireVersion, Program: p, Code: p.linked.taggedCode(), Fingerprint: p.Fingerprint()}
+	if err := gob.NewEncoder(zw).Encode(w); err != nil {
 		return nil, fmt.Errorf("sim: encode program: %w", err)
 	}
 	if err := zw.Close(); err != nil {
@@ -38,14 +45,29 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// taggedCode is the program's code in its wire form: every thread's linked
+// stream mapped back through tagged.
+func (lp *LinkedProgram) taggedCode() [][]instr {
+	code := make([][]instr, len(lp.Threads))
+	for t := range code {
+		code[t] = make([]instr, len(lp.Threads[t].Code))
+		for pc := range code[t] {
+			code[t][pc] = lp.tagged(&lp.Threads[t].Code[pc])
+		}
+	}
+	return code
+}
+
 // maxProgramBytes caps the inflated size of a peer's program blob, which
-// gob would otherwise follow up to 8 GiB. It is the service's default
+// gob would otherwise follow up to 8 GiB, and the state words plus memory
+// words one engine over it allocates. It is the service's default
 // compile-cache budget, 500× MegaBOOM-4C's 0.5 MB program at four threads.
 const maxProgramBytes = 256 << 20
 
-// DecodeProgram reverses EncodeProgram, rebuilds the derived lookup tables,
-// and verifies the decoded program's fingerprint against the one carried in
-// the envelope. A blob that inflates past maxProgramBytes is refused.
+// DecodeProgram reverses EncodeProgram: it links the code, rebuilds the
+// derived lookup tables, and verifies the decoded program's fingerprint
+// against the one carried in the envelope. A blob that inflates past
+// maxProgramBytes is refused.
 func DecodeProgram(data []byte) (*Program, error) {
 	return decodeProgram(data, maxProgramBytes)
 }
@@ -65,9 +87,17 @@ func decodeProgram(data []byte, limit int64) (*Program, error) {
 	if int64(len(raw)) > limit {
 		return nil, fmt.Errorf("sim: decode program: program exceeds %d bytes", limit)
 	}
+	return decodeWire(raw)
+}
+
+// decodeWire decodes, checks and links one inflated gob envelope.
+func decodeWire(raw []byte) (*Program, error) {
 	var w programWire
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
+	}
+	if w.Version != programWireVersion {
+		return nil, fmt.Errorf("sim: decode program: unsupported program wire version %d (want %d)", w.Version, programWireVersion)
 	}
 	if w.Program == nil {
 		return nil, fmt.Errorf("sim: decode program: empty envelope")
@@ -76,16 +106,90 @@ func decodeProgram(data []byte, limit int64) (*Program, error) {
 	if len(p.Threads) == 0 || len(p.Threads) != p.NumThreads {
 		return nil, fmt.Errorf("sim: decode program: %d thread codes for %d threads", len(p.Threads), p.NumThreads)
 	}
+	if len(w.Code) != p.NumThreads {
+		return nil, fmt.Errorf("sim: decode program: %d code streams for %d threads", len(w.Code), p.NumThreads)
+	}
+	if err := p.checkLayout(); err != nil {
+		return nil, fmt.Errorf("sim: decode program: %w", err)
+	}
 	p.reindex()
-	if fp := p.Fingerprint(); fp != w.Fingerprint {
+	p.link(w.Code)
+	if err := p.linked.checkCode(); err != nil {
+		return nil, fmt.Errorf("sim: decode program: %w", err)
+	}
+	p.fp = p.fingerprint()
+	if p.fp != w.Fingerprint {
 		return nil, fmt.Errorf("sim: decoded program fingerprint %016x does not match envelope %016x",
-			fp, w.Fingerprint)
+			p.fp, w.Fingerprint)
 	}
 	return p, nil
 }
 
-// reindex rebuilds the name lookup maps gob does not carry (they are
-// derived from the slot tables; compile.go builds the same maps).
+// checkLayout rejects a layout an engine could not hold: a negative size, a
+// thread segment or a port or register slot outside the global words, or
+// state and memory words past maxProgramBytes in all.
+func (p *Program) checkLayout() error {
+	const limit = maxProgramBytes / 8
+	ok, total := true, int64(0)
+	add := func(n int) {
+		ok = ok && n >= 0 && n <= limit
+		total += int64(n)
+	}
+	add(p.GlobalWords)
+	add(len(p.Imms))
+	for _, th := range p.Threads {
+		add(th.NumTemps)
+		add(th.ShadowWords)
+		total += SegmentWords // a frame is padded to a segment
+		ok = ok && th.GlobalOff >= 0 && th.ShadowWords <= p.GlobalWords-th.GlobalOff
+	}
+	for _, m := range p.Mems {
+		add(m.Depth)
+	}
+	within := func(slot uint32, width int) bool {
+		return width >= 0 && width <= 64*p.GlobalWords && int64(slot)+int64(words(width)) <= int64(p.GlobalWords)
+	}
+	for _, ps := range slices.Concat(p.Inputs, p.Outputs) {
+		ok = ok && within(ps.Slot, ps.Width)
+	}
+	for _, r := range p.Regs {
+		ok = ok && within(r.Slot, r.Width)
+	}
+	if !ok || total > limit {
+		return fmt.Errorf("layout outside its bounds or over %d state and memory words", limit)
+	}
+	return nil
+}
+
+// checkCode rejects linked code an engine could not run, or tagged could
+// not map back: an opcode outside the table, a memory past the program's,
+// or a state operand outside the globals, the immediates and its thread's
+// frame (padding, another thread's frame, past the state array).
+func (lp *LinkedProgram) checkCode() error {
+	var defs, uses []uint32
+	for t := range lp.Threads {
+		lt := &lp.Threads[t]
+		for pc := range lt.Code {
+			in := &lt.Code[pc]
+			if in.Op >= numOpCodes {
+				return fmt.Errorf("thread %d pc %d: opcode %d", t, pc, in.Op)
+			}
+			if (in.Op == OpMemRd || in.Op == OpMemWr) && int(in.Aux) >= len(lp.prog.Mems) {
+				return fmt.Errorf("thread %d pc %d: memory %d of %d", t, pc, in.Aux, len(lp.prog.Mems))
+			}
+			defs, uses, _, _ = lp.LinkedDefUse(in, defs[:0], uses[:0], nil, nil)
+			for _, idx := range slices.Concat(defs, uses) {
+				if _, owner, ok := lp.LinkedLoc(idx); !ok || owner != -1 && owner != t {
+					return fmt.Errorf("thread %d pc %d: operand %d outside the globals, the immediates and the thread's frame", t, pc, idx)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// reindex builds the name lookup maps from the slot tables, for Compile
+// and for DecodeProgram (gob does not carry them).
 func (p *Program) reindex() {
 	p.inputByName = make(map[string]int, len(p.Inputs))
 	for i, ps := range p.Inputs {

@@ -30,12 +30,12 @@ circuit G {
 // it through operand A.
 func soleReader(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	t.Helper()
-	code := p.Threads[th].Code
+	code := codeOf(p, th)
 	defAt := map[uint32]int{}
 	reads := map[uint32]int{}
 	var defs, uses []uint32
 	for pc := range code {
-		defs, uses = tempDefUse(&code[pc], defs[:0], uses[:0])
+		defs, uses = tempDefUse(p, th, &code[pc], defs[:0], uses[:0])
 		for _, u := range uses {
 			reads[u]++
 		}
@@ -45,10 +45,10 @@ func soleReader(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	}
 	for pc := range code {
 		in := &code[pc]
-		if sim.TraitsOf(in.Op).Reads == 0 || sim.RefTag(in.A) != sim.RefLocal {
+		if sim.TraitsOf(in.Op).Reads == 0 || !isTemp(p, th, in.A) {
 			continue
 		}
-		tmp := sim.RefIdx(in.A)
+		tmp := in.A
 		if dp, ok := defAt[tmp]; ok && dp < pc && reads[tmp] == 1 {
 			return dp, pc
 		}
@@ -74,7 +74,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				p := mutProgram(t)
 				pc := firstLocalDef(t, p, 0)
-				p.Threads[0].Code[pc].Dst = sim.MakeRef(sim.RefGlobal, uint32(p.Threads[1].GlobalOff))
+				codeOf(p, 0)[pc].Dst = uint32(p.Threads[1].GlobalOff)
 				return Program(p, Options{})
 			},
 			want: "error [race-freedom] thread 0 pc 0 at global word 16 (output \"out\", segment of thread 1): eval-phase write to a shared global word: races with concurrent readers and the owner's commit",
@@ -85,7 +85,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				p := mutProgram(t)
 				defPC, _ := firstLocalUse(t, p, 0)
-				p.Threads[0].Code[defPC] = sim.Instr{Op: sim.OpNop}
+				codeOf(p, 0)[defPC] = sim.LInstr{Op: sim.OpNop}
 				return Program(p, Options{})
 			},
 			want: "error [replication-closure] thread 0 pc 2 at state word 32 = temp 0 of thread 0: read of a temp with no earlier definition in this thread: the partition is not closed",
@@ -104,7 +104,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 						break
 					}
 				}
-				p.Threads[0].Code[usePC].A = sim.MakeRef(sim.RefGlobal, reg)
+				codeOf(p, 0)[usePC].A = reg
 				rep := Program(p, Options{})
 				requireClean(t, rep, "retargeted sole reader")
 				return rep
@@ -118,10 +118,10 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				p := mutProgram(t)
 				first := firstLocalDef(t, p, 0)
-				code := p.Threads[0].Code
+				code := codeOf(p, 0)
 				for pc := len(code) - 1; pc > first; pc-- {
 					if code[pc].Op != sim.OpNop && code[pc].Op != sim.OpMemWr &&
-						sim.RefTag(code[pc].Dst) == sim.RefLocal {
+						isTemp(p, 0, code[pc].Dst) {
 						code[pc].Dst = code[first].Dst
 						return Program(p, Options{})
 					}

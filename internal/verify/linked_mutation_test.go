@@ -1,11 +1,10 @@
 package verify
 
-// Linked-scan mutation tests prove the verifier inspects the cached linked
-// execution form — the resolved streams the engines run — not the compiled
-// Program code. Each test compiles a clean program, forces the linked form
-// into the program's cache, corrupts the cached streams directly (the
-// Program code stays clean), and asserts the scan reports the fault with
-// provenance.
+// Linked-scan mutation tests prove the verifier inspects the resolved
+// state indices of the linked code the engines run: each test corrupts an
+// operand into a region a tagged operand cannot name — another thread's
+// frame, padding, a shifted shadow word — and asserts the scan reports the
+// fault with provenance.
 
 import (
 	"testing"
@@ -14,7 +13,7 @@ import (
 )
 
 // linkedMutProgram compiles the two-thread test program and returns it with
-// its linked form already built and cached.
+// its linked form.
 func linkedMutProgram(t *testing.T) (*sim.Program, *sim.LinkedProgram) {
 	t.Helper()
 	g := mustGraph(t, memMixSrc)
@@ -55,9 +54,9 @@ func linkedTempRead(t *testing.T, lp *sim.LinkedProgram, th int) int {
 	return -1
 }
 
-// Linked fault 1 — cross-thread frame read: after linking, thread 0 is
-// rewired to read a word of thread 1's private frame. The Program code is
-// untouched; only a scan of the linked stream can see it.
+// Linked fault 1 — cross-thread frame read: thread 0 is rewired to read a
+// word of thread 1's private frame, which no tagged operand of thread 0 can
+// name; only a scan of the resolved indices can see it.
 func TestLinkedMutationCrossThreadRead(t *testing.T) {
 	p, lp := linkedMutProgram(t)
 	if p.Threads[1].NumTemps == 0 {

@@ -51,16 +51,25 @@ func requireProvenance(t *testing.T, d Diag) {
 	}
 }
 
+// codeOf returns thread th's linked code, which the mutations corrupt.
+func codeOf(p *sim.Program, th int) []sim.LInstr { return p.Linked().Threads[th].Code }
+
+// isTemp reports whether state index idx is one of thread th's private
+// temps.
+func isTemp(p *sim.Program, th int, idx uint32) bool {
+	loc, owner, ok := p.Linked().LinkedLoc(idx)
+	return ok && owner == th && loc.Space == sim.SpaceLocal
+}
+
 // firstLocalDef returns the pc of the first plain instruction on thread t
 // whose destination is a private temp.
 func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 	t.Helper()
-	for pc := range p.Threads[th].Code {
-		in := &p.Threads[th].Code[pc]
+	for pc, in := range codeOf(p, th) {
 		if in.Op == sim.OpNop || in.Op == sim.OpMemWr {
 			continue
 		}
-		if sim.RefTag(in.Dst) == sim.RefLocal {
+		if isTemp(p, th, in.Dst) {
 			return pc
 		}
 	}
@@ -68,12 +77,13 @@ func firstLocalDef(t *testing.T, p *sim.Program, th int) int {
 	return -1
 }
 
-// tempDefUse appends the private temps instruction in defines and reads.
-func tempDefUse(in *sim.Instr, defs, uses []uint32) ([]uint32, []uint32) {
+// tempDefUse appends the private temps of thread th that instruction in
+// defines and reads.
+func tempDefUse(p *sim.Program, th int, in *sim.LInstr, defs, uses []uint32) ([]uint32, []uint32) {
 	local := func(out []uint32, refs ...uint32) []uint32 {
 		for _, r := range refs {
-			if sim.RefTag(r) == sim.RefLocal {
-				out = append(out, sim.RefIdx(r))
+			if isTemp(p, th, r) {
+				out = append(out, r)
 			}
 		}
 		return out
@@ -94,8 +104,8 @@ func firstLocalUse(t *testing.T, p *sim.Program, th int) (defPC, usePC int) {
 	t.Helper()
 	def := map[uint32]int{}
 	var defs, uses []uint32
-	for pc := range p.Threads[th].Code {
-		defs, uses = tempDefUse(&p.Threads[th].Code[pc], defs[:0], uses[:0])
+	for pc := range codeOf(p, th) {
+		defs, uses = tempDefUse(p, th, &codeOf(p, th)[pc], defs[:0], uses[:0])
 		for _, u := range uses {
 			if dp, ok := def[u]; ok {
 				return dp, pc
@@ -119,7 +129,7 @@ func TestMutationCrossThreadWrite(t *testing.T) {
 		victim = 0 // degenerate layout: clobber the input region instead
 	}
 	mutPC := firstLocalDef(t, p, 0)
-	p.Threads[0].Code[mutPC].Dst = sim.MakeRef(sim.RefGlobal, victim)
+	codeOf(p, 0)[mutPC].Dst = victim
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {
@@ -138,7 +148,7 @@ func TestMutationCrossThreadWrite(t *testing.T) {
 func TestMutationMissingDef(t *testing.T) {
 	p := mutProgram(t)
 	defPC, usePC := firstLocalUse(t, p, 0)
-	p.Threads[0].Code[defPC] = sim.Instr{Op: sim.OpNop}
+	codeOf(p, 0)[defPC] = sim.LInstr{Op: sim.OpNop}
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {
@@ -169,12 +179,11 @@ func TestMutationPhaseViolation(t *testing.T) {
 		t.Fatal("no narrow output to cross-wire")
 	}
 	mutPC := -1
-	for pc := range p.Threads[0].Code {
-		in := &p.Threads[0].Code[pc]
+	for pc, in := range codeOf(p, 0) {
 		if in.Op == sim.OpNop {
 			continue
 		}
-		if sim.TraitsOf(in.Op).Reads > 0 && sim.RefTag(in.A) == sim.RefLocal {
+		if sim.TraitsOf(in.Op).Reads > 0 && isTemp(p, 0, in.A) {
 			mutPC = pc
 			break
 		}
@@ -182,7 +191,7 @@ func TestMutationPhaseViolation(t *testing.T) {
 	if mutPC < 0 {
 		t.Fatal("no retargetable operand on thread 0")
 	}
-	p.Threads[0].Code[mutPC].A = sim.MakeRef(sim.RefGlobal, outSlot)
+	codeOf(p, 0)[mutPC].A = outSlot
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {
@@ -203,14 +212,14 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 	mutThread, mutPC := -1, -1
 	var other uint32
 	for ti := range p.Threads {
-		th := &p.Threads[ti]
-		if th.ShadowWords < 2 {
+		n := uint32(p.Threads[ti].ShadowWords)
+		if n < 2 {
 			continue
 		}
-		for pc := range th.Code {
-			in := &th.Code[pc]
-			if in.Op != sim.OpNop && sim.RefTag(in.Dst) == sim.RefShadow {
-				other = (sim.RefIdx(in.Dst) + 1) % uint32(th.ShadowWords)
+		off := p.Linked().Threads[ti].ShadowOff
+		for pc, in := range codeOf(p, ti) {
+			if in.Op != sim.OpNop && in.Op != sim.OpMemWr && in.Dst >= off && in.Dst < off+n {
+				other = off + (in.Dst-off+1)%n
 				mutThread, mutPC = ti, pc
 				break
 			}
@@ -222,7 +231,7 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 	if mutPC < 0 {
 		t.Skip("no thread with two narrow shadow words")
 	}
-	p.Threads[mutThread].Code[mutPC].Dst = sim.MakeRef(sim.RefShadow, other)
+	codeOf(p, mutThread)[mutPC].Dst = other
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {

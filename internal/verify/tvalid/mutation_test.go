@@ -8,16 +8,16 @@ import (
 )
 
 // This file plants known-bad transformations into otherwise-correct O2
-// output and asserts the validator rejects each with a usable thread/pc/slot
+// linked code and asserts the validator rejects each with a usable thread/pc/slot
 // diagnostic. The first three replay the historical miscompiles the
 // differential fuzzer found (PR 5) — proving translation validation would
 // have caught each statically at compile time; the rest cover new classes.
 
-// findInstr locates the first instruction matching pred, returning thread
-// and pc.
-func findInstr(p *sim.Program, pred func(in sim.Instr) bool) (int, int) {
-	for t := range p.Threads {
-		for pc, in := range p.Threads[t].Code {
+// findInstr locates the first linked instruction matching pred, returning
+// thread and pc.
+func findInstr(p *sim.Program, pred func(in sim.LInstr) bool) (int, int) {
+	for t, lt := range p.Linked().Threads {
+		for pc, in := range lt.Code {
 			if pred(in) {
 				return t, pc
 			}
@@ -25,6 +25,9 @@ func findInstr(p *sim.Program, pred func(in sim.Instr) bool) (int, int) {
 	}
 	return -1, -1
 }
+
+// instrAt returns the linked instruction at thread t, pc.
+func instrAt(p *sim.Program, t, pc int) *sim.LInstr { return &p.Linked().Threads[t].Code[pc] }
 
 // requireRejected asserts the certificate refutes equivalence and that the
 // diagnostic names a plausible location: a real thread, a defining pc on
@@ -85,11 +88,11 @@ func TestMutationCopyPropAliasing(t *testing.T) {
 	if !ok {
 		t.Fatal("no input in1")
 	}
-	mt, mpc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpMemWr })
+	mt, mpc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpMemWr })
 	if mt < 0 {
 		t.Fatal("no memory write in O2 stream")
 	}
-	p2.Threads[mt].Code[mpc].B = sim.MakeRef(sim.RefGlobal, in1.Slot)
+	instrAt(p2, mt, mpc).B = in1.Slot // global words keep their index in the linked layout
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), `mem "m0"`)
 	if d.Thread != mt {
@@ -122,11 +125,11 @@ func TestMutationDroppedSignExtension(t *testing.T) {
 	g := mustGraph(t, mixedKindSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	st, spc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpSext && in.Aux != 0 })
+	st, spc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpSext && in.Aux != 0 })
 	if st < 0 {
 		t.Fatal("no sign extension in O2 stream")
 	}
-	p2.Threads[st].Code[spc].Aux = 0
+	instrAt(p2, st, spc).Aux = 0
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), "output")
 	t.Logf("caught: %s", d)
@@ -152,12 +155,12 @@ func TestMutationDynamicShiftTruncation(t *testing.T) {
 	g := mustGraph(t, dshiftSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	dt, dpc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpDshr })
+	dt, dpc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpDshr })
 	if dt < 0 {
 		t.Fatal("no dynamic shift in O2 stream")
 	}
-	p2.Threads[dt].Code[dpc].Op = sim.OpShr
-	p2.Threads[dt].Code[dpc].Aux = 0
+	in := instrAt(p2, dt, dpc)
+	in.Op, in.Aux = sim.OpShr, 0
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), "output")
 	if d.OptPC < 0 {
@@ -203,11 +206,11 @@ circuit X {
 }
 `)
 	p0, p2 := compilePair(t, g, 1)
-	mt, mpc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpMux })
+	mt, mpc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpMux })
 	if mt < 0 {
 		t.Fatal("no mux in O2 stream")
 	}
-	in := &p2.Threads[mt].Code[mpc]
+	in := instrAt(p2, mt, mpc)
 	in.B, in.C = in.C, in.B
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), `output "o"`)
@@ -220,13 +223,14 @@ func TestMutationNarrowedMask(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	xt, xpc := findInstr(p2, func(in sim.Instr) bool {
-		return in.Op == sim.OpXor && sim.RefTag(in.Dst) == sim.RefShadow && in.Mask == 0xffff
+	xt, xpc := findInstr(p2, func(in sim.LInstr) bool {
+		loc, _, _ := p2.Linked().LinkedLoc(in.Dst)
+		return in.Op == sim.OpXor && loc.Space == sim.SpaceShadow && in.Mask == 0xffff
 	})
 	if xt < 0 {
 		t.Fatal("no 16-bit xor sink in O2 stream")
 	}
-	p2.Threads[xt].Code[xpc].Mask = 0x7fff
+	instrAt(p2, xt, xpc).Mask = 0x7fff
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), "global word")
 	t.Logf("caught: %s", d)
@@ -239,11 +243,11 @@ func TestMutationDroppedMemWrite(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	mt, mpc := findInstr(p2, func(in sim.Instr) bool { return in.Op == sim.OpMemWr })
+	mt, mpc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpMemWr })
 	if mt < 0 {
 		t.Fatal("no memory write in O2 stream")
 	}
-	p2.Threads[mt].Code[mpc] = sim.Instr{Op: sim.OpNop}
+	*instrAt(p2, mt, mpc) = sim.LInstr{Op: sim.OpNop}
 
 	d := requireRejected(t, Validate(p0, p2, Options{}), `mem "ram"`)
 	if d.RefPC < 0 {
@@ -253,27 +257,17 @@ func TestMutationDroppedMemWrite(t *testing.T) {
 }
 
 // TestMutationLinkedOperandResolution (new class): a corrupt operand index
-// in the *linked* stream — the validator's linked-side symbolic executor
-// must catch bugs introduced after optimization, by operand resolution
-// itself.
+// in the linked code — the shift amount reads the value operand, the shape
+// of a wrongly resolved operand.
 func TestMutationLinkedOperandResolution(t *testing.T) {
 	g := mustGraph(t, dshiftSrc)
 	p0, p2 := compilePair(t, g, 1)
 
-	lp := p2.Linked()
-	ft, fpc := -1, -1
-	for ti := range lp.Threads {
-		for pc := range lp.Threads[ti].Code {
-			li := &lp.Threads[ti].Code[pc]
-			if li.Op == sim.OpDshr {
-				ft, fpc = ti, pc
-			}
-		}
-	}
+	ft, fpc := findInstr(p2, func(in sim.LInstr) bool { return in.Op == sim.OpDshr })
 	if ft < 0 {
 		t.Fatal("no linked dynamic shift")
 	}
-	li := &lp.Threads[ft].Code[fpc]
+	li := instrAt(p2, ft, fpc)
 	li.B = li.A // shift amount now reads the value operand
 
 	// The diagnostic names the sink's defining instruction on each side —

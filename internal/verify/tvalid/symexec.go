@@ -23,94 +23,9 @@ type memWrite struct {
 	pc   int
 }
 
-// execO0 symbolically evaluates one thread of the unoptimized instruction
-// stream, mirroring evalLinked (linkexec.go) term-for-term.
-func execO0(b *builder, p *sim.Program, t int) *threadState {
-	th := &p.Threads[t]
-	temps := make([]*term, th.NumTemps)
-	st := &threadState{
-		shadow:   make([]*term, th.ShadowWords),
-		shadowPC: make([]int, th.ShadowWords),
-	}
-
-	val := func(ref uint32) *term {
-		idx := sim.RefIdx(ref)
-		switch sim.RefTag(ref) {
-		case sim.RefLocal:
-			if int(idx) < len(temps) && temps[idx] != nil {
-				return temps[idx]
-			}
-			return b.undef()
-		case sim.RefGlobal:
-			return b.variable(idx)
-		case sim.RefImm:
-			if int(idx) < len(p.Imms) {
-				return b.konst(p.Imms[idx])
-			}
-			return b.undef()
-		default: // RefShadow: valid as a copy source after it was written
-			if int(idx) < len(st.shadow) && st.shadow[idx] != nil {
-				return st.shadow[idx]
-			}
-			return b.undef()
-		}
-	}
-	store := func(ref uint32, v *term, pc int) {
-		idx := sim.RefIdx(ref)
-		switch sim.RefTag(ref) {
-		case sim.RefLocal:
-			if int(idx) < len(temps) {
-				temps[idx] = v
-			}
-		case sim.RefShadow:
-			if int(idx) < len(st.shadow) {
-				st.shadow[idx] = v
-				st.shadowPC[idx] = pc
-			}
-		}
-		// RefGlobal/RefImm destinations would be eval-phase global writes;
-		// the structural verifier rejects them, and the validator's layout
-		// check runs it first, so nothing to model here.
-	}
-
-	var ab [3]*term // scratch: b.app never retains a caller's buffer
-	for pc := range th.Code {
-		in := &th.Code[pc]
-		switch in.Op {
-		case sim.OpNop:
-		case sim.OpMemWr:
-			st.writes = append(st.writes, memWrite{
-				mem:  int(in.Aux),
-				addr: val(in.A),
-				data: b.copyOf(val(in.B), in.Mask),
-				en:   val(in.C),
-				pc:   pc,
-			})
-		case sim.OpMemRd:
-			store(in.Dst, b.app(sim.OpMemRd, in.Aux, in.Mask, val(in.A)), pc)
-		default:
-			tr := sim.TraitsOf(in.Op)
-			n := 0
-			if tr.Reads >= 1 {
-				ab[n] = val(in.A)
-				n++
-			}
-			if tr.Reads >= 2 {
-				ab[n] = val(in.B)
-				n++
-			}
-			if tr.Reads >= 3 {
-				ab[n] = val(in.C)
-				n++
-			}
-			store(in.Dst, b.app(in.Op, in.Aux, in.Mask, ab[:n]...), pc)
-		}
-	}
-	return st
-}
-
-// execLinked symbolically evaluates one thread of the linked (resolved)
-// stream, mirroring evalLinked (linkexec.go) term-for-term.
+// execLinked symbolically evaluates one thread of a program's linked code,
+// mirroring evalLinked (linkexec.go) term-for-term. Validate runs it on both
+// sides.
 func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 	p := lp.Program()
 	th := &p.Threads[t]

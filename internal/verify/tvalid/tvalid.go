@@ -1,15 +1,18 @@
 // Package tvalid is a translation validator for the sim compile pipeline:
-// it proves, per compile, that the optimized + linked program
-// computes the same cycle function as its unoptimized (O0) reference.
+// it proves, per compile, that the optimized program computes the same
+// cycle function as its unoptimized (O0) reference.
 //
-// Both instruction streams are symbolically evaluated per thread over the
-// same free register/input variables into hash-consed term DAGs. A
+// Both programs' linked code, the one code form a sim.Program stores, is
+// symbolically evaluated per thread over the same free register/input
+// variables into hash-consed term DAGs. (Both sides share operand
+// resolution, so the structural verifier's linked scan, difftest's
+// linked-O0 column and sim's tagged round-trip test cover that instead.) A
 // normalization engine (constant folding through the real executor,
 // commutative operand ordering, mask and sign-extension idempotence, mux
 // absorption, copy-chain collapsing) canonicalizes terms so that every
-// rewrite the optimizer passes may legally perform maps both
-// sides onto the identical interned term: pointer-equal terms prove the
-// slot pair equivalent. Residual hash-mismatched pairs — normalization is
+// rewrite the optimizer passes may legally perform maps both sides onto
+// the identical interned term: pointer-equal terms prove the slot pair
+// equivalent. Residual hash-mismatched pairs — normalization is
 // deliberately incomplete rather than unsound — fall back to seeded
 // concrete probing of the two real engines over boundary-pattern stimulus;
 // a concrete mismatch refutes equivalence with a thread/pc/slot diagnostic
@@ -151,8 +154,8 @@ type candidate struct {
 	slot     string
 }
 
-// Validate proves (or refutes) that opt — as executed by the linked engine,
-// i.e. after O2 optimization and operand resolution — computes the same cycle function as the O0 reference ref.
+// Validate proves (or refutes) that opt's linked code computes the same
+// cycle function as the O0 reference ref's.
 // Both programs must come from the same design and partition (the compile
 // pipeline guarantees layout-identical slot assignment across opt levels;
 // Validate checks it).
@@ -180,11 +183,10 @@ func Validate(ref, opt *sim.Program, o Options) *Result {
 		b.bound(opt.Regs[i].Slot, opt.Regs[i].Width)
 	}
 
-	lp := opt.Linked()
 	var cands []candidate
 	for t := 0; t < opt.NumThreads; t++ {
-		s0 := execO0(b, ref, t)
-		s2 := execLinked(b, lp, t)
+		s0 := execLinked(b, ref.Linked(), t)
+		s2 := execLinked(b, opt.Linked(), t)
 		cands = append(cands, compareThread(ref, opt, t, s0, s2, res)...)
 	}
 	res.ArenaBytes = b.arenaBytes()
@@ -216,24 +218,11 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 	th := &opt.Threads[t]
 	var cands []candidate
 
-	add := func(slot string, refPC, optPC int, refI, optI string) {
+	add := func(slot string, refPC, optPC int) {
 		cands = append(cands, candidate{
 			thread: t, refPC: refPC, optPC: optPC,
-			refInstr: refI, optInstr: optI, slot: slot,
+			refInstr: instrName(ref, t, refPC), optInstr: instrName(opt, t, optPC), slot: slot,
 		})
-	}
-	o0Instr := func(pc int) string {
-		if pc >= 0 && pc < len(ref.Threads[t].Code) {
-			return ref.Threads[t].Code[pc].Op.String()
-		}
-		return "(none)"
-	}
-	optInstr := func(pc int) string {
-		lt := &opt.Linked().Threads[t]
-		if pc >= 0 && pc < len(lt.Code) {
-			return lt.Code[pc].Op.String()
-		}
-		return "(none)"
 	}
 
 	for i := 0; i < th.ShadowWords; i++ {
@@ -254,7 +243,7 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 		if bT != nil {
 			pc2 = s2.shadowPC[i]
 		}
-		add(slotName(opt, uint32(th.GlobalOff+i)), pc0, pc2, o0Instr(pc0), optInstr(pc2))
+		add(slotName(opt, uint32(th.GlobalOff+i)), pc0, pc2)
 	}
 
 	nw := len(s0.writes)
@@ -271,7 +260,7 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 			} else {
 				w, pc2 = s2.writes[i], s2.writes[i].pc
 			}
-			add(memWriteName(opt, w.mem, i), pc0, pc2, o0Instr(pc0), optInstr(pc2))
+			add(memWriteName(opt, w.mem, i), pc0, pc2)
 			continue
 		}
 		a, bb := s0.writes[i], s2.writes[i]
@@ -280,9 +269,17 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 			res.Proved++
 			continue
 		}
-		add(memWriteName(opt, a.mem, i), a.pc, bb.pc, o0Instr(a.pc), optInstr(bb.pc))
+		add(memWriteName(opt, a.mem, i), a.pc, bb.pc)
 	}
 	return cands
+}
+
+// instrName names thread t's linked instruction at pc by its opcode.
+func instrName(p *sim.Program, t, pc int) string {
+	if code := p.Linked().Threads[t].Code; pc >= 0 && pc < len(code) {
+		return code[pc].Op.String()
+	}
+	return "(none)"
 }
 
 // layoutCompatible checks the precondition that makes slot-by-slot
