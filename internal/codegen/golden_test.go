@@ -61,13 +61,13 @@ func TestEmitGolden(t *testing.T) {
 		"SmallBOOM-4C/k1":  "67b6019efb5ed49968ee3b0d98b04fba2628e52b7df9ca34842d4c32a5921e40",
 		"SmallBOOM-4C/k2":  "f835b2f3ad614af6d0a1fa923ec9c2e2119fd3abf2fc15937d23c1f9dd554266",
 		"classic50":        "703ff5f557725c5f963c757d69e28be1439b55181df236ea8c417e18f0d58c21",
-		"classic51":        "bb246236b671fb0754aef53aaca05b5e017c8e8756a77bf9007ef82cafa6d9b5",
+		"classic51":        "99a392fcf08fb3e57f4037be354b955205ef5fb14fadbd097b42a3bf4fb9a755",
 		"classic52":        "5987bcf4ea0115ca8c2a8267b1e22243ff4726bcb54c995c1f505a9527306810",
 		"classic53":        "fc7e688c6db033c043cec583b77a259c630fa8b01a41d9a01dfd9fd882e86377",
 		"classic55":        "6129a0edb81b2257934e46ff03624debb9dd60b54da197e5818b0e20d38928b9",
-		"classic81":        "7396601b0a73047dcd7aca5e78c0e0b063b644004233f85156474c1b6f0c7b9a",
-		"classic95":        "f1e8011f08ddea8e59c1ea2691f357357229daac60efb0e3b67720196684a888",
-		"genckt3":          "6420dc3f9a8e118a9607021bd133b5f388e5e83c34744ed43205eb60e87700f1",
+		"classic81":        "1b6fa21bbfc44e785acc372017407bad6998971e1b289f96ad6bc04b925cfe92",
+		"classic95":        "92416d53594fb14c7510a0315eebd1916bc951b0c80b6e576366b34c472bde12",
+		"genckt3":          "683e7fb02a5340d31280cc74c5f81309caa8dfdb8d35ef498c36445e47434b4f",
 		"genckt7":          "70448e5317671c8648b193631aad6bfd64cb4f783a4bcfc799a2e0d46b751997",
 	}
 	if codegen.EmitterVersion != "cg4" {

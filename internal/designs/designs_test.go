@@ -86,7 +86,7 @@ func TestDesignsSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
-		prog, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 1})
+		prog, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", cfg.Name(), err)
 		}

@@ -431,6 +431,7 @@ func (p *partitioner) greedyGrow(h *H, target0 int64, rng *rand.Rand) []int32 {
 		part[i] = 1
 	}
 	inQueue := make([]bool, n)
+	expanded := make([]bool, len(h.Edges))
 	var queue []int32
 	var w0 int64
 	pick := func() int32 {
@@ -465,6 +466,12 @@ func (p *partitioner) greedyGrow(h *H, target0 int64, rng *rand.Rand) []int32 {
 		part[v] = 0
 		w0 += h.VWeight[v]
 		for _, ei := range h.Inc[v] {
+			// Once a net is scanned, each of its pins is on side 0 or
+			// queued for good, so a second scan would add nothing.
+			if expanded[ei] {
+				continue
+			}
+			expanded[ei] = true
 			for _, u := range h.Edges[ei].Pins {
 				if part[u] == 1 && !inQueue[u] {
 					inQueue[u] = true

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cgraph"
@@ -26,12 +27,16 @@ type PartSpec struct {
 
 // Config controls compilation.
 type Config struct {
-	// OptLevel: 0 = direct translation; 1 = constant folding + copy
-	// propagation; 2 = additionally fuse masking/truncation into producers
-	// (the "newer compiler" configuration of Figure 10).
+	// OptLevel 0 emits every vertex literally, the code Figure 10's O0
+	// bars, translation validation's reference, VertexInstrs and
+	// CalibrateModel cost. Any other value optimises as it emits
+	// (threadCompiler.emit folds constants and aliases copies) and then
+	// sweeps each thread once (dead temps go, sink copies fuse into their
+	// producers): the "newer compiler" configuration of Figure 10. The
+	// pipeline passes 2.
 	OptLevel int
 	// Workers bounds the parallelism of compilation itself: per-thread
-	// code emission and optimization fan out one task per partition.
+	// code emission fans out one task per partition.
 	// <= 0 means all cores; 1 forces serial compilation. The Program is
 	// bit-identical for every worker count: threads compile against
 	// private constant pools that are merged in thread order afterwards.
@@ -74,12 +79,13 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 	c := &compiler{
 		g:    g,
 		prog: &Program{Design: g.Name, NumThreads: len(parts)},
+		opt:  cfg.OptLevel != 0,
 	}
 	if err := c.layout(parts); err != nil {
 		return nil, nil, err
 	}
 
-	// Phase A: emit (and optimize) every thread's code, one task per
+	// Phase A: emit (and sweep) every thread's code, one task per
 	// partition. Each task writes only its own ThreadCode, code buffer and
 	// constant pool, so scheduling cannot influence the output.
 	pool := par.NewPool(cfg.Workers)
@@ -90,9 +96,8 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 		if err := tc.compileAll(parts[t]); err != nil {
 			return err
 		}
-		if cfg.OptLevel > 0 {
-			// Optimize against the thread-local pool; folding may extend it.
-			tc.code, tc.imms = optimize(tc.imms, tc.code, tc.th.NumTemps, cfg.OptLevel)
+		if c.opt {
+			tc.sweep()
 		}
 		return nil
 	})
@@ -104,7 +109,7 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 	// a deterministic, worker-count-independent renumbering.
 	c.merge(tcs)
 
-	// Cost statistics per thread (after optimization the vertex set is
+	// Cost statistics per thread (optimisation leaves the vertex set
 	// unchanged; the model works on vertices, matching the paper's
 	// IR-level prediction).
 	pool.ForEach(len(parts), func(t int) {
@@ -194,6 +199,8 @@ type derepCommit struct {
 type compiler struct {
 	g    *cgraph.Graph
 	prog *Program
+	// opt selects the optimising emitter (Config.OptLevel != 0).
+	opt bool
 
 	// globalOf[v] is the global ref of the first word of a source vertex
 	// or sink result.
@@ -434,6 +441,12 @@ type threadCompiler struct {
 	tempOf   map[cgraph.VID]uint32
 	nextTemp uint32
 
+	// The optimising emitter's per-temp state: alias[t] is the ref a read
+	// of temp t resolves to (t itself unless its definition became an
+	// alias), and produced[t] the mask of t's defining instruction.
+	alias    []uint32
+	produced []uint64
+
 	// Thread-local constant pool. Code emitted in phase A references it by
 	// local index.
 	imms     []uint64
@@ -484,6 +497,56 @@ func (tc *threadCompiler) compileAll(part PartSpec) error {
 	}
 	tc.th.NumTemps = int(tc.nextTemp)
 	return nil
+}
+
+// sweep finishes an optimising compile of one thread, over the reader
+// count of every temp. A backward pass drops each local definition nothing
+// reads, releasing its operands, so chains of dead temps go at once. A
+// forward pass then fuses each copy that is its local source's only reader
+// into the source's producer, when narrowing the producer's mask equals
+// masking afterwards (Traits.MaskFusable): the producer takes the copy's
+// mask and writes its destination, typically a sink's shadow slot. Memory
+// writes and shadow writes are never dropped, and temps keep their numbers.
+func (tc *threadCompiler) sweep() {
+	code := tc.code
+	readers := make([]int32, tc.nextTemp)
+	reads := func(in *instr, d int32) {
+		refs := [3]uint32{in.A, in.B, in.C}
+		for _, r := range refs[:TraitsOf(in.Op).Reads] {
+			if refTag(r) == refLocal {
+				readers[refIdx(r)] += d
+			}
+		}
+	}
+	definesLocal := func(in *instr) bool { return definesDst(in.Op) && refTag(in.Dst) == refLocal }
+	for i := range code {
+		reads(&code[i], 1)
+	}
+	for i := len(code) - 1; i >= 0; i-- {
+		if in := &code[i]; definesLocal(in) && readers[refIdx(in.Dst)] == 0 {
+			reads(in, -1)
+			in.Op = OpNop
+		}
+	}
+	def := make([]int32, tc.nextTemp) // the pc defining each temp
+	for i := range code {
+		in := &code[i]
+		if in.Op == OpCopy && refTag(in.A) == refLocal && readers[refIdx(in.A)] == 1 {
+			if p := &code[def[refIdx(in.A)]]; TraitsOf(p.Op).MaskFusable {
+				p.Mask &= in.Mask
+				p.Dst = in.Dst
+				in.Op = OpNop
+				if refTag(in.Dst) == refLocal {
+					def[refIdx(in.Dst)] = def[refIdx(in.A)]
+				}
+				continue
+			}
+		}
+		if definesLocal(in) {
+			def[refIdx(in.Dst)] = int32(i)
+		}
+	}
+	tc.code = slices.DeleteFunc(code, func(in instr) bool { return in.Op == OpNop })
 }
 
 // scratch allocates one fresh temp word for an intermediate value.

@@ -57,3 +57,86 @@ func TestVertexInstrsMatchPartitions(t *testing.T) {
 		check(fmt.Sprintf("genckt seed %d", seed), d.Graph)
 	}
 }
+
+// The optimising emitter's output is pinned on the 12 merged Table-1
+// designs (what repcut.Elaborate builds) at k=1, O0 and O2, and its
+// postconditions hold on the linked code of 200 generated circuits: no
+// local temp is defined and never read, none is defined by a pure op on
+// immediates only, and no copy is the only reader of a local whose producer could have
+// taken the copy's mask and destination.
+func TestOptimisedEmission(t *testing.T) {
+	want := [][2]int{ // {O0, O2} instructions, in Table1 order
+		{1508, 1140}, {2763, 2068}, {5273, 3924},
+		{1652, 1277}, {3051, 2342}, {5849, 4472},
+		{3500, 2878}, {6747, 5544}, {13241, 10876},
+		{4749, 3979}, {9245, 7746}, {18237, 15280},
+	}
+	cfgs := designs.Table1(1.0)
+	if len(cfgs) != len(want) {
+		t.Fatalf("%d designs, want %d", len(cfgs), len(want))
+	}
+	for i, cfg := range cfgs {
+		g, err := designs.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Merge()
+		for j, level := range []int{0, 2} {
+			p, err := Compile(g, SerialSpec(g), Config{OptLevel: level})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.TotalInstrs(); got != want[i][j] {
+				t.Errorf("%s O%d: %d instrs, want %d", cfg.Name(), level, got, want[i][j])
+			}
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		d, err := genckt.Generate(genckt.Config{Seed: seed, Size: 60}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(d.Graph, SerialSpec(d.Graph), Config{OptLevel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp := p.Linked()
+		for ti, lt := range lp.Threads {
+			code := make([]instr, len(lt.Code))
+			readers := make([]int, p.Threads[ti].NumTemps)
+			def := make([]int, p.Threads[ti].NumTemps)
+			for pc := range lt.Code {
+				in := lp.tagged(&lt.Code[pc])
+				code[pc] = in
+				refs := [3]uint32{in.A, in.B, in.C}
+				for _, r := range refs[:TraitsOf(in.Op).Reads] {
+					if refTag(r) == refLocal {
+						readers[refIdx(r)]++
+					}
+				}
+				if definesDst(in.Op) && refTag(in.Dst) == refLocal {
+					def[refIdx(in.Dst)] = pc
+				}
+			}
+			for pc, in := range code {
+				tr := TraitsOf(in.Op)
+				allImm := tr.Reads > 0
+				refs := [3]uint32{in.A, in.B, in.C}
+				for _, r := range refs[:tr.Reads] {
+					allImm = allImm && refTag(r) == refImm
+				}
+				local := definesDst(in.Op) && refTag(in.Dst) == refLocal
+				where := fmt.Sprintf("genckt seed %d thread %d pc %d (%v)", seed, ti, pc, in.Op)
+				switch {
+				case local && readers[refIdx(in.Dst)] == 0:
+					t.Errorf("%s: defines temp %d, which nothing reads", where, refIdx(in.Dst))
+				case local && tr.Pure && allImm:
+					t.Errorf("%s: defines a temp from immediates only", where)
+				case in.Op == OpCopy && refTag(in.A) == refLocal && readers[refIdx(in.A)] == 1 &&
+					TraitsOf(code[def[refIdx(in.A)]].Op).MaskFusable:
+					t.Errorf("%s: copy of temp %d is its only reader, not fused into its producer", where, refIdx(in.A))
+				}
+			}
+		}
+	}
+}

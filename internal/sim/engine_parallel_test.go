@@ -97,7 +97,7 @@ func TestBatchedRunMatchesStepped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(g, partSpecs(res), Config{OptLevel: 1})
+	prog, err := Compile(g, partSpecs(res), Config{OptLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

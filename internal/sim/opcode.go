@@ -82,7 +82,7 @@ func refTag(r uint32) uint32 { return r & refTagMask }
 // refIdx extracts the index bits of a reference.
 func refIdx(r uint32) uint32 { return r & refIdxMask }
 
-// instr is one instruction of the compiler's buffer: emission, optimize and
+// instr is one instruction of the compiler's buffer: emission, the sweep and
 // the immediate-pool merge write it with tagged operands, link resolves it
 // into the LInstr stream a Program stores, and it is dropped. Only the
 // program wire form (wire.go) and Fingerprint rebuild it, through tagged.
@@ -95,6 +95,11 @@ type instr struct {
 	Aux  uint32 // shift amount / cat low-width / mem index / sext width
 	Mask uint64 // result mask; OpAndr's comparand (Traits.MaskIsOperand)
 }
+
+// definesDst reports whether an instruction of opcode op defines its Dst.
+// OpNop and OpMemWr leave Dst meaningless: read as a definition, their zero
+// Dst would claim local temp 0.
+func definesDst(op OpCode) bool { return op != OpNop && op != OpMemWr }
 
 // InstrBytes approximates the x86 code a compiled simulator would emit for
 // one IR node (the paper reports ~27 B/node for MegaBOOM-4C); the host

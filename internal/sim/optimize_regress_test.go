@@ -9,12 +9,13 @@ import (
 )
 
 // TestOptimizeWideProducerMask is the regression for a fuzz-found O2
-// miscompile (difftest crasher wide-producer-mask.fir): propagateCopies
+// miscompile (difftest crasher wide-producer-mask.fir): O2 copy propagation
 // treated the meaningless Dst/Mask fields of the boxed wide instruction
 // that computed bits(in1, 15, 0) as a definition of local temp 0 with
 // produced-mask 0, so the following tail (masked copy) was aliased away and
 // the memory write stored the unmasked 16-bit value instead of the 4-bit
-// tail. The bits now lower to word-level code the optimizer sees whole.
+// tail. The bits now lower to word-level code the optimising emitter sees
+// whole, and it reads no definition from an OpMemWr (definesDst).
 func TestOptimizeWideProducerMask(t *testing.T) {
 	src := `
 circuit Gen {

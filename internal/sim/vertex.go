@@ -15,7 +15,53 @@ func maskOf(w int) uint64 {
 	return (1 << uint(w)) - 1
 }
 
-func (tc *threadCompiler) emit(i instr) { tc.code = append(tc.code, i) }
+// emit appends one instruction to the thread's buffer. An optimising
+// compile first resolves the instruction's local operands through the
+// thread's aliases; then a local definition that needs no code emits
+// nothing and becomes an alias instead: a pure op on immediates folds to
+// the immediate of its value, and a copy that keeps every bit its source
+// can carry stands for the source.
+func (tc *threadCompiler) emit(in instr) {
+	if !tc.c.opt {
+		tc.code = append(tc.code, in)
+		return
+	}
+	for n := uint32(len(tc.alias)); n < tc.nextTemp; n++ {
+		tc.alias = append(tc.alias, makeRef(refLocal, n))
+		tc.produced = append(tc.produced, 0)
+	}
+	tr := TraitsOf(in.Op)
+	refs := [3]*uint32{&in.A, &in.B, &in.C}
+	allImm := tr.Reads > 0
+	for _, r := range refs[:tr.Reads] {
+		if refTag(*r) == refLocal {
+			*r = tc.alias[refIdx(*r)]
+		}
+		allImm = allImm && refTag(*r) == refImm
+	}
+	if definesDst(in.Op) && refTag(in.Dst) == refLocal {
+		d := refIdx(in.Dst)
+		if tr.Pure && allImm {
+			// Fold through the executor itself, so folding cannot diverge
+			// from execution.
+			var v [3]uint64
+			for k, r := range refs[:tr.Reads] {
+				v[k] = tc.imms[refIdx(*r)]
+			}
+			r, _ := EvalOp(in.Op, in.Aux, in.Mask, v[0], v[1], v[2])
+			tc.alias[d] = makeRef(refImm, tc.internImm(r))
+			return
+		}
+		// A copy of an immediate folded above; a copy of a global word,
+		// whose bits the emitter does not track, stays a copy.
+		if in.Op == OpCopy && refTag(in.A) == refLocal && tc.produced[refIdx(in.A)]&^in.Mask == 0 {
+			tc.alias[d] = in.A
+			return
+		}
+		tc.produced[d] = in.Mask
+	}
+	tc.code = append(tc.code, in)
+}
 
 // operandType returns the IR type of an operand.
 func (tc *threadCompiler) operandType(a cgraph.Operand) firrtl.Type {

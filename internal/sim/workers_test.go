@@ -30,7 +30,7 @@ func TestCompileWorkerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := partSpecs(res)
-	for _, opt := range []int{0, 1, 2} {
+	for _, opt := range []int{0, 2} {
 		base, err := Compile(g, specs, Config{OptLevel: opt, Workers: 1})
 		if err != nil {
 			t.Fatalf("opt=%d serial: %v", opt, err)

@@ -56,7 +56,7 @@ func requireRejected(t *testing.T, r *Result, slotSub string) Divergence {
 }
 
 // wideProducerMaskSrc is the circuit of the first historical miscompile
-// (difftest crasher wide-producer-mask.fir): propagateCopies trusted the
+// (difftest crasher wide-producer-mask.fir): O2 copy propagation trusted the
 // meaningless Dst/Mask of the boxed wide instruction that computed
 // bits(in1, 15, 0) and aliased away the 4-bit tail mask on a memory
 // write's data operand.

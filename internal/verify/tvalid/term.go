@@ -236,14 +236,14 @@ func unmaskedBound(op sim.OpCode, aux uint32, args []*term) uint64 {
 }
 
 // app builds the canonical term for one opcode application,
-// mirroring every rewrite the optimizer passes perform:
+// mirroring every rewrite the optimising emitter and its sweep perform:
 //
 //   - constant folding through sim.EvalOp (the real executor — the
 //     validator owns no opcode semantics of its own)
 //   - copy-chain collapse and truncation fusion (OpCopy absorbs into any
 //     producer whose executor masks its result)
 //   - no-op mask canonicalization (a mask provably covering every settable
-//     bit is rewritten to the full mask: fuseTruncations narrows a
+//     bit is rewritten to the full mask: the sweep's copy fusion narrows a
 //     producer's mask to the copy's, and where both the O0 and the narrowed
 //     mask are no-ops the two sides must still intern as one term)
 //   - commutative operand ordering by term id
@@ -326,7 +326,7 @@ func (b *builder) app(op sim.OpCode, aux uint32, mask uint64, args ...*term) *te
 
 // copyOf is the canonical form of "dst = x & mask": the identity when the
 // mask provably clears nothing, truncation fusion into a masking producer
-// otherwise — exactly propagateCopies plus fuseTruncations.
+// otherwise — the emitter's copy aliasing plus the sweep's copy fusion.
 func (b *builder) copyOf(x *term, mask uint64) *term {
 	if x.bits&^mask == 0 {
 		return x

@@ -10,7 +10,7 @@
 // normalization engine (constant folding through the real executor,
 // commutative operand ordering, mask and sign-extension idempotence, mux
 // absorption, copy-chain collapsing) canonicalizes terms so that every
-// rewrite the optimizer passes may legally perform maps both sides onto
+// rewrite the optimising emitter may legally perform maps both sides onto
 // the identical interned term: pointer-equal terms prove the slot pair
 // equivalent. Residual hash-mismatched pairs — normalization is
 // deliberately incomplete rather than unsound — fall back to seeded

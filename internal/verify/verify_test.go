@@ -101,7 +101,7 @@ circuit M {
 func TestCleanProgramsVerify(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	for _, k := range []int{1, 2, 3} {
-		for _, opt := range []int{0, 1, 2} {
+		for _, opt := range []int{0, 2} {
 			p, parts := compileParts(t, g, k, opt)
 			rep := Program(p, Options{Graph: g, Parts: parts})
 			requireClean(t, rep, fmt.Sprintf("k=%d O%d", k, opt))
