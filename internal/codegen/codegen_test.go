@@ -212,7 +212,7 @@ func TestPlantedBugDiverges(t *testing.T) {
 	for seed := int64(1); seed <= 5 && !diverged; seed++ {
 		d := buildDesign(t, seed, 70)
 		p := compileK(t, d, 1)
-		em, err := Emit(p.Linked(), EmitOptions{Bug: BugCmpInvert})
+		em, err := Emit(p, EmitOptions{Bug: BugCmpInvert})
 		if err != nil {
 			t.Logf("seed %d: no bug site: %v", seed, err)
 			continue

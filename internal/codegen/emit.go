@@ -57,16 +57,15 @@ type Emission struct {
 	BugSite string
 }
 
-// Emit generates plugin source for every thread of the linked program.
-func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
-	p := lp.Program()
-	e := &emitter{lp: lp, p: p, bug: o.Bug}
+// Emit generates plugin source for every thread of the program.
+func Emit(p *sim.Program, o EmitOptions) (*Emission, error) {
+	e := &emitter{p: p, bug: o.Bug}
 	if o.Bug != BugNone {
 		// Scan pass: collect every maskable site, then plant the bug where
 		// it can actually be observed (see bugScore).
-		s := &emitter{lp: lp, p: p, scan: true}
+		s := &emitter{p: p, scan: true}
 		var discard strings.Builder
-		for t := range lp.Threads {
+		for t := range p.Threads {
 			if err := s.thread(&discard, t); err != nil {
 				return nil, err
 			}
@@ -92,7 +91,7 @@ func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 		e.bugT, e.bugC = pick.t, pick.pc
 	}
 	var body strings.Builder
-	for t := range lp.Threads {
+	for t := range p.Threads {
 		if err := e.thread(&body, t); err != nil {
 			return nil, err
 		}
@@ -112,7 +111,7 @@ func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 	fmt.Fprintf(&b, "var Fingerprint uint64 = %#x\n\n", p.Fingerprint())
 	fmt.Fprintf(&b, "var Emitter = %q\n\n", EmitterVersion)
 	b.WriteString("var Threads = []func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64)){\n")
-	for t := range lp.Threads {
+	for t := range p.Threads {
 		fmt.Fprintf(&b, "\teval%d,\n", t)
 	}
 	b.WriteString("}\n\n")
@@ -124,7 +123,7 @@ func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 
 	return &Emission{
 		Source:  []byte(b.String()),
-		Threads: len(lp.Threads),
+		Threads: len(p.Threads),
 		Chunks:  e.chunks,
 		Inlined: e.inlined,
 		BugSite: e.bugSite,
@@ -133,7 +132,6 @@ func Emit(lp *sim.LinkedProgram, o EmitOptions) (*Emission, error) {
 
 // emitter carries one Emit run's state.
 type emitter struct {
-	lp  *sim.LinkedProgram
 	p   *sim.Program
 	bug Bug
 
@@ -163,9 +161,9 @@ const threadSig = "(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uin
 // thread emits thread t as chunk functions plus a driver calling them in
 // order (or a single function when the stream fits one chunk).
 func (e *emitter) thread(b *strings.Builder, t int) error {
-	lt := &e.lp.Threads[t]
-	order := schedule(e.lp, t)
-	tl := tempLives(e.lp, t, order)
+	th := &e.p.Threads[t]
+	order := schedule(e.p, t)
+	tl := tempLives(e.p, t, order)
 	cuts := chunkCuts(tl.live(len(order)))
 	fmt.Fprintf(b, "func eval%d%s {\n", t, threadSig)
 	if len(cuts) > 2 {
@@ -174,7 +172,7 @@ func (e *emitter) thread(b *strings.Builder, t int) error {
 		}
 		b.WriteString("}\n\n")
 	}
-	e.tempOff = lt.TempOff
+	e.tempOff = th.TempOff
 	for c := 0; c+1 < len(cuts); c++ {
 		if len(cuts) > 2 {
 			fmt.Fprintf(b, "func eval%d_%d%s {\n", t, c, threadSig)
@@ -191,7 +189,7 @@ func (e *emitter) thread(b *strings.Builder, t int) error {
 
 // chunk emits the instructions at the given linked PCs of thread t.
 func (e *emitter) chunk(b *strings.Builder, t int, pcs []int) error {
-	code := e.lp.Threads[t].Code
+	code := e.p.Threads[t].Code
 	var names []string
 	for i, l := range e.local {
 		if l {
@@ -254,9 +252,9 @@ func (e *emitter) word(idx uint32) string {
 // thread's temps, come in PC order, each preceded by its not yet emitted
 // dependencies in depth-first post-order; whatever no root reaches
 // follows in PC order.
-func schedule(lp *sim.LinkedProgram, t int) []int {
-	lt := &lp.Threads[t]
-	code := lt.Code
+func schedule(p *sim.Program, t int) []int {
+	th := &p.Threads[t]
+	code := th.Code
 	deps := make([][]int, len(code))
 	var roots []int
 	lastDef := map[uint32]int{}
@@ -265,7 +263,7 @@ func schedule(lp *sim.LinkedProgram, t int) []int {
 	var defs, uses []uint32
 	var mdefs []sim.Loc
 	for pc := range code {
-		defs, uses, mdefs, _ = lp.LinkedDefUse(&code[pc], defs[:0], uses[:0], mdefs[:0], nil)
+		defs, uses, mdefs, _ = p.LinkedDefUse(&code[pc], defs[:0], uses[:0], mdefs[:0], nil)
 		var d []int
 		for _, u := range uses {
 			if w, ok := lastDef[u]; ok {
@@ -275,8 +273,8 @@ func schedule(lp *sim.LinkedProgram, t int) []int {
 		}
 		root := len(mdefs) > 0
 		for _, w := range defs {
-			if p, ok := lastDef[w]; ok {
-				d = append(d, p)
+			if prev, ok := lastDef[w]; ok {
+				d = append(d, prev)
 			}
 			for _, r := range readers[w] {
 				if r != pc {
@@ -285,7 +283,7 @@ func schedule(lp *sim.LinkedProgram, t int) []int {
 			}
 			delete(readers, w)
 			lastDef[w] = pc
-			root = root || w < lt.TempOff || w >= lt.ShadowOff
+			root = root || w < th.TempOff || w >= th.ShadowOff
 		}
 		if len(mdefs) > 0 {
 			if lastWr >= 0 {
@@ -328,9 +326,9 @@ type tempSpans struct {
 }
 
 // tempLives locates every temp's def and reads in order.
-func tempLives(lp *sim.LinkedProgram, t int, order []int) *tempSpans {
-	lt := &lp.Threads[t]
-	n := int(lt.ShadowOff - lt.TempOff)
+func tempLives(p *sim.Program, t int, order []int) *tempSpans {
+	th := &p.Threads[t]
+	n := int(th.ShadowOff - th.TempOff)
 	s := &tempSpans{def: make([]int, n), last: make([]int, n)}
 	for i := range s.def {
 		s.def[i], s.last[i] = -1, -1
@@ -338,15 +336,15 @@ func tempLives(lp *sim.LinkedProgram, t int, order []int) *tempSpans {
 	bad := make([]bool, n)
 	var ds, us []uint32
 	for pos, pc := range order {
-		ds, us, _, _ = lp.LinkedDefUse(&lt.Code[pc], ds[:0], us[:0], nil, nil)
+		ds, us, _, _ = p.LinkedDefUse(&th.Code[pc], ds[:0], us[:0], nil, nil)
 		for _, u := range us {
-			if i := int(u) - int(lt.TempOff); i >= 0 && i < n {
+			if i := int(u) - int(th.TempOff); i >= 0 && i < n {
 				bad[i] = bad[i] || s.def[i] < 0
 				s.last[i] = pos
 			}
 		}
 		for _, w := range ds {
-			if i := int(w) - int(lt.TempOff); i >= 0 && i < n {
+			if i := int(w) - int(th.TempOff); i >= 0 && i < n {
 				bad[i] = bad[i] || s.def[i] >= 0
 				s.def[i] = pos
 			}
@@ -434,7 +432,7 @@ func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
 	if !ok {
 		return fmt.Errorf("codegen: unhandled opcode %v (thread %d pc %d)", in.Op, t, pc)
 	}
-	e.block = blockedSlots(e.lp, e.p, in, tmpl)
+	e.block = blockedSlots(e.p, in, tmpl)
 	ops := [3]uint32{in.A, in.B, in.C}
 	stmt := optable.Expand(tmpl, &optable.Target{
 		Dst:     e.word(in.Dst),
@@ -459,7 +457,7 @@ func (e *emitter) instr(b *strings.Builder, t, pc int, in *sim.LInstr) error {
 // else the local or state load.
 func (e *emitter) op(idx uint32, k int) string {
 	if !e.block[k] {
-		if i := int(idx) - e.lp.ImmOff; i >= 0 && i < len(e.p.Imms) {
+		if i := int(idx) - e.p.ImmOff; i >= 0 && i < len(e.p.Imms) {
 			e.inlined++
 			return fmt.Sprintf("uint64(%#x)", e.p.Imms[i])
 		}
@@ -527,12 +525,12 @@ func (e *emitter) cond(t, pc int, c string) string {
 // optable.NeedsLoad names for the template, and every operand of an
 // instruction whose reads are all immediates (the whole expression would
 // be constant).
-func blockedSlots(lp *sim.LinkedProgram, p *sim.Program, in *sim.LInstr, tmpl string) [3]bool {
+func blockedSlots(p *sim.Program, in *sim.LInstr, tmpl string) [3]bool {
 	ops := [3]uint32{in.A, in.B, in.C}
 	reads := sim.TraitsOf(in.Op).Reads
 	allImm := reads > 0
 	for k := 0; k < reads; k++ {
-		i := int(ops[k]) - lp.ImmOff
+		i := int(ops[k]) - p.ImmOff
 		if i < 0 || i >= len(p.Imms) {
 			allImm = false
 		}

@@ -3,4 +3,4 @@ package codegen
 import "repro/internal/sim"
 
 // Schedule exposes the emitter's order of thread t to the external tests.
-func Schedule(lp *sim.LinkedProgram, t int) []int { return schedule(lp, t) }
+func Schedule(p *sim.Program, t int) []int { return schedule(p, t) }

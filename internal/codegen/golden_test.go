@@ -76,13 +76,12 @@ func TestEmitGolden(t *testing.T) {
 	got := map[string]string{}
 	var ran [len(optable.Table)]int
 	for _, np := range goldenPrograms(t) {
-		lp := np.p.Linked()
-		for _, th := range lp.Threads {
+		for _, th := range np.p.Threads {
 			for _, in := range th.Code {
 				ran[in.Op]++
 			}
 		}
-		em, err := codegen.Emit(lp, codegen.EmitOptions{})
+		em, err := codegen.Emit(np.p, codegen.EmitOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", np.name, err)
 		}

@@ -14,9 +14,9 @@ import (
 // checkSchedule reports the first way order is not a legal emission order
 // of thread t: not a permutation of its linked PCs, a temp read at or
 // before its def, or memory writes out of their PC order.
-func checkSchedule(lp *sim.LinkedProgram, t int, order []int) error {
-	lt := &lp.Threads[t]
-	code := lt.Code
+func checkSchedule(p *sim.Program, t int, order []int) error {
+	th := &p.Threads[t]
+	code := th.Code
 	if len(order) != len(code) {
 		return fmt.Errorf("order has %d entries, thread has %d instructions", len(order), len(code))
 	}
@@ -28,18 +28,18 @@ func checkSchedule(lp *sim.LinkedProgram, t int, order []int) error {
 			return fmt.Errorf("position %d: pc %d is out of range or repeated", pos, pc)
 		}
 		seen[pc] = true
-		defs, _, _, _ = lp.LinkedDefUse(&code[pc], defs[:0], nil, nil, nil)
+		defs, _, _, _ = p.LinkedDefUse(&code[pc], defs[:0], nil, nil, nil)
 		for _, w := range defs {
-			if _, ok := defAt[w]; !ok && w >= lt.TempOff && w < lt.ShadowOff {
+			if _, ok := defAt[w]; !ok && w >= th.TempOff && w < th.ShadowOff {
 				defAt[w] = pos
 			}
 		}
 	}
 	lastWr := -1
 	for pos, pc := range order {
-		_, uses, _, _ = lp.LinkedDefUse(&code[pc], nil, uses[:0], nil, nil)
+		_, uses, _, _ = p.LinkedDefUse(&code[pc], nil, uses[:0], nil, nil)
 		for _, u := range uses {
-			if u < lt.TempOff || u >= lt.ShadowOff {
+			if u < th.TempOff || u >= th.ShadowOff {
 				continue
 			}
 			if d, ok := defAt[u]; !ok || d >= pos {
@@ -60,31 +60,30 @@ func checkSchedule(lp *sim.LinkedProgram, t int, order []int) error {
 // thread (no plugin is built, so it runs everywhere), then checks that the
 // checker rejects an order with one consumer hoisted above its producer.
 func TestEmitSchedule(t *testing.T) {
-	var probe *sim.LinkedProgram
+	var probe *sim.Program
 	for _, np := range goldenPrograms(t) {
-		lp := np.p.Linked()
-		for th := range lp.Threads {
-			if err := checkSchedule(lp, th, codegen.Schedule(lp, th)); err != nil {
+		for th := range np.p.Threads {
+			if err := checkSchedule(np.p, th, codegen.Schedule(np.p, th)); err != nil {
 				t.Errorf("%s thread %d: %v", np.name, th, err)
 			}
 		}
 		if np.name == "RocketChip-1C/k1" {
-			probe = lp
+			probe = np.p
 		}
 	}
 
 	order := codegen.Schedule(probe, 0)
-	lt := &probe.Threads[0]
+	th := &probe.Threads[0]
 	pos := make([]int, len(order))
 	for i, pc := range order {
 		pos[pc] = i
 	}
 	for i, pc := range order {
-		in := &lt.Code[pc]
-		if in.Op == sim.OpMemWr || sim.TraitsOf(in.Op).Reads == 0 || in.A < lt.TempOff || in.A >= lt.ShadowOff {
+		in := &th.Code[pc]
+		if in.Op == sim.OpMemWr || sim.TraitsOf(in.Op).Reads == 0 || in.A < th.TempOff || in.A >= th.ShadowOff {
 			continue
 		}
-		prod := slices.IndexFunc(lt.Code, func(p sim.LInstr) bool { return p.Op != sim.OpMemWr && p.Dst == in.A })
+		prod := slices.IndexFunc(th.Code, func(p sim.LInstr) bool { return p.Op != sim.OpMemWr && p.Dst == in.A })
 		if prod < 0 {
 			continue
 		}
@@ -117,7 +116,7 @@ func TestNativeMatchesLinkedMultiChunk(t *testing.T) {
 			continue
 		}
 		p := np.p
-		em, err := codegen.Emit(p.Linked(), codegen.EmitOptions{})
+		em, err := codegen.Emit(p, codegen.EmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -316,7 +316,7 @@ func (s *Store) dropCorrupt(key string) {
 // artifact).
 func (s *Store) build(p *sim.Program, o EmitOptions, key string) (ArtifactInfo, error) {
 	start := time.Now()
-	em, err := Emit(p.Linked(), o)
+	em, err := Emit(p, o)
 	if err != nil {
 		return ArtifactInfo{}, err
 	}

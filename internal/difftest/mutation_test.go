@@ -83,11 +83,11 @@ func huntAndShrinkColumn(t *testing.T, name, column string, maxVerts int, option
 }
 
 // code0 returns thread 0's linked code, which the mutations corrupt.
-func code0(p *sim.Program) []sim.LInstr { return p.Linked().Threads[0].Code }
+func code0(p *sim.Program) []sim.LInstr { return p.Threads[0].Code }
 
 // inSpace reports whether state index idx lies in region sp.
 func inSpace(p *sim.Program, idx uint32, sp sim.RefSpace) bool {
-	loc, _, ok := p.Linked().LinkedLoc(idx)
+	loc, _, ok := p.LinkedLoc(idx)
 	return ok && loc.Space == sp
 }
 
@@ -122,7 +122,7 @@ func TestMutationShadowSwap(t *testing.T) {
 		if pc < 0 {
 			return false
 		}
-		in, off := &code0(p)[pc], p.Linked().Threads[0].ShadowOff
+		in, off := &code0(p)[pc], p.Threads[0].ShadowOff
 		in.Dst = off + (in.Dst-off+1)%uint32(th.ShadowWords)
 		return true
 	})

@@ -483,7 +483,7 @@ func codegenEngine(p2 *sim.Program, opt Options) (*sim.Engine, string, *Mismatch
 		return nil, name, nil
 	}
 	if opt.CodegenBug != codegen.BugNone {
-		if _, err := codegen.Emit(p2.Linked(), codegen.EmitOptions{Bug: opt.CodegenBug}); err != nil {
+		if _, err := codegen.Emit(p2, codegen.EmitOptions{Bug: opt.CodegenBug}); err != nil {
 			return nil, name, nil // no plantable site on this circuit
 		}
 	}

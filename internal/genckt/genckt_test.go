@@ -84,7 +84,7 @@ func TestOpcodeCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		for _, th := range p.Linked().Threads {
+		for _, th := range p.Threads {
 			for _, in := range th.Code {
 				seen[in.Op] = true
 			}

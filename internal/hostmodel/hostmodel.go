@@ -201,10 +201,9 @@ func Work(instrs int, costUnits int64, privateWords, shadowWords, globalWords, b
 // WorkFromProgram extracts per-thread workloads from a compiled program.
 func WorkFromProgram(p *sim.Program) []ThreadWork {
 	out := make([]ThreadWork, p.NumThreads)
-	lp := p.Linked()
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		out[t] = Work(len(lp.Threads[t].Code), th.CostUnits, th.NumTemps, th.ShadowWords, p.GlobalWords, th.Branches)
+		out[t] = Work(len(th.Code), th.CostUnits, th.NumTemps, th.ShadowWords, p.GlobalWords, th.Branches)
 	}
 	return out
 }

@@ -209,7 +209,7 @@ import (
 // Signed division and the memory operations run per lane over the live
 // lanes, and the memory operations honor the mask.
 func (e *BatchEngine) evalThreadBatch(t int, mask []bool) {
-	code := e.lp.Threads[t].Code
+	code := e.prog.Threads[t].Code
 	if len(code) == 0 {
 		return // includes the program without state, which has no &st[0]
 	}

@@ -17,9 +17,13 @@ import (
 // slower spell 12.95–13.72 against 2.77–3.10), so a group carrying fewer
 // than ⌈round / solo cycle⌉ = 5 lanes per round loses to private engines.
 // That ratio is engine-only: it leaves out the group-commit linger, and it
-// comes from one design at one thread count. No benchmark workload runs
-// five or more co-tenants of one design, so the value is unverified end to
-// end; it stays fixed until such a workload can measure both sides of it.
+// comes from one design at one thread count. End to end in process
+// (BenchmarkCoTenants, RocketChip-1C at k=1, same host, medians of three),
+// lanes against private engines in aggregate cycles/s run 0.33–0.39× at 6
+// tenants, 0.96–0.98× at 16 and 1.49–1.54× at 32 for bulk Run(4000)
+// sessions, and 0.56–0.89× at every count in lock-step (EXPERIMENTS.md,
+// "Co-tenancy"). The loss at 6 tenants comes from counting tenants: the
+// first MinLaneGroup-1 stay private, so a group starts with one lane.
 const MinLaneGroup = 5
 
 // batchPool coalesces sessions that simulate the same compiled program

@@ -637,3 +637,86 @@ func TestBatchLanesClamped(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCoTenants measures lane batching end to end in process: n
+// concurrent default-placement sessions of RocketChip-1C at one thread, each
+// driven by its own client goroutine through the HTTP handler, with lanes on
+// (the default BatchLanes) and off (BatchLanes 1, every session private).
+// Bulk sessions run Run(4000) five times; lock-step sessions run one cycle
+// and peek an output 200 times, one request per cycle (the bundled designs
+// have no top-level input to poke, and a peek after the first rides on the
+// step). It reports the aggregate simulated cycles per second of all n
+// sessions.
+//
+//	go test -run '^$' -bench CoTenants -benchtime 1x -count 3 ./internal/service
+func BenchmarkCoTenants(b *testing.B) {
+	modes := []struct {
+		name  string
+		drive func(h *SessionHandle, out string) (cycles int, err error)
+	}{
+		{"bulk", func(h *SessionHandle, _ string) (int, error) {
+			for range 5 {
+				if _, err := h.Run(4000); err != nil {
+					return 0, err
+				}
+			}
+			return 5 * 4000, nil
+		}},
+		{"lockstep", func(h *SessionHandle, out string) (int, error) {
+			for range 200 {
+				if _, err := h.Run(1); err != nil {
+					return 0, err
+				}
+				if _, err := h.Peek(out); err != nil {
+					return 0, err
+				}
+			}
+			return 200, nil
+		}},
+	}
+	for _, mode := range modes {
+		for _, tier := range []struct {
+			name  string
+			lanes int
+		}{{"lanes", 0}, {"private", 1}} {
+			for _, n := range []int{6, 16, 32} {
+				b.Run(fmt.Sprintf("%s/%s/n%d", mode.name, tier.name, n), func(b *testing.B) {
+					_, client := newTestServer(b, Config{Workers: 1, BatchLanes: tier.lanes})
+					cr, err := client.Compile(CompileRequest{Design: "RocketChip-1C", Threads: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					out := firstNarrow(cr.Outputs)
+					sessions := make([]*SessionHandle, n)
+					for i := range sessions {
+						if sessions[i], err = client.NewSession(cr.Key); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ResetTimer()
+					var cycles int64
+					for range b.N {
+						var wg sync.WaitGroup
+						errs := make([]error, n)
+						done := make([]int, n)
+						for i, h := range sessions {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								done[i], errs[i] = mode.drive(h, out)
+							}()
+						}
+						wg.Wait()
+						for i := range sessions {
+							if errs[i] != nil {
+								b.Fatal(errs[i])
+							}
+							cycles += int64(done[i])
+						}
+					}
+					b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+				})
+			}
+		}
+	}
+}

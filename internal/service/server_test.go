@@ -23,7 +23,7 @@ func quietLogger() *slog.Logger {
 }
 
 // newTestServer boots a service behind httptest with test-friendly knobs.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	srv, client, _ := newCountingServer(t, cfg)
 	return srv, client
@@ -31,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 
 // newCountingServer is newTestServer plus a count of the HTTP requests the
 // server has received.
-func newCountingServer(t *testing.T, cfg Config) (*Server, *Client, *atomic.Int64) {
+func newCountingServer(t testing.TB, cfg Config) (*Server, *Client, *atomic.Int64) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quietLogger()
@@ -117,7 +117,7 @@ func TestWireDeterminism(t *testing.T) {
 	if want := ref.Program().Fingerprint(); cr.Program.Fingerprint != fpHex(want) {
 		t.Fatalf("served fingerprint %s != offline %s", cr.Program.Fingerprint, fpHex(want))
 	}
-	if want := ref.Program().Linked().ExchangeWords(); !slices.Equal(cr.Program.ExchangeWords, want) {
+	if want := ref.Program().ExchangeWords(); !slices.Equal(cr.Program.ExchangeWords, want) {
 		t.Fatalf("served exchange_words %v != offline %v", cr.Program.ExchangeWords, want)
 	}
 

@@ -153,15 +153,12 @@ func PartitionJSON(r *repcut.PartitionReport) *PartitionSummary {
 
 // ProgramSummary describes a compiled program without shipping its code.
 type ProgramSummary struct {
-	Design  string `json:"design"`
-	Threads int    `json:"threads"`
-	Instrs  int    `json:"instrs"`
-	// LinkedInstrs is the length of the linked stream engines actually
-	// run; linking is 1:1, so it equals Instrs.
-	LinkedInstrs int    `json:"linked_instrs"`
-	MemBytes     int64  `json:"mem_bytes"`
-	StateBytes   int64  `json:"state_bytes"`
-	Fingerprint  string `json:"fingerprint"`
+	Design      string `json:"design"`
+	Threads     int    `json:"threads"`
+	Instrs      int    `json:"instrs"`
+	MemBytes    int64  `json:"mem_bytes"`
+	StateBytes  int64  `json:"state_bytes"`
+	Fingerprint string `json:"fingerprint"`
 	// ExchangeWords is, per reader thread, how many words a multi-threaded
 	// engine copies in from other threads' segments each cycle.
 	ExchangeWords []int `json:"exchange_words"`
@@ -169,11 +166,10 @@ type ProgramSummary struct {
 
 // ProgramJSON summarizes a compiled program for the wire.
 func ProgramJSON(p *sim.Program) ProgramSummary {
-	lp := p.Linked()
 	return ProgramSummary{
 		Design: p.Design, Threads: p.NumThreads, Instrs: p.TotalInstrs(),
-		LinkedInstrs: lp.Stats.Linked, MemBytes: p.MemBytes(), StateBytes: p.StateBytes(),
-		Fingerprint: fmt.Sprintf("%016x", p.Fingerprint()), ExchangeWords: lp.ExchangeWords(),
+		MemBytes: p.MemBytes(), StateBytes: p.StateBytes(),
+		Fingerprint: fmt.Sprintf("%016x", p.Fingerprint()), ExchangeWords: p.ExchangeWords(),
 	}
 }
 

@@ -71,7 +71,6 @@ func remLane(a, b, m uint64) uint64 {
 // groups) serialize access externally.
 type BatchEngine struct {
 	prog  *Program
-	lp    *LinkedProgram
 	lanes int
 
 	// st is the SoA state: word w, lane l at st[w*BatchWidth+l].
@@ -99,21 +98,19 @@ func NewBatchEngine(p *Program, lanes int) (*BatchEngine, error) {
 	if lanes < 1 || lanes > BatchWidth {
 		return nil, fmt.Errorf("sim: batch engine needs 1 <= lanes <= %d, got %d", BatchWidth, lanes)
 	}
-	lp := p.Linked()
 	e := &BatchEngine{
 		prog:     p,
-		lp:       lp,
 		lanes:    lanes,
 		cycles:   make([]uint64, lanes),
 		fullMask: make([]bool, lanes),
 	}
-	e.st = make([]uint64, lp.StateWords*BatchWidth)
+	e.st = make([]uint64, p.StateWords*BatchWidth)
 	for l := 0; l < lanes; l++ {
 		e.fullMask[l] = true
 		e.laneGS = append(e.laneGS, newGlobalState(p, e.st, BatchWidth, l))
 		tcs := make([]*threadCtx, len(p.Threads))
 		for t := range p.Threads {
-			tcs[t] = newThreadCtx(lp.Threads[t].Code)
+			tcs[t] = newThreadCtx(p.Threads[t].Code)
 		}
 		e.laneTC = append(e.laneTC, tcs)
 	}
@@ -143,7 +140,7 @@ func (e *BatchEngine) Reset() {
 // other lane. The service batch tier calls it when recycling a dead
 // session's lane for a new one.
 func (e *BatchEngine) ResetLane(lane int) {
-	resetState(e.lp, e.laneGS[lane])
+	resetState(e.prog, e.laneGS[lane])
 	e.cycles[lane] = 0
 }
 
@@ -270,8 +267,7 @@ func (e *BatchEngine) RunMasked(n int, mask []bool) {
 // otherwise, then the deferred memory writes lane by lane.
 func (e *BatchEngine) updateBatch(t int, mask []bool, full bool, runs [][2]int) {
 	th := &e.prog.Threads[t]
-	lt := &e.lp.Threads[t]
-	gOff, shOff, sw := th.GlobalOff, int(lt.ShadowOff), th.ShadowWords
+	gOff, shOff, sw := th.GlobalOff, int(th.ShadowOff), th.ShadowWords
 	if sw > 0 {
 		if full {
 			copy(e.st[gOff*BatchWidth:(gOff+sw)*BatchWidth], e.st[shOff*BatchWidth:(shOff+sw)*BatchWidth])

@@ -140,8 +140,8 @@ func TestBatchMatchesEngine(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, lt := range prog.Linked().Threads {
-						for _, in := range lt.Code {
+					for _, th := range prog.Threads {
+						for _, in := range th.Code {
 							ran[in.Op]++
 						}
 					}

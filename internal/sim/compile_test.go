@@ -36,7 +36,7 @@ func TestVertexInstrsMatchPartitions(t *testing.T) {
 				for _, v := range specs[th].Vertices {
 					sum += counts[v]
 				}
-				if got := len(prog.Linked().Threads[th].Code); sum != got {
+				if got := len(prog.Threads[th].Code); sum != got {
 					t.Errorf("%s k=%d thread %d: vertex counts sum to %d, thread has %d instrs", name, k, th, sum, got)
 				}
 			}
@@ -100,13 +100,12 @@ func TestOptimisedEmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp := p.Linked()
-		for ti, lt := range lp.Threads {
-			code := make([]instr, len(lt.Code))
+		for ti, th := range p.Threads {
+			code := make([]instr, len(th.Code))
 			readers := make([]int, p.Threads[ti].NumTemps)
 			def := make([]int, p.Threads[ti].NumTemps)
-			for pc := range lt.Code {
-				in := lp.tagged(&lt.Code[pc])
+			for pc := range th.Code {
+				in := p.tagged(&th.Code[pc])
 				code[pc] = in
 				refs := [3]uint32{in.A, in.B, in.C}
 				for _, r := range refs[:TraitsOf(in.Op).Reads] {

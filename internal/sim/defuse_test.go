@@ -11,7 +11,7 @@ import (
 // 40–44 temps, 49–50 shadow words); memories keep their space-relative
 // encoding.
 func TestLinkedDefUse(t *testing.T) {
-	lp := &LinkedProgram{}
+	p := &Program{}
 	cases := []struct {
 		name         string
 		in           LInstr
@@ -35,7 +35,7 @@ func TestLinkedDefUse(t *testing.T) {
 			[]uint32{44}, []uint32{40, 41}, nil, nil},
 	}
 	for _, c := range cases {
-		nd, nu, md, mu := lp.LinkedDefUse(&c.in, nil, nil, nil, nil)
+		nd, nu, md, mu := p.LinkedDefUse(&c.in, nil, nil, nil, nil)
 		if !slices.Equal(nd, c.ndefs) || !slices.Equal(nu, c.nuses) {
 			t.Errorf("%s: state defs/uses = %v/%v, want %v/%v", c.name, nd, nu, c.ndefs, c.nuses)
 		}
@@ -51,14 +51,14 @@ func TestLinkedDefUse(t *testing.T) {
 // LinkedDefUse must append to recycled slices without reallocating when
 // capacity suffices (the verifier calls it once per instruction).
 func TestLinkedDefUseRecycles(t *testing.T) {
-	lp := &LinkedProgram{}
+	p := &Program{}
 	ndefs := make([]uint32, 0, 4)
 	nuses := make([]uint32, 0, 4)
 	mdefs := make([]Loc, 0, 4)
 	muses := make([]Loc, 0, 4)
 	in := LInstr{Op: OpMemRd, Dst: 1, A: 2, Aux: 0}
-	d1, u1, _, w1 := lp.LinkedDefUse(&in, ndefs[:0], nuses[:0], mdefs[:0], muses[:0])
-	d2, u2, _, w2 := lp.LinkedDefUse(&in, d1[:0], u1[:0], mdefs[:0], w1[:0])
+	d1, u1, _, w1 := p.LinkedDefUse(&in, ndefs[:0], nuses[:0], mdefs[:0], muses[:0])
+	d2, u2, _, w2 := p.LinkedDefUse(&in, d1[:0], u1[:0], mdefs[:0], w1[:0])
 	if &d1[0] != &d2[0] || &u1[0] != &u2[0] || &w1[0] != &w2[0] {
 		t.Error("recycled slices reallocated")
 	}

@@ -26,7 +26,7 @@ import (
 //	cycle c:  evaluate over the own array and memories, buffering the
 //	          memory writes in write buffer [self][c mod 2]
 //	          → commit the shadow into the own segment
-//	          → pack the words each reader reads (LinkedProgram.Exchange)
+//	          → pack the words each reader reads (Program.Exchange)
 //	            into buffer [writer][reader][c mod 2]
 //	          → barrier
 //	          → copy in the remote words it reads from [writer][self][c mod 2]
@@ -38,9 +38,8 @@ import (
 // per cycle suffices for registers and memories alike.
 type Engine struct {
 	prog *Program
-	lp   *LinkedProgram
 
-	// st[t] is thread t's private state array, [0, lp.Threads[t].End) of
+	// st[t] is thread t's private state array, [0, prog.Threads[t].End) of
 	// the unified layout; a single-threaded engine's one array is the
 	// whole layout. Every reader's copy of an exchanged word equals the
 	// owner's between Run calls, and Run copies every other thread's
@@ -64,7 +63,7 @@ type Engine struct {
 	// compiled kernel (InstallNative, native.go).
 	native []nativeThread
 
-	// xbuf[w][r][p] is the buffer writer w packs lp.Exchange[w][r] into on
+	// xbuf[w][r][p] is the buffer writer w packs prog.Exchange[w][r] into on
 	// cycles of parity p: each its own allocation of whole cache lines.
 	xbuf [][][2][]uint64
 
@@ -79,12 +78,11 @@ type Engine struct {
 // NewEngine creates an engine over the program's linked code, which every
 // engine over the Program shares, and resets it to power-on state.
 func NewEngine(p *Program) *Engine {
-	lp := p.Linked()
-	holds, writers := lp.memHolders()
-	e := &Engine{prog: p, lp: lp, writers: writers}
+	holds, writers := p.memHolders()
+	e := &Engine{prog: p, writers: writers}
 	canon := make([][]uint64, len(p.Mems))
-	for t := range lp.Threads {
-		st := make([]uint64, lp.Threads[t].End)
+	for t := range p.Threads {
+		st := make([]uint64, p.Threads[t].End)
 		mems := make([][]uint64, len(p.Mems))
 		for m, held := range holds[t] {
 			if held {
@@ -96,13 +94,13 @@ func NewEngine(p *Program) *Engine {
 		}
 		e.st = append(e.st, st)
 		e.gs = append(e.gs, &globalState{words: st, stride: 1, mems: mems})
-		e.tcs = append(e.tcs, newThreadCtx(lp.Threads[t].Code))
+		e.tcs = append(e.tcs, newThreadCtx(p.Threads[t].Code))
 	}
 	e.canon = &globalState{words: e.st[0], stride: 1, mems: canon}
-	e.xbuf = make([][][2][]uint64, len(lp.Exchange))
-	for w := range lp.Exchange {
-		e.xbuf[w] = make([][2][]uint64, len(lp.Exchange[w]))
-		for r, words := range lp.Exchange[w] {
+	e.xbuf = make([][][2][]uint64, len(p.Exchange))
+	for w := range p.Exchange {
+		e.xbuf[w] = make([][2][]uint64, len(p.Exchange[w]))
+		for r, words := range p.Exchange[w] {
 			for par := range e.xbuf[w][r] {
 				e.xbuf[w][r][par] = make([]uint64, exchangeBufWords(len(words)))
 			}
@@ -134,7 +132,7 @@ func (e *Engine) evalThread(t, par int) {
 		nt := &e.native[t]
 		nt.fn(e.st[t], e.gs[t].mems, nt.memwr)
 	} else {
-		evalLinked(e.lp.Threads[t].Code, e.st[t], e.gs[t], tc)
+		evalLinked(e.prog.Threads[t].Code, e.st[t], e.gs[t], tc)
 	}
 	tc.wbuf[par] = tc.memBuf
 }
@@ -153,7 +151,7 @@ func (e *Engine) InstrsRetired() uint64 { return e.instrsRetired }
 // and outputs to zero.
 func (e *Engine) Reset() {
 	for _, gs := range e.gs {
-		resetState(e.lp, gs)
+		resetState(e.prog, gs)
 	}
 	e.cycles = 0
 	e.instrsRetired = 0
@@ -163,13 +161,12 @@ func (e *Engine) Reset() {
 // except the immediates and the register inits, memories zero. Engine
 // arrays (prefixes of the unified layout, which all hold the globals and
 // immediates) and batch lanes share it.
-func resetState(lp *LinkedProgram, gs *globalState) {
-	p := lp.prog
+func resetState(p *Program, gs *globalState) {
 	for i := range len(gs.words) / gs.stride {
 		*gs.at(uint32(i)) = 0
 	}
 	for i, v := range p.Imms {
-		*gs.at(uint32(lp.ImmOff + i)) = v
+		*gs.at(uint32(p.ImmOff + i)) = v
 	}
 	for _, m := range gs.mems {
 		clear(m)
@@ -239,7 +236,7 @@ func (e *Engine) PeekMemVec(name string, addr int) (bitvec.Vec, error) {
 // readers' buffers of parity par.
 func (e *Engine) pack(t, par int) {
 	st := e.st[t]
-	for r, words := range e.lp.Exchange[t] {
+	for r, words := range e.prog.Exchange[t] {
 		buf := e.xbuf[t][r][par]
 		for i, w := range words {
 			buf[i] = st[w]
@@ -251,9 +248,9 @@ func (e *Engine) pack(t, par int) {
 // buffers of parity par into its array.
 func (e *Engine) copyIn(t, par int) {
 	st := e.st[t]
-	for w := range e.lp.Exchange {
+	for w := range e.prog.Exchange {
 		buf := e.xbuf[w][t][par]
-		for i, x := range e.lp.Exchange[w][t] {
+		for i, x := range e.prog.Exchange[w][t] {
 			st[x] = buf[i]
 		}
 	}
@@ -347,7 +344,8 @@ func (e *Engine) run(n int, prof [][]PhaseSample) {
 // within this Run call: every buffer of a parity is consumed before Run
 // returns, so nothing carries over to the next call.
 func (e *Engine) runThread(t, n int, bar *Barrier, prof [][]PhaseSample) {
-	th, sh := &e.prog.Threads[t], int(e.lp.Threads[t].ShadowOff)
+	th := &e.prog.Threads[t]
+	sh := int(th.ShadowOff)
 	seg := e.st[t][th.GlobalOff : th.GlobalOff+th.ShadowWords]
 	shadow, mems := e.st[t][sh:sh+th.ShadowWords], e.gs[t].mems
 	writers := e.writers[t]

@@ -10,7 +10,7 @@ import (
 // Program stores, where every narrow operand is a direct index into one
 // flat per-engine state slice, so no read or write pays a per-operand
 // closure call or tag switch. The tagged buffers are dropped after; tagged
-// rebuilds one instruction of them for Fingerprint and the wire form.
+// rebuilds one instruction of them for Fingerprint.
 //
 // Unified state layout (all regions padded to SegmentWords so no cache line
 // is written by two threads):
@@ -38,26 +38,13 @@ type LInstr struct {
 	Mask uint64
 }
 
-// LinkedThread is the linked form of one thread's code plus its frame
-// placement in the unified state slice.
-type LinkedThread struct {
-	Code []LInstr
-	// TempOff/ShadowOff locate the thread's frame: temps occupy
-	// [TempOff, ShadowOff), shadow [ShadowOff, ShadowOff+ShadowWords).
-	TempOff   uint32
-	ShadowOff uint32
-	// End is the end of the frame padded to SegmentWords. The prefix
-	// [0, End) holds the globals, the immediates and this thread's frame:
-	// every index its code uses, so it is the thread's private state
-	// array in a multi-threaded Engine.
-	End uint32
-}
-
 // LinkStats summarizes one link run. Linking is 1:1, so the two counts are
-// always equal; both fields and FusionRate remain only because
-// bench/layers.go reads them (the sim.linked_instrs and sim.fusion_rate
-// rows) and bench/ is frozen between benchmark PRs. The next benchmark PR
-// drops the row and this method together (ROADMAP item 8).
+// always equal.
+//
+// Deprecated: kept, with LinkedProgram and Linked, only because
+// bench/layers.go reads them (the sim.link_ms, sim.linked_instrs and
+// sim.fusion_rate rows) and bench/ is frozen between benchmark changes; the
+// next change to bench/ deletes the three and those rows together.
 type LinkStats struct {
 	Instrs int // program instructions in (all threads)
 	Linked int // linked instructions out
@@ -66,78 +53,65 @@ type LinkStats struct {
 // FusionRate is identically 0: superinstruction fusion was removed.
 func (s *LinkStats) FusionRate() float64 { return 0 }
 
-// LinkedProgram is the resolved execution form of a Program: its only
-// stored code. It is immutable after link and shared by every engine (and
-// every service session) over the same Program; per-engine mutable state
-// is just the flat []uint64 of StateWords words.
+// LinkedProgram is a Program beside its link statistics.
+//
+// Deprecated: a Program is its linked form; see LinkStats.
 type LinkedProgram struct {
-	prog *Program
-
-	// StateWords is the length of the unified state slice; ImmOff is where
-	// the read-only immediate copy begins.
-	StateWords int
-	ImmOff     int
-
-	Threads []LinkedThread
-
-	// Exchange[w][r] lists, sorted, the global words of writer w's segment
-	// that reader r's code reads: the words a multi-threaded Engine copies
-	// from w's private array into r's every cycle. Exchange[t][t] is empty.
-	Exchange [][][]uint32
-
+	*Program
 	Stats LinkStats
 }
 
-// Program returns the program this linked form was built from.
-func (lp *LinkedProgram) Program() *Program { return lp.prog }
-
-// Linked returns the program's code in its linked execution form, which
-// Compile or DecodeProgram built; it is never nil.
-func (p *Program) Linked() *LinkedProgram { return p.linked }
+// Linked returns p with its link statistics.
+//
+// Deprecated: read the Program itself; see LinkStats.
+func (p *Program) Linked() *LinkedProgram {
+	n := p.TotalInstrs()
+	return &LinkedProgram{Program: p, Stats: LinkStats{Instrs: n, Linked: n}}
+}
 
 // link lays out p's unified state and resolves every operand of the tagged
-// buffers code (one per thread) into p's linked form. The mapping is
+// buffers code (one per thread) into each thread's Code. The mapping is
 // strictly 1:1, so a pc indexes the buffer and the linked code alike.
 func (p *Program) link(code [][]instr) {
-	lp := &LinkedProgram{prog: p}
+	p.layoutFrames()
+	for t := range p.Threads {
+		p.Threads[t].Code = p.translate(t, code[t])
+	}
+	p.Exchange = p.exchange()
+}
+
+// layoutFrames places the immediates after the globals and each thread's
+// frame after them, every region padded to SegmentWords: ImmOff, every
+// thread's TempOff, ShadowOff and End, and StateWords follow from the
+// global, immediate, temp and shadow sizes alone.
+func (p *Program) layoutFrames() {
 	off := padTo(uint32(p.GlobalWords), SegmentWords)
-	lp.ImmOff = int(off)
+	p.ImmOff = int(off)
 	off = padTo(off+uint32(len(p.Imms)), SegmentWords)
-	lp.Threads = make([]LinkedThread, len(p.Threads))
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		lt := &lp.Threads[t]
-		lt.TempOff = off
-		lt.ShadowOff = off + uint32(th.NumTemps)
-		off = padTo(lt.ShadowOff+uint32(th.ShadowWords), SegmentWords)
-		lt.End = off
+		th.TempOff = off
+		th.ShadowOff = off + uint32(th.NumTemps)
+		off = padTo(th.ShadowOff+uint32(th.ShadowWords), SegmentWords)
+		th.End = off
 	}
-	lp.StateWords = int(off)
-
-	n := 0
-	for t := range p.Threads {
-		lp.Threads[t].Code = lp.translate(t, code[t])
-		n += len(code[t])
-	}
-	lp.Exchange = lp.exchange()
-	lp.Stats = LinkStats{Instrs: n, Linked: n}
-	p.linked = lp
+	p.StateWords = int(off)
 }
 
 // translate resolves one thread's operands.
-func (lp *LinkedProgram) translate(t int, code []instr) []LInstr {
-	lt := &lp.Threads[t]
+func (p *Program) translate(t int, code []instr) []LInstr {
+	th := &p.Threads[t]
 	resolve := func(ref uint32) uint32 {
 		idx := refIdx(ref)
 		switch refTag(ref) {
 		case refLocal:
-			return lt.TempOff + idx
+			return th.TempOff + idx
 		case refGlobal:
 			return idx
 		case refImm:
-			return uint32(lp.ImmOff) + idx
+			return uint32(p.ImmOff) + idx
 		default: // refShadow
-			return lt.ShadowOff + idx
+			return th.ShadowOff + idx
 		}
 	}
 	out := make([]LInstr, len(code))
@@ -152,9 +126,9 @@ func (lp *LinkedProgram) translate(t int, code []instr) []LInstr {
 // resolved from. Each operand maps back through LinkedLoc to the region its
 // index lies in: the globals, the immediates, or its thread's temps or
 // shadow.
-func (lp *LinkedProgram) tagged(li *LInstr) instr {
+func (p *Program) tagged(li *LInstr) instr {
 	ops := mapOperands(li.Op, [4]uint32{li.Dst, li.A, li.B, li.C}, func(idx uint32) uint32 {
-		loc, _, _ := lp.LinkedLoc(idx)
+		loc, _, _ := p.LinkedLoc(idx)
 		return makeRef(uint32(loc.Space)<<refTagShift, loc.Idx)
 	})
 	return instr{Op: li.Op, Dst: ops[0], A: ops[1], B: ops[2], C: ops[3], Aux: li.Aux, Mask: li.Mask}
@@ -173,18 +147,17 @@ func mapOperands(op OpCode, ops [4]uint32, f func(uint32) uint32) [4]uint32 {
 }
 
 // exchange computes the Exchange table from the linked streams' reads.
-func (lp *LinkedProgram) exchange() [][][]uint32 {
-	p := lp.prog
+func (p *Program) exchange() [][][]uint32 {
 	owner := p.segmentOwners()
 	x := make([][][]uint32, len(p.Threads))
 	for w := range x {
 		x[w] = make([][]uint32, len(p.Threads))
 	}
 	var nuses []uint32
-	for r := range lp.Threads {
+	for r := range p.Threads {
 		seen := make(map[uint32]bool)
-		for pc := range lp.Threads[r].Code {
-			_, nuses, _, _ = lp.LinkedDefUse(&lp.Threads[r].Code[pc], nil, nuses[:0], nil, nil)
+		for pc := range p.Threads[r].Code {
+			_, nuses, _, _ = p.LinkedDefUse(&p.Threads[r].Code[pc], nil, nuses[:0], nil, nil)
 			for _, idx := range nuses {
 				if int(idx) < len(owner) && owner[idx] >= 0 && owner[idx] != r && !seen[idx] {
 					seen[idx] = true
@@ -201,10 +174,10 @@ func (lp *LinkedProgram) exchange() [][][]uint32 {
 
 // ExchangeWords returns, per reader thread, how many words it copies in
 // from other threads' segments each cycle.
-func (lp *LinkedProgram) ExchangeWords() []int {
-	n := make([]int, len(lp.Threads))
-	for w := range lp.Exchange {
-		for r, words := range lp.Exchange[w] {
+func (p *Program) ExchangeWords() []int {
+	n := make([]int, len(p.Threads))
+	for w := range p.Exchange {
+		for r, words := range p.Exchange[w] {
 			n[r] += len(words)
 		}
 	}
@@ -214,28 +187,26 @@ func (lp *LinkedProgram) ExchangeWords() []int {
 // LinkedLoc decodes a unified-state index back into the space-relative
 // location it aliases plus the owning thread (-1 for globals and
 // immediates). ok is false for padding words no region owns.
-func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
-	p := lp.prog
+func (p *Program) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 	if int(idx) < p.GlobalWords {
 		return Loc{SpaceGlobal, idx}, -1, true
 	}
-	if int(idx) >= lp.ImmOff && int(idx) < lp.ImmOff+len(p.Imms) {
-		return Loc{SpaceImm, idx - uint32(lp.ImmOff)}, -1, true
+	if int(idx) >= p.ImmOff && int(idx) < p.ImmOff+len(p.Imms) {
+		return Loc{SpaceImm, idx - uint32(p.ImmOff)}, -1, true
 	}
 	// Find the last thread whose frame starts at or before idx.
-	t := sort.Search(len(lp.Threads), func(i int) bool {
-		return lp.Threads[i].TempOff > idx
+	t := sort.Search(len(p.Threads), func(i int) bool {
+		return p.Threads[i].TempOff > idx
 	}) - 1
 	if t < 0 {
 		return Loc{}, -1, false
 	}
-	lt := &lp.Threads[t]
 	th := &p.Threads[t]
 	switch {
-	case idx < lt.ShadowOff:
-		return Loc{SpaceLocal, idx - lt.TempOff}, t, true
-	case int(idx) < int(lt.ShadowOff)+th.ShadowWords:
-		return Loc{SpaceShadow, idx - lt.ShadowOff}, t, true
+	case idx < th.ShadowOff:
+		return Loc{SpaceLocal, idx - th.TempOff}, t, true
+	case int(idx) < int(th.ShadowOff)+th.ShadowWords:
+		return Loc{SpaceShadow, idx - th.ShadowOff}, t, true
 	}
 	return Loc{}, -1, false
 }
@@ -243,11 +214,11 @@ func (lp *LinkedProgram) LinkedLoc(idx uint32) (loc Loc, thread int, ok bool) {
 // LinkedDefUse appends one linked instruction's defs/uses of state words
 // (as unified-state indices) and of memories (as SpaceMem locations, which
 // have no flat index) to the given slices, returning the extended slices
-// (pass nil or recycled slices; the same LinkedProgram can be analyzed from
-// many goroutines). Memory writes def the whole memory: the write is
+// (pass nil or recycled slices; the same Program can be analyzed from many
+// goroutines). Memory writes def the whole memory: the write is
 // buffered during evaluation and only published in the commit phase.
 // internal/verify's scan is built on it.
-func (lp *LinkedProgram) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, mdefs, muses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
+func (p *Program) LinkedDefUse(in *LInstr, ndefs, nuses []uint32, mdefs, muses []Loc) ([]uint32, []uint32, []Loc, []Loc) {
 	refs := [3]uint32{in.A, in.B, in.C}
 	nuses = append(nuses, refs[:TraitsOf(in.Op).Reads]...)
 	if definesDst(in.Op) {

@@ -107,27 +107,6 @@ func TestLinkedMatchesReference(t *testing.T) {
 	}
 }
 
-// Linked returns the program's one stored code form, the same object on
-// every call, and reading it leaves Fingerprint unchanged.
-func TestLinkedFingerprintUnchanged(t *testing.T) {
-	g := randomCircuit(t, 41, 60)
-	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := prog.Fingerprint()
-	lp := prog.Linked()
-	if lp == nil || lp.Program() != prog {
-		t.Fatalf("Linked() returned %v", lp)
-	}
-	if after := prog.Fingerprint(); after != before {
-		t.Fatalf("Fingerprint changed by linking: %016x -> %016x", before, after)
-	}
-	if prog.Linked() != lp {
-		t.Fatal("second Linked() call returned a different object")
-	}
-}
-
 // The unified state layout must give every region a disjoint, cache-line
 // aligned range, and LinkedLoc must decode each word back to its region.
 func TestLinkedLayoutDisjoint(t *testing.T) {
@@ -140,74 +119,70 @@ func TestLinkedLayoutDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := prog.Linked()
-	if lp.ImmOff < prog.GlobalWords || lp.ImmOff%SegmentWords != 0 {
-		t.Fatalf("imm region at %d overlaps globals [0,%d) or is unaligned", lp.ImmOff, prog.GlobalWords)
+	if prog.ImmOff < prog.GlobalWords || prog.ImmOff%SegmentWords != 0 {
+		t.Fatalf("imm region at %d overlaps globals [0,%d) or is unaligned", prog.ImmOff, prog.GlobalWords)
 	}
-	prevEnd := uint32(lp.ImmOff + len(prog.Imms))
-	for ti := range lp.Threads {
-		lt := &lp.Threads[ti]
+	prevEnd := uint32(prog.ImmOff + len(prog.Imms))
+	for ti := range prog.Threads {
 		th := &prog.Threads[ti]
-		if lt.TempOff < prevEnd || lt.TempOff%SegmentWords != 0 {
-			t.Fatalf("thread %d frame at %d overlaps previous region ending %d or is unaligned", ti, lt.TempOff, prevEnd)
+		if th.TempOff < prevEnd || th.TempOff%SegmentWords != 0 {
+			t.Fatalf("thread %d frame at %d overlaps previous region ending %d or is unaligned", ti, th.TempOff, prevEnd)
 		}
-		if lt.ShadowOff != lt.TempOff+uint32(th.NumTemps) {
-			t.Fatalf("thread %d shadow at %d, want temps end %d", ti, lt.ShadowOff, lt.TempOff+uint32(th.NumTemps))
+		if th.ShadowOff != th.TempOff+uint32(th.NumTemps) {
+			t.Fatalf("thread %d shadow at %d, want temps end %d", ti, th.ShadowOff, th.TempOff+uint32(th.NumTemps))
 		}
-		prevEnd = lt.ShadowOff + uint32(th.ShadowWords)
-		if int(prevEnd) > lp.StateWords {
-			t.Fatalf("thread %d frame ends at %d past state end %d", ti, prevEnd, lp.StateWords)
+		prevEnd = th.ShadowOff + uint32(th.ShadowWords)
+		if int(prevEnd) > prog.StateWords {
+			t.Fatalf("thread %d frame ends at %d past state end %d", ti, prevEnd, prog.StateWords)
 		}
 		// LinkedLoc round-trips the frame.
 		if th.NumTemps > 0 {
-			loc, owner, ok := lp.LinkedLoc(lt.TempOff)
+			loc, owner, ok := prog.LinkedLoc(th.TempOff)
 			if !ok || owner != ti || loc.Space != SpaceLocal || loc.Idx != 0 {
 				t.Fatalf("LinkedLoc(temp0 of %d) = %v owner=%d ok=%v", ti, loc, owner, ok)
 			}
 		}
 		if th.ShadowWords > 0 {
-			loc, owner, ok := lp.LinkedLoc(lt.ShadowOff)
+			loc, owner, ok := prog.LinkedLoc(th.ShadowOff)
 			if !ok || owner != ti || loc.Space != SpaceShadow || loc.Idx != 0 {
 				t.Fatalf("LinkedLoc(shadow0 of %d) = %v owner=%d ok=%v", ti, loc, owner, ok)
 			}
 		}
 	}
 	if prog.GlobalWords > 0 {
-		if loc, owner, ok := lp.LinkedLoc(0); !ok || owner != -1 || loc.Space != SpaceGlobal {
+		if loc, owner, ok := prog.LinkedLoc(0); !ok || owner != -1 || loc.Space != SpaceGlobal {
 			t.Fatalf("LinkedLoc(0) = %v owner=%d ok=%v", loc, owner, ok)
 		}
 	}
 	if len(prog.Imms) > 0 {
-		loc, owner, ok := lp.LinkedLoc(uint32(lp.ImmOff))
+		loc, owner, ok := prog.LinkedLoc(uint32(prog.ImmOff))
 		if !ok || owner != -1 || loc.Space != SpaceImm || loc.Idx != 0 {
 			t.Fatalf("LinkedLoc(imm0) = %v owner=%d ok=%v", loc, owner, ok)
 		}
 	}
 	// Padding between globals and imms decodes to nothing.
-	if lp.ImmOff > prog.GlobalWords {
-		if _, _, ok := lp.LinkedLoc(uint32(prog.GlobalWords)); ok {
+	if prog.ImmOff > prog.GlobalWords {
+		if _, _, ok := prog.LinkedLoc(uint32(prog.GlobalWords)); ok {
 			t.Fatal("padding word decoded as owned")
 		}
 	}
 }
 
-// A linked instruction is 32 bytes, and LinkStats counts every linked
-// instruction on both sides (linking is 1:1: TestTaggedRoundTrip). Checked
-// on every bundled design at k in {1,2}.
+// A linked instruction is 32 bytes, and TotalInstrs counts every linked
+// instruction (linking is 1:1: TestTaggedRoundTrip). Checked on every
+// bundled design at k in {1,2}.
 func TestLinkOneToOne(t *testing.T) {
 	if sz := unsafe.Sizeof(LInstr{}); sz != 32 {
 		t.Fatalf("LInstr is %d bytes; want 32 (two per cache line)", sz)
 	}
 	check := func(t *testing.T, prog *Program) {
 		t.Helper()
-		lp := prog.Linked()
 		total := 0
-		for ti := range lp.Threads {
-			total += len(lp.Threads[ti].Code)
+		for ti := range prog.Threads {
+			total += len(prog.Threads[ti].Code)
 		}
-		if lp.Stats.Instrs != total || lp.Stats.Linked != total || prog.TotalInstrs() != total {
-			t.Fatalf("stats instrs=%d linked=%d total=%d, linked code has %d",
-				lp.Stats.Instrs, lp.Stats.Linked, prog.TotalInstrs(), total)
+		if prog.TotalInstrs() != total {
+			t.Fatalf("TotalInstrs %d, linked code has %d", prog.TotalInstrs(), total)
 		}
 	}
 	for _, cfg := range designs.Table1(1.0) {
@@ -229,8 +204,8 @@ func TestLinkOneToOne(t *testing.T) {
 }
 
 // Linking is 1:1 and tagged inverts translate on every instruction the
-// compiler emits, so Fingerprint and the wire form, which rebuild the
-// tagged code from the linked, see exactly the compiler's buffers. Checked
+// compiler emits, so Fingerprint, which rebuilds the tagged code from the
+// linked, sees exactly the compiler's buffers. Checked
 // on every bundled design at k in {1,2,4} and on 200 generated circuits at
 // O0 and O2.
 func TestTaggedRoundTrip(t *testing.T) {
@@ -241,12 +216,12 @@ func TestTaggedRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		p.link(code)
-		for ti, lt := range p.linked.Threads {
-			if len(lt.Code) != len(code[ti]) {
-				t.Fatalf("%s thread %d: linked %d instrs, compiled %d", name, ti, len(lt.Code), len(code[ti]))
+		for ti, th := range p.Threads {
+			if len(th.Code) != len(code[ti]) {
+				t.Fatalf("%s thread %d: linked %d instrs, compiled %d", name, ti, len(th.Code), len(code[ti]))
 			}
-			for pc := range lt.Code {
-				if got := p.linked.tagged(&lt.Code[pc]); got != code[ti][pc] {
+			for pc := range th.Code {
+				if got := p.tagged(&th.Code[pc]); got != code[ti][pc] {
 					t.Fatalf("%s thread %d pc %d: tagged(translate(%+v)) = %+v", name, ti, pc, code[ti][pc], got)
 				}
 			}
@@ -298,16 +273,16 @@ func TestMemHoldersCoverLinkedCode(t *testing.T) {
 				} else {
 					prog = partitioned(t, g, k, 1)
 				}
-				lp, e := prog.Linked(), NewEngine(prog)
-				for w := range lp.Threads {
-					for pc, in := range lp.Threads[w].Code {
+				e := NewEngine(prog)
+				for w := range prog.Threads {
+					for pc, in := range prog.Threads[w].Code {
 						if in.Op != OpMemRd && in.Op != OpMemWr {
 							continue
 						}
 						if e.gs[w].mems[in.Aux] == nil {
 							t.Fatalf("thread %d pc %d: %v on column %d, which the thread does not hold", w, pc, in.Op, in.Aux)
 						}
-						for r := range lp.Threads {
+						for r := range prog.Threads {
 							if in.Op == OpMemWr && e.gs[r].mems[in.Aux] != nil && !slices.Contains(e.writers[r], w) {
 								t.Fatalf("thread %d holds column %d but does not apply thread %d's writes", r, in.Aux, w)
 							}

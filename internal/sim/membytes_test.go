@@ -56,8 +56,8 @@ func TestMemBytesAccountsProgramFootprint(t *testing.T) {
 	}
 	// The code stream alone is a hard floor on the footprint.
 	var codeBytes int64
-	for _, lt := range p.Linked().Threads {
-		codeBytes += int64(len(lt.Code)) * int64(InstrBytes)
+	for _, th := range p.Threads {
+		codeBytes += int64(len(th.Code)) * int64(InstrBytes)
 	}
 	if got < codeBytes {
 		t.Errorf("MemBytes %d < code bytes %d", got, codeBytes)
@@ -128,12 +128,12 @@ func TestStateBytesCountsBothViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(serial.Linked().StateWords)*8 + serial.memBytes(); serial.StateBytes() != want {
+	if want := int64(serial.StateWords)*8 + serial.memBytes(); serial.StateBytes() != want {
 		t.Errorf("serial: StateBytes %d, the layout plus one copy of the memories is %d", serial.StateBytes(), want)
 	}
 	par := partitioned(t, g, 3, 5)
 	e := NewEngine(par)
-	holds, _ := par.Linked().memHolders()
+	holds, _ := par.memHolders()
 	var allocated int64
 	for _, st := range e.st {
 		allocated += int64(len(st)) * 8
@@ -156,7 +156,7 @@ func TestStateBytesCountsBothViews(t *testing.T) {
 	exchanged := 0
 	for w := range e.xbuf {
 		for r := range e.xbuf[w] {
-			exchanged += len(par.Linked().Exchange[w][r])
+			exchanged += len(par.Exchange[w][r])
 			for _, buf := range e.xbuf[w][r] {
 				allocated += int64(len(buf)) * 8
 			}

@@ -84,8 +84,8 @@ func refIdx(r uint32) uint32 { return r & refIdxMask }
 
 // instr is one instruction of the compiler's buffer: emission, the sweep and
 // the immediate-pool merge write it with tagged operands, link resolves it
-// into the LInstr stream a Program stores, and it is dropped. Only the
-// program wire form (wire.go) and Fingerprint rebuild it, through tagged.
+// into the LInstr stream a Program stores, and it is dropped. Only
+// Fingerprint rebuilds it, through tagged.
 type instr struct {
 	Op   OpCode
 	Dst  uint32 // refLocal or refShadow destination

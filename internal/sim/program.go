@@ -45,15 +45,25 @@ func words(w int) int { return bitvec.WordsFor(w) }
 // by two threads (§5.2).
 const SegmentWords = 8
 
-// ThreadCode is the layout and statistics of one thread's compiled
-// program; its code is LinkedProgram.Threads[t].Code.
+// ThreadCode is one thread's linked code, its layout and its statistics.
 type ThreadCode struct {
+	// Code is the thread's linked instruction stream (link.go).
+	Code []LInstr
 	// NumTemps sizes the thread's private temp array.
 	NumTemps int
 	// ShadowWords is the shadow length; GlobalOff is where the thread's
 	// segment begins in the global word array.
 	ShadowWords int
 	GlobalOff   int
+	// TempOff/ShadowOff locate the thread's frame in the unified state:
+	// temps occupy [TempOff, ShadowOff), shadow [ShadowOff,
+	// ShadowOff+ShadowWords). End is the end of the frame padded to
+	// SegmentWords. The prefix [0, End) holds the globals, the immediates
+	// and this frame: every index Code uses, so it is the thread's private
+	// state array in a multi-threaded Engine.
+	TempOff   uint32
+	ShadowOff uint32
+	End       uint32
 
 	// Statistics for the cost model and the simulated host.
 	Features  [costmodel.NumClasses]float64
@@ -61,9 +71,10 @@ type ThreadCode struct {
 	Branches  int   // data-dependent branches (mux, mem enable)
 }
 
-// Program is a compiled simulator: thread code plus the global layout.
-// Compile and DecodeProgram build it, and it is not mutated after: the
-// code is stored once, linked, and Fingerprint is computed with it.
+// Program is a compiled simulator: every thread's linked code over one
+// unified state layout, and the exchange between threads. Compile and
+// DecodeProgram build it, and it is not mutated after; every engine and
+// service session over it shares it, and Fingerprint is computed with it.
 type Program struct {
 	Design     string
 	NumThreads int
@@ -78,15 +89,22 @@ type Program struct {
 	Outputs []PortSlot
 	Regs    []RegSlot
 
+	// StateWords is the length of the unified state slice; ImmOff is where
+	// the read-only immediate copy begins.
+	StateWords int
+	ImmOff     int
+
+	// Exchange[w][r] lists, sorted, the global words of writer w's segment
+	// that reader r's code reads: the words a multi-threaded Engine copies
+	// from w's private array into r's every cycle. Exchange[t][t] is empty.
+	Exchange [][][]uint32
+
 	inputByName  map[string]int
 	outputByName map[string]int
 	regByName    map[string]int
 
-	// linked is the program's code in its resolved execution form
-	// (link.go), shared by every engine and service session over this
-	// program; fp is Fingerprint, computed when it is linked.
-	linked *LinkedProgram
-	fp     uint64
+	// fp is Fingerprint, computed when the program is linked.
+	fp uint64
 }
 
 // Input returns the slot of a named input port.
@@ -142,8 +160,8 @@ func (p *Program) Memories() []int {
 // TotalInstrs counts instructions across all threads.
 func (p *Program) TotalInstrs() int {
 	n := 0
-	for i := range p.linked.Threads {
-		n += len(p.linked.Threads[i].Code)
+	for i := range p.Threads {
+		n += len(p.Threads[i].Code)
 	}
 	return n
 }
@@ -165,14 +183,12 @@ func (p *Program) MemBytes() int64 {
 		portSize = int64(unsafe.Sizeof(PortSlot{}))
 		regSize  = int64(unsafe.Sizeof(RegSlot{}))
 	)
-	lp := p.linked
 	n := int64(unsafe.Sizeof(Program{})) + int64(len(p.Threads))*int64(unsafe.Sizeof(ThreadCode{}))
-	n += int64(unsafe.Sizeof(LinkedProgram{})) + int64(len(lp.Threads))*int64(unsafe.Sizeof(LinkedThread{}))
-	for t := range lp.Threads {
-		n += int64(len(lp.Threads[t].Code)) * int64(unsafe.Sizeof(LInstr{}))
+	for t := range p.Threads {
+		n += int64(len(p.Threads[t].Code)) * int64(unsafe.Sizeof(LInstr{}))
 	}
-	for w := range lp.Exchange {
-		for _, words := range lp.Exchange[w] {
+	for w := range p.Exchange {
+		for _, words := range p.Exchange[w] {
 			n += int64(unsafe.Sizeof(words)) + int64(len(words))*4
 		}
 	}
@@ -220,19 +236,18 @@ func (p *Program) segmentOwners() []int {
 // memory column it holds (memHolders) and the exchange buffers (two
 // parities per writer and reader).
 func (p *Program) StateBytes() int64 {
-	lp := p.Linked()
 	var n int64
-	holds, _ := lp.memHolders()
-	for t := range lp.Threads {
-		n += int64(lp.Threads[t].End) * 8
+	holds, _ := p.memHolders()
+	for t := range p.Threads {
+		n += int64(p.Threads[t].End) * 8
 		for m, held := range holds[t] {
 			if held {
 				n += int64(p.Mems[m].Depth) * 8
 			}
 		}
 	}
-	for w := range lp.Exchange {
-		for _, words := range lp.Exchange[w] {
+	for w := range p.Exchange {
+		for _, words := range p.Exchange[w] {
 			n += 2 * int64(exchangeBufWords(len(words))) * 8
 		}
 	}
@@ -246,12 +261,12 @@ func (p *Program) StateBytes() int64 {
 // has a copy to peek and snapshot. writers[t] lists, in thread order, the
 // threads whose code writes a column t holds: the write buffers t applies
 // to its copies each cycle.
-func (lp *LinkedProgram) memHolders() (holds [][]bool, writers [][]int) {
-	holds = make([][]bool, len(lp.Threads))
-	written := make([][]uint32, len(lp.Threads)) // the columns each thread writes
-	for t := range lp.Threads {
-		holds[t] = make([]bool, len(lp.prog.Mems))
-		for _, in := range lp.Threads[t].Code {
+func (p *Program) memHolders() (holds [][]bool, writers [][]int) {
+	holds = make([][]bool, len(p.Threads))
+	written := make([][]uint32, len(p.Threads)) // the columns each thread writes
+	for t := range p.Threads {
+		holds[t] = make([]bool, len(p.Mems))
+		for _, in := range p.Threads[t].Code {
 			if in.Op == OpMemRd || in.Op == OpMemWr {
 				holds[t][in.Aux] = true
 			}
@@ -260,10 +275,10 @@ func (lp *LinkedProgram) memHolders() (holds [][]bool, writers [][]int) {
 			}
 		}
 	}
-	for m := range lp.prog.Mems {
+	for m := range p.Mems {
 		holds[0][m] = holds[0][m] || !slices.ContainsFunc(holds, func(h []bool) bool { return h[m] })
 	}
-	writers = make([][]int, len(lp.Threads))
+	writers = make([][]int, len(p.Threads))
 	for t := range holds {
 		for w := range written {
 			if slices.ContainsFunc(written[w], func(m uint32) bool { return holds[t][m] }) {
@@ -331,10 +346,9 @@ func (p *Program) fingerprint() uint64 {
 	h.u64(uint64(len(p.Threads)))
 	for t := range p.Threads {
 		th := &p.Threads[t]
-		code := p.linked.Threads[t].Code
-		h.u64(uint64(len(code)))
-		for i := range code {
-			in := p.linked.tagged(&code[i])
+		h.u64(uint64(len(th.Code)))
+		for i := range th.Code {
+			in := p.tagged(&th.Code[i])
 			h.u64(uint64(in.Op))
 			h.u64(uint64(in.Dst))
 			h.u64(uint64(in.A))

@@ -128,8 +128,7 @@ func TestProtocolExchangeCoherent(t *testing.T) {
 	g := randomCircuit(t, 77, 70)
 	for _, k := range []int{2, 3} {
 		prog := partitioned(t, g, k, 77)
-		lp := prog.Linked()
-		if slices.Equal(lp.ExchangeWords(), make([]int, k)) {
+		if slices.Equal(prog.ExchangeWords(), make([]int, k)) {
 			t.Fatalf("k=%d: no thread reads another's words", k)
 		}
 		e := NewEngine(prog)
@@ -137,8 +136,8 @@ func TestProtocolExchangeCoherent(t *testing.T) {
 		for round, n := range []int{1, 2, 3, 1, 4, 5} {
 			pokeAll(t, e, randomInputs(prog, rng))
 			e.Run(n)
-			for w := range lp.Exchange {
-				for r, words := range lp.Exchange[w] {
+			for w := range prog.Exchange {
+				for r, words := range prog.Exchange[w] {
 					for _, x := range words {
 						if e.st[r][x] != e.st[w][x] {
 							t.Fatalf("k=%d round %d (+%d cycles): reader %d holds %#x for word %d, owner %d holds %#x",
@@ -328,7 +327,7 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.stale {
-			for i := prog.Linked().Threads[0].TempOff; int(i) < len(back.Words); i++ {
+			for i := prog.Threads[0].TempOff; int(i) < len(back.Words); i++ {
 				back.Words[i] = 0x5a5a5a5a5a5a5a5a ^ uint64(i)
 			}
 		}
@@ -358,10 +357,9 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 // with the native ABI that execute the linked stream using only what the
 // engine hands a kernel (state slice, memories, the write callback).
 func linkedKernels(p *Program) []NativeThreadFunc {
-	lp := p.Linked()
-	fns := make([]NativeThreadFunc, len(lp.Threads))
-	for t := range lp.Threads {
-		code := lp.Threads[t].Code
+	fns := make([]NativeThreadFunc, len(p.Threads))
+	for t := range p.Threads {
+		code := p.Threads[t].Code
 		fns[t] = func(st []uint64, mems [][]uint64, memwr func(uint32, uint64, uint64)) {
 			gs := &globalState{mems: mems}
 			for i := range code {
@@ -749,10 +747,10 @@ circuit U {
 		if err != nil {
 			t.Fatal(err)
 		}
-		holds, _ := prog.Linked().memHolders()
+		holds, _ := prog.memHolders()
 		for m := range prog.Mems {
-			for th := range prog.Linked().Threads {
-				for _, in := range prog.Linked().Threads[th].Code {
+			for th := range prog.Threads {
+				for _, in := range prog.Threads[th].Code {
 					if (in.Op == OpMemRd || in.Op == OpMemWr) && int(in.Aux) == m {
 						t.Fatalf("k=%d: thread %d touches column %d; the test needs untouched columns", k, th, m)
 					}

@@ -63,9 +63,9 @@ type Snapshot struct {
 // its owner does between Run calls, and each memory column's lowest
 // holder's copy.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	words := make([]uint64, e.lp.StateWords)
+	words := make([]uint64, e.prog.StateWords)
 	copy(words, e.st[0])
-	return newSnapshot(e.lp, e.canon, e.cycles, words), nil
+	return newSnapshot(e.prog, e.canon, e.cycles, words), nil
 }
 
 // RestoreSnapshot overwrites the engine's state with the snapshot's. The
@@ -75,7 +75,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // the linked interpreter restores onto a native-kernel engine and vice
 // versa.
 func (e *Engine) RestoreSnapshot(s *Snapshot) error {
-	if err := s.check(e.prog, e.lp); err != nil {
+	if err := s.check(e.prog); err != nil {
 		return err
 	}
 	for t, st := range e.st {
@@ -95,11 +95,11 @@ func (e *BatchEngine) SnapshotLane(lane int) (*Snapshot, error) {
 		return nil, err
 	}
 	gs := e.laneGS[lane]
-	words := make([]uint64, e.lp.StateWords)
+	words := make([]uint64, e.prog.StateWords)
 	for i := range words {
 		words[i] = *gs.at(uint32(i))
 	}
-	return newSnapshot(e.lp, gs, e.cycles[lane], words), nil
+	return newSnapshot(e.prog, gs, e.cycles[lane], words), nil
 }
 
 // RestoreLane overwrites one batch lane's state with the snapshot's,
@@ -109,7 +109,7 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 	if err := e.checkLane(lane); err != nil {
 		return err
 	}
-	if err := s.check(e.prog, e.lp); err != nil {
+	if err := s.check(e.prog); err != nil {
 		return err
 	}
 	gs := e.laneGS[lane]
@@ -138,14 +138,14 @@ func (e *BatchEngine) StateHashLane(lane int) (uint64, error) {
 // backend — a native kernel keeps chunk-local temps out of them — and on
 // how the engine splits its state, so zeroing them makes the blob of one
 // state the same on every engine.
-func newSnapshot(lp *LinkedProgram, gs *globalState, cycles uint64, words []uint64) *Snapshot {
-	if len(lp.Threads) > 0 {
-		clear(words[lp.Threads[0].TempOff:])
+func newSnapshot(p *Program, gs *globalState, cycles uint64, words []uint64) *Snapshot {
+	if len(p.Threads) > 0 {
+		clear(words[p.Threads[0].TempOff:])
 	}
 	s := &Snapshot{
 		Version:     SnapshotVersion,
-		Fingerprint: lp.prog.Fingerprint(),
-		LayoutWords: lp.StateWords,
+		Fingerprint: p.Fingerprint(),
+		LayoutWords: p.StateWords,
 		Cycles:      cycles,
 		Words:       words,
 		Mems:        make([][]uint64, len(gs.mems)),
@@ -169,16 +169,16 @@ func (s *Snapshot) restoreMems(mems [][]uint64) {
 // version gate first, then fingerprint identity, then every structural
 // dimension. A mismatch anywhere means the snapshot was taken under a
 // different program or format and restoring it would be silently wrong.
-func (s *Snapshot) check(p *Program, lp *LinkedProgram) error {
+func (s *Snapshot) check(p *Program) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("%w: snapshot is version %d, engine speaks %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
 	}
 	if fp := p.Fingerprint(); s.Fingerprint != fp {
 		return fmt.Errorf("sim: snapshot fingerprint %016x does not match program %016x", s.Fingerprint, fp)
 	}
-	if s.LayoutWords != lp.StateWords || len(s.Words) != lp.StateWords {
+	if s.LayoutWords != p.StateWords || len(s.Words) != p.StateWords {
 		return fmt.Errorf("sim: snapshot has %d/%d state words, linked layout has %d",
-			s.LayoutWords, len(s.Words), lp.StateWords)
+			s.LayoutWords, len(s.Words), p.StateWords)
 	}
 	if len(s.Mems) != len(p.Mems) {
 		return fmt.Errorf("sim: snapshot has %d memory columns, program has %d", len(s.Mems), len(p.Mems))

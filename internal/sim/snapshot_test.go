@@ -450,10 +450,9 @@ func TestDecodeProgramRejectsThreadless(t *testing.T) {
 }
 
 // corruptBlob is a peer's blob of a small serial program whose first
-// operand-reading instruction reads the tagged reference ref returns (ref
-// may grow the layout first), under the fingerprint a decoder that links
-// and hashes it without checking it computes: what a peer that links its
-// own way, or means harm, can send.
+// operand-reading instruction reads the linked state index ref returns,
+// under the fingerprint a decoder that hashes it without checking it
+// computes: what a peer that links its own way, or means harm, can send.
 func corruptBlob(t testing.TB, ref func(p *Program) uint32) []byte {
 	t.Helper()
 	g := randomCircuit(t, 60, 20)
@@ -461,34 +460,34 @@ func corruptBlob(t testing.TB, ref func(p *Program) uint32) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := prog.linked.taggedCode()
-	pc := slices.IndexFunc(code[0], func(in instr) bool { return TraitsOf(in.Op).Reads > 0 })
-	code[0][pc].A = ref(prog)
-	prog.link(code)
-	return wireBlob(t, programWire{Version: programWireVersion, Program: prog, Code: code, Fingerprint: prog.fingerprint()})
+	code := prog.Threads[0].Code
+	pc := slices.IndexFunc(code, func(in LInstr) bool { return TraitsOf(in.Op).Reads > 0 })
+	code[pc].A = ref(prog)
+	return wireBlob(t, programWire{Version: programWireVersion, Program: prog, Fingerprint: prog.fingerprint()})
 }
 
 // outOfRangeBlob reads temp 1<<20, far past the thread's state array.
 func outOfRangeBlob(t testing.TB) []byte {
-	return corruptBlob(t, func(*Program) uint32 { return makeRef(refLocal, 1<<20) })
+	return corruptBlob(t, func(p *Program) uint32 { return p.Threads[0].TempOff + 1<<20 })
 }
 
-// paddingBlob reads global GlobalWords: below the thread's End, but in the
-// padding between the globals and the immediates, which no region owns.
-// GlobalWords grows by one when it is a multiple of SegmentWords so that
-// the padding exists.
+// paddingBlob reads the first padding word below the thread's End, which
+// no region owns.
 func paddingBlob(t testing.TB) []byte {
 	return corruptBlob(t, func(p *Program) uint32 {
-		if p.GlobalWords%SegmentWords == 0 {
-			p.GlobalWords++
+		for idx := range p.Threads[0].End {
+			if _, _, ok := p.LinkedLoc(idx); !ok {
+				return idx
+			}
 		}
-		return makeRef(refGlobal, uint32(p.GlobalWords))
+		t.Fatal("the program's layout has no padding")
+		return 0
 	})
 }
 
 // wireBlob gob-encodes and gzips an envelope the way EncodeProgram does,
 // for envelopes EncodeProgram would never write.
-func wireBlob(t testing.TB, w programWire) []byte {
+func wireBlob(t testing.TB, w any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
@@ -504,7 +503,8 @@ func wireBlob(t testing.TB, w programWire) []byte {
 // A peer's program must not index outside the globals, the immediates and
 // the reading thread's own frame: past its state array an engine would
 // panic on its first Run, at k >= 2 on a goroutine no recover covers, and
-// in the padding the decoder's own fingerprint would panic.
+// a padding word is one tagged cannot map back, so the fingerprint would
+// not describe the code.
 func TestDecodeProgramRejectsOutOfRangeOperand(t *testing.T) {
 	for name, blob := range map[string][]byte{"past End": outOfRangeBlob(t), "padding": paddingBlob(t)} {
 		if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "outside the globals, the immediates and the thread's frame") {
@@ -513,17 +513,94 @@ func TestDecodeProgramRejectsOutOfRangeOperand(t *testing.T) {
 	}
 }
 
-// A blob of the unversioned format, which carried the code inside Program,
-// is refused by its version.
-func TestDecodeProgramRejectsUnversioned(t *testing.T) {
+// A blob of wire version 1, which carried a tagged copy of the code beside
+// the program, is refused by its version.
+func TestDecodeProgramRejectsVersion1(t *testing.T) {
 	g := randomCircuit(t, 61, 20)
 	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := wireBlob(t, programWire{Program: prog, Fingerprint: prog.Fingerprint()})
-	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "unsupported program wire version 0") {
-		t.Fatalf("decode of an unversioned blob: %v", err)
+	code := make([][]instr, len(prog.Threads))
+	for ti, th := range prog.Threads {
+		for pc := range th.Code {
+			code[ti] = append(code[ti], prog.tagged(&th.Code[pc]))
+		}
+	}
+	blob := wireBlob(t, struct {
+		Version     int
+		Program     *Program
+		Code        [][]instr
+		Fingerprint uint64
+	}{1, prog, code, prog.Fingerprint()})
+	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "unsupported program wire version 1") {
+		t.Fatalf("decode of a version-1 blob: %v", err)
+	}
+}
+
+// The decoder trusts none of the layout a peer ships with the code: a blob
+// whose StateWords, ImmOff, one thread's frame and one exchange entry are
+// forged decodes to the original layout, exchange and fingerprint, and an
+// engine over it runs exactly as one over the original.
+func TestDecodeProgramRecomputesLayout(t *testing.T) {
+	g := randomCircuit(t, 62, 70)
+	prog, err := Compile(g, handParts(g, 3, func(sink string) int { return len(sink) % 3 }), Config{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *prog
+	forged.StateWords += 3 * SegmentWords
+	forged.ImmOff += SegmentWords
+	forged.Threads = slices.Clone(prog.Threads)
+	th := &forged.Threads[1]
+	th.TempOff, th.ShadowOff, th.End = th.TempOff+SegmentWords, th.ShadowOff+1, th.End+2*SegmentWords
+	forged.Exchange = make([][][]uint32, len(prog.Exchange))
+	planted := false
+	for w := range prog.Exchange {
+		for _, words := range prog.Exchange[w] {
+			words = slices.Clone(words)
+			if len(words) > 0 && !planted {
+				words[0]++
+				planted = true
+			}
+			forged.Exchange[w] = append(forged.Exchange[w], words)
+		}
+	}
+	if !planted {
+		t.Fatal("the program exchanges no words")
+	}
+	p, err := DecodeProgram(wireBlob(t, programWire{Version: programWireVersion, Program: &forged, Fingerprint: prog.Fingerprint()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.StateWords != prog.StateWords || p.ImmOff != prog.ImmOff {
+		t.Fatalf("decoded StateWords %d ImmOff %d, want %d %d", p.StateWords, p.ImmOff, prog.StateWords, prog.ImmOff)
+	}
+	for ti := range prog.Threads {
+		a, b := &p.Threads[ti], &prog.Threads[ti]
+		if a.TempOff != b.TempOff || a.ShadowOff != b.ShadowOff || a.End != b.End {
+			t.Fatalf("thread %d: decoded frame %d/%d/%d, want %d/%d/%d", ti, a.TempOff, a.ShadowOff, a.End, b.TempOff, b.ShadowOff, b.End)
+		}
+	}
+	if !slices.EqualFunc(p.Exchange, prog.Exchange, func(a, b [][]uint32) bool {
+		return slices.EqualFunc(a, b, slices.Equal[[]uint32])
+	}) {
+		t.Fatalf("decoded exchange %v, want %v", p.Exchange, prog.Exchange)
+	}
+	if p.Fingerprint() != prog.Fingerprint() {
+		t.Fatalf("decoded fingerprint %016x, want %016x", p.Fingerprint(), prog.Fingerprint())
+	}
+	a, b := NewEngine(prog), NewEngine(p)
+	rng := rand.New(rand.NewSource(62))
+	for range 50 {
+		vals := randomInputs(prog, rng)
+		pokeAll(t, a, vals)
+		pokeAll(t, b, vals)
+		a.Run(1)
+		b.Run(1)
+	}
+	if a.StateHash() != b.StateHash() {
+		t.Fatalf("state hash after 50 cycles %016x, want %016x", b.StateHash(), a.StateHash())
 	}
 }
 

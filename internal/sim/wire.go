@@ -11,31 +11,31 @@ import (
 
 // Program wire format: a compiled program serialized for peer-to-peer
 // artifact fetch in a repcutd cluster, so a program compiled on one node
-// installs on another. The layout travels through gob beside each thread's
-// tagged code; the receiver links it itself and recomputes the fingerprint.
-// A blob that decodes to anything but the exact program sent, or to one an
-// engine could not run, is rejected.
+// installs on another. The program travels through gob with the linked
+// code engines run; the receiver trusts none of the layout derived from
+// it: it lays the frames out and builds the exchange itself, checks every
+// operand against them and recomputes the fingerprint. A blob that decodes
+// to anything but the exact program sent, or to one an engine could not
+// run, is rejected.
 
-// programWire is the gob envelope: the format version, the program's
-// layout, its tagged code (one stream per thread) and its fingerprint at
-// encode time.
+// programWire is the gob envelope: the format version, the program with
+// its code, and its fingerprint at encode time.
 type programWire struct {
 	Version     int
 	Program     *Program
-	Code        [][]instr
 	Fingerprint uint64
 }
 
-// programWireVersion is the only envelope format DecodeProgram reads. The
-// unversioned one before it (code inside Program) decodes as version 0.
-const programWireVersion = 1
+// programWireVersion is the only envelope format DecodeProgram reads.
+// Version 1 carried a tagged copy of the code beside the program.
+const programWireVersion = 2
 
 // EncodeProgram serializes a compiled program (gob, gzipped) for transfer
 // to a peer.
 func EncodeProgram(p *Program) ([]byte, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	w := programWire{Version: programWireVersion, Program: p, Code: p.linked.taggedCode(), Fingerprint: p.Fingerprint()}
+	w := programWire{Version: programWireVersion, Program: p, Fingerprint: p.Fingerprint()}
 	if err := gob.NewEncoder(zw).Encode(w); err != nil {
 		return nil, fmt.Errorf("sim: encode program: %w", err)
 	}
@@ -45,29 +45,17 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// taggedCode is the program's code in its wire form: every thread's linked
-// stream mapped back through tagged.
-func (lp *LinkedProgram) taggedCode() [][]instr {
-	code := make([][]instr, len(lp.Threads))
-	for t := range code {
-		code[t] = make([]instr, len(lp.Threads[t].Code))
-		for pc := range code[t] {
-			code[t][pc] = lp.tagged(&lp.Threads[t].Code[pc])
-		}
-	}
-	return code
-}
-
 // maxProgramBytes caps the inflated size of a peer's program blob, which
 // gob would otherwise follow up to 8 GiB, and the state words plus memory
 // words one engine over it allocates. It is the service's default
 // compile-cache budget, 500× MegaBOOM-4C's 0.5 MB program at four threads.
 const maxProgramBytes = 256 << 20
 
-// DecodeProgram reverses EncodeProgram: it links the code, rebuilds the
-// derived lookup tables, and verifies the decoded program's fingerprint
-// against the one carried in the envelope. A blob that inflates past
-// maxProgramBytes is refused.
+// DecodeProgram reverses EncodeProgram: it recomputes the state layout and
+// the exchange, checks the code against them, rebuilds the derived lookup
+// tables, and verifies the decoded program's fingerprint against the one
+// carried in the envelope. A blob that inflates past maxProgramBytes is
+// refused.
 func DecodeProgram(data []byte) (*Program, error) {
 	return decodeProgram(data, maxProgramBytes)
 }
@@ -90,7 +78,7 @@ func decodeProgram(data []byte, limit int64) (*Program, error) {
 	return decodeWire(raw)
 }
 
-// decodeWire decodes, checks and links one inflated gob envelope.
+// decodeWire decodes and checks one inflated gob envelope.
 func decodeWire(raw []byte) (*Program, error) {
 	var w programWire
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
@@ -106,17 +94,15 @@ func decodeWire(raw []byte) (*Program, error) {
 	if len(p.Threads) == 0 || len(p.Threads) != p.NumThreads {
 		return nil, fmt.Errorf("sim: decode program: %d thread codes for %d threads", len(p.Threads), p.NumThreads)
 	}
-	if len(w.Code) != p.NumThreads {
-		return nil, fmt.Errorf("sim: decode program: %d code streams for %d threads", len(w.Code), p.NumThreads)
-	}
 	if err := p.checkLayout(); err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
 	}
 	p.reindex()
-	p.link(w.Code)
-	if err := p.linked.checkCode(); err != nil {
+	p.layoutFrames()
+	if err := p.checkCode(); err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
 	}
+	p.Exchange = p.exchange()
 	p.fp = p.fingerprint()
 	if p.fp != w.Fingerprint {
 		return nil, fmt.Errorf("sim: decoded program fingerprint %016x does not match envelope %016x",
@@ -165,21 +151,21 @@ func (p *Program) checkLayout() error {
 // not map back: an opcode outside the table, a memory past the program's,
 // or a state operand outside the globals, the immediates and its thread's
 // frame (padding, another thread's frame, past the state array).
-func (lp *LinkedProgram) checkCode() error {
+func (p *Program) checkCode() error {
 	var defs, uses []uint32
-	for t := range lp.Threads {
-		lt := &lp.Threads[t]
-		for pc := range lt.Code {
-			in := &lt.Code[pc]
+	for t := range p.Threads {
+		th := &p.Threads[t]
+		for pc := range th.Code {
+			in := &th.Code[pc]
 			if in.Op >= numOpCodes {
 				return fmt.Errorf("thread %d pc %d: opcode %d", t, pc, in.Op)
 			}
-			if (in.Op == OpMemRd || in.Op == OpMemWr) && int(in.Aux) >= len(lp.prog.Mems) {
-				return fmt.Errorf("thread %d pc %d: memory %d of %d", t, pc, in.Aux, len(lp.prog.Mems))
+			if (in.Op == OpMemRd || in.Op == OpMemWr) && int(in.Aux) >= len(p.Mems) {
+				return fmt.Errorf("thread %d pc %d: memory %d of %d", t, pc, in.Aux, len(p.Mems))
 			}
-			defs, uses, _, _ = lp.LinkedDefUse(in, defs[:0], uses[:0], nil, nil)
+			defs, uses, _, _ = p.LinkedDefUse(in, defs[:0], uses[:0], nil, nil)
 			for _, idx := range slices.Concat(defs, uses) {
-				if _, owner, ok := lp.LinkedLoc(idx); !ok || owner != -1 && owner != t {
+				if _, owner, ok := p.LinkedLoc(idx); !ok || owner != -1 && owner != t {
 					return fmt.Errorf("thread %d pc %d: operand %d outside the globals, the immediates and the thread's frame", t, pc, idx)
 				}
 			}

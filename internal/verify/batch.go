@@ -32,40 +32,38 @@ import (
 //     recycled lane leaks the previous session's state.
 func (v *verifier) scanBatch() {
 	p := v.p
-	lp := p.Linked()
 	// Word-region integrity, in ascending order: globals, immediates, then
 	// one frame (temps ++ shadow) per thread.
-	if lp.ImmOff < p.GlobalWords {
-		v.diag(CheckBatch, Error, -1, -1, fmt.Sprintf("state word %d", lp.ImmOff),
-			fmt.Sprintf("immediate region begins at %d, inside the %d-word global region: ResetLane's constant re-seed would clobber live registers", lp.ImmOff, p.GlobalWords))
+	if p.ImmOff < p.GlobalWords {
+		v.diag(CheckBatch, Error, -1, -1, fmt.Sprintf("state word %d", p.ImmOff),
+			fmt.Sprintf("immediate region begins at %d, inside the %d-word global region: ResetLane's constant re-seed would clobber live registers", p.ImmOff, p.GlobalWords))
 	}
-	end := lp.ImmOff + len(p.Imms)
-	for t := range lp.Threads {
-		lt := &lp.Threads[t]
+	end := p.ImmOff + len(p.Imms)
+	for t := range p.Threads {
 		th := &p.Threads[t]
-		if int(lt.TempOff) < end {
-			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", lt.TempOff),
-				fmt.Sprintf("thread frame begins at %d, inside the previous region ending at %d: lane columns of different regions overlap", lt.TempOff, end))
+		if int(th.TempOff) < end {
+			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", th.TempOff),
+				fmt.Sprintf("thread frame begins at %d, inside the previous region ending at %d: lane columns of different regions overlap", th.TempOff, end))
 		}
-		if lt.ShadowOff != lt.TempOff+uint32(th.NumTemps) {
-			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", lt.ShadowOff),
-				fmt.Sprintf("shadow region at %d does not abut the %d-temp region at %d: the commit block-copy would publish the wrong words", lt.ShadowOff, th.NumTemps, lt.TempOff))
+		if th.ShadowOff != th.TempOff+uint32(th.NumTemps) {
+			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", th.ShadowOff),
+				fmt.Sprintf("shadow region at %d does not abut the %d-temp region at %d: the commit block-copy would publish the wrong words", th.ShadowOff, th.NumTemps, th.TempOff))
 		}
-		if e := int(lt.ShadowOff) + th.ShadowWords; e > end {
+		if e := int(th.ShadowOff) + th.ShadowWords; e > end {
 			end = e
 		}
-		if fe := int(lt.ShadowOff) + th.ShadowWords; int(lt.End) < fe {
-			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", lt.End),
-				fmt.Sprintf("private array ends at %d, before the thread's frame ends at %d: an Engine's thread would index past its own array", lt.End, fe))
+		if fe := int(th.ShadowOff) + th.ShadowWords; int(th.End) < fe {
+			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("state word %d", th.End),
+				fmt.Sprintf("private array ends at %d, before the thread's frame ends at %d: an Engine's thread would index past its own array", th.End, fe))
 		}
 		if th.GlobalOff+th.ShadowWords > p.GlobalWords {
 			v.diag(CheckBatch, Error, t, -1, fmt.Sprintf("global word %d", th.GlobalOff),
 				fmt.Sprintf("commit range [%d,%d) overruns the %d-word global region: RunMasked's gated commit would write out of bounds", th.GlobalOff, th.GlobalOff+th.ShadowWords, p.GlobalWords))
 		}
 	}
-	if end > lp.StateWords {
+	if end > p.StateWords {
 		v.diag(CheckBatch, Error, -1, -1, "",
-			fmt.Sprintf("regions end at word %d but the state allocation is %d words: the last lane column runs off the array", end, lp.StateWords))
+			fmt.Sprintf("regions end at word %d but the state allocation is %d words: the last lane column runs off the array", end, p.StateWords))
 	}
 
 	// ResetLane cleanliness: every word the per-lane reset re-seeds exists.

@@ -65,8 +65,7 @@ func TestFullVerificationStack(t *testing.T) {
 func TestBatchMutationFrameOverlap(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p, _ := compileParts(t, g, 2, 0)
-	lp := p.Linked()
-	lp.Threads[0].TempOff = 0 // inside the global register/input region
+	p.Threads[0].TempOff = 0 // inside the global register/input region
 	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "thread frame begins at") {
@@ -82,8 +81,7 @@ func TestBatchMutationFrameOverlap(t *testing.T) {
 func TestBatchMutationShadowGap(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p, _ := compileParts(t, g, 2, 0)
-	lp := p.Linked()
-	lp.Threads[1].ShadowOff++
+	p.Threads[1].ShadowOff++
 	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "does not abut") {
@@ -99,9 +97,8 @@ func TestBatchMutationShadowGap(t *testing.T) {
 func TestBatchMutationTruncatedState(t *testing.T) {
 	g := mustGraph(t, memMixSrc)
 	p, _ := compileParts(t, g, 2, 0)
-	lp := p.Linked()
-	last := &lp.Threads[len(lp.Threads)-1]
-	lp.StateWords = int(last.ShadowOff) // chops off the last shadow region
+	last := &p.Threads[len(p.Threads)-1]
+	p.StateWords = int(last.ShadowOff) // chops off the last shadow region
 	rep := Program(p, Options{})
 	d := findDiag(t, rep, CheckBatch)
 	if !strings.Contains(d.Msg, "runs off the array") {

@@ -12,20 +12,20 @@ import "fmt"
 // twice). A missing entry leaves the reader a stale copy; an entry into the
 // reader's own segment overwrites the word its own commit wrote.
 func (v *verifier) checkExchange() {
-	lp := v.p.Linked()
-	k := len(lp.Threads)
-	if len(lp.Exchange) != k {
+	p := v.p
+	k := len(p.Threads)
+	if len(p.Exchange) != k {
 		v.diag(CheckExchange, Error, -1, -1, "",
-			fmt.Sprintf("exchange table has %d writers, program has %d threads", len(lp.Exchange), k))
+			fmt.Sprintf("exchange table has %d writers, program has %d threads", len(p.Exchange), k))
 		return
 	}
-	for w := range lp.Exchange {
-		if len(lp.Exchange[w]) != k {
+	for w := range p.Exchange {
+		if len(p.Exchange[w]) != k {
 			v.diag(CheckExchange, Error, w, -1, "",
-				fmt.Sprintf("exchange table of writer %d has %d readers, program has %d threads", w, len(lp.Exchange[w]), k))
+				fmt.Sprintf("exchange table of writer %d has %d readers, program has %d threads", w, len(p.Exchange[w]), k))
 			continue
 		}
-		for r, words := range lp.Exchange[w] {
+		for r, words := range p.Exchange[w] {
 			for i, idx := range words {
 				at := fmt.Sprintf("exchange entry %d of writer %d for reader %d", i, w, r)
 				switch {

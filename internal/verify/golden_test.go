@@ -157,7 +157,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				g := mustGraph(t, memMixSrc)
 				p, _ := compileParts(t, g, 2, 0)
-				p.Linked().Threads[0].TempOff = 0
+				p.Threads[0].TempOff = 0
 				return Program(p, Options{})
 			},
 			want: "error [batch-layout] thread 0 at state word 0: thread frame begins at 0, inside the previous region ending at 25: lane columns of different regions overlap",
@@ -168,7 +168,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				p := mutProgram(t)
 				w, r := exchangePair(t, p)
-				x := p.Linked().Exchange
+				x := p.Exchange
 				x[w][r] = x[w][r][1:]
 				return Program(p, Options{})
 			},
@@ -180,7 +180,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			plant: func(t *testing.T) *Report {
 				p := mutProgram(t)
 				w, r := exchangePair(t, p)
-				p.Linked().Exchange[w][r][0] = uint32(p.Threads[r].GlobalOff)
+				p.Exchange[w][r][0] = uint32(p.Threads[r].GlobalOff)
 				return Program(p, Options{})
 			},
 			want: "error [exchange] thread 1 at global word 16 (output \"out\", segment of thread 1): exchange entry 0 of writer 0 for reader 1 lies in the reader's own segment: its copy-in overwrites a word the reader's commit writes",
@@ -203,7 +203,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 // exchangePair returns the first writer and reader with exchange entries.
 func exchangePair(t *testing.T, p *sim.Program) (w, r int) {
 	t.Helper()
-	for w, row := range p.Linked().Exchange {
+	for w, row := range p.Exchange {
 		for r, words := range row {
 			if len(words) > 0 {
 				return w, r

@@ -18,23 +18,17 @@ import (
 // scanLinked runs the race/closure/schedule families over the linked form
 // of the program.
 func (v *verifier) scanLinked() {
-	lp := v.p.Linked()
-	if len(lp.Threads) != len(v.p.Threads) {
-		v.diag(CheckSchedule, Error, -1, -1, "",
-			fmt.Sprintf("linked form has %d threads, program has %d", len(lp.Threads), len(v.p.Threads)))
-		return
-	}
-	v.remoteReads = make([]map[uint32]int, len(lp.Threads))
-	for t := range lp.Threads {
+	v.remoteReads = make([]map[uint32]int, len(v.p.Threads))
+	for t := range v.p.Threads {
 		v.remoteReads[t] = map[uint32]int{}
-		v.scanLinkedThread(lp, t)
+		v.scanLinkedThread(t)
 	}
 }
 
 // stateDesc names a unified-state index for diagnostics. A global's flat
 // index is its global word, so globals keep their layout name.
-func (v *verifier) stateDesc(lp *sim.LinkedProgram, idx uint32) string {
-	loc, owner, ok := lp.LinkedLoc(idx)
+func (v *verifier) stateDesc(idx uint32) string {
+	loc, owner, ok := v.p.LinkedLoc(idx)
 	switch {
 	case !ok:
 		return fmt.Sprintf("state word %d (padding)", idx)
@@ -54,20 +48,20 @@ func (v *verifier) stateDesc(lp *sim.LinkedProgram, idx uint32) string {
 // race) and ok is false. access is "reads" or "writes". So every index a
 // clean stream uses lies in the globals, the immediates or t's own frame:
 // inside t's private array, the prefix [0, End) of the layout.
-func (v *verifier) decode(lp *sim.LinkedProgram, t, pc int, idx uint32, access string) (loc sim.Loc, ok bool) {
-	if int(idx) >= lp.StateWords {
+func (v *verifier) decode(t, pc int, idx uint32, access string) (loc sim.Loc, ok bool) {
+	if int(idx) >= v.p.StateWords {
 		v.diag(CheckSchedule, Error, t, pc, fmt.Sprintf("state word %d", idx),
-			fmt.Sprintf("instruction %s past the %d-word state", access, lp.StateWords))
+			fmt.Sprintf("instruction %s past the %d-word state", access, v.p.StateWords))
 		return loc, false
 	}
-	loc, owner, ok := lp.LinkedLoc(idx)
+	loc, owner, ok := v.p.LinkedLoc(idx)
 	if !ok {
-		v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+		v.diag(CheckSchedule, Error, t, pc, v.stateDesc(idx),
 			fmt.Sprintf("instruction %s a padding word no region owns", access))
 		return loc, false
 	}
 	if owner >= 0 && owner != t {
-		v.diag(CheckRace, Error, t, pc, v.stateDesc(lp, idx),
+		v.diag(CheckRace, Error, t, pc, v.stateDesc(idx),
 			fmt.Sprintf("instruction %s thread %d's private frame: cross-thread eval-phase race", access, owner))
 		return loc, false
 	}
@@ -78,10 +72,10 @@ func (v *verifier) decode(lp *sim.LinkedProgram, t, pc int, idx uint32, access s
 // for private state, phase discipline for shared state, and exactly-once
 // sink writes. Operands are decoded back to (space, owner) through the
 // frame layout; memories keep their space-relative encoding.
-func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
+func (v *verifier) scanLinkedThread(t int) {
 	p := v.p
 	th := &p.Threads[t]
-	code := lp.Threads[t].Code
+	code := th.Code
 	definedLocal := make([]bool, th.NumTemps)
 	shadowWrites := make([]int, th.ShadowWords)
 	localReads := make([]int, th.NumTemps)
@@ -96,24 +90,24 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	var mdefs, muses []sim.Loc
 	for pc := range code {
 		in := &code[pc]
-		ndefs, nuses, mdefs, muses = lp.LinkedDefUse(in, ndefs[:0], nuses[:0], mdefs[:0], muses[:0])
+		ndefs, nuses, mdefs, muses = p.LinkedDefUse(in, ndefs[:0], nuses[:0], mdefs[:0], muses[:0])
 		v.rep.Locs += len(ndefs) + len(nuses) + len(mdefs) + len(muses)
 
 		for _, idx := range nuses {
-			loc, ok := v.decode(lp, t, pc, idx, "reads")
+			loc, ok := v.decode(t, pc, idx, "reads")
 			if !ok {
 				continue
 			}
 			switch loc.Space {
 			case sim.SpaceLocal:
 				if !definedLocal[loc.Idx] {
-					v.diag(CheckClosure, Error, t, pc, v.stateDesc(lp, idx),
+					v.diag(CheckClosure, Error, t, pc, v.stateDesc(idx),
 						"read of a temp with no earlier definition in this thread: the partition is not closed")
 				}
 				localReads[loc.Idx]++
 			case sim.SpaceShadow:
 				if shadowWrites[loc.Idx] == 0 {
-					v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+					v.diag(CheckSchedule, Error, t, pc, v.stateDesc(idx),
 						"shadow word read before this thread wrote it this cycle")
 				}
 			case sim.SpaceGlobal:
@@ -139,14 +133,14 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 		}
 
 		for _, idx := range ndefs {
-			loc, ok := v.decode(lp, t, pc, idx, "writes")
+			loc, ok := v.decode(t, pc, idx, "writes")
 			if !ok {
 				continue
 			}
 			switch loc.Space {
 			case sim.SpaceLocal:
 				if definedLocal[loc.Idx] {
-					v.diag(CheckSchedule, Warning, t, pc, v.stateDesc(lp, idx),
+					v.diag(CheckSchedule, Warning, t, pc, v.stateDesc(idx),
 						"temp redefined: single-assignment form expected from the compiler")
 				}
 				definedLocal[loc.Idx] = true
@@ -157,7 +151,7 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 				v.diag(CheckRace, Error, t, pc, v.wordDesc(idx),
 					"eval-phase write to a shared global word: races with concurrent readers and the owner's commit")
 			case sim.SpaceImm:
-				v.diag(CheckSchedule, Error, t, pc, v.stateDesc(lp, idx),
+				v.diag(CheckSchedule, Error, t, pc, v.stateDesc(idx),
 					"write to the immutable immediate pool")
 			}
 		}
@@ -203,7 +197,7 @@ func (v *verifier) scanLinkedThread(lp *sim.LinkedProgram, t int) {
 	// programs legitimately keep some.
 	for _, ds := range defSites {
 		if *ds.used == 0 {
-			v.diag(CheckSchedule, Warning, t, ds.pc, v.stateDesc(lp, ds.slot), "dead store: destination is never read by this thread")
+			v.diag(CheckSchedule, Warning, t, ds.pc, v.stateDesc(ds.slot), "dead store: destination is never read by this thread")
 		}
 	}
 }

@@ -12,41 +12,40 @@ import (
 	"repro/internal/sim"
 )
 
-// linkedMutProgram compiles the two-thread test program and returns it with
-// its linked form.
-func linkedMutProgram(t *testing.T) (*sim.Program, *sim.LinkedProgram) {
+// linkedMutProgram compiles the two-thread test program.
+func linkedMutProgram(t *testing.T) *sim.Program {
 	t.Helper()
 	g := mustGraph(t, memMixSrc)
 	p, _ := compileParts(t, g, 2, 0)
 	if p.NumThreads != 2 {
 		t.Fatalf("want 2 threads, got %d", p.NumThreads)
 	}
-	return p, p.Linked()
+	return p
 }
 
 // simpleDst reports whether the instruction's sole narrow definition is its
 // Dst field (excludes nops, wide boxes, and memory writes, whose Dst means
 // something else).
-func simpleDst(lp *sim.LinkedProgram, in *sim.LInstr) bool {
-	nd, _, _, _ := lp.LinkedDefUse(in, nil, nil, nil, nil)
+func simpleDst(p *sim.Program, in *sim.LInstr) bool {
+	nd, _, _, _ := p.LinkedDefUse(in, nil, nil, nil, nil)
 	return len(nd) == 1 && nd[0] == in.Dst
 }
 
 // linkedTempRead finds an instruction on thread th whose A operand reads
 // one of th's own private temps.
-func linkedTempRead(t *testing.T, lp *sim.LinkedProgram, th int) int {
+func linkedTempRead(t *testing.T, p *sim.Program, th int) int {
 	t.Helper()
-	code := lp.Threads[th].Code
+	code := p.Threads[th].Code
 	for pc := range code {
 		in := &code[pc]
-		if !simpleDst(lp, in) {
+		if !simpleDst(p, in) {
 			continue
 		}
-		_, nu, _, _ := lp.LinkedDefUse(in, nil, nil, nil, nil)
+		_, nu, _, _ := p.LinkedDefUse(in, nil, nil, nil, nil)
 		if len(nu) == 0 || nu[0] != in.A {
 			continue
 		}
-		if loc, owner, ok := lp.LinkedLoc(in.A); ok && owner == th && loc.Space == sim.SpaceLocal {
+		if loc, owner, ok := p.LinkedLoc(in.A); ok && owner == th && loc.Space == sim.SpaceLocal {
 			return pc
 		}
 	}
@@ -58,12 +57,12 @@ func linkedTempRead(t *testing.T, lp *sim.LinkedProgram, th int) int {
 // word of thread 1's private frame, which no tagged operand of thread 0 can
 // name; only a scan of the resolved indices can see it.
 func TestLinkedMutationCrossThreadRead(t *testing.T) {
-	p, lp := linkedMutProgram(t)
+	p := linkedMutProgram(t)
 	if p.Threads[1].NumTemps == 0 {
 		t.Skip("thread 1 has no temps to trespass on")
 	}
-	mutPC := linkedTempRead(t, lp, 0)
-	lp.Threads[0].Code[mutPC].A = lp.Threads[1].TempOff
+	mutPC := linkedTempRead(t, p, 0)
+	p.Threads[0].Code[mutPC].A = p.Threads[1].TempOff
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {
@@ -80,10 +79,10 @@ func TestLinkedMutationCrossThreadRead(t *testing.T) {
 // Linked fault 2 — padding operand: an operand resolved into the dead
 // alignment gap between state regions, which no region owns.
 func TestLinkedMutationPaddingOperand(t *testing.T) {
-	p, lp := linkedMutProgram(t)
+	p := linkedMutProgram(t)
 	pad, found := uint32(0), false
-	for idx := 0; idx < lp.StateWords; idx++ {
-		if _, _, ok := lp.LinkedLoc(uint32(idx)); !ok {
+	for idx := 0; idx < p.StateWords; idx++ {
+		if _, _, ok := p.LinkedLoc(uint32(idx)); !ok {
 			pad, found = uint32(idx), true
 			break
 		}
@@ -91,8 +90,8 @@ func TestLinkedMutationPaddingOperand(t *testing.T) {
 	if !found {
 		t.Skip("layout has no padding words at all")
 	}
-	mutPC := linkedTempRead(t, lp, 0)
-	lp.Threads[0].Code[mutPC].A = pad
+	mutPC := linkedTempRead(t, p, 0)
+	p.Threads[0].Code[mutPC].A = pad
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {
@@ -110,19 +109,19 @@ func TestLinkedMutationPaddingOperand(t *testing.T) {
 // word over leaves the original sink word stale; the exactly-once
 // production proof must flag it.
 func TestLinkedMutationShiftedShadowWrite(t *testing.T) {
-	p, lp := linkedMutProgram(t)
+	p := linkedMutProgram(t)
 	mutThread, mutPC := -1, -1
-	for ti := range lp.Threads {
+	for ti := range p.Threads {
 		if p.Threads[ti].ShadowWords == 0 {
 			continue
 		}
-		lt := &lp.Threads[ti]
-		for pc := range lt.Code {
-			in := &lt.Code[pc]
-			if !simpleDst(lp, in) {
+		th := &p.Threads[ti]
+		for pc := range th.Code {
+			in := &th.Code[pc]
+			if !simpleDst(p, in) {
 				continue
 			}
-			if loc, owner, ok := lp.LinkedLoc(in.Dst); ok && owner == ti && loc.Space == sim.SpaceShadow {
+			if loc, owner, ok := p.LinkedLoc(in.Dst); ok && owner == ti && loc.Space == sim.SpaceShadow {
 				mutThread, mutPC = ti, pc
 				break
 			}
@@ -134,7 +133,7 @@ func TestLinkedMutationShiftedShadowWrite(t *testing.T) {
 	if mutPC < 0 {
 		t.Skip("no thread writes narrow shadow words")
 	}
-	lp.Threads[mutThread].Code[mutPC].Dst++
+	p.Threads[mutThread].Code[mutPC].Dst++
 
 	rep := Program(p, Options{})
 	if rep.Err() == nil {

@@ -52,12 +52,12 @@ func requireProvenance(t *testing.T, d Diag) {
 }
 
 // codeOf returns thread th's linked code, which the mutations corrupt.
-func codeOf(p *sim.Program, th int) []sim.LInstr { return p.Linked().Threads[th].Code }
+func codeOf(p *sim.Program, th int) []sim.LInstr { return p.Threads[th].Code }
 
 // isTemp reports whether state index idx is one of thread th's private
 // temps.
 func isTemp(p *sim.Program, th int, idx uint32) bool {
-	loc, owner, ok := p.Linked().LinkedLoc(idx)
+	loc, owner, ok := p.LinkedLoc(idx)
 	return ok && owner == th && loc.Space == sim.SpaceLocal
 }
 
@@ -216,7 +216,7 @@ func TestMutationCrossWiredShadow(t *testing.T) {
 		if n < 2 {
 			continue
 		}
-		off := p.Linked().Threads[ti].ShadowOff
+		off := p.Threads[ti].ShadowOff
 		for pc, in := range codeOf(p, ti) {
 			if in.Op != sim.OpNop && in.Op != sim.OpMemWr && in.Dst >= off && in.Dst < off+n {
 				other = off + (in.Dst-off+1)%n

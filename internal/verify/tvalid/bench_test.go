@@ -31,7 +31,6 @@ func BenchmarkValidateMegaBoom(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p2.Linked()
 	p0, err := sim.Compile(g, specs, sim.Config{OptLevel: 0})
 	if err != nil {
 		b.Fatal(err)

@@ -51,7 +51,6 @@ func TestValidateBundledDesigns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p2.Linked()
 				p0, err := sim.Compile(g, specs, sim.Config{OptLevel: 0})
 				if err != nil {
 					t.Fatal(err)

@@ -16,8 +16,8 @@ import (
 // findInstr locates the first linked instruction matching pred, returning
 // thread and pc.
 func findInstr(p *sim.Program, pred func(in sim.LInstr) bool) (int, int) {
-	for t, lt := range p.Linked().Threads {
-		for pc, in := range lt.Code {
+	for t, th := range p.Threads {
+		for pc, in := range th.Code {
 			if pred(in) {
 				return t, pc
 			}
@@ -27,7 +27,7 @@ func findInstr(p *sim.Program, pred func(in sim.LInstr) bool) (int, int) {
 }
 
 // instrAt returns the linked instruction at thread t, pc.
-func instrAt(p *sim.Program, t, pc int) *sim.LInstr { return &p.Linked().Threads[t].Code[pc] }
+func instrAt(p *sim.Program, t, pc int) *sim.LInstr { return &p.Threads[t].Code[pc] }
 
 // requireRejected asserts the certificate refutes equivalence and that the
 // diagnostic names a plausible location: a real thread, a defining pc on
@@ -224,7 +224,7 @@ func TestMutationNarrowedMask(t *testing.T) {
 	p0, p2 := compilePair(t, g, 1)
 
 	xt, xpc := findInstr(p2, func(in sim.LInstr) bool {
-		loc, _, _ := p2.Linked().LinkedLoc(in.Dst)
+		loc, _, _ := p2.LinkedLoc(in.Dst)
 		return in.Op == sim.OpXor && loc.Space == sim.SpaceShadow && in.Mask == 0xffff
 	})
 	if xt < 0 {

@@ -26,20 +26,18 @@ type memWrite struct {
 // execLinked symbolically evaluates one thread of a program's linked code,
 // mirroring evalLinked (linkexec.go) term-for-term. Validate runs it on both
 // sides.
-func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
-	p := lp.Program()
+func execLinked(b *builder, p *sim.Program, t int) *threadState {
 	th := &p.Threads[t]
-	lt := &lp.Threads[t]
 
-	state := make([]*term, lp.StateWords)
-	lastPC := make([]int, lp.StateWords)
+	state := make([]*term, p.StateWords)
+	lastPC := make([]int, p.StateWords)
 	for i := 0; i < p.GlobalWords; i++ {
 		state[i] = b.variable(uint32(i))
 		lastPC[i] = -1
 	}
 	for i, v := range p.Imms {
-		state[lp.ImmOff+i] = b.konst(v)
-		lastPC[lp.ImmOff+i] = -1
+		state[p.ImmOff+i] = b.konst(v)
+		lastPC[p.ImmOff+i] = -1
 	}
 	st := &threadState{
 		shadow:   make([]*term, th.ShadowWords),
@@ -60,8 +58,8 @@ func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 		lastPC[idx] = pc
 	}
 	var ab [3]*term // scratch: b.app never retains a caller's buffer
-	for pc := range lt.Code {
-		li := &lt.Code[pc]
+	for pc := range th.Code {
+		li := &th.Code[pc]
 		switch li.Op {
 		case sim.OpNop:
 		case sim.OpMemWr:
@@ -96,8 +94,8 @@ func execLinked(b *builder, lp *sim.LinkedProgram, t int) *threadState {
 	// Extract the commit image: shadow words live at the thread's frame
 	// shadow region in the unified state.
 	for i := 0; i < th.ShadowWords; i++ {
-		st.shadow[i] = state[lt.ShadowOff+uint32(i)]
-		st.shadowPC[i] = lastPC[lt.ShadowOff+uint32(i)]
+		st.shadow[i] = state[th.ShadowOff+uint32(i)]
+		st.shadowPC[i] = lastPC[th.ShadowOff+uint32(i)]
 	}
 	return st
 }

@@ -185,8 +185,8 @@ func Validate(ref, opt *sim.Program, o Options) *Result {
 
 	var cands []candidate
 	for t := 0; t < opt.NumThreads; t++ {
-		s0 := execLinked(b, ref.Linked(), t)
-		s2 := execLinked(b, opt.Linked(), t)
+		s0 := execLinked(b, ref, t)
+		s2 := execLinked(b, opt, t)
 		cands = append(cands, compareThread(ref, opt, t, s0, s2, res)...)
 	}
 	res.ArenaBytes = b.arenaBytes()
@@ -276,7 +276,7 @@ func compareThread(ref, opt *sim.Program, t int, s0, s2 *threadState, res *Resul
 
 // instrName names thread t's linked instruction at pc by its opcode.
 func instrName(p *sim.Program, t, pc int) string {
-	if code := p.Linked().Threads[t].Code; pc >= 0 && pc < len(code) {
+	if code := p.Threads[t].Code; pc >= 0 && pc < len(code) {
 		return code[pc].Op.String()
 	}
 	return "(none)"

@@ -2,7 +2,7 @@
 // invariants RepCut's parallel runtime depends on, instead of trusting the
 // partitioner and code generator end-to-end. It reconstructs per-instruction
 // def/use sets from the linked stream every engine and the native emitter
-// run (sim.LinkedProgram.LinkedDefUse) and checks three invariant families:
+// run (sim.Program.LinkedDefUse) and checks three invariant families:
 //
 //   - Race freedom (§5.1, Figure 5): during the evaluation phase threads
 //     write only private temps and their own shadow; every shared global
@@ -239,10 +239,9 @@ type verifier struct {
 }
 
 // Program statically verifies a compiled program and returns the full
-// diagnostic report. It scans the program's linked form, building and
-// caching it if the program has not been linked yet (engines would build
-// it anyway); it never modifies the program's observable state and is safe
-// to run concurrently with other analyses of the same Program.
+// diagnostic report. It scans the program's linked code, the code every
+// engine runs; it never modifies the program and is safe to run
+// concurrently with other analyses of the same Program.
 func Program(p *sim.Program, opts Options) *Report {
 	start := time.Now()
 	v := &verifier{

@@ -219,7 +219,8 @@ func (s *Simulator) UseNative(artifacts string) error {
 }
 
 // optLevel is the stream optimization every pipeline compile runs:
-// constant folding, copy propagation and truncation fusion (sim.Config).
+// constant folding and copy aliasing as the code is emitted, then one
+// sweep that drops dead temps and fuses sink copies (sim.Config).
 const optLevel = 2
 
 // CompileSerial builds the single-threaded (ESSENT-style) simulator.
@@ -284,11 +285,6 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Link eagerly: the Compiled artifact is the unit the service cache
-	// shares across sessions, so building the linked execution form here
-	// means every NewSimulator reuses it, and Program.MemBytes (the cache's
-	// LRU charge) is stable and includes the linked bytes.
-	p.Linked()
 	c := &Compiled{Program: p, Report: rep}
 	if opt.Verify || opt.Validate {
 		c.Verification = verify.Program(p, verify.Options{
