@@ -74,6 +74,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDifferentialSim -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run=NONE -fuzz=FuzzFirrtlRoundTrip -fuzztime=$(FUZZTIME) ./internal/firrtl/
+	$(GO) test -run=NONE -fuzz=FuzzFrontEndKeepsCheck -fuzztime=$(FUZZTIME) ./internal/firrtl/
 	$(GO) test -run=NONE -fuzz=FuzzBitvecOps -fuzztime=$(FUZZTIME) ./internal/bitvec/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME) -fuzzminimizetime=3s ./internal/sim/

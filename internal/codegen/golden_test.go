@@ -36,39 +36,39 @@ var (
 func TestEmitGolden(t *testing.T) {
 	// Recorded with EmitterVersion cg4.
 	want := map[string]string{
-		"LargeBOOM-1C/k1":  "6d66234d1ee1a21a6c84ccbc422556cfcbba4c13a44e613f1fff1c85095a29d9",
-		"LargeBOOM-1C/k2":  "1408f9acb3137ad738eb3728be139c5bb29ee5ab11fde788de7dc0d4c16e6f43",
-		"LargeBOOM-2C/k1":  "18d11a9af19991da257d6be27632b1f646509a3f179d34887808956d73e57f71",
-		"LargeBOOM-2C/k2":  "20aff6f509fe413aef34550ed990c58dc688fca556fc533e6e3ea13c6e758208",
-		"LargeBOOM-4C/k1":  "335c52f4d55dab3c8a381f3f7ac7f1ae0c6bf393b9374c6c8f53121139dd051e",
-		"LargeBOOM-4C/k2":  "da6b29ecc69152aeba2b7e4450f183273bc0451b3fd7cc84eeb94f0f9aa04be0",
-		"MegaBOOM-1C/k1":   "0d51ff6f83bd0ce95ec6998cdb05cf922162d51f2150716cf26c61dca91683d4",
-		"MegaBOOM-1C/k2":   "1d359f785ed5625c6b8f9f8844e0106ae682ba24762c20e173ed8e62b2fd8c07",
-		"MegaBOOM-2C/k1":   "1fa127bc86f24578cdaebba9afc4deaae0f499239507ce51c66555eb8c040e46",
-		"MegaBOOM-2C/k2":   "0ad72dfbfbc6e47bb9f2340b6a55c19dbdd4f83ac6f6e47cf4292223f4aee200",
-		"MegaBOOM-4C/k1":   "b855a3fb03d67ec07ff8bec40550857466b25657e7e086de7a7a9db1137f09db",
-		"MegaBOOM-4C/k2":   "53feb89dc503605619727341d9d45438ac1131a9c59f4565ec50547c0bb2e6db",
-		"RocketChip-1C/k1": "c9d46db316f5087b54e77fe7f1cb778a73c467d502f79c408e38a99ad90ccf7b",
-		"RocketChip-1C/k2": "74d8208fa9deaae21abbf3e7ff863f9f12a80d1cc259621797943b73858fdaaa",
-		"RocketChip-2C/k1": "3d66864d7d61f64064f44d341f3b0152d68b87b1465f324532303b67652665c7",
-		"RocketChip-2C/k2": "d85ddf85e94744512120ec3d5c1663275ff365b90f9581a63c01628e678154c2",
-		"RocketChip-4C/k1": "ae5256cbe46605d52f9405d99aa36a5d4cef13a1fdc07280167bd0586719d890",
-		"RocketChip-4C/k2": "ef7e4c6be620e3db14ab4e5ff8bfce413d94e09fd6584c546c32c2da33f3400c",
-		"SmallBOOM-1C/k1":  "f01b5adb0d0c0c433995ac7a2fb6cc95569a37feb1375fc682734c18efeb4a11",
-		"SmallBOOM-1C/k2":  "0683d0dfc0ef29c32449c5dc446bc071042106c99f408189848f0413ed3a076e",
-		"SmallBOOM-2C/k1":  "22b6b800fedb53e16c519f30c27dd80f3b05e5c02070269f854808b8b11c0a60",
-		"SmallBOOM-2C/k2":  "65d371b295081c82f8b38b24173ddd661b8ad9610f4173b57419d99878224c91",
-		"SmallBOOM-4C/k1":  "67b6019efb5ed49968ee3b0d98b04fba2628e52b7df9ca34842d4c32a5921e40",
-		"SmallBOOM-4C/k2":  "f835b2f3ad614af6d0a1fa923ec9c2e2119fd3abf2fc15937d23c1f9dd554266",
-		"classic50":        "703ff5f557725c5f963c757d69e28be1439b55181df236ea8c417e18f0d58c21",
-		"classic51":        "99a392fcf08fb3e57f4037be354b955205ef5fb14fadbd097b42a3bf4fb9a755",
-		"classic52":        "5987bcf4ea0115ca8c2a8267b1e22243ff4726bcb54c995c1f505a9527306810",
-		"classic53":        "fc7e688c6db033c043cec583b77a259c630fa8b01a41d9a01dfd9fd882e86377",
-		"classic55":        "6129a0edb81b2257934e46ff03624debb9dd60b54da197e5818b0e20d38928b9",
-		"classic81":        "1b6fa21bbfc44e785acc372017407bad6998971e1b289f96ad6bc04b925cfe92",
-		"classic95":        "92416d53594fb14c7510a0315eebd1916bc951b0c80b6e576366b34c472bde12",
-		"genckt3":          "683e7fb02a5340d31280cc74c5f81309caa8dfdb8d35ef498c36445e47434b4f",
-		"genckt7":          "70448e5317671c8648b193631aad6bfd64cb4f783a4bcfc799a2e0d46b751997",
+		"LargeBOOM-1C/k1":  "03317194e235cb5ecbc0e49e43684464abd60e1fc2ceccf2e3a0ae8361882c25",
+		"LargeBOOM-1C/k2":  "63c4d208e8432f7a8c7334db71e25899dfaec5328c554d76347a43d1690758c8",
+		"LargeBOOM-2C/k1":  "908632b1fb176c916334d49fe0bd780c25be8c28c264909b170d10d02a33c937",
+		"LargeBOOM-2C/k2":  "543a52b714bd0acb7cef764bf02132b3ff52b69c6342156d9ac94669b7d05477",
+		"LargeBOOM-4C/k1":  "69e5d051f747e8dd09e10c51186eb2c4ee51b2be57133d4076c75ee21dc28634",
+		"LargeBOOM-4C/k2":  "74cacde45d1488aa7b0ef4750852f1aa4be6e211c389f7002b4df2f2bc568286",
+		"MegaBOOM-1C/k1":   "f384751960361d21a2af2bd51ce43f9b6f963722083ad38b99d79b7755d63c84",
+		"MegaBOOM-1C/k2":   "5ac658825742ac13d54ae9a41cb44388535b8057fc160e3dfedbf171f2a0114c",
+		"MegaBOOM-2C/k1":   "430813f42107af87d68611c881415c6edc71ef959a20963a1f1c185de9068979",
+		"MegaBOOM-2C/k2":   "25e2e424aebf73012a639a937c9526dab8c1ccac651e3a3d2683087dcdf79a8f",
+		"MegaBOOM-4C/k1":   "da8314d4e16bb4e1a6db811d251cacc2cc6cc65d8a9e586b1c116eaed76203d2",
+		"MegaBOOM-4C/k2":   "2786bc4e17afa44d3fb17d5a754582b463fe33df0245bfbec485b538cf9e4ff8",
+		"RocketChip-1C/k1": "c59fc8a54c952807e4ab732079ad8ca58b99fdaf31f0725eca4ab0dfaaf15e52",
+		"RocketChip-1C/k2": "5ec8c91802e4dad24044ef8fe305d1fc25ea9615e6572436c6b1d967740b4b61",
+		"RocketChip-2C/k1": "9455aeb2b1dd44a28f5f7cf2e19ea56267324acd1237e5a7c0ca48dc9e3e4ca4",
+		"RocketChip-2C/k2": "ed592c737d7e9bb78515dfed24fd91a630371f993a5bac9cbd0a1b260e393421",
+		"RocketChip-4C/k1": "e9a9455a84b2e2c50a8261b4b1ffdb7723eef71f649c2cace439084353eb0308",
+		"RocketChip-4C/k2": "bce0c87beedffd619bfa81c6719ccf5f6729e8cc8d7c801db9821ca02f38d7ab",
+		"SmallBOOM-1C/k1":  "0d1f3f096477683f44d948cf6234fffd6179ef2a034937d51a57000c727cadf5",
+		"SmallBOOM-1C/k2":  "be613070b24f47b43a9752ce819e315f22c717333915bc6f99fbe3d00232bd23",
+		"SmallBOOM-2C/k1":  "a84432434a90c56bd0abed1edfa5ca430ed014fe2927420b1df5efc261e8cd85",
+		"SmallBOOM-2C/k2":  "b4e2d8418e4e78413dfc71b2c3bee7b8ae6529c5485cd0865fea427bd37719fe",
+		"SmallBOOM-4C/k1":  "7166204370d0d170cd7f5300a5219628f1cb3a39cf635c1d9a6b36090f4993a2",
+		"SmallBOOM-4C/k2":  "912c15eac085aa15ecd442e059ab9e2a8260b642af0a46f5321fd7f6339e113a",
+		"classic50":        "9a7dd7bd52dc1e065e5891b751f2704a7af3a24bff41f9b0b064315bf05dbbb9",
+		"classic51":        "5254d149f37a4c9377bd71d76f8c14b2c1262214e820c0b48d391f76b13320e4",
+		"classic52":        "f5388a97a0004f60c66bcf26ac8dc50031a999d302fa4bb689f8f271f4f363d2",
+		"classic53":        "d929fd61d3a88f0504175580b69ed940767ba2cfe253730b5d168ead2bcf81af",
+		"classic55":        "074eb4540341a192ea9952397217dfcd8531a69ff7e7ba8d7e633a9a17fcf703",
+		"classic81":        "59b02017b14ec01e2b6d73bd56570181cecc79c0bce8c9f58f2c8d3c7713b657",
+		"classic95":        "201750c396677ccafd5443094f9eae9231e1b77311e5d9ab369f0180b34b8ef0",
+		"genckt3":          "4b78a33fd34ff4f9d1b36dd3c471d8c75e16739a30f6bd91e9618c7341f5418f",
+		"genckt7":          "93ea56b85133f52ba4fffb7c5beb057a5a225afceb435e26bfa263c4b19ff48c",
 	}
 	if codegen.EmitterVersion != "cg4" {
 		t.Fatalf("EmitterVersion %s: re-record the golden hashes for it", codegen.EmitterVersion)

@@ -98,17 +98,13 @@ func TestDynamicShiftHugeAmount(t *testing.T) {
 	}
 }
 
-// FuzzFirrtlRoundTrip feeds arbitrary text through the full front-end
-// pipeline. Invariants:
-//
-//  1. Parse never panics; it either returns a Circuit or a diagnostic.
-//  2. For any circuit that parses and checks, Print produces text that
-//     parses and checks again.
-//  3. Print is a fixed point: Print(Parse(Print(c))) == Print(c).
-func FuzzFirrtlRoundTrip(f *testing.F) {
-	f.Add(counterSrc)
-	f.Add(`circuit X { module X { output o : SInt<4> o <= SInt<4>(-3) } }`)
-	f.Add(`circuit T {
+// fuzzSeeds seed the front end's fuzz targets: a counter, a negative
+// literal, a memory with a register, a mixed-sign primitive, and two inputs
+// the parser refuses.
+var fuzzSeeds = []string{
+	counterSrc,
+	`circuit X { module X { output o : SInt<4> o <= SInt<4>(-3) } }`,
+	`circuit T {
   module T {
     input  x : UInt<4>
     output y : UInt<4>
@@ -120,10 +116,23 @@ func FuzzFirrtlRoundTrip(f *testing.F) {
     r <= t
     y <= bits(cat(t, t), 3, 0)
   }
-}`)
-	f.Add(`circuit X { module X { input a : UInt<8> output o : UInt<32> o <= or(UInt<32>(0), asSInt(a)) } }`)
-	f.Add("circuit X @ {}")
-	f.Add(`circuit X { module X { output o : UInt<1> o <= UInt<-5>(3) } }`)
+}`,
+	`circuit X { module X { input a : UInt<8> output o : UInt<32> o <= or(UInt<32>(0), asSInt(a)) } }`,
+	"circuit X @ {}",
+	`circuit X { module X { output o : UInt<1> o <= UInt<-5>(3) } }`,
+}
+
+// FuzzFirrtlRoundTrip feeds arbitrary text through the full front-end
+// pipeline. Invariants:
+//
+//  1. Parse never panics; it either returns a Circuit or a diagnostic.
+//  2. For any circuit that parses and checks, Print produces text that
+//     parses and checks again.
+//  3. Print is a fixed point: Print(Parse(Print(c))) == Print(c).
+func FuzzFirrtlRoundTrip(f *testing.F) {
+	for _, src := range fuzzSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			return // bound per-exec cost; long inputs add no new structure
@@ -145,6 +154,38 @@ func FuzzFirrtlRoundTrip(f *testing.F) {
 		}
 		if text2 := Print(c2); text2 != text {
 			t.Fatalf("print not a fixed point\n--- first ---\n%s\n--- second ---\n%s", text, text2)
+		}
+	})
+}
+
+// FuzzFrontEndKeepsCheck: for any text that parses and checks, Flatten's
+// result checks, and so does Lower's of that. Neither re-checks its own
+// output, so this target and TestFrontEndKeepsCheck hold them to it.
+func FuzzFrontEndKeepsCheck(f *testing.F) {
+	for _, src := range append(fuzzSeeds, hierSrc) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<16 {
+			return
+		}
+		c, err := Parse(src)
+		if err != nil || Check(c) != nil {
+			return
+		}
+		fc, err := Flatten(c)
+		if err != nil {
+			return
+		}
+		if err := Check(fc); err != nil {
+			t.Fatalf("flattened circuit fails check: %v\n--- source ---\n%s", err, src)
+		}
+		lc, err := Lower(fc)
+		if err != nil {
+			t.Fatalf("lower of a flattened circuit: %v", err)
+		}
+		if err := Check(lc); err != nil {
+			t.Fatalf("lowered circuit fails check: %v\n--- source ---\n%s", err, src)
 		}
 	})
 }

@@ -454,7 +454,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			SessionID:   sess.ID,
 			Key:         sess.Key,
 			Cycle:       snap.Cycles,
-			Version:     snap.Version,
+			Version:     sim.SnapshotVersion,
 			Fingerprint: fmt.Sprintf("%016x", snap.Fingerprint),
 			StateHash:   fmt.Sprintf("%016x", hash),
 			State:       snap.Encode(),

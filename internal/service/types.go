@@ -295,7 +295,8 @@ type StepResponse struct {
 // CheckpointResponse is returned by POST /v1/sessions/{id}/checkpoint: the
 // session's serialized simulation state plus enough metadata to restore it
 // on any server holding the same compiled fingerprint. State is the
-// versioned, checksummed sim.Snapshot encoding (base64 over JSON);
+// sim.Snapshot encoding, one checked frame (base64 over JSON), and Version
+// is sim.SnapshotVersion;
 // StateHash is the architectural state hash at checkpoint time, so the
 // restoring side can prove bit-identical resumption.
 type CheckpointResponse struct {

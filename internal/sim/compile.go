@@ -59,21 +59,8 @@ func SerialSpec(g *cgraph.Graph) []PartSpec {
 // non-source predecessor of a partition vertex is in the partition, earlier
 // in the list) — core.Partition results and SerialSpec satisfy this.
 func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
-	p, code, err := compileTagged(g, parts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.reindex()
-	p.link(code)
-	p.fp = p.fingerprint()
-	return p, nil
-}
-
-// compileTagged is Compile up to link: the program's layout and statistics,
-// and each thread's tagged instruction buffer.
-func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][]instr, error) {
 	if len(parts) == 0 {
-		return nil, nil, fmt.Errorf("sim: no partitions")
+		return nil, fmt.Errorf("sim: no partitions")
 	}
 	model := costmodel.Default()
 	c := &compiler{
@@ -82,7 +69,7 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 		opt:  cfg.OptLevel != 0,
 	}
 	if err := c.layout(parts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase A: emit (and sweep) every thread's code, one task per
@@ -102,7 +89,7 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase B: merge thread-local pools into the Program in thread order —
@@ -125,11 +112,16 @@ func compileTagged(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, [][
 			}
 		}
 	})
+	// Link: resolve each thread's tagged buffer into its Code.
 	code := make([][]instr, len(tcs))
 	for t, tc := range tcs {
 		code[t] = tc.code
 	}
-	return c.prog, code, nil
+	p := c.prog
+	p.reindex()
+	p.link(code)
+	p.fp = p.fingerprint()
+	return p, nil
 }
 
 // VertexInstrs runs the serial O0 emitter over g and returns how many
@@ -435,7 +427,8 @@ type threadCompiler struct {
 	c  *compiler
 	t  int
 	th *ThreadCode
-	// code is the thread's tagged instruction buffer, resolved by link.
+	// code is the thread's instruction buffer, which link resolves and
+	// Compile then drops.
 	code []instr
 	// tempOf maps a combinational vertex to its first result temp.
 	tempOf   map[cgraph.VID]uint32

@@ -100,40 +100,44 @@ func TestOptimisedEmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// temp reports which of its thread's temps a linked operand is.
+		temp := func(idx uint32) (uint32, bool) {
+			loc, _, ok := p.LinkedLoc(idx)
+			return loc.Idx, ok && loc.Space == SpaceLocal
+		}
 		for ti, th := range p.Threads {
-			code := make([]instr, len(th.Code))
-			readers := make([]int, p.Threads[ti].NumTemps)
-			def := make([]int, p.Threads[ti].NumTemps)
-			for pc := range th.Code {
-				in := p.tagged(&th.Code[pc])
-				code[pc] = in
+			readers := make([]int, th.NumTemps)
+			def := make([]int, th.NumTemps)
+			for pc, in := range th.Code {
 				refs := [3]uint32{in.A, in.B, in.C}
 				for _, r := range refs[:TraitsOf(in.Op).Reads] {
-					if refTag(r) == refLocal {
-						readers[refIdx(r)]++
+					if i, ok := temp(r); ok {
+						readers[i]++
 					}
 				}
-				if definesDst(in.Op) && refTag(in.Dst) == refLocal {
-					def[refIdx(in.Dst)] = pc
+				if i, ok := temp(in.Dst); ok && definesDst(in.Op) {
+					def[i] = pc
 				}
 			}
-			for pc, in := range code {
+			for pc, in := range th.Code {
 				tr := TraitsOf(in.Op)
 				allImm := tr.Reads > 0
 				refs := [3]uint32{in.A, in.B, in.C}
 				for _, r := range refs[:tr.Reads] {
-					allImm = allImm && refTag(r) == refImm
+					loc, _, _ := p.LinkedLoc(r)
+					allImm = allImm && loc.Space == SpaceImm
 				}
-				local := definesDst(in.Op) && refTag(in.Dst) == refLocal
+				dst, local := temp(in.Dst)
+				local = local && definesDst(in.Op)
+				src, fromTemp := temp(in.A)
 				where := fmt.Sprintf("genckt seed %d thread %d pc %d (%v)", seed, ti, pc, in.Op)
 				switch {
-				case local && readers[refIdx(in.Dst)] == 0:
-					t.Errorf("%s: defines temp %d, which nothing reads", where, refIdx(in.Dst))
+				case local && readers[dst] == 0:
+					t.Errorf("%s: defines temp %d, which nothing reads", where, dst)
 				case local && tr.Pure && allImm:
 					t.Errorf("%s: defines a temp from immediates only", where)
-				case in.Op == OpCopy && refTag(in.A) == refLocal && readers[refIdx(in.A)] == 1 &&
-					TraitsOf(code[def[refIdx(in.A)]].Op).MaskFusable:
-					t.Errorf("%s: copy of temp %d is its only reader, not fused into its producer", where, refIdx(in.A))
+				case in.Op == OpCopy && fromTemp && readers[src] == 1 && TraitsOf(th.Code[def[src]].Op).MaskFusable:
+					t.Errorf("%s: copy of temp %d is its only reader, not fused into its producer", where, src)
 				}
 			}
 		}

@@ -9,8 +9,8 @@ import (
 // the compiler's tagged instruction buffers into the execution form a
 // Program stores, where every narrow operand is a direct index into one
 // flat per-engine state slice, so no read or write pays a per-operand
-// closure call or tag switch. The tagged buffers are dropped after; tagged
-// rebuilds one instruction of them for Fingerprint.
+// closure call or tag switch. The tagged buffers are dropped after:
+// Fingerprint hashes the linked code itself.
 //
 // Unified state layout (all regions padded to SegmentWords so no cache line
 // is written by two threads):
@@ -120,18 +120,6 @@ func (p *Program) translate(t int, code []instr) []LInstr {
 		out[pc] = LInstr{Op: in.Op, Dst: ops[0], A: ops[1], B: ops[2], C: ops[3], Aux: in.Aux, Mask: in.Mask}
 	}
 	return out
-}
-
-// tagged is the inverse of translate: the tagged instruction that li was
-// resolved from. Each operand maps back through LinkedLoc to the region its
-// index lies in: the globals, the immediates, or its thread's temps or
-// shadow.
-func (p *Program) tagged(li *LInstr) instr {
-	ops := mapOperands(li.Op, [4]uint32{li.Dst, li.A, li.B, li.C}, func(idx uint32) uint32 {
-		loc, _, _ := p.LinkedLoc(idx)
-		return makeRef(uint32(loc.Space)<<refTagShift, loc.Idx)
-	})
-	return instr{Op: li.Op, Dst: ops[0], A: ops[1], B: ops[2], C: ops[3], Aux: li.Aux, Mask: li.Mask}
 }
 
 // mapOperands maps the operand fields (Dst, A, B, C) that opcode op uses

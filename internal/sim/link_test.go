@@ -13,7 +13,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/designs"
 	"repro/internal/firrtl"
-	"repro/internal/genckt"
 )
 
 // compileSrc compiles textual IR to a serial program at OptLevel 2.
@@ -169,8 +168,8 @@ func TestLinkedLayoutDisjoint(t *testing.T) {
 }
 
 // A linked instruction is 32 bytes, and TotalInstrs counts every linked
-// instruction (linking is 1:1: TestTaggedRoundTrip). Checked on every
-// bundled design at k in {1,2}.
+// instruction (linking is 1:1: translate resolves each buffered
+// instruction to one). Checked on every bundled design at k in {1,2}.
 func TestLinkOneToOne(t *testing.T) {
 	if sz := unsafe.Sizeof(LInstr{}); sz != 32 {
 		t.Fatalf("LInstr is %d bytes; want 32 (two per cache line)", sz)
@@ -200,55 +199,6 @@ func TestLinkOneToOne(t *testing.T) {
 		t.Run(cfg.Name()+"/k2", func(t *testing.T) {
 			check(t, partitioned(t, g, 2, 1))
 		})
-	}
-}
-
-// Linking is 1:1 and tagged inverts translate on every instruction the
-// compiler emits, so Fingerprint, which rebuilds the tagged code from the
-// linked, sees exactly the compiler's buffers. Checked
-// on every bundled design at k in {1,2,4} and on 200 generated circuits at
-// O0 and O2.
-func TestTaggedRoundTrip(t *testing.T) {
-	check := func(t *testing.T, name string, g *cgraph.Graph, parts []PartSpec, level int) {
-		t.Helper()
-		p, code, err := compileTagged(g, parts, Config{OptLevel: level})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		p.link(code)
-		for ti, th := range p.Threads {
-			if len(th.Code) != len(code[ti]) {
-				t.Fatalf("%s thread %d: linked %d instrs, compiled %d", name, ti, len(th.Code), len(code[ti]))
-			}
-			for pc := range th.Code {
-				if got := p.tagged(&th.Code[pc]); got != code[ti][pc] {
-					t.Fatalf("%s thread %d pc %d: tagged(translate(%+v)) = %+v", name, ti, pc, code[ti][pc], got)
-				}
-			}
-		}
-	}
-	for _, cfg := range designs.Table1(1.0) {
-		g, err := designs.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, cfg.Name()+"/k1", g, SerialSpec(g), 2)
-		for _, k := range []int{2, 4} {
-			res, err := core.Partition(g, core.Options{K: k, Seed: 1, Model: costmodel.Default(), Epsilon: 0.1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, fmt.Sprintf("%s/k%d", cfg.Name(), k), g, partSpecs(res), 2)
-		}
-	}
-	for seed := int64(1); seed <= 200; seed++ {
-		d, err := genckt.Generate(genckt.Config{Seed: seed}).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, level := range []int{0, 2} {
-			check(t, fmt.Sprintf("genckt seed %d O%d", seed, level), d.Graph, SerialSpec(d.Graph), level)
-		}
 	}
 }
 

@@ -15,6 +15,9 @@ func membytesGraph(t *testing.T, src string) *cgraph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := firrtl.Check(c); err != nil {
+		t.Fatal(err)
+	}
 	fc, err := firrtl.Flatten(c)
 	if err != nil {
 		t.Fatal(err)

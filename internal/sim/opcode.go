@@ -56,7 +56,6 @@ const (
 	refTagMask  = uint32(3) << refTagShift
 	refIdxMask  = ^refTagMask
 
-	// A tag is its RefSpace shifted, so tagged maps a LinkedLoc back.
 	// refLocal indexes the thread's temp array.
 	refLocal = uint32(SpaceLocal) << refTagShift
 	// refGlobal indexes the shared global word array.
@@ -84,8 +83,7 @@ func refIdx(r uint32) uint32 { return r & refIdxMask }
 
 // instr is one instruction of the compiler's buffer: emission, the sweep and
 // the immediate-pool merge write it with tagged operands, link resolves it
-// into the LInstr stream a Program stores, and it is dropped. Only
-// Fingerprint rebuilds it, through tagged.
+// into the LInstr stream a Program stores, and it is dropped.
 type instr struct {
 	Op   OpCode
 	Dst  uint32 // refLocal or refShadow destination

@@ -298,23 +298,22 @@ func (p *Program) memBytes() int64 {
 	return n
 }
 
-// Fingerprint hashes every observable part of the compiled program (code,
-// layout, constant pools, statistics) into one value. Two programs with the
-// same fingerprint execute identically; determinism tests compare
-// fingerprints across worker counts and repeated compiles. It is computed
-// once, when the program is linked.
+// Fingerprint hashes every observable part of the compiled program (the
+// linked code, the layout sizes it follows from, constant pools,
+// statistics) into one value. Two programs with the same fingerprint
+// execute identically; persisted snapshots and native artifacts are keyed
+// by it, and determinism tests compare it across worker counts and
+// repeated compiles. It is computed once, when the program is linked or
+// decoded.
 func (p *Program) Fingerprint() uint64 { return p.fp }
 
-// fingerprint computes Fingerprint. The code is hashed in its tagged form
-// (link.go's tagged), so the value does not depend on where link places
-// the frames: persisted snapshots and native artifacts are keyed by it.
+// fingerprint computes Fingerprint. It hashes each linked instruction as
+// it runs; its operands are indices into the layout that layoutFrames
+// derives from the global, immediate, temp and shadow sizes hashed here.
 func (p *Program) fingerprint() uint64 {
 	h := fnv{1469598103934665603}
 	h.str(p.Design)
 	h.u64(uint64(p.NumThreads))
-	// Constant (false) where the removed shared-slot flag was hashed:
-	// persisted snapshots and native artifacts are keyed by this fingerprint.
-	h.u64(0)
 	h.u64(uint64(p.GlobalWords))
 	h.u64(uint64(len(p.Imms)))
 	for _, v := range p.Imms {
@@ -348,7 +347,7 @@ func (p *Program) fingerprint() uint64 {
 		th := &p.Threads[t]
 		h.u64(uint64(len(th.Code)))
 		for i := range th.Code {
-			in := p.tagged(&th.Code[i])
+			in := &th.Code[i]
 			h.u64(uint64(in.Op))
 			h.u64(uint64(in.Dst))
 			h.u64(uint64(in.A))
@@ -360,10 +359,6 @@ func (p *Program) fingerprint() uint64 {
 		h.u64(uint64(th.NumTemps))
 		h.u64(uint64(th.ShadowWords))
 		h.u64(uint64(th.GlobalOff))
-		// Constant where the removed per-vertex code offsets were hashed:
-		// persisted snapshots and native artifacts are keyed by this
-		// fingerprint.
-		h.u64(0)
 		for _, f := range th.Features {
 			h.u64(math.Float64bits(f))
 		}

@@ -9,8 +9,10 @@ package sim
 // GOMAXPROCS 1 and 2 (-run 'Protocol|Barrier').
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -294,25 +296,31 @@ func TestProtocolSnapshotOddParity(t *testing.T) {
 	}
 	blob := snap.Encode()
 
-	// Pinned from the lines above, under snapshot version 2 with zeroed
-	// frames (the blob's bytes changed, not its version, when capture
-	// started zeroing them). The
-	// version-1 blob of this engine (testdata/snapshot-v1.bin, 1650 bytes)
-	// holds the same register, port and memory values word for word; the
-	// 70- and 89-bit values and the 96-bit memory sat in its boxed wide
-	// sections and are state words and word columns here. A compiler change
-	// that moves the fingerprint makes the pinned blob meaningless; the
-	// round trips below still hold.
+	// Pinned from the lines above, under snapshot version 3 (the framed
+	// format) with zeroed frames. The version-2 blob of this engine
+	// (testdata/snapshot-v2.bin, 1936 bytes) is the same payload in an RCSN
+	// envelope with the state size beside the words, under the fingerprint
+	// the tagged code hashed to: from the cycle count on it is this
+	// payload byte for byte. The version-1 blob (testdata/snapshot-v1.bin,
+	// 1650 bytes) holds the same register, port and memory values word for
+	// word; the 70- and 89-bit values and the 96-bit memory sat in its
+	// boxed wide sections and are state words and word columns here. A
+	// compiler change that moves the fingerprint makes the pinned blob
+	// meaningless; the round trips below still hold.
 	const (
-		pinnedFingerprint = uint64(0x03833b7722708fb7)
-		pinnedBlobLen     = 1936
-		pinnedBlobSum     = uint64(0xf138fe5ddeea6181)
+		pinnedFingerprint = uint64(0x62faac41a2b70854)
+		pinnedBlobLen     = 1934
+		pinnedBlobSum     = uint64(0x2a6fed0d7b6fb31d)
 	)
 	if prog.Fingerprint() != pinnedFingerprint {
 		t.Logf("program fingerprint %#x is not the pinned %#x: blob comparison skipped", prog.Fingerprint(), pinnedFingerprint)
 	} else if len(blob) != pinnedBlobLen || checksum(blob) != pinnedBlobSum {
 		t.Fatalf("encoded blob: %d bytes sum %#x, pinned %d bytes sum %#x",
 			len(blob), checksum(blob), pinnedBlobLen, pinnedBlobSum)
+	} else if v2, err := os.ReadFile("testdata/snapshot-v2.bin"); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(v2[24:len(v2)-8], framePayload(blob)[8:]) {
+		t.Fatal("the version-2 blob holds another cycle count, state or memories")
 	}
 
 	// Two restores of the same blob: verbatim, and with stale frames.

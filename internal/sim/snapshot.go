@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,39 +18,30 @@ import (
 // a snapshot carries them as zeroes, and restoring whatever a blob holds
 // there can never change behavior.
 //
-// The wire encoding is a deterministic binary format with a version field
-// (the layout-version guard: any change to the linked state layout or to
-// this format bumps SnapshotVersion) and a trailing checksum, so truncated
-// or corrupted blobs fail loudly at decode time instead of restoring
-// silently wrong state.
+// The wire encoding is a deterministic binary payload inside a checked
+// frame (frame.go) of kind 'S', whose version byte is the layout-version
+// guard: any change to the linked state layout or to this format bumps
+// SnapshotVersion, so truncated, corrupted or foreign blobs fail loudly at
+// decode time instead of restoring silently wrong state.
 
-// SnapshotVersion is the snapshot layout version. Restore refuses any other
-// version; bump it whenever the linked state layout or the snapshot wire
-// format changes shape. Version 2 holds values wider than 64 bits as words
-// of the state slice and wide memories as word columns; version 1 carried
-// them in separate boxed sections.
-const SnapshotVersion = 2
+// SnapshotVersion is the snapshot format version; DecodeSnapshot refuses
+// any other. Bump it whenever the linked state layout or the snapshot wire
+// format changes shape. Version 3 is framed (frame.go); version 2 was the
+// same body in its own RCSN envelope, with the state size beside the
+// words; version 1 carried wide values in separate boxed sections.
+const SnapshotVersion = 3
 
 // ErrSnapshotVersion is wrapped by every refusal of a snapshot captured
 // under another SnapshotVersion (the service answers it with HTTP 409).
 var ErrSnapshotVersion = errors.New("sim: snapshot layout version mismatch")
 
-// snapMagic brands every encoded snapshot blob.
-var snapMagic = [4]byte{'R', 'C', 'S', 'N'}
-
 // Snapshot is one engine's (or one batch lane's) complete state at a cycle
 // boundary.
 type Snapshot struct {
-	// Version is the layout version this snapshot was captured under
-	// (SnapshotVersion at capture time).
-	Version uint32
 	// Fingerprint identifies the program: restore requires an exact match,
 	// which (the compiler being deterministic) implies an identical linked
 	// layout on the restoring side.
 	Fingerprint uint64
-	// LayoutWords is the linked form's StateWords at capture — a second,
-	// structural guard behind the fingerprint.
-	LayoutWords int
 	// Cycles is the simulated-cycle count at capture.
 	Cycles uint64
 	// Words is the full flat linked state slice [globals | imms | frames].
@@ -143,9 +135,7 @@ func newSnapshot(p *Program, gs *globalState, cycles uint64, words []uint64) *Sn
 		clear(words[p.Threads[0].TempOff:])
 	}
 	s := &Snapshot{
-		Version:     SnapshotVersion,
 		Fingerprint: p.Fingerprint(),
-		LayoutWords: p.StateWords,
 		Cycles:      cycles,
 		Words:       words,
 		Mems:        make([][]uint64, len(gs.mems)),
@@ -165,20 +155,16 @@ func (s *Snapshot) restoreMems(mems [][]uint64) {
 	}
 }
 
-// check validates the snapshot against the restoring program's layout: the
-// version gate first, then fingerprint identity, then every structural
-// dimension. A mismatch anywhere means the snapshot was taken under a
-// different program or format and restoring it would be silently wrong.
+// check validates the snapshot against the restoring program's layout:
+// fingerprint identity, then every structural dimension. A mismatch
+// anywhere means the snapshot was taken under a different program and
+// restoring it would be silently wrong.
 func (s *Snapshot) check(p *Program) error {
-	if s.Version != SnapshotVersion {
-		return fmt.Errorf("%w: snapshot is version %d, engine speaks %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
 	if fp := p.Fingerprint(); s.Fingerprint != fp {
 		return fmt.Errorf("sim: snapshot fingerprint %016x does not match program %016x", s.Fingerprint, fp)
 	}
-	if s.LayoutWords != p.StateWords || len(s.Words) != p.StateWords {
-		return fmt.Errorf("sim: snapshot has %d/%d state words, linked layout has %d",
-			s.LayoutWords, len(s.Words), p.StateWords)
+	if len(s.Words) != p.StateWords {
+		return fmt.Errorf("sim: snapshot has %d state words, linked layout has %d", len(s.Words), p.StateWords)
 	}
 	if len(s.Mems) != len(p.Mems) {
 		return fmt.Errorf("sim: snapshot has %d memory columns, program has %d", len(s.Mems), len(p.Mems))
@@ -191,74 +177,55 @@ func (s *Snapshot) check(p *Program) error {
 	return nil
 }
 
-// Encode serializes the snapshot to the deterministic binary wire format:
-// magic, version, fingerprint, layout, cycles, the state words, each memory
-// column (depth, then its words), and a trailing FNV-1a checksum over
-// everything before it. Identical snapshots encode to identical bytes.
+// Encode serializes the snapshot to its deterministic frame: the payload
+// is the fingerprint, the cycles, the state words, and each memory column
+// (depth, then its words). Identical snapshots encode to identical bytes.
 func (s *Snapshot) Encode() []byte {
-	var e snapEnc
-	e.b = append(e.b, snapMagic[:]...)
-	e.u32(s.Version)
-	e.u64(s.Fingerprint)
-	e.u64(uint64(s.LayoutWords))
-	e.u64(s.Cycles)
-	e.u64(uint64(len(s.Words)))
-	for _, w := range s.Words {
-		e.u64(w)
-	}
-	e.u64(uint64(len(s.Mems)))
-	for _, m := range s.Mems {
-		e.u64(uint64(len(m)))
-		for _, w := range m {
-			e.u64(w)
+	var b []byte
+	put := func(ws ...uint64) {
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	}
-	e.u64(checksum(e.b))
-	return e.b
+	put(s.Fingerprint, s.Cycles, uint64(len(s.Words)))
+	put(s.Words...)
+	put(uint64(len(s.Mems)))
+	for _, m := range s.Mems {
+		put(uint64(len(m)))
+		put(m...)
+	}
+	return appendFrame('S', SnapshotVersion, b)
 }
 
-// DecodeSnapshot parses an encoded snapshot, verifying the magic, the
-// version, and the trailing checksum (so truncation or bit rot anywhere in
-// the blob is an error here, not silently wrong state after restore).
+// DecodeSnapshot parses an encoded snapshot. The frame check comes first,
+// so truncation or bit rot anywhere in the blob is an error here, not
+// silently wrong state after restore; a blob of another version, or of
+// the RCSN envelope versions 1 and 2 shipped in, wraps ErrSnapshotVersion.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapMagic)+4+8 {
-		return nil, fmt.Errorf("sim: snapshot blob truncated (%d bytes)", len(data))
+	body, err := openFrame(data, 'S', SnapshotVersion, maxProgramBytes)
+	if bytes.HasPrefix(data, []byte("RCSN")) {
+		err = fmt.Errorf("sim: an RCSN blob of snapshot version 1 or 2: %w", errFrameVersion)
 	}
-	if [4]byte(data[:4]) != snapMagic {
-		return nil, fmt.Errorf("sim: not a snapshot blob (bad magic)")
+	if errors.Is(err, errFrameVersion) {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotVersion, err)
 	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(tail), checksum(body); got != want {
-		return nil, fmt.Errorf("sim: snapshot checksum mismatch (truncated or corrupted blob)")
+	if err != nil {
+		return nil, err
 	}
-	d := snapDec{b: body[4:]}
+	// After the first error every read is 0, so the loops end at once.
+	d := snapDec{b: body}
 	s := &Snapshot{}
-	s.Version = d.u32()
-	if d.err == nil && s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("%w: blob is version %d, decoder speaks %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
 	s.Fingerprint = d.u64()
-	s.LayoutWords = int(d.u64())
 	s.Cycles = d.u64()
-	nw := d.count()
-	if d.err == nil {
-		s.Words = make([]uint64, nw)
-		for i := range s.Words {
-			s.Words[i] = d.u64()
-		}
+	s.Words = make([]uint64, d.count())
+	for i := range s.Words {
+		s.Words[i] = d.u64()
 	}
-	nm := d.count()
-	if d.err == nil {
-		s.Mems = make([][]uint64, nm)
-		for mi := 0; mi < int(nm) && d.err == nil; mi++ {
-			depth := d.count()
-			if d.err != nil {
-				break
-			}
-			s.Mems[mi] = make([]uint64, depth)
-			for a := range s.Mems[mi] {
-				s.Mems[mi][a] = d.u64()
-			}
+	s.Mems = make([][]uint64, d.count())
+	for mi := range s.Mems {
+		s.Mems[mi] = make([]uint64, d.count())
+		for a := range s.Mems[mi] {
+			s.Mems[mi][a] = d.u64()
 		}
 	}
 	if d.err != nil {
@@ -270,41 +237,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// checksum is FNV-1a over the encoded bytes.
-func checksum(b []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// snapEnc appends little-endian fields to a growing buffer.
-type snapEnc struct{ b []byte }
-
-func (e *snapEnc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *snapEnc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-
 // snapDec consumes little-endian fields, latching the first error.
 type snapDec struct {
 	b   []byte
 	err error
-}
-
-func (d *snapDec) short() { d.err = fmt.Errorf("sim: snapshot blob truncated") }
-
-func (d *snapDec) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.short()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
 }
 
 func (d *snapDec) u64() uint64 {
@@ -312,7 +248,7 @@ func (d *snapDec) u64() uint64 {
 		return 0
 	}
 	if len(d.b) < 8 {
-		d.short()
+		d.err = fmt.Errorf("sim: snapshot blob truncated")
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b)

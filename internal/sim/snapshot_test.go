@@ -2,11 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -295,13 +293,9 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Version gate.
-	bad := *snap
-	bad.Version = SnapshotVersion + 1
-	if err := NewEngine(prog).RestoreSnapshot(&bad); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("restore of a future layout version: %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := DecodeSnapshot(bad.Encode()); !errors.Is(err, ErrSnapshotVersion) {
+	// Version gate: the version lives in the frame only.
+	future := appendFrame('S', SnapshotVersion+1, framePayload(snap.Encode()))
+	if _, err := DecodeSnapshot(future); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("decode of a future layout version: %v, want ErrSnapshotVersion", err)
 	}
 
@@ -315,7 +309,7 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal("restore accepted a snapshot from a different program")
 	}
 
-	// Truncation and corruption die at decode (checksum), not at restore.
+	// Truncation and corruption die at decode (the frame), not at restore.
 	blob := snap.Encode()
 	if _, err := DecodeSnapshot(blob[:len(blob)-9]); err == nil {
 		t.Fatal("decode accepted a truncated blob")
@@ -392,48 +386,6 @@ func TestEncodeProgramRoundTrip(t *testing.T) {
 	}
 }
 
-// A program blob is inflated under a cap: one that inflates to exactly the
-// cap decodes, one byte less refuses it, and so does a small blob that
-// inflates to far more than its size: a gob message that announces 8 MiB
-// and carries them as zeros.
-func TestDecodeProgramInflateCap(t *testing.T) {
-	g := randomCircuit(t, 60, 70)
-	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := EncodeProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := io.Copy(io.Discard, zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err := decodeProgram(blob, size); err != nil || p.Fingerprint() != prog.Fingerprint() {
-		t.Fatalf("decode under a cap of exactly %d bytes: %v", size, err)
-	}
-	want := fmt.Sprintf("program exceeds %d bytes", size-1)
-	if _, err := decodeProgram(blob, size-1); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("decode under a cap of %d bytes: %v, want %q", size-1, err, want)
-	}
-	var bomb bytes.Buffer
-	zw := gzip.NewWriter(&bomb)
-	if _, err := zw.Write(append([]byte{0xfd, 0x80, 0, 0}, make([]byte, 8<<20)...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeProgram(bomb.Bytes(), 1<<20); err == nil || !strings.Contains(err.Error(), "program exceeds 1048576 bytes") {
-		t.Fatalf("decode of %d bytes inflating to 8 MiB under a 1 MiB cap: %v", bomb.Len(), err)
-	}
-}
-
 // A peer's program must have one code stream per thread: an engine over a
 // program without threads would have no state to peek.
 func TestDecodeProgramRejectsThreadless(t *testing.T) {
@@ -443,7 +395,7 @@ func TestDecodeProgramRejectsThreadless(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.Threads = nil
-	blob := wireBlob(t, programWire{Version: programWireVersion, Program: prog, Fingerprint: prog.Fingerprint()})
+	blob := wireBlob(t, programWire{Program: prog, Fingerprint: prog.Fingerprint()})
 	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "0 thread codes for 1 threads") {
 		t.Fatalf("decode of a program without thread code: %v", err)
 	}
@@ -463,7 +415,7 @@ func corruptBlob(t testing.TB, ref func(p *Program) uint32) []byte {
 	code := prog.Threads[0].Code
 	pc := slices.IndexFunc(code, func(in LInstr) bool { return TraitsOf(in.Op).Reads > 0 })
 	code[pc].A = ref(prog)
-	return wireBlob(t, programWire{Version: programWireVersion, Program: prog, Fingerprint: prog.fingerprint()})
+	return wireBlob(t, programWire{Program: prog, Fingerprint: prog.fingerprint()})
 }
 
 // outOfRangeBlob reads temp 1<<20, far past the thread's state array.
@@ -485,26 +437,24 @@ func paddingBlob(t testing.TB) []byte {
 	})
 }
 
-// wireBlob gob-encodes and gzips an envelope the way EncodeProgram does,
-// for envelopes EncodeProgram would never write.
+// wireBlob gob-encodes and frames a payload the way EncodeProgram does,
+// for payloads EncodeProgram would never write.
 func wireBlob(t testing.TB, w any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(w); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return appendFrame('P', programVersion, buf.Bytes())
 }
+
+// framePayload is the payload of a well-formed frame.
+func framePayload(frame []byte) []byte { return frame[frameHeader : len(frame)-8] }
 
 // A peer's program must not index outside the globals, the immediates and
 // the reading thread's own frame: past its state array an engine would
 // panic on its first Run, at k >= 2 on a goroutine no recover covers, and
-// a padding word is one tagged cannot map back, so the fingerprint would
-// not describe the code.
+// a padding word belongs to no region an engine keeps.
 func TestDecodeProgramRejectsOutOfRangeOperand(t *testing.T) {
 	for name, blob := range map[string][]byte{"past End": outOfRangeBlob(t), "padding": paddingBlob(t)} {
 		if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "outside the globals, the immediates and the thread's frame") {
@@ -513,28 +463,29 @@ func TestDecodeProgramRejectsOutOfRangeOperand(t *testing.T) {
 	}
 }
 
-// A blob of wire version 1, which carried a tagged copy of the code beside
-// the program, is refused by its version.
-func TestDecodeProgramRejectsVersion1(t *testing.T) {
+// A program blob of the format before frames (wire version 2, gob inside
+// gzip; testdata/program-v2.bin is TestProtocolSnapshotOddParity's program
+// in it) is refused as not a program frame, and a frame of version 2 by
+// its version.
+func TestDecodeProgramRejectsVersion2(t *testing.T) {
+	blob, err := os.ReadFile("testdata/program-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "not a program frame") {
+		t.Fatalf("decode of a version-2 blob: %v", err)
+	}
 	g := randomCircuit(t, 61, 20)
 	prog, err := Compile(g, SerialSpec(g), Config{OptLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := make([][]instr, len(prog.Threads))
-	for ti, th := range prog.Threads {
-		for pc := range th.Code {
-			code[ti] = append(code[ti], prog.tagged(&th.Code[pc]))
-		}
+	blob, err = EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	blob := wireBlob(t, struct {
-		Version     int
-		Program     *Program
-		Code        [][]instr
-		Fingerprint uint64
-	}{1, prog, code, prog.Fingerprint()})
-	if _, err := DecodeProgram(blob); err == nil || !strings.Contains(err.Error(), "unsupported program wire version 1") {
-		t.Fatalf("decode of a version-1 blob: %v", err)
+	if _, err := DecodeProgram(appendFrame('P', 2, framePayload(blob))); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("decode of a version-2 frame: %v", err)
 	}
 }
 
@@ -569,7 +520,7 @@ func TestDecodeProgramRecomputesLayout(t *testing.T) {
 	if !planted {
 		t.Fatal("the program exchanges no words")
 	}
-	p, err := DecodeProgram(wireBlob(t, programWire{Version: programWireVersion, Program: &forged, Fingerprint: prog.Fingerprint()}))
+	p, err := DecodeProgram(wireBlob(t, programWire{Program: &forged, Fingerprint: prog.Fingerprint()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,27 +555,13 @@ func TestDecodeProgramRecomputesLayout(t *testing.T) {
 	}
 }
 
-// inflate gunzips one program blob.
-func inflate(t testing.TB, blob []byte) []byte {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 // FuzzDecodeProgram: decoding never panics, an engine over a program it
 // accepts runs without panicking, and re-encoding an accepted program
-// decodes to the same fingerprint. It fuzzes the inflated gob envelope
-// (decodeWire), the stage after gzip: mutated gzip bytes almost all fail
-// the CRC before gob, the layout check or the code check sees them. The
-// seeds are real envelopes of a serial and a 3-thread program, and the
-// out-of-range and padding envelopes the decoder refuses.
+// decodes to the same fingerprint. It fuzzes the frame's payload
+// (decodeWire), the stage after the frame check: mutated frames almost
+// all fail the checksum before gob, the layout check or the code check
+// sees them. The seeds are real payloads of a serial and a 3-thread
+// program, and the out-of-range and padding payloads the decoder refuses.
 //
 //	go test -run=NONE -fuzz=FuzzDecodeProgram ./internal/sim
 func FuzzDecodeProgram(f *testing.F) {
@@ -638,10 +575,10 @@ func FuzzDecodeProgram(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(inflate(f, blob))
+		f.Add(framePayload(blob))
 	}
-	f.Add(inflate(f, outOfRangeBlob(f)))
-	f.Add(inflate(f, paddingBlob(f)))
+	f.Add(framePayload(outOfRangeBlob(f)))
+	f.Add(framePayload(paddingBlob(f)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := decodeWire(raw)
 		if err != nil {
@@ -664,8 +601,8 @@ func FuzzDecodeProgram(f *testing.F) {
 
 // TestSnapshotVersion1Refused: a blob the version-1 format wrote (boxed
 // wide sections; testdata/snapshot-v1.bin is the encoded state of
-// TestProtocolSnapshotOddParity's engine under that format) passes the
-// checksum and is then refused by name, not misread as version 2.
+// TestProtocolSnapshotOddParity's engine under that format) is refused by
+// name, not misread as a current snapshot.
 func TestSnapshotVersion1Refused(t *testing.T) {
 	blob, err := os.ReadFile("testdata/snapshot-v1.bin")
 	if err != nil {
@@ -676,10 +613,23 @@ func TestSnapshotVersion1Refused(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersion2Refused: the last format before frames, an RCSN
+// envelope (testdata/snapshot-v2.bin, the same engine's state), is refused
+// with ErrSnapshotVersion too, which the service answers with HTTP 409.
+func TestSnapshotVersion2Refused(t *testing.T) {
+	blob, err := os.ReadFile("testdata/snapshot-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("decode of a version-2 blob: %v, want ErrSnapshotVersion", err)
+	}
+}
+
 // DecodeSnapshot reads blobs from peers and clients, so no input may panic
 // it, and a blob it accepts must be exactly what Encode writes for the
-// decoded snapshot. The seeds are real blobs of a serial and a 3-thread
-// engine, and the version-1 blob the decoder refuses.
+// decoded snapshot. The seeds are real frames of a serial and a 3-thread
+// engine, and the version-1 and version-2 blobs the decoder refuses.
 //
 //	go test -run=NONE -fuzz=FuzzDecodeSnapshot ./internal/sim
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -705,8 +655,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(snap.Encode())
 	}
-	if v1, err := os.ReadFile("testdata/snapshot-v1.bin"); err == nil {
-		f.Add(v1)
+	for _, old := range []string{"testdata/snapshot-v1.bin", "testdata/snapshot-v2.bin"} {
+		if blob, err := os.ReadFile(old); err == nil {
+			f.Add(blob)
+		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := DecodeSnapshot(blob)

@@ -2,90 +2,75 @@ package sim
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"slices"
 )
 
 // Program wire format: a compiled program serialized for peer-to-peer
 // artifact fetch in a repcutd cluster, so a program compiled on one node
-// installs on another. The program travels through gob with the linked
-// code engines run; the receiver trusts none of the layout derived from
-// it: it lays the frames out and builds the exchange itself, checks every
-// operand against them and recomputes the fingerprint. A blob that decodes
-// to anything but the exact program sent, or to one an engine could not
-// run, is rejected.
+// installs on another. The program travels as gob inside a checked frame
+// (frame.go) of kind 'P', with the linked code engines run and none of the
+// layout derived from it: the receiver lays the frames out and builds the
+// exchange itself, checks every operand against them and recomputes the
+// fingerprint. A blob that decodes to anything but the exact program sent,
+// or to one an engine could not run, is rejected.
 
-// programWire is the gob envelope: the format version, the program with
-// its code, and its fingerprint at encode time.
+// programWire is the frame's payload: the program with its code, and its
+// fingerprint at encode time.
 type programWire struct {
-	Version     int
 	Program     *Program
 	Fingerprint uint64
 }
 
-// programWireVersion is the only envelope format DecodeProgram reads.
-// Version 1 carried a tagged copy of the code beside the program.
-const programWireVersion = 2
+// programVersion is the only program frame version DecodeProgram reads.
+// Version 2 was a gzipped gob envelope that also shipped the derived
+// layout; version 1 carried a tagged copy of the code beside the program.
+const programVersion = 3
 
-// EncodeProgram serializes a compiled program (gob, gzipped) for transfer
-// to a peer.
+// EncodeProgram serializes a compiled program for transfer to a peer. It
+// encodes a copy whose derived layout (StateWords, ImmOff, Exchange and
+// every thread's frame offsets) is zero, which gob leaves out.
 func EncodeProgram(p *Program) ([]byte, error) {
+	q := *p
+	q.StateWords, q.ImmOff, q.Exchange = 0, 0, nil
+	q.Threads = slices.Clone(p.Threads)
+	for t := range q.Threads {
+		th := &q.Threads[t]
+		th.TempOff, th.ShadowOff, th.End = 0, 0, 0
+	}
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	w := programWire{Version: programWireVersion, Program: p, Fingerprint: p.Fingerprint()}
-	if err := gob.NewEncoder(zw).Encode(w); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(programWire{Program: &q, Fingerprint: p.Fingerprint()}); err != nil {
 		return nil, fmt.Errorf("sim: encode program: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("sim: encode program: %w", err)
-	}
-	return buf.Bytes(), nil
+	return appendFrame('P', programVersion, buf.Bytes()), nil
 }
 
-// maxProgramBytes caps the inflated size of a peer's program blob, which
-// gob would otherwise follow up to 8 GiB, and the state words plus memory
-// words one engine over it allocates. It is the service's default
-// compile-cache budget, 500× MegaBOOM-4C's 0.5 MB program at four threads.
+// maxProgramBytes caps a program or snapshot frame's payload, which also
+// bounds every slice and string gob decodes from it (gob checks each
+// length against the bytes left), and the state words plus memory words
+// one engine over a decoded program allocates. It is the service's
+// default compile-cache budget, 500× MegaBOOM-4C's 0.5 MB program at four
+// threads.
 const maxProgramBytes = 256 << 20
 
-// DecodeProgram reverses EncodeProgram: it recomputes the state layout and
-// the exchange, checks the code against them, rebuilds the derived lookup
-// tables, and verifies the decoded program's fingerprint against the one
-// carried in the envelope. A blob that inflates past maxProgramBytes is
-// refused.
+// DecodeProgram reverses EncodeProgram: it opens the frame, recomputes the
+// state layout and the exchange, checks the code against them, rebuilds
+// the derived lookup tables, and verifies the decoded program's
+// fingerprint against the one carried in the payload.
 func DecodeProgram(data []byte) (*Program, error) {
-	return decodeProgram(data, maxProgramBytes)
+	payload, err := openFrame(data, 'P', programVersion, maxProgramBytes)
+	if err != nil {
+		return nil, err
+	}
+	return decodeWire(payload)
 }
 
-// decodeProgram is DecodeProgram with the inflated-size cap as a parameter.
-func decodeProgram(data []byte, limit int64) (*Program, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("sim: decode program: %w", err)
-	}
-	// Reading to EOF also verifies the gzip CRC; one byte past the cap
-	// tells a stream that ends exactly at it from one that goes on.
-	raw, err := io.ReadAll(io.LimitReader(zr, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("sim: decode program: %w", err)
-	}
-	if int64(len(raw)) > limit {
-		return nil, fmt.Errorf("sim: decode program: program exceeds %d bytes", limit)
-	}
-	return decodeWire(raw)
-}
-
-// decodeWire decodes and checks one inflated gob envelope.
+// decodeWire decodes and checks one frame payload.
 func decodeWire(raw []byte) (*Program, error) {
 	var w programWire
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("sim: decode program: %w", err)
-	}
-	if w.Version != programWireVersion {
-		return nil, fmt.Errorf("sim: decode program: unsupported program wire version %d (want %d)", w.Version, programWireVersion)
 	}
 	if w.Program == nil {
 		return nil, fmt.Errorf("sim: decode program: empty envelope")
@@ -147,10 +132,10 @@ func (p *Program) checkLayout() error {
 	return nil
 }
 
-// checkCode rejects linked code an engine could not run, or tagged could
-// not map back: an opcode outside the table, a memory past the program's,
-// or a state operand outside the globals, the immediates and its thread's
-// frame (padding, another thread's frame, past the state array).
+// checkCode rejects linked code an engine could not run: an opcode outside
+// the table, a memory past the program's, or a state operand outside the
+// globals, the immediates and its thread's frame (padding, another
+// thread's frame, past the state array).
 func (p *Program) checkCode() error {
 	var defs, uses []uint32
 	for t := range p.Threads {

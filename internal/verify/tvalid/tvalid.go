@@ -5,8 +5,8 @@
 // Both programs' linked code, the one code form a sim.Program stores, is
 // symbolically evaluated per thread over the same free register/input
 // variables into hash-consed term DAGs. (Both sides share operand
-// resolution, so the structural verifier's linked scan, difftest's
-// linked-O0 column and sim's tagged round-trip test cover that instead.) A
+// resolution, so the structural verifier's linked scan and difftest's
+// linked-O0 column cover that instead.) A
 // normalization engine (constant folding through the real executor,
 // commutative operand ordering, mask and sign-extension idempotence, mux
 // absorption, copy-chain collapsing) canonicalizes terms so that every
