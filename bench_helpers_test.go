@@ -10,9 +10,3 @@ import (
 func partitionForBench(g *cgraph.Graph, k int, seed int64) (*core.Result, error) {
 	return core.Partition(g, core.Options{K: k, Seed: seed, Model: costmodel.Default()})
 }
-
-// partitionForBenchWorkers is partitionForBench with an explicit pipeline
-// worker count.
-func partitionForBenchWorkers(g *cgraph.Graph, k int, seed int64, workers int) (*core.Result, error) {
-	return core.Partition(g, core.Options{K: k, Seed: seed, Model: costmodel.Default(), Workers: workers})
-}

@@ -12,6 +12,7 @@ package repcut
 // targets stay fast after the first.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -311,23 +312,26 @@ func BenchmarkCompileMegaBoom(b *testing.B) {
 }
 
 // BenchmarkPartitionCompile measures the end-to-end partition+compile
-// pipeline serially (workers=1) and with the worker pool (workers=0, all
-// cores). Both arms produce bit-identical programs; the parallel arm only
-// helps on multi-core hosts.
+// pipeline serially (GOMAXPROCS=1) and with the worker pool at the default
+// GOMAXPROCS. Both arms produce bit-identical programs; the parallel arm
+// only helps on multi-core hosts.
 func BenchmarkPartitionCompile(b *testing.B) {
 	s := benchSuite()
 	g := s.Graph(designs.Config{Kind: designs.MegaBoom, Cores: 4, Scale: 1})
+	def := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(def)
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{
 		{"serial", 1},
-		{"parallel", 0},
+		{"parallel", def},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			runtime.GOMAXPROCS(bc.procs)
 			for i := 0; i < b.N; i++ {
 				// Fresh seeds defeat suite memoization.
-				r, err := partitionForBenchWorkers(g, 16, int64(i+500), bc.workers)
+				r, err := partitionForBench(g, 16, int64(i+500))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -335,7 +339,7 @@ func BenchmarkPartitionCompile(b *testing.B) {
 				for p := range r.Parts {
 					specs[p] = sim.PartSpec{Vertices: r.Parts[p].Vertices, Sinks: r.Parts[p].Sinks}
 				}
-				if _, err := sim.Compile(g, specs, sim.Config{OptLevel: 2, Workers: bc.workers}); err != nil {
+				if _, err := sim.Compile(g, specs, sim.Config{OptLevel: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,7 +28,6 @@ func main() {
 	var (
 		full    = flag.Bool("full", false, "run all 12 designs and the full thread sweep")
 		outDir  = flag.String("out", "", "directory to write .txt/.csv results into")
-		workers = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; results are identical)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -44,7 +43,6 @@ func main() {
 	if *full {
 		s = experiments.New()
 	}
-	s.Workers = *workers
 
 	write := func(name string, t *report.Table) {
 		fmt.Println(t.String())

@@ -65,7 +65,6 @@ func main() {
 		statsOnly  = flag.Bool("stats", false, "print design statistics and partition report, do not simulate")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON (same encoding as the repcutd service)")
 		vcdPath    = flag.String("vcd", "", "dump register/output waveforms to this VCD file")
-		workers    = flag.Int("workers", 0, "worker count for partitioning+compilation (0 = all cores, 1 = serial; output is identical)")
 		backendF   = flag.String("backend", "linked", "execution backend: linked (resolved instruction-stream executor), native (compiled plugin kernel; falls back to linked when unsupported)")
 		artifacts  = flag.String("artifacts", "", "native artifact store directory (-backend native; empty = per-user default under the temp dir)")
 		verifyFlag = flag.Bool("verify", false, "statically prove the compiled program race-free and partition-closed; fail on any violation")
@@ -97,7 +96,7 @@ func main() {
 		req.Source = string(src)
 	}
 	start := time.Now()
-	e, err := service.Compile(req, *workers)
+	e, err := service.Compile(req)
 	if err != nil {
 		fatal(err)
 	}

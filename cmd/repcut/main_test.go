@@ -132,7 +132,7 @@ func TestJSONReportMatchesCompile(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("repcut %v: exit %d: %s", args, code, stderr)
 		}
-		e, err := service.Compile(tc.req, 1)
+		e, err := service.Compile(tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}

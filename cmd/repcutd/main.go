@@ -43,7 +43,6 @@ func main() {
 		maxSess    = flag.Int("max-sessions", 1024, "live session admission limit (429 beyond)")
 		maxComp    = flag.Int("max-compiles", 0, "concurrent compile admission limit (503 beyond; 0 = NumCPU)")
 		idle       = flag.Duration("idle-timeout", 2*time.Minute, "reap sessions idle longer than this")
-		workers    = flag.Int("workers", 0, "per-compile worker bound (0 = all cores)")
 		batchLanes = flag.Int("batch-lanes", 16, fmt.Sprintf("sessions per 16-lane group, %d–16 (a program's sessions share groups once %d are live, the measured break-even); 1 disables batching, 2–%d are refused", service.MinLaneGroup, service.MinLaneGroup, service.MinLaneGroup-1))
 		cgOn       = flag.Bool("codegen", false, "enable the native build-behind tier: compile-cache misses build plugin kernels asynchronously and sessions hot-swap onto them")
 		cgDir      = flag.String("codegen-dir", "", "native artifact store directory (empty = per-user default under the temp dir)")
@@ -69,7 +68,6 @@ func main() {
 		MaxSessions:  *maxSess,
 		MaxCompiles:  *maxComp,
 		IdleTimeout:  *idle,
-		Workers:      *workers,
 		BatchLanes:   *batchLanes,
 		Codegen:      *cgOn,
 		CodegenDir:   *cgDir,

@@ -132,7 +132,7 @@ func TestDaemonBlackBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := d.CompileParallel(req.Options(1))
+	ref, err := d.CompileParallel(req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@ import (
 // Build constructs the split circuit DAG from a checked, flat, lowered
 // circuit (see firrtl.Flatten and firrtl.Lower). Wires and alias nodes are
 // resolved away; combinational vertices unreachable from any sink are
-// pruned. Build fails on combinational cycles.
+// pruned. Build fails on combinational cycles and on untyped operands (a
+// circuit firrtl.Check never typed).
 func Build(c *firrtl.Circuit) (*Graph, error) {
 	if len(c.Modules) != 1 {
 		return nil, fmt.Errorf("cgraph: circuit must be flat")
@@ -309,6 +310,15 @@ func (b *builder) build(m *firrtl.Module) (*Graph, error) {
 		g.Outputs = append(g.Outputs, id)
 	}
 
+	for _, v := range g.Vs {
+		untyped := v.Type.Width <= 0
+		for _, t := range v.ArgTypes {
+			untyped = untyped || t.Width <= 0
+		}
+		if untyped {
+			return nil, fmt.Errorf("cgraph: vertex %s is untyped (run firrtl.Check first)", v.Name)
+		}
+	}
 	if err := b.finish(); err != nil {
 		return nil, err
 	}

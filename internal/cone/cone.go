@@ -11,11 +11,11 @@
 // Source vertices (register reads, memory state, inputs) are not
 // partitioned and belong to no cone.
 //
-// Cone traversals are independent per sink, so AnalyzeWorkers fans them out
+// Cone traversals are independent per sink, so Analyze fans them out
 // over a worker pool: each worker owns a contiguous range of cones and one
 // private stamp array. Cone *sets* are then rebuilt by inverting the
 // per-cone membership lists in ascending cone order, which yields sorted
-// sets without a sort pass and is byte-identical for every worker count.
+// sets without a sort pass and is byte-identical for every GOMAXPROCS.
 package cone
 
 import (
@@ -56,21 +56,16 @@ type Analysis struct {
 	SinkCluster []int32
 }
 
-// Analyze runs cone traversal (Algorithm 1) and clustering over g using
-// every available core. Output is identical for any worker count.
-func Analyze(g *cgraph.Graph) (*Analysis, error) { return AnalyzeWorkers(g, 0) }
-
-// AnalyzeWorkers is Analyze with an explicit worker count (<= 0 means all
-// cores, 1 forces the serial path). The result is bit-identical across
-// worker counts.
-func AnalyzeWorkers(g *cgraph.Graph, workers int) (*Analysis, error) {
+// Analyze runs cone traversal (Algorithm 1) and clustering over g on a
+// GOMAXPROCS-sized pool. The result is bit-identical for every GOMAXPROCS.
+func Analyze(g *cgraph.Graph) (*Analysis, error) {
 	n := g.NumVertices()
 	a := &Analysis{
 		Sinks:     g.Sinks(),
 		ConeSets:  make([][]int32, n),
 		ClusterOf: make([]int32, n),
 	}
-	pool := par.NewPool(workers)
+	pool := par.NewPool()
 
 	// Traverse each cone bottom-up from its sink (Algorithm 1). Cones are
 	// independent, so workers take contiguous cone ranges; the stamp array

@@ -3,8 +3,8 @@ package cone
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
-
 	"testing"
 
 	"repro/internal/cgraph"
@@ -231,20 +231,23 @@ func genWideCircuit(regs int) string {
 }
 
 // The analysis must be bit-identical no matter how many workers traverse
-// the cones.
+// the cones, that is for every GOMAXPROCS.
 func TestAnalyzeWorkerEquivalence(t *testing.T) {
 	g := mustGraph(t, genWideCircuit(64))
-	base, err := AnalyzeWorkers(g, 1)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	base, err := Analyze(g)
 	if err != nil {
 		t.Fatalf("serial analyze: %v", err)
 	}
-	for _, w := range []int{2, 3, 8} {
-		got, err := AnalyzeWorkers(g, w)
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Analyze(g)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: analysis differs from serial result", w)
+			t.Fatalf("GOMAXPROCS=%d: analysis differs from serial result", procs)
 		}
 	}
 }

@@ -35,11 +35,6 @@ type Options struct {
 	// Model predicts per-vertex simulation cost (η). Use
 	// costmodel.Unweighted() for the RepCut UW configuration.
 	Model costmodel.Model
-	// Workers bounds the parallelism of the pipeline itself (cone
-	// traversal, cluster weighting, hypergraph partitioning, partition
-	// realization). <= 0 means all cores; 1 forces the serial path. The
-	// Result is bit-identical for every worker count.
-	Workers int
 	// NoRefine disables the direct k-way FM cleanup that runs over the flat
 	// assignment after recursive bisection (hypergraph.KWayRefine). The
 	// unrefined partitioner is kept addressable so refined and unrefined
@@ -116,12 +111,14 @@ func (r *Result) DerepsOf(p int) []cgraph.DerepGroup {
 }
 
 // Partition runs the full replication-aided partitioning pipeline on g.
+// Its stages share a GOMAXPROCS-sized pool; the Result is bit-identical for
+// every GOMAXPROCS.
 func Partition(g *cgraph.Graph, opt Options) (*Result, error) {
 	if opt.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
 	}
-	pool := par.NewPool(opt.Workers)
-	an, err := cone.AnalyzeWorkers(g, opt.Workers)
+	pool := par.NewPool()
+	an, err := cone.Analyze(g)
 	if err != nil {
 		return nil, err
 	}
@@ -190,8 +187,7 @@ func Partition(g *cgraph.Graph, opt Options) (*Result, error) {
 	hg.Finish()
 
 	hr, err := hypergraph.Partition(hg, hypergraph.Options{
-		K: opt.K, Epsilon: opt.Epsilon, Seed: opt.Seed, Workers: opt.Workers,
-		SkipKWay: opt.NoRefine, KWayBug: opt.RefineBug,
+		K: opt.K, Epsilon: opt.Epsilon, Seed: opt.Seed, SkipKWay: opt.NoRefine, KWayBug: opt.RefineBug,
 	})
 	if err != nil {
 		return nil, err

@@ -67,33 +67,35 @@ func TestDerepReducesReplication(t *testing.T) {
 	}
 }
 
-// TestDerepDeterministicAcrossWorkers pins the pass's output across worker
-// counts: identical groups, identical rebuilt parts.
+// TestDerepDeterministicAcrossWorkers pins the pass's output across
+// GOMAXPROCS values: identical groups, identical rebuilt parts.
 func TestDerepDeterministicAcrossWorkers(t *testing.T) {
 	g := mustDesign(t, "RocketChip-1C")
-	base, err := Partition(g, Options{K: 16, Seed: 1, Model: costmodel.Default(), Derep: true, Workers: 1})
+	setProcs(t, 1)
+	base, err := Partition(g, Options{K: 16, Seed: 1, Model: costmodel.Default(), Derep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Dereps) == 0 {
 		t.Fatal("dereplication found nothing to demote; the test proves nothing")
 	}
-	for _, workers := range []int{2, 8} {
-		got, err := Partition(g, Options{K: 16, Seed: 1, Model: costmodel.Default(), Derep: true, Workers: workers})
+	for _, procs := range []int{2, 8} {
+		setProcs(t, procs)
+		got, err := Partition(g, Options{K: 16, Seed: 1, Model: costmodel.Default(), Derep: true})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !reflect.DeepEqual(base.Dereps, got.Dereps) {
-			t.Fatalf("workers=%d: derep groups differ from serial", workers)
+			t.Fatalf("GOMAXPROCS=%d: derep groups differ from serial", procs)
 		}
 		for p := range base.Parts {
 			if !reflect.DeepEqual(base.Parts[p].Vertices, got.Parts[p].Vertices) {
-				t.Fatalf("workers=%d: part %d vertex list differs", workers, p)
+				t.Fatalf("GOMAXPROCS=%d: part %d vertex list differs", procs, p)
 			}
 		}
 		if got.ReplicationCost != base.ReplicationCost {
-			t.Fatalf("workers=%d: replication cost %.6f differs from serial %.6f",
-				workers, got.ReplicationCost, base.ReplicationCost)
+			t.Fatalf("GOMAXPROCS=%d: replication cost %.6f differs from serial %.6f",
+				procs, got.ReplicationCost, base.ReplicationCost)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // sweeps, no task engines — just the serial pair plus the checkpoint
 // column under test.
 func ckptOptions(seed int64) Options {
-	return Options{Seed: seed, Cycles: 12, Parts: []int{}, Workers: []int{}, Checkpoint: true}
+	return Options{Seed: seed, Cycles: 12, Parts: []int{}, Checkpoint: true}
 }
 
 func TestCheckpointColumn(t *testing.T) {

@@ -18,7 +18,7 @@ func TestCodegenColumnClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opt := Options{Seed: seed, Cycles: 15, Parts: []int{3}, Workers: []int{}, Codegen: true}
+		opt := Options{Seed: seed, Cycles: 15, Parts: []int{3}, Codegen: true}
 		if m := Run(d, opt); m != nil {
 			t.Fatalf("seed %d: %v", seed, m)
 		}
@@ -38,7 +38,7 @@ func TestCodegenMutation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opt := Options{Seed: seed, Cycles: 15, Parts: []int{}, Workers: []int{},
+		opt := Options{Seed: seed, Cycles: 15, Parts: []int{},
 			CodegenBug: codegen.BugCmpInvert}
 		m := Run(d, opt)
 		if m == nil {

@@ -35,7 +35,7 @@ func TestMergedColumnLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if m := Run(d, Options{Seed: seed, Cycles: 12, Parts: []int{}, Workers: []int{}}); m != nil {
+		if m := Run(d, Options{Seed: seed, Cycles: 12, Parts: []int{}}); m != nil {
 			t.Fatalf("seed %d: %v\ncircuit:\n%s", seed, m, d.Text)
 		}
 		if d.Graph.Merge() > 0 {

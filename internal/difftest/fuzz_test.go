@@ -23,7 +23,7 @@ func FuzzDifferentialSim(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated circuit failed to build: %v", err)
 		}
-		opt := Options{Seed: seed*3 + 1, Cycles: cy, Parts: []int{3}, Workers: []int{2}}
+		opt := Options{Seed: seed*3 + 1, Cycles: cy, Parts: []int{3}}
 		if m := Run(d, opt); m != nil {
 			t.Fatalf("%v\ncircuit:\n%s", m, d.Text)
 		}

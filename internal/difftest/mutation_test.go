@@ -25,11 +25,10 @@ import (
 // the service layer stay out of the loop.
 func mutOptions(seed int64, mutate func(*sim.Program) bool) Options {
 	return Options{
-		Seed:    seed,
-		Cycles:  12,
-		Parts:   []int{},
-		Workers: []int{},
-		Mutate:  mutate,
+		Seed:   seed,
+		Cycles: 12,
+		Parts:  []int{},
+		Mutate: mutate,
 	}
 }
 
@@ -312,7 +311,6 @@ func TestMutationBatchColumn(t *testing.T) {
 			Seed:        seed,
 			Cycles:      12,
 			Parts:       []int{},
-			Workers:     []int{},
 			MutateBatch: mutate,
 		}
 		m := Run(d, opt)
@@ -338,7 +336,7 @@ func TestMutationBatchColumn(t *testing.T) {
 // and stay clean.
 func TestMutationParDroppedRemoteWrites(t *testing.T) {
 	huntAndShrinkColumn(t, "par-drop-remote-writes", "par-k", 16, func(seed int64) Options {
-		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantDropRemoteWrites}
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, ParBug: (*sim.Engine).PlantDropRemoteWrites}
 	})
 }
 
@@ -349,7 +347,7 @@ func TestMutationParDroppedRemoteWrites(t *testing.T) {
 // register, which only the par-k columns can see.
 func TestMutationParStaleExchange(t *testing.T) {
 	huntAndShrinkColumn(t, "par-stale-exchange", "par-k", 16, func(seed int64) Options {
-		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, Workers: []int{}, ParBug: (*sim.Engine).PlantStaleExchange}
+		return Options{Seed: seed, Cycles: 12, Parts: []int{3, 5}, ParBug: (*sim.Engine).PlantStaleExchange}
 	})
 }
 
@@ -361,7 +359,7 @@ func TestMutationParStaleExchange(t *testing.T) {
 // reference keeps the unmerged graph, so only that column can diverge.
 func TestMutationMergeIgnoresConsts(t *testing.T) {
 	huntAndShrinkColumn(t, "merge-ignores-consts", "merged-mutant", 16, func(seed int64) Options {
-		return Options{Seed: seed, Cycles: 12, Parts: []int{}, Workers: []int{}, MutateMerge: foldDistinctBits}
+		return Options{Seed: seed, Cycles: 12, Parts: []int{}, MutateMerge: foldDistinctBits}
 	})
 }
 

@@ -38,9 +38,6 @@ type Options struct {
 	// Parts lists partition counts for the parallel engines (default 3, 5;
 	// a count larger than the circuit's sink set is skipped).
 	Parts []int
-	// Workers lists worker-pool sizes for the compile-determinism check
-	// (default 0, 2): every pool size must produce the same fingerprint.
-	Workers []int
 	// Service round-trips the textual IR through the compile cache and
 	// checks the cached recompile hits and agrees.
 	Service bool
@@ -135,9 +132,6 @@ func (o *Options) fill() {
 	}
 	if o.Parts == nil {
 		o.Parts = []int{3, 5}
-	}
-	if o.Workers == nil {
-		o.Workers = []int{0, 2}
 	}
 }
 
@@ -239,17 +233,14 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 		cert = tvalid.Validate(p0, p2, tvalid.Options{Seed: opt.Seed})
 	}
 
-	// Metamorphic: the compiler is deterministic across worker-pool sizes.
-	base := p2.Fingerprint()
-	for _, w := range opt.Workers {
-		pw, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2, Workers: w})
-		if err != nil {
-			return &Mismatch{Engine: fmt.Sprintf("workers-%d", w), Cycle: -1, Kind: "compile", Got: err.Error()}
-		}
-		if fp := pw.Fingerprint(); fp != base {
-			return &Mismatch{Engine: fmt.Sprintf("workers-%d", w), Cycle: -1, Kind: "fingerprint",
-				Got: fmt.Sprintf("%#x", fp), Want: fmt.Sprintf("%#x", base)}
-		}
+	// Metamorphic: recompiling the serial O2 program reproduces it.
+	pr, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: 2})
+	if err != nil {
+		return &Mismatch{Engine: "recompile", Cycle: -1, Kind: "compile", Got: err.Error()}
+	}
+	if fp, base := pr.Fingerprint(), p2.Fingerprint(); fp != base {
+		return &Mismatch{Engine: "recompile", Cycle: -1, Kind: "fingerprint",
+			Got: fmt.Sprintf("%#x", fp), Want: fmt.Sprintf("%#x", base)}
 	}
 
 	// Parallel engines at several partition counts.
@@ -340,7 +331,7 @@ func Run(d *genckt.Design, opt Options) *Mismatch {
 	// elaborates it (merge included), compiles, caches, and the second
 	// request must hit with an identical fingerprint.
 	if opt.Service && d.Text != "" {
-		cache := service.NewCache(1<<30, 64, 2, nil)
+		cache := service.NewCache(1<<30, 64, nil)
 		req := service.CompileRequest{Source: d.Text, Threads: 3, Seed: opt.Seed}
 		e1, hit1, err := cache.GetOrCompile(req)
 		if err != nil {

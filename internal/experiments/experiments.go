@@ -37,9 +37,6 @@ type Suite struct {
 	Seed    int64
 	Threads []int // thread sweep (1 is implied as the baseline)
 	Designs []designs.Config
-	// Workers bounds the parallelism of partitioning and compilation
-	// (<= 0 all cores, 1 serial); results are identical either way.
-	Workers int
 
 	mu      sync.Mutex
 	graphs  map[string]*cgraph.Graph
@@ -109,7 +106,7 @@ func (s *Suite) SerialProgram(cfg designs.Config, opt int) *sim.Program {
 	}
 	s.mu.Unlock()
 	g := s.Graph(cfg)
-	p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: opt, Workers: s.Workers})
+	p, err := sim.Compile(g, sim.SerialSpec(g), sim.Config{OptLevel: opt})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: compile %s: %v", key, err))
 	}
@@ -136,7 +133,7 @@ func (s *Suite) Partition(cfg designs.Config, k int, unweighted bool) *core.Resu
 	if unweighted {
 		model = costmodel.Unweighted()
 	}
-	r, err := core.Partition(g, core.Options{K: k, Seed: s.Seed, Model: model, Workers: s.Workers})
+	r, err := core.Partition(g, core.Options{K: k, Seed: s.Seed, Model: model})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: partition %s: %v", key, err))
 	}
@@ -165,7 +162,7 @@ func (s *Suite) Program(cfg designs.Config, k int, unweighted bool, opt int) *si
 	}
 	// Cost accounting always uses the true model, even for UW partitions:
 	// the UW configuration balances badly, it does not execute differently.
-	p, err := sim.Compile(s.Graph(cfg), specs, sim.Config{OptLevel: opt, Workers: s.Workers})
+	p, err := sim.Compile(s.Graph(cfg), specs, sim.Config{OptLevel: opt})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: compile %s: %v", key, err))
 	}

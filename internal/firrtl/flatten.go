@@ -6,8 +6,9 @@ import "fmt"
 // producing a new circuit with exactly one module. Hierarchical names are
 // mangled with '$' separators (instance "u" port "in" becomes wire "u$in").
 // Clock ports of instances are dropped (single implicit clock domain).
-// The input circuit must have been checked; the result then checks too
-// (the front end's tests hold Flatten to that).
+// The input circuit must have been checked (Check is what types parsed
+// expressions); the result then checks too (the front end's tests hold
+// Flatten to that). An untyped expression is an error.
 func Flatten(c *Circuit) (*Circuit, error) {
 	top := c.Main()
 	if top == nil {
@@ -56,8 +57,12 @@ func inlineInto(c *Circuit, m *Module, prefix string, flat *Module, depth int) e
 		}
 	}
 
+	var untyped Expr // the first expression Check has not typed
 	var rewrite func(e Expr) Expr
 	rewrite = func(e Expr) Expr {
+		if untyped == nil && e.Type().Width <= 0 {
+			untyped = e
+		}
 		switch x := e.(type) {
 		case *Ref:
 			return &Ref{Name: rename(x.Name), Typ: x.Typ}
@@ -119,6 +124,9 @@ func inlineInto(c *Circuit, m *Module, prefix string, flat *Module, depth int) e
 				return err
 			}
 		}
+	}
+	if untyped != nil {
+		return fmt.Errorf("flatten: untyped expression %s in module %s (run Check first)", ExprString(untyped), m.Name)
 	}
 	return nil
 }

@@ -111,17 +111,18 @@ func TestKWayBugGainSignLive(t *testing.T) {
 
 // Seeded invariant sweep (satellite of the repartitioning PR): with the
 // k-way stage in the default pipeline, partitions must stay bit-identical
-// across worker counts {1,2,8}, respect the balance bound, and never come
+// across GOMAXPROCS {1,2,8}, respect the balance bound, and never come
 // out worse than the unrefined assignment.
 func TestKWayWorkerEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 19} {
 		h := randomH(seed, 200, 700)
 		for _, k := range []int{4, 8} {
-			base, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed, Workers: 1})
+			setProcs(t, 1)
+			base, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed})
 			if err != nil {
 				t.Fatalf("seed=%d k=%d serial: %v", seed, k, err)
 			}
-			unref, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed, Workers: 1, SkipKWay: true})
+			unref, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed, SkipKWay: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,13 +130,14 @@ func TestKWayWorkerEquivalence(t *testing.T) {
 				t.Fatalf("seed=%d k=%d: refined cut %d worse than unrefined %d",
 					seed, k, base.CutKm1, unref.CutKm1)
 			}
-			for _, workers := range []int{2, 8} {
-				got, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed, Workers: workers})
+			for _, procs := range []int{2, 8} {
+				setProcs(t, procs)
+				got, err := Partition(h, Options{K: k, Epsilon: 0.08, Seed: seed})
 				if err != nil {
-					t.Fatalf("seed=%d k=%d workers=%d: %v", seed, k, workers, err)
+					t.Fatalf("seed=%d k=%d GOMAXPROCS=%d: %v", seed, k, procs, err)
 				}
 				if !reflect.DeepEqual(base.Part, got.Part) {
-					t.Fatalf("seed=%d k=%d workers=%d: partition differs from serial", seed, k, workers)
+					t.Fatalf("seed=%d k=%d GOMAXPROCS=%d: partition differs from serial", seed, k, procs)
 				}
 			}
 		}

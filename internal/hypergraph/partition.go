@@ -14,12 +14,6 @@ type Options struct {
 	K       int
 	Epsilon float64 // allowed imbalance; <= 0 means DefaultEpsilon
 	Seed    int64
-	// Workers bounds the parallelism of the partitioner (initial bisection
-	// runs and recursive-bisection branches). <= 0 means all cores; 1 runs
-	// fully serial. The partition produced is bit-identical for every
-	// worker count: randomized stages draw from seeds derived per branch
-	// and per run (par.Derive), never from a shared sequential RNG.
-	Workers int
 	// SkipKWay disables the direct k-way FM pass that normally replaces
 	// pure pairwise bisection cleanup (kway.go). Used for unrefined
 	// baselines and A/B measurement.
@@ -54,7 +48,9 @@ func (o *Options) defaults() {
 }
 
 // Partition computes a k-way partition of h minimizing Σ(λ−1)·ω subject to
-// the ε balance constraint, via multilevel recursive bisection.
+// the ε balance constraint, via multilevel recursive bisection. Bisection
+// runs and branches share a GOMAXPROCS-sized pool and draw derived seeds
+// (par.Derive), so the partition is bit-identical for every GOMAXPROCS.
 func Partition(h *H, opt Options) (*Result, error) {
 	opt.defaults()
 	if opt.K <= 0 {
@@ -76,7 +72,7 @@ func Partition(h *H, opt Options) (*Result, error) {
 		for i := range verts {
 			verts[i] = int32(i)
 		}
-		p := &partitioner{opt: opt, epsB: epsB, pool: par.NewPool(opt.Workers)}
+		p := &partitioner{opt: opt, epsB: epsB, pool: par.NewPool()}
 		p.recurse(h, verts, opt.K, 0, part, opt.Seed, 0)
 		if !opt.SkipKWay {
 			// Direct k-way cleanup over the composed assignment: recursive

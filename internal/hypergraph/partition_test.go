@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -295,7 +296,15 @@ func BenchmarkPartition1kVerts(b *testing.B) {
 	}
 }
 
-// The partition must be bit-identical for every worker count: randomized
+// setProcs sets GOMAXPROCS, which sizes the partitioner's worker pool,
+// until the next call or the end of t, when the value t started with comes
+// back.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// The partition must be bit-identical for every GOMAXPROCS: randomized
 // stages draw from per-branch derived seed streams, not a shared RNG.
 func TestPartitionWorkerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -315,20 +324,22 @@ func TestPartitionWorkerEquivalence(t *testing.T) {
 	}
 	h.Finish()
 	for _, k := range []int{2, 5, 8} {
-		base, err := Partition(h, Options{K: k, Seed: 9, Workers: 1})
+		setProcs(t, 1)
+		base, err := Partition(h, Options{K: k, Seed: 9})
 		if err != nil {
 			t.Fatalf("k=%d serial: %v", k, err)
 		}
-		for _, workers := range []int{2, 8} {
-			got, err := Partition(h, Options{K: k, Seed: 9, Workers: workers})
+		for _, procs := range []int{2, 8} {
+			setProcs(t, procs)
+			got, err := Partition(h, Options{K: k, Seed: 9})
 			if err != nil {
-				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
+				t.Fatalf("k=%d GOMAXPROCS=%d: %v", k, procs, err)
 			}
 			if !reflect.DeepEqual(base.Part, got.Part) {
-				t.Fatalf("k=%d workers=%d: partition differs from serial", k, workers)
+				t.Fatalf("k=%d GOMAXPROCS=%d: partition differs from serial", k, procs)
 			}
 			if got.CutKm1 != base.CutKm1 {
-				t.Fatalf("k=%d workers=%d: cut %d != %d", k, workers, got.CutKm1, base.CutKm1)
+				t.Fatalf("k=%d GOMAXPROCS=%d: cut %d != %d", k, procs, got.CutKm1, base.CutKm1)
 			}
 		}
 	}

@@ -3,10 +3,11 @@
 // hypergraph partitioner's initial bisections and recursive branches, and
 // per-thread code emission).
 //
-// Everything here is designed so callers stay *bit-identical across worker
-// counts*: work items are addressed by index (each task writes only its own
-// output slot), recursive branches receive independently derived RNG seed
-// streams (Derive), and merges happen in index order on the caller's side.
+// Everything here is designed so callers stay *bit-identical for every
+// GOMAXPROCS*: work items are addressed by index (each task writes only its
+// own output slot), recursive branches receive independently derived RNG
+// seed streams (Derive), and merges happen in index order on the caller's
+// side.
 // A Pool with one worker runs every task inline on the calling goroutine,
 // so the serial path and the parallel path execute exactly the same code.
 package par
@@ -17,36 +18,20 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested worker count: values >= 1 are returned
-// unchanged; zero or negative means "use all available parallelism"
-// (GOMAXPROCS).
-func Workers(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Pool is a bounded parallelism budget. The zero value is not usable; use
-// NewPool. Pools are cheap (a channel and an int) and safe for concurrent
-// use; nested calls (e.g. ForEach inside Do) simply run inline once the
+// NewPool. Pools are cheap (one channel) and safe for concurrent use;
+// nested calls (e.g. ForEach inside Do) simply run inline once the
 // goroutine budget is spent, so recursion can never explode.
 type Pool struct {
-	workers int
 	// tokens holds the budget of *extra* goroutines the pool may start
-	// beyond the calling one; nil when workers == 1.
+	// beyond the calling one: its capacity is the worker count minus one.
 	tokens chan struct{}
 }
 
-// NewPool creates a pool with the given worker count (see Workers for the
-// meaning of n <= 0).
-func NewPool(n int) *Pool {
-	w := Workers(n)
-	p := &Pool{workers: w}
-	if w > 1 {
-		p.tokens = make(chan struct{}, w-1)
-	}
-	return p
+// NewPool creates a pool of runtime.GOMAXPROCS workers, one of them the
+// calling goroutine, so GOMAXPROCS=1 runs every task inline.
+func NewPool() *Pool {
+	return &Pool{tokens: make(chan struct{}, runtime.GOMAXPROCS(0)-1)}
 }
 
 // ForEach runs fn(i) for every i in [0, n), using up to the pool's worker
@@ -107,13 +92,7 @@ func (p *Pool) ForEachErr(n int, fn func(i int) error) error {
 // ranges and runs fn(lo, hi) for each, possibly concurrently. Use it when
 // tasks want per-worker scratch state amortized over many indices.
 func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunks := p.workers
-	if chunks > n {
-		chunks = n
-	}
+	chunks := min(cap(p.tokens)+1, n)
 	p.ForEach(chunks, func(c int) {
 		lo := c * n / chunks
 		hi := (c + 1) * n / chunks
@@ -125,34 +104,25 @@ func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
 // goroutine and inline otherwise. It is the fork point for parallel
 // recursion (e.g. the two branches of a recursive bisection).
 func (p *Pool) Do(a, b func()) {
-	if p.tokens != nil {
-		select {
-		case p.tokens <- struct{}{}:
-			done := make(chan struct{})
-			go func() {
-				defer func() { <-p.tokens; close(done) }()
-				a()
-			}()
-			b()
-			<-done
-			return
-		default:
-		}
+	select {
+	case p.tokens <- struct{}{}:
+		done := make(chan struct{})
+		go func() {
+			defer func() { <-p.tokens; close(done) }()
+			a()
+		}()
+		b()
+		<-done
+	default:
+		a()
+		b()
 	}
-	a()
-	b()
 }
 
 // spawnBudget acquires up to min(workers-1, n-1) goroutine tokens and
 // returns how many it got. ForEach releases them as its goroutines exit.
 func (p *Pool) spawnBudget(n int) int {
-	if p.tokens == nil || n <= 1 {
-		return 0
-	}
-	want := p.workers - 1
-	if want > n-1 {
-		want = n - 1
-	}
+	want := min(cap(p.tokens), n-1)
 	got := 0
 	for ; got < want; got++ {
 		select {

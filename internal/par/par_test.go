@@ -3,35 +3,36 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkersResolution(t *testing.T) {
-	if Workers(3) != 3 {
-		t.Fatalf("Workers(3) = %d", Workers(3))
-	}
-	if Workers(0) < 1 || Workers(-1) < 1 {
-		t.Fatalf("Workers(<=0) must be >= 1")
-	}
+// setProcs sets GOMAXPROCS, which sizes every Pool, until the next call or
+// the end of t, when the value t started with comes back.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
-		p := NewPool(w)
+		setProcs(t, w)
+		p := NewPool()
 		const n = 1000
 		hits := make([]int32, n)
 		p.ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
-				t.Fatalf("workers=%d index %d ran %d times", w, i, h)
+				t.Fatalf("GOMAXPROCS=%d index %d ran %d times", w, i, h)
 			}
 		}
 	}
 }
 
 func TestForEachErrReturnsLowestIndex(t *testing.T) {
-	p := NewPool(8)
+	setProcs(t, 8)
+	p := NewPool()
 	e3 := errors.New("e3")
 	e7 := errors.New("e7")
 	err := p.ForEachErr(10, func(i int) error {
@@ -53,7 +54,8 @@ func TestForEachErrReturnsLowestIndex(t *testing.T) {
 
 func TestChunksPartitionRange(t *testing.T) {
 	for _, w := range []int{1, 3, 16} {
-		p := NewPool(w)
+		setProcs(t, w)
+		p := NewPool()
 		const n = 103
 		hits := make([]int32, n)
 		p.Chunks(n, func(lo, hi int) {
@@ -66,7 +68,7 @@ func TestChunksPartitionRange(t *testing.T) {
 		})
 		for i, h := range hits {
 			if h != 1 {
-				t.Fatalf("workers=%d index %d covered %d times", w, i, h)
+				t.Fatalf("GOMAXPROCS=%d index %d covered %d times", w, i, h)
 			}
 		}
 	}
@@ -74,11 +76,12 @@ func TestChunksPartitionRange(t *testing.T) {
 
 func TestDoRunsBoth(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		p := NewPool(w)
+		setProcs(t, w)
+		p := NewPool()
 		var a, b atomic.Bool
 		p.Do(func() { a.Store(true) }, func() { b.Store(true) })
 		if !a.Load() || !b.Load() {
-			t.Fatalf("workers=%d: Do skipped a branch", w)
+			t.Fatalf("GOMAXPROCS=%d: Do skipped a branch", w)
 		}
 	}
 }
@@ -86,7 +89,8 @@ func TestDoRunsBoth(t *testing.T) {
 // Nested fan-out must not deadlock even when the goroutine budget is
 // exhausted (tasks fall back to inline execution).
 func TestNestedForEachNoDeadlock(t *testing.T) {
-	p := NewPool(4)
+	setProcs(t, 4)
+	p := NewPool()
 	var total atomic.Int64
 	p.ForEach(8, func(int) {
 		p.ForEach(8, func(int) {

@@ -23,7 +23,7 @@ func wireRef(t *testing.T, req CompileRequest) *repcut.Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := d.CompileParallel(req.Options(1))
+	ref, err := d.CompileParallel(req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func openCoTenants(t *testing.T, client *Client, key string) {
 // with that lane's own input trace.
 func TestBatchCoalescing(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	srv, client := newTestServer(t, Config{BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestBatchCoalescing(t *testing.T) {
 // group. Run with -race.
 func TestBatchConcurrentFrontier(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 8})
+	_, client := newTestServer(t, Config{BatchLanes: 8})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestBatchConcurrentFrontier(t *testing.T) {
 // one lane each and the batched tier is paying lane-width cost for solo
 // work.
 func TestBatchHotDesignOccupancy(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 16})
+	_, client := newTestServer(t, Config{BatchLanes: 16})
 	cr, err := client.Compile(CompileRequest{Design: "RocketChip-1C", Scale: 0.5, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func laneOf(t *testing.T, srv *Server, id string) int {
 // previous occupant's residue.
 func TestBatchLaneRecycling(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	srv, client := newTestServer(t, Config{BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestBatchLaneRecycling(t *testing.T) {
 // its other occupant throughout.
 func TestBatchSpillOnVCD(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	srv, client := newTestServer(t, Config{BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -447,7 +447,7 @@ func TestBatchSpillOnVCD(t *testing.T) {
 // Run(1) calls holds each timestamp #C…#C+3 exactly once, in increasing
 // order — on a private session and on one that spilled off its lane.
 func TestVCDTimestampsOnce(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	_, client := newTestServer(t, Config{BatchLanes: 5})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +502,7 @@ func TestVCDTimestampsOnce(t *testing.T) {
 // the MinLaneGroup-1 sessions after it are still below the break-even.
 func TestBatchSoloAndMetrics(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: 5})
+	_, client := newTestServer(t, Config{BatchLanes: 5})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -582,7 +582,7 @@ func TestBatchSoloAndMetrics(t *testing.T) {
 // TestBatchDisabled pins the off switch: BatchLanes < 0 means every
 // session gets a private engine.
 func TestBatchDisabled(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 2, BatchLanes: -1})
+	_, client := newTestServer(t, Config{BatchLanes: -1})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -615,7 +615,7 @@ func TestBatchLanesClamped(t *testing.T) {
 		{64, sim.BatchWidth, true, MinLaneGroup - 1},
 		{MinLaneGroup - 1, 1, false, 0},
 	} {
-		srv, client := newTestServer(t, Config{Workers: 2, BatchLanes: tc.lanes})
+		srv, client := newTestServer(t, Config{BatchLanes: tc.lanes})
 		cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -681,7 +681,7 @@ func BenchmarkCoTenants(b *testing.B) {
 		}{{"lanes", 0}, {"private", 1}} {
 			for _, n := range []int{6, 16, 32} {
 				b.Run(fmt.Sprintf("%s/%s/n%d", mode.name, tier.name, n), func(b *testing.B) {
-					_, client := newTestServer(b, Config{Workers: 1, BatchLanes: tier.lanes})
+					_, client := newTestServer(b, Config{BatchLanes: tier.lanes})
 					cr, err := client.Compile(CompileRequest{Design: "RocketChip-1C", Threads: 1})
 					if err != nil {
 						b.Fatal(err)

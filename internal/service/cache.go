@@ -78,11 +78,10 @@ type flight struct {
 // *executions* are bounded by an admission semaphore (par.Sem) so a cold
 // cache cannot fork an unbounded number of partition pipelines.
 type Cache struct {
-	budget  int64
-	workers int
-	sem     *par.Sem
-	m       *Metrics
-	cg      *codegenTier // nil unless the native build-behind tier is on
+	budget int64
+	sem    *par.Sem
+	m      *Metrics
+	cg     *codegenTier // nil unless the native build-behind tier is on
 
 	mu      sync.Mutex
 	bytes   int64
@@ -91,16 +90,14 @@ type Cache struct {
 	flights map[string]*flight
 }
 
-// NewCache creates a cache with the given resident-byte budget, at most
-// maxCompiles concurrently executing compiles, and the given per-compile
-// worker bound (internal/par pool size; 0 = all cores).
-func NewCache(budget int64, maxCompiles, workers int, m *Metrics) *Cache {
+// NewCache creates a cache with the given resident-byte budget and at most
+// maxCompiles concurrently executing compiles.
+func NewCache(budget int64, maxCompiles int, m *Metrics) *Cache {
 	if m == nil {
 		m = NewMetrics()
 	}
 	return &Cache{
 		budget:  budget,
-		workers: workers,
 		sem:     par.NewSem(maxCompiles),
 		m:       m,
 		lru:     list.New(),
@@ -173,7 +170,7 @@ func (c *Cache) GetOrCompile(req CompileRequest) (*Entry, bool, error) {
 	c.m.cacheMisses.Add(1)
 	c.mu.Unlock()
 
-	e, err := Compile(req, c.workers)
+	e, err := Compile(req)
 	c.sem.Release()
 	if err != nil {
 		c.m.compileErrors.Add(1)
@@ -244,10 +241,10 @@ func (c *Cache) evictLocked() {
 }
 
 // Compile resolves the request's design and runs the partition+compile
-// pipeline with the given worker bound (0 = all cores), outside any cache.
-// The cache compiles its misses through it, and so does the repcut
-// command, so both report the same DesignReport for one request.
-func Compile(req CompileRequest, workers int) (*Entry, error) {
+// pipeline outside any cache. The cache compiles its misses through it, and
+// so does the repcut command, so both report the same DesignReport for one
+// request.
+func Compile(req CompileRequest) (*Entry, error) {
 	start := time.Now()
 	req = req.normalize()
 	circ, name, err := resolveDesign(req)
@@ -258,7 +255,7 @@ func Compile(req CompileRequest, workers int) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := d.CompileProgram(req.Options(workers))
+	compiled, err := d.CompileProgram(req.Options())
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func offlineFingerprint(t *testing.T, req CompileRequest) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := d.CompileProgram(req.Options(1))
+	c, err := d.CompileProgram(req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestKeyCanonicalization(t *testing.T) {
 
 func TestSingleflightConcurrentCompiles(t *testing.T) {
 	m := NewMetrics()
-	c := NewCache(1<<30, 4, 1, m)
+	c := NewCache(1<<30, 4, m)
 	req := smallReq(1)
 
 	const N = 16
@@ -135,7 +135,7 @@ func TestSingleflightConcurrentCompiles(t *testing.T) {
 
 func TestLRUEvictionByBytes(t *testing.T) {
 	// Learn the per-entry charge, then budget for ~2.5 entries.
-	probe := NewCache(1<<30, 2, 1, NewMetrics())
+	probe := NewCache(1<<30, 2, NewMetrics())
 	e0, _, err := probe.GetOrCompile(smallReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 
 	m := NewMetrics()
-	c := NewCache(e0.Bytes*5/2, 2, 1, m)
+	c := NewCache(e0.Bytes*5/2, 2, m)
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, _, err := c.GetOrCompile(smallReq(seed)); err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 func TestOverBudgetEntryStillServes(t *testing.T) {
 	// A budget smaller than one program must still admit (and keep) the
 	// most recent entry rather than thrash to zero.
-	c := NewCache(1, 2, 1, NewMetrics())
+	c := NewCache(1, 2, NewMetrics())
 	e, _, err := c.GetOrCompile(smallReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestOverBudgetEntryStillServes(t *testing.T) {
 
 func TestCompileAdmissionSheds(t *testing.T) {
 	m := NewMetrics()
-	c := NewCache(1<<30, 1, 1, m)
+	c := NewCache(1<<30, 1, m)
 	// Occupy the only compile slot, then a miss must shed with
 	// ErrCompileBusy instead of queueing.
 	if !c.sem.TryAcquire() {
@@ -217,7 +217,7 @@ func TestCompileAdmissionSheds(t *testing.T) {
 }
 
 func TestCompileErrorPropagatesToJoiners(t *testing.T) {
-	c := NewCache(1<<30, 2, 1, NewMetrics())
+	c := NewCache(1<<30, 2, NewMetrics())
 	bad := CompileRequest{Design: "NoSuchDesign-1C", Threads: 2}
 	const N = 4
 	errs := make([]error, N)

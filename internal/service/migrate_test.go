@@ -14,7 +14,7 @@ import (
 // same cycle with the same state hash. Co-tenants put both on batch lanes,
 // so the checkpoint is taken from a lane and restored into one.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 1, BatchLanes: MinLaneGroup})
+	_, client := newTestServer(t, Config{BatchLanes: MinLaneGroup})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 // conflict with this server's layout (HTTP 409), like a fingerprint
 // mismatch, not a malformed request.
 func TestRestoreVersion1Conflict(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 1})
+	_, client := newTestServer(t, Config{})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestRestoreVersion1Conflict(t *testing.T) {
 // answers with 503 + Retry-After + the peer address, and the client-side
 // session handle follows the forwarding address transparently.
 func TestClientFollowsMigration(t *testing.T) {
-	srvA, clientA := newTestServer(t, Config{Workers: 1})
-	_, clientB := newTestServer(t, Config{Workers: 1})
+	srvA, clientA := newTestServer(t, Config{})
+	_, clientB := newTestServer(t, Config{})
 
 	cr, err := clientB.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
@@ -174,8 +174,8 @@ func TestClientFollowsMigration(t *testing.T) {
 // that Run with the outputs the handle watches.
 func TestMigrationFollowCarriesQueuedPoke(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	srvA, clientA := newTestServer(t, Config{Workers: 1})
-	srvB, clientB := newTestServer(t, Config{Workers: 1})
+	srvA, clientA := newTestServer(t, Config{})
+	srvB, clientB := newTestServer(t, Config{})
 	cr, err := clientA.Compile(req)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // again; a restore is a co-tenant like a create, a failed one counts
 // nowhere, and explicit solo sessions are not co-tenants at all.
 func TestPlacementBreakEven(t *testing.T) {
-	srv, client := newTestServer(t, Config{Workers: 2, IdleTimeout: time.Hour, ReapInterval: time.Hour})
+	srv, client := newTestServer(t, Config{IdleTimeout: time.Hour})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func sameOutputs(t *testing.T, h *SessionHandle, ref *repcut.Simulator, when str
 // next Run. A Peek that asks the server sends the queue first; a carried
 // Peek leaves it for the next Run.
 func TestPokeCarriedInOrder(t *testing.T) {
-	_, client, h, ref := pokeSetup(t, Config{Workers: 2})
+	_, client, h, ref := pokeSetup(t, Config{})
 
 	// The raw protocol.
 	var resp StepResponse
@@ -125,7 +125,7 @@ func TestPokeCarriedInOrder(t *testing.T) {
 // poked directly — the same state_hash, and a blob that steps to the same
 // state as that engine does.
 func TestPokeQueuedCheckpoint(t *testing.T) {
-	_, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	_, _, h, ref := pokeSetup(t, Config{})
 	pokeBoth(t, h, ref, 9)
 	if _, err := h.Run(4); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestPokeQueuedCheckpoint(t *testing.T) {
 // pokes it carried, exactly like the poke requests that preceded a
 // rejected step used to, and the handle drops them.
 func TestPokeCapRejectedRun(t *testing.T) {
-	_, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	_, _, h, ref := pokeSetup(t, Config{})
 	pokeBoth(t, h, ref, 1)
 	if _, err := h.Run(1); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestPokeCapRejectedRun(t *testing.T) {
 // TestPokeRunOnClosedSession: a Run carrying pokes to a session that is
 // gone answers 404 and drops the queue.
 func TestPokeRunOnClosedSession(t *testing.T) {
-	srv, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	srv, _, h, ref := pokeSetup(t, Config{})
 	pokeBoth(t, h, ref, 1)
 	pokeBoth(t, h, ref, 2)
 	if _, err := srv.Sessions().Close(h.ID); err != nil {
@@ -206,7 +206,7 @@ func TestPokeRunOnClosedSession(t *testing.T) {
 // waveform or a close result, so VCD leaves them queued for the next Run
 // and Close drops them unsent.
 func TestPokeNotSentByCloseOrVCD(t *testing.T) {
-	_, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	_, _, h, ref := pokeSetup(t, Config{})
 	if err := h.StartVCD(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPokeNotSentByCloseOrVCD(t *testing.T) {
 // TestPokeKeptOn503: a Run the server sheds with 503 never ran, so its
 // pokes stay queued and the retry carries them.
 func TestPokeKeptOn503(t *testing.T) {
-	srv, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	srv, _, h, ref := pokeSetup(t, Config{})
 	pokeBoth(t, h, ref, 1)
 	pokeBoth(t, h, ref, 0x5a5a)
 	srv.Sessions().draining.Store(true)
@@ -270,7 +270,7 @@ func TestPeekRidesOnStep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := CompileRequest{Source: wireSrc, Threads: tc.threads, Seed: 1}
-			cfg := Config{Workers: 2}
+			cfg := Config{}
 			if tc.lane {
 				cfg.BatchLanes = MinLaneGroup
 			}
@@ -341,7 +341,7 @@ circuit WideOut {
 // answers 400 before anything happens: the cycle stays where it was and the
 // pokes the step carried are not applied.
 func TestPeekListRejected(t *testing.T) {
-	_, client, h, ref := pokeSetup(t, Config{Workers: 2})
+	_, client, h, ref := pokeSetup(t, Config{})
 	pokeBoth(t, h, ref, 3)
 	for _, tc := range []struct {
 		peek []string
@@ -401,7 +401,7 @@ func TestPeekListRejected(t *testing.T) {
 // 503 drop the handle's carried outputs, so the next Peek asks the server;
 // after Close a Peek answers 404, never a stale carried value.
 func TestPeekCarriedCleared(t *testing.T) {
-	srv, _, h, ref := pokeSetup(t, Config{Workers: 2})
+	srv, _, h, ref := pokeSetup(t, Config{})
 	carry := func(when string) {
 		t.Helper()
 		if _, err := h.Run(1); err != nil {

@@ -28,12 +28,9 @@ type Config struct {
 	// it get 503 (default NumCPU, min 2).
 	MaxCompiles int
 	// IdleTimeout reaps sessions with no activity for this long
-	// (default 2m; negative disables reaping).
+	// (default 2m; negative disables reaping). The reaper scans every
+	// IdleTimeout/4.
 	IdleTimeout time.Duration
-	// ReapInterval is how often the reaper scans (default IdleTimeout/4).
-	ReapInterval time.Duration
-	// Workers bounds each compile's internal parallelism (0 = all cores).
-	Workers int
 	// BatchLanes is the session capacity of one lane group: once
 	// MinLaneGroup live sessions simulate the same program, later ones share
 	// a sim.BatchEngine of this many lanes (default and maximum
@@ -68,12 +65,6 @@ func (c *Config) defaults() {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.ReapInterval == 0 {
-		c.ReapInterval = c.IdleTimeout / 4
-	}
-	if c.ReapInterval <= 0 {
-		c.ReapInterval = 30 * time.Second
 	}
 	if c.BatchLanes == 0 || c.BatchLanes > sim.BatchWidth {
 		c.BatchLanes = sim.BatchWidth
@@ -119,7 +110,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		m:          m,
-		cache:      NewCache(cfg.CacheBytes, cfg.MaxCompiles, cfg.Workers, m),
+		cache:      NewCache(cfg.CacheBytes, cfg.MaxCompiles, m),
 		sessions:   NewSessionManager(cfg.MaxSessions, cfg.IdleTimeout, cfg.BatchLanes, m),
 		log:        cfg.Logger,
 		mux:        http.NewServeMux(),
@@ -238,7 +229,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // reaper periodically closes idle sessions.
 func (s *Server) reaper() {
 	defer close(s.reaperDone)
-	t := time.NewTicker(s.cfg.ReapInterval)
+	every := s.cfg.IdleTimeout / 4
+	if every <= 0 {
+		every = 30 * time.Second
+	}
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {

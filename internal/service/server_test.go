@@ -94,7 +94,7 @@ circuit WireDet {
 // bit-identical to a direct sim.Engine run of the same design.
 func TestWireDeterminism(t *testing.T) {
 	req := CompileRequest{Source: wireSrc, Threads: 2, Seed: 1}
-	_, client := newTestServer(t, Config{Workers: 2})
+	_, client := newTestServer(t, Config{})
 
 	cr, err := client.Compile(req)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestWireDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := d.CompileParallel(req.Options(1))
+	ref, err := d.CompileParallel(req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func fpHex(v uint64) string {
 }
 
 func TestConcurrentCompileOverWire(t *testing.T) {
-	srv, client := newTestServer(t, Config{Workers: 1})
+	srv, client := newTestServer(t, Config{})
 	req := smallReq(11)
 
 	const N = 8
@@ -227,7 +227,7 @@ func TestConcurrentCompileOverWire(t *testing.T) {
 }
 
 func TestSessionAdmission(t *testing.T) {
-	srv, client := newTestServer(t, Config{MaxSessions: 2, Workers: 1})
+	srv, client := newTestServer(t, Config{MaxSessions: 2})
 	cr, err := client.Compile(smallReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -257,11 +257,9 @@ func TestSessionAdmission(t *testing.T) {
 }
 
 func TestIdleReaping(t *testing.T) {
-	srv, client := newTestServer(t, Config{
-		MaxSessions: 4, Workers: 1,
-		IdleTimeout:  50 * time.Millisecond,
-		ReapInterval: time.Hour, // reap manually for determinism
-	})
+	// An hour-long timeout keeps the background reaper out of the way; the
+	// test reaps by hand for determinism.
+	srv, client := newTestServer(t, Config{MaxSessions: 4, IdleTimeout: time.Hour})
 	cr, err := client.Compile(smallReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +272,8 @@ func TestIdleReaping(t *testing.T) {
 	if n := srv.Sessions().Reap(time.Now()); n != 0 {
 		t.Fatalf("reaped %d fresh sessions", n)
 	}
-	// An hour from now it is long idle.
-	if n := srv.Sessions().Reap(time.Now().Add(time.Hour)); n != 1 {
+	// Two hours from now it is long idle.
+	if n := srv.Sessions().Reap(time.Now().Add(2 * time.Hour)); n != 1 {
 		t.Fatalf("reaped %d sessions, want 1", n)
 	}
 	if got := srv.Sessions().Live(); got != 0 {
@@ -296,7 +294,7 @@ func TestIdleReaping(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	srv, client := newTestServer(t, Config{Workers: 1})
+	srv, client := newTestServer(t, Config{})
 	cr, err := client.Compile(smallReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +354,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestHealthAndMetricsSurface(t *testing.T) {
-	srv, client := newTestServer(t, Config{Workers: 1})
+	srv, client := newTestServer(t, Config{})
 	if err := client.Health(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +405,7 @@ func TestHealthAndMetricsSurface(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	_, client := newTestServer(t, Config{Workers: 1})
+	_, client := newTestServer(t, Config{})
 
 	// Unknown design family → 400.
 	_, err := client.Compile(CompileRequest{Design: "Zilog-1C", Threads: 2})
@@ -489,7 +487,7 @@ circuit BigDiv {
 // TestConcurrentSessions runs many sessions over one cached program in
 // parallel under -race: engines must share nothing but the program.
 func TestConcurrentSessions(t *testing.T) {
-	_, client := newTestServer(t, Config{MaxSessions: 32, Workers: 2})
+	_, client := newTestServer(t, Config{MaxSessions: 32})
 	cr, err := client.Compile(CompileRequest{Source: wireSrc, Threads: 2})
 	if err != nil {
 		t.Fatal(err)

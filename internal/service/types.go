@@ -33,8 +33,8 @@ type CompileRequest struct {
 	Unweighted bool    `json:"unweighted,omitempty"`
 	Verify     bool    `json:"verify,omitempty"`
 	// Validate runs translation validation during the compile (see
-	// repcut.Options.Validate). Like Verify and Workers it is excluded from
-	// the content address: validation checks the artifact, it never changes
+	// repcut.Options.Validate). Like Verify it is excluded from the
+	// content address: validation checks the artifact, it never changes
 	// it, so validated and unvalidated compiles of one design share a key.
 	Validate bool `json:"validate,omitempty"`
 }
@@ -64,24 +64,20 @@ func (r CompileRequest) normalize() CompileRequest {
 	return r
 }
 
-// Options converts the request to partition options. Workers is a server
-// policy, not part of the content address (output is bit-identical for
-// every worker count), so it is supplied by the caller.
-func (r CompileRequest) Options(workers int) repcut.Options {
+// Options converts the request to partition options.
+func (r CompileRequest) Options() repcut.Options {
 	n := r.normalize()
 	return repcut.Options{
 		Threads: n.Threads, Epsilon: n.Epsilon, Seed: n.Seed,
-		Unweighted: n.Unweighted, Verify: n.Verify,
-		Validate: n.Validate, Workers: workers,
+		Unweighted: n.Unweighted, Verify: n.Verify, Validate: n.Validate,
 	}
 }
 
 // Key is the content address of the compile result: a SHA-256 over the
 // design content (built-in name + scale, or the full IR source) and every
-// partition option that can change the compiled program. Workers is
-// deliberately excluded — compilation is bit-identical across worker
-// counts — so the same design compiled on differently-sized servers
-// shares one address.
+// partition option that can change the compiled program. Compilation is
+// bit-identical for every GOMAXPROCS, so the same design compiled on
+// differently-sized servers shares one address.
 func (r CompileRequest) Key() string {
 	n := r.normalize()
 	h := sha256.New()

@@ -19,12 +19,12 @@ func TestValidatedEntryAccounting(t *testing.T) {
 	}
 
 	mp := NewMetrics()
-	plain, _, err := NewCache(1<<30, 2, 1, mp).GetOrCompile(plainReq)
+	plain, _, err := NewCache(1<<30, 2, mp).GetOrCompile(plainReq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mv := NewMetrics()
-	validated, _, err := NewCache(1<<30, 2, 1, mv).GetOrCompile(valReq)
+	validated, _, err := NewCache(1<<30, 2, mv).GetOrCompile(valReq)
 	if err != nil {
 		t.Fatal(err)
 	}

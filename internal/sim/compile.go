@@ -35,12 +35,6 @@ type Config struct {
 	// producers): the "newer compiler" configuration of Figure 10. The
 	// pipeline passes 2.
 	OptLevel int
-	// Workers bounds the parallelism of compilation itself: per-thread
-	// code emission fans out one task per partition.
-	// <= 0 means all cores; 1 forces serial compilation. The Program is
-	// bit-identical for every worker count: threads compile against
-	// private constant pools that are merged in thread order afterwards.
-	Workers int
 }
 
 // SerialSpec builds the single-partition PartSpec covering the whole graph.
@@ -58,6 +52,8 @@ func SerialSpec(g *cgraph.Graph) []PartSpec {
 // per partition, linked. Partitions must be self-contained (every
 // non-source predecessor of a partition vertex is in the partition, earlier
 // in the list) — core.Partition results and SerialSpec satisfy this.
+// Threads compile on a GOMAXPROCS-sized pool; the Program is bit-identical
+// for every GOMAXPROCS.
 func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("sim: no partitions")
@@ -75,7 +71,7 @@ func Compile(g *cgraph.Graph, parts []PartSpec, cfg Config) (*Program, error) {
 	// Phase A: emit (and sweep) every thread's code, one task per
 	// partition. Each task writes only its own ThreadCode, code buffer and
 	// constant pool, so scheduling cannot influence the output.
-	pool := par.NewPool(cfg.Workers)
+	pool := par.NewPool()
 	tcs := make([]*threadCompiler, len(parts))
 	err := pool.ForEachErr(len(parts), func(t int) error {
 		tc := newThreadCompiler(c, t)

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"repro/internal/bitvec"
+	"repro/internal/cgraph"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 )
@@ -20,9 +23,9 @@ func TestThreadCtxCacheLineAligned(t *testing.T) {
 	}
 }
 
-// Compiled programs must be bit-identical across compile worker counts and
-// across repeated compiles, for every optimization level and both the
-// partitioned and serial paths.
+// Compiled programs must be bit-identical for every GOMAXPROCS (which sizes
+// the compile pool) and across repeated compiles, at every optimization
+// level.
 func TestCompileWorkerEquivalence(t *testing.T) {
 	g := randomCircuit(t, 77, 160)
 	res, err := core.Partition(g, core.Options{K: 4, Seed: 9, Model: costmodel.Default()})
@@ -30,32 +33,36 @@ func TestCompileWorkerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := partSpecs(res)
+	def := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
 	for _, opt := range []int{0, 2} {
-		base, err := Compile(g, specs, Config{OptLevel: opt, Workers: 1})
+		runtime.GOMAXPROCS(1)
+		base, err := Compile(g, specs, Config{OptLevel: opt})
 		if err != nil {
 			t.Fatalf("opt=%d serial: %v", opt, err)
 		}
 		baseFP := base.Fingerprint()
-		for _, workers := range []int{1, 2, 8, 0} {
+		for _, procs := range []int{1, 2, 8, def} {
+			runtime.GOMAXPROCS(procs)
 			for run := 0; run < 2; run++ {
-				got, err := Compile(g, specs, Config{OptLevel: opt, Workers: workers})
+				got, err := Compile(g, specs, Config{OptLevel: opt})
 				if err != nil {
-					t.Fatalf("opt=%d workers=%d run=%d: %v", opt, workers, run, err)
+					t.Fatalf("opt=%d GOMAXPROCS=%d run=%d: %v", opt, procs, run, err)
 				}
 				if fp := got.Fingerprint(); fp != baseFP {
-					t.Fatalf("opt=%d workers=%d run=%d: fingerprint %x differs from serial %x",
-						opt, workers, run, fp, baseFP)
+					t.Fatalf("opt=%d GOMAXPROCS=%d run=%d: fingerprint %x differs from serial %x",
+						opt, procs, run, fp, baseFP)
 				}
 				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("opt=%d workers=%d run=%d: program differs from serial compile", opt, workers, run)
+					t.Fatalf("opt=%d GOMAXPROCS=%d run=%d: program differs from serial compile", opt, procs, run)
 				}
 			}
 		}
 	}
 }
 
-// A parallel-compiled program must still simulate identically to the
-// reference evaluator (end-to-end check that the merge phase renumbers
+// A program compiled at any GOMAXPROCS must still simulate identically to
+// the reference evaluator (end-to-end check that the merge phase renumbers
 // immediates correctly).
 func TestParallelCompileMatchesReference(t *testing.T) {
 	g := randomCircuit(t, 55, 140)
@@ -63,10 +70,23 @@ func TestParallelCompileMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(g, partSpecs(res), Config{OptLevel: 2, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	def := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(def) })
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		prog, err := Compile(g, partSpecs(res), Config{OptLevel: 2})
+		runtime.GOMAXPROCS(def)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		simulateAgainstReference(t, g, prog, fmt.Sprintf("compiled at GOMAXPROCS=%d", procs))
 	}
+}
+
+// simulateAgainstReference runs prog and the reference evaluator in lock
+// step for 50 cycles of random stimulus, comparing all state every cycle.
+func simulateAgainstReference(t *testing.T, g *cgraph.Graph, prog *Program, label string) {
+	t.Helper()
 	eng := NewEngine(prog)
 	ref := NewReference(g)
 	rng := rand.New(rand.NewSource(913))
@@ -91,6 +111,6 @@ func TestParallelCompileMatchesReference(t *testing.T) {
 		}
 		eng.Run(1)
 		ref.Step()
-		compareState(t, g, eng, ref, "parallel-compiled")
+		compareState(t, g, eng, ref, label)
 	}
 }

@@ -3,6 +3,7 @@ package repcut
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -12,12 +13,12 @@ import (
 )
 
 // TestLinkedCrossCheckDesigns is the ISSUE-level acceptance test for the
-// linked fast path: on bundled designs, for every compile worker count in
-// {0, 1, 2, 8}, the linked engine must match the graph-walking sim.Reference
-// bit-for-bit on every register over a randomized input run, the
-// fingerprint must be identical across worker counts (linking changes
-// nothing observable), and the static verifier must prove the linked
-// programs sound.
+// linked fast path: on bundled designs, for programs compiled at the
+// default GOMAXPROCS and at 1, 2 and 8, the linked engine must match the
+// graph-walking sim.Reference bit-for-bit on every register over a
+// randomized input run, the fingerprint must be identical across GOMAXPROCS
+// values (linking changes nothing observable), and the static verifier must
+// prove the linked programs sound.
 func TestLinkedCrossCheckDesigns(t *testing.T) {
 	cases := []struct {
 		cfg     designs.Config
@@ -25,6 +26,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 	}{
 		{designs.Config{Kind: designs.Rocket, Cores: 1, Scale: 0.25}, 1},
 		{designs.Config{Kind: designs.SmallBoom, Cores: 1, Scale: 0.25}, 2},
+		{designs.Config{Kind: designs.Rocket, Cores: 2, Scale: 0.25}, 4},
 	}
 	for _, c := range cases {
 		c := c
@@ -35,19 +37,23 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 			}
 			d := &Design{Graph: g}
 			var baseFP uint64
-			for i, workers := range []int{0, 1, 2, 8} {
-				comp, err := d.CompileProgram(Options{Threads: c.threads, Workers: workers, Verify: true})
+			def := runtime.GOMAXPROCS(0)
+			t.Cleanup(func() { runtime.GOMAXPROCS(def) })
+			for i, procs := range []int{def, 1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				comp, err := d.CompileProgram(Options{Threads: c.threads, Verify: true})
+				runtime.GOMAXPROCS(def)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				fp := comp.Program.Fingerprint()
 				if i == 0 {
 					baseFP = fp
 				} else if fp != baseFP {
-					t.Fatalf("workers=%d: fingerprint %#x differs from workers=0 %#x", workers, fp, baseFP)
+					t.Fatalf("GOMAXPROCS=%d: fingerprint %#x differs from the default's %#x", procs, fp, baseFP)
 				}
 				if comp.Verification == nil || comp.Verification.Err() != nil {
-					t.Fatalf("workers=%d: verify failed: %v", workers, comp.Verification.Err())
+					t.Fatalf("GOMAXPROCS=%d: verify failed: %v", procs, comp.Verification.Err())
 				}
 
 				linked := sim.NewEngine(comp.Program)
@@ -79,7 +85,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bitvec.Eq(lv, rv) {
-						t.Fatalf("workers=%d: reg %s diverges: linked %v, reference %v", workers, r.Name, lv, rv)
+						t.Fatalf("GOMAXPROCS=%d: reg %s diverges: linked %v, reference %v", procs, r.Name, lv, rv)
 					}
 				}
 				for _, o := range comp.Program.Outputs {
@@ -92,7 +98,7 @@ func TestLinkedCrossCheckDesigns(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bitvec.Eq(lv, rv) {
-						t.Fatalf("workers=%d: output %s diverges: linked %v, reference %v", workers, o.Name, lv, rv)
+						t.Fatalf("GOMAXPROCS=%d: output %s diverges: linked %v, reference %v", procs, o.Name, lv, rv)
 					}
 				}
 			}

@@ -101,11 +101,6 @@ type Options struct {
 	Seed int64
 	// Unweighted disables the simulation cost model ("RepCut UW").
 	Unweighted bool
-	// Workers bounds the parallelism of partitioning and compilation
-	// themselves (not of the resulting simulator). <= 0 uses all cores;
-	// 1 forces the serial pipeline. Output is bit-identical for every
-	// worker count.
-	Workers int
 	// Verify statically proves the compiled program race-free,
 	// partition-closed, and well-scheduled (internal/verify) before
 	// returning it; compilation fails on any violation, and the full
@@ -148,8 +143,7 @@ func (d *Design) Partition(opt Options) (*core.Result, *PartitionReport, error) 
 		model = costmodel.Unweighted()
 	}
 	res, err := core.Partition(d.Graph, core.Options{
-		K: opt.Threads, Epsilon: opt.Epsilon, Seed: opt.Seed, Model: model,
-		Workers: opt.Workers, Derep: true,
+		K: opt.Threads, Epsilon: opt.Epsilon, Seed: opt.Seed, Model: model, Derep: true,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -281,7 +275,7 @@ func (d *Design) CompileProgram(opt Options) (*Compiled, error) {
 		}
 		specs, rep = PartSpecs(res), r
 	}
-	p, err := sim.Compile(d.Graph, specs, sim.Config{OptLevel: optLevel, Workers: opt.Workers})
+	p, err := sim.Compile(d.Graph, specs, sim.Config{OptLevel: optLevel})
 	if err != nil {
 		return nil, err
 	}
